@@ -51,7 +51,6 @@ from .lifts import (
     SymplectomorphismReport,
     canonical_symplectic_matrix,
     check_symplectomorphism,
-    closed_form_lifted_midpoint,
     cotangent_lift,
     higher_order_lift,
     second_order_phase_map,
@@ -81,6 +80,6 @@ from .control import (
     running_cost,
     shoot,
 )
-from .checks import CheckResult, run_all
+from .checks import CheckResult, midpoint_cotangent_closed_form, run_all
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ they are part of what the suite asserts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -17,7 +17,6 @@ from .jets import JetTangent, jet_of_curve, unzip_jet_tangent
 from .lifts import (
     canonical_symplectic_matrix,
     check_symplectomorphism,
-    closed_form_lifted_midpoint,
     cotangent_lift,
     higher_order_lift,
     second_order_phase_map,
@@ -100,9 +99,11 @@ def _sphere_tangent_curve(rng, scale: float = 0.3) -> Callable[[float], Array]:
 # suites
 
 
-def _midpoint_cotangent_closed_form(x: Array, d: int, inverse: bool) -> Array:
-    """Cotangent lift of the midpoint rule in closed form: every block is a
-    midpoint average (forward) or average/difference pair (inverse)."""
+def midpoint_cotangent_closed_form(x: Array, d: int, inverse: bool) -> Array:
+    """Cotangent lift of the midpoint rule on R^d in closed form: every block
+    is a midpoint average (forward) or average/difference pair (inverse).
+    At d = 2n it is also the closed form of ``second_order_phase_map(n)``,
+    the cotangent lift of the first-order lift of the midpoint rule on R^n."""
     a, b, c, e = x[:d], x[d : 2 * d], x[2 * d : 3 * d], x[3 * d :]
     if inverse:
         return np.concatenate([0.5 * (a + c), 0.5 * (b + e), c - a, e - b])
@@ -116,24 +117,14 @@ def closed_form_suite(rng) -> list[CheckResult]:
     out = []
     tol = 1e-12
     for n in (1, 3):
-        C = cotangent_lift(midpoint_map(n))
-        fwd = inv = 0.0
-        for _ in range(100):
-            x = rng.normal(size=4 * n)
-            fwd = max(fwd, float(np.max(np.abs(C.forward_flat(x) - _midpoint_cotangent_closed_form(x, n, False)))))
-            inv = max(inv, float(np.max(np.abs(C.inverse_flat(x) - _midpoint_cotangent_closed_form(x, n, True)))))
-        out.append(_result("closed-form", f"T*Q forward n={n}", fwd, tol))
-        out.append(_result("closed-form", f"T*Q inverse n={n}", inv, tol))
-
-        CL = second_order_phase_map(n)
-        F = closed_form_lifted_midpoint(n)
-        fwd = inv = 0.0
-        for _ in range(100):
-            x = rng.normal(size=8 * n)
-            fwd = max(fwd, float(np.max(np.abs(CL.forward_flat(x) - F.forward_flat(x)))))
-            inv = max(inv, float(np.max(np.abs(CL.inverse_flat(x) - F.inverse_flat(x)))))
-        out.append(_result("closed-form", f"T*(TQ) forward n={n}", fwd, tol))
-        out.append(_result("closed-form", f"T*(TQ) inverse n={n}", inv, tol))
+        for space, C, d in (("T*Q", cotangent_lift(midpoint_map(n)), n), ("T*(TQ)", second_order_phase_map(n), 2 * n)):
+            fwd = inv = 0.0
+            for _ in range(100):
+                x = rng.normal(size=4 * d)
+                fwd = max(fwd, float(np.max(np.abs(C.forward_flat(x) - midpoint_cotangent_closed_form(x, d, False)))))
+                inv = max(inv, float(np.max(np.abs(C.inverse_flat(x) - midpoint_cotangent_closed_form(x, d, True)))))
+            out.append(_result("closed-form", f"{space} forward n={n}", fwd, tol))
+            out.append(_result("closed-form", f"{space} inverse n={n}", inv, tol))
     return out
 
 
@@ -148,8 +139,10 @@ def second_lift_suite(rng) -> list[CheckResult]:
     both derivative backends, plus the -+I/2 fiber blocks of its Jacobian."""
     out = []
     n = 2
-    for mode, tol in (("exact", 1e-9), ("fd", 1e-6)):
-        lift = higher_order_lift(midpoint_map(n), 2, derivative_mode=mode)
+    exact = midpoint_map(n)
+    generic = replace(exact, jacobian_constant=False)  # same map, pushed as a nonlinear one
+    for mode, base, tol in (("exact", exact, 1e-9), ("fd", generic, 1e-6)):
+        lift = higher_order_lift(base, 2)
         worst = 0.0
         for _ in range(30):
             x = rng.normal(size=6 * n)

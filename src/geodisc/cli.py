@@ -20,15 +20,7 @@ import numpy as np
 
 from .artifacts import read_csv_columns, write_trajectory_csv, write_xy_svg, _atomic_write_text
 from .checks import run_all
-from .control import (
-    SE2Report,
-    make_free_spline,
-    make_obstacle_problem,
-    obstacle_potential,
-    run_se2_experiment,
-    running_cost,
-    shoot,
-)
+from .control import make_free_spline, make_obstacle_problem, obstacle_potential, running_cost, shoot
 from .errors import (
     BadDiscretization,
     ConfigError,
@@ -230,37 +222,31 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # commands
 
 
-def _default_csv(cfg: ExperimentConfig, command: str) -> str:
-    return cfg.csv_out or f"{cfg.problem}-{command}.csv"
+def _write_artifacts(cfg: ExperimentConfig, traj, clearance, command: str):
+    """Write the trajectory CSV, and the XY-path SVG when asked for.  Returns
+    the clearances (None without an obstacle) and the closing ``csv:`` line."""
+    csv_path = cfg.csv_out or f"{cfg.problem}-{command}.csv"
+    clearances = np.array([clearance(s.q) for s in traj.states]) if clearance is not None else None
+    write_trajectory_csv(csv_path, traj, clearances)
+    line = f"csv: {csv_path}"
+    if cfg.svg_out and cfg.dim >= 2:
+        circle = (float(cfg.center[0]), float(cfg.center[1]), cfg.r) if clearances is not None else None
+        write_xy_svg(cfg.svg_out, traj.positions()[:, :2], circle=circle)
+        line += f"  svg: {cfg.svg_out}"
+    return clearances, line
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     n = cfg.dim
-    csv_path = _default_csv(cfg, "trajectory")
-    if cfg.problem == "se2":
-        cfg = replace(cfg, csv_out=csv_path)
-        report = run_se2_experiment(cfg)
-        print(report.summary())
-        print(f"csv: {report.csv_path}" + (f"  svg: {report.svg_path}" if report.svg_path else ""))
-        return 0
-
-    base = cfg.base_map(n)
-    C = second_order_phase_map(n, base=base)
-    clearance_fn = None
-    if cfg.problem == "obstacle":
-        V, gV, clearance_fn = obstacle_potential(cfg.tau, cfg.r, cfg.center, n)
+    C = second_order_phase_map(n, base=cfg.base_map(n))
+    V = clearance = None
+    if cfg.problem in ("obstacle", "se2"):
+        V, gV, clearance = obstacle_potential(cfg.tau, cfg.r, cfg.center, n)
         H = second_order_hamiltonian(n, V, gV)
     else:
-        V = None
         H = second_order_hamiltonian(n)
     traj = integrate(C, H, cfg.h, cfg.steps, cfg.initial_state)
-    clearances = (
-        np.array([clearance_fn(s.q) for s in traj.states]) if clearance_fn is not None else None
-    )
-    write_trajectory_csv(csv_path, traj, clearances)
-    if cfg.svg_out and n >= 2:
-        circle = (float(cfg.center[0]), float(cfg.center[1]), cfg.r) if clearances is not None else None
-        write_xy_svg(cfg.svg_out, traj.positions()[:, :2], circle=circle)
+    clearances, csv_line = _write_artifacts(cfg, traj, clearance, "trajectory")
     cost = running_cost(traj, V if cfg.include_potential_in_cost else None)
     final = traj.states[-1]
     drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
@@ -269,7 +255,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     print("H drift      = %.6g" % drift)
     print("min clearance= %s" % ("%.6g" % np.min(clearances) if clearances is not None else "n/a"))
     print("cost J       = %.6g" % cost)
-    print(f"csv: {csv_path}" + (f"  svg: {cfg.svg_out}" if cfg.svg_out and n >= 2 else ""))
+    print(csv_line)
     return 0
 
 
@@ -291,24 +277,14 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
         prob = make_free_spline(n, cfg.boundary, T, cfg.h)
     C = second_order_phase_map(n, base=cfg.base_map(n))
     result = shoot(prob, C=C, tol=cfg.tol)
-
-    csv_path = _default_csv(cfg, "shoot")
-    clearances = (
-        np.array([prob.clearance(s.q) for s in result.trajectory.states])
-        if prob.clearance is not None
-        else None
-    )
-    write_trajectory_csv(csv_path, result.trajectory, clearances)
-    if cfg.svg_out and n >= 2:
-        circle = (float(cfg.center[0]), float(cfg.center[1]), cfg.r) if clearances is not None else None
-        write_xy_svg(cfg.svg_out, result.trajectory.positions()[:, :2], circle=circle)
+    _, csv_line = _write_artifacts(cfg, result.trajectory, prob.clearance, "shoot")
 
     print("converged    = %s" % result.converged)
     print("p0(0)        = [%s]" % " ".join("%.10g" % v for v in result.p0))
     print("p1(0)        = [%s]" % " ".join("%.10g" % v for v in result.p1))
     print("defect       = %.6g" % result.defect)
     print("cost J       = %.6g" % result.cost)
-    print(f"csv: {csv_path}" + (f"  svg: {cfg.svg_out}" if cfg.svg_out and n >= 2 else ""))
+    print(csv_line)
     if not result.converged:
         message = " ".join((result.message or "terminal defect above tolerance").split())
         print(f"error: non-convergence: {message}", file=sys.stderr)
@@ -371,7 +347,12 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--problem", choices=PROBLEM_KINDS)
+    p.add_argument(
+        "--problem",
+        choices=PROBLEM_KINDS,
+        help="se2 (the default) is the obstacle problem with n=3 in a Euclidean (x, y, theta) chart; "
+        "it does not use the SE(2) exponential map",
+    )
     p.add_argument("--n", type=int, help="configuration dimension")
     p.add_argument("--steps", type=int)
     p.add_argument("--tau", type=float, help="obstacle potential strength")
@@ -403,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--h", type=float, help="step size")
     p.add_argument("--init", help="flat initial state q,qdot,p0,p1 (4n numbers)")
-    p.add_argument("--tol", type=float, help="per-step Newton tolerance")
 
     p = sub.add_parser("shoot", help="solve a two-point boundary problem by single shooting")
     _add_common(p)

@@ -210,17 +210,19 @@ def lagrangian_energy(L, q, qdot, qddot, qdddot) -> float:
 
 
 def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> Callable[[Array], Array]:
-    """Residual in the unknown right endpoint z1 whose root defines one step."""
+    """Residual in the unknown right endpoint z1 whose root defines one step.
+
+    z0 is checked here, once per step; the residual evaluates the unchecked
+    flat inverse of the lifted map."""
     d = C.dim
     if H.dim != d:
         raise ValueError(f"Hamiltonian lives on T*R^{H.dim} but the map expects dimension {d}")
     z0 = as_vector(z0, name="z0")
     if z0.size != 2 * d:
         raise ValueError(f"phase points have {2 * d} coordinates, got {z0.size}")
-    m0, p0 = z0[:d], z0[d:]
 
     def residual(z1: Array) -> Array:
-        m, p, mdot, pdot = C.inverse(m0, p0, z1[:d], z1[d:])
+        m, p, mdot, pdot = np.split(C.inverse_flat(np.concatenate([z0, z1])), 4)
         return np.concatenate([mdot - h * H.grad_p(m, p), pdot + h * H.grad_m(m, p)])
 
     return residual
@@ -230,8 +232,11 @@ def _chord_newton(residual, x0: Array, J: Array | None, tol: float, max_iter: in
     """Newton iteration reusing one Jacobian, refreshed only on stalls.
 
     Returns (solution, jacobian_used) so callers integrating many steps can
-    carry the factorization across steps.
+    carry the factorization across steps.  The tolerance never goes below
+    8 eps ||x0||_inf, the rounding level of the state (for tol = 1e-12 that
+    floor takes over above ||x0||_inf ~ 560).
     """
+    tol = max(tol, 8.0 * np.finfo(float).eps * float(np.max(np.abs(x0))))
     x = x0.copy()
     r = residual(x)
     best_x, best_norm = x.copy(), float(np.max(np.abs(r)))

@@ -14,8 +14,11 @@ Lifting moves a discretization map between spaces:
   of the canonical symplectic form and the difference of the two pullbacks on
   the product, which :func:`check_symplectomorphism` verifies numerically.
 
-The generic constructions are the production path.  The closed forms for the
-midpoint family double as independent test oracles.
+Every lift is implemented by its unchecked flat maps (``forward_flat``,
+``inverse_flat``, ``jacobian_forward_flat``) and reaches its base only
+through the base's flat maps; the structured calls check their inputs once
+and delegate.  The closed form of the lifted midpoint map, the independent
+test oracle, is :func:`geodisc.checks.midpoint_cotangent_closed_form`.
 """
 from __future__ import annotations
 
@@ -57,33 +60,25 @@ class HigherOrderDiscretizationMap:
 
     Maps a tangent vector to the order-k jet space (base jet z, fiber velocity
     zdot) to a pair of order-k jets, by pushing the zipped jet through the base
-    map.  ``derivative_mode`` controls how derivatives of the base map enter:
-
-    * ``"exact"`` (only for bases with a constant Jacobian): the lift is affine
-      and is precomputed as a matrix, so evaluations are exact and cheap.
-    * ``"fd"``: all base derivatives come from finite differences.
-    * ``"auto"``: exact when available, fd otherwise.
+    map.  A base with a constant Jacobian gives an affine lift, precomputed as
+    a matrix so that evaluations are exact and cheap; any other base is pushed
+    through its flat maps, with derivatives from its Jacobian or from finite
+    differences.
     """
 
-    def __init__(self, base: DiscretizationMap, order: int, derivative_mode: str = "auto"):
+    def __init__(self, base: DiscretizationMap, order: int):
         if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_TAYLOR_ORDER:
             raise UnsupportedOrder(f"lift order must be an integer in [0, {MAX_TAYLOR_ORDER}], got {order!r}")
-        if derivative_mode == "auto":
-            derivative_mode = "exact" if base.jacobian_constant else "fd"
-        if derivative_mode not in ("exact", "fd"):
-            raise ValueError(f"unknown derivative_mode {derivative_mode!r}")
-        if derivative_mode == "exact" and not base.jacobian_constant:
-            raise ValueError("exact mode needs a base map with a constant Jacobian")
         self.base = base
         self.order = int(order)
-        self.derivative_mode = derivative_mode
+        self.jacobian_constant = base.jacobian_constant
         self.base_dim = base.dim
         self.dim = (self.order + 1) * base.dim
         self.name = f"lift{self.order}({base.name})" if base.name else f"lift{self.order}"
-        if derivative_mode == "exact":
-            zero = np.zeros(base.dim)
-            J = base.jacobian_forward(zero, zero)
-            offset = base.forward_flat(np.zeros(2 * base.dim))
+        if self.jacobian_constant:
+            zero = np.zeros(2 * base.dim)
+            J = base.jacobian_forward_flat(zero)
+            offset = base.forward_flat(zero)
             self._forward_affine = self._assemble_affine(J, offset)
             Jinv = np.linalg.inv(J)
             self._inverse_affine = self._assemble_affine(Jinv, -Jinv @ offset)
@@ -127,67 +122,43 @@ class HigherOrderDiscretizationMap:
     # -- flat interface ---------------------------------------------------
     def forward_flat(self, x) -> Array:
         x = np.asarray(x, dtype=float)
-        if self.derivative_mode == "exact":
+        if self.jacobian_constant:
             M, d = self._forward_affine
             return M @ x + d
-        xt = JetTangent.from_flat(x, self.order, self.base_dim)
-        pushed = self._pushforward(zip_jet_tangent(xt), inverse=False)
-        jm, jp = _split_pair_jet(pushed)
+        j = zip_jet_tangent(JetTangent.from_flat(x, self.order, self.base_dim))
+        jm, jp = _split_pair_jet(jet_pushforward(self.base.forward_flat, j, jacobian=self.base.jacobian_forward_flat))
         return np.concatenate([jm.flat(), jp.flat()])
 
     def inverse_flat(self, y) -> Array:
         y = np.asarray(y, dtype=float)
-        if self.derivative_mode == "exact":
+        if self.jacobian_constant:
             M, d = self._inverse_affine
             return M @ y + d
         jm = Jet.from_flat(y[: self.dim], self.order, self.base_dim)
         jp = Jet.from_flat(y[self.dim :], self.order, self.base_dim)
         paired = Jet(tuple(np.concatenate([a, b]) for a, b in zip(jm.derivs, jp.derivs)))
-        pushed = self._pushforward(paired, inverse=True)
-        return unzip_jet_tangent(pushed).flat()
-
-    def _pushforward(self, j: Jet, inverse: bool) -> Jet:
-        F = self.base.inverse_flat if inverse else self.base.forward_flat
-        jac = None
-        if not inverse and self.base.jacobian_fn is not None:
-            jac = lambda x: self.base.jacobian_forward(x[: self.base_dim], x[self.base_dim :])
-        method = "chain" if self.order <= 2 else "curve"
-        return jet_pushforward(F, j, method=method, jacobian=jac)
+        return unzip_jet_tangent(jet_pushforward(self.base.inverse_flat, paired)).flat()
 
     def jacobian_forward_flat(self, x) -> Array:
-        if self.derivative_mode == "exact":
+        if self.jacobian_constant:
             return self._forward_affine[0].copy()
         return jacobian_fd(self.forward_flat, np.asarray(x, dtype=float))
 
     def as_discretization_map(self) -> DiscretizationMap:
         """View the lifted map as a plain discretization map on R^dim."""
-        N = self.dim
-
-        def fwd(z, zdot):
-            y = self.forward_flat(np.concatenate([z, zdot]))
-            return y[:N], y[N:]
-
-        def inv(a, b):
-            x = self.inverse_flat(np.concatenate([a, b]))
-            return x[:N], x[N:]
-
-        jac_fn = None
-        if self.derivative_mode == "exact":
-            M = self._forward_affine[0]
-            jac_fn = lambda z, zdot: M
         return DiscretizationMap(
-            dim=N,
-            forward_fn=fwd,
-            inverse_fn=inv,
-            jacobian_fn=jac_fn,
-            jacobian_constant=self.derivative_mode == "exact",
+            dim=self.dim,
+            forward_fn=lambda z, zdot: np.split(self.forward_flat(np.concatenate([z, zdot])), 2),
+            inverse_fn=lambda a, b: np.split(self.inverse_flat(np.concatenate([a, b])), 2),
+            jacobian_fn=lambda z, zdot: self.jacobian_forward_flat(np.concatenate([z, zdot])),
+            jacobian_constant=self.jacobian_constant,
             name=self.name,
         )
 
 
-def higher_order_lift(D: DiscretizationMap, order: int, derivative_mode: str = "auto") -> HigherOrderDiscretizationMap:
+def higher_order_lift(D: DiscretizationMap, order: int) -> HigherOrderDiscretizationMap:
     """Lift a discretization map to order-k jet spaces."""
-    return HigherOrderDiscretizationMap(D, order, derivative_mode)
+    return HigherOrderDiscretizationMap(D, order)
 
 
 def _split_pair_jet(j: Jet) -> tuple[Jet, Jet]:
@@ -206,129 +177,76 @@ class CotangentLiftedMap:
         (-p0, p1) = (pdot, p) . J^{-1}        (forward)
         (pdot, p) = (-p0, p1) . J             (inverse)
 
+    The flat maps are the implementation and use only the base's flat
+    interface (``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``),
+    so the base may be a :class:`DiscretizationMap` or a
+    :class:`HigherOrderDiscretizationMap` and probes may leave its manifold.
+    The four-vector ``forward``/``inverse`` check their inputs and delegate.
     The construction makes the map a discretization map on T*M in its own
     right (see ``as_discretization_map``) and a symplectomorphism, checked by
     :func:`check_symplectomorphism`.
     """
 
-    def __init__(self, base: DiscretizationMap):
+    def __init__(self, base):
         self.base = base
         self.dim = base.dim
         self.name = f"cotangent({base.name})" if base.name else "cotangent"
-        self._J_const = None
-        if base.jacobian_constant:
-            zero = np.zeros(base.dim)
-            self._J_const = base.jacobian_forward(zero, zero)
-            self._J_const_T_inv = np.linalg.inv(self._J_const.T)
 
-    def _jacobian(self, m: Array, mdot: Array) -> Array:
-        if self._J_const is not None:
-            return self._J_const
-        return self.base.jacobian_forward(m, mdot)
+    def _checked_flat(self, parts, names) -> Array:
+        vs = [as_vector(v, name=name) for v, name in zip(parts, names)]
+        if any(v.size != self.dim for v in vs):
+            raise ValueError(f"{self.name} expects vectors of length {self.dim}")
+        return np.concatenate(vs)
 
     def forward(self, m, p, mdot, pdot) -> tuple[Array, Array, Array, Array]:
-        m = as_vector(m, name="m")
-        p = as_vector(p, name="p")
-        mdot = as_vector(mdot, name="mdot")
-        pdot = as_vector(pdot, name="pdot")
-        m0, m1 = self.base.forward(m, mdot)
-        rhs = np.concatenate([pdot, p])
-        if self._J_const is not None:
-            c = self._J_const_T_inv @ rhs
-        else:
-            J = self._jacobian(m, mdot)
-            try:
-                c = np.linalg.solve(J.T, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobian("base Jacobian is singular, covector transport undefined") from exc
-        d = self.dim
-        return m0, -c[:d], m1, c[d:]
+        x = self._checked_flat((m, p, mdot, pdot), ("m", "p", "mdot", "pdot"))
+        return tuple(np.split(self.forward_flat(x), 4))
 
     def inverse(self, m0, p0, m1, p1) -> tuple[Array, Array, Array, Array]:
-        m0 = as_vector(m0, name="m0")
-        p0 = as_vector(p0, name="p0")
-        m1 = as_vector(m1, name="m1")
-        p1 = as_vector(p1, name="p1")
-        m, mdot = self.base.inverse(m0, m1)
-        col = self._jacobian(m, mdot).T @ np.concatenate([-p0, p1])
-        d = self.dim
-        return m, col[d:], mdot, col[:d]
+        y = self._checked_flat((m0, p0, m1, p1), ("m0", "p0", "m1", "p1"))
+        return tuple(np.split(self.inverse_flat(y), 4))
 
-    # -- flat views: input (m, p, mdot, pdot), output (m0, p0, m1, p1) ----
+    # -- flat maps: input (m, p, mdot, pdot), output (m0, p0, m1, p1) -----
     def forward_flat(self, x) -> Array:
         x = np.asarray(x, dtype=float)
         d = self.dim
-        m0, p0, m1, p1 = self.forward(x[:d], x[d : 2 * d], x[2 * d : 3 * d], x[3 * d :])
-        return np.concatenate([m0, p0, m1, p1])
+        base_x = np.concatenate([x[:d], x[2 * d : 3 * d]])
+        pair = self.base.forward_flat(base_x)
+        J = self.base.jacobian_forward_flat(base_x)
+        try:
+            c = np.linalg.solve(J.T, np.concatenate([x[3 * d :], x[d : 2 * d]]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian("base Jacobian is singular, covector transport undefined") from exc
+        return np.concatenate([pair[:d], -c[:d], pair[d:], c[d:]])
 
     def inverse_flat(self, y) -> Array:
         y = np.asarray(y, dtype=float)
         d = self.dim
-        m, p, mdot, pdot = self.inverse(y[:d], y[d : 2 * d], y[2 * d : 3 * d], y[3 * d :])
-        return np.concatenate([m, p, mdot, pdot])
+        base_x = self.base.inverse_flat(np.concatenate([y[:d], y[2 * d : 3 * d]]))
+        col = self.base.jacobian_forward_flat(base_x).T @ np.concatenate([-y[d : 2 * d], y[3 * d :]])
+        return np.concatenate([base_x[:d], col[d:], base_x[d:], col[:d]])
 
     def as_discretization_map(self) -> DiscretizationMap:
-        """The lifted map is itself a discretization map on T*M = R^{2m}."""
-        d = self.dim
-
-        def fwd(z, zdot):
-            m0, p0, m1, p1 = self.forward(z[:d], z[d:], zdot[:d], zdot[d:])
-            return np.concatenate([m0, p0]), np.concatenate([m1, p1])
-
-        def inv(a, b):
-            m, p, mdot, pdot = self.inverse(a[:d], a[d:], b[:d], b[d:])
-            return np.concatenate([m, p]), np.concatenate([mdot, pdot])
-
-        return DiscretizationMap(dim=2 * d, forward_fn=fwd, inverse_fn=inv, name=self.name)
+        """The lifted map is itself a discretization map on T*M = R^{2m}: its
+        flat layout is (z, zdot) -> (a, b) with z = (m, p), zdot = (mdot, pdot)."""
+        return DiscretizationMap(
+            dim=2 * self.dim,
+            forward_fn=lambda z, zdot: np.split(self.forward_flat(np.concatenate([z, zdot])), 2),
+            inverse_fn=lambda a, b: np.split(self.inverse_flat(np.concatenate([a, b])), 2),
+            name=self.name,
+        )
 
 
-def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
+def cotangent_lift(D) -> CotangentLiftedMap:
     """Lift a discretization map on M to the phase space T*M."""
     return CotangentLiftedMap(D)
 
 
-class _ClosedFormLiftedMidpoint:
-    """Hand-written cotangent lift of the once-lifted midpoint map, used as a
-    reference oracle: all four blocks are midpoint averages."""
-
-    def __init__(self, n: int):
-        self.dim = 2 * n
-        self.name = f"closed-form-lifted-midpoint(n={n})"
-
-    def forward(self, m, p, mdot, pdot):
-        m, p, mdot, pdot = (as_vector(z) for z in (m, p, mdot, pdot))
-        return m - 0.5 * mdot, p - 0.5 * pdot, m + 0.5 * mdot, p + 0.5 * pdot
-
-    def inverse(self, m0, p0, m1, p1):
-        m0, p0, m1, p1 = (as_vector(z) for z in (m0, p0, m1, p1))
-        return 0.5 * (m0 + m1), 0.5 * (p0 + p1), m1 - m0, p1 - p0
-
-    def forward_flat(self, x):
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        m0, p0, m1, p1 = self.forward(x[:d], x[d : 2 * d], x[2 * d : 3 * d], x[3 * d :])
-        return np.concatenate([m0, p0, m1, p1])
-
-    def inverse_flat(self, y):
-        y = np.asarray(y, dtype=float)
-        d = self.dim
-        m, p, mdot, pdot = self.inverse(y[:d], y[d : 2 * d], y[2 * d : 3 * d], y[3 * d :])
-        return np.concatenate([m, p, mdot, pdot])
-
-
-def closed_form_lifted_midpoint(n: int) -> _ClosedFormLiftedMidpoint:
-    """Closed-form cotangent lift of the first-order lift of the midpoint map
-    on R^n (test oracle; the generic construction is the production path)."""
-    return _ClosedFormLiftedMidpoint(n)
-
-
-def second_order_phase_map(n: int, base: DiscretizationMap | None = None, derivative_mode: str = "auto") -> CotangentLiftedMap:
+def second_order_phase_map(n: int, base: DiscretizationMap | None = None) -> CotangentLiftedMap:
     """Discretization map on the phase space of second-order dynamics on R^n:
     the cotangent lift of the first-order lift of a base map (midpoint unless
     overridden)."""
-    if base is None:
-        base = midpoint_map(n)
-    return cotangent_lift(higher_order_lift(base, 1, derivative_mode).as_discretization_map())
+    return cotangent_lift(higher_order_lift(midpoint_map(n) if base is None else base, 1))
 
 
 # ---------------------------------------------------------------------------

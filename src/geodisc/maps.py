@@ -38,8 +38,9 @@ class DiscretizationMap:
     2*dim x 2*dim matrix d(q_minus, q_plus)/d(q, v); ``jacobian_constant``
     promises that this matrix does not depend on the evaluation point (true for
     affine maps), which downstream lifts exploit for exact derivative handling.
-    ``validate_fn`` guards the structured entry points; the ``*_flat`` variants
-    skip it so that finite differences may probe the smooth ambient extension.
+    ``validate_fn`` guards the structured entry points; the unchecked
+    ``*_flat`` variants skip it so that lifts and finite differences may probe
+    the smooth ambient extension.
     """
 
     dim: int
@@ -79,13 +80,16 @@ class DiscretizationMap:
         q, v = self.inverse_fn(y[: self.dim], y[self.dim :])
         return np.concatenate([np.atleast_1d(q), np.atleast_1d(v)])
 
-    def jacobian_forward(self, q, v) -> Array:
-        """d(q_minus, q_plus)/d(q, v), closed form if available, else central FD."""
-        q = as_vector(q, name="q")
-        v = as_vector(v, name="v")
+    def jacobian_forward_flat(self, x) -> Array:
+        """d(q_minus, q_plus)/d(q, v) at x = (q, v), closed form if available,
+        else central FD."""
+        x = np.asarray(x, dtype=float)
         if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(q, v), dtype=float)
-        return jacobian_fd(self.forward_flat, np.concatenate([q, v]))
+            return np.asarray(self.jacobian_fn(x[: self.dim], x[self.dim :]), dtype=float)
+        return jacobian_fd(self.forward_flat, x)
+
+    def jacobian_forward(self, q, v) -> Array:
+        return self.jacobian_forward_flat(np.concatenate([as_vector(q, name="q"), as_vector(v, name="v")]))
 
     def fiber_basis(self, q) -> list[Array]:
         if self.fiber_basis_fn is not None:

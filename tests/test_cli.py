@@ -46,6 +46,22 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "clearance" in out and "csv: traj.csv" in out
 
+    def test_se2_is_the_obstacle_problem_at_n3(self, capsys):
+        # Same run, same flags: the cost must honour --no-potential-in-cost on both.
+        flags = ["--init=" + SE2_INIT, "--steps", "40", "--tau", "1e-2", "--no-potential-in-cost"]
+        costs = []
+        for problem in (["--problem", "se2"], ["--problem", "obstacle", "--n", "3"]):
+            assert cli.main(["simulate", *problem, *flags, "--csv-out", f"{problem[1]}.csv"]) == 0
+            out = capsys.readouterr().out
+            costs.append(next(line for line in out.splitlines() if line.startswith("cost J")))
+        assert costs[0] == costs[1]
+        assert open("se2.csv", "rb").read() == open("obstacle.csv", "rb").read()
+
+    def test_simulate_has_no_tol_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["simulate", "--problem", "free", "--n", "1", "--init", "0,1,2,3", "--tol", "0"])
+        assert "--tol" in capsys.readouterr().err
+
     def test_missing_init_is_config_error(self, capsys):
         rc = cli.main(["simulate"])
         assert rc == 2

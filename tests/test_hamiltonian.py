@@ -179,6 +179,14 @@ class TestIntegrate:
             errs.append(abs(traj.states[-1].q[0] - 1.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-6)
 
+    def test_large_state_does_not_stall(self):
+        # At |q| = 2e4 the rounding of the residual (~1.6e-12) lies above the
+        # absolute tolerance 1e-12; the step must still converge.
+        C, H = free_setup()
+        traj = integrate(C, H, 0.01, 5, np.array([2e4, 0.1, 0.01, 0.2]))
+        assert traj.steps == 5
+        assert all(s.p0[0] == 0.01 for s in traj.states)
+
     def test_bad_arguments(self):
         C, H = free_setup()
         with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+from geodisc.checks import midpoint_cotangent_closed_form
 from geodisc.errors import UnsupportedOrder
 from geodisc.jets import Jet, JetTangent, jet_of_curve, unzip_jet_tangent
 from geodisc.lifts import (
     canonical_symplectic_matrix,
     check_symplectomorphism,
-    closed_form_lifted_midpoint,
     cotangent_lift,
     higher_order_lift,
     pair_symplectic_matrix,
@@ -37,8 +39,8 @@ class TestHigherOrderLift:
         assert np.allclose(out, [-1.0, -1.0, -1.0, 3.0, 5.0, 7.0], atol=1e-12)
 
     def test_exact_and_fd_backends_agree(self, rng):
-        a = higher_order_lift(midpoint_map(2), 2, derivative_mode="exact")
-        b = higher_order_lift(midpoint_map(2), 2, derivative_mode="fd")
+        a = higher_order_lift(midpoint_map(2), 2)
+        b = higher_order_lift(replace(midpoint_map(2), jacobian_constant=False), 2)
         x = rng.normal(size=12)
         assert np.allclose(a.forward_flat(x), b.forward_flat(x), atol=1e-8)
 
@@ -60,7 +62,7 @@ class TestHigherOrderLift:
         assert report.passed, str(report)
 
     def test_third_order_lift_runs(self, rng):
-        lift = higher_order_lift(midpoint_map(1), 3, derivative_mode="fd")
+        lift = higher_order_lift(replace(midpoint_map(1), jacobian_constant=False), 3)
         x = rng.normal(size=8)
         out = lift.forward_flat(x)
         base, fiber = x[:4], x[4:]
@@ -81,11 +83,26 @@ class TestCotangentLift:
 
     def test_matches_closed_form_everywhere(self, rng):
         C = second_order_phase_map(2)
-        F = closed_form_lifted_midpoint(2)
         for _ in range(50):
             x = rng.normal(size=16)
-            assert np.allclose(C.forward_flat(x), F.forward_flat(x), atol=1e-12)
-            assert np.allclose(C.inverse_flat(x), F.inverse_flat(x), atol=1e-12)
+            assert np.allclose(C.forward_flat(x), midpoint_cotangent_closed_form(x, 4, inverse=False), atol=1e-12)
+            assert np.allclose(C.inverse_flat(x), midpoint_cotangent_closed_form(x, 4, inverse=True), atol=1e-12)
+
+    def test_generic_base_matches_closed_form(self, rng):
+        # The same midpoint map without the constant-Jacobian promise takes the
+        # jet-pushforward path of the first-order lift.
+        C = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
+        for _ in range(10):
+            x = rng.normal(size=8)
+            assert np.allclose(C.forward_flat(x), midpoint_cotangent_closed_form(x, 2, inverse=False), atol=1e-8)
+            assert np.allclose(C.inverse_flat(x), midpoint_cotangent_closed_form(x, 2, inverse=True), atol=1e-8)
+
+    def test_structured_calls_check_their_inputs(self):
+        C = cotangent_lift(midpoint_map(2))
+        with pytest.raises(ValueError, match="length 2"):
+            C.forward([1.0, 2.0], [0.0, 0.0], [0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="p1"):
+            C.inverse([1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, np.nan])
 
     def test_lift_of_nonsymmetric_base(self, rng):
         # theta != 1/2 still yields a valid discretization map on T*Q.
@@ -129,8 +146,7 @@ class TestSymplecticStructure:
             dim = 2
 
             def forward_flat(self, x):
-                y = closed_form_lifted_midpoint(1).forward_flat(x)
-                y = y.copy()
+                y = midpoint_cotangent_closed_form(x, 2, inverse=False)
                 y[2:4] *= 1.05
                 return y
 
