@@ -234,8 +234,8 @@ def step_symplecticity_suite(rng) -> list[CheckResult]:
 
     n = 3
     C = second_order_phase_map(n)
-    V, gV, _ = obstacle_potential(1.0, 1.0, (0.0, 0.0), n)
-    H = second_order_hamiltonian(n, V, gV)
+    V, gV, hV, _ = obstacle_potential(1.0, 1.0, (0.0, 0.0), n)
+    H = second_order_hamiltonian(n, V, gV, hV)
     Om = canonical_symplectic_matrix(2 * n)
     worst = 0.0
     for _ in range(20):

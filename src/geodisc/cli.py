@@ -187,6 +187,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(data) - field_names
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        if args.command == "simulate" and "tol" in data:
+            raise ConfigError("tol is the shoot command's terminal defect tolerance; simulate does not take it")
         merged.update(data)
 
     # argparse attribute -> config field
@@ -241,8 +243,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     C = second_order_phase_map(n, base=cfg.base_map(n))
     V = clearance = None
     if cfg.problem in ("obstacle", "se2"):
-        V, gV, clearance = obstacle_potential(cfg.tau, cfg.r, cfg.center, n)
-        H = second_order_hamiltonian(n, V, gV)
+        V, gV, hV, clearance = obstacle_potential(cfg.tau, cfg.r, cfg.center, n)
+        H = second_order_hamiltonian(n, V, gV, hV)
     else:
         H = second_order_hamiltonian(n)
     traj = integrate(C, H, cfg.h, cfg.steps, cfg.initial_state)

@@ -7,9 +7,10 @@ rigid-body run in chart coordinates q = (x, y, theta) with the obstacle acting
 on (x, y) only.
 
 Boundary-value problems are solved by single shooting: Newton iteration on the
-initial costates (p0(0), p1(0)) of the forward symplectic flow, with
-finite-difference sensitivities (the problems here have n <= 3, so a 2n x 2n
-FD Jacobian is cheap).
+initial costates (p0(0), p1(0)) of the forward symplectic flow, with exact
+discrete sensitivities.  Each forward integration also carries the tangent
+block d z_N / d(p0(0), p1(0)) through the discrete variational equation, so
+one integration gives both the endpoint defect and its 2n x 2n Jacobian.
 """
 from __future__ import annotations
 
@@ -48,11 +49,12 @@ def grid_steps(T: float, h: float) -> int:
 
 def obstacle_potential(tau: float, r: float, center, n: int):
     """Repulsive potential tau / (|xy - center|^2 - r^2) on the first two
-    coordinates, with closed-form gradient and a clearance function.
+    coordinates, with closed-form gradient and Hessian and a clearance function.
 
-    Returns (V, gradV, clearance); clearance(q) = |xy - center|^2 - r^2.  V and
-    gradV raise SingularPotential once the clearance drops to ~0, so a caller
-    can never see a nonpositive clearance from a state that evaluated cleanly.
+    Returns (V, gradV, hessV, clearance); clearance(q) = |xy - center|^2 - r^2.
+    V, gradV and hessV raise SingularPotential once the clearance drops to ~0,
+    so a caller can never see a nonpositive clearance from a state that
+    evaluated cleanly.
     """
     if n < 2:
         raise ValueError("obstacle potential needs at least coordinates (x, y)")
@@ -83,7 +85,17 @@ def obstacle_potential(tau: float, r: float, center, n: int):
         g[:2] = -2.0 * tau * (np.asarray(q, dtype=float)[:2] - c) / (s * s)
         return g
 
-    return V, gradV, clearance
+    eye2 = np.eye(2)
+
+    def hessV(q) -> Array:
+        # -2 tau / s^2 I + 8 tau d d^T / s^3 on the (x, y) block, d = xy - center.
+        s = _checked(q)
+        d = np.asarray(q, dtype=float)[:2] - c
+        out = np.zeros((n, n))
+        out[:2, :2] = (8.0 * tau / s**3) * (d[:, None] * d) - (2.0 * tau / (s * s)) * eye2
+        return out
+
+    return V, gradV, hessV, clearance
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,7 @@ class OCProblem:
     qdot_end: Array
     potential: Callable[[Array], float] | None = None
     grad_potential: Callable[[Array], Array] | None = None
+    hess_potential: Callable[[Array], Array] | None = None
     clearance: Callable[[Array], float] | None = None
     tau: float | None = None
     r: float | None = None
@@ -144,7 +157,7 @@ def make_obstacle_problem(
 
     Both boundary positions must be strictly outside the obstacle.
     """
-    V, gradV, clearance = obstacle_potential(tau, r, center, n)
+    V, gradV, hessV, clearance = obstacle_potential(tau, r, center, n)
     q0, v0, q1, v1 = boundary
     for label, q in (("start", q0), ("end", q1)):
         if clearance(as_vector(q)) <= 0:
@@ -159,6 +172,7 @@ def make_obstacle_problem(
         qdot_end=v1,
         potential=V,
         grad_potential=gradV,
+        hess_potential=hessV,
         clearance=clearance,
         tau=float(tau),
         r=float(r),
@@ -169,7 +183,7 @@ def make_obstacle_problem(
 
 
 def hamiltonian_for(prob: OCProblem) -> HamiltonianSystem:
-    return second_order_hamiltonian(prob.n, prob.potential, prob.grad_potential)
+    return second_order_hamiltonian(prob.n, prob.potential, prob.grad_potential, prob.hess_potential)
 
 
 def hermite_costates(q0, v0, q1, v1, T: float) -> tuple[Array, Array]:
@@ -233,7 +247,11 @@ def shoot(
     """Solve the two-point boundary problem by single shooting.
 
     Newton iteration runs on the endpoint map (p0(0), p1(0)) -> (q(T) - q_end,
-    qdot(T) - qdot_end).  The default guess is the interpolating-cubic costate
+    qdot(T) - qdot_end).  Its Jacobian is exact to rounding: each forward
+    integration carries the tangent block of the discrete flow with respect
+    to the initial costates, and the last integration is kept, so a Newton
+    iteration costs one integration and the returned trajectory reuses the
+    converged one.  The default guess is the interpolating-cubic costate
     pair, which is exact for the free spline.  Obstacle problems damp Newton
     trials whose forward flow penetrates the obstacle; a guess whose own flow
     already penetrates raises ObstaclePenetration.
@@ -250,23 +268,34 @@ def shoot(
     x0 = np.concatenate([as_vector(guess[0]), as_vector(guess[1])])
     if x0.size != 2 * n:
         raise ValueError(f"costate guess must have {2 * n} entries")
+    tangent0 = np.vstack([np.zeros((2 * n, 2 * n)), np.eye(2 * n)])
+    last: dict[bytes, Trajectory] = {}  # the latest flow, keyed on the bits of x
 
     def flow(x: Array) -> Trajectory:
-        z0 = np.concatenate([prob.q_start, prob.qdot_start, x])
-        try:
-            return integrate(C, H, prob.h, prob.steps, z0)
-        except SingularPotential as exc:
-            raise ObstaclePenetration(str(exc)) from exc
+        key = x.tobytes()
+        if key not in last:
+            z0 = np.concatenate([prob.q_start, prob.qdot_start, x])
+            try:
+                traj = integrate(C, H, prob.h, prob.steps, z0, tangent=tangent0)
+            except SingularPotential as exc:
+                raise ObstaclePenetration(str(exc)) from exc
+            last.clear()
+            last[key] = traj
+        return last[key]
 
     def residual(x: Array) -> Array:
         end = flow(x).states[-1]
         return np.concatenate([end.q - prob.q_end, end.qdot - prob.qdot_end])
+
+    def jacobian(x: Array) -> Array:
+        return flow(x).tangent[: 2 * n]
 
     message = ""
     try:
         x = newton_solve(
             residual,
             x0,
+            jacobian=jacobian,
             tol=tol,
             max_iter=max_iter,
             backtracking=prob.potential is not None,
@@ -333,8 +362,8 @@ def run_se2_experiment(config) -> SE2Report:
     the obstacle boundary.
     """
     n = 3
-    V, gradV, clearance = obstacle_potential(config.tau, config.r, config.center, n)
-    H = second_order_hamiltonian(n, V, gradV)
+    V, gradV, hessV, clearance = obstacle_potential(config.tau, config.r, config.center, n)
+    H = second_order_hamiltonian(n, V, gradV, hessV)
     C = second_order_phase_map(n, base=config.base_map(n)) if hasattr(config, "base_map") else second_order_phase_map(n)
     state = config.initial_state
     z0 = state.flat() if isinstance(state, SecondOrderState) else as_vector(state)

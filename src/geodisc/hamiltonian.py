@@ -18,7 +18,9 @@ the step endpoints (z0, z1),
 
 for z1 by a chord Newton iteration.  With the midpoint-family lifts this is an
 implicit midpoint scheme on the phase space and conserves quadratic first
-integrals to machine precision.
+integrals to machine precision.  Differentiating the step relations at the
+converged z1 (the discrete variational equation) gives the exact step
+derivative dz1/dz0, which :func:`integrate` can carry along a run.
 """
 from __future__ import annotations
 
@@ -36,30 +38,35 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """A Hamiltonian on T*M with closed-form partial gradients.
+    """A Hamiltonian on T*M with closed-form partial gradients and Hessian.
 
     ``dim`` is the dimension of M; phase points split as (m, p) with m and p of
-    that length.
+    that length.  ``hessian(m, p)`` is the 2 dim x 2 dim matrix of second
+    derivatives in the order (m, p).
     """
 
     dim: int
     value: Callable[[Array, Array], float]
     grad_m: Callable[[Array, Array], Array]
     grad_p: Callable[[Array, Array], Array]
+    hessian: Callable[[Array, Array], Array]
 
 
 def second_order_hamiltonian(
     n: int,
     potential: Callable[[Array], float] | None = None,
     grad_potential: Callable[[Array], Array] | None = None,
+    hess_potential: Callable[[Array], Array] | None = None,
 ) -> HamiltonianSystem:
     """Hamiltonian |p1|^2/2 + p0 . qdot - V(q) on T*(T R^n).
 
-    ``potential`` and ``grad_potential`` must be supplied together; omitting
-    both gives the free (quartically flat) system.
+    ``potential``, ``grad_potential`` and ``hess_potential`` (the n x n
+    Hessian of V) must be supplied together; omitting all three gives the
+    free (quartically flat) system.
     """
-    if (potential is None) != (grad_potential is None):
-        raise ValueError("supply potential and grad_potential together or not at all")
+    given = [f is not None for f in (potential, grad_potential, hess_potential)]
+    if any(given) and not all(given):
+        raise ValueError("supply potential, grad_potential and hess_potential together or not at all")
 
     def value(m: Array, p: Array) -> float:
         q, qdot = m[:n], m[n:]
@@ -80,7 +87,21 @@ def second_order_hamiltonian(
         out[n:] = p[n:]
         return out
 
-    return HamiltonianSystem(dim=2 * n, value=value, grad_m=grad_m, grad_p=grad_p)
+    # Coordinates (q, qdot, p0, p1): d2H/dqdot dp0 = I and d2H/dp1^2 = I
+    # everywhere; only the q block, -Hess V, depends on the point.
+    eye = np.eye(n)
+    free_hessian = np.zeros((4 * n, 4 * n))
+    free_hessian[n : 2 * n, 2 * n : 3 * n] = eye
+    free_hessian[2 * n : 3 * n, n : 2 * n] = eye
+    free_hessian[3 * n :, 3 * n :] = eye
+
+    def hessian(m: Array, p: Array) -> Array:
+        out = free_hessian.copy()
+        if hess_potential is not None:
+            out[:n, :n] = -np.asarray(hess_potential(m[:n]), dtype=float)
+        return out
+
+    return HamiltonianSystem(dim=2 * n, value=value, grad_m=grad_m, grad_p=grad_p, hessian=hessian)
 
 
 @dataclass(frozen=True)
@@ -117,12 +138,16 @@ class SecondOrderState:
 @dataclass
 class Trajectory:
     """States produced by :func:`integrate`, with per-state energy and control
-    (the control of the second-order problem is u = qddot = p1)."""
+    (the control of the second-order problem is u = qddot = p1).
+
+    ``tangent`` is the final state's tangent block d z_N / d z_0 . T_0 when
+    :func:`integrate` was given an initial block T_0, else None."""
 
     h: float
     states: list[SecondOrderState]
     energies: Array
     controls: Array
+    tangent: Array | None = None
 
     @property
     def steps(self) -> int:
@@ -300,6 +325,27 @@ def symplectic_step(
     return z1
 
 
+def _tangent_step(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0: Array, z1: Array, T: Array) -> Array:
+    """Carry the tangent block T across the converged step z0 -> z1.
+
+    By the implicit function theorem dz1/dz0 = -(dR/dz1)^{-1} dR/dz0, where
+    R(z0, z1) is the step residual.  With (m, p, mdot, pdot) the lifted-map
+    preimage of (z0, z1), dR/d(m, p, mdot, pdot) holds -h d2H/dp d(m, p) and
+    h d2H/dm d(m, p) beside the identity on (mdot, pdot), and the chain rule
+    goes through the lifted map's inverse Jacobian.
+    """
+    d = C.dim
+    y = np.concatenate([z0, z1])
+    w = C.inverse_flat(y)
+    K = C.inverse_jacobian_flat(y)
+    S = H.hessian(w[:d], w[d : 2 * d])
+    A = K[2 * d :] + np.concatenate([-h * S[d:], h * S[:d]]) @ K[: 2 * d]
+    try:
+        return -np.linalg.solve(A[:, 2 * d :], A[:, : 2 * d] @ T)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian("one-step linearization is singular at the converged step") from exc
+
+
 def integrate(
     C: CotangentLiftedMap,
     H: HamiltonianSystem,
@@ -308,6 +354,7 @@ def integrate(
     z0,
     tol: float = 1e-12,
     max_iter: int = 50,
+    tangent: Array | None = None,
 ) -> Trajectory:
     """Run ``steps`` steps of the one-step method, recording energy and control
     at every state.
@@ -315,6 +362,12 @@ def integrate(
     The residual Jacobian is carried across steps and refreshed only when a
     step stalls, which makes the affine (free and nearly free) cases cost one
     linear solve per step.
+
+    ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
+    through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k
+    and returned as ``Trajectory.tangent``; the states are the same with or
+    without it.  A step that stalls raises NonConvergence naming its index k
+    and its start time k h.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -325,20 +378,35 @@ def integrate(
         raise ValueError("second-order trajectories need an even-dimensional base")
     n = d // 2
     z = as_vector(z0, name="z0") if not isinstance(z0, SecondOrderState) else z0.flat()
+    if tangent is not None:
+        tangent = np.asarray(tangent, dtype=float)
+        if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
+            raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
     states = [SecondOrderState.from_flat(z, n)]
     energies = [H.value(z[:d], z[d:])]
     J = None
-    for _ in range(steps):
+    for k in range(steps):
         residual = step_residual(C, H, h, z)
         try:
-            z, J = _chord_newton(residual, z, J, tol, max_iter)
+            z1, J = _chord_newton(residual, z, J, tol, max_iter)
         except NonConvergence:
             # One retry with a fresh Jacobian before giving up.
-            z, J = _chord_newton(residual, z, None, tol, max_iter)
+            try:
+                z1, J = _chord_newton(residual, z, None, tol, max_iter)
+            except NonConvergence as exc:
+                raise NonConvergence(
+                    f"step {k} at t = {k * h:.6g}: {exc}",
+                    x_best=exc.x_best,
+                    residual_norm=exc.residual_norm,
+                    iterations=exc.iterations,
+                ) from exc
+        if tangent is not None:
+            tangent = _tangent_step(C, H, h, z, z1, tangent)
+        z = z1
         states.append(SecondOrderState.from_flat(z, n))
         energies.append(H.value(z[:d], z[d:]))
     controls = np.stack([s.p1 for s in states])
-    return Trajectory(h=h, states=states, energies=np.asarray(energies), controls=controls)
+    return Trajectory(h=h, states=states, energies=np.asarray(energies), controls=controls, tangent=tangent)
 
 
 def fourth_order_residual(traj: Trajectory, grad_potential=None) -> Array:

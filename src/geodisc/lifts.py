@@ -191,6 +191,17 @@ class CotangentLiftedMap:
         self.base = base
         self.dim = base.dim
         self.name = f"cotangent({base.name})" if base.name else "cotangent"
+        if base.jacobian_constant:
+            # inverse_flat is affine: (m, mdot) = J^{-1} (m0, m1) + const and
+            # (pdot, p) = J^T (-p0, p1), with J the constant base Jacobian.
+            d = self.dim
+            J = base.jacobian_forward_flat(np.zeros(2 * d))
+            K = np.zeros((4 * d, 4 * d))
+            points = np.r_[0:d, 2 * d : 3 * d]  # (m0, m1) in, (m, mdot) out
+            covectors = np.r_[d : 2 * d, 3 * d : 4 * d]  # (p0, p1) in
+            K[np.ix_(points, points)] = np.linalg.inv(J)
+            K[np.ix_(np.r_[3 * d : 4 * d, d : 2 * d], covectors)] = J.T * np.r_[-np.ones(d), np.ones(d)]
+            self._inverse_jacobian = K
 
     def _checked_flat(self, parts, names) -> Array:
         vs = [as_vector(v, name=name) for v, name in zip(parts, names)]
@@ -225,6 +236,14 @@ class CotangentLiftedMap:
         base_x = self.base.inverse_flat(np.concatenate([y[:d], y[2 * d : 3 * d]]))
         col = self.base.jacobian_forward_flat(base_x).T @ np.concatenate([-y[d : 2 * d], y[3 * d :]])
         return np.concatenate([base_x[:d], col[d:], base_x[d:], col[:d]])
+
+    def inverse_jacobian_flat(self, y) -> Array:
+        """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y: a constant matrix built
+        once when the base Jacobian is constant, else central differences of
+        ``inverse_flat``."""
+        if self.base.jacobian_constant:
+            return self._inverse_jacobian.copy()
+        return jacobian_fd(self.inverse_flat, np.asarray(y, dtype=float))
 
     def as_discretization_map(self) -> DiscretizationMap:
         """The lifted map is itself a discretization map on T*M = R^{2m}: its

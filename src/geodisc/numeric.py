@@ -120,7 +120,8 @@ def newton_solve(
     Args:
         residual: map R^n -> R^n whose root is sought.
         x0: starting point.
-        jacobian: optional closed-form Jacobian; central differences otherwise.
+        jacobian: optional closed-form Jacobian, which must return a square
+            matrix of the size of x; central differences otherwise.
         tol: absolute infinity-norm tolerance on the residual.
         max_iter: iteration cap (number of Newton updates).
         backtracking: if set, damp steps that fail to decrease the residual or
@@ -142,7 +143,12 @@ def newton_solve(
         norm = float(np.max(np.abs(r)))
         if norm <= tol:
             return x
-        J = np.asarray(jacobian(x), dtype=float) if jacobian is not None else jacobian_fd(residual, x)
+        if jacobian is None:
+            J = jacobian_fd(residual, x)
+        else:
+            J = np.asarray(jacobian(x), dtype=float)
+            if J.shape != (x.size, x.size):
+                raise ValueError(f"jacobian returned shape {J.shape}, expected {(x.size, x.size)}")
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError as exc:

@@ -103,6 +103,16 @@ class TestConfigFile:
         assert cli.main(["simulate", "--config", "bad.json"]) == 2
         assert "stepz" in capsys.readouterr().err
 
+    def test_tol_only_for_shoot(self, isolated, capsys):
+        (isolated / "sim.json").write_text(
+            json.dumps({"problem": "free", "n": 1, "initial_state": [0, 1, 2, 3], "steps": 1, "tol": 0})
+        )
+        assert cli.main(["simulate", "--config", "sim.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: config-error: tol")
+        (isolated / "shoot.json").write_text(json.dumps({"tol": 1e-9}))
+        assert cli.main([*TestShoot.ARGS, "--config", "shoot.json"]) == 0
+        assert "converged    = True" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert cli.main(["simulate", "--config", "nope.json"]) == 2
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from geodisc import control
 from geodisc.control import (
     OCProblem,
     ShootingResult,
@@ -23,7 +24,9 @@ from geodisc.errors import (
     SingularPotential,
     StartInsideObstacle,
 )
-from geodisc.hamiltonian import SecondOrderState, Trajectory, fourth_order_residual
+from geodisc.hamiltonian import SecondOrderState, Trajectory, fourth_order_residual, integrate
+from geodisc.lifts import second_order_phase_map
+from geodisc.numeric import newton_solve
 
 UNIT_FREE = dict(n=1, boundary=([0.0], [0.0], [1.0], [0.0]), T=1.0, h=0.01)
 
@@ -49,35 +52,48 @@ class TestGridSteps:
 
 class TestObstaclePotential:
     def test_known_values(self):
-        V, gV, clear = obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)
+        V, gV, _, clear = obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)
         q = np.array([2.0, 0.0, 0.0])
         assert clear(q) == pytest.approx(3.0)
         assert V(q) == pytest.approx(1.0 / 3.0)
         assert np.allclose(gV(q), [-4.0 / 9.0, 0.0, 0.0])
 
     def test_scales_with_tau(self):
-        V, _, _ = obstacle_potential(1e-20, 1.0, (0.0, 0.0), 2)
+        V, _, _, _ = obstacle_potential(1e-20, 1.0, (0.0, 0.0), 2)
         assert V(np.array([2.0, 0.0])) == pytest.approx(1e-20 / 3.0)
 
     def test_gradient_matches_fd(self):
         from geodisc.numeric import jacobian_fd
 
-        V, gV, _ = obstacle_potential(0.7, 1.2, (0.3, -0.4), 3)
+        V, gV, _, _ = obstacle_potential(0.7, 1.2, (0.3, -0.4), 3)
         q = np.array([2.0, 1.5, 0.3])
         fd = jacobian_fd(lambda x: np.array([V(x)]), q)[0]
         assert np.allclose(gV(q), fd, atol=1e-7)
 
+    @pytest.mark.parametrize("q", [[2.0, 1.5, 0.3], [0.3, -1.9, -2.0], [-1.1, 0.9, 0.0]])
+    def test_hessian_matches_fd_of_gradient(self, q):
+        from geodisc.numeric import jacobian_fd
+
+        _, gV, hV, _ = obstacle_potential(0.7, 1.2, (0.3, -0.4), 3)
+        q = np.array(q)
+        fd = jacobian_fd(gV, q)
+        assert np.array_equal(hV(q), hV(q).T)
+        assert np.allclose(hV(q), fd, rtol=1e-7, atol=1e-9 * np.max(np.abs(fd)))
+        assert not np.any(hV(q)[2:]) and not np.any(hV(q)[:, 2:])
+
     def test_raises_inside_before_reporting(self):
-        V, gV, clear = obstacle_potential(1.0, 1.0, (0.0, 0.0), 2)
+        V, gV, hV, clear = obstacle_potential(1.0, 1.0, (0.0, 0.0), 2)
         inside = np.array([0.5, 0.0])
         assert clear(inside) < 0  # plain clearance just reports
         with pytest.raises(SingularPotential):
             V(inside)
         with pytest.raises(SingularPotential):
             gV(inside)
+        with pytest.raises(SingularPotential):
+            hV(inside)
 
     def test_zero_tau_still_guards_interior(self):
-        V, _, _ = obstacle_potential(0.0, 1.0, (0.0, 0.0), 2)
+        V, _, _, _ = obstacle_potential(0.0, 1.0, (0.0, 0.0), 2)
         assert V(np.array([5.0, 0.0])) == 0.0
         with pytest.raises(SingularPotential):
             V(np.array([0.0, 0.0]))
@@ -221,6 +237,32 @@ class TestObstacleShooting:
         clearances = [prob.clearance(s.q) for s in res.trajectory.states]
         assert min(clearances) > 0.0
         assert len(res.trajectory.states) == prob.steps + 1
+
+    def test_exact_sensitivities_match_finite_differences(self, monkeypatch):
+        # At the benchmark's step h = 0.01 Newton takes two iterations: one
+        # integration each plus the starting one, and the result reuses the
+        # last.  Finite-difference sensitivities took 28.
+        prob = make_obstacle_problem(3, 1e-3, 1.0, (0.0, 0.0), self.BOUNDARY, T=4.0, h=0.01)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("tangent") is not None)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(control, "integrate", counted)
+        res = shoot(prob)
+        assert calls == [True, True, True]
+        assert res.converged and res.defect <= 1e-10
+
+        C, H = second_order_phase_map(3), hamiltonian_for(prob)
+
+        def endpoint_defect(x):
+            end = integrate(C, H, prob.h, prob.steps, np.concatenate([prob.q_start, prob.qdot_start, x])).states[-1]
+            return np.concatenate([end.q - prob.q_end, end.qdot - prob.qdot_end])
+
+        x0 = np.concatenate(hermite_costates(prob.q_start, prob.qdot_start, prob.q_end, prob.qdot_end, prob.T))
+        reference = newton_solve(endpoint_defect, x0, tol=1e-10, max_iter=40, backtracking=True)
+        assert np.max(np.abs(np.concatenate([res.p0, res.p1]) - reference)) <= 1e-12
 
     def test_guess_through_obstacle_raises(self):
         boundary = ([-2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0])

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
-from geodisc.errors import TooFewPoints
+from geodisc.checks import _one_step_jacobian
+from geodisc.control import obstacle_potential
+from geodisc.errors import NonConvergence, TooFewPoints
 from geodisc.hamiltonian import (
     HamiltonianSystem,
     SecondOrderState,
@@ -15,12 +19,17 @@ from geodisc.hamiltonian import (
     symplectic_step,
     trajectory_from_positions,
 )
-from geodisc.lifts import second_order_phase_map
+from geodisc.lifts import canonical_symplectic_matrix, second_order_phase_map
 from geodisc.numeric import jacobian_fd
 
 
 def free_setup(n=1):
     return second_order_phase_map(n), second_order_hamiltonian(n)
+
+
+def obstacle_setup(tau=1e-3):
+    V, gV, hV, _ = obstacle_potential(tau, 1.0, (0.0, 0.0), 3)
+    return second_order_phase_map(3), second_order_hamiltonian(3, V, gV, hV)
 
 
 class TestSecondOrderHamiltonian:
@@ -35,7 +44,8 @@ class TestSecondOrderHamiltonian:
     def test_with_potential(self):
         V = lambda q: 1.0 / (q[0] ** 2 + q[1] ** 2 - 1.0)
         gV = lambda q: np.zeros(3)  # value-only test
-        H = second_order_hamiltonian(3, V, gV)
+        hV = lambda q: np.zeros((3, 3))
+        H = second_order_hamiltonian(3, V, gV, hV)
         m = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         p = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0]])
         assert H.value(m, p) == pytest.approx(0.5 - 1.0 / 3.0)
@@ -43,19 +53,24 @@ class TestSecondOrderHamiltonian:
     def test_partial_potential_pair_rejected(self):
         with pytest.raises(ValueError):
             second_order_hamiltonian(1, potential=lambda q: 0.0)
+        with pytest.raises(ValueError):
+            second_order_hamiltonian(1, lambda q: 0.0, lambda q: np.zeros(1))
 
     @hyp.given(st.integers(0, 2 ** 31 - 1))
     def test_gradients_match_fd(self, seed):
         rng = np.random.default_rng(seed)
         V = lambda q: 0.3 * float(np.sin(q[0])) + 0.1 * float(q @ q)
         gV = lambda q: 0.3 * np.cos(q[0]) * np.eye(q.size)[0] + 0.2 * q
-        H = second_order_hamiltonian(2, V, gV)
+        hV = lambda q: -0.3 * np.sin(q[0]) * np.diag(np.eye(q.size)[0]) + 0.2 * np.eye(q.size)
+        H = second_order_hamiltonian(2, V, gV, hV)
         m = rng.normal(size=4)
         p = rng.normal(size=4)
         gm = jacobian_fd(lambda x: np.array([H.value(x, p)]), m)[0]
         gp = jacobian_fd(lambda x: np.array([H.value(m, x)]), p)[0]
         assert np.allclose(H.grad_m(m, p), gm, atol=1e-6)
         assert np.allclose(H.grad_p(m, p), gp, atol=1e-6)
+        grad = lambda z: np.concatenate([H.grad_m(z[:4], z[4:]), H.grad_p(z[:4], z[4:])])
+        assert np.allclose(H.hessian(m, p), jacobian_fd(grad, np.concatenate([m, p])), atol=1e-8)
 
 
 class TestLegendre:
@@ -86,8 +101,9 @@ class TestLegendre:
     def test_energy_equals_hamiltonian_after_transform(self, rng):
         V = lambda q: 0.2 * float(q @ q)
         gV = lambda q: 0.4 * q
+        hV = lambda q: 0.4 * np.eye(2)
         Lv = lambda q, qd, qdd: 0.5 * float(qdd @ qdd) + V(q)
-        H = second_order_hamiltonian(2, V, gV)
+        H = second_order_hamiltonian(2, V, gV, hV)
         for _ in range(5):
             jet = [rng.normal(size=2) for _ in range(4)]
             st_ = legendre_second_order(Lv)(*jet)
@@ -120,17 +136,16 @@ class TestSymplecticStep:
             value=lambda m, p: 1.0,
             grad_m=lambda m, p: np.zeros(2),
             grad_p=lambda m, p: np.zeros(2),
+            hessian=lambda m, p: np.zeros((4, 4)),
         )
         z0 = rng.normal(size=4)
         assert np.allclose(symplectic_step(C, H, 0.3, z0), z0, atol=1e-12)
 
     def test_obstacle_step_satisfies_implicit_relations(self):
-        from geodisc.control import obstacle_potential
-
         n = 3
         C = second_order_phase_map(n)
-        V, gV, _ = obstacle_potential(0.5, 1.0, (0.0, 0.0), n)
-        H = second_order_hamiltonian(n, V, gV)
+        V, gV, hV, _ = obstacle_potential(0.5, 1.0, (0.0, 0.0), n)
+        H = second_order_hamiltonian(n, V, gV, hV)
         h = 0.01
         z0 = np.concatenate([[2.0, 1.0, 0.1], [0.3, -0.2, 0.0], [0.01, 0.02, 0.0], [0.1, 0.0, 0.05]])
         z1 = symplectic_step(C, H, h, z0)
@@ -193,6 +208,67 @@ class TestIntegrate:
             integrate(C, H, -0.1, 5, np.zeros(4))
         with pytest.raises(ValueError):
             integrate(C, H, 0.1, 0, np.zeros(4))
+        with pytest.raises(ValueError, match="4 rows"):
+            integrate(C, H, 0.1, 5, np.zeros(4), tangent=np.eye(3))
+
+    def test_stall_names_step_and_time(self):
+        # One chord-Newton iteration per step suffices far from the obstacle
+        # and stops sufficing on the approach, so the stall comes mid-run.
+        C, H = obstacle_setup()
+        z0 = np.array([-10.0, -1.2, 0.0, 2.0, 0.0, 0.0] + [0.0] * 6)
+        with pytest.raises(NonConvergence) as err:
+            integrate(C, H, 0.01, 400, z0, max_iter=1)
+        found = re.match(r"step (\d+) at t = ([0-9.]+): one-step solve stalled", str(err.value))
+        assert found, str(err.value)
+        k, t = int(found.group(1)), float(found.group(2))
+        assert k > 0 and t == pytest.approx(0.01 * k)
+        assert err.value.x_best is not None and err.value.x_best.size == 12
+
+
+class TestTangent:
+    """The discrete variational equation carried by ``integrate(..., tangent=T0)``."""
+
+    # The benchmark's obstacle boundary at y0 = y1 = -1.2, started from the
+    # interpolating-cubic costates.
+    Z0 = np.array([-2.0, -1.2, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+    def test_states_unchanged_by_tangent(self):
+        C, H = obstacle_setup()
+        plain = integrate(C, H, 0.01, 100, self.Z0)
+        carried = integrate(C, H, 0.01, 100, self.Z0, tangent=np.eye(12))
+        assert plain.tangent is None and carried.tangent.shape == (12, 12)
+        assert all(np.array_equal(a.flat(), b.flat()) for a, b in zip(plain.states, carried.states))
+        assert np.array_equal(plain.energies, carried.energies)
+
+    @pytest.mark.parametrize("setup", [free_setup, lambda: obstacle_setup(tau=1.0)], ids=["free", "obstacle"])
+    def test_one_step_jacobian_is_symplectic_and_matches_fd(self, setup, rng):
+        C, H = setup()
+        d = 4 * (C.dim // 2)
+        Om = canonical_symplectic_matrix(d // 2)
+        for _ in range(5):
+            z0 = rng.normal(size=d) * 0.3
+            if d == 12:
+                z0[:2] = 2.0 * z0[:2] / np.linalg.norm(z0[:2])  # outside the unit disc
+            M = integrate(C, H, 0.01, 1, z0, tangent=np.eye(d)).tangent
+            assert np.max(np.abs(M.T @ Om @ M - Om)) < 1e-12
+            assert np.max(np.abs(M - _one_step_jacobian(C, H, 0.01, z0))) < 1e-6
+
+    def test_costate_block_matches_central_differences(self):
+        # The shooting sensitivity d z(T) / d(p0(0), p1(0)) over 400 obstacle steps.
+        C, H = obstacle_setup()
+        T0 = np.vstack([np.zeros((6, 6)), np.eye(6)])
+        z0 = self.Z0.copy()
+        z0[6:] = [-9.6e-4, -6.2e-3, 0.0, -5.0e-4, -5.8e-3, 0.0]
+        block = integrate(C, H, 0.01, 400, z0, tangent=T0).tangent
+        eps = 1e-6
+        fd = np.empty((12, 6))
+        for j in range(6):
+            e = np.zeros(12)
+            e[6 + j] = eps
+            hi = integrate(C, H, 0.01, 400, z0 + e).states[-1].flat()
+            lo = integrate(C, H, 0.01, 400, z0 - e).states[-1].flat()
+            fd[:, j] = (hi - lo) / (2 * eps)
+        assert np.max(np.abs(block - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 class TestFourthOrderResidual:

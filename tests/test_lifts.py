@@ -19,6 +19,7 @@ from geodisc.lifts import (
     tangent_lifted_symplectic_matrix,
 )
 from geodisc.maps import midpoint_map, sphere_initial_point_map, theta_map, verify_discretization_axioms
+from geodisc.numeric import jacobian_fd
 
 
 class TestTangentLift:
@@ -110,6 +111,23 @@ class TestCotangentLift:
         D = C.as_discretization_map()
         report = verify_discretization_axioms(D, [rng.normal(size=2) for _ in range(10)])
         assert report.passed, str(report)
+
+    @pytest.mark.parametrize(
+        "C", [second_order_phase_map(2), cotangent_lift(theta_map(2, 0.25))], ids=["lifted-midpoint", "theta"]
+    )
+    def test_constant_inverse_jacobian_matches_fd(self, C, rng):
+        for _ in range(5):
+            y = rng.normal(size=4 * C.dim)
+            assert np.allclose(C.inverse_jacobian_flat(y), jacobian_fd(C.inverse_flat, y), rtol=0.0, atol=1e-9)
+
+    def test_generic_inverse_jacobian_matches_constant(self, rng):
+        # Central differences of an inverse that itself takes jet derivatives
+        # by finite differences (~1e-11): ~1e-6 is that noise over the step.
+        exact = second_order_phase_map(1)
+        generic = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
+        for _ in range(5):
+            y = rng.normal(size=8)
+            assert np.allclose(generic.inverse_jacobian_flat(y), exact.inverse_jacobian_flat(y), rtol=0.0, atol=2e-6)
 
     @hyp.given(st.integers(0, 2 ** 31 - 1))
     def test_roundtrip_property(self, seed):

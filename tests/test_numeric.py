@@ -121,6 +121,15 @@ class TestNewtonSolve:
         z = newton_solve(f, np.array([0.5, 1.7]))
         assert np.allclose(sorted(z), [1.0, 2.0], atol=1e-10)
 
+    def test_supplied_jacobian_shape_checked(self):
+        f = lambda z: np.array([z[0] + z[1] - 3.0, z[0] - z[1]])
+        with pytest.raises(ValueError, match="shape"):
+            newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: np.ones((2, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: np.ones(4))
+        z = newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert np.allclose(z, [1.5, 1.5], atol=1e-12)
+
     def test_singular_jacobian(self):
         f = lambda z: np.array([z[0] + z[1], z[0] + z[1]])
         with pytest.raises(SingularJacobian):
