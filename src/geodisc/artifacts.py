@@ -7,9 +7,10 @@ dependency is needed.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,13 +24,14 @@ __all__ = [
 ]
 
 
-def _atomic_write_text(path, text: str) -> None:
+def _atomic_write_text(path, chunks: Iterable[str]) -> None:
+    """Write the strings in ``chunks``, in order, as the new content of ``path``."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(prefix=".geodisc-", dir=directory)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -37,6 +39,9 @@ def _atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+_CSV_BLOCK_ROWS = 256
 
 
 def trajectory_columns(n: int) -> list[str]:
@@ -50,29 +55,23 @@ def trajectory_columns(n: int) -> list[str]:
     return cols
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def write_trajectory_csv(path, traj: Trajectory, clearances=None) -> None:
-    """One row per state: t, q, qdot, p0, p1, u, H, clearance.
+    """One row per state: t, q, qdot, p0, p1, u, H, clearance, each number
+    printed with ``%.17g``.
 
     The clearance cell is left blank when ``clearances`` is None (no obstacle
     in the problem)."""
-    n = traj.states[0].n
-    times = traj.times
-    lines = [",".join(trajectory_columns(n))]
-    for k, s in enumerate(traj.states):
-        cells = [_fmt(times[k])]
-        cells += [_fmt(v) for v in s.q]
-        cells += [_fmt(v) for v in s.qdot]
-        cells += [_fmt(v) for v in s.p0]
-        cells += [_fmt(v) for v in s.p1]
-        cells += [_fmt(v) for v in traj.controls[k]]
-        cells.append(_fmt(traj.energies[k]))
-        cells.append("" if clearances is None else _fmt(clearances[k]))
-        lines.append(",".join(cells))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [traj.times, traj.z, traj.controls, traj.energies]
+    if clearances is not None:
+        columns.append(np.asarray(clearances, dtype=float))
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + ("," if clearances is None else "") + "\n"
+    # Formatted a block of rows at a time, so the whole text never sits in memory.
+    blocks = (
+        "".join(row % tuple(values) for values in table[i : i + _CSV_BLOCK_ROWS].tolist())
+        for i in range(0, table.shape[0], _CSV_BLOCK_ROWS)
+    )
+    _atomic_write_text(path, itertools.chain([",".join(trajectory_columns(traj.n)) + "\n"], blocks))
 
 
 def read_csv_columns(path) -> dict[str, list[str]]:
@@ -139,4 +138,4 @@ def write_xy_svg(path, xy, circle=None, size: int = 560, margin: int = 40) -> No
         f'<polyline points="{points}" fill="none" stroke="#2c3e50" stroke-width="1.5"/>'
     )
     parts.append("</svg>")
-    _atomic_write_text(path, "\n".join(parts) + "\n")
+    _atomic_write_text(path, ["\n".join(parts) + "\n"])

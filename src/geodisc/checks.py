@@ -257,7 +257,7 @@ def free_spline_suite() -> list[CheckResult]:
     H = second_order_hamiltonian(1)
     z0 = np.array([0.0, 0.1, 0.01, 0.2])
     traj = integrate(C, H, 0.01, 10_000, z0)
-    p0 = np.stack([s.p0 for s in traj.states])
+    p0 = traj.z[:, 2]  # (q, qdot, p0, p1) at n = 1
     out.append(_result("free-spline", "p0 drift over 1e4 steps", float(np.max(np.abs(p0 - p0[0]))), 1e-12))
     out.append(
         _result(
@@ -282,7 +282,7 @@ def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01)) -> list[Ch
     errs = []
     for h in h_values:
         traj = integrate(C, H, h, int(round(T / h)), z0)
-        errs.append(abs(traj.states[-1].q[0] - q_exact))
+        errs.append(abs(traj.z[-1, 0] - q_exact))
     for i in range(len(errs) - 1):
         ratio = h_values[i] / h_values[i + 1]
         order = float(np.log(errs[i] / errs[i + 1]) / np.log(ratio))

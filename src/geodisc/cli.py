@@ -228,7 +228,7 @@ def _write_artifacts(cfg: ExperimentConfig, traj, clearance, command: str):
     """Write the trajectory CSV, and the XY-path SVG when asked for.  Returns
     the clearances (None without an obstacle) and the closing ``csv:`` line."""
     csv_path = cfg.csv_out or f"{cfg.problem}-{command}.csv"
-    clearances = np.array([clearance(s.q) for s in traj.states]) if clearance is not None else None
+    clearances = np.array([clearance(q) for q in traj.positions()]) if clearance is not None else None
     write_trajectory_csv(csv_path, traj, clearances)
     line = f"csv: {csv_path}"
     if cfg.svg_out and cfg.dim >= 2:
@@ -250,10 +250,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     traj = integrate(C, H, cfg.h, cfg.steps, cfg.initial_state)
     clearances, csv_line = _write_artifacts(cfg, traj, clearance, "trajectory")
     cost = running_cost(traj, V if cfg.include_potential_in_cost else None)
-    final = traj.states[-1]
+    final = traj.z[-1]
     drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
-    print("final q      = [%s]" % " ".join("%.6g" % v for v in final.q))
-    print("final qdot   = [%s]" % " ".join("%.6g" % v for v in final.qdot))
+    print("final q      = [%s]" % " ".join("%.6g" % v for v in final[:n]))
+    print("final qdot   = [%s]" % " ".join("%.6g" % v for v in final[n : 2 * n]))
     print("H drift      = %.6g" % drift)
     print("min clearance= %s" % ("%.6g" % np.min(clearances) if clearances is not None else "n/a"))
     print("cost J       = %.6g" % cost)
@@ -305,7 +305,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     payload = json.dumps([r.as_dict() for r in results], indent=2)
     print(payload)
     if cfg.json_out:
-        _atomic_write_text(cfg.json_out, payload + "\n")
+        _atomic_write_text(cfg.json_out, [payload + "\n"])
     failures = sum(r.failed for r in results)
     print(f"check: {len(results)} cases, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1

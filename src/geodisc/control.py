@@ -207,12 +207,10 @@ def running_cost(
     ``rule`` is "left" (rectangle at each step's left state, matching the
     piecewise control reconstruction) or "trapezoid".
     """
-    vals = np.array(
-        [
-            0.5 * float(u @ u) + (float(potential(s.q)) if potential is not None else 0.0)
-            for u, s in zip(traj.controls, traj.states)
-        ]
-    )
+    u = traj.controls
+    vals = 0.5 * np.einsum("ij,ij->i", u, u)
+    if potential is not None:
+        vals = vals + np.array([float(potential(q)) for q in traj.positions()])
     if rule == "left":
         return float(traj.h * np.sum(vals[:-1]))
     if rule == "trapezoid":
@@ -283,9 +281,10 @@ def shoot(
             last[key] = traj
         return last[key]
 
+    target = np.concatenate([prob.q_end, prob.qdot_end])
+
     def residual(x: Array) -> Array:
-        end = flow(x).states[-1]
-        return np.concatenate([end.q - prob.q_end, end.qdot - prob.qdot_end])
+        return flow(x).z[-1, : 2 * n] - target
 
     def jacobian(x: Array) -> Array:
         return flow(x).tangent[: 2 * n]
@@ -307,10 +306,7 @@ def shoot(
         message = str(exc)
 
     traj = flow(x)
-    end = traj.states[-1]
-    defect = float(
-        max(np.max(np.abs(end.q - prob.q_end)), np.max(np.abs(end.qdot - prob.qdot_end)))
-    )
+    defect = float(np.max(np.abs(traj.z[-1, : 2 * n] - target)))
     return ShootingResult(
         p0=x[:n],
         p1=x[n:],
@@ -370,7 +366,7 @@ def run_se2_experiment(config) -> SE2Report:
     if z0.size != 4 * n:
         raise ValueError(f"se2 initial state needs {4 * n} numbers, got {z0.size}")
     traj = integrate(C, H, config.h, config.steps, z0)
-    clearances = np.array([clearance(s.q) for s in traj.states])
+    clearances = np.array([clearance(q) for q in traj.positions()])
     drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
     report = SE2Report(
         trajectory=traj,

@@ -16,7 +16,8 @@ the step endpoints (z0, z1),
 
     mdot = h dH/dp(m, p),      pdot = -h dH/dm(m, p)
 
-for z1 by a chord Newton iteration.  With the midpoint-family lifts this is an
+for z1 by a chord Newton iteration on the closed-form Jacobian of these
+relations, inverted once and reused.  With the midpoint-family lifts this is an
 implicit midpoint scheme on the phase space and conserves quadratic first
 integrals to machine precision.  Differentiating the step relations at the
 converged z1 (the discrete variational equation) gives the exact step
@@ -24,16 +25,18 @@ derivative dz1/dz0, which :func:`integrate` can carry along a run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import NonConvergence, SingularJacobian, TooFewPoints
 from .lifts import CotangentLiftedMap
-from .numeric import as_vector, jacobian_fd, taylor_derivatives
+from .numeric import as_vector, taylor_derivatives
 
 Array = np.ndarray
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -135,30 +138,60 @@ class SecondOrderState:
         return cls(z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n :])
 
 
+class _StateView(Sequence):
+    """The rows of a trajectory's state array as :class:`SecondOrderState`
+    objects, built on access."""
+
+    def __init__(self, z: Array):
+        self._z = z
+
+    def __len__(self) -> int:
+        return self._z.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return SecondOrderState.from_flat(self._z[k], self._z.shape[1] // 4)
+
+
 @dataclass
 class Trajectory:
-    """States produced by :func:`integrate`, with per-state energy and control
-    (the control of the second-order problem is u = qddot = p1).
+    """States produced by :func:`integrate`: row k of the (steps + 1) x 4n
+    array ``z`` is the flat state (q, qdot, p0, p1) at time k h, with its
+    energy in ``energies[k]``.
 
-    ``tangent`` is the final state's tangent block d z_N / d z_0 . T_0 when
-    :func:`integrate` was given an initial block T_0, else None."""
+    ``states``, ``controls`` (the control of the second-order problem is
+    u = qddot = p1) and ``positions()`` are views of ``z``.  ``tangent`` is
+    the final state's tangent block d z_N / d z_0 . T_0 when :func:`integrate`
+    was given an initial block T_0, else None."""
 
     h: float
-    states: list[SecondOrderState]
+    z: Array
     energies: Array
-    controls: Array
     tangent: Array | None = None
 
     @property
+    def n(self) -> int:
+        return self.z.shape[1] // 4
+
+    @property
     def steps(self) -> int:
-        return len(self.states) - 1
+        return self.z.shape[0] - 1
 
     @property
     def times(self) -> Array:
-        return self.h * np.arange(len(self.states))
+        return self.h * np.arange(self.z.shape[0])
+
+    @property
+    def states(self) -> Sequence[SecondOrderState]:
+        return _StateView(self.z)
+
+    @property
+    def controls(self) -> Array:
+        return self.z[:, 3 * self.n :]
 
     def positions(self) -> Array:
-        return np.stack([s.q for s in self.states])
+        return self.z[:, : self.n]
 
 
 def trajectory_from_positions(q_samples, h: float) -> Trajectory:
@@ -167,9 +200,9 @@ def trajectory_from_positions(q_samples, h: float) -> Trajectory:
     q = np.asarray(q_samples, dtype=float)
     if q.ndim == 1:
         q = q[:, None]
-    zeros = np.zeros_like(q[0])
-    states = [SecondOrderState(row, zeros, zeros, zeros) for row in q]
-    return Trajectory(h=float(h), states=states, energies=np.zeros(len(states)), controls=np.zeros_like(q))
+    z = np.zeros((q.shape[0], 4 * q.shape[1]))
+    z[:, : q.shape[1]] = q
+    return Trajectory(h=float(h), z=z, energies=np.zeros(q.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,60 +280,74 @@ def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> 
         raise ValueError(f"phase points have {2 * d} coordinates, got {z0.size}")
 
     def residual(z1: Array) -> Array:
-        m, p, mdot, pdot = np.split(C.inverse_flat(np.concatenate([z0, z1])), 4)
-        return np.concatenate([mdot - h * H.grad_p(m, p), pdot + h * H.grad_m(m, p)])
+        w = C.inverse_flat(np.concatenate([z0, z1]))
+        m, p = w[:d], w[d : 2 * d]
+        return np.concatenate([w[2 * d : 3 * d] - h * H.grad_p(m, p), w[3 * d :] + h * H.grad_m(m, p)])
 
     return residual
 
 
-def _chord_newton(residual, x0: Array, J: Array | None, tol: float, max_iter: int):
-    """Newton iteration reusing one Jacobian, refreshed only on stalls.
+def _step_jacobian(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0: Array, z1: Array) -> Array:
+    """d R / d(z0, z1) of the step residual R at (z0, z1), in closed form.
 
-    Returns (solution, jacobian_used) so callers integrating many steps can
-    carry the factorization across steps.  The tolerance never goes below
-    8 eps ||x0||_inf, the rounding level of the state (for tol = 1e-12 that
-    floor takes over above ||x0||_inf ~ 560).
+    With (m, p, mdot, pdot) the lifted-map preimage of (z0, z1), dR/d(m, p,
+    mdot, pdot) holds -h d2H/dp d(m, p) and h d2H/dm d(m, p) beside the
+    identity on (mdot, pdot), and the chain rule goes through the lifted
+    map's inverse Jacobian.  Its z1 block is the chord Jacobian.
     """
-    tol = max(tol, 8.0 * np.finfo(float).eps * float(np.max(np.abs(x0))))
-    x = x0.copy()
+    d = C.dim
+    y = np.concatenate([z0, z1])
+    w = C.inverse_flat(y)
+    K = C.inverse_jacobian_flat(y)
+    S = H.hessian(w[:d], w[d : 2 * d])
+    return K[2 * d :] + np.concatenate([-h * S[d:], h * S[:d]]) @ K[: 2 * d]
+
+
+def _inverse(J: Array) -> Array:
+    try:
+        return np.linalg.inv(J)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian("one-step linearization is singular") from exc
+
+
+def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, max_iter: int):
+    """Newton iteration reusing one inverted Jacobian, refreshed only on stalls.
+
+    ``jacobian(x)`` is the residual's Jacobian at x; it is inverted once per
+    refresh and applied by matrix-vector products.  ``J_inv`` is a carried
+    inverse (None to start from the Jacobian at x0).  Returns (solution,
+    inverse_used) so callers integrating many steps can carry it across
+    steps.  The tolerance never goes below 8 eps ||x0||_inf, the rounding
+    level of the state (for tol = 1e-12 that floor takes over above
+    ||x0||_inf ~ 560).
+    """
+    tol = max(tol, 8.0 * _EPS * float(np.abs(x0).max()))
+    x = x0
     r = residual(x)
-    best_x, best_norm = x.copy(), float(np.max(np.abs(r)))
-    refreshed = J is None
-    if J is None:
-        J = jacobian_fd(residual, x)
+    norm = float(np.abs(r).max())
+    best_x, best_norm = x, norm
+    refreshed = J_inv is None
+    if J_inv is None:
+        J_inv = _inverse(jacobian(x))
     for it in range(max_iter):
-        norm = float(np.max(np.abs(r)))
         if norm <= tol:
             # One last correction so long integrations are not limited by tol.
-            try:
-                x = x - np.linalg.solve(J, r)
-            except np.linalg.LinAlgError:
-                pass
-            return x, J
-        try:
-            dx = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian("one-step linearization is singular") from exc
-        x = x - dx
+            return x - J_inv @ r, J_inv
+        x = x - J_inv @ r
         r = residual(x)
-        new_norm = float(np.max(np.abs(r)))
+        new_norm = float(np.abs(r).max())
         if new_norm < best_norm:
-            best_x, best_norm = x.copy(), new_norm
-        if new_norm > 0.5 * norm and new_norm > tol:
+            best_x, best_norm = x, new_norm
+        if new_norm > 0.5 * norm and new_norm > tol and not refreshed:
             # Insufficient contraction: the carried Jacobian is stale.
-            if refreshed:
-                continue
-            J = jacobian_fd(residual, x)
+            J_inv = _inverse(jacobian(x))
             refreshed = True
-    if float(np.max(np.abs(r))) <= tol:
-        try:
-            x = x - np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            pass
-        return x, J
+        norm = new_norm
+    if norm <= tol:
+        return x - J_inv @ r, J_inv
     raise NonConvergence(
         f"one-step solve stalled at residual {best_norm:.3e} (tol {tol:.1e})",
-        x_best=best_x,
+        x_best=best_x.copy(),
         residual_norm=best_norm,
         iterations=max_iter,
     )
@@ -316,34 +363,14 @@ def symplectic_step(
 ) -> Array:
     """Advance one step of size h from the phase point z0 (flat, length 4n).
 
-    The Newton iteration starts from z1 = z0 and reuses a single
-    finite-difference Jacobian of the residual (exact for the affine systems
-    arising from midpoint-family lifts)."""
+    The Newton iteration starts from z1 = z0 and reuses the closed-form
+    Jacobian of the residual at that point (exact for the affine systems
+    arising from midpoint-family lifts), inverted once."""
     z0 = as_vector(z0, name="z0")
     residual = step_residual(C, H, h, z0)
-    z1, _ = _chord_newton(residual, z0, None, tol, max_iter)
+    chord = lambda z1: _step_jacobian(C, H, h, z0, z1)[:, 2 * C.dim :]
+    z1, _ = _chord_newton(residual, chord, z0, None, tol, max_iter)
     return z1
-
-
-def _tangent_step(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0: Array, z1: Array, T: Array) -> Array:
-    """Carry the tangent block T across the converged step z0 -> z1.
-
-    By the implicit function theorem dz1/dz0 = -(dR/dz1)^{-1} dR/dz0, where
-    R(z0, z1) is the step residual.  With (m, p, mdot, pdot) the lifted-map
-    preimage of (z0, z1), dR/d(m, p, mdot, pdot) holds -h d2H/dp d(m, p) and
-    h d2H/dm d(m, p) beside the identity on (mdot, pdot), and the chain rule
-    goes through the lifted map's inverse Jacobian.
-    """
-    d = C.dim
-    y = np.concatenate([z0, z1])
-    w = C.inverse_flat(y)
-    K = C.inverse_jacobian_flat(y)
-    S = H.hessian(w[:d], w[d : 2 * d])
-    A = K[2 * d :] + np.concatenate([-h * S[d:], h * S[:d]]) @ K[: 2 * d]
-    try:
-        return -np.linalg.solve(A[:, 2 * d :], A[:, : 2 * d] @ T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian("one-step linearization is singular at the converged step") from exc
 
 
 def integrate(
@@ -359,9 +386,10 @@ def integrate(
     """Run ``steps`` steps of the one-step method, recording energy and control
     at every state.
 
-    The residual Jacobian is carried across steps and refreshed only when a
-    step stalls, which makes the affine (free and nearly free) cases cost one
-    linear solve per step.
+    The inverse of the residual's closed-form Jacobian is carried across
+    steps and refreshed only when a step stalls, which makes the affine (free
+    and nearly free) cases cost one inversion per run and matrix-vector
+    products per step.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
     through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k
@@ -376,23 +404,26 @@ def integrate(
     d = C.dim
     if d % 2 != 0:
         raise ValueError("second-order trajectories need an even-dimensional base")
-    n = d // 2
-    z = as_vector(z0, name="z0") if not isinstance(z0, SecondOrderState) else z0.flat()
+    z0 = as_vector(z0, name="z0") if not isinstance(z0, SecondOrderState) else z0.flat()
     if tangent is not None:
         tangent = np.asarray(tangent, dtype=float)
         if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
             raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
-    states = [SecondOrderState.from_flat(z, n)]
-    energies = [H.value(z[:d], z[d:])]
-    J = None
+    z = np.empty((steps + 1, z0.size))
+    z[0] = z0
+    energies = np.empty(steps + 1)
+    energies[0] = H.value(z0[:d], z0[d:])
+    J_inv = None
     for k in range(steps):
-        residual = step_residual(C, H, h, z)
+        zk = z[k]
+        residual = step_residual(C, H, h, zk)
+        chord = lambda z1, zk=zk: _step_jacobian(C, H, h, zk, z1)[:, 2 * d :]
         try:
-            z1, J = _chord_newton(residual, z, J, tol, max_iter)
+            z1, J_inv = _chord_newton(residual, chord, zk, J_inv, tol, max_iter)
         except NonConvergence:
             # One retry with a fresh Jacobian before giving up.
             try:
-                z1, J = _chord_newton(residual, z, None, tol, max_iter)
+                z1, J_inv = _chord_newton(residual, chord, zk, None, tol, max_iter)
             except NonConvergence as exc:
                 raise NonConvergence(
                     f"step {k} at t = {k * h:.6g}: {exc}",
@@ -401,12 +432,14 @@ def integrate(
                     iterations=exc.iterations,
                 ) from exc
         if tangent is not None:
-            tangent = _tangent_step(C, H, h, z, z1, tangent)
-        z = z1
-        states.append(SecondOrderState.from_flat(z, n))
-        energies.append(H.value(z[:d], z[d:]))
-    controls = np.stack([s.p1 for s in states])
-    return Trajectory(h=h, states=states, energies=np.asarray(energies), controls=controls, tangent=tangent)
+            A = _step_jacobian(C, H, h, zk, z1)
+            try:
+                tangent = -np.linalg.solve(A[:, 2 * d :], A[:, : 2 * d] @ tangent)
+            except np.linalg.LinAlgError as exc:
+                raise SingularJacobian("one-step linearization is singular at the converged step") from exc
+        z[k + 1] = z1
+        energies[k + 1] = H.value(z1[:d], z1[d:])
+    return Trajectory(h=h, z=z, energies=energies, tangent=tangent)
 
 
 def fourth_order_residual(traj: Trajectory, grad_potential=None) -> Array:

@@ -181,7 +181,9 @@ class CotangentLiftedMap:
     interface (``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``),
     so the base may be a :class:`DiscretizationMap` or a
     :class:`HigherOrderDiscretizationMap` and probes may leave its manifold.
-    The four-vector ``forward``/``inverse`` check their inputs and delegate.
+    For a base with a constant Jacobian the inverse is one affine map
+    y -> K y + k, built once here.  The four-vector ``forward``/``inverse``
+    check their inputs and delegate.
     The construction makes the map a discretization map on T*M in its own
     right (see ``as_discretization_map``) and a symplectomorphism, checked by
     :func:`check_symplectomorphism`.
@@ -191,9 +193,11 @@ class CotangentLiftedMap:
         self.base = base
         self.dim = base.dim
         self.name = f"cotangent({base.name})" if base.name else "cotangent"
+        self._inverse_affine = None
         if base.jacobian_constant:
-            # inverse_flat is affine: (m, mdot) = J^{-1} (m0, m1) + const and
-            # (pdot, p) = J^T (-p0, p1), with J the constant base Jacobian.
+            # The inverse is affine, y -> K y + k: (m, mdot) = J^{-1} (m0, m1)
+            # + const and (pdot, p) = J^T (-p0, p1), with J the constant base
+            # Jacobian, and k the composed inverse at 0.
             d = self.dim
             J = base.jacobian_forward_flat(np.zeros(2 * d))
             K = np.zeros((4 * d, 4 * d))
@@ -201,7 +205,7 @@ class CotangentLiftedMap:
             covectors = np.r_[d : 2 * d, 3 * d : 4 * d]  # (p0, p1) in
             K[np.ix_(points, points)] = np.linalg.inv(J)
             K[np.ix_(np.r_[3 * d : 4 * d, d : 2 * d], covectors)] = J.T * np.r_[-np.ones(d), np.ones(d)]
-            self._inverse_jacobian = K
+            self._inverse_affine = (K, self._composed_inverse_flat(np.zeros(4 * d)))
 
     def _checked_flat(self, parts, names) -> Array:
         vs = [as_vector(v, name=name) for v, name in zip(parts, names)]
@@ -231,6 +235,13 @@ class CotangentLiftedMap:
         return np.concatenate([pair[:d], -c[:d], pair[d:], c[d:]])
 
     def inverse_flat(self, y) -> Array:
+        if self._inverse_affine is not None:
+            K, k = self._inverse_affine
+            return K @ y + k
+        return self._composed_inverse_flat(y)
+
+    def _composed_inverse_flat(self, y) -> Array:
+        """The inverse through the base's flat maps, for any base."""
         y = np.asarray(y, dtype=float)
         d = self.dim
         base_x = self.base.inverse_flat(np.concatenate([y[:d], y[2 * d : 3 * d]]))
@@ -238,11 +249,11 @@ class CotangentLiftedMap:
         return np.concatenate([base_x[:d], col[d:], base_x[d:], col[:d]])
 
     def inverse_jacobian_flat(self, y) -> Array:
-        """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y: a constant matrix built
-        once when the base Jacobian is constant, else central differences of
-        ``inverse_flat``."""
-        if self.base.jacobian_constant:
-            return self._inverse_jacobian.copy()
+        """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y: the constant matrix K
+        built once when the base Jacobian is constant, else central
+        differences of ``inverse_flat``."""
+        if self._inverse_affine is not None:
+            return self._inverse_affine[0].copy()
         return jacobian_fd(self.inverse_flat, np.asarray(y, dtype=float))
 
     def as_discretization_map(self) -> DiscretizationMap:

@@ -40,7 +40,7 @@ def as_vector(x, *, name: str = "value") -> Array:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 

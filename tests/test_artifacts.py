@@ -15,7 +15,7 @@ def tiny_traj(n=2):
         SecondOrderState(np.full(n, 0.1), np.full(n, 0.2), np.full(n, 0.3), np.full(n, 1 / 3)),
         SecondOrderState(np.full(n, 1.1), np.full(n, 1.2), np.full(n, 1.3), np.full(n, 2 / 3)),
     ]
-    return Trajectory(h=0.5, states=states, energies=np.array([1 / 7, 1 / 7]), controls=np.stack([s.p1 for s in states]))
+    return Trajectory(h=0.5, z=np.stack([s.flat() for s in states]), energies=np.array([1 / 7, 1 / 7]))
 
 
 class TestTrajectoryCsv:
@@ -44,6 +44,25 @@ class TestTrajectoryCsv:
         write_trajectory_csv(str(path), tiny_traj())
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != "t.csv"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("with_clearance", [False, True])
+    def test_bytes_match_per_cell_formatting(self, tmp_path, with_clearance):
+        def cell(x):
+            return "%.17g" % float(x)
+
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(600, 12)) * 10.0 ** rng.integers(-300, 300, size=(600, 12))
+        z[3, 4], z[5, 0], z[6, 2] = -0.0, 0.0, 1e-310
+        traj = Trajectory(h=0.01, z=z, energies=rng.normal(size=600))
+        clearances = rng.uniform(size=600) if with_clearance else None
+        lines = [",".join(trajectory_columns(3))]
+        for k in range(600):  # more rows than one formatting block
+            cells = [cell(traj.times[k])] + [cell(v) for v in z[k]] + [cell(v) for v in z[k, 9:]]
+            cells += [cell(traj.energies[k]), cell(clearances[k]) if with_clearance else ""]
+            lines.append(",".join(cells))
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(str(path), traj, clearances)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_overwrite_replaces_content(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -57,6 +57,12 @@ class TestSimulate:
         assert costs[0] == costs[1]
         assert open("se2.csv", "rb").read() == open("obstacle.csv", "rb").read()
 
+    def test_rerun_writes_identical_csv(self, capsys):
+        flags = ["--problem", "free", "--n", "1", "--init=0.3,-0.2,0.02,-0.1", "--h", "0.01", "--steps", "300"]
+        for name in ("a.csv", "b.csv"):
+            assert cli.main(["simulate", *flags, "--csv-out", name]) == 0
+        assert open("a.csv", "rb").read() == open("b.csv", "rb").read()
+
     def test_simulate_has_no_tol_flag(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--problem", "free", "--n", "1", "--init", "0,1,2,3", "--tol", "0"])

@@ -157,10 +157,8 @@ class TestHermiteCostates:
 class TestRunningCost:
     @staticmethod
     def two_state_traj():
-        zero = np.zeros(1)
-        states = [SecondOrderState(zero, zero, zero, zero)] * 2
-        controls = np.array([[2.0], [0.0]])
-        return Trajectory(h=0.1, states=states, energies=np.zeros(2), controls=controls)
+        states = [SecondOrderState([0.0], [0.0], [0.0], [u]) for u in (2.0, 0.0)]  # u = p1
+        return Trajectory(h=0.1, z=np.stack([s.flat() for s in states]), energies=np.zeros(2))
 
     def test_left_rule(self):
         assert running_cost(self.two_state_traj()) == pytest.approx(0.2)
@@ -176,6 +174,16 @@ class TestRunningCost:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             running_cost(self.two_state_traj(), rule="simpson")
+
+    def test_matches_per_state_loop(self, rng):
+        # Row sums of u*u may round apart from u @ u: three positive terms
+        # per row, so a few eps relative.
+        V, gV, hV, _ = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)
+        z = rng.normal(size=(50, 12))
+        z[:, 0] = rng.uniform(2.0, 3.0, size=50)  # outside the unit disc
+        traj = Trajectory(h=0.01, z=z, energies=np.zeros(50))
+        vals = [0.5 * float(s.p1 @ s.p1) + float(V(s.q)) for s in traj.states]
+        assert running_cost(traj, V) == pytest.approx(0.01 * np.sum(vals[:-1]), rel=8 * np.finfo(float).eps, abs=0.0)
 
 
 class TestFreeSplineShooting:

@@ -5,17 +5,21 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+import geodisc
 from geodisc.checks import _one_step_jacobian
 from geodisc.control import obstacle_potential
 from geodisc.errors import NonConvergence, TooFewPoints
 from geodisc.hamiltonian import (
     HamiltonianSystem,
     SecondOrderState,
+    Trajectory,
+    _step_jacobian,
     fourth_order_residual,
     integrate,
     lagrangian_energy,
     legendre_second_order,
     second_order_hamiltonian,
+    step_residual,
     symplectic_step,
     trajectory_from_positions,
 )
@@ -223,6 +227,64 @@ class TestIntegrate:
         k, t = int(found.group(1)), float(found.group(2))
         assert k > 0 and t == pytest.approx(0.01 * k)
         assert err.value.x_best is not None and err.value.x_best.size == 12
+
+    def test_nonfinite_gradient_stalls_at_the_step_that_meets_it(self):
+        # From z0 = (0, 1, 0, 0) the state moves as q = t while the gradient
+        # is 0; it turns infinite once q > 0.5, which the step starting at
+        # t = 0.5 is the first to see.
+        def gV(q):
+            return np.full(1, np.inf) if q[0] > 0.5 else np.zeros(1)
+
+        C = second_order_phase_map(1)
+        H = second_order_hamiltonian(1, lambda q: 0.0, gV, lambda q: np.zeros((1, 1)))
+        with pytest.raises(NonConvergence, match=r"^step 50 at t = 0\.5: "):
+            integrate(C, H, 0.01, 100, np.array([0.0, 1.0, 0.0, 0.0]))
+
+
+class TestStepKernel:
+    """The closed-form step Jacobian and the array-backed Trajectory."""
+
+    @pytest.mark.parametrize("setup", [free_setup, lambda: obstacle_setup(tau=1.0)], ids=["free", "obstacle"])
+    def test_chord_block_matches_fd_of_the_residual(self, setup, rng):
+        C, H = setup()
+        d = C.dim
+        for _ in range(5):
+            z0 = rng.normal(size=2 * d) * 0.3
+            if d == 6:
+                z0[:2] = 2.0 * z0[:2] / np.linalg.norm(z0[:2])  # outside the unit disc
+            z1 = z0 + 0.01 * rng.normal(size=2 * d)
+            fd = jacobian_fd(step_residual(C, H, 0.01, z0), z1)
+            assert np.max(np.abs(_step_jacobian(C, H, 0.01, z0, z1)[:, 2 * d :] - fd)) <= 1e-9
+
+    @pytest.mark.parametrize("setup", [free_setup, obstacle_setup], ids=["free", "obstacle"])
+    def test_constant_jacobian_base_takes_no_fd_jacobian(self, setup, monkeypatch):
+        calls = []
+        original = geodisc.numeric.jacobian_fd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (geodisc.numeric, geodisc.lifts, geodisc.maps, geodisc.jets):
+            monkeypatch.setattr(module, "jacobian_fd", counted)
+        C, H = setup()
+        z0 = TestTangent.Z0 if C.dim == 6 else np.array([0.0, 0.1, 0.01, 0.2])
+        integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size))
+        symplectic_step(C, H, 0.01, z0)
+        assert calls == []
+
+    def test_views_agree_with_the_state_array(self):
+        C, H = obstacle_setup()
+        traj = integrate(C, H, 0.01, 20, TestTangent.Z0)
+        assert isinstance(traj, Trajectory) and traj.z.shape == (21, 12) and traj.n == 3
+        assert len(traj.states) == 21 and traj.steps == 20
+        for k in (0, 7, -1):
+            assert np.array_equal(traj.states[k].flat(), traj.z[k])
+        assert [s.q[1] for s in traj.states[2:5]] == list(traj.z[2:5, 1])
+        assert np.array_equal(traj.positions(), traj.z[:, :3])
+        assert np.array_equal(traj.controls, traj.z[:, 9:])
+        with pytest.raises(IndexError):
+            traj.states[21]
 
 
 class TestTangent:

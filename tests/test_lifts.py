@@ -120,6 +120,26 @@ class TestCotangentLift:
             y = rng.normal(size=4 * C.dim)
             assert np.allclose(C.inverse_jacobian_flat(y), jacobian_fd(C.inverse_flat, y), rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_affine_inverse_is_the_composed_inverse_bit_for_bit(self, n, rng):
+        # Midpoint coefficients (+-1/2, +-1) make every product exact, so the
+        # one matvec rounds exactly as the composed path does.
+        C = second_order_phase_map(n)
+        for _ in range(200):
+            y = rng.normal(size=8 * n) * 10.0 ** rng.integers(-3, 4)
+            assert np.array_equal(C.inverse_flat(y), C._composed_inverse_flat(y))
+
+    def test_affine_inverse_matches_composed_theta_to_rounding(self, rng):
+        # theta = 0.3 products are inexact: BLAS may fuse a row's two
+        # multiply-adds in one path and not the other, which moves each
+        # entry by at most one rounding of its terms.
+        C = second_order_phase_map(3, theta_map(3, 0.3))
+        K = C.inverse_jacobian_flat(np.zeros(24))
+        for _ in range(200):
+            y = rng.normal(size=24) * 10.0 ** rng.integers(-3, 4)
+            bound = 2 * np.finfo(float).eps * (np.abs(K) @ np.abs(y))
+            assert np.all(np.abs(C.inverse_flat(y) - C._composed_inverse_flat(y)) <= bound)
+
     def test_generic_inverse_jacobian_matches_constant(self, rng):
         # Central differences of an inverse that itself takes jet derivatives
         # by finite differences (~1e-11): ~1e-6 is that noise over the step.
