@@ -182,8 +182,10 @@ class CotangentLiftedMap:
     so the base may be a :class:`DiscretizationMap` or a
     :class:`HigherOrderDiscretizationMap` and probes may leave its manifold.
     For a base with a constant Jacobian the inverse is one affine map
-    y -> K y + k, built once here.  The four-vector ``forward``/``inverse``
-    check their inputs and delegate.
+    y -> K y + k, built once here and exposed read-only as
+    ``affine_inverse = (K, k)`` (None for any other base), which the one-step
+    method folds into its own matrices.  The four-vector
+    ``forward``/``inverse`` check their inputs and delegate.
     The construction makes the map a discretization map on T*M in its own
     right (see ``as_discretization_map``) and a symplectomorphism, checked by
     :func:`check_symplectomorphism`.
@@ -193,7 +195,7 @@ class CotangentLiftedMap:
         self.base = base
         self.dim = base.dim
         self.name = f"cotangent({base.name})" if base.name else "cotangent"
-        self._inverse_affine = None
+        self.affine_inverse = None
         if base.jacobian_constant:
             # The inverse is affine, y -> K y + k: (m, mdot) = J^{-1} (m0, m1)
             # + const and (pdot, p) = J^T (-p0, p1), with J the constant base
@@ -205,7 +207,10 @@ class CotangentLiftedMap:
             covectors = np.r_[d : 2 * d, 3 * d : 4 * d]  # (p0, p1) in
             K[np.ix_(points, points)] = np.linalg.inv(J)
             K[np.ix_(np.r_[3 * d : 4 * d, d : 2 * d], covectors)] = J.T * np.r_[-np.ones(d), np.ones(d)]
-            self._inverse_affine = (K, self._composed_inverse_flat(np.zeros(4 * d)))
+            k = self._composed_inverse_flat(np.zeros(4 * d))
+            K.setflags(write=False)
+            k.setflags(write=False)
+            self.affine_inverse = (K, k)
 
     def _checked_flat(self, parts, names) -> Array:
         vs = [as_vector(v, name=name) for v, name in zip(parts, names)]
@@ -235,8 +240,8 @@ class CotangentLiftedMap:
         return np.concatenate([pair[:d], -c[:d], pair[d:], c[d:]])
 
     def inverse_flat(self, y) -> Array:
-        if self._inverse_affine is not None:
-            K, k = self._inverse_affine
+        if self.affine_inverse is not None:
+            K, k = self.affine_inverse
             return K @ y + k
         return self._composed_inverse_flat(y)
 
@@ -252,8 +257,8 @@ class CotangentLiftedMap:
         """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y: the constant matrix K
         built once when the base Jacobian is constant, else central
         differences of ``inverse_flat``."""
-        if self._inverse_affine is not None:
-            return self._inverse_affine[0].copy()
+        if self.affine_inverse is not None:
+            return self.affine_inverse[0].copy()
         return jacobian_fd(self.inverse_flat, np.asarray(y, dtype=float))
 
     def as_discretization_map(self) -> DiscretizationMap:

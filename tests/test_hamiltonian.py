@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import hypothesis as hyp
@@ -23,7 +24,8 @@ from geodisc.hamiltonian import (
     symplectic_step,
     trajectory_from_positions,
 )
-from geodisc.lifts import canonical_symplectic_matrix, second_order_phase_map
+from geodisc.lifts import canonical_symplectic_matrix, cotangent_lift, second_order_phase_map
+from geodisc.maps import midpoint_map, theta_map
 from geodisc.numeric import jacobian_fd
 
 
@@ -60,6 +62,11 @@ class TestSecondOrderHamiltonian:
         with pytest.raises(ValueError):
             second_order_hamiltonian(1, lambda q: 0.0, lambda q: np.zeros(1))
 
+    def test_compares_and_hashes_by_identity(self):
+        H = second_order_hamiltonian(1)
+        assert H == H and H != second_order_hamiltonian(1)
+        assert len({H, H}) == 1
+
     @hyp.given(st.integers(0, 2 ** 31 - 1))
     def test_gradients_match_fd(self, seed):
         rng = np.random.default_rng(seed)
@@ -71,9 +78,8 @@ class TestSecondOrderHamiltonian:
         p = rng.normal(size=4)
         gm = jacobian_fd(lambda x: np.array([H.value(x, p)]), m)[0]
         gp = jacobian_fd(lambda x: np.array([H.value(m, x)]), p)[0]
-        assert np.allclose(H.grad_m(m, p), gm, atol=1e-6)
-        assert np.allclose(H.grad_p(m, p), gp, atol=1e-6)
-        grad = lambda z: np.concatenate([H.grad_m(z[:4], z[4:]), H.grad_p(z[:4], z[4:])])
+        assert np.allclose(H.gradient(m, p), np.concatenate([gm, gp]), atol=1e-6)
+        grad = lambda z: H.gradient(z[:4], z[4:])
         assert np.allclose(H.hessian(m, p), jacobian_fd(grad, np.concatenate([m, p])), atol=1e-8)
 
 
@@ -135,13 +141,7 @@ class TestSymplecticStep:
 
     def test_constant_hamiltonian_fixes_state(self, rng):
         C, _ = free_setup()
-        H = HamiltonianSystem(
-            dim=2,
-            value=lambda m, p: 1.0,
-            grad_m=lambda m, p: np.zeros(2),
-            grad_p=lambda m, p: np.zeros(2),
-            hessian=lambda m, p: np.zeros((4, 4)),
-        )
+        H = HamiltonianSystem(dim=2, S0=np.zeros((4, 4)))
         z0 = rng.normal(size=4)
         assert np.allclose(symplectic_step(C, H, 0.3, z0), z0, atol=1e-12)
 
@@ -240,6 +240,34 @@ class TestIntegrate:
         with pytest.raises(NonConvergence, match=r"^step 50 at t = 0\.5: "):
             integrate(C, H, 0.01, 100, np.array([0.0, 1.0, 0.0, 0.0]))
 
+    def test_nonfinite_residual_ends_each_attempt(self, monkeypatch):
+        # The same case, counting residual evaluations per step: the step that
+        # meets the infinite gradient stops each of its two attempts (carried
+        # and fresh Jacobian) at the first non-finite residual.
+        def gV(q):
+            return np.full(1, np.inf) if q[0] > 0.5 else np.zeros(1)
+
+        evals = []
+        original = geodisc.hamiltonian.step_residual
+
+        def counting(*args, **kwargs):
+            residual = original(*args, **kwargs)
+            evals.append(0)
+
+            def counted(z1):
+                evals[-1] += 1
+                return residual(z1)
+
+            return counted
+
+        monkeypatch.setattr(geodisc.hamiltonian, "step_residual", counting)
+        C = second_order_phase_map(1)
+        H = second_order_hamiltonian(1, lambda q: 0.0, gV, lambda q: np.zeros((1, 1)))
+        with pytest.raises(NonConvergence, match=r"^step 50 at t = 0\.5: ") as err:
+            integrate(C, H, 0.01, 100, np.array([0.0, 1.0, 0.0, 0.0]))
+        assert len(evals) == 51 and evals[-1] <= 4
+        assert err.value.x_best.shape == (4,) and np.isfinite(err.value.x_best).all()
+
 
 class TestStepKernel:
     """The closed-form step Jacobian and the array-backed Trajectory."""
@@ -272,6 +300,68 @@ class TestStepKernel:
         integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size))
         symplectic_step(C, H, 0.01, z0)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "n, base, potential",
+        [(1, midpoint_map, False), (3, midpoint_map, True), (3, lambda n: theta_map(n, 0.3), True)],
+        ids=["free-n1", "obstacle-n3", "theta0.3-n3"],
+    )
+    def test_folded_residual_matches_the_composed_path(self, n, base, potential, rng):
+        # The order-1 lift of a linear base on R^n is that base on R^2n acting
+        # on (q, qdot), so a non-constant-Jacobian copy of base(2n) takes the
+        # composed path, w = C.inverse_flat(y), for the same map with exact
+        # jets (the jet lift of such a copy would take them by finite
+        # differences, ~1e-11).
+        folded = second_order_phase_map(n, base(n))
+        composed = cotangent_lift(replace(base(2 * n), jacobian_constant=False))
+        assert folded.affine_inverse is not None and composed.affine_inverse is None
+        if potential:
+            V, gV, hV, _ = obstacle_potential(1.0, 1.0, (0.0, 0.0), n)
+            H = second_order_hamiltonian(n, V, gV, hV)
+        else:
+            H = second_order_hamiltonian(n)
+        eps = np.finfo(float).eps
+        for _ in range(100):
+            z0 = rng.normal(size=4 * n) * 10.0 ** rng.integers(-2, 3)
+            if potential:
+                z0[:2] = 2.0 * z0[:2] / np.linalg.norm(z0[:2])  # outside the unit disc
+            z1 = z0 + 0.01 * rng.normal(size=4 * n)
+            scale = np.abs(np.concatenate([z0, z1])).max()
+            a = step_residual(folded, H, 0.01, z0)(z1)
+            b = step_residual(composed, H, 0.01, z0)(z1)
+            assert np.abs(a - b).max() <= 8 * eps * scale
+        # The composed Jacobian takes K by central differences (~1e-11).
+        J = _step_jacobian(folded, H, 0.01, z0, z1)
+        assert np.max(np.abs(J - _step_jacobian(composed, H, 0.01, z0, z1))) <= 1e-9 * max(1.0, np.abs(J).max())
+
+    @pytest.mark.parametrize("setup", [free_setup, obstacle_setup], ids=["free", "obstacle"])
+    def test_blocks_are_built_once_per_call(self, setup, monkeypatch):
+        built = []
+        original = geodisc.hamiltonian._StepBlocks
+
+        def counted(*args):
+            built.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_StepBlocks", counted)
+        C, H = setup()
+        z0 = TestTangent.Z0 if C.dim == 6 else np.array([0.0, 0.1, 0.01, 0.2])
+        integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size))
+        assert len(built) == 1
+        symplectic_step(C, H, 0.01, z0)
+        assert len(built) == 2
+
+    def test_vectorized_energies_match_the_value_loop(self, rng):
+        C, H = free_setup()
+        traj = integrate(C, H, 0.01, 500, rng.normal(size=4))
+        loop = [H.value(z[:2], z[2:]) for z in traj.z]
+        assert list(traj.energies) == loop
+        C, H = obstacle_setup()
+        z0 = TestTangent.Z0.copy()
+        z0[6:] = [-9.6e-4, -6.2e-3, 0.0, -5.0e-4, -5.8e-3, 0.0]
+        traj = integrate(C, H, 0.01, 400, z0)
+        loop = np.array([H.value(z[:6], z[6:]) for z in traj.z])
+        assert np.all(np.abs(traj.energies - loop) <= 4 * np.finfo(float).eps * np.abs(loop))
 
     def test_views_agree_with_the_state_array(self):
         C, H = obstacle_setup()
