@@ -25,8 +25,14 @@ once and reused.  When the lifted map's inverse is affine, w = K (z0, z1) + k
 A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
 residual is A1 z1 + b, and U adds h grad U (= -h grad V) on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
-With the midpoint-family lifts this is an implicit midpoint scheme on the
-phase space and conserves quadratic first integrals to machine precision.
+Without a remainder (the free problem) on such a base the step relation
+A0 z0 + A1 z1 + c = 0 is linear and the one-step map affine: :func:`integrate`
+takes step 0 by the chord iteration, every later step as one refined affine
+update with its inverse J = A1^-1, and checks the residuals per block of 256
+rows afterwards, handing the rest of the run to the chord iteration from the
+first step that fails.  With the midpoint-family lifts this is an implicit
+midpoint scheme on the phase space and conserves quadratic first integrals to
+machine precision.
 Differentiating the step relations at the converged z1 (the discrete
 variational equation) gives the exact step derivative dz1/dz0, which
 :func:`integrate` can carry along a run.
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -483,6 +490,49 @@ def symplectic_step(
     return z1
 
 
+_ROWS = 256  # rows per block: of the linear steps' residual check and of the energies
+
+
+def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, tangent: Array | None):
+    """Advance rows k, k + 1, ... of z by linear steps, as far as they verify.
+
+    A linear step relation A0 z0 + A1 z1 + c = 0 is solved by the chord
+    step and its final correction with the inverse J of A1 and no tests:
+    x = z_k - J (A1 z_k + b_k), then z_{k+1} = x - J (A1 x + b_k), with
+    b_k = A0 z_k + c.  The first line is folded into one stacked matrix
+    [I - J (A0 + A1); A0], which gives x and b_k from one matvec.  After
+    each block of rows one vectorized pass checks every step's residual
+    A0 z_k + A1 z_{k+1} + c: it must be finite and within the chord
+    iteration's own tolerance, max(tol, 8 eps ||z_k||_inf).  Returns the
+    first step that failed its check (the step count when none did) and the
+    tangent carried over the verified steps as T <- -J (A0 T)."""
+    A0, A1, c = blocks.A0, blocks.A1, blocks.c
+    d = A1.shape[0]
+    P = np.vstack([np.eye(d) - J @ (A0 + A1), A0])
+    p = np.concatenate([-(J @ c), c])
+    steps = z.shape[0] - 1
+    while k < steps:
+        end = min(k + _ROWS, steps)
+        for i in range(k, end):
+            xb = P @ z[i] + p
+            x = xb[:d]
+            z[i + 1] = x - J @ (A1 @ x + xb[d:])
+        R = z[k:end] @ A0.T
+        R += z[k + 1 : end + 1] @ A1.T
+        R += c
+        norms = np.abs(R, out=R).max(axis=1)
+        floors = np.maximum(tol, 8.0 * _EPS * np.abs(z[k:end], out=R).max(axis=1))
+        failed = np.flatnonzero(~(norms <= floors))  # a nan fails too
+        verified = end if failed.size == 0 else k + int(failed[0])
+        if tangent is not None:
+            for _ in range(k, verified):
+                tangent = -(J @ (A0 @ tangent))
+        if verified < end:
+            return verified, tangent
+        k = end
+    return k, tangent
+
+
 def integrate(
     C: CotangentLiftedMap,
     H: HamiltonianSystem,
@@ -500,7 +550,18 @@ def integrate(
     residual's closed-form Jacobian is carried across steps and refreshed
     only when a step stalls, which makes the affine (free and nearly free)
     cases cost one inversion per run and matrix-vector products per step.
-    The energies are evaluated once over all states after the last step.
+
+    When the step relation is linear (an affine lifted inverse and no
+    remainder in H, as for the free problem on the midpoint family), only
+    step 0 runs the chord iteration; its inverse J = A1^-1 then drives
+    every later step as one refined affine update with no in-loop tests,
+    and each block of 256 rows is verified afterwards (see
+    :func:`_linear_steps`).  From the first step whose residual fails that
+    check, the chord iteration takes over for the rest of the run, so a
+    stall or a non-finite state ends in the same NonConvergence.  The steps
+    of a linear run, both kinds, run with numpy's overflow and invalid-value
+    warnings silenced: the finiteness tests report such a state.  The
+    energies are evaluated once over all states after the last step.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
     through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k
@@ -521,36 +582,45 @@ def integrate(
         if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
             raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
     blocks = _StepBlocks(C, H, h)
+    linear = blocks.LK is not None and H.grad_remainder is None
     z = np.empty((steps + 1, z0.size))
     z[0] = z0
     energies = np.empty(steps + 1)  # beside z: allocated after the loop it raised peak memory
     J_inv = None
-    for k in range(steps):
-        zk = z[k]
-        residual = step_residual(C, H, h, zk, blocks=blocks)
-        chord = lambda z1, zk=zk: _step_jacobian(C, H, h, zk, z1, blocks=blocks)[:, 2 * d :]
-        try:
-            z1, J_inv = _chord_newton(residual, chord, zk, J_inv, tol, max_iter)
-        except NonConvergence:
-            # One retry with a fresh Jacobian before giving up.
+    k = 0
+    # Set for linear runs only: while any numpy error state is set, every small
+    # ufunc call costs about 4 % more, which the chord steps of a nonlinear
+    # run would pay on every step.
+    with np.errstate(over="ignore", invalid="ignore") if linear else nullcontext():
+        while k < steps:
+            zk = z[k]
+            residual = step_residual(C, H, h, zk, blocks=blocks)
+            chord = lambda z1, zk=zk: _step_jacobian(C, H, h, zk, z1, blocks=blocks)[:, 2 * d :]
             try:
-                z1, J_inv = _chord_newton(residual, chord, zk, None, tol, max_iter)
-            except NonConvergence as exc:
-                raise NonConvergence(
-                    f"step {k} at t = {k * h:.6g}: {exc}",
-                    x_best=exc.x_best,
-                    residual_norm=exc.residual_norm,
-                    iterations=exc.iterations,
-                ) from exc
-        if tangent is not None:
-            A = _step_jacobian(C, H, h, zk, z1, blocks=blocks)
-            try:
-                tangent = -np.linalg.solve(A[:, 2 * d :], A[:, : 2 * d] @ tangent)
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobian("one-step linearization is singular at the converged step") from exc
-        z[k + 1] = z1
-    for i in range(0, steps + 1, 256):  # blocks of rows: no temporary the size of z
-        energies[i : i + 256] = H.values(z[i : i + 256])
+                z1, J_inv = _chord_newton(residual, chord, zk, J_inv, tol, max_iter)
+            except NonConvergence:
+                # One retry with a fresh Jacobian before giving up.
+                try:
+                    z1, J_inv = _chord_newton(residual, chord, zk, None, tol, max_iter)
+                except NonConvergence as exc:
+                    raise NonConvergence(
+                        f"step {k} at t = {k * h:.6g}: {exc}",
+                        x_best=exc.x_best,
+                        residual_norm=exc.residual_norm,
+                        iterations=exc.iterations,
+                    ) from exc
+            if tangent is not None:
+                A = _step_jacobian(C, H, h, zk, z1, blocks=blocks)
+                try:
+                    tangent = -np.linalg.solve(A[:, 2 * d :], A[:, : 2 * d] @ tangent)
+                except np.linalg.LinAlgError as exc:
+                    raise SingularJacobian("one-step linearization is singular at the converged step") from exc
+            z[k + 1] = z1
+            k += 1
+            if linear and k == 1:
+                k, tangent = _linear_steps(blocks, J_inv, z, k, tol, tangent)
+    for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
+        energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])
     return Trajectory(h=h, z=z, energies=energies, tangent=tangent)
 
 

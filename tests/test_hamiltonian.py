@@ -423,6 +423,123 @@ class TestTangent:
         assert np.max(np.abs(block - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
+def chord_twin(H):
+    """H plus a zero remainder: the same step equations, but not linear ones
+    to ``integrate``, which therefore takes every step by the chord loop."""
+    return HamiltonianSystem(
+        dim=H.dim,
+        S0=H.S0,
+        remainder=lambda q: 0.0,
+        grad_remainder=lambda q: np.zeros(q.size),
+        hess_remainder=lambda q: np.zeros((q.size, q.size)),
+    )
+
+
+LINEAR_CASES = pytest.mark.parametrize(
+    "n, base", [(1, midpoint_map), (3, lambda n: theta_map(n, 0.3))], ids=["midpoint-n1", "theta0.3-n3"]
+)
+
+
+class TestLinearSteps:
+    """Free runs on an affine lifted map: step 0 by the chord iteration, every
+    later step by the refined affine update, checked per block of rows."""
+
+    @LINEAR_CASES
+    def test_states_match_the_chord_steps(self, n, base, rng):
+        C, H = second_order_phase_map(n, base(n)), second_order_hamiltonian(n)
+        z0 = rng.normal(size=4 * n)
+        ref = [z0]
+        for _ in range(500):
+            ref.append(symplectic_step(C, H, 0.01, ref[-1]))
+        ref = np.array(ref)
+        traj = integrate(C, H, 0.01, 500, z0)
+        assert np.max(np.abs(traj.z - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @LINEAR_CASES
+    def test_tangent_matches_the_chord_path(self, n, base, rng):
+        C, H = second_order_phase_map(n, base(n)), second_order_hamiltonian(n)
+        z0 = rng.normal(size=4 * n)
+        T0 = rng.normal(size=(4 * n, 3))
+        linear = integrate(C, H, 0.01, 500, z0, tangent=T0)
+        chord = integrate(C, chord_twin(H), 0.01, 500, z0, tangent=T0)
+        assert np.max(np.abs(linear.tangent - chord.tangent)) <= 1e-12 * np.max(np.abs(chord.tangent))
+        assert np.max(np.abs(linear.z - chord.z)) <= 1e-13 * np.max(np.abs(chord.z))
+
+    def test_p0_exact_and_endpoint_on_the_discrete_cubic(self):
+        C, H = free_setup()
+        q0, v0, p0, p1 = 0.0, 0.1, 0.01, 0.2
+        traj = integrate(C, H, 0.01, 10_000, np.array([q0, v0, p0, p1]))
+        assert np.all(traj.z[:, 2] == p0)
+        # The midpoint scheme's q(T) is the exact cubic minus T h^2 p0 / 12.
+        T = 100.0
+        terms = np.array([q0, v0 * T, p1 * T**2 / 2, -p0 * T**3 / 6, -T * 0.01**2 * p0 / 12])
+        assert abs(traj.z[-1, 0] - terms.sum()) <= 1e-12 * np.max(np.abs(terms))
+
+    def test_first_step_goes_through_step_residual(self, monkeypatch):
+        # The probe that times set-up stops a command at its first
+        # step_residual call, so the linear run must make one, on row 0,
+        # before its linear loop writes the later rows.
+        events = []
+        original = geodisc.hamiltonian.step_residual
+        linear_steps = geodisc.hamiltonian._linear_steps
+
+        def counting(C, H, h, z0, **kwargs):
+            events.append(("step_residual", np.array(z0)))
+            return original(C, H, h, z0, **kwargs)
+
+        def linear(*args):
+            events.append(("linear", None))
+            return linear_steps(*args)
+
+        monkeypatch.setattr(geodisc.hamiltonian, "step_residual", counting)
+        monkeypatch.setattr(geodisc.hamiltonian, "_linear_steps", linear)
+        C, H = free_setup()
+        z0 = np.array([0.0, 0.1, 0.01, 0.2])
+        integrate(C, H, 0.01, 1000, z0)
+        assert [e[0] for e in events] == ["step_residual", "linear"]
+        assert np.array_equal(events[0][1], z0)
+
+        class Stop(BaseException):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(geodisc.hamiltonian, "step_residual", stop)
+        with pytest.raises(Stop):
+            integrate(C, H, 0.01, 1000, z0)
+
+    @pytest.mark.parametrize("z0, k", [((0.0, 0.0, 0.0, 1e306), 1896), ((0.0, 0.0, 1e305, 0.0), 2209)])
+    def test_overflow_ends_in_the_typed_error_alone(self, z0, k):
+        # Under the suite's error::RuntimeWarning filter: no numpy overflow
+        # warning may escape, only the step's NonConvergence, at the step the
+        # chord loop alone stops at (as the message read before linear steps).
+        C, H = free_setup()
+        expected = re.escape(f"step {k} at t = {k * 0.01:.6g}: ")
+        with pytest.raises(NonConvergence, match="^" + expected):
+            integrate(C, H, 0.01, 3000, np.array(z0))
+
+    def test_failed_check_hands_the_rest_to_the_chord_loop(self, monkeypatch, rng):
+        # An inverse off by 1e-4 leaves the refined update a residual near
+        # 1e-8 |r0|, far above the tolerance, so the first linear step fails
+        # its check: steps 1.. run by the chord loop, bit for bit as on the
+        # chord path, and the linear loop is not entered again.
+        entered = []
+        linear_steps = geodisc.hamiltonian._linear_steps
+
+        def perturbed(blocks, J, *args):
+            entered.append(1)
+            return linear_steps(blocks, J * (1 + 1e-4), *args)
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_linear_steps", perturbed)
+        C, H = free_setup()
+        z0 = rng.normal(size=4)
+        traj = integrate(C, H, 0.01, 300, z0, tangent=np.eye(4))
+        ref = integrate(C, chord_twin(H), 0.01, 300, z0, tangent=np.eye(4))
+        assert entered == [1]
+        assert np.array_equal(traj.z, ref.z) and np.array_equal(traj.tangent, ref.tangent)
+
+
 class TestFourthOrderResidual:
     def test_cubic_is_flat(self):
         h = 0.05
