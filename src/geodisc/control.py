@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadDiscretization,
+    EvaluationFailure,
     NonConvergence,
     ObstaclePenetration,
     SingularPotential,
@@ -255,7 +256,9 @@ def shoot(
     already penetrates raises ObstaclePenetration.
 
     On NonConvergence the best iterate found is returned with converged=False
-    rather than raising.
+    rather than raising.  A trial whose forward integration fails is a bad
+    probe point (EvaluationFailure): obstacle problems damp away from it,
+    and a guess whose own integration fails raises it.
     """
     n = prob.n
     if C is None:
@@ -277,6 +280,10 @@ def shoot(
                 traj = integrate(C, H, prob.h, prob.steps, z0, tangent=tangent0)
             except SingularPotential as exc:
                 raise ObstaclePenetration(str(exc)) from exc
+            except NonConvergence as exc:
+                # A failed forward run is a bad trial costate, not a Newton
+                # stall: its best iterate is a phase state, not a costate.
+                raise EvaluationFailure(f"forward integration failed: {exc}") from exc
             last.clear()
             last[key] = traj
         return last[key]

@@ -26,10 +26,11 @@ A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
 residual is A1 z1 + b, and U adds h grad U (= -h grad V) on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
 Without a remainder (the free problem) on such a base the step relation
-A0 z0 + A1 z1 + c = 0 is linear and the one-step map affine: :func:`integrate`
-takes step 0 by the chord iteration, every later step as one refined affine
-update with its inverse J = A1^-1, and checks the residuals per block of 256
-rows afterwards, handing the rest of the run to the chord iteration from the
+A0 z0 + A1 z1 + c = 0 is linear and the one-step map affine,
+z1 = M z0 + m with M = -A1^-1 A0: :func:`integrate` takes step 0 by the
+chord iteration, then each block of up to 256 rows as one product with the
+prebuilt powers of M from the block's first row, checks the block's
+residuals, and hands the rest of the run to the chord iteration from the
 first step that fails.  With the midpoint-family lifts this is an implicit
 midpoint scheme on the phase space and conserves quadratic first integrals to
 machine precision.
@@ -496,27 +497,35 @@ _ROWS = 256  # rows per block: of the linear steps' residual check and of the en
 def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, tangent: Array | None):
     """Advance rows k, k + 1, ... of z by linear steps, as far as they verify.
 
-    A linear step relation A0 z0 + A1 z1 + c = 0 is solved by the chord
-    step and its final correction with the inverse J of A1 and no tests:
-    x = z_k - J (A1 z_k + b_k), then z_{k+1} = x - J (A1 x + b_k), with
-    b_k = A0 z_k + c.  The first line is folded into one stacked matrix
-    [I - J (A0 + A1); A0], which gives x and b_k from one matvec.  After
-    each block of rows one vectorized pass checks every step's residual
-    A0 z_k + A1 z_{k+1} + c: it must be finite and within the chord
-    iteration's own tolerance, max(tol, 8 eps ||z_k||_inf).  Returns the
-    first step that failed its check (the step count when none did) and the
-    tangent carried over the verified steps as T <- -J (A0 T)."""
+    A linear step relation A0 z0 + A1 z1 + c = 0 makes the one-step map
+    affine, z_{k+1} = M z_k + m with M = -J A0 and m = -J c, J the inverse
+    of A1.  The powers M^1 .. M^B (B = min(256, steps left)) and the offsets
+    s_j = sum_{i<j} M^i m are built once, by repeated multiplication, so a
+    block of up to B rows is one matrix product from the block's first row:
+    z_{k+j} = M^j z_k + s_j.  After each block one vectorized pass checks
+    every step's residual A0 z_k + A1 z_{k+1} + c: it must be finite and
+    within the chord iteration's own tolerance, max(tol, 8 eps ||z_k||_inf).
+    Returns the first step that failed its check (the step count when none
+    did) and the tangent carried over the verified steps, M^v T over v of
+    them."""
+    steps = z.shape[0] - 1
+    if k >= steps:
+        return k, tangent
     A0, A1, c = blocks.A0, blocks.A1, blocks.c
     d = A1.shape[0]
-    P = np.vstack([np.eye(d) - J @ (A0 + A1), A0])
-    p = np.concatenate([-(J @ c), c])
-    steps = z.shape[0] - 1
+    B = min(_ROWS, steps - k)
+    M = -(J @ A0)
+    Mp = np.empty((B, d, d))  # Mp[j - 1] = M^j
+    s = np.empty((B, d))  # s[j - 1] = s_j
+    Mp[0], s[0] = M, -(J @ c)
+    for j in range(1, B):
+        Mp[j] = M @ Mp[j - 1]
+        s[j] = M @ s[j - 1] + s[0]
+    P = Mp.reshape(B * d, d)
     while k < steps:
-        end = min(k + _ROWS, steps)
-        for i in range(k, end):
-            xb = P @ z[i] + p
-            x = xb[:d]
-            z[i + 1] = x - J @ (A1 @ x + xb[d:])
+        end = min(k + B, steps)
+        b = end - k
+        np.add((P[: b * d] @ z[k]).reshape(b, d), s[:b], out=z[k + 1 : end + 1])
         R = z[k:end] @ A0.T
         R += z[k + 1 : end + 1] @ A1.T
         R += c
@@ -524,9 +533,8 @@ def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, t
         floors = np.maximum(tol, 8.0 * _EPS * np.abs(z[k:end], out=R).max(axis=1))
         failed = np.flatnonzero(~(norms <= floors))  # a nan fails too
         verified = end if failed.size == 0 else k + int(failed[0])
-        if tangent is not None:
-            for _ in range(k, verified):
-                tangent = -(J @ (A0 @ tangent))
+        if tangent is not None and verified > k:
+            tangent = Mp[verified - k - 1] @ tangent
         if verified < end:
             return verified, tangent
         k = end
@@ -553,15 +561,17 @@ def integrate(
 
     When the step relation is linear (an affine lifted inverse and no
     remainder in H, as for the free problem on the midpoint family), only
-    step 0 runs the chord iteration; its inverse J = A1^-1 then drives
-    every later step as one refined affine update with no in-loop tests,
-    and each block of 256 rows is verified afterwards (see
+    step 0 runs the chord iteration; its inverse J = A1^-1 then gives the
+    affine one-step map z -> M z + m, and every later block of up to 256
+    rows is one product with the powers of M, verified afterwards (see
     :func:`_linear_steps`).  From the first step whose residual fails that
     check, the chord iteration takes over for the rest of the run, so a
     stall or a non-finite state ends in the same NonConvergence.  The steps
     of a linear run, both kinds, run with numpy's overflow and invalid-value
     warnings silenced: the finiteness tests report such a state.  The
-    energies are evaluated once over all states after the last step.
+    energies are evaluated once over all states after the last step, with
+    the same warnings silenced; a state whose energy is not finite raises
+    NonConvergence naming its step and time.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
     through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k
@@ -619,8 +629,14 @@ def integrate(
             k += 1
             if linear and k == 1:
                 k, tangent = _linear_steps(blocks, J_inv, z, k, tol, tangent)
-    for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
-        energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
+            energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])
+    bad = np.flatnonzero(~np.isfinite(energies))
+    if bad.size:
+        k = int(bad[0])
+        message = f"step {k} at t = {k * h:.6g}: energy H = {energies[k]} is not finite"
+        raise NonConvergence(message, x_best=z[k].copy())
     return Trajectory(h=h, z=z, energies=energies, tangent=tangent)
 
 

@@ -137,7 +137,13 @@ class HigherOrderDiscretizationMap:
         jm = Jet.from_flat(y[: self.dim], self.order, self.base_dim)
         jp = Jet.from_flat(y[self.dim :], self.order, self.base_dim)
         paired = Jet(tuple(np.concatenate([a, b]) for a, b in zip(jm.derivs, jp.derivs)))
-        return unzip_jet_tangent(jet_pushforward(self.base.inverse_flat, paired)).flat()
+        jacobian = None
+        if getattr(self.base, "jacobian_fn", None) is not None:
+            # The base inverse's Jacobian is the inverse of the forward one at
+            # the preimage.
+            base = self.base
+            jacobian = lambda y0: np.linalg.inv(base.jacobian_forward_flat(base.inverse_flat(y0)))
+        return unzip_jet_tangent(jet_pushforward(self.base.inverse_flat, paired, jacobian=jacobian)).flat()
 
     def jacobian_forward_flat(self, x) -> Array:
         if self.jacobian_constant:
@@ -181,10 +187,11 @@ class CotangentLiftedMap:
     interface (``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``),
     so the base may be a :class:`DiscretizationMap` or a
     :class:`HigherOrderDiscretizationMap` and probes may leave its manifold.
-    For a base with a constant Jacobian the inverse is one affine map
-    y -> K y + k, built once here and exposed read-only as
-    ``affine_inverse = (K, k)`` (None for any other base), which the one-step
-    method folds into its own matrices.  The four-vector
+    For a base with a constant Jacobian both directions are affine maps,
+    built once here and exposed read-only as ``affine_forward = (F, f)``
+    (x -> F x + f) and ``affine_inverse = (K, k)`` (y -> K y + k), None for
+    any other base: each flat map is then one matrix-vector product, and the
+    one-step method folds K and k into its own matrices.  The four-vector
     ``forward``/``inverse`` check their inputs and delegate.
     The construction makes the map a discretization map on T*M in its own
     right (see ``as_discretization_map``) and a symplectomorphism, checked by
@@ -195,22 +202,31 @@ class CotangentLiftedMap:
         self.base = base
         self.dim = base.dim
         self.name = f"cotangent({base.name})" if base.name else "cotangent"
-        self.affine_inverse = None
+        self.affine_forward = self.affine_inverse = None
         if base.jacobian_constant:
-            # The inverse is affine, y -> K y + k: (m, mdot) = J^{-1} (m0, m1)
-            # + const and (pdot, p) = J^T (-p0, p1), with J the constant base
-            # Jacobian, and k the composed inverse at 0.
+            # Both directions are affine.  With J the constant base Jacobian:
+            # forward x -> F x + f, (m0, m1) = J (m, mdot) + const and
+            # (-p0, p1) = J^{-T} (pdot, p); inverse y -> K y + k,
+            # (m, mdot) = J^{-1} (m0, m1) + const and (pdot, p) = J^T (-p0, p1).
+            # f and k are the composed maps at 0.
             d = self.dim
             J = base.jacobian_forward_flat(np.zeros(2 * d))
+            Jinv = np.linalg.inv(J)
+            points = np.r_[0:d, 2 * d : 3 * d]  # (m, mdot) and (m0, m1)
+            covectors = np.r_[d : 2 * d, 3 * d : 4 * d]  # (p0, p1)
+            dual = np.r_[3 * d : 4 * d, d : 2 * d]  # (pdot, p)
+            signs = np.r_[-np.ones(d), np.ones(d)]
+            F = np.zeros((4 * d, 4 * d))
+            F[np.ix_(points, points)] = J
+            F[np.ix_(covectors, dual)] = Jinv.T * signs[:, None]
             K = np.zeros((4 * d, 4 * d))
-            points = np.r_[0:d, 2 * d : 3 * d]  # (m0, m1) in, (m, mdot) out
-            covectors = np.r_[d : 2 * d, 3 * d : 4 * d]  # (p0, p1) in
-            K[np.ix_(points, points)] = np.linalg.inv(J)
-            K[np.ix_(np.r_[3 * d : 4 * d, d : 2 * d], covectors)] = J.T * np.r_[-np.ones(d), np.ones(d)]
+            K[np.ix_(points, points)] = Jinv
+            K[np.ix_(dual, covectors)] = J.T * signs
+            f = self._composed_forward_flat(np.zeros(4 * d))
             k = self._composed_inverse_flat(np.zeros(4 * d))
-            K.setflags(write=False)
-            k.setflags(write=False)
-            self.affine_inverse = (K, k)
+            for a in (F, f, K, k):
+                a.setflags(write=False)
+            self.affine_forward, self.affine_inverse = (F, f), (K, k)
 
     def _checked_flat(self, parts, names) -> Array:
         vs = [as_vector(v, name=name) for v, name in zip(parts, names)]
@@ -228,6 +244,13 @@ class CotangentLiftedMap:
 
     # -- flat maps: input (m, p, mdot, pdot), output (m0, p0, m1, p1) -----
     def forward_flat(self, x) -> Array:
+        if self.affine_forward is not None:
+            F, f = self.affine_forward
+            return F @ x + f
+        return self._composed_forward_flat(x)
+
+    def _composed_forward_flat(self, x) -> Array:
+        """The forward map through the base's flat maps, for any base."""
         x = np.asarray(x, dtype=float)
         d = self.dim
         base_x = np.concatenate([x[:d], x[2 * d : 3 * d]])

@@ -34,6 +34,28 @@ class TestSimulate:
         assert cols["clearance"] == ["", ""]
         assert "csv: free-trajectory.csv" in capsys.readouterr().out
 
+    def test_overflowing_energy_is_one_error_line(self, capsys, isolated):
+        # Finite states whose energy overflows: exit 1 with one typed error
+        # line and no CSV, rather than a success reporting H drift = nan.
+        rc = cli.main(
+            ["simulate", "--problem", "free", "--n", "1", "--h", "0.01", "--steps", "10", "--init=0,0,0,1e200"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == ["error: non-convergence: step 0 at t = 0: energy H = inf is not finite"]
+        assert not (isolated / "free-trajectory.csv").exists()
+
+    def test_shot_whose_forward_run_fails_is_one_error_line(self, capsys):
+        # The trial costates' forward run ends in NonConvergence (its energy
+        # overflows): shoot reports a typed failure, not a traceback.
+        rc = cli.main(
+            ["shoot", "--problem", "free", "--n", "1", "--q0", "0", "--v0", "0", "--q1", "1e200", "--v1", "0"]
+            + ["--T", "1", "--h", "0.01"]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: evaluation-failure: forward integration failed: step 0 ")
+
     def test_se2_run_with_artifacts(self, capsys):
         rc = cli.main(
             ["simulate", "--init=" + SE2_INIT, "--steps", "40", "--csv-out", "traj.csv", "--svg-out", "traj.svg"]

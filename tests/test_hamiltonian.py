@@ -540,6 +540,65 @@ class TestLinearSteps:
         assert np.array_equal(traj.z, ref.z) and np.array_equal(traj.tangent, ref.tangent)
 
 
+class TestBlockPowers:
+    """Linear runs advance a block of rows at a time with the prebuilt
+    powers of the one-step map."""
+
+    @LINEAR_CASES
+    @pytest.mark.parametrize("h", [0.001, 0.5])
+    def test_states_match_single_steps(self, n, base, h, rng):
+        C, H = second_order_phase_map(n, base(n)), second_order_hamiltonian(n)
+        z0 = rng.normal(size=4 * n)
+        ref = [z0]
+        for _ in range(500):
+            ref.append(symplectic_step(C, H, h, ref[-1]))
+        ref = np.array(ref)
+        traj = integrate(C, H, h, 500, z0)
+        assert np.max(np.abs(traj.z - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_long_run_makes_one_chord_solve(self, monkeypatch):
+        calls = []
+        chord_newton = geodisc.hamiltonian._chord_newton
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return chord_newton(*args, **kwargs)
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counting)
+        C, H = free_setup()
+        traj = integrate(C, H, 0.01, 10_000, np.array([0.0, 0.1, 0.01, 0.2]))
+        assert len(calls) == 1 and traj.steps == 10_000
+
+    @LINEAR_CASES
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_shortest_runs(self, n, base, steps, rng):
+        C, H = second_order_phase_map(n, base(n)), second_order_hamiltonian(n)
+        z0 = rng.normal(size=4 * n)
+        T0 = rng.normal(size=(4 * n, 2))
+        traj = integrate(C, H, 0.01, steps, z0, tangent=T0)
+        chord = integrate(C, chord_twin(H), 0.01, steps, z0, tangent=T0)
+        ref = [z0]
+        for _ in range(steps):
+            ref.append(symplectic_step(C, H, 0.01, ref[-1]))
+        assert traj.z.shape == (steps + 1, 4 * n)
+        assert np.max(np.abs(traj.z - np.array(ref))) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(traj.tangent - chord.tangent)) <= 1e-13 * np.max(np.abs(chord.tangent))
+
+
+class TestNonFiniteEnergy:
+    """Finite states whose energy overflows end in NonConvergence, with no
+    numpy warning (the suite turns RuntimeWarning into an error)."""
+
+    @pytest.mark.parametrize("z0, k", [((0.0, 0.0, 0.0, 1e200), 0), ((0.0, 0.0, -1e154, 1e154), 35)])
+    def test_names_the_first_step(self, z0, k):
+        C, H = free_setup()
+        expected = re.escape(f"step {k} at t = {k * 0.01:.6g}: ")
+        with pytest.raises(NonConvergence, match="^" + expected + ".*energy") as info:
+            integrate(C, H, 0.01, 100, np.array(z0))
+        # The state itself is finite: only its energy overflows.
+        assert np.all(np.isfinite(info.value.x_best)) and abs(info.value.x_best[3]) > 1e154
+
+
 class TestFourthOrderResidual:
     def test_cubic_is_flat(self):
         h = 0.05

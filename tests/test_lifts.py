@@ -157,6 +157,85 @@ class TestCotangentLift:
         assert np.allclose(C.inverse_flat(C.forward_flat(x)), x, atol=1e-9)
 
 
+AFFINE_CASES = pytest.mark.parametrize(
+    "C",
+    [second_order_phase_map(1), second_order_phase_map(3), second_order_phase_map(3, theta_map(3, 0.3))],
+    ids=["midpoint-n1", "midpoint-n3", "theta0.3-n3"],
+)
+
+
+class TestAffineForward:
+    """The prebuilt forward x -> F x + f of a constant-Jacobian lift."""
+
+    @AFFINE_CASES
+    def test_matches_the_composed_forward_to_rounding(self, C, rng):
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            x = rng.normal(size=4 * C.dim) * 10.0 ** rng.integers(-3, 4)
+            bound = 4 * eps * np.max(np.abs(x))
+            assert np.max(np.abs(C.forward_flat(x) - C._composed_forward_flat(x))) <= bound
+
+    @AFFINE_CASES
+    def test_round_trips_with_the_affine_inverse(self, C, rng):
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            x = rng.normal(size=4 * C.dim) * 10.0 ** rng.integers(-3, 4)
+            assert np.max(np.abs(C.inverse_flat(C.forward_flat(x)) - x)) <= 4 * eps * np.max(np.abs(x))
+            assert np.max(np.abs(C.forward_flat(C.inverse_flat(x)) - x)) <= 4 * eps * np.max(np.abs(x))
+
+    def test_matrices_are_read_only_and_absent_for_other_bases(self):
+        F, f = second_order_phase_map(1).affine_forward
+        assert not F.flags.writeable and not f.flags.writeable
+        generic = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
+        assert generic.affine_forward is None and generic.affine_inverse is None
+
+    def test_forward_is_one_matvec(self, monkeypatch, rng):
+        C = second_order_phase_map(2)
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(C.base, "jacobian_forward_flat", counting("jacobian", C.base.jacobian_forward_flat))
+        monkeypatch.setattr(C.base, "forward_flat", counting("forward", C.base.forward_flat))
+        for _ in range(10):
+            C.forward_flat(rng.normal(size=16))
+        assert calls == []
+        C._composed_forward_flat(rng.normal(size=16))
+        assert calls == ["forward", "jacobian", "solve"]
+
+
+class TestExactLiftedInverseJets:
+    """A non-constant-Jacobian base with a closed-form Jacobian: the lift's
+    inverse takes its jets with the inverse of that Jacobian, not by finite
+    differences."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_the_affine_lift_to_rounding(self, n, rng):
+        exact = higher_order_lift(midpoint_map(n), 1)
+        generic = higher_order_lift(replace(midpoint_map(n), jacobian_constant=False), 1)
+        eps = np.finfo(float).eps
+        for _ in range(100):
+            y = rng.normal(size=4 * n)
+            assert np.max(np.abs(generic.inverse_flat(y) - exact.inverse_flat(y))) <= eps * np.max(np.abs(y))
+
+    def test_takes_no_finite_differences(self, monkeypatch, rng):
+        import geodisc.jets
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("finite-difference Jacobian taken")
+
+        monkeypatch.setattr(geodisc.jets, "jacobian_fd", forbidden)
+        generic = higher_order_lift(replace(midpoint_map(2), jacobian_constant=False), 1)
+        y = rng.normal(size=8)
+        assert np.allclose(generic.forward_flat(generic.inverse_flat(y)), y, rtol=0.0, atol=1e-14)
+
+
 class TestSymplecticStructure:
     def test_canonical_matrix_shape(self):
         O = canonical_symplectic_matrix(2)
