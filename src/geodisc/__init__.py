@@ -54,32 +54,27 @@ from .lifts import (
     cotangent_lift,
     higher_order_lift,
     second_order_phase_map,
-    tangent_lift,
 )
 from .hamiltonian import (
     HamiltonianSystem,
-    SecondOrderState,
     Trajectory,
-    fourth_order_residual,
     integrate,
-    lagrangian_energy,
-    legendre_second_order,
     second_order_hamiltonian,
     symplectic_step,
 )
 from .control import (
     OCProblem,
-    SE2Report,
     ShootingResult,
+    SimulationReport,
     cost_of,
     hermite_costates,
     make_free_spline,
     make_obstacle_problem,
     obstacle_potential,
-    run_se2_experiment,
     running_cost,
     shoot,
+    simulate,
 )
-from .checks import CheckResult, midpoint_cotangent_closed_form, run_all
+from .checks import CheckResult, fourth_order_residual, midpoint_cotangent_closed_form, run_all
 
 __version__ = "0.1.0"

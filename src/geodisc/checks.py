@@ -3,7 +3,8 @@
 Each suite measures a defect against an independent reference (a closed form,
 a jet-of-curve oracle, an exactly known flow, or a structural identity) and
 reports one CheckResult per case.  Tolerances are fixed here, not configurable:
-they are part of what the suite asserts.
+they are part of what the suite asserts.  :func:`fourth_order_residual`
+measures the fourth-order Euler-Lagrange defect of any sampled curve.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .maps import (
     verify_discretization_axioms,
 )
 from .control import obstacle_potential
+from .errors import TooFewPoints
 from .numeric import jacobian_fd
 
 Array = np.ndarray
@@ -295,6 +297,23 @@ def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01)) -> list[Ch
             )
         )
     return out
+
+
+def fourth_order_residual(q, h: float, grad_potential=None) -> Array:
+    """Infinity norms of the defect of the fourth-order Euler-Lagrange
+    equation d^4 q / dt^4 + grad V(q) = 0 on positions ``q`` sampled at step
+    h (one row per node; a 1-D array is one coordinate): the centered fourth
+    difference (q_{k-2} - 4 q_{k-1} + 6 q_k - 4 q_{k+1} + q_{k+2}) / h^4 plus
+    grad V(q_k), at the interior nodes k = 2 .. N-2."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        q = q[:, None]
+    if q.shape[0] < 5:
+        raise TooFewPoints("need at least five states for a fourth difference")
+    r = (q[:-4] - 4 * q[1:-3] + 6 * q[2:-2] - 4 * q[3:-1] + q[4:]) / h**4
+    if grad_potential is not None:
+        r = r + np.array([grad_potential(x) for x in q[2:-2]], dtype=float)
+    return np.max(np.abs(r), axis=1)
 
 
 def _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared: bool) -> Array:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .artifacts import read_csv_columns, write_trajectory_csv, write_xy_svg, _atomic_write_text
 from .checks import run_all
-from .control import make_free_spline, make_obstacle_problem, obstacle_potential, running_cost, shoot
+from .control import make_free_spline, make_obstacle_problem, shoot, simulate
 from .errors import (
     BadDiscretization,
     ConfigError,
@@ -28,13 +28,12 @@ from .errors import (
     NonConvergence,
     StartInsideObstacle,
 )
-from .hamiltonian import integrate, second_order_hamiltonian
 from .lifts import second_order_phase_map
 from .maps import midpoint_map, theta_map
 
 Array = np.ndarray
 
-PROBLEM_KINDS = ("free", "obstacle", "se2", "sphere-lift-check")
+PROBLEM_KINDS = ("free", "obstacle", "se2")
 
 #: Errors that mean the run was set up wrong, as opposed to failing numerically.
 _CONFIG_ERRORS = (ConfigError, BadDiscretization, StartInsideObstacle)
@@ -100,6 +99,11 @@ class ExperimentConfig:
         return 3 if self.problem in ("se2", "obstacle") else 1
 
     @property
+    def obstacle(self):
+        """(tau, r, center) for the obstacle problems, else None."""
+        return (self.tau, self.r, self.center) if self.problem in ("obstacle", "se2") else None
+
+    @property
     def boundary(self):
         return (self.q_start, self.qdot_start, self.q_end, self.qdot_end)
 
@@ -109,24 +113,30 @@ class ExperimentConfig:
     def validate(self, command: str) -> None:
         if self.problem not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem kind {self.problem!r}")
-        if not (np.isfinite(self.h) and self.h > 0):
+        for name in ("h", "tau", "r", "T", "tol"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.h <= 0:
             raise ConfigError(f"h must be positive, got {self.h}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.r <= 0:
             raise ConfigError(f"obstacle radius must be positive, got {self.r}")
+        if self.center.size != 2:
+            raise ConfigError(f"the obstacle center needs 2 numbers, got {self.center.size}")
         if self.tol < 0:
             raise ConfigError("tol must be nonnegative")
         self.base_map(1)  # validates the discretization string
         n = self.dim
         if self.problem == "se2" and n != 3:
             raise ConfigError("the se2 problem is three-dimensional (x, y, theta)")
+        if self.problem == "obstacle" and n < 2:
+            raise ConfigError(f"the obstacle acts on (x, y): the obstacle problem needs n >= 2, got n={n}")
         have_boundary = any(v is not None for v in self.boundary)
         if self.initial_state is not None and have_boundary:
             raise ConfigError("give either an initial state or boundary data, not both")
         if command == "simulate":
-            if self.problem == "sphere-lift-check":
-                raise ConfigError("sphere-lift-check runs under the check command")
             if self.initial_state is None:
                 raise ConfigError("simulate needs --init (flat state q,qdot,p0,p1)")
             if self.initial_state.size != 4 * n:
@@ -134,8 +144,6 @@ class ExperimentConfig:
                     f"initial state needs {4 * n} numbers for n={n}, got {self.initial_state.size}"
                 )
         if command == "shoot":
-            if self.problem == "sphere-lift-check":
-                raise ConfigError("sphere-lift-check runs under the check command")
             if any(v is None for v in self.boundary):
                 raise ConfigError("shoot needs --q0, --v0, --q1 and --v1")
             for label, v in zip(("q0", "v0", "q1", "v1"), self.boundary):
@@ -224,39 +232,38 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # commands
 
 
-def _write_artifacts(cfg: ExperimentConfig, traj, clearance, command: str):
-    """Write the trajectory CSV, and the XY-path SVG when asked for.  Returns
-    the clearances (None without an obstacle) and the closing ``csv:`` line."""
+def _write_artifacts(cfg: ExperimentConfig, traj, clearances, command: str) -> str:
+    """Write the trajectory CSV with its clearances (None without an
+    obstacle), and the XY-path SVG when asked for.  Returns the closing
+    ``csv:`` line."""
     csv_path = cfg.csv_out or f"{cfg.problem}-{command}.csv"
-    clearances = np.array([clearance(q) for q in traj.positions()]) if clearance is not None else None
     write_trajectory_csv(csv_path, traj, clearances)
     line = f"csv: {csv_path}"
     if cfg.svg_out and cfg.dim >= 2:
         circle = (float(cfg.center[0]), float(cfg.center[1]), cfg.r) if clearances is not None else None
         write_xy_svg(cfg.svg_out, traj.positions()[:, :2], circle=circle)
         line += f"  svg: {cfg.svg_out}"
-    return clearances, line
+    return line
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     n = cfg.dim
-    C = second_order_phase_map(n, base=cfg.base_map(n))
-    V = clearance = None
-    if cfg.problem in ("obstacle", "se2"):
-        V, gV, hV, clearance = obstacle_potential(cfg.tau, cfg.r, cfg.center, n)
-        H = second_order_hamiltonian(n, V, gV, hV)
-    else:
-        H = second_order_hamiltonian(n)
-    traj = integrate(C, H, cfg.h, cfg.steps, cfg.initial_state)
-    clearances, csv_line = _write_artifacts(cfg, traj, clearance, "trajectory")
-    cost = running_cost(traj, V if cfg.include_potential_in_cost else None)
-    final = traj.z[-1]
-    drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
+    report = simulate(
+        n,
+        cfg.h,
+        cfg.steps,
+        cfg.initial_state,
+        base=cfg.base_map(n),
+        obstacle=cfg.obstacle,
+        include_potential_in_cost=cfg.include_potential_in_cost,
+    )
+    csv_line = _write_artifacts(cfg, report.trajectory, report.clearances, "trajectory")
+    final = report.trajectory.z[-1]
     print("final q      = [%s]" % " ".join("%.6g" % v for v in final[:n]))
     print("final qdot   = [%s]" % " ".join("%.6g" % v for v in final[n : 2 * n]))
-    print("H drift      = %.6g" % drift)
-    print("min clearance= %s" % ("%.6g" % np.min(clearances) if clearances is not None else "n/a"))
-    print("cost J       = %.6g" % cost)
+    print("H drift      = %.6g" % report.h_drift)
+    print("min clearance= %s" % ("n/a" if report.min_clearance is None else "%.6g" % report.min_clearance))
+    print("cost J       = %.6g" % report.cost)
     print(csv_line)
     return 0
 
@@ -264,12 +271,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_shoot(cfg: ExperimentConfig) -> int:
     n = cfg.dim
     T = cfg.horizon()
-    if cfg.problem in ("obstacle", "se2"):
+    if cfg.obstacle is not None:
         prob = make_obstacle_problem(
             n,
-            cfg.tau,
-            cfg.r,
-            cfg.center,
+            *cfg.obstacle,
             cfg.boundary,
             T,
             cfg.h,
@@ -279,7 +284,9 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
         prob = make_free_spline(n, cfg.boundary, T, cfg.h)
     C = second_order_phase_map(n, base=cfg.base_map(n))
     result = shoot(prob, C=C, tol=cfg.tol)
-    _, csv_line = _write_artifacts(cfg, result.trajectory, prob.clearance, "shoot")
+    clearance, traj = prob.clearance, result.trajectory
+    clearances = None if clearance is None else np.array([clearance(q) for q in traj.positions()])
+    csv_line = _write_artifacts(cfg, traj, clearances, "shoot")
 
     print("converged    = %s" % result.converged)
     print("p0(0)        = [%s]" % " ".join("%.10g" % v for v in result.p0))
@@ -295,11 +302,8 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
 
 
 def cmd_check(cfg: ExperimentConfig) -> int:
-    suites = cfg.suites
-    if suites is None and cfg.problem == "sphere-lift-check":
-        suites = ["sphere-lift"]
     try:
-        results = run_all(seed=cfg.seed, suites=suites, h_values=cfg.h_values)
+        results = run_all(seed=cfg.seed, suites=cfg.suites, h_values=cfg.h_values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     payload = json.dumps([r.as_dict() for r in results], indent=2)

@@ -6,7 +6,8 @@ repulsive obstacle potential added to the running cost, and the planar
 rigid-body run in chart coordinates q = (x, y, theta) with the obstacle acting
 on (x, y) only.
 
-Boundary-value problems are solved by single shooting: Newton iteration on the
+A forward run from a phase state is :func:`simulate`.  Boundary-value
+problems are solved by single shooting: Newton iteration on the
 initial costates (p0(0), p1(0)) of the forward symplectic flow, with exact
 discrete sensitivities.  Each forward integration also carries the tangent
 block d z_N / d(p0(0), p1(0)) through the discrete variational equation, so
@@ -27,8 +28,9 @@ from .errors import (
     SingularPotential,
     StartInsideObstacle,
 )
-from .hamiltonian import HamiltonianSystem, SecondOrderState, Trajectory, integrate, second_order_hamiltonian
+from .hamiltonian import HamiltonianSystem, Trajectory, integrate, second_order_hamiltonian
 from .lifts import CotangentLiftedMap, second_order_phase_map
+from .maps import DiscretizationMap
 from .numeric import as_vector, newton_solve
 
 Array = np.ndarray
@@ -39,8 +41,8 @@ SINGULAR_CLEARANCE = 1e-9
 
 def grid_steps(T: float, h: float) -> int:
     """Number of steps N with T = N h, rejecting grids that do not divide."""
-    if h <= 0 or T <= 0:
-        raise BadDiscretization(f"need positive horizon and step, got T={T}, h={h}")
+    if not (np.isfinite(T) and np.isfinite(h) and h > 0 and T > 0):
+        raise BadDiscretization(f"need a finite positive horizon and step, got T={T}, h={h}")
     ratio = T / h
     n = int(round(ratio))
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
@@ -118,11 +120,7 @@ class OCProblem:
     grad_potential: Callable[[Array], Array] | None = None
     hess_potential: Callable[[Array], Array] | None = None
     clearance: Callable[[Array], float] | None = None
-    tau: float | None = None
-    r: float | None = None
-    center: Array | None = None
     include_potential_in_cost: bool = True
-    kind: str = "free"
 
     def __post_init__(self):
         for name in ("q_start", "qdot_start", "q_end", "qdot_end"):
@@ -130,8 +128,6 @@ class OCProblem:
             if v.size != self.n:
                 raise ValueError(f"{name} must have dimension {self.n}")
             object.__setattr__(self, name, v)
-        if self.r is not None and self.r <= 0:
-            raise ValueError("obstacle radius must be positive")
         object.__setattr__(self, "steps", grid_steps(self.T, self.h))
 
     steps: int = field(init=False, default=0)
@@ -175,11 +171,7 @@ def make_obstacle_problem(
         grad_potential=gradV,
         hess_potential=hessV,
         clearance=clearance,
-        tau=float(tau),
-        r=float(r),
-        center=as_vector(center),
         include_potential_in_cost=include_potential_in_cost,
-        kind="obstacle",
     )
 
 
@@ -326,74 +318,47 @@ def shoot(
 
 
 @dataclass
-class SE2Report:
-    """Summary of a planar rigid-body run."""
+class SimulationReport:
+    """A forward run: its trajectory, the squared clearances of its states
+    (None without an obstacle), the largest energy drift |H_k - H_0| and
+    the discrete cost."""
 
     trajectory: Trajectory
-    clearances: Array
-    min_clearance: float
+    clearances: Array | None
     h_drift: float
     cost: float
-    csv_path: str | None = None
-    svg_path: str | None = None
 
     @property
-    def final_state(self) -> SecondOrderState:
-        return self.trajectory.states[-1]
-
-    def summary(self) -> str:
-        f = self.final_state
-        return "\n".join(
-            [
-                "final q      = [%s]" % " ".join("%.6g" % v for v in f.q),
-                "final qdot   = [%s]" % " ".join("%.6g" % v for v in f.qdot),
-                "H drift      = %.6g" % self.h_drift,
-                "min clearance= %.6g" % self.min_clearance,
-                "cost J       = %.6g" % self.cost,
-            ]
-        )
+    def min_clearance(self) -> float | None:
+        return None if self.clearances is None else float(np.min(self.clearances))
 
 
-def run_se2_experiment(config) -> SE2Report:
-    """Forward run of the planar rigid body q = (x, y, theta) with the
-    repulsive potential on (x, y), Euclidean kinetic terms, and the lifted
-    discretization chosen by the config.
+def simulate(
+    n: int,
+    h: float,
+    steps: int,
+    z0,
+    base: DiscretizationMap | None = None,
+    obstacle: tuple | None = None,
+    include_potential_in_cost: bool = True,
+) -> SimulationReport:
+    """Forward run of the second-order system on R^n from the flat phase
+    state z0 = (q, qdot, p0, p1), one-step method from the lifted ``base``
+    (the midpoint map when None).
 
-    ``config`` supplies tau, r, center, h, steps, the full initial phase state,
-    and optional csv/svg output paths (see the cli module).  Artifacts are
-    written when paths are set.  Raises SingularPotential if the flow reaches
-    the obstacle boundary.
+    ``obstacle`` = (tau, r, center) adds the potential of
+    :func:`obstacle_potential` to the dynamics and, when
+    ``include_potential_in_cost``, to the running cost.  Raises
+    SingularPotential if the flow reaches the obstacle boundary.
     """
-    n = 3
-    V, gradV, hessV, clearance = obstacle_potential(config.tau, config.r, config.center, n)
-    H = second_order_hamiltonian(n, V, gradV, hessV)
-    C = second_order_phase_map(n, base=config.base_map(n)) if hasattr(config, "base_map") else second_order_phase_map(n)
-    state = config.initial_state
-    z0 = state.flat() if isinstance(state, SecondOrderState) else as_vector(state)
-    if z0.size != 4 * n:
-        raise ValueError(f"se2 initial state needs {4 * n} numbers, got {z0.size}")
-    traj = integrate(C, H, config.h, config.steps, z0)
-    clearances = np.array([clearance(q) for q in traj.positions()])
-    drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
-    report = SE2Report(
+    V = gradV = hessV = clearance = None
+    if obstacle is not None:
+        V, gradV, hessV, clearance = obstacle_potential(*obstacle, n)
+    C = second_order_phase_map(n, base=base)
+    traj = integrate(C, second_order_hamiltonian(n, V, gradV, hessV), h, steps, z0)
+    return SimulationReport(
         trajectory=traj,
-        clearances=clearances,
-        min_clearance=float(np.min(clearances)),
-        h_drift=drift,
-        cost=running_cost(traj, V),
-        csv_path=getattr(config, "csv_out", None),
-        svg_path=getattr(config, "svg_out", None),
+        clearances=None if clearance is None else np.array([clearance(q) for q in traj.positions()]),
+        h_drift=float(np.max(np.abs(traj.energies - traj.energies[0]))),
+        cost=running_cost(traj, V if include_potential_in_cost else None),
     )
-    if report.csv_path:
-        from .artifacts import write_trajectory_csv
-
-        write_trajectory_csv(report.csv_path, traj, clearances)
-    if report.svg_path:
-        from .artifacts import write_xy_svg
-
-        write_xy_svg(
-            report.svg_path,
-            traj.positions()[:, :2],
-            circle=(float(config.center[0]), float(config.center[1]), float(config.r)),
-        )
-    return report

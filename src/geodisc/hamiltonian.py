@@ -41,16 +41,15 @@ variational equation) gives the exact step derivative dz1/dz0, which
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergence, SingularJacobian, TooFewPoints
+from .errors import NonConvergence, SingularJacobian
 from .lifts import CotangentLiftedMap, canonical_symplectic_matrix
-from .numeric import as_vector, taylor_derivatives
+from .numeric import as_vector
 
 Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
@@ -146,63 +145,16 @@ def second_order_hamiltonian(
     )
 
 
-@dataclass(frozen=True)
-class SecondOrderState:
-    """A phase point (q, qdot, p0, p1) of a second-order system."""
-
-    q: Array
-    qdot: Array
-    p0: Array
-    p1: Array
-
-    def __post_init__(self):
-        for name in ("q", "qdot", "p0", "p1"):
-            object.__setattr__(self, name, as_vector(getattr(self, name), name=name))
-        n = self.q.size
-        if any(getattr(self, name).size != n for name in ("qdot", "p0", "p1")):
-            raise ValueError("all four components must share one dimension")
-
-    @property
-    def n(self) -> int:
-        return self.q.size
-
-    def flat(self) -> Array:
-        return np.concatenate([self.q, self.qdot, self.p0, self.p1])
-
-    @classmethod
-    def from_flat(cls, z, n: int) -> "SecondOrderState":
-        z = np.asarray(z, dtype=float)
-        if z.size != 4 * n:
-            raise ValueError(f"expected {4 * n} entries, got {z.size}")
-        return cls(z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n :])
-
-
-class _StateView(Sequence):
-    """The rows of a trajectory's state array as :class:`SecondOrderState`
-    objects, built on access."""
-
-    def __init__(self, z: Array):
-        self._z = z
-
-    def __len__(self) -> int:
-        return self._z.shape[0]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return SecondOrderState.from_flat(self._z[k], self._z.shape[1] // 4)
-
-
 @dataclass
 class Trajectory:
     """States produced by :func:`integrate`: row k of the (steps + 1) x 4n
     array ``z`` is the flat state (q, qdot, p0, p1) at time k h, with its
     energy in ``energies[k]``.
 
-    ``states``, ``controls`` (the control of the second-order problem is
-    u = qddot = p1) and ``positions()`` are views of ``z``.  ``tangent`` is
-    the final state's tangent block d z_N / d z_0 . T_0 when :func:`integrate`
-    was given an initial block T_0, else None."""
+    ``controls`` (the control of the second-order problem is u = qddot = p1)
+    and ``positions()`` are views of ``z``.  ``tangent`` is the final
+    state's tangent block d z_N / d z_0 . T_0 when :func:`integrate` was
+    given an initial block T_0, else None."""
 
     h: float
     z: Array
@@ -222,84 +174,11 @@ class Trajectory:
         return self.h * np.arange(self.z.shape[0])
 
     @property
-    def states(self) -> Sequence[SecondOrderState]:
-        return _StateView(self.z)
-
-    @property
     def controls(self) -> Array:
         return self.z[:, 3 * self.n :]
 
     def positions(self) -> Array:
         return self.z[:, : self.n]
-
-
-def trajectory_from_positions(q_samples, h: float) -> Trajectory:
-    """Wrap raw position samples as a Trajectory with zeroed momenta, mostly
-    for residual postprocessing of externally produced curves."""
-    q = np.asarray(q_samples, dtype=float)
-    if q.ndim == 1:
-        q = q[:, None]
-    z = np.zeros((q.shape[0], 4 * q.shape[1]))
-    z[:, : q.shape[1]] = q
-    return Trajectory(h=float(h), z=z, energies=np.zeros(q.shape[0]))
-
-
-# ---------------------------------------------------------------------------
-# Legendre transform of second-order Lagrangians
-
-
-def _partial_gradient(L, args: tuple[Array, ...], which: int) -> Array:
-    """Gradient of L with respect to one vector argument, by central differences."""
-    x = args[which]
-    eps = 1e-5 * max(1.0, float(np.max(np.abs(x))))
-    g = np.empty_like(x)
-    for i in range(x.size):
-        bump = np.zeros_like(x)
-        bump[i] = eps
-        hi = list(args)
-        lo = list(args)
-        hi[which] = x + bump
-        lo[which] = x - bump
-        g[i] = (float(L(*hi)) - float(L(*lo))) / (2 * eps)
-    return g
-
-
-def legendre_second_order(L) -> Callable[..., SecondOrderState]:
-    """Momenta of a second-order Lagrangian L(q, qdot, qddot).
-
-    Returns a function of the third-order jet (q, qdot, qddot, qdddot) giving
-    the state with
-
-        p1 = dL/dqddot,
-        p0 = dL/dqdot - d/dt (dL/dqddot),
-
-    the time derivative taken along the jet.  Derivatives of the black-box L
-    come from finite differences.
-    """
-
-    def transform(q, qdot, qddot, qdddot) -> SecondOrderState:
-        q, qdot, qddot, qdddot = (as_vector(z) for z in (q, qdot, qddot, qdddot))
-
-        def p1_along(t: float) -> Array:
-            a = q + t * qdot + 0.5 * t * t * qddot + t**3 / 6.0 * qdddot
-            b = qdot + t * qddot + 0.5 * t * t * qdddot
-            c = qddot + t * qdddot
-            return _partial_gradient(L, (a, b, c), 2)
-
-        p1, dp1 = taylor_derivatives(p1_along, 0.0, 1)
-        p0 = _partial_gradient(L, (q, qdot, qddot), 1) - dp1
-        return SecondOrderState(q, qdot, p0, p1)
-
-    return transform
-
-
-def lagrangian_energy(L, q, qdot, qddot, qdddot) -> float:
-    """Energy qdot . p0 + qddot . p1 - L of a second-order Lagrangian along a
-    third-order jet."""
-    state = legendre_second_order(L)(q, qdot, qddot, qdddot)
-    return float(state.qdot @ state.p0) + float(np.asarray(qddot, dtype=float) @ state.p1) - float(
-        L(state.q, state.qdot, as_vector(qddot))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +465,7 @@ def integrate(
     d = C.dim
     if d % 2 != 0:
         raise ValueError("second-order trajectories need an even-dimensional base")
-    z0 = as_vector(z0, name="z0") if not isinstance(z0, SecondOrderState) else z0.flat()
+    z0 = as_vector(z0, name="z0")
     if tangent is not None:
         tangent = np.asarray(tangent, dtype=float)
         if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
@@ -638,20 +517,3 @@ def integrate(
         message = f"step {k} at t = {k * h:.6g}: energy H = {energies[k]} is not finite"
         raise NonConvergence(message, x_best=z[k].copy())
     return Trajectory(h=h, z=z, energies=energies, tangent=tangent)
-
-
-def fourth_order_residual(traj: Trajectory, grad_potential=None) -> Array:
-    """Infinity norms of the centered fourth-difference defect
-    (q_{k-2} - 4 q_{k-1} + 6 q_k - 4 q_{k+1} + q_{k+2})/h^4 + grad V(q_k)
-    at the interior nodes k = 2 .. N-2."""
-    q = traj.positions()
-    if q.shape[0] < 5:
-        raise TooFewPoints("need at least five states for a fourth difference")
-    h4 = traj.h**4
-    out = []
-    for k in range(2, q.shape[0] - 2):
-        r = (q[k - 2] - 4 * q[k - 1] + 6 * q[k] - 4 * q[k + 1] + q[k + 2]) / h4
-        if grad_potential is not None:
-            r = r + np.asarray(grad_potential(q[k]), dtype=float)
-        out.append(float(np.max(np.abs(r))))
-    return np.asarray(out)

@@ -1,10 +1,9 @@
-"""Lifts of discretization maps: tangent, higher-order and cotangent.
+"""Lifts of discretization maps: higher-order and cotangent.
 
 Lifting moves a discretization map between spaces:
 
-* :func:`tangent_lift` differentiates the map along curves, producing a map
-  that discretizes velocity dynamics.
-* :func:`higher_order_lift` pushes order-k jets through the map.  Working in
+* :func:`higher_order_lift` pushes order-k jets through the map; order 1
+  is the tangent lift, which discretizes velocity dynamics.  Working in
   flat chart coordinates, a tangent vector to the order-k jet space is first
   rearranged into a jet of a tangent-bundle curve (:func:`~geodisc.jets.zip_jet_tangent`)
   and then pushed forward slot by slot.
@@ -33,26 +32,6 @@ from .maps import DiscretizationMap, midpoint_map
 from .numeric import MAX_TAYLOR_ORDER, as_vector, jacobian_fd
 
 Array = np.ndarray
-
-
-def tangent_lift(D: DiscretizationMap):
-    """First derivative of a discretization map along curves.
-
-    Returns a callable (q, v, qdot, vdot) -> ((q_minus, w_minus), (q_plus, w_plus))
-    where the point pair is D.forward(q, v) and the velocity pair is the base
-    Jacobian applied to (qdot, vdot).
-    """
-    n = D.dim
-
-    def lifted(q, v, qdot, vdot):
-        q = as_vector(q, name="q")
-        v = as_vector(v, name="v")
-        w = np.concatenate([as_vector(qdot, name="qdot"), as_vector(vdot, name="vdot")])
-        a, b = D.forward(q, v)
-        dw = D.jacobian_forward(q, v) @ w
-        return (a, dw[:n]), (b, dw[n:])
-
-    return lifted
 
 
 class HigherOrderDiscretizationMap:

@@ -7,13 +7,12 @@ cached values.
 
 import json
 import time
-from types import SimpleNamespace
 
 import numpy as np
 
 from geodisc import cli
 from geodisc.checks import run_all
-from geodisc.control import make_free_spline, run_se2_experiment, shoot
+from geodisc.control import make_free_spline, shoot, simulate
 
 SE2_INIT = np.array([-2.0, -1.5, 0.0, 1.0, 0.0, 0.05, 0.0, 0.02, 0.0, 0.0, 0.1, -0.05])
 
@@ -130,28 +129,23 @@ def test_07_free_boundary_problem(capsys):
 
 
 def test_08_planar_body_obstacle_run(capsys):
-    def config(tau):
-        return SimpleNamespace(
-            tau=tau, r=1.0, center=np.zeros(2), h=0.01, steps=400, initial_state=SE2_INIT
-        )
+    def run(tau):
+        return simulate(3, 0.01, 400, SE2_INIT, obstacle=(tau, 1.0, np.zeros(2)))
 
     t0 = time.perf_counter()
-    rep = run_se2_experiment(config(1e-20))
-    rep0 = run_se2_experiment(config(0.0))
+    rep = run(1e-20)
+    rep0 = run(0.0)
     dt = time.perf_counter() - t0
     problems = []
-    if len(rep.trajectory.states) != 401:
-        problems.append(f"run produced {len(rep.trajectory.states)} states, wanted 401")
+    if len(rep.trajectory.z) != 401:
+        problems.append(f"run produced {len(rep.trajectory.z)} states, wanted 401")
     if not rep.min_clearance > 0.0:
         problems.append(f"min clearance {rep.min_clearance:.3e} not positive")
     H0 = rep.trajectory.energies[0]
     bound = 1e-3 * max(1.0, abs(H0))
     if rep.h_drift > bound:
         problems.append(f"H drift {rep.h_drift:.3e} exceeds {bound:.3e}")
-    gap = max(
-        float(np.max(np.abs(a.flat() - b.flat())))
-        for a, b in zip(rep.trajectory.states, rep0.trajectory.states)
-    )
+    gap = float(np.max(np.abs(rep.trajectory.z - rep0.trajectory.z)))
     if gap > 1e-10:
         problems.append(f"tau=1e-20 and tau=0 runs differ by {gap:.3e} > 1e-10")
     if dt >= 1.0:

@@ -7,15 +7,12 @@ from geodisc.artifacts import (
     write_trajectory_csv,
     write_xy_svg,
 )
-from geodisc.hamiltonian import SecondOrderState, Trajectory
+from geodisc.hamiltonian import Trajectory
 
 
 def tiny_traj(n=2):
-    states = [
-        SecondOrderState(np.full(n, 0.1), np.full(n, 0.2), np.full(n, 0.3), np.full(n, 1 / 3)),
-        SecondOrderState(np.full(n, 1.1), np.full(n, 1.2), np.full(n, 1.3), np.full(n, 2 / 3)),
-    ]
-    return Trajectory(h=0.5, z=np.stack([s.flat() for s in states]), energies=np.array([1 / 7, 1 / 7]))
+    z = np.repeat([[0.1, 0.2, 0.3, 1 / 3], [1.1, 1.2, 1.3, 2 / 3]], n, axis=1)  # (q, qdot, p0, p1) rows
+    return Trajectory(h=0.5, z=z, energies=np.array([1 / 7, 1 / 7]))
 
 
 class TestTrajectoryCsv:

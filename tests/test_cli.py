@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from geodisc import checks, cli
+from geodisc import checks, cli, control
 from geodisc.artifacts import read_csv_columns
 from geodisc.checks import CheckResult
 
@@ -100,6 +100,26 @@ class TestSimulate:
         assert rc == 2
         assert "error: config-error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cost_flag", [[], ["--no-potential-in-cost"]], ids=["potential-in-cost", "no-potential"])
+    def test_stdout_reports_the_simulate_report(self, capsys, cost_flag):
+        init = np.array([float(v) for v in SE2_INIT.split(",")])
+        args = ["simulate", "--problem", "obstacle", "--init=" + SE2_INIT, "--tau", "1e-2", "--steps", "40"]
+        assert cli.main(args + cost_flag) == 0
+        report = control.simulate(
+            3, 0.01, 40, init, obstacle=(1e-2, 1.0, np.zeros(2)), include_potential_in_cost=not cost_flag
+        )
+        V = control.obstacle_potential(1e-2, 1.0, np.zeros(2), 3)[0]
+        assert report.cost == control.running_cost(report.trajectory, None if cost_flag else V)
+        final = report.trajectory.z[-1]
+        assert capsys.readouterr().out.splitlines() == [
+            "final q      = [%s]" % " ".join("%.6g" % v for v in final[:3]),
+            "final qdot   = [%s]" % " ".join("%.6g" % v for v in final[3:6]),
+            "H drift      = %.6g" % report.h_drift,
+            "min clearance= %.6g" % report.min_clearance,
+            "cost J       = %.6g" % report.cost,
+            "csv: obstacle-trajectory.csv",
+        ]
+
     def test_csv_output_is_bit_stable(self):
         args = ["simulate", "--problem", "free", "--n", "1", "--init", "0.3,-1,0.7,2", "--h", "0.05", "--steps", "3"]
         assert cli.main(args + ["--csv-out", "one.csv"]) == 0
@@ -173,6 +193,30 @@ class TestShoot:
         assert len(read_csv_columns("best.csv")["t"]) == 11
 
 
+class TestMalformedInput:
+    SHOOT = ["shoot", "--problem", "free", "--n", "1", "--q0", "0", "--v0", "0", "--q1", "1", "--v1", "0", "--h", "0.1"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--problem", "obstacle", "--center", "0,0,0", "--init=" + SE2_INIT],
+            ["simulate", "--problem", "obstacle", "--n", "1", "--init=2.5,0,0,0"],
+            ["simulate", "--init=" + SE2_INIT, "--r", "nan"],
+            ["simulate", "--init=" + SE2_INIT, "--tau", "nan"],
+            ["simulate", "--init=" + SE2_INIT, "--tau", "inf"],
+            SHOOT + ["--T", "nan"],
+            SHOOT + ["--T", "1", "--tol", "nan"],
+        ],
+        ids=["center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan"],
+    )
+    def test_is_one_config_error_line(self, capsys, args):
+        rc = cli.main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: config-error:")
+        assert "Traceback" not in err and "Warning" not in err
+
+
 class TestCheck:
     def test_report_schema_and_success(self, capsys):
         rc = cli.main(["check", "--suite", "closed-form", "--suite", "axioms", "--json-out", "report.json"])
@@ -204,8 +248,8 @@ class TestCheck:
     def test_unknown_suite_is_config_error(self, capsys):
         assert cli.main(["check", "--suite", "bogus"]) == 2
 
-    def test_sphere_lift_check_problem_selects_suite(self, capsys):
-        rc = cli.main(["check", "--problem", "sphere-lift-check"])
+    def test_sphere_lift_suite_alone(self, capsys):
+        rc = cli.main(["check", "--suite", "sphere-lift"])
         out, _ = capsys.readouterr()
         assert rc == 0
         assert {entry["suite"] for entry in json.loads(out)} == {"sphere-lift"}

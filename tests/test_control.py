@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -14,9 +12,9 @@ from geodisc.control import (
     make_free_spline,
     make_obstacle_problem,
     obstacle_potential,
-    run_se2_experiment,
     running_cost,
     shoot,
+    simulate,
 )
 from geodisc.errors import (
     BadDiscretization,
@@ -24,7 +22,8 @@ from geodisc.errors import (
     SingularPotential,
     StartInsideObstacle,
 )
-from geodisc.hamiltonian import SecondOrderState, Trajectory, fourth_order_residual, integrate
+from geodisc.checks import fourth_order_residual
+from geodisc.hamiltonian import Trajectory, integrate
 from geodisc.lifts import second_order_phase_map
 from geodisc.numeric import newton_solve
 
@@ -44,7 +43,10 @@ class TestGridSteps:
     def test_rounding_slack(self):
         assert grid_steps(0.1 + 0.2, 0.1) == 3  # 0.30000000000000004
 
-    @pytest.mark.parametrize("T,h", [(1.0, 0.03), (1.0, -0.1), (-1.0, 0.1), (0.0, 0.1)])
+    @pytest.mark.parametrize(
+        "T,h",
+        [(1.0, 0.03), (1.0, -0.1), (-1.0, 0.1), (0.0, 0.1), (np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)],
+    )
     def test_rejects(self, T, h):
         with pytest.raises(BadDiscretization):
             grid_steps(T, h)
@@ -110,7 +112,7 @@ class TestObstaclePotential:
 class TestProblemConstruction:
     def test_free_spline_fields(self):
         prob = make_free_spline(**UNIT_FREE)
-        assert prob.kind == "free" and prob.potential is None
+        assert prob.potential is None
         assert prob.steps == 100
 
     def test_bad_grid_propagates(self):
@@ -157,8 +159,8 @@ class TestHermiteCostates:
 class TestRunningCost:
     @staticmethod
     def two_state_traj():
-        states = [SecondOrderState([0.0], [0.0], [0.0], [u]) for u in (2.0, 0.0)]  # u = p1
-        return Trajectory(h=0.1, z=np.stack([s.flat() for s in states]), energies=np.zeros(2))
+        z = np.array([[0.0, 0.0, 0.0, u] for u in (2.0, 0.0)])  # u = p1
+        return Trajectory(h=0.1, z=z, energies=np.zeros(2))
 
     def test_left_rule(self):
         assert running_cost(self.two_state_traj()) == pytest.approx(0.2)
@@ -182,7 +184,7 @@ class TestRunningCost:
         z = rng.normal(size=(50, 12))
         z[:, 0] = rng.uniform(2.0, 3.0, size=50)  # outside the unit disc
         traj = Trajectory(h=0.01, z=z, energies=np.zeros(50))
-        vals = [0.5 * float(s.p1 @ s.p1) + float(V(s.q)) for s in traj.states]
+        vals = [0.5 * float(s[9:] @ s[9:]) + float(V(s[:3])) for s in traj.z]
         assert running_cost(traj, V) == pytest.approx(0.01 * np.sum(vals[:-1]), rel=8 * np.finfo(float).eps, abs=0.0)
 
 
@@ -202,13 +204,13 @@ class TestFreeSplineShooting:
         assert np.allclose(res.p1, unit_shot.p1, atol=1e-8)
 
     def test_discrete_curve_is_nearly_cubic(self, unit_shot):
-        assert np.max(fourth_order_residual(unit_shot.trajectory)) < 1e-5
+        assert np.max(fourth_order_residual(unit_shot.trajectory.positions(), unit_shot.trajectory.h)) < 1e-5
 
     def test_rest_problem_costs_nothing(self):
         prob = make_free_spline(1, ([0.0], [0.0], [0.0], [0.0]), T=1.0, h=0.1)
         res = shoot(prob)
         assert res.converged and res.cost == 0.0
-        assert all(np.all(s.flat() == 0.0) for s in res.trajectory.states)
+        assert np.all(res.trajectory.z == 0.0)
 
     def test_cost_refines_quadratically(self):
         costs = []
@@ -231,8 +233,7 @@ class TestFreeSplineShooting:
         again = shoot(make_free_spline(**UNIT_FREE))
         assert np.array_equal(again.p0, unit_shot.p0)
         assert again.cost == unit_shot.cost
-        for a, b in zip(again.trajectory.states, unit_shot.trajectory.states):
-            assert np.array_equal(a.flat(), b.flat())
+        assert np.array_equal(again.trajectory.z, unit_shot.trajectory.z)
 
 
 class TestObstacleShooting:
@@ -242,9 +243,9 @@ class TestObstacleShooting:
         prob = make_obstacle_problem(3, 1e-3, 1.0, (0.0, 0.0), self.BOUNDARY, T=4.0, h=0.05)
         res = shoot(prob)
         assert res.converged and res.defect <= 1e-10
-        clearances = [prob.clearance(s.q) for s in res.trajectory.states]
+        clearances = [prob.clearance(q) for q in res.trajectory.positions()]
         assert min(clearances) > 0.0
-        assert len(res.trajectory.states) == prob.steps + 1
+        assert len(res.trajectory.z) == prob.steps + 1
 
     def test_exact_sensitivities_match_finite_differences(self, monkeypatch):
         # At the benchmark's step h = 0.01 Newton takes two iterations: one
@@ -265,8 +266,8 @@ class TestObstacleShooting:
         C, H = second_order_phase_map(3), hamiltonian_for(prob)
 
         def endpoint_defect(x):
-            end = integrate(C, H, prob.h, prob.steps, np.concatenate([prob.q_start, prob.qdot_start, x])).states[-1]
-            return np.concatenate([end.q - prob.q_end, end.qdot - prob.qdot_end])
+            end = integrate(C, H, prob.h, prob.steps, np.concatenate([prob.q_start, prob.qdot_start, x])).z[-1]
+            return np.concatenate([end[:3] - prob.q_end, end[3:6] - prob.qdot_end])
 
         x0 = np.concatenate(hermite_costates(prob.q_start, prob.qdot_start, prob.q_end, prob.qdot_end, prob.T))
         reference = newton_solve(endpoint_defect, x0, tol=1e-10, max_iter=40, backtracking=True)
@@ -282,43 +283,22 @@ class TestObstacleShooting:
 class TestSE2Experiment:
     INIT = np.array([-2.0, -1.5, 0.0, 1.0, 0.0, 0.05, 0.0, 0.02, 0.0, 0.0, 0.1, -0.05])
 
-    def config(self, **overrides):
-        base = dict(
-            tau=1e-20,
-            r=1.0,
-            center=np.zeros(2),
-            h=0.01,
-            steps=50,
-            initial_state=self.INIT,
-        )
-        base.update(overrides)
-        return SimpleNamespace(**base)
+    @staticmethod
+    def run(init=INIT, steps=50, tau=1e-20):
+        return simulate(3, 0.01, steps, init, obstacle=(tau, 1.0, np.zeros(2)))
 
     def test_short_run(self):
-        report = run_se2_experiment(self.config())
-        assert len(report.trajectory.states) == 51
+        report = self.run()
+        assert len(report.trajectory.z) == 51
         assert report.min_clearance > 0.0
         assert report.h_drift <= 1e-12
-        assert isinstance(report.summary(), str) and "clearance" in report.summary()
-        assert np.allclose(report.final_state.flat(), report.trajectory.states[-1].flat())
 
     def test_resting_body_stays_put(self):
         init = np.zeros(12)
         init[:3] = [-2.0, -1.5, 0.0]
         # tau = 0 makes the rest state an exact fixed point; a tiny tau only
         # an approximate one.
-        exact = run_se2_experiment(self.config(initial_state=init, steps=20, tau=0.0))
-        for s in exact.trajectory.states:
-            assert np.array_equal(s.flat(), init)
-        nudged = run_se2_experiment(self.config(initial_state=init, steps=20))
-        assert np.max(np.abs(nudged.final_state.flat() - init)) < 1e-15
-
-    def test_writes_artifacts(self, tmp_path):
-        csv = tmp_path / "run.csv"
-        svg = tmp_path / "run.svg"
-        report = run_se2_experiment(self.config(steps=10, csv_out=str(csv), svg_out=str(svg)))
-        assert csv.exists() and svg.exists()
-        text = csv.read_text().splitlines()
-        assert len(text) == 12  # header + 11 states
-        assert "<polyline" in svg.read_text()
-        assert report.csv_path == str(csv)
+        exact = self.run(init, steps=20, tau=0.0)
+        assert np.all(exact.trajectory.z == init)
+        nudged = self.run(init, steps=20)
+        assert np.max(np.abs(nudged.trajectory.z[-1] - init)) < 1e-15

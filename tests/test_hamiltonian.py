@@ -7,22 +7,17 @@ import hypothesis.strategies as st
 import pytest
 
 import geodisc
-from geodisc.checks import _one_step_jacobian
+from geodisc.checks import _one_step_jacobian, fourth_order_residual
 from geodisc.control import obstacle_potential
 from geodisc.errors import NonConvergence, TooFewPoints
 from geodisc.hamiltonian import (
     HamiltonianSystem,
-    SecondOrderState,
     Trajectory,
     _step_jacobian,
-    fourth_order_residual,
     integrate,
-    lagrangian_energy,
-    legendre_second_order,
     second_order_hamiltonian,
     step_residual,
     symplectic_step,
-    trajectory_from_positions,
 )
 from geodisc.lifts import canonical_symplectic_matrix, cotangent_lift, second_order_phase_map
 from geodisc.maps import midpoint_map, theta_map
@@ -84,53 +79,20 @@ class TestSecondOrderHamiltonian:
 
 
 class TestLegendre:
-    L = staticmethod(lambda q, qd, qdd: 0.5 * float(qdd @ qdd))
-
-    def test_known_jet(self):
-        st_ = legendre_second_order(self.L)(np.array([0.0]), np.array([1.0]), np.array([2.0]), np.array([3.0]))
-        assert np.allclose(st_.p1, [2.0], atol=1e-8)
-        assert np.allclose(st_.p0, [-3.0], atol=1e-6)
-
-    def test_zero_jet(self):
-        z = np.zeros(2)
-        st_ = legendre_second_order(self.L)(z, z, z, z)
-        assert np.allclose(st_.p0, 0.0, atol=1e-9) and np.allclose(st_.p1, 0.0, atol=1e-9)
-
-    def test_potential_does_not_move_momenta(self, rng):
-        Lv = lambda q, qd, qdd: 0.5 * float(qdd @ qdd) + float(np.cos(q[0]))
-        jet = [rng.normal(size=2) for _ in range(4)]
-        a = legendre_second_order(self.L)(*jet)
-        b = legendre_second_order(Lv)(*jet)
-        assert np.allclose(a.p0, b.p0, atol=1e-6)
-        assert np.allclose(a.p1, b.p1, atol=1e-8)
-
-    def test_energy_value(self):
-        E = lagrangian_energy(self.L, [0.0], [1.0], [2.0], [3.0])
-        assert E == pytest.approx(-1.0, abs=1e-6)
-
     def test_energy_equals_hamiltonian_after_transform(self, rng):
+        # L = |qddot|^2 / 2 + V(q) has the momenta p1 = qddot and
+        # p0 = dL/dqdot - d/dt dL/dqddot = -qdddot, and the energy
+        # qdot . p0 + qddot . p1 - L.
         V = lambda q: 0.2 * float(q @ q)
         gV = lambda q: 0.4 * q
         hV = lambda q: 0.4 * np.eye(2)
-        Lv = lambda q, qd, qdd: 0.5 * float(qdd @ qdd) + V(q)
         H = second_order_hamiltonian(2, V, gV, hV)
         for _ in range(5):
-            jet = [rng.normal(size=2) for _ in range(4)]
-            st_ = legendre_second_order(Lv)(*jet)
-            E = lagrangian_energy(Lv, *jet)
-            Hval = H.value(np.concatenate([st_.q, st_.qdot]), np.concatenate([st_.p0, st_.p1]))
+            q, qd, qdd, qddd = (rng.normal(size=2) for _ in range(4))
+            p0, p1 = -qddd, qdd
+            E = qd @ p0 + qdd @ p1 - (0.5 * qdd @ qdd + V(q))
+            Hval = H.value(np.concatenate([q, qd]), np.concatenate([p0, p1]))
             assert abs(E - Hval) < 1e-9
-
-
-class TestSecondOrderState:
-    def test_flat_roundtrip(self, rng):
-        z = rng.normal(size=8)
-        s = SecondOrderState.from_flat(z, 2)
-        assert np.array_equal(s.flat(), z)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            SecondOrderState(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(3))
 
 
 class TestSymplecticStep:
@@ -168,14 +130,14 @@ class TestIntegrate:
         C, H = free_setup()
         z0 = np.array([0.0, 1.0, 2.0, 3.0])
         traj = integrate(C, H, 0.1, 1, z0)
-        assert len(traj.states) == 2
-        assert np.allclose(traj.states[1].flat(), symplectic_step(C, H, 0.1, z0), atol=1e-12)
+        assert len(traj.z) == 2
+        assert np.allclose(traj.z[1], symplectic_step(C, H, 0.1, z0), atol=1e-12)
 
     def test_p0_constant_on_free_spline(self, rng):
         C, H = free_setup()
         z0 = rng.normal(size=4)
         traj = integrate(C, H, 0.05, 200, z0)
-        p0 = np.stack([s.p0 for s in traj.states])
+        p0 = traj.z[:, 2]
         assert np.max(np.abs(p0 - p0[0])) <= 1e-12
 
     def test_energy_conserved_on_free_spline(self, rng):
@@ -186,7 +148,7 @@ class TestIntegrate:
     def test_trajectory_length_and_times(self):
         C, H = free_setup()
         traj = integrate(C, H, 0.1, 7, np.zeros(4))
-        assert len(traj.states) == 8
+        assert len(traj.z) == 8
         assert np.allclose(traj.times, 0.1 * np.arange(8))
 
     def test_convergence_ratio_four(self):
@@ -195,7 +157,7 @@ class TestIntegrate:
         errs = []
         for h in (0.1, 0.05):
             traj = integrate(C, H, h, int(round(1.0 / h)), z0)
-            errs.append(abs(traj.states[-1].q[0] - 1.0))
+            errs.append(abs(traj.z[-1, 0] - 1.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-6)
 
     def test_large_state_does_not_stall(self):
@@ -204,7 +166,7 @@ class TestIntegrate:
         C, H = free_setup()
         traj = integrate(C, H, 0.01, 5, np.array([2e4, 0.1, 0.01, 0.2]))
         assert traj.steps == 5
-        assert all(s.p0[0] == 0.01 for s in traj.states)
+        assert np.all(traj.z[:, 2] == 0.01)
 
     def test_bad_arguments(self):
         C, H = free_setup()
@@ -367,14 +329,9 @@ class TestStepKernel:
         C, H = obstacle_setup()
         traj = integrate(C, H, 0.01, 20, TestTangent.Z0)
         assert isinstance(traj, Trajectory) and traj.z.shape == (21, 12) and traj.n == 3
-        assert len(traj.states) == 21 and traj.steps == 20
-        for k in (0, 7, -1):
-            assert np.array_equal(traj.states[k].flat(), traj.z[k])
-        assert [s.q[1] for s in traj.states[2:5]] == list(traj.z[2:5, 1])
+        assert traj.steps == 20
         assert np.array_equal(traj.positions(), traj.z[:, :3])
         assert np.array_equal(traj.controls, traj.z[:, 9:])
-        with pytest.raises(IndexError):
-            traj.states[21]
 
 
 class TestTangent:
@@ -389,7 +346,7 @@ class TestTangent:
         plain = integrate(C, H, 0.01, 100, self.Z0)
         carried = integrate(C, H, 0.01, 100, self.Z0, tangent=np.eye(12))
         assert plain.tangent is None and carried.tangent.shape == (12, 12)
-        assert all(np.array_equal(a.flat(), b.flat()) for a, b in zip(plain.states, carried.states))
+        assert np.array_equal(plain.z, carried.z)
         assert np.array_equal(plain.energies, carried.energies)
 
     @pytest.mark.parametrize("setup", [free_setup, lambda: obstacle_setup(tau=1.0)], ids=["free", "obstacle"])
@@ -417,8 +374,8 @@ class TestTangent:
         for j in range(6):
             e = np.zeros(12)
             e[6 + j] = eps
-            hi = integrate(C, H, 0.01, 400, z0 + e).states[-1].flat()
-            lo = integrate(C, H, 0.01, 400, z0 - e).states[-1].flat()
+            hi = integrate(C, H, 0.01, 400, z0 + e).z[-1]
+            lo = integrate(C, H, 0.01, 400, z0 - e).z[-1]
             fd[:, j] = (hi - lo) / (2 * eps)
         assert np.max(np.abs(block - fd)) <= 1e-6 * np.max(np.abs(fd))
 
@@ -603,23 +560,19 @@ class TestFourthOrderResidual:
     def test_cubic_is_flat(self):
         h = 0.05
         ts = h * np.arange(9)
-        traj = trajectory_from_positions(ts**3, h)
-        assert np.max(fourth_order_residual(traj)) < 1e-6
+        assert np.max(fourth_order_residual(ts**3, h)) < 1e-6
 
     def test_quartic_unit_residual(self):
         h = 0.05
         ts = h * np.arange(9)
-        traj = trajectory_from_positions(ts**4 / 24.0, h)
-        res = fourth_order_residual(traj)
+        res = fourth_order_residual(ts**4 / 24.0, h)
         assert np.allclose(res, 1.0, atol=1e-9)
 
     def test_includes_potential_gradient(self):
         h = 0.1
-        traj = trajectory_from_positions(np.zeros(6), h)
-        res = fourth_order_residual(traj, grad_potential=lambda q: np.array([2.5]))
+        res = fourth_order_residual(np.zeros(6), h, grad_potential=lambda q: np.array([2.5]))
         assert np.allclose(res, 2.5)
 
     def test_too_few_points(self):
-        traj = trajectory_from_positions(np.zeros(4), 0.1)
         with pytest.raises(TooFewPoints):
-            fourth_order_residual(traj)
+            fourth_order_residual(np.zeros(4), 0.1)
