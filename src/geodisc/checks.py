@@ -304,7 +304,8 @@ def fourth_order_residual(q, h: float, grad_potential=None) -> Array:
     equation d^4 q / dt^4 + grad V(q) = 0 on positions ``q`` sampled at step
     h (one row per node; a 1-D array is one coordinate): the centered fourth
     difference (q_{k-2} - 4 q_{k-1} + 6 q_k - 4 q_{k+1} + q_{k+2}) / h^4 plus
-    grad V(q_k), at the interior nodes k = 2 .. N-2."""
+    grad V(q_k), at the interior nodes k = 2 .. N-2 (``grad_potential`` takes
+    them as rows)."""
     q = np.asarray(q, dtype=float)
     if q.ndim == 1:
         q = q[:, None]
@@ -312,7 +313,7 @@ def fourth_order_residual(q, h: float, grad_potential=None) -> Array:
         raise TooFewPoints("need at least five states for a fourth difference")
     r = (q[:-4] - 4 * q[1:-3] + 6 * q[2:-2] - 4 * q[3:-1] + q[4:]) / h**4
     if grad_potential is not None:
-        r = r + np.array([grad_potential(x) for x in q[2:-2]], dtype=float)
+        r = r + grad_potential(q[2:-2])
     return np.max(np.abs(r), axis=1)
 
 

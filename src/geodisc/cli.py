@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError(f"the obstacle center needs 2 numbers, got {self.center.size}")
         if self.tol < 0:
             raise ConfigError("tol must be nonnegative")
+        if not all(0 < h <= 1 for h in self.h_values):
+            raise ConfigError(f"convergence steps must lie in (0, 1], the horizon being 1; got {list(self.h_values)}")
         self.base_map(1)  # validates the discretization string
         n = self.dim
         if self.problem == "se2" and n != 3:
@@ -155,8 +157,6 @@ _VECTOR_FIELDS = ("initial_state", "q_start", "qdot_start", "q_end", "qdot_end",
 
 
 def _coerce_field(name: str, value):
-    if value is None:
-        return None
     if name in _VECTOR_FIELDS:
         return _parse_floats(value, name)
     if name == "h_values":
@@ -195,6 +195,9 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(data) - field_names
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        nulls = sorted(k for k, v in data.items() if v is None)
+        if nulls:
+            raise ConfigError(f"{nulls[0]}: expected a value, got null")
         if args.command == "simulate" and "tol" in data:
             raise ConfigError("tol is the shoot command's terminal defect tolerance; simulate does not take it")
         merged.update(data)
@@ -284,8 +287,8 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
         prob = make_free_spline(n, cfg.boundary, T, cfg.h)
     C = second_order_phase_map(n, base=cfg.base_map(n))
     result = shoot(prob, C=C, tol=cfg.tol)
-    clearance, traj = prob.clearance, result.trajectory
-    clearances = None if clearance is None else np.array([clearance(q) for q in traj.positions()])
+    traj = result.trajectory
+    clearances = None if prob.clearance is None else prob.clearance(traj.positions())
     csv_line = _write_artifacts(cfg, traj, clearances, "shoot")
 
     print("converged    = %s" % result.converged)

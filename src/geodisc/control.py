@@ -55,9 +55,12 @@ def obstacle_potential(tau: float, r: float, center, n: int):
     coordinates, with closed-form gradient and Hessian and a clearance function.
 
     Returns (V, gradV, hessV, clearance); clearance(q) = |xy - center|^2 - r^2.
-    V, gradV and hessV raise SingularPotential once the clearance drops to ~0,
-    so a caller can never see a nonpositive clearance from a state that
-    evaluated cleanly.
+    Each takes points q of shape (..., n), one per row (a 1-D q is one
+    point), and returns one value, gradient (..., n) or Hessian (..., n, n)
+    per point.  V, gradV and hessV raise SingularPotential once a clearance
+    drops to ~0, so a caller can never see a nonpositive clearance from a
+    state that evaluated cleanly; a nan clearance passes, for the caller's
+    own finiteness checks to report.
     """
     if n < 2:
         raise ValueError("obstacle potential needs at least coordinates (x, y)")
@@ -67,35 +70,39 @@ def obstacle_potential(tau: float, r: float, center, n: int):
     if c.size != 2:
         raise ValueError("obstacle center must have exactly two components")
 
-    def clearance(q) -> float:
-        d = np.asarray(q, dtype=float)[:2] - c
-        return float(d @ d) - r * r
+    def offsets(q) -> tuple[Array, Array]:
+        d = np.asarray(q, dtype=float)[..., :2] - c
+        x, y = d[..., 0], d[..., 1]
+        return d, x * x + y * y - r * r
 
-    def _checked(q) -> float:
-        s = clearance(q)
-        if s <= SINGULAR_CLEARANCE:
-            raise SingularPotential(
-                f"state at squared clearance {s:.3e} is on or inside the obstacle"
-            )
-        return s
+    def clearance(q):
+        return offsets(q)[1]
 
-    def V(q) -> float:
-        return tau / _checked(q)
+    def checked(q) -> tuple[Array, Array]:
+        d, s = offsets(q)
+        inside = s <= SINGULAR_CLEARANCE
+        if inside.any() if inside.ndim else inside:  # one point: the plain test is the cheap one
+            worst = float(np.min(np.where(inside, s, np.inf)))
+            raise SingularPotential(f"state at squared clearance {worst:.3e} is on or inside the obstacle")
+        return d, s
+
+    def V(q):
+        return tau / checked(q)[1]
 
     def gradV(q) -> Array:
-        s = _checked(q)
-        g = np.zeros(np.asarray(q).size)
-        g[:2] = -2.0 * tau * (np.asarray(q, dtype=float)[:2] - c) / (s * s)
+        d, s = checked(q)
+        g = np.zeros(d.shape[:-1] + (n,))
+        g[..., :2] = d * (-2.0 * tau / (s * s))[..., None]
         return g
 
     eye2 = np.eye(2)
 
     def hessV(q) -> Array:
         # -2 tau / s^2 I + 8 tau d d^T / s^3 on the (x, y) block, d = xy - center.
-        s = _checked(q)
-        d = np.asarray(q, dtype=float)[:2] - c
-        out = np.zeros((n, n))
-        out[:2, :2] = (8.0 * tau / s**3) * (d[:, None] * d) - (2.0 * tau / (s * s)) * eye2
+        d, s = checked(q)
+        a, b = 8.0 * tau / (s * s * s), 2.0 * tau / (s * s)
+        out = np.zeros(d.shape[:-1] + (n, n))
+        out[..., :2, :2] = a[..., None, None] * (d[..., :, None] * d[..., None, :]) - b[..., None, None] * eye2
         return out
 
     return V, gradV, hessV, clearance
@@ -203,7 +210,7 @@ def running_cost(
     u = traj.controls
     vals = 0.5 * np.einsum("ij,ij->i", u, u)
     if potential is not None:
-        vals = vals + np.array([float(potential(q)) for q in traj.positions()])
+        vals = vals + potential(traj.positions())
     if rule == "left":
         return float(traj.h * np.sum(vals[:-1]))
     if rule == "trapezoid":
@@ -358,7 +365,7 @@ def simulate(
     traj = integrate(C, second_order_hamiltonian(n, V, gradV, hessV), h, steps, z0)
     return SimulationReport(
         trajectory=traj,
-        clearances=None if clearance is None else np.array([clearance(q) for q in traj.positions()]),
+        clearances=None if clearance is None else clearance(traj.positions()),
         h_drift=float(np.max(np.abs(traj.energies - traj.energies[0]))),
         cost=running_cost(traj, V if include_potential_in_cost else None),
     )

@@ -19,21 +19,24 @@ matrix, the relations (mdot, pdot) = h JJ grad H(m, p), that is
 
     R(z1) = L w - h JJ grad U(m, p) = 0,      L = [-h JJ S0 | I],
 
-for z1 by a chord Newton iteration on the closed-form Jacobian of R, inverted
-once and reused.  When the lifted map's inverse is affine, w = K (z0, z1) + k
+for z1.  When the lifted map's inverse is affine, w = K (z0, z1) + k
 (every constant-Jacobian base), L is folded into it once per run: with
 A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
 residual is A1 z1 + b, and U adds h grad U (= -h grad V) on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
-Without a remainder (the free problem) on such a base the step relation
-A0 z0 + A1 z1 + c = 0 is linear and the one-step map affine,
-z1 = M z0 + m with M = -A1^-1 A0: :func:`integrate` takes step 0 by the
-chord iteration, then each block of up to 256 rows as one product with the
-prebuilt powers of M from the block's first row, checks the block's
-residuals, and hands the rest of the run to the chord iteration from the
-first step that fails.  With the midpoint-family lifts this is an implicit
-midpoint scheme on the phase space and conserves quadratic first integrals to
-machine precision.
+The remainder and its gradient and Hessian take points q of shape (..., n),
+one per row; a 1-D q is one point.
+
+:func:`integrate` takes a step by one of three paths: the chord Newton
+iteration on the closed-form Jacobian of R, inverted once and reused (every
+step on a non-affine lifted map, step 0 of every run, and any step a fast
+path hands over); block powers of the affine one-step map z1 = M z0 + m
+when the step relation is linear (an affine lifted inverse without a
+remainder: the free problem); and condensed steps, solved in the n
+coordinates of q alone, with a remainder (the obstacle problems).  Both fast
+paths check every step's full residual after each block of rows.
+With the midpoint-family lifts this is an implicit midpoint scheme on the
+phase space and conserves quadratic first integrals to machine precision.
 Differentiating the step relations at the converged z1 (the discrete
 variational equation) gives the exact step derivative dz1/dz0, which
 :func:`integrate` can carry along a run.
@@ -43,11 +46,12 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergence, SingularJacobian
+from .errors import GeodiscError, NonConvergence, SingularJacobian
 from .lifts import CotangentLiftedMap, canonical_symplectic_matrix
 from .numeric import as_vector
 
@@ -64,7 +68,9 @@ class HamiltonianSystem:
     m = (q, qdot).  ``S0`` is the constant symmetric 2 dim x 2 dim Hessian of
     the quadratic part, stored read-only.  The optional remainder U of q
     comes with its closed-form gradient and Hessian; for
-    :func:`second_order_hamiltonian` it is -V(q).  :meth:`values` evaluates
+    :func:`second_order_hamiltonian` it is -V(q).  All three take points q
+    of shape (..., dim // 2), one per row (a 1-D q is one point), and return
+    one value, gradient or Hessian per point.  :meth:`values` evaluates
     H on rows of phase points and :meth:`value` on one; :meth:`gradient`
     (over x) and :meth:`hessian` (in the order (m, p)) come from the same
     parts.  The one-step method reads S0 and the remainder directly.
@@ -87,14 +93,14 @@ class HamiltonianSystem:
             raise ValueError("supply remainder, grad_remainder and hess_remainder together or not at all")
 
     def values(self, x: Array) -> Array:
-        """H at each row of the 2-D array x of phase points (m, p)."""
-        v = 0.5 * np.sum((x @ self.S0) * x, axis=1)
+        """H at each phase point (m, p) of x, shape (..., 2 dim)."""
+        v = 0.5 * np.sum((x @ self.S0) * x, axis=-1)
         if self.remainder is not None:
-            v += [self.remainder(q) for q in x[:, : self.dim // 2]]
+            v = v + self.remainder(x[..., : self.dim // 2])
         return v
 
     def value(self, m: Array, p: Array) -> float:
-        return float(self.values(np.concatenate([m, p])[None, :])[0])
+        return float(self.values(np.concatenate([m, p])))
 
     def gradient(self, m: Array, p: Array) -> Array:
         x = np.concatenate([m, p])
@@ -121,8 +127,8 @@ def second_order_hamiltonian(
     """Hamiltonian |p1|^2/2 + p0 . qdot - V(q) on T*(T R^n).
 
     ``potential``, ``grad_potential`` and ``hess_potential`` (the n x n
-    Hessian of V) must be supplied together; omitting all three gives the
-    free (quartically flat) system.
+    Hessian of V) must be supplied together, each taking points q of shape
+    (..., n); omitting all three gives the free (quartically flat) system.
     """
     given = [f is not None for f in (potential, grad_potential, hess_potential)]
     if any(given) and not all(given):
@@ -139,7 +145,7 @@ def second_order_hamiltonian(
     return HamiltonianSystem(
         dim=2 * n,
         S0=S0,
-        remainder=lambda q: -float(potential(q)),
+        remainder=lambda q: -np.asarray(potential(q), dtype=float),
         grad_remainder=lambda q: -np.asarray(grad_potential(q), dtype=float),
         hess_remainder=lambda q: -np.asarray(hess_potential(q), dtype=float),
     )
@@ -193,13 +199,16 @@ class _StepBlocks:
     folded into it: ``LK`` = L K with column halves ``A0``, ``A1`` (the z0 and
     z1 blocks), ``c`` = L k, and the q rows ``Kq`` = K[:n], ``kq`` = k[:n] of
     the preimage (n = d / 2, the remainder's coordinates), again split into
-    ``Kq0``, ``Kq1``.  For any other C these are None.
+    ``Kq0``, ``Kq1``.  For any other C these are None.  ``condensed`` holds
+    the relation solved for z1 and the preimage's q, for runs with a
+    remainder.
     """
 
     def __init__(self, C: CotangentLiftedMap, H: HamiltonianSystem, h: float):
         d = C.dim
         if H.dim != d:
             raise ValueError(f"Hamiltonian lives on T*R^{H.dim} but the map expects dimension {d}")
+        self.h = h
         self.L = np.hstack([-h * (canonical_symplectic_matrix(d) @ H.S0), np.eye(2 * d)])
         self.LK = self.A0 = self.A1 = self.c = self.Kq = self.Kq0 = self.Kq1 = self.kq = None
         if C.affine_inverse is not None:
@@ -210,6 +219,29 @@ class _StepBlocks:
                 a.setflags(write=False)
             self.A0, self.A1 = self.LK[:, : 2 * d], self.LK[:, 2 * d :]
             self.Kq0, self.Kq1 = self.Kq[:, : 2 * d], self.Kq[:, 2 * d :]
+
+    @cached_property
+    def condensed(self) -> tuple[Array, ...]:
+        """For an affine inverse, the folded step relation
+        A0 z0 + A1 z1 + c + h E grad U(q) = 0 (E the n p0 rows,
+        q = Kq0 z0 + Kq1 z1 + kq) solved for z1 and q with J = A1^-1:
+
+            z1 = M z0 + m - h W grad U(q),    q = Gq z0 + gq - h P grad U(q),
+
+        M = -J A0, m = -J c, W = J E, Gq = Kq0 + Kq1 M, gq = kq + Kq1 m and
+        P = Kq1 W.  Returns (S, s, hW, hP, M, Gq) with S = [M - I; Gq] and
+        s = [m; gq] stacked, built on first use.  M - I = -J (A0 + A1) is
+        the O(h) increment matrix, built as such: a step adds its increment
+        to z0, so the rounding of the stored matrix scales with h instead of
+        biasing every step by eps |z0| (Hairer, Lubich & Wanner, Geometric
+        Numerical Integration, 2nd ed., VIII.5)."""
+        J = _inverse(self.A1)
+        d, n = self.A1.shape[0] // 2, self.kq.size
+        D, m = -(J @ (self.A0 + self.A1)), -(J @ self.c)
+        M = np.eye(D.shape[0]) + D
+        hW = self.h * J[:, d : d + n]
+        Gq = self.Kq0 + self.Kq1 @ M
+        return np.vstack([D, Gq]), np.concatenate([m, self.kq + self.Kq1 @ m]), hW, self.Kq1 @ hW, M, Gq
 
 
 def step_residual(
@@ -370,7 +402,25 @@ def symplectic_step(
     return z1
 
 
-_ROWS = 256  # rows per block: of the linear steps' residual check and of the energies
+_ROWS = 256  # rows per block: of the fast paths' residual check and of the energies
+
+
+def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float, hG: Array | None = None) -> int:
+    """Number of leading steps k, k + 1, .. end - 1 of z whose full residual
+    A0 z_k + A1 z_{k+1} + c, plus ``hG`` (h grad U at the step's preimage,
+    one row per step) on the p0 rows, is finite and within the chord
+    iteration's own tolerance max(tol, 8 eps ||z_k||_inf): one vectorized
+    pass over the block."""
+    R = z[k:end] @ blocks.A0.T
+    R += z[k + 1 : end + 1] @ blocks.A1.T
+    R += blocks.c
+    if hG is not None:
+        d = R.shape[1] // 2
+        R[:, d : d + hG.shape[1]] += hG
+    norms = np.abs(R, out=R).max(axis=1)
+    floors = np.maximum(tol, 8.0 * _EPS * np.abs(z[k:end], out=R).max(axis=1))
+    failed = np.flatnonzero(~(norms <= floors))  # a nan fails too
+    return end - k if failed.size == 0 else int(failed[0])
 
 
 def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, tangent: Array | None):
@@ -381,17 +431,15 @@ def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, t
     of A1.  The powers M^1 .. M^B (B = min(256, steps left)) and the offsets
     s_j = sum_{i<j} M^i m are built once, by repeated multiplication, so a
     block of up to B rows is one matrix product from the block's first row:
-    z_{k+j} = M^j z_k + s_j.  After each block one vectorized pass checks
-    every step's residual A0 z_k + A1 z_{k+1} + c: it must be finite and
-    within the chord iteration's own tolerance, max(tol, 8 eps ||z_k||_inf).
-    Returns the first step that failed its check (the step count when none
-    did) and the tangent carried over the verified steps, M^v T over v of
-    them."""
+    z_{k+j} = M^j z_k + s_j.  After each block :func:`_verified_steps`
+    checks every step's residual.  Returns the first step that failed its
+    check (the step count when none did) and the tangent carried over the
+    verified steps, M^v T over v of them."""
     steps = z.shape[0] - 1
     if k >= steps:
         return k, tangent
-    A0, A1, c = blocks.A0, blocks.A1, blocks.c
-    d = A1.shape[0]
+    A0, c = blocks.A0, blocks.c
+    d = A0.shape[0]
     B = min(_ROWS, steps - k)
     M = -(J @ A0)
     Mp = np.empty((B, d, d))  # Mp[j - 1] = M^j
@@ -405,18 +453,84 @@ def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, t
         end = min(k + B, steps)
         b = end - k
         np.add((P[: b * d] @ z[k]).reshape(b, d), s[:b], out=z[k + 1 : end + 1])
-        R = z[k:end] @ A0.T
-        R += z[k + 1 : end + 1] @ A1.T
-        R += c
-        norms = np.abs(R, out=R).max(axis=1)
-        floors = np.maximum(tol, 8.0 * _EPS * np.abs(z[k:end], out=R).max(axis=1))
-        failed = np.flatnonzero(~(norms <= floors))  # a nan fails too
-        verified = end if failed.size == 0 else k + int(failed[0])
+        verified = k + _verified_steps(blocks, z, k, end, tol)
         if tangent is not None and verified > k:
             tangent = Mp[verified - k - 1] @ tangent
         if verified < end:
             return verified, tangent
         k = end
+    return k, tangent
+
+
+def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
+    """grad at every row of Q in one call.  When that call raises a
+    GeodiscError (a row on a singular set, such as the obstacle), the rows
+    are taken one at a time and the gradients are nan from the first row
+    that raises, so that its step fails its check."""
+    try:
+        return grad(Q)
+    except GeodiscError:
+        G = np.full(Q.shape, np.nan)
+        for i, q in enumerate(Q):
+            try:
+                G[i] = grad(q)
+            except GeodiscError:
+                break
+        return G
+
+
+def _remainder_steps(blocks: _StepBlocks, H: HamiltonianSystem, z: Array, k: int, tol: float, tangent: Array | None):
+    """Advance rows k, k + 1, ... of z by condensed steps, as far as they verify.
+
+    A step relation with a remainder U(q) is solved in the n coordinates of
+    q alone (see :attr:`_StepBlocks.condensed`): one stacked product gives
+    (M - I) z_k + m and Gq z_k + gq; a predictor q = Gq z_k + gq - h P g
+    from the previous step's gradient g (0 on entry) and one corrector, two
+    gradient calls, give g = grad U(q), and z_{k+1} is z_k plus the
+    increment (M - I) z_k + m - h W g.  After each block of up to 256 rows
+    :func:`_verified_steps` checks every step's full residual, at the
+    gradients of the rows' preimages q_k taken in one call.
+    Over the verified steps the tangent is carried by
+    Phi_k = M - h W Hess U(q_k) D_k^-1 Gq with D_k = I + h P Hess U(q_k),
+    the Hessians taken in one call and the systems in one batched solve.
+    A gradient that raises a GeodiscError ends its block at that step.
+    Returns the first step that failed (the step count when none did) and
+    the tangent."""
+    S, s, hW, hP, M, Gq = blocks.condensed
+    grad, hess = H.grad_remainder, H.hess_remainder
+    steps, dz, n = z.shape[0] - 1, z.shape[1], hP.shape[0]
+    g = np.zeros(n)
+    while k < steps:
+        end = stop = min(k + _ROWS, steps)
+        try:
+            for j in range(k, end):
+                y = S @ z[j] + s
+                q = y[dz:]
+                g = grad(q - hP @ g)
+                g = grad(q - hP @ g)
+                np.subtract(y[:dz], hW @ g, out=z[j + 1])
+                z[j + 1] += z[j]
+        except GeodiscError:
+            stop = j
+        if stop == k:
+            return k, tangent
+        Q = z[k:stop] @ blocks.Kq0.T
+        Q += z[k + 1 : stop + 1] @ blocks.Kq1.T
+        Q += blocks.kq
+        verified = _verified_steps(blocks, z, k, stop, tol, blocks.h * _row_gradients(grad, Q))
+        if tangent is not None and verified:
+            Hs = hess(Q[:verified])
+            try:
+                X = np.linalg.solve(np.eye(n) + hP @ Hs, np.broadcast_to(Gq, (verified,) + Gq.shape))
+            except np.linalg.LinAlgError as exc:
+                raise SingularJacobian("one-step linearization is singular at the converged step") from exc
+            Phi = hW @ (Hs @ X)
+            np.subtract(M, Phi, out=Phi)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
+            for step_map in Phi:
+                tangent = step_map @ tangent
+        k += verified
+        if k < end:
+            return k, tangent
     return k, tangent
 
 
@@ -433,23 +547,24 @@ def integrate(
     """Run ``steps`` steps of the one-step method, recording energy and control
     at every state.
 
-    The step matrices are built once per call.  The inverse of the
-    residual's closed-form Jacobian is carried across steps and refreshed
-    only when a step stalls, which makes the affine (free and nearly free)
-    cases cost one inversion per run and matrix-vector products per step.
-
-    When the step relation is linear (an affine lifted inverse and no
-    remainder in H, as for the free problem on the midpoint family), only
-    step 0 runs the chord iteration; its inverse J = A1^-1 then gives the
-    affine one-step map z -> M z + m, and every later block of up to 256
-    rows is one product with the powers of M, verified afterwards (see
-    :func:`_linear_steps`).  From the first step whose residual fails that
-    check, the chord iteration takes over for the rest of the run, so a
-    stall or a non-finite state ends in the same NonConvergence.  The steps
-    of a linear run, both kinds, run with numpy's overflow and invalid-value
-    warnings silenced: the finiteness tests report such a state.  The
-    energies are evaluated once over all states after the last step, with
-    the same warnings silenced; a state whose energy is not finite raises
+    The step matrices are built once per call.  Step 0 runs the chord
+    iteration; the inverse of the residual's closed-form Jacobian is carried
+    across chord steps and refreshed only when a step stalls.  On an affine
+    lifted map the later steps take a fast path, checked after every block
+    of up to 256 rows: each step's full residual must be finite and within
+    max(tol, 8 eps ||z_k||_inf), the chord iteration's own floor.  Without a
+    remainder in H (a linear step relation: the free problem) every block is
+    one product with the powers of the one-step map (:func:`_linear_steps`),
+    and the chord iteration takes over for the rest of the run from the first
+    step that fails.  With a remainder (the obstacle problems) every step is
+    solved in the n potential coordinates by a predictor and one corrector
+    (:func:`_remainder_steps`); a step that fails goes to the chord iteration
+    and the condensed steps resume after it.  So a stall or a non-finite
+    state ends in the same NonConvergence as on the chord path.  Runs on an
+    affine lifted map step with numpy's overflow and invalid-value warnings
+    silenced: the finiteness tests report such a state.  The energies are
+    evaluated once over all states after the last step, with the same
+    warnings silenced; a state whose energy is not finite raises
     NonConvergence naming its step and time.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
@@ -471,16 +586,18 @@ def integrate(
         if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
             raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
     blocks = _StepBlocks(C, H, h)
-    linear = blocks.LK is not None and H.grad_remainder is None
+    affine = blocks.LK is not None
+    linear = affine and H.grad_remainder is None
+    condensed = affine and not linear
     z = np.empty((steps + 1, z0.size))
     z[0] = z0
     energies = np.empty(steps + 1)  # beside z: allocated after the loop it raised peak memory
     J_inv = None
     k = 0
-    # Set for linear runs only: while any numpy error state is set, every small
-    # ufunc call costs about 4 % more, which the chord steps of a nonlinear
-    # run would pay on every step.
-    with np.errstate(over="ignore", invalid="ignore") if linear else nullcontext():
+    # Set on affine maps only: while any numpy error state is set, every
+    # small ufunc call costs about 4 % more, which the chord steps of a run
+    # on a non-affine map would pay on every step.
+    with np.errstate(over="ignore", invalid="ignore") if affine else nullcontext():
         while k < steps:
             zk = z[k]
             residual = step_residual(C, H, h, zk, blocks=blocks)
@@ -508,6 +625,8 @@ def integrate(
             k += 1
             if linear and k == 1:
                 k, tangent = _linear_steps(blocks, J_inv, z, k, tol, tangent)
+            elif condensed:
+                k, tangent = _remainder_steps(blocks, H, z, k, tol, tangent)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
             energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])

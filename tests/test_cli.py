@@ -206,10 +206,16 @@ class TestMalformedInput:
             ["simulate", "--init=" + SE2_INIT, "--tau", "inf"],
             SHOOT + ["--T", "nan"],
             SHOOT + ["--T", "1", "--tol", "nan"],
+            ["check", "--suite", "convergence", "--h", "0,0.1"],
+            ["check", "--suite", "convergence", "--h", "2,1"],
+            ["simulate", "--config", "null-h.json", "--init=" + SE2_INIT],
         ],
-        ids=["center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan"],
+        ids=[
+            "center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan", "h-zero", "h-2", "json-null"
+        ],
     )
-    def test_is_one_config_error_line(self, capsys, args):
+    def test_is_one_config_error_line(self, capsys, args, isolated):
+        (isolated / "null-h.json").write_text('{"h": null}')
         rc = cli.main(args)
         err = capsys.readouterr().err
         assert rc == 2

@@ -9,7 +9,7 @@ import pytest
 import geodisc
 from geodisc.checks import _one_step_jacobian, fourth_order_residual
 from geodisc.control import obstacle_potential
-from geodisc.errors import NonConvergence, TooFewPoints
+from geodisc.errors import NonConvergence, SingularPotential, TooFewPoints
 from geodisc.hamiltonian import (
     HamiltonianSystem,
     Trajectory,
@@ -178,12 +178,13 @@ class TestIntegrate:
             integrate(C, H, 0.1, 5, np.zeros(4), tangent=np.eye(3))
 
     def test_stall_names_step_and_time(self):
-        # One chord-Newton iteration per step suffices far from the obstacle
-        # and stops sufficing on the approach, so the stall comes mid-run.
+        # Condensed steps carry the run far from the obstacle; on the grazing
+        # approach a step fails its check and goes to the chord iteration,
+        # where one iteration no longer suffices, so the stall comes mid-run.
         C, H = obstacle_setup()
-        z0 = np.array([-10.0, -1.2, 0.0, 2.0, 0.0, 0.0] + [0.0] * 6)
+        z0 = np.array([-10.0, -1.0, 0.0, 2.0, 0.0, 0.0] + [0.0] * 6)
         with pytest.raises(NonConvergence) as err:
-            integrate(C, H, 0.01, 400, z0, max_iter=1)
+            integrate(C, H, 0.01, 600, z0, max_iter=1)
         found = re.match(r"step (\d+) at t = ([0-9.]+): one-step solve stalled", str(err.value))
         assert found, str(err.value)
         k, t = int(found.group(1)), float(found.group(2))
@@ -195,19 +196,21 @@ class TestIntegrate:
         # is 0; it turns infinite once q > 0.5, which the step starting at
         # t = 0.5 is the first to see.
         def gV(q):
-            return np.full(1, np.inf) if q[0] > 0.5 else np.zeros(1)
+            return np.where(q > 0.5, np.inf, 0.0)
 
         C = second_order_phase_map(1)
-        H = second_order_hamiltonian(1, lambda q: 0.0, gV, lambda q: np.zeros((1, 1)))
+        H = second_order_hamiltonian(1, lambda q: 0.0, gV, lambda q: np.zeros(np.shape(q) + (1,)))
         with pytest.raises(NonConvergence, match=r"^step 50 at t = 0\.5: "):
             integrate(C, H, 0.01, 100, np.array([0.0, 1.0, 0.0, 0.0]))
 
     def test_nonfinite_residual_ends_each_attempt(self, monkeypatch):
-        # The same case, counting residual evaluations per step: the step that
-        # meets the infinite gradient stops each of its two attempts (carried
-        # and fresh Jacobian) at the first non-finite residual.
+        # The same case, counting residual evaluations per chord step: step 0
+        # and step 50, whose condensed step fails its check, are the only
+        # ones; the step that meets the infinite gradient stops each of its
+        # two attempts (carried and fresh Jacobian) at the first non-finite
+        # residual.
         def gV(q):
-            return np.full(1, np.inf) if q[0] > 0.5 else np.zeros(1)
+            return np.where(q > 0.5, np.inf, 0.0)
 
         evals = []
         original = geodisc.hamiltonian.step_residual
@@ -224,10 +227,10 @@ class TestIntegrate:
 
         monkeypatch.setattr(geodisc.hamiltonian, "step_residual", counting)
         C = second_order_phase_map(1)
-        H = second_order_hamiltonian(1, lambda q: 0.0, gV, lambda q: np.zeros((1, 1)))
+        H = second_order_hamiltonian(1, lambda q: 0.0, gV, lambda q: np.zeros(np.shape(q) + (1,)))
         with pytest.raises(NonConvergence, match=r"^step 50 at t = 0\.5: ") as err:
             integrate(C, H, 0.01, 100, np.array([0.0, 1.0, 0.0, 0.0]))
-        assert len(evals) == 51 and evals[-1] <= 4
+        assert len(evals) == 2 and evals[-1] <= 4
         assert err.value.x_best.shape == (4,) and np.isfinite(err.value.x_best).all()
 
 
@@ -380,16 +383,18 @@ class TestTangent:
         assert np.max(np.abs(block - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
-def chord_twin(H):
-    """H plus a zero remainder: the same step equations, but not linear ones
-    to ``integrate``, which therefore takes every step by the chord loop."""
-    return HamiltonianSystem(
-        dim=H.dim,
-        S0=H.S0,
-        remainder=lambda q: 0.0,
-        grad_remainder=lambda q: np.zeros(q.size),
-        hess_remainder=lambda q: np.zeros((q.size, q.size)),
-    )
+def chord_steps(C, H, h, steps, z0, tangent=None):
+    """``steps`` steps taken one at a time by :func:`symplectic_step`, the
+    chord iteration alone, with the tangent carried by the chord path's own
+    solve; returns the states and the final tangent."""
+    d = C.dim
+    z = [np.asarray(z0, dtype=float)]
+    for _ in range(steps):
+        z.append(symplectic_step(C, H, h, z[-1]))
+        if tangent is not None:
+            A = _step_jacobian(C, H, h, z[-2], z[-1])
+            tangent = -np.linalg.solve(A[:, 2 * d :], A[:, : 2 * d] @ tangent)
+    return np.array(z), tangent
 
 
 LINEAR_CASES = pytest.mark.parametrize(
@@ -418,9 +423,9 @@ class TestLinearSteps:
         z0 = rng.normal(size=4 * n)
         T0 = rng.normal(size=(4 * n, 3))
         linear = integrate(C, H, 0.01, 500, z0, tangent=T0)
-        chord = integrate(C, chord_twin(H), 0.01, 500, z0, tangent=T0)
-        assert np.max(np.abs(linear.tangent - chord.tangent)) <= 1e-12 * np.max(np.abs(chord.tangent))
-        assert np.max(np.abs(linear.z - chord.z)) <= 1e-13 * np.max(np.abs(chord.z))
+        chord_z, chord_tangent = chord_steps(C, H, 0.01, 500, z0, T0)
+        assert np.max(np.abs(linear.tangent - chord_tangent)) <= 1e-12 * np.max(np.abs(chord_tangent))
+        assert np.max(np.abs(linear.z - chord_z)) <= 1e-13 * np.max(np.abs(chord_z))
 
     def test_p0_exact_and_endpoint_on_the_discrete_cubic(self):
         C, H = free_setup()
@@ -492,9 +497,9 @@ class TestLinearSteps:
         C, H = free_setup()
         z0 = rng.normal(size=4)
         traj = integrate(C, H, 0.01, 300, z0, tangent=np.eye(4))
-        ref = integrate(C, chord_twin(H), 0.01, 300, z0, tangent=np.eye(4))
+        ref_z, ref_tangent = chord_steps(C, H, 0.01, 300, z0, np.eye(4))
         assert entered == [1]
-        assert np.array_equal(traj.z, ref.z) and np.array_equal(traj.tangent, ref.tangent)
+        assert np.array_equal(traj.z, ref_z) and np.array_equal(traj.tangent, ref_tangent)
 
 
 class TestBlockPowers:
@@ -533,13 +538,163 @@ class TestBlockPowers:
         z0 = rng.normal(size=4 * n)
         T0 = rng.normal(size=(4 * n, 2))
         traj = integrate(C, H, 0.01, steps, z0, tangent=T0)
-        chord = integrate(C, chord_twin(H), 0.01, steps, z0, tangent=T0)
-        ref = [z0]
-        for _ in range(steps):
-            ref.append(symplectic_step(C, H, 0.01, ref[-1]))
+        ref, chord_tangent = chord_steps(C, H, 0.01, steps, z0, T0)
         assert traj.z.shape == (steps + 1, 4 * n)
-        assert np.max(np.abs(traj.z - np.array(ref))) <= 1e-13 * np.max(np.abs(ref))
-        assert np.max(np.abs(traj.tangent - chord.tangent)) <= 1e-13 * np.max(np.abs(chord.tangent))
+        assert np.max(np.abs(traj.z - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(traj.tangent - chord_tangent)) <= 1e-13 * np.max(np.abs(chord_tangent))
+
+
+def obstacle_run(base=midpoint_map, tau=1e-3):
+    V, gV, hV, _ = obstacle_potential(tau, 1.0, (0.0, 0.0), 3)
+    return second_order_phase_map(3, base(3)), second_order_hamiltonian(3, V, gV, hV)
+
+
+OBSTACLE_CASES = pytest.mark.parametrize(
+    "base", [midpoint_map, lambda n: theta_map(n, 0.3)], ids=["midpoint", "theta0.3"]
+)
+
+
+class TestRemainderSteps:
+    """Obstacle runs on an affine lifted map: step 0 by the chord iteration,
+    every later step condensed to the n potential coordinates, checked and
+    carrying the tangent per block of rows."""
+
+    # The documented shot's start (-2, -1.2, 0) with costates near its solution.
+    Z0 = np.array([-2.0, -1.2, 0.0, 1.0, 0.0, 0.0, -9.6e-4, -6.2e-3, 0.0, -5.0e-4, -5.8e-3, 0.0])
+    T0 = np.vstack([np.zeros((6, 6)), np.eye(6)])
+
+    @staticmethod
+    def column_error(z, ref):
+        """Largest |z - ref| of each column over that column's largest |ref|."""
+        scale = np.abs(ref).max(axis=0)
+        return np.max(np.abs(z - ref).max(axis=0) / np.where(scale > 0, scale, 1.0))
+
+    @OBSTACLE_CASES
+    def test_states_and_tangent_match_the_chord_steps(self, base):
+        C, H = obstacle_run(base)
+        traj = integrate(C, H, 0.01, 400, self.Z0, tangent=self.T0)
+        ref, ref_tangent = chord_steps(C, H, 0.01, 400, self.Z0, self.T0)
+        assert self.column_error(traj.z, ref) <= 1e3 * np.finfo(float).eps
+        assert np.max(np.abs(traj.tangent - ref_tangent)) <= 1e-10 * np.max(np.abs(ref_tangent))
+        eps = 1e-6
+        fd = np.empty((12, 6))
+        for j in range(6):
+            e = np.zeros(12)
+            e[6 + j] = eps
+            hi = integrate(C, H, 0.01, 400, self.Z0 + e).z[-1]
+            lo = integrate(C, H, 0.01, 400, self.Z0 - e).z[-1]
+            fd[:, j] = (hi - lo) / (2 * eps)
+        assert np.max(np.abs(traj.tangent - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    @OBSTACLE_CASES
+    @pytest.mark.parametrize("tau, h", [(0.05, 0.1), (0.05, 0.2)])
+    def test_forced_hand_offs_keep_the_chord_states(self, base, tau, h, monkeypatch):
+        # A strong potential at coarse steps: some condensed steps fail their
+        # check and go to the chord iteration, and the run goes on from there.
+        calls = []
+        chord_newton = geodisc.hamiltonian._chord_newton
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return chord_newton(*args, **kwargs)
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counting)
+        C, H = obstacle_run(base, tau)
+        steps = int(round(4.0 / h))
+        traj = integrate(C, H, h, steps, self.Z0, tangent=self.T0)
+        handed_off = len(calls) - 1
+        ref, ref_tangent = chord_steps(C, H, h, steps, self.Z0, self.T0)
+        assert 0 < handed_off < steps
+        # Both solve every step to the residual tolerance; the chord's last
+        # correction puts its states nearer rounding than the verified
+        # condensed ones at these step sizes.
+        assert self.column_error(traj.z, ref) <= 1e-10
+        assert np.max(np.abs(traj.tangent - ref_tangent)) <= 1e-10 * np.max(np.abs(ref_tangent))
+
+    @pytest.mark.parametrize("y0", [-0.8, 0.0])
+    def test_run_into_the_disc_raises_where_the_chord_steps_do(self, y0):
+        C, H = obstacle_run()
+        z0 = np.array([-10.0, y0, 0.0, 2.0, 0.0, 0.0] + [0.0] * 6)
+        ref = [z0]
+        with pytest.raises(SingularPotential):
+            while True:
+                ref.append(symplectic_step(C, H, 0.01, ref[-1]))
+        k = len(ref) - 1  # the step that meets the disc
+        traj = integrate(C, H, 0.01, k, z0)
+        assert self.column_error(traj.z, np.array(ref)) <= 1e-10
+        with pytest.raises(SingularPotential):
+            integrate(C, H, 0.01, k + 1, z0)
+
+    def test_a_stall_past_the_disc_is_the_chord_iterations_own(self):
+        # A strong potential at a coarse step, grazing the disc: past a failing
+        # step, condensed iterates and block rows land on the disc, so single-
+        # point and block gradient calls raise SingularPotential.  Each ends
+        # its block at that row for the chord iteration, so the run ends as on
+        # the chord path (measured there: step 25 stalls at max_iter = 8), in
+        # the NonConvergence naming the step, not in SingularPotential.
+        V, gV, hV, _ = obstacle_potential(0.2, 1.0, (0.0, 0.0), 3)
+        raised = []
+
+        def recorded(q):
+            try:
+                return gV(q)
+            except SingularPotential:
+                raised.append(np.ndim(q))
+                raise
+
+        C, H = second_order_phase_map(3), second_order_hamiltonian(3, V, recorded, hV)
+        z0 = np.array([-3.0, -0.8, 0.0, 1.0, 0.0, 0.0] + [0.0] * 6)
+        with pytest.raises(NonConvergence, match=r"^step 25 at t = 2\.5: one-step solve stalled"):
+            integrate(C, H, 0.1, 60, z0, max_iter=8)
+        assert 1 in raised and 2 in raised
+
+    def test_overflow_ends_in_the_typed_error_alone(self):
+        # Under the suite's error::RuntimeWarning filter: no numpy overflow
+        # warning from the condensed steps, their hand-off or the potential
+        # may escape, only the NonConvergence of the step that overflows.
+        C, H = obstacle_run()
+        z0 = np.array([-2.0, -1.5, 0.0] + [0.0] * 6 + [1e306, 0.0, 0.0])
+        with pytest.raises(NonConvergence, match="^" + re.escape("step 1896 at t = 18.96: ")):
+            integrate(C, H, 0.01, 3000, z0)
+
+    def test_two_gradient_calls_per_step(self, monkeypatch):
+        # The documented 400-step run: step 0 by the chord iteration, then two
+        # single-point gradient calls per step and one call on the rows of each
+        # block, with no other chord solve.
+        V, gV, hV, _ = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)
+        shapes, chord = [], []
+        chord_newton = geodisc.hamiltonian._chord_newton
+
+        def counted_gV(q):
+            shapes.append(np.shape(q))
+            return gV(q)
+
+        def counted_chord(*args, **kwargs):
+            before = len(shapes)
+            out = chord_newton(*args, **kwargs)
+            chord.append(len(shapes) - before)
+            return out
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counted_chord)
+        C, H = second_order_phase_map(3), second_order_hamiltonian(3, V, counted_gV, hV)
+        integrate(C, H, 0.01, 400, self.Z0, tangent=self.T0)
+        assert len(chord) == 1
+        condensed = shapes[chord[0] :]
+        assert condensed.count((3,)) == 2 * 399
+        assert sorted(s for s in condensed if s != (3,)) == [(143, 3), (256, 3)]
+
+    def test_potential_rows_equal_point_calls(self, rng):
+        V, gV, hV, clearance = obstacle_potential(0.3, 1.0, (0.2, -0.1), 3)
+        Q = rng.normal(size=(2, 25, 3))
+        Q[..., :2] *= 3.0 / np.linalg.norm(Q[..., :2], axis=-1, keepdims=True)  # outside the disc
+        for f in (V, gV, hV, clearance):
+            rows = f(Q)
+            assert rows.shape == Q.shape[:2] + np.shape(f(Q[0, 0]))
+            assert np.array_equal(rows, np.array([[f(q) for q in block] for block in Q]))
+        Q[1, 7, :2] = (0.2, -0.1)  # one row at the center
+        for f in (V, gV, hV):
+            with pytest.raises(SingularPotential):
+                f(Q)
 
 
 class TestNonFiniteEnergy:
