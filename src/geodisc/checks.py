@@ -3,7 +3,9 @@
 Each suite measures a defect against an independent reference (a closed form,
 a jet-of-curve oracle, an exactly known flow, or a structural identity) and
 reports one CheckResult per case.  Tolerances are fixed here, not configurable:
-they are part of what the suite asserts.  :func:`fourth_order_residual`
+they are part of what the suite asserts.  A case's defect is the largest over
+its samples, taken by :func:`~geodisc.numeric.worst_defect`, so a nan sample
+makes the case fail.  :func:`fourth_order_residual`
 measures the fourth-order Euler-Lagrange defect of any sampled curve.
 """
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .maps import (
 )
 from .control import obstacle_potential
 from .errors import TooFewPoints
-from .numeric import jacobian_fd
+from .numeric import row_jacobian_fd, worst_defect
 
 Array = np.ndarray
 
@@ -120,13 +122,13 @@ def closed_form_suite(rng) -> list[CheckResult]:
     tol = 1e-12
     for n in (1, 3):
         for space, C, d in (("T*Q", cotangent_lift(midpoint_map(n)), n), ("T*(TQ)", second_order_phase_map(n), 2 * n)):
-            fwd = inv = 0.0
+            fwd, inv = [], []
             for _ in range(100):
                 x = rng.normal(size=4 * d)
-                fwd = max(fwd, float(np.max(np.abs(C.forward_flat(x) - midpoint_cotangent_closed_form(x, d, False)))))
-                inv = max(inv, float(np.max(np.abs(C.inverse_flat(x) - midpoint_cotangent_closed_form(x, d, True)))))
-            out.append(_result("closed-form", f"{space} forward n={n}", fwd, tol))
-            out.append(_result("closed-form", f"{space} inverse n={n}", inv, tol))
+                fwd.append(np.max(np.abs(C.forward_flat(x) - midpoint_cotangent_closed_form(x, d, False))))
+                inv.append(np.max(np.abs(C.inverse_flat(x) - midpoint_cotangent_closed_form(x, d, True))))
+            out.append(_result("closed-form", f"{space} forward n={n}", worst_defect(fwd), tol))
+            out.append(_result("closed-form", f"{space} inverse n={n}", worst_defect(inv), tol))
     return out
 
 
@@ -145,25 +147,20 @@ def second_lift_suite(rng) -> list[CheckResult]:
     generic = replace(exact, jacobian_constant=False)  # same map, pushed as a nonlinear one
     for mode, base, tol in (("exact", exact, 1e-9), ("fd", generic, 1e-6)):
         lift = higher_order_lift(base, 2)
-        worst = 0.0
+        defects = []
         for _ in range(30):
             x = rng.normal(size=6 * n)
-            worst = max(
-                worst,
-                float(np.max(np.abs(lift.forward_flat(x) - _midpoint_second_lift_closed_form(x, n)))),
-            )
-        out.append(_result("second-lift", f"closed form ({mode} backend)", worst, tol))
+            defects.append(np.max(np.abs(lift.forward_flat(x) - _midpoint_second_lift_closed_form(x, n))))
+        out.append(_result("second-lift", f"closed form ({mode} backend)", worst_defect(defects), tol))
 
     lift = higher_order_lift(midpoint_map(n), 2)
-    worst = 0.0
+    blocks = np.block([[-0.5 * np.eye(3 * n)], [0.5 * np.eye(3 * n)]])
+    defects = []
     for _ in range(10):
         x = np.concatenate([rng.normal(size=3 * n), np.zeros(3 * n)])
         J = lift.jacobian_forward_flat(x)
-        blocks = np.block(
-            [[-0.5 * np.eye(3 * n)], [0.5 * np.eye(3 * n)]]
-        )
-        worst = max(worst, float(np.max(np.abs(J[:, 3 * n :] - blocks))))
-    out.append(_result("second-lift", "fiber-origin tangent blocks -+I/2", worst, 1e-7))
+        defects.append(np.max(np.abs(J[:, 3 * n :] - blocks)))
+    out.append(_result("second-lift", "fiber-origin tangent blocks -+I/2", worst_defect(defects), 1e-7))
     return out
 
 
@@ -188,7 +185,7 @@ def axiom_suite(rng) -> list[CheckResult]:
 
     for label, D, samples in cases:
         rep = verify_discretization_axioms(D, samples, tol=tol)
-        defect = max(rep.max_condition1, rep.max_condition2)
+        defect = worst_defect([rep.max_condition1, rep.max_condition2])
         out.append(_result("axioms", label, defect, tol))
     return out
 
@@ -206,15 +203,9 @@ def symplecto_suite(rng) -> list[CheckResult]:
 
 
 def _one_step_jacobian(C, H, h: float, z0: Array, eps: float = 1e-4) -> Array:
-    d = z0.size
-    M = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = eps
-        zp = symplectic_step(C, H, h, z0 + e, tol=1e-13)
-        zm = symplectic_step(C, H, h, z0 - e, tol=1e-13)
-        M[:, i] = (zp - zm) / (2.0 * eps)
-    return M
+    """Central differences of the one-step map at z0: the 2 d perturbed
+    starts z0 +- eps e_i are stepped as the rows of one array."""
+    return row_jacobian_fd(lambda Z: symplectic_step(C, H, h, Z, tol=1e-13), z0, eps=eps)
 
 
 def step_symplecticity_suite(rng) -> list[CheckResult]:
@@ -227,19 +218,19 @@ def step_symplecticity_suite(rng) -> list[CheckResult]:
     C = second_order_phase_map(n)
     H = second_order_hamiltonian(n)
     Om = canonical_symplectic_matrix(2 * n)
-    worst = 0.0
+    defects = []
     for _ in range(20):
         z0 = rng.normal(size=4 * n)
         M = _one_step_jacobian(C, H, h, z0)
-        worst = max(worst, float(np.max(np.abs(M.T @ Om @ M - Om))))
-    out.append(_result("step-symplecticity", "free n=1", worst, tol))
+        defects.append(np.max(np.abs(M.T @ Om @ M - Om)))
+    out.append(_result("step-symplecticity", "free n=1", worst_defect(defects), tol))
 
     n = 3
     C = second_order_phase_map(n)
     V, gV, hV, _ = obstacle_potential(1.0, 1.0, (0.0, 0.0), n)
     H = second_order_hamiltonian(n, V, gV, hV)
     Om = canonical_symplectic_matrix(2 * n)
-    worst = 0.0
+    defects = []
     for _ in range(20):
         z0 = rng.normal(size=4 * n) * 0.3
         # Keep the position comfortably outside the obstacle.
@@ -247,8 +238,8 @@ def step_symplecticity_suite(rng) -> list[CheckResult]:
         ang = rng.uniform(0.0, 2 * np.pi)
         z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
         M = _one_step_jacobian(C, H, h, z0)
-        worst = max(worst, float(np.max(np.abs(M.T @ Om @ M - Om))))
-    out.append(_result("step-symplecticity", "obstacle n=3", worst, tol))
+        defects.append(np.max(np.abs(M.T @ Om @ M - Om)))
+    out.append(_result("step-symplecticity", "obstacle n=3", worst_defect(defects), tol))
     return out
 
 
@@ -330,16 +321,28 @@ def _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared: bool
     return wdd / r - (2.0 * s * wd + (float(xid @ xid) + float(xi @ xidd)) * w) / r**3 + last
 
 
+def _memoized(curve: Callable[[float], Array]) -> Callable[[float], Array]:
+    """``curve`` evaluated once per distinct time; later calls share that value."""
+    values: dict[float, Array] = {}
+
+    def memo(t: float) -> Array:
+        if t not in values:
+            values[t] = curve(t)
+        return values[t]
+
+    return memo
+
+
 def sphere_lift_suite(rng) -> list[CheckResult]:
     """Order-2 lift of the sphere initial-point map against a jet-of-curve
-    oracle, plus informational comparisons with the two closed-form variants."""
+    oracle, plus informational comparisons with the two closed-form variants.
+    Each sample's curve is evaluated once per stencil time; its jet and both
+    oracles read those values."""
     out = []
     lift = higher_order_lift(sphere_initial_point_map(), 2)
-    worst = 0.0
-    worst_lin = 0.0
-    worst_sq = 0.0
+    defects, lin_defects, sq_defects = [], [], []
     for _ in range(50):
-        curve = _sphere_tangent_curve(rng)
+        curve = _memoized(_sphere_tangent_curve(rng))
         j_in = jet_of_curve(curve, 2)
         xt = unzip_jet_tangent(j_in)
         jm, jp = lift.forward(xt)
@@ -355,11 +358,8 @@ def sphere_lift_suite(rng) -> list[CheckResult]:
 
         om = jet_of_curve(minus_curve, 2)
         op = jet_of_curve(plus_curve, 2)
-        d = max(
-            float(np.max(np.abs(jm.flat() - om.flat()))),
-            float(np.max(np.abs(jp.flat() - op.flat()))),
-        )
-        worst = max(worst, d)
+        defects.append(np.max(np.abs(jm.flat() - om.flat())))
+        defects.append(np.max(np.abs(jp.flat() - op.flat())))
 
         q, xi = j_in.slot(0)[:3], j_in.slot(0)[3:]
         qd, xid = j_in.slot(1)[:3], j_in.slot(1)[3:]
@@ -367,14 +367,14 @@ def sphere_lift_suite(rng) -> list[CheckResult]:
         ref = jp.slot(2)
         lin = _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared=False)
         sq = _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared=True)
-        worst_lin = max(worst_lin, float(np.max(np.abs(lin - ref))))
-        worst_sq = max(worst_sq, float(np.max(np.abs(sq - ref))))
-    out.append(_result("sphere-lift", "jet-of-curve oracle (50 points)", worst, 1e-7))
+        lin_defects.append(np.max(np.abs(lin - ref)))
+        sq_defects.append(np.max(np.abs(sq - ref)))
+    out.append(_result("sphere-lift", "jet-of-curve oracle (50 points)", worst_defect(defects), 1e-7))
     out.append(
-        _result("sphere-lift", "closed-form variant, squared final term", worst_sq, 1e-6, info=True)
+        _result("sphere-lift", "closed-form variant, squared final term", worst_defect(sq_defects), 1e-6, info=True)
     )
     out.append(
-        _result("sphere-lift", "closed-form variant, linear final term", worst_lin, 1e-6, info=True)
+        _result("sphere-lift", "closed-form variant, linear final term", worst_defect(lin_defects), 1e-6, info=True)
     )
     return out
 

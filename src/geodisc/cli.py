@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import read_csv_columns, write_trajectory_csv, write_xy_svg, _atomic_write_text
-from .checks import run_all
+from .checks import SUITES, run_all
 from .control import make_free_spline, make_obstacle_problem, shoot, simulate
 from .errors import (
     BadDiscretization,
@@ -129,6 +129,17 @@ class ExperimentConfig:
             raise ConfigError("tol must be nonnegative")
         if not all(0 < h <= 1 for h in self.h_values):
             raise ConfigError(f"convergence steps must lie in (0, 1], the horizon being 1; got {list(self.h_values)}")
+        if len(self.h_values) < 2 or len(set(self.h_values)) < len(self.h_values):
+            raise ConfigError(
+                f"the convergence suite compares step sizes: give at least two, all distinct; got {list(self.h_values)}"
+            )
+        if self.suites:
+            unknown = [name for name in self.suites if name not in SUITES]
+            if unknown:
+                raise ConfigError(f"unknown suite(s): {', '.join(unknown)} (want one of {', '.join(SUITES)})")
+            repeated = sorted({name for name in self.suites if self.suites.count(name) > 1})
+            if repeated:
+                raise ConfigError(f"suite(s) given more than once: {', '.join(repeated)}")
         self.base_map(1)  # validates the discretization string
         n = self.dim
         if self.problem == "se2" and n != 3:
@@ -164,7 +175,9 @@ def _coerce_field(name: str, value):
     if name == "suites":
         if isinstance(value, str):
             value = [s for s in re.split(r"[,\s]+", value.strip()) if s]
-        return list(value)
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise ConfigError(f"suites: expected a list of suite names, got {value!r}")
+        return value
     if name in ("n", "steps", "seed"):
         try:
             return int(value)
@@ -305,10 +318,7 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
 
 
 def cmd_check(cfg: ExperimentConfig) -> int:
-    try:
-        results = run_all(seed=cfg.seed, suites=cfg.suites, h_values=cfg.h_values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = run_all(seed=cfg.seed, suites=cfg.suites, h_values=cfg.h_values)
     payload = json.dumps([r.as_dict() for r in results], indent=2)
     print(payload)
     if cfg.json_out:

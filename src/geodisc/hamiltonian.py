@@ -27,6 +27,14 @@ Any other base takes w from the lifted map's inverse in the same formula.
 The remainder and its gradient and Hessian take points q of shape (..., n),
 one per row; a 1-D q is one point.
 
+:func:`symplectic_step` takes one start or rows of starts (k, 4n).  On an
+affine lifted map all rows go through the module's one chord iteration
+(:func:`_chord_newton`) at once: residual rows from stacked matrix-vector
+products, one chord Jacobian per row at its own start with the Hessians
+taken in one call and inverted in one batched call, and each row stopped
+against its own tolerance floor, so every row gets the bits of a one-start
+call.  Any other map steps the rows one at a time.
+
 :func:`integrate` takes a step by one of three paths: the chord Newton
 iteration on the closed-form Jacobian of R, inverted once and reused (every
 step on a non-affine lifted map, step 0 of every run, and any step a fast
@@ -43,7 +51,6 @@ variational equation) gives the exact step derivative dz1/dz0, which
 """
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,7 +60,7 @@ import numpy as np
 
 from .errors import GeodiscError, NonConvergence, SingularJacobian
 from .lifts import CotangentLiftedMap, canonical_symplectic_matrix
-from .numeric import as_vector
+from .numeric import as_vector, matvec
 
 Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
@@ -251,14 +258,21 @@ def step_residual(
 
     z0 is checked here, once per step; the residual evaluates the folded
     blocks, or the unchecked flat inverse of the lifted map when that is not
-    affine.  ``blocks`` passes the matrices built once per run for this
-    (C, H, h); without it they are built here."""
+    affine.  On an affine lifted map z0 may also be rows (k, 4n), one start
+    per row, and the residual then maps rows z1 of the same shape to one
+    residual row each.  ``blocks`` passes the matrices built once per run for
+    this (C, H, h); without it they are built here."""
     if blocks is None:
         blocks = _StepBlocks(C, H, h)
     d = C.dim
-    z0 = as_vector(z0, name="z0")
-    if z0.size != 2 * d:
-        raise ValueError(f"phase points have {2 * d} coordinates, got {z0.size}")
+    if np.ndim(z0) == 2 and blocks.LK is not None:
+        z0 = np.asarray(z0, dtype=float)
+        if not np.isfinite(z0).all():
+            raise ValueError("z0 contains non-finite entries")
+    else:
+        z0 = as_vector(z0, name="z0")
+    if z0.shape[-1] != 2 * d:
+        raise ValueError(f"phase points have {2 * d} coordinates, got {z0.shape[-1]}")
     n, grad = d // 2, H.grad_remainder
     rows = slice(d, d + n)  # the pdot rows of q: the only nonzero rows of -h JJ grad U
 
@@ -275,14 +289,14 @@ def step_residual(
         return residual
 
     A1, Kq1 = blocks.A1, blocks.Kq1
-    b = blocks.A0 @ z0 + blocks.c
+    b = matvec(blocks.A0, z0) + blocks.c
     if grad is None:
-        return lambda z1: A1 @ z1 + b
-    bq = blocks.Kq0 @ z0 + blocks.kq
+        return lambda z1: matvec(A1, z1) + b
+    bq = matvec(blocks.Kq0, z0) + blocks.kq
 
     def residual(z1: Array) -> Array:
-        R = A1 @ z1 + b
-        R[rows] += h * grad(Kq1 @ z1 + bq)
+        R = matvec(A1, z1) + b
+        R[..., rows] += h * grad(matvec(Kq1, z1) + bq)
         return R
 
     return residual
@@ -303,22 +317,24 @@ def _step_jacobian(
     h Hess U(q) K[:n] (n = d / 2) on the pdot rows of q (the p0 rows of the
     second-order system).  Its z1 block is the chord Jacobian.
     With an affine inverse L K is the prebuilt ``blocks.LK`` (returned
-    read-only when there is no remainder)."""
+    read-only when there is no remainder), and (z0, z1) may be rows: with a
+    remainder the result is then one Jacobian per row, the Hessians taken in
+    one call."""
     if blocks is None:
         blocks = _StepBlocks(C, H, h)
     hess, n = H.hess_remainder, C.dim // 2
-    y = np.concatenate([z0, z1])
+    y = np.concatenate([z0, z1], axis=-1)
     if blocks.LK is None:
         K = C.inverse_jacobian_flat(y)
         A, Kq = blocks.L @ K, K[:n]
         q = None if hess is None else C.inverse_flat(y)[:n]
     else:
         A, Kq = blocks.LK, blocks.Kq
-        q = None if hess is None else Kq @ y + blocks.kq
+        q = None if hess is None else matvec(Kq, y) + blocks.kq
     if hess is None:
         return A
-    A = A.copy()
-    A[C.dim : C.dim + n] += h * (hess(q) @ Kq)
+    A = np.array(np.broadcast_to(A, q.shape[:-1] + A.shape))
+    A[..., C.dim : C.dim + n, :] += h * (hess(q) @ Kq)
     return A
 
 
@@ -332,53 +348,77 @@ def _inverse(J: Array) -> Array:
 def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, max_iter: int):
     """Newton iteration reusing one inverted Jacobian, refreshed only on stalls.
 
-    ``jacobian(x)`` is the residual's Jacobian at x; it is inverted once per
-    refresh and applied by matrix-vector products.  ``J_inv`` is a carried
-    inverse (None to start from the Jacobian at x0).  Returns (solution,
-    inverse_used) so callers integrating many steps can carry it across
-    steps.  The tolerance never goes below 8 eps ||x0||_inf, the rounding
-    level of the state (for tol = 1e-12 that floor takes over above
-    ||x0||_inf ~ 560).  The first residual that is not finite ends the
-    attempt: iterating from it would only spread inf and nan.
-    """
-    tol = max(tol, 8.0 * _EPS * float(np.abs(x0).max()))
-    x = x0
-    r = residual(x)
-    norm = float(np.abs(r).max())
-    best_x, best_norm = x, norm
+    x0 is one point or rows (k, m), one system per row: ``residual`` maps x
+    to residuals of the same shape, and ``jacobian(x)`` gives the residual's
+    Jacobian at x, one matrix per row or one shared by all.  Each Jacobian
+    is inverted once per refresh (all rows in one batched call) and applied
+    by matrix-vector products.  ``J_inv`` is a carried inverse (None to start
+    from the Jacobian at x0).  Returns (solution, inverse_used) so callers
+    integrating many steps can carry it across steps.
 
-    def failed(reason: str, iterations: int) -> NonConvergence:
+    Every row runs the iteration it would run alone: its own tolerance,
+    never below 8 eps ||x0_i||_inf, the rounding level of its state (for
+    tol = 1e-12 that floor takes over above ||x0_i||_inf ~ 560); its own
+    Jacobian refresh when it contracts too slowly; and one last correction
+    once within its tolerance, after which it stays fixed.  The first
+    residual that is not finite ends the attempt: iterating from it would
+    only spread inf and nan.  A stall or a non-finite residual raises
+    NonConvergence for the first row it hits, named when x0 has rows.
+    """
+    tol = np.maximum(tol, 8.0 * _EPS * np.abs(x0).max(axis=-1))
+    x = solution = x0
+    r = residual(x)
+    norm = np.abs(r).max(axis=-1)
+    best_x, best_norm = x, norm
+    open_rows = np.ones(norm.shape, dtype=bool)  # 0-d for one point
+
+    def failed(reason: str, iterations: int, rows: Array) -> NonConvergence:
+        i = () if x.ndim == 1 else int(np.flatnonzero(rows)[0])
+        where = "" if x.ndim == 1 else f" of row {i}"
         return NonConvergence(
-            f"one-step solve {reason} (tol {tol:.1e})",
-            x_best=best_x.copy(),
-            residual_norm=best_norm,
+            f"one-step solve{where} {reason.format(best=best_norm[i])} (tol {tol[i]:.1e})",
+            x_best=best_x[i].copy(),
+            residual_norm=float(best_norm[i]),
             iterations=iterations,
         )
 
-    if not math.isfinite(norm):
-        raise failed("met a non-finite residual at its starting point", 0)
-    refreshed = J_inv is None
+    bad = ~np.isfinite(norm)
+    if bad.any():
+        raise failed("met a non-finite residual at its starting point", 0, bad)
+    refreshed = np.full(norm.shape, J_inv is None)
     if J_inv is None:
         J_inv = _inverse(jacobian(x))
-    for it in range(max_iter):
-        if norm <= tol:
+    it = 0
+    while True:
+        step = matvec(J_inv, r)
+        done = open_rows & (norm <= tol)
+        if done.any():
             # One last correction so long integrations are not limited by tol.
-            return x - J_inv @ r, J_inv
-        x = x - J_inv @ r
+            solution = np.where(done[..., None], x - step, solution)
+            open_rows = open_rows & ~done
+            if not open_rows.any():
+                return solution, J_inv
+        if it == max_iter:
+            raise failed("stalled at residual {best:.3e}", max_iter, open_rows)
+        it += 1
+        x = np.where(open_rows[..., None], x - step, x)
         r = residual(x)
-        new_norm = float(np.abs(r).max())
-        if not math.isfinite(new_norm):
-            raise failed(f"met a non-finite residual at iteration {it + 1}, best residual {best_norm:.3e}", it + 1)
-        if new_norm < best_norm:
-            best_x, best_norm = x, new_norm
-        if new_norm > 0.5 * norm and new_norm > tol and not refreshed:
-            # Insufficient contraction: the carried Jacobian is stale.
-            J_inv = _inverse(jacobian(x))
-            refreshed = True
-        norm = new_norm
-    if norm <= tol:
-        return x - J_inv @ r, J_inv
-    raise failed(f"stalled at residual {best_norm:.3e}", max_iter)
+        new_norm = np.abs(r).max(axis=-1)
+        bad = open_rows & ~np.isfinite(new_norm)
+        if bad.any():
+            raise failed(f"met a non-finite residual at iteration {it}, best residual {{best:.3e}}", it, bad)
+        better = open_rows & (new_norm < best_norm)
+        best_x = np.where(better[..., None], x, best_x)
+        best_norm = np.where(better, new_norm, best_norm)
+        stale = open_rows & (new_norm > 0.5 * norm) & (new_norm > tol) & ~refreshed
+        if stale.any():
+            # Insufficient contraction: the carried Jacobian is stale.  Only
+            # the stale rows are re-inverted (a 0-d flag indexes one point).
+            shape = x.shape + x.shape[-1:]
+            J_inv = np.array(np.broadcast_to(J_inv, shape))
+            J_inv[stale] = _inverse(np.broadcast_to(jacobian(x), shape)[stale])
+            refreshed = refreshed | stale
+        norm = np.where(open_rows, new_norm, norm)
 
 
 def symplectic_step(
@@ -389,15 +429,21 @@ def symplectic_step(
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> Array:
-    """Advance one step of size h from the phase point z0 (flat, length 4n).
+    """Advance one step of size h from the phase point z0 (flat, length 4n),
+    or from every row of z0 (shape (k, 4n)); the result has z0's shape.
 
     The Newton iteration starts from z1 = z0 and reuses the closed-form
     Jacobian of the residual at that point (exact for the affine systems
-    arising from midpoint-family lifts), inverted once."""
-    z0 = as_vector(z0, name="z0")
+    arising from midpoint-family lifts), inverted once.  On an affine lifted
+    map all rows go through one chord iteration, each against its own
+    tolerance and with its own Jacobian; on any other map the rows are
+    stepped one at a time, the composed inverse taking one point."""
+    if np.ndim(z0) == 2 and C.affine_inverse is None:
+        return np.array([symplectic_step(C, H, h, z, tol, max_iter) for z in np.asarray(z0, dtype=float)])
     blocks = _StepBlocks(C, H, h)
     residual = step_residual(C, H, h, z0, blocks=blocks)
-    chord = lambda z1: _step_jacobian(C, H, h, z0, z1, blocks=blocks)[:, 2 * C.dim :]
+    z0 = np.asarray(z0, dtype=float)
+    chord = lambda z1: _step_jacobian(C, H, h, z0, z1, blocks=blocks)[..., 2 * C.dim :]
     z1, _ = _chord_newton(residual, chord, z0, None, tol, max_iter)
     return z1
 

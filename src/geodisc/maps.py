@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainViolation
-from .numeric import as_vector, jacobian_fd
+from .numeric import as_vector, jacobian_fd, worst_defect
 
 Array = np.ndarray
 
@@ -347,11 +347,11 @@ class AxiomReport:
 
     @property
     def max_condition1(self) -> float:
-        return max((e.condition1_defect for e in self.entries), default=0.0)
+        return worst_defect([e.condition1_defect for e in self.entries])
 
     @property
     def max_condition2(self) -> float:
-        return max((e.condition2_defect for e in self.entries), default=0.0)
+        return worst_defect([e.condition2_defect for e in self.entries])
 
     def __str__(self):
         status = "ok" if self.passed else "FAILED"
@@ -374,14 +374,15 @@ def verify_discretization_axioms(D: DiscretizationMap, samples, tol: float = 1e-
         q = as_vector(q, name="sample")
         zero = np.zeros(D.dim)
         a, b = D.forward(q, zero)
-        c1 = max(float(np.max(np.abs(a - q))), float(np.max(np.abs(b - q))))
+        c1 = worst_defect([np.max(np.abs(a - q)), np.max(np.abs(b - q))])
         frame = D.fiber_frame(q)
         step = eps * max(1.0, float(np.max(np.abs(q))))
-        c2 = 0.0
+        fiber_defects = []
         for u in D.fiber_basis(q):
             ap, bp = D.forward(q, step * u)
             am, bm = D.forward(q, -step * u)
             diff = ((bp - bm) - (ap - am)) / (2.0 * step)
-            c2 = max(c2, float(np.max(np.abs(diff - frame @ u))))
+            fiber_defects.append(np.max(np.abs(diff - frame @ u)))
+        c2 = worst_defect(fiber_defects)
         entries.append(AxiomCheckEntry(i, c1, c2, c1 <= tol and c2 <= tol))
     return AxiomReport(name=D.name, tol=tol, entries=tuple(entries))

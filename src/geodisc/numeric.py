@@ -1,13 +1,15 @@
 """Small dense numerics: Newton solves, finite differences, Taylor-mode derivatives.
 
-Everything operates on plain 1-d numpy arrays and is pure. The rest of the
-package builds its maps, lifts and integrators on top of these helpers, so the
-conventions fixed here (central differences, infinity-norm stopping tests)
+Everything operates on plain 1-d numpy arrays and is pure; :func:`matvec` and
+:func:`row_jacobian_fd` also take stacks of points, one per row. The rest of
+the package builds its maps, lifts and integrators on top of these helpers, so
+the conventions fixed here (central differences, infinity-norm stopping tests)
 propagate everywhere.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +45,22 @@ def as_vector(x, *, name: str = "value") -> Array:
     if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def matvec(A: Array, x: Array) -> Array:
+    """A x for one point x (1-d) or for every row of x (shape (..., m));
+    ``A`` is one matrix or one per row.  The rows go through the same
+    matrix-vector kernel as a single point, so each row gets the bits of a
+    one-point call (a matrix-matrix product rounds differently)."""
+    return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
+
+
+def worst_defect(values) -> float:
+    """Largest of ``values``, 0.0 for none, and nan when any value is nan:
+    the builtin ``max`` keeps its first argument against a nan, which would
+    let a nan defect pass a ``<= tol`` test."""
+    a = np.asarray(values, dtype=float)
+    return float(a.max()) if a.size else 0.0
 
 
 def _eval_vector(f, x) -> Array:
@@ -83,6 +101,21 @@ def jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
         dx[j] = eps
         cols.append((_eval_vector(f, x + dx) - _eval_vector(f, x - dx)) / (2.0 * eps))
     return np.column_stack(cols)
+
+
+def row_jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
+    """:func:`jacobian_fd` for an ``f`` that maps a stack of points, one per
+    row, to one row each: the 2 n probes x +- eps e_j go to ``f`` as one
+    array.  Same step, same quotient, same bits as :func:`jacobian_fd` when
+    every row of f's output equals its one-point value."""
+    x = as_vector(x, name="x")
+    if eps is None:
+        eps = default_fd_step(x)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    E = eps * np.eye(x.size)
+    Y = np.asarray(f(np.vstack([x + E, x - E])), dtype=float)
+    return np.ascontiguousarray(((Y[: x.size] - Y[x.size :]) / (2.0 * eps)).T)
 
 
 def _damped_update(residual, x, r, step, max_halvings=40):
@@ -214,17 +247,28 @@ _FD_ORDER_STEP = {1: 1e-3, 2: 2e-3, 3: 5e-3, 4: 1.5e-2}
 _FD_HALF_WIDTH = {1: 2, 2: 2, 3: 3, 4: 3}
 
 
+@lru_cache(maxsize=64)
+def _fd_stencil(r: int, scale: float) -> tuple[Array, Array]:
+    """Offsets and weights of the order-r stencil at time scale ``scale``."""
+    h = _FD_ORDER_STEP[r] * scale
+    s = _FD_HALF_WIDTH[r]
+    offsets = np.arange(-s, s + 1) * h
+    w = fd_weights(offsets, r)
+    offsets.setflags(write=False)
+    w.setflags(write=False)
+    return offsets, w
+
+
 def _taylor_fd(f, t0: float, order: int) -> list[Array]:
-    out = [_eval_vector(f, t0)]
+    """f(t0) is evaluated once and serves every stencil's zero offset."""
+    f0 = _eval_vector(f, t0)
+    out = [f0]
     scale = max(1.0, abs(t0))
     for r in range(1, order + 1):
-        h = _FD_ORDER_STEP[r] * scale
-        s = _FD_HALF_WIDTH[r]
-        offsets = np.arange(-s, s + 1) * h
-        w = fd_weights(offsets, r)
-        acc = np.zeros_like(out[0])
+        offsets, w = _fd_stencil(r, scale)
+        acc = np.zeros_like(f0)
         for off, wi in zip(offsets, w):
-            acc = acc + wi * _eval_vector(f, t0 + off)
+            acc = acc + wi * (f0 if off == 0.0 else _eval_vector(f, t0 + off))
         out.append(acc)
     return out
 

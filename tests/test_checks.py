@@ -61,3 +61,41 @@ def test_sphere_lift_reports_both_variants():
     assert not any(r.failed for r in infos)  # informational by construction
     checked = [r for r in results if r.status != "info"]
     assert checked and all(r.status == "pass" for r in checked)
+
+
+def test_sphere_lift_evaluates_each_curve_once_per_stencil_time(monkeypatch):
+    import geodisc.checks as checks
+
+    plain = sphere_lift_suite(np.random.default_rng(7))  # memoized, as shipped
+    monkeypatch.setattr(checks, "_memoized", lambda curve: curve)
+    unmemoized = sphere_lift_suite(np.random.default_rng(7))
+    assert [r.defect for r in plain] == [r.defect for r in unmemoized]
+
+    make_curve, evaluations = checks._sphere_tangent_curve, []
+
+    def counted(rng):
+        curve = make_curve(rng)
+        return lambda t: evaluations.append(t) or curve(t)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "_sphere_tangent_curve", counted)
+    sphere_lift_suite(np.random.default_rng(7))
+    # Per sample: t = 0, +-1e-3, +-2e-3 (the order-1 stencil) and +-4e-3
+    # (the order-2 stencil, whose +-2e-3 points are the same times).
+    assert len(evaluations) == 50 * 7
+
+
+def test_nan_sample_fails_its_case(monkeypatch):
+    import geodisc.checks as checks
+
+    closed_form, calls = checks.midpoint_cotangent_closed_form, []
+
+    def nan_once(x, d, inverse):
+        calls.append(1)
+        y = closed_form(x, d, inverse)
+        return y * np.nan if len(calls) == 5 else y
+
+    monkeypatch.setattr(checks, "midpoint_cotangent_closed_form", nan_once)
+    results = run_all(suites=["closed-form"])
+    assert [r.status for r in results] == ["fail"] + ["pass"] * 7
+    assert np.isnan(results[0].defect)

@@ -209,13 +209,20 @@ class TestMalformedInput:
             ["check", "--suite", "convergence", "--h", "0,0.1"],
             ["check", "--suite", "convergence", "--h", "2,1"],
             ["simulate", "--config", "null-h.json", "--init=" + SE2_INIT],
+            ["check", "--suite", "convergence", "--h", "0.04"],
+            ["check", "--suite", "convergence", "--h", "0.02,0.02"],
+            ["check", "--suite", "convergence", "--suite", "convergence"],
+            ["check", "--suite", "bogus"],
+            ["check", "--config", "suites-5.json"],
         ],
         ids=[
-            "center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan", "h-zero", "h-2", "json-null"
+            "center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan", "h-zero", "h-2", "json-null",
+            "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number",
         ],
     )
     def test_is_one_config_error_line(self, capsys, args, isolated):
         (isolated / "null-h.json").write_text('{"h": null}')
+        (isolated / "suites-5.json").write_text('{"suites": 5}')
         rc = cli.main(args)
         err = capsys.readouterr().err
         assert rc == 2
@@ -250,6 +257,15 @@ class TestCheck:
         rc = cli.main(["check", "--suite", "closed-form"])
         assert rc == 1
         assert "1 failures" in capsys.readouterr().err
+
+    def test_nan_defect_fails_the_command(self, monkeypatch, capsys):
+        closed_form = checks.midpoint_cotangent_closed_form
+        nan_at = lambda x, d, inverse: closed_form(x, d, inverse) * (np.nan if x[0] > 2.0 else 1.0)
+        monkeypatch.setattr(checks, "midpoint_cotangent_closed_form", nan_at)
+        assert cli.main(["check", "--suite", "closed-form"]) == 1
+        out, err = capsys.readouterr()
+        assert "failures" in err and "0 failures" not in err
+        assert any(c["status"] == "fail" and c["defect"] != c["defect"] for c in json.loads(out))
 
     def test_unknown_suite_is_config_error(self, capsys):
         assert cli.main(["check", "--suite", "bogus"]) == 2

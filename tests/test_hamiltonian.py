@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 import geodisc
 from geodisc.checks import _one_step_jacobian, fourth_order_residual
 from geodisc.control import obstacle_potential
-from geodisc.errors import NonConvergence, SingularPotential, TooFewPoints
+from geodisc.errors import NonConvergence, SingularJacobian, SingularPotential, TooFewPoints
 from geodisc.hamiltonian import (
     HamiltonianSystem,
     Trajectory,
@@ -123,6 +124,146 @@ class TestSymplecticStep:
         assert np.allclose(mdot[n:], h * p1_mid, atol=1e-10)          # qdot1 - qdot0
         assert np.allclose(pdot[:n], h * gV(q_mid), atol=1e-10)       # p0_1 - p0_0
         assert np.allclose(pdot[n:], -h * p0_mid, atol=1e-10)         # p1_1 - p1_0
+
+
+def row_starts(n, k, rng, obstacle=False):
+    """k random starts; with ``obstacle`` the positions sit 0.8 to 2.3 outside the unit disc."""
+    Z = rng.normal(size=(k, 4 * n)) * (0.3 if obstacle else 1.0)
+    if obstacle:
+        rho, ang = rng.uniform(1.8, 3.3, size=k), rng.uniform(0.0, 2 * np.pi, size=k)
+        Z[:, 0], Z[:, 1] = rho * np.cos(ang), rho * np.sin(ang)
+    return Z
+
+
+def wobbly_system(n=1, amplitude=1e-3):
+    """The free system plus a remainder whose gradient is +-``amplitude``,
+    flipping sign on every call, for q > 0.5 and 0 elsewhere, with a zero
+    Hessian: a start beyond q = 0.5 makes the chord iteration stall at a
+    residual of about h * amplitude."""
+    C, H0 = free_setup(n)
+    flips = itertools.count()
+    grad = lambda q: np.where(q > 0.5, amplitude * (-1.0) ** next(flips), 0.0)
+    hess = lambda q: np.zeros(np.shape(q) + (n,))
+    return C, HamiltonianSystem(dim=2 * n, S0=H0.S0, remainder=lambda q: 0.0 * q[..., 0],
+                                grad_remainder=grad, hess_remainder=hess)
+
+
+class TestRowSteps:
+    """symplectic_step on rows (k, 4n): one chord iteration for all rows on
+    an affine lifted map, one point at a time on any other."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "case",
+        ["midpoint n=1", "theta:0.3 n=3", "obstacle n=3", "non-affine n=1"],
+    )
+    def test_rows_match_one_row_calls(self, case, rng):
+        if case == "midpoint n=1":
+            (C, H), Z = free_setup(1), row_starts(1, 24, rng)
+        elif case == "theta:0.3 n=3":
+            C, H = second_order_phase_map(3, base=theta_map(3, 0.3)), second_order_hamiltonian(3)
+            Z = row_starts(3, 24, rng)
+        elif case == "obstacle n=3":
+            (C, H), Z = obstacle_setup(), row_starts(3, 24, rng, obstacle=True)
+        else:
+            C = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
+            H, Z = second_order_hamiltonian(1), row_starts(1, 6, rng)
+        Z[-1] *= 1e6  # one row far above the absolute tolerance: its own floor must hold
+        Z1 = symplectic_step(C, H, 0.01, Z)
+        assert Z1.shape == Z.shape
+        for z0, z1 in zip(Z, Z1):
+            one = symplectic_step(C, H, 0.01, z0)
+            assert np.max(np.abs(z1 - one)) <= 4 * self.EPS * np.max(np.abs(one))
+
+    def test_affine_rows_make_one_chord_iteration(self, monkeypatch, rng):
+        C, H = obstacle_setup()
+        calls = []
+        chord_newton = geodisc.hamiltonian._chord_newton
+
+        def counting(*args):
+            calls.append(args[2].shape)
+            return chord_newton(*args)
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counting)
+        symplectic_step(C, H, 0.01, row_starts(3, 10, rng, obstacle=True))
+        assert calls == [(10, 12)]
+
+    def test_stalled_row_raises_nonconvergence_naming_it(self, rng):
+        C, H = wobbly_system()
+        Z = row_starts(1, 5, rng) * 0.1
+        Z[3, 0] = 0.9
+        with pytest.raises(NonConvergence, match=r"one-step solve of row 3 stalled") as info:
+            symplectic_step(C, H, 0.1, Z, max_iter=20)
+        assert info.value.x_best.shape == (4,) and info.value.iterations == 20
+        with pytest.raises(NonConvergence, match=r"^one-step solve stalled"):
+            symplectic_step(C, H, 0.1, Z[3], max_iter=20)
+        symplectic_step(C, H, 0.1, np.delete(Z, 3, axis=0), max_iter=20)  # the other rows converge
+
+    def test_each_row_stops_against_its_own_floor(self, rng):
+        # Row 0 stalls near 1e-10, above its floor 1e-12; row 1's floor,
+        # 8 eps ||z0||_inf ~ 1.8e-9, would accept that residual.
+        C, H = wobbly_system(amplitude=1e-9)
+        Z = np.array([[0.9, 0.1, 0.0, 0.2], [-1e6, 0.0, 0.0, 0.0]])
+        with pytest.raises(NonConvergence, match=r"of row 0 stalled at residual .* \(tol 1\.0e-12\)"):
+            symplectic_step(C, H, 0.1, Z, max_iter=20)
+        symplectic_step(C, H, 0.1, Z[1:], max_iter=20)
+
+    def test_nonfinite_row_residual_raises(self, rng):
+        C, H0 = free_setup()
+        H = HamiltonianSystem(dim=2, S0=H0.S0, remainder=lambda q: 0.0 * q[..., 0],
+                              grad_remainder=lambda q: np.where(q > 0.5, np.inf, 0.0),
+                              hess_remainder=lambda q: np.zeros(np.shape(q) + (1,)))
+        Z = row_starts(1, 4, rng) * 0.1
+        Z[2, 0] = 0.9
+        with pytest.raises(NonConvergence, match=r"of row 2 met a non-finite residual at its starting point"):
+            symplectic_step(C, H, 0.1, Z)
+
+    def test_row_on_the_disc_raises_singular_potential(self, rng):
+        C, H = obstacle_setup()
+        Z = row_starts(3, 6, rng, obstacle=True)
+        Z[4, :2] = (0.5, 0.1)
+        with pytest.raises(SingularPotential):
+            symplectic_step(C, H, 0.01, Z)
+
+    def test_singular_row_jacobian_raises(self, monkeypatch, rng):
+        C, H = obstacle_setup()
+        step_jacobian = geodisc.hamiltonian._step_jacobian
+
+        def one_singular(*args, **kwargs):
+            A = step_jacobian(*args, **kwargs).copy()
+            A[1] = 0.0
+            return A
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_step_jacobian", one_singular)
+        with pytest.raises(SingularJacobian):
+            symplectic_step(C, H, 0.01, row_starts(3, 3, rng, obstacle=True))
+
+    def test_one_step_jacobian_steps_its_probes_as_one_array(self, monkeypatch, rng):
+        import geodisc.checks
+
+        for C, H, z0 in (
+            (*free_setup(1), rng.normal(size=4)),
+            (*obstacle_setup(), row_starts(3, 1, rng, obstacle=True)[0]),
+        ):
+            reference = np.empty((z0.size, z0.size))
+            for i in range(z0.size):
+                e = np.zeros(z0.size)
+                e[i] = 1e-4
+                zp = symplectic_step(C, H, 0.01, z0 + e, tol=1e-13)
+                zm = symplectic_step(C, H, 0.01, z0 - e, tol=1e-13)
+                reference[:, i] = (zp - zm) / 2e-4
+            calls = []
+
+            def counting(*args, **kwargs):
+                calls.append(np.shape(args[3]))
+                return symplectic_step(*args, **kwargs)
+
+            monkeypatch.setattr(geodisc.checks, "symplectic_step", counting)
+            M = _one_step_jacobian(C, H, 0.01, z0)
+            monkeypatch.undo()
+            assert calls == [(2 * z0.size, z0.size)]
+            assert np.max(np.abs(M - reference)) <= 1e-12
 
 
 class TestIntegrate:

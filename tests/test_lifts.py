@@ -210,6 +210,45 @@ class TestAffineForward:
         assert calls == ["forward", "jacobian", "solve"]
 
 
+class TestAffineRows:
+    """The affine flat maps of a cotangent lift on rows (..., 4d)."""
+
+    @AFFINE_CASES
+    def test_rows_match_one_row_calls(self, C, rng):
+        eps = np.finfo(float).eps
+        X = rng.normal(size=(2, 15, 4 * C.dim)) * 10.0 ** rng.integers(-3, 4, size=(2, 15, 1))
+        for flat, (M, _) in ((C.forward_flat, C.affine_forward), (C.inverse_flat, C.affine_inverse)):
+            Y = flat(X)
+            assert Y.shape == X.shape
+            for x, y in zip(X.reshape(-1, 4 * C.dim), Y.reshape(-1, 4 * C.dim)):
+                bound = 2 * eps * np.linalg.norm(M, np.inf) * np.max(np.abs(x))
+                assert np.max(np.abs(y - flat(x))) <= bound
+
+    @AFFINE_CASES
+    def test_symplectomorphism_rows_path_matches_jacobian_fd(self, C, rng):
+        from geodisc.numeric import row_jacobian_fd
+
+        for _ in range(5):
+            x = rng.normal(size=4 * C.dim)
+            assert np.max(np.abs(row_jacobian_fd(C.forward_flat, x) - jacobian_fd(C.forward_flat, x))) <= 1e-12
+        samples = [rng.normal(size=4 * C.dim) for _ in range(5)]
+        report = check_symplectomorphism(C, samples)
+        target, pair = tangent_lifted_symplectic_matrix(C.dim), pair_symplectic_matrix(C.dim)
+        for x, defect in zip(samples, report.defects):
+            S = jacobian_fd(C.forward_flat, x)
+            assert abs(defect - np.max(np.abs(S.T @ pair @ S - target))) <= 1e-12
+
+    def test_symplectomorphism_probes_in_one_call(self, monkeypatch, rng):
+        C = second_order_phase_map(3)
+        shapes = []
+        forward = C.forward_flat
+        monkeypatch.setattr(C, "forward_flat", lambda x: shapes.append(np.shape(x)) or forward(x))
+        check_symplectomorphism(C, [rng.normal(size=24) for _ in range(3)])
+        assert shapes == [(48, 24)] * 3
+        with pytest.raises(ValueError, match="eps must be positive"):
+            check_symplectomorphism(C, [rng.normal(size=24)], eps=0.0)
+
+
 class TestExactLiftedInverseJets:
     """A non-constant-Jacobian base with a closed-form Jacobian: the lift's
     inverse takes its jets with the inverse of that Jacobian, not by finite
@@ -269,6 +308,26 @@ class TestSymplecticStructure:
 
         report = check_symplectomorphism(Scaled(), [rng.normal(size=8) for _ in range(3)])
         assert not report.passed
+
+
+    def test_nan_defect_fails_the_report(self, rng):
+        class NanAtSecondSample:
+            """The midpoint lift, except that it returns nan near the second sample."""
+
+            dim = 2
+
+            def __init__(self, bad):
+                self.bad = bad
+
+            def forward_flat(self, x):
+                y = midpoint_cotangent_closed_form(x, 2, inverse=False)
+                return y * np.nan if np.max(np.abs(x - self.bad)) < 1e-3 else y
+
+        samples = [rng.normal(size=8) for _ in range(2)]
+        report = check_symplectomorphism(NanAtSecondSample(samples[1]), samples)
+        assert report.defects[0] < 1e-9 and np.isnan(report.defects[1])
+        assert np.isnan(report.max_defect) and not report.passed
+        assert "FAILED" in str(report)
 
 
 class TestSphereLift:

@@ -7,11 +7,15 @@ import pytest
 
 from geodisc.errors import DomainViolation, NonConvergence, SingularJacobian, UnsupportedOrder
 from geodisc.numeric import (
+    _FD_HALF_WIDTH,
+    _FD_ORDER_STEP,
     TaylorScalar,
     fd_weights,
     jacobian_fd,
     newton_solve,
+    row_jacobian_fd,
     taylor_derivatives,
+    worst_defect,
 )
 
 
@@ -63,6 +67,50 @@ class TestTaylorDerivatives:
         f = lambda t: np.array([t])
         with pytest.raises(UnsupportedOrder):
             taylor_derivatives(f, 0.0, 5)
+
+
+class TestFdStencils:
+    @staticmethod
+    def reference(f, t0, order):
+        """Every stencil built and every point evaluated afresh, f(t0) included."""
+        out = [np.atleast_1d(np.asarray(f(t0), dtype=float))]
+        scale = max(1.0, abs(t0))
+        for r in range(1, order + 1):
+            offsets = np.arange(-_FD_HALF_WIDTH[r], _FD_HALF_WIDTH[r] + 1) * (_FD_ORDER_STEP[r] * scale)
+            acc = np.zeros_like(out[0])
+            for off, wi in zip(offsets, fd_weights(offsets, r)):
+                acc = acc + wi * np.atleast_1d(np.asarray(f(t0 + off), dtype=float))
+            out.append(acc)
+        return out
+
+    @pytest.mark.parametrize("t0", [0.0, 0.3, -2.5])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bit_identical_to_fresh_stencils(self, t0, order):
+        f = lambda t: np.array([np.sin(3 * t), np.exp(t) / (2 + t * t)])
+        got = taylor_derivatives(f, t0, order)
+        want = self.reference(f, t0, order)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_order_two_takes_nine_evaluations(self):
+        times = []
+        taylor_derivatives(lambda t: times.append(t) or np.array([t * t]), 0.0, 2)
+        assert len(times) == 9 and times.count(0.0) == 1
+
+
+class TestRowHelpers:
+    def test_worst_defect_keeps_nan(self):
+        assert np.isnan(worst_defect([1e-12, float("nan")]))  # max(1e-12, nan) is 1e-12
+        assert np.isnan(worst_defect([float("nan"), 1e-12]))
+        assert worst_defect([3e-12, 1e-12]) == 3e-12 and worst_defect([]) == 0.0
+
+    def test_row_jacobian_fd_matches_jacobian_fd(self):
+        f = lambda X: np.stack([X[..., 0] * X[..., 1], np.sin(X[..., 2]) - X[..., 0]], axis=-1)
+        x = np.array([0.3, -0.7, 1.1])
+        J = row_jacobian_fd(f, x)
+        assert np.array_equal(J, jacobian_fd(lambda v: f(v[None])[0], x))
+        assert J.flags.c_contiguous
+        with pytest.raises(ValueError, match="eps must be positive"):
+            row_jacobian_fd(f, x, eps=-1e-6)
 
 
 class TestTaylorScalar:
