@@ -5,7 +5,9 @@ a jet-of-curve oracle, an exactly known flow, or a structural identity) and
 reports one CheckResult per case.  Tolerances are fixed here, not configurable:
 they are part of what the suite asserts.  A case's defect is the largest over
 its samples, taken by :func:`~geodisc.numeric.worst_defect`, so a nan sample
-makes the case fail.  :func:`fourth_order_residual`
+makes the case fail.  A suite draws all its samples first, in one stream
+order per seed, and sends them through each map, lift or jet as the rows of
+one array.  :func:`fourth_order_residual`
 measures the fourth-order Euler-Lagrange defect of any sampled curve.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .hamiltonian import second_order_hamiltonian, integrate, symplectic_step
-from .jets import JetTangent, jet_of_curve, unzip_jet_tangent
+from .jets import jet_of_curve, unzip_jet_tangent
 from .lifts import (
     canonical_symplectic_matrix,
     check_symplectomorphism,
@@ -34,7 +36,7 @@ from .maps import (
 )
 from .control import obstacle_potential
 from .errors import TooFewPoints
-from .numeric import row_jacobian_fd, worst_defect
+from .numeric import row_jacobian_fd, rowdot, worst_defect
 
 Array = np.ndarray
 
@@ -73,30 +75,23 @@ def _result(suite: str, case: str, defect: float, tol: float, info: bool = False
 # samplers
 
 
-def _random_sphere_point(rng, scale: float = 0.4) -> tuple[Array, Array]:
-    q = rng.normal(size=3)
-    q /= np.linalg.norm(q)
-    xi = rng.normal(size=3) * scale
-    xi -= (q @ xi) * q
-    return q, xi
+def _sphere_tangent_curves(rng, count: int, scale: float = 0.3) -> Callable[[float], Array]:
+    """``count`` smooth curves t -> (q(t), xi(t)) in the tangent bundle of the
+    sphere, one row each: a normalized polynomial base curve with a
+    projected polynomial fiber."""
+    R = rng.normal(size=(count, 21))  # per curve: a, then the rows of B and of Cf
+    a = R[:, :3] / np.sqrt(rowdot(R[:, :3], R[:, :3]))[:, None]
+    B = R[:, 3:12].reshape(count, 3, 3) * scale
+    Cf = R[:, 12:].reshape(count, 3, 3) * scale
 
+    def curves(t: float) -> Array:
+        v = a + B[:, 0] * t + B[:, 1] * t * t + B[:, 2] * t**3
+        q = v / np.sqrt(rowdot(v, v))[:, None]
+        raw = Cf[:, 0] + Cf[:, 1] * t + Cf[:, 2] * t * t
+        xi = raw - rowdot(q, raw)[:, None] * q
+        return np.concatenate([q, xi], axis=-1)
 
-def _sphere_tangent_curve(rng, scale: float = 0.3) -> Callable[[float], Array]:
-    """Smooth curve t -> (q(t), xi(t)) in the tangent bundle of the sphere:
-    a normalized polynomial base curve with a projected polynomial fiber."""
-    a = rng.normal(size=3)
-    a /= np.linalg.norm(a)
-    B = rng.normal(size=(3, 3)) * scale
-    Cf = rng.normal(size=(3, 3)) * scale
-
-    def curve(t: float) -> Array:
-        v = a + B[0] * t + B[1] * t * t + B[2] * t**3
-        q = v / np.linalg.norm(v)
-        raw = Cf[0] + Cf[1] * t + Cf[2] * t * t
-        xi = raw - (q @ raw) * q
-        return np.concatenate([q, xi])
-
-    return curve
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +103,10 @@ def midpoint_cotangent_closed_form(x: Array, d: int, inverse: bool) -> Array:
     is a midpoint average (forward) or average/difference pair (inverse).
     At d = 2n it is also the closed form of ``second_order_phase_map(n)``,
     the cotangent lift of the first-order lift of the midpoint rule on R^n."""
-    a, b, c, e = x[:d], x[d : 2 * d], x[2 * d : 3 * d], x[3 * d :]
+    a, b, c, e = x[..., :d], x[..., d : 2 * d], x[..., 2 * d : 3 * d], x[..., 3 * d :]
     if inverse:
-        return np.concatenate([0.5 * (a + c), 0.5 * (b + e), c - a, e - b])
-    return np.concatenate([a - 0.5 * c, b - 0.5 * e, a + 0.5 * c, b + 0.5 * e])
+        return np.concatenate([0.5 * (a + c), 0.5 * (b + e), c - a, e - b], axis=-1)
+    return np.concatenate([a - 0.5 * c, b - 0.5 * e, a + 0.5 * c, b + 0.5 * e], axis=-1)
 
 
 def closed_form_suite(rng) -> list[CheckResult]:
@@ -122,20 +117,18 @@ def closed_form_suite(rng) -> list[CheckResult]:
     tol = 1e-12
     for n in (1, 3):
         for space, C, d in (("T*Q", cotangent_lift(midpoint_map(n)), n), ("T*(TQ)", second_order_phase_map(n), 2 * n)):
-            fwd, inv = [], []
-            for _ in range(100):
-                x = rng.normal(size=4 * d)
-                fwd.append(np.max(np.abs(C.forward_flat(x) - midpoint_cotangent_closed_form(x, d, False))))
-                inv.append(np.max(np.abs(C.inverse_flat(x) - midpoint_cotangent_closed_form(x, d, True))))
-            out.append(_result("closed-form", f"{space} forward n={n}", worst_defect(fwd), tol))
-            out.append(_result("closed-form", f"{space} inverse n={n}", worst_defect(inv), tol))
+            X = rng.normal(size=(100, 4 * d))
+            fwd = np.max(np.abs(C.forward_flat(X) - midpoint_cotangent_closed_form(X, d, False)))
+            inv = np.max(np.abs(C.inverse_flat(X) - midpoint_cotangent_closed_form(X, d, True)))
+            out.append(_result("closed-form", f"{space} forward n={n}", fwd, tol))
+            out.append(_result("closed-form", f"{space} inverse n={n}", inv, tol))
     return out
 
 
 def _midpoint_second_lift_closed_form(x: Array, n: int) -> Array:
     """Slotwise q_r -+ v_r / 2 on a flat order-2 tangent jet."""
-    base, fiber = x[: 3 * n], x[3 * n :]
-    return np.concatenate([base - fiber / 2.0, base + fiber / 2.0])
+    base, fiber = x[..., : 3 * n], x[..., 3 * n :]
+    return np.concatenate([base - fiber / 2.0, base + fiber / 2.0], axis=-1)
 
 
 def second_lift_suite(rng) -> list[CheckResult]:
@@ -146,21 +139,15 @@ def second_lift_suite(rng) -> list[CheckResult]:
     exact = midpoint_map(n)
     generic = replace(exact, jacobian_constant=False)  # same map, pushed as a nonlinear one
     for mode, base, tol in (("exact", exact, 1e-9), ("fd", generic, 1e-6)):
-        lift = higher_order_lift(base, 2)
-        defects = []
-        for _ in range(30):
-            x = rng.normal(size=6 * n)
-            defects.append(np.max(np.abs(lift.forward_flat(x) - _midpoint_second_lift_closed_form(x, n))))
-        out.append(_result("second-lift", f"closed form ({mode} backend)", worst_defect(defects), tol))
+        X = rng.normal(size=(30, 6 * n))
+        defect = np.max(np.abs(higher_order_lift(base, 2).forward_flat(X) - _midpoint_second_lift_closed_form(X, n)))
+        out.append(_result("second-lift", f"closed form ({mode} backend)", defect, tol))
 
     lift = higher_order_lift(midpoint_map(n), 2)
     blocks = np.block([[-0.5 * np.eye(3 * n)], [0.5 * np.eye(3 * n)]])
-    defects = []
-    for _ in range(10):
-        x = np.concatenate([rng.normal(size=3 * n), np.zeros(3 * n)])
-        J = lift.jacobian_forward_flat(x)
-        defects.append(np.max(np.abs(J[:, 3 * n :] - blocks)))
-    out.append(_result("second-lift", "fiber-origin tangent blocks -+I/2", worst_defect(defects), 1e-7))
+    X = np.concatenate([rng.normal(size=(10, 3 * n)), np.zeros((10, 3 * n))], axis=-1)
+    defect = np.max(np.abs(lift.jacobian_forward_flat(X)[..., 3 * n :] - blocks))
+    out.append(_result("second-lift", "fiber-origin tangent blocks -+I/2", defect, 1e-7))
     return out
 
 
@@ -168,20 +155,21 @@ def axiom_suite(rng) -> list[CheckResult]:
     """Both defining conditions of every shipped discretization map."""
     tol = 1e-7
     out = []
-    flat = [rng.uniform(-2.0, 2.0, size=2) for _ in range(25)]
+    flat = rng.uniform(-2.0, 2.0, size=(25, 2))
     cases: list[tuple[str, object, list]] = [("midpoint n=2", midpoint_map(2), flat)]
     for theta in (0.0, 0.25, 0.5, 1.0):
         cases.append((f"theta={theta}", theta_map(2, theta), flat))
 
-    sphere_pts = [_random_sphere_point(rng)[0] for _ in range(25)]
+    drawn = rng.normal(size=(25, 2, 3))  # per sample: a point, then a tangent draw left unused
+    sphere_pts = drawn[:, 0] / np.sqrt(rowdot(drawn[:, 0], drawn[:, 0]))[:, None]
     cases.append(("sphere initial-point", sphere_initial_point_map(), sphere_pts))
     cases.append(("sphere geodesic-midpoint", sphere_geodesic_midpoint_map(), sphere_pts))
 
-    se2_pts = [np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2.0, 2.0)]) for _ in range(25)]
+    se2_pts = rng.uniform(-2.0, 2.0, size=(25, 3))
     cases.append(("se2 exponential", se2_exp_map(), se2_pts))
 
     lifted = second_order_phase_map(1).as_discretization_map()
-    cases.append(("cotangent-lifted midpoint on T*(TQ)", lifted, [rng.normal(size=4) for _ in range(25)]))
+    cases.append(("cotangent-lifted midpoint on T*(TQ)", lifted, rng.normal(size=(25, 4))))
 
     for label, D, samples in cases:
         rep = verify_discretization_axioms(D, samples, tol=tol)
@@ -196,50 +184,43 @@ def symplecto_suite(rng) -> list[CheckResult]:
     tol = 1e-6
     for n in (1, 3):
         C = second_order_phase_map(n)
-        samples = [rng.normal(size=8 * n) for _ in range(100)]
-        rep = check_symplectomorphism(C, samples, tol=tol)
+        rep = check_symplectomorphism(C, rng.normal(size=(100, 8 * n)), tol=tol)
         out.append(_result("symplectomorphism", f"lifted midpoint n={n}", rep.max_defect, tol))
     return out
 
 
 def _one_step_jacobian(C, H, h: float, z0: Array, eps: float = 1e-4) -> Array:
-    """Central differences of the one-step map at z0: the 2 d perturbed
-    starts z0 +- eps e_i are stepped as the rows of one array."""
-    return row_jacobian_fd(lambda Z: symplectic_step(C, H, h, Z, tol=1e-13), z0, eps=eps)
+    """Central differences of the one-step map at z0, or at every row of z0:
+    the 2 d perturbed starts z0 +- eps e_i of all rows are stepped as the
+    rows of one array."""
+    d = np.shape(z0)[-1]
+    step = lambda Z: symplectic_step(C, H, h, Z.reshape(-1, d), tol=1e-13).reshape(Z.shape)
+    return row_jacobian_fd(step, z0, eps=eps)
 
 
 def step_symplecticity_suite(rng) -> list[CheckResult]:
     """M^T Omega M = Omega for the one-step map, free and obstacle systems."""
-    out = []
-    tol = 1e-6
-    h = 0.01
-
-    n = 1
-    C = second_order_phase_map(n)
-    H = second_order_hamiltonian(n)
-    Om = canonical_symplectic_matrix(2 * n)
-    defects = []
-    for _ in range(20):
-        z0 = rng.normal(size=4 * n)
-        M = _one_step_jacobian(C, H, h, z0)
-        defects.append(np.max(np.abs(M.T @ Om @ M - Om)))
-    out.append(_result("step-symplecticity", "free n=1", worst_defect(defects), tol))
-
-    n = 3
-    C = second_order_phase_map(n)
-    V, gV, hV, _ = obstacle_potential(1.0, 1.0, (0.0, 0.0), n)
-    H = second_order_hamiltonian(n, V, gV, hV)
-    Om = canonical_symplectic_matrix(2 * n)
-    defects = []
-    for _ in range(20):
-        z0 = rng.normal(size=4 * n) * 0.3
+    free = rng.normal(size=(20, 4))
+    obstacle = []
+    for _ in range(20):  # normal and uniform draws interleave per sample
+        z0 = rng.normal(size=12) * 0.3
         # Keep the position comfortably outside the obstacle.
         rho = 1.8 + rng.uniform(0.0, 1.5)
         ang = rng.uniform(0.0, 2 * np.pi)
         z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
-        M = _one_step_jacobian(C, H, h, z0)
-        defects.append(np.max(np.abs(M.T @ Om @ M - Om)))
-    out.append(_result("step-symplecticity", "obstacle n=3", worst_defect(defects), tol))
+        obstacle.append(z0)
+    V, gV, hV, _ = obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)
+    C, H = second_order_phase_map(3), second_order_hamiltonian(3, V, gV, hV)
+    jacobians = (
+        ("free n=1", _one_step_jacobian(second_order_phase_map(1), second_order_hamiltonian(1), 0.01, free)),
+        # One sample (24 rows) per call: the chord iteration of a nonlinear
+        # step holds a 12 x 24 Jacobian per row, 1.8 MB for all 480 rows.
+        ("obstacle n=3", np.array([_one_step_jacobian(C, H, 0.01, z0) for z0 in obstacle])),
+    )
+    out = []
+    for case, M in jacobians:
+        Om = canonical_symplectic_matrix(M.shape[-1] // 2)
+        out.append(_result("step-symplecticity", case, np.max(np.abs(np.swapaxes(M, -1, -2) @ Om @ M - Om)), 1e-6))
     return out
 
 
@@ -308,17 +289,24 @@ def fourth_order_residual(q, h: float, grad_potential=None) -> Array:
     return np.max(np.abs(r), axis=1)
 
 
+def _scalar_pow(r: Array, p: int) -> Array:
+    """r ** p per element by the scalar power: numpy's array power takes a
+    vector kernel whose last bit can differ from it."""
+    return np.array([x**p for x in r.ravel().tolist()]).reshape(r.shape)
+
+
 def _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared: bool) -> Array:
-    """Closed form for the second t-derivative of (q + xi)/|q + xi| along a
-    tangent-bundle curve.  ``squared`` selects the (xi . xid)^2 variant of the
-    final term; the linear variant is kept for an informational comparison."""
+    """Closed form for the second t-derivative of (q + xi)/|q + xi| along
+    tangent-bundle curves, one per row.  ``squared`` selects the
+    (xi . xid)^2 variant of the final term; the linear variant is kept for an
+    informational comparison."""
     w = q + xi
     wd = qd + xid
     wdd = qdd + xidd
-    r = np.linalg.norm(w)
-    s = float(xi @ xid)
-    last = (s * s if squared else s) * 3.0 * w / r**5
-    return wdd / r - (2.0 * s * wd + (float(xid @ xid) + float(xi @ xidd)) * w) / r**3 + last
+    r = np.sqrt(rowdot(w, w))[:, None]
+    s = rowdot(xi, xid)[:, None]
+    last = (s * s if squared else s) * 3.0 * w / _scalar_pow(r, 5)
+    return wdd / r - (2.0 * s * wd + (rowdot(xid, xid) + rowdot(xi, xidd))[:, None] * w) / _scalar_pow(r, 3) + last
 
 
 def _memoized(curve: Callable[[float], Array]) -> Callable[[float], Array]:
@@ -336,46 +324,31 @@ def _memoized(curve: Callable[[float], Array]) -> Callable[[float], Array]:
 def sphere_lift_suite(rng) -> list[CheckResult]:
     """Order-2 lift of the sphere initial-point map against a jet-of-curve
     oracle, plus informational comparisons with the two closed-form variants.
-    Each sample's curve is evaluated once per stencil time; its jet and both
-    oracles read those values."""
+    The 50 sample curves are evaluated together, as rows, once per stencil
+    time; their jets and both oracles read those values."""
     out = []
     lift = higher_order_lift(sphere_initial_point_map(), 2)
-    defects, lin_defects, sq_defects = [], [], []
-    for _ in range(50):
-        curve = _memoized(_sphere_tangent_curve(rng))
-        j_in = jet_of_curve(curve, 2)
-        xt = unzip_jet_tangent(j_in)
-        jm, jp = lift.forward(xt)
+    curves = _memoized(_sphere_tangent_curves(rng, 50))
+    j_in = jet_of_curve(curves, 2)
+    jm, jp = lift.forward(unzip_jet_tangent(j_in))
 
-        # Oracle: push the curve through the map pointwise, then take its jet.
-        def minus_curve(t: float, c=curve) -> Array:
-            return c(t)[:3]
+    # Oracle: push the curves through the map pointwise, then take their jets.
+    def plus_curves(t: float) -> Array:
+        z = curves(t)
+        w = z[:, :3] + z[:, 3:]
+        return w / np.sqrt(rowdot(w, w))[:, None]
 
-        def plus_curve(t: float, c=curve) -> Array:
-            z = c(t)
-            w = z[:3] + z[3:]
-            return w / np.linalg.norm(w)
+    om = jet_of_curve(lambda t: curves(t)[:, :3], 2)
+    op = jet_of_curve(plus_curves, 2)
+    defect = worst_defect([np.max(np.abs(jm.flat() - om.flat())), np.max(np.abs(jp.flat() - op.flat()))])
 
-        om = jet_of_curve(minus_curve, 2)
-        op = jet_of_curve(plus_curve, 2)
-        defects.append(np.max(np.abs(jm.flat() - om.flat())))
-        defects.append(np.max(np.abs(jp.flat() - op.flat())))
-
-        q, xi = j_in.slot(0)[:3], j_in.slot(0)[3:]
-        qd, xid = j_in.slot(1)[:3], j_in.slot(1)[3:]
-        qdd, xidd = j_in.slot(2)[:3], j_in.slot(2)[3:]
-        ref = jp.slot(2)
-        lin = _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared=False)
-        sq = _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared=True)
-        lin_defects.append(np.max(np.abs(lin - ref)))
-        sq_defects.append(np.max(np.abs(sq - ref)))
-    out.append(_result("sphere-lift", "jet-of-curve oracle (50 points)", worst_defect(defects), 1e-7))
-    out.append(
-        _result("sphere-lift", "closed-form variant, squared final term", worst_defect(sq_defects), 1e-6, info=True)
-    )
-    out.append(
-        _result("sphere-lift", "closed-form variant, linear final term", worst_defect(lin_defects), 1e-6, info=True)
-    )
+    (q, xi), (qd, xid), (qdd, xidd) = [np.split(j_in.slot(r), 2, axis=-1) for r in range(3)]
+    ref = jp.slot(2)
+    lin = _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared=False)
+    sq = _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared=True)
+    out.append(_result("sphere-lift", "jet-of-curve oracle (50 points)", defect, 1e-7))
+    out.append(_result("sphere-lift", "closed-form variant, squared final term", np.max(np.abs(sq - ref)), 1e-6, info=True))
+    out.append(_result("sphere-lift", "closed-form variant, linear final term", np.max(np.abs(lin - ref)), 1e-6, info=True))
     return out
 
 
@@ -391,17 +364,34 @@ SUITES: dict[str, Callable] = {
 }
 
 
+def validate_run(suites: Iterable[str] | None, h_values: Sequence[float]) -> list[str]:
+    """The suites a run makes, in order (every suite when none is named).
+    Raises ValueError on an unknown or repeated suite, and unless the
+    convergence steps are at least two distinct values in (0, 1], the
+    horizon being 1."""
+    if not all(0 < h <= 1 for h in h_values):
+        raise ValueError(f"convergence steps must lie in (0, 1], the horizon being 1; got {list(h_values)}")
+    if len(h_values) < 2 or len(set(h_values)) < len(h_values):
+        raise ValueError(
+            f"the convergence suite compares step sizes: give at least two, all distinct; got {list(h_values)}"
+        )
+    names = list(suites) if suites else list(SUITES)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite(s): {', '.join(unknown)} (want one of {', '.join(SUITES)})")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"suite(s) given more than once: {', '.join(repeated)}")
+    return names
+
+
 def run_all(
     seed: int = 0,
     suites: Iterable[str] | None = None,
     h_values: Sequence[float] = (0.04, 0.02, 0.01),
 ) -> list[CheckResult]:
-    names = list(suites) if suites else list(SUITES)
-    unknown = [s for s in names if s not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
     results: list[CheckResult] = []
-    for name in names:
+    for name in validate_run(suites, h_values):
         fn = SUITES[name]
         if name == "convergence":
             results.extend(fn(h_values))

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import read_csv_columns, write_trajectory_csv, write_xy_svg, _atomic_write_text
-from .checks import SUITES, run_all
+from .checks import run_all, validate_run
 from .control import make_free_spline, make_obstacle_problem, shoot, simulate
 from .errors import (
     BadDiscretization,
@@ -127,19 +127,10 @@ class ExperimentConfig:
             raise ConfigError(f"the obstacle center needs 2 numbers, got {self.center.size}")
         if self.tol < 0:
             raise ConfigError("tol must be nonnegative")
-        if not all(0 < h <= 1 for h in self.h_values):
-            raise ConfigError(f"convergence steps must lie in (0, 1], the horizon being 1; got {list(self.h_values)}")
-        if len(self.h_values) < 2 or len(set(self.h_values)) < len(self.h_values):
-            raise ConfigError(
-                f"the convergence suite compares step sizes: give at least two, all distinct; got {list(self.h_values)}"
-            )
-        if self.suites:
-            unknown = [name for name in self.suites if name not in SUITES]
-            if unknown:
-                raise ConfigError(f"unknown suite(s): {', '.join(unknown)} (want one of {', '.join(SUITES)})")
-            repeated = sorted({name for name in self.suites if self.suites.count(name) > 1})
-            if repeated:
-                raise ConfigError(f"suite(s) given more than once: {', '.join(repeated)}")
+        try:
+            validate_run(self.suites, self.h_values)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self.base_map(1)  # validates the discretization string
         n = self.dim
         if self.problem == "se2" and n != 3:
@@ -173,11 +164,10 @@ def _coerce_field(name: str, value):
     if name == "h_values":
         return tuple(float(v) for v in _parse_floats(value, name))
     if name == "suites":
-        if isinstance(value, str):
-            value = [s for s in re.split(r"[,\s]+", value.strip()) if s]
-        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        items = [value] if isinstance(value, str) else value
+        if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
             raise ConfigError(f"suites: expected a list of suite names, got {value!r}")
-        return value
+        return [s for item in items for s in re.split(r"[,\s]+", item.strip()) if s]
     if name in ("n", "steps", "seed"):
         try:
             return int(value)

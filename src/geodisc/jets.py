@@ -2,8 +2,9 @@
 
 A ``Jet`` of order k stores the raw derivatives (c(0), c'(0), ..., c^(k)(0))
 of a curve c: R -> R^n; slot r is the plain r-th derivative, not the Taylor
-coefficient.  ``to_normalized`` / ``from_normalized`` convert between the two
-scalings.
+coefficient.  A slot is one vector (n,) or a stack of them (..., n), one jet
+per row; jets of row-valued curves, zipping and the chain backend keep the
+rows apart, each with the bits of its one-point value.
 
 ``jet_pushforward`` maps the jet of c to the jet of F o c.  Two backends:
 
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .numeric import MAX_TAYLOR_ORDER, _eval_vector, jacobian_fd, taylor_derivatives
+from .numeric import MAX_TAYLOR_ORDER, _eval_vector, jacobian_fd, matvec, rowdot, taylor_derivatives
 
 Array = np.ndarray
 
@@ -32,22 +33,19 @@ def _coerce_slots(slots) -> tuple[Array, ...]:
     out = []
     for s in slots:
         v = np.atleast_1d(np.asarray(s, dtype=float))
-        if v.ndim != 1:
-            raise ValueError(f"jet slot must be a vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("jet slot contains non-finite entries")
         out.append(v)
     if not out:
         raise ValueError("a jet needs at least the order-zero slot")
-    dim = out[0].size
-    if any(v.size != dim for v in out):
-        raise ValueError("jet slots must share one dimension")
+    if any(v.shape != out[0].shape for v in out):
+        raise ValueError("jet slots must share one shape")
     return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
 class Jet:
-    """Order-k jet of a curve in R^n, stored as raw derivatives."""
+    """Order-k jet of a curve in R^n (or one per row), stored as raw derivatives."""
 
     derivs: Sequence
 
@@ -60,30 +58,20 @@ class Jet:
 
     @property
     def dim(self) -> int:
-        return self.derivs[0].size
+        return self.derivs[0].shape[-1]
 
     def slot(self, r: int) -> Array:
         return self.derivs[r]
 
     def flat(self) -> Array:
-        return np.concatenate(self.derivs)
+        return np.concatenate(self.derivs, axis=-1)
 
     @classmethod
     def from_flat(cls, x, order: int, dim: int) -> "Jet":
-        x = np.asarray(x, dtype=float)
-        if x.size != (order + 1) * dim:
-            raise ValueError(f"expected {(order + 1) * dim} entries, got {x.size}")
-        return cls(tuple(x[r * dim : (r + 1) * dim] for r in range(order + 1)))
-
-
-def to_normalized(j: Jet) -> Jet:
-    """Rescale slot r by 1/r!, turning derivatives into Taylor coefficients."""
-    return Jet(tuple(d / math.factorial(r) for r, d in enumerate(j.derivs)))
-
-
-def from_normalized(j: Jet) -> Jet:
-    """Inverse of :func:`to_normalized`."""
-    return Jet(tuple(d * math.factorial(r) for r, d in enumerate(j.derivs)))
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape[-1] != (order + 1) * dim:
+            raise ValueError(f"expected {(order + 1) * dim} entries, got {x.shape[-1]}")
+        return cls(tuple(x[..., r * dim : (r + 1) * dim] for r in range(order + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +86,8 @@ class JetTangent:
         object.__setattr__(self, "fiber", _coerce_slots(self.fiber))
         if len(self.fiber) != len(self.base.derivs):
             raise ValueError("fiber must have one velocity per jet slot")
-        if self.fiber[0].size != self.base.dim:
-            raise ValueError("fiber dimension must match the base jet")
+        if self.fiber[0].shape != self.base.derivs[0].shape:
+            raise ValueError("fiber shape must match the base jet")
 
     @property
     def order(self) -> int:
@@ -110,17 +98,17 @@ class JetTangent:
         return self.base.dim
 
     def flat(self) -> Array:
-        return np.concatenate([self.base.flat(), np.concatenate(self.fiber)])
+        return np.concatenate([self.base.flat(), *self.fiber], axis=-1)
 
     @classmethod
     def from_flat(cls, x, order: int, dim: int) -> "JetTangent":
-        x = np.asarray(x, dtype=float)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         half = (order + 1) * dim
-        if x.size != 2 * half:
-            raise ValueError(f"expected {2 * half} entries, got {x.size}")
+        if x.shape[-1] != 2 * half:
+            raise ValueError(f"expected {2 * half} entries, got {x.shape[-1]}")
         return cls(
-            Jet.from_flat(x[:half], order, dim),
-            tuple(x[half + r * dim : half + (r + 1) * dim] for r in range(order + 1)),
+            Jet.from_flat(x[..., :half], order, dim),
+            tuple(x[..., half + r * dim : half + (r + 1) * dim] for r in range(order + 1)),
         )
 
 
@@ -131,7 +119,7 @@ def zip_jet_tangent(xt: JetTangent) -> Jet:
     In flat coordinates this is a pure permutation; its inverse is
     :func:`unzip_jet_tangent`.
     """
-    return Jet(tuple(np.concatenate([b, f]) for b, f in zip(xt.base.derivs, xt.fiber)))
+    return Jet(tuple(np.concatenate([b, f], axis=-1) for b, f in zip(xt.base.derivs, xt.fiber)))
 
 
 def unzip_jet_tangent(j: Jet) -> JetTangent:
@@ -140,32 +128,34 @@ def unzip_jet_tangent(j: Jet) -> JetTangent:
         raise ValueError("need an even-dimensional jet to unzip")
     n = j.dim // 2
     return JetTangent(
-        Jet(tuple(d[:n] for d in j.derivs)),
-        tuple(d[n:] for d in j.derivs),
+        Jet(tuple(d[..., :n] for d in j.derivs)),
+        tuple(d[..., n:] for d in j.derivs),
     )
 
 
 def jet_of_curve(c: Callable[[float], Array], order: int, method: str = "fd") -> Jet:
-    """Order-k jet of a black-box curve at t = 0."""
+    """Order-k jet of a black-box curve at t = 0; a curve whose values are
+    (..., n) rows gives one jet per row."""
     return Jet(tuple(taylor_derivatives(c, 0.0, order, method=method)))
 
 
 def directional_second_derivative(F, x: Array, u: Array) -> Array:
-    """d^2/dt^2 F(x + t u) at t = 0 via a fourth-order central stencil.
+    """d^2/dt^2 F(x + t u) at t = 0 via a fourth-order central stencil, at one
+    point or along every row of (..., n) arrays, with a step per row.
 
-    The probe direction is normalized so the step size is independent of |u|.
+    The probe direction is normalized so the step size is independent of |u|;
+    a zero direction gives zero.
     """
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
-        return np.zeros_like(_eval_vector(F, x))
-    e = u / nu
-    h = 6e-3 * max(1.0, float(np.max(np.abs(x))))
+    nu = np.sqrt(rowdot(u, u))[..., None]
+    e = u / np.where(nu == 0.0, 1.0, nu)
+    h = 6e-3 * np.maximum(1.0, np.max(np.abs(x), axis=-1, keepdims=True))
     v0 = _eval_vector(F, x)
     v1p = _eval_vector(F, x + h * e)
     v1m = _eval_vector(F, x - h * e)
     v2p = _eval_vector(F, x + 2 * h * e)
     v2m = _eval_vector(F, x - 2 * h * e)
-    return (-v2p + 16 * v1p - 30 * v0 + 16 * v1m - v2m) / (12 * h * h) * (nu * nu)
+    d2 = (-v2p + 16 * v1p - 30 * v0 + 16 * v1m - v2m) / (12 * h * h) * (nu * nu)
+    return np.where(nu == 0.0, 0.0, d2)
 
 
 def jet_pushforward(
@@ -191,13 +181,13 @@ def jet_pushforward(
         slots = [_eval_vector(F, x0)]
         if k >= 1:
             J = np.asarray(jacobian(x0), dtype=float) if jacobian is not None else jacobian_fd(F, x0)
-            slots.append(J @ j.derivs[1])
+            slots.append(matvec(J, j.derivs[1]))
         if k >= 2:
             if second_directional is not None:
                 s2 = np.atleast_1d(np.asarray(second_directional(x0, j.derivs[1]), dtype=float))
             else:
                 s2 = directional_second_derivative(F, x0, j.derivs[1])
-            slots.append(s2 + J @ j.derivs[2])
+            slots.append(s2 + matvec(J, j.derivs[2]))
         return Jet(tuple(slots))
     if method == "curve":
         if k > MAX_TAYLOR_ORDER:

@@ -11,6 +11,10 @@ maps on embedded or group manifolds the fiber has its own meaning (tangent
 vectors to the sphere, body velocities on SE(2)); ``fiber_basis`` and
 ``fiber_frame`` tell the checker which directions to probe and how fiber
 vectors are identified with chart tangent vectors.
+
+Every function a map is built from takes one point (shape (dim,)) or a stack
+of points (shape (..., dim)), and gives each row the bits of its one-point
+value; so do the map's flat, checked and fiber views.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainViolation
-from .numeric import as_vector, jacobian_fd, worst_defect
+from .numeric import as_vector, matvec, row_jacobian_fd, rowdot, worst_defect
 
 Array = np.ndarray
 
@@ -40,7 +44,7 @@ class DiscretizationMap:
     affine maps), which downstream lifts exploit for exact derivative handling.
     ``validate_fn`` guards the structured entry points; the unchecked
     ``*_flat`` variants skip it so that lifts and finite differences may probe
-    the smooth ambient extension.
+    the smooth ambient extension.  All of them take (..., dim) rows.
     """
 
     dim: int
@@ -48,58 +52,65 @@ class DiscretizationMap:
     inverse_fn: Callable[[Array, Array], tuple[Array, Array]]
     jacobian_fn: Callable[[Array, Array], Array] | None = None
     jacobian_constant: bool = False
-    fiber_basis_fn: Callable[[Array], list[Array]] | None = None
+    fiber_basis_fn: Callable[[Array], Array] | None = None
     fiber_frame_fn: Callable[[Array], Array] | None = None
     validate_fn: Callable[[Array, Array], None] | None = None
     name: str = ""
 
-    def forward(self, q, v) -> tuple[Array, Array]:
-        q = as_vector(q, name="q")
-        v = as_vector(v, name="v")
-        if q.size != self.dim or v.size != self.dim:
+    def _points(self, x, name: str) -> Array:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        if x.shape[-1] != self.dim:
             raise ValueError(f"{self.name or 'map'} expects vectors of length {self.dim}")
+        return x
+
+    def forward(self, q, v) -> tuple[Array, Array]:
+        """Checked forward: finite inputs and outputs, ``validate_fn`` on every row."""
+        q, v = self._points(q, "q"), self._points(v, "v")
         if self.validate_fn is not None:
             self.validate_fn(q, v)
         a, b = self.forward_fn(q, v)
-        return as_vector(a, name="q_minus"), as_vector(b, name="q_plus")
+        return self._points(a, "q_minus"), self._points(b, "q_plus")
 
     def inverse(self, q_minus, q_plus) -> tuple[Array, Array]:
-        a = as_vector(q_minus, name="q_minus")
-        b = as_vector(q_plus, name="q_plus")
-        q, v = self.inverse_fn(a, b)
-        return as_vector(q, name="q"), as_vector(v, name="v")
+        q, v = self.inverse_fn(self._points(q_minus, "q_minus"), self._points(q_plus, "q_plus"))
+        return self._points(q, "q"), self._points(v, "v")
 
     # -- flat views used by lifts and finite differences -----------------
     def forward_flat(self, x) -> Array:
         x = np.asarray(x, dtype=float)
-        a, b = self.forward_fn(x[: self.dim], x[self.dim :])
-        return np.concatenate([np.atleast_1d(a), np.atleast_1d(b)])
+        a, b = self.forward_fn(x[..., : self.dim], x[..., self.dim :])
+        return np.concatenate([np.atleast_1d(a), np.atleast_1d(b)], axis=-1)
 
     def inverse_flat(self, y) -> Array:
         y = np.asarray(y, dtype=float)
-        q, v = self.inverse_fn(y[: self.dim], y[self.dim :])
-        return np.concatenate([np.atleast_1d(q), np.atleast_1d(v)])
+        q, v = self.inverse_fn(y[..., : self.dim], y[..., self.dim :])
+        return np.concatenate([np.atleast_1d(q), np.atleast_1d(v)], axis=-1)
 
     def jacobian_forward_flat(self, x) -> Array:
         """d(q_minus, q_plus)/d(q, v) at x = (q, v), closed form if available,
         else central FD."""
         x = np.asarray(x, dtype=float)
         if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(x[: self.dim], x[self.dim :]), dtype=float)
-        return jacobian_fd(self.forward_flat, x)
+            return np.asarray(self.jacobian_fn(x[..., : self.dim], x[..., self.dim :]), dtype=float)
+        return row_jacobian_fd(self.forward_flat, x)
 
     def jacobian_forward(self, q, v) -> Array:
         return self.jacobian_forward_flat(np.concatenate([as_vector(q, name="q"), as_vector(v, name="v")]))
 
-    def fiber_basis(self, q) -> list[Array]:
+    def fiber_basis(self, q) -> Array:
+        """The fiber directions to probe at q, as the rows of a (..., k, dim) array."""
+        q = self._points(q, "q")
         if self.fiber_basis_fn is not None:
-            return self.fiber_basis_fn(as_vector(q, name="q"))
-        return [row.copy() for row in np.eye(self.dim)]
+            return np.asarray(self.fiber_basis_fn(q), dtype=float)
+        return np.broadcast_to(np.eye(self.dim), q.shape[:-1] + (self.dim, self.dim)).copy()
 
     def fiber_frame(self, q) -> Array:
+        q = self._points(q, "q")
         if self.fiber_frame_fn is not None:
-            return np.asarray(self.fiber_frame_fn(as_vector(q, name="q")), dtype=float)
-        return np.eye(self.dim)
+            return np.asarray(self.fiber_frame_fn(q), dtype=float)
+        return np.broadcast_to(np.eye(self.dim), q.shape[:-1] + (self.dim, self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +125,7 @@ def midpoint_map(n: int) -> DiscretizationMap:
         dim=n,
         forward_fn=lambda q, v: (q - 0.5 * v, q + 0.5 * v),
         inverse_fn=lambda a, b: (0.5 * (a + b), b - a),
-        jacobian_fn=lambda q, v: jac,
+        jacobian_fn=lambda q, v: np.broadcast_to(jac, q.shape[:-1] + jac.shape),
         jacobian_constant=True,
         name=f"midpoint(n={n})",
     )
@@ -131,7 +142,7 @@ def theta_map(n: int, theta: float) -> DiscretizationMap:
         dim=n,
         forward_fn=lambda q, v: (q - theta * v, q + (1.0 - theta) * v),
         inverse_fn=lambda a, b: ((1.0 - theta) * a + theta * b, b - a),
-        jacobian_fn=lambda q, v: jac,
+        jacobian_fn=lambda q, v: np.broadcast_to(jac, q.shape[:-1] + jac.shape),
         jacobian_constant=True,
         name=f"theta(n={n}, theta={theta})",
     )
@@ -142,23 +153,25 @@ def theta_map(n: int, theta: float) -> DiscretizationMap:
 
 
 def _check_sphere_point(q, what="q"):
-    if abs(float(q @ q) - 1.0) > MANIFOLD_TOL:
-        raise DomainViolation(f"{what} is not on the unit sphere (|{what}|^2 = {float(q @ q):.12f})")
+    qq = rowdot(q, q)
+    bad = np.abs(qq - 1.0) > MANIFOLD_TOL
+    if bad.any():
+        raise DomainViolation(f"{what} is not on the unit sphere (|{what}|^2 = {qq[bad][0]:.12f})")
 
 
 def _check_sphere_tangent(q, xi):
-    if abs(float(q @ xi)) > MANIFOLD_TOL:
-        raise DomainViolation(f"xi is not tangent to the sphere at q (q . xi = {float(q @ xi):.3e})")
+    qxi = rowdot(q, xi)
+    bad = np.abs(qxi) > MANIFOLD_TOL
+    if bad.any():
+        raise DomainViolation(f"xi is not tangent to the sphere at q (q . xi = {qxi[bad][0]:.3e})")
 
 
-def _sphere_tangent_basis(q: Array) -> list[Array]:
-    """Deterministic orthonormal basis of the tangent plane at q."""
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(q)))] = 1.0
-    u = axis - (axis @ q) * q
-    u = u / np.linalg.norm(u)
-    w = np.cross(q, u)
-    return [u, w]
+def _sphere_tangent_basis(q: Array) -> Array:
+    """Deterministic orthonormal basis (u, q x u) of the tangent plane at q."""
+    axis = np.eye(3)[np.argmin(np.abs(q), axis=-1)]
+    u = axis - rowdot(axis, q)[..., None] * q
+    u = u / np.sqrt(rowdot(u, u))[..., None]
+    return np.stack([u, np.cross(q, u)], axis=-2)
 
 
 def sphere_initial_point_map() -> DiscretizationMap:
@@ -167,26 +180,28 @@ def sphere_initial_point_map() -> DiscretizationMap:
 
     def forward(q, xi):
         w = q + xi
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
+        nw = np.sqrt(rowdot(w, w))[..., None]
+        if np.any(nw < 1e-12):
             raise DomainViolation("q + xi vanishes, no direction to normalize")
         return q.copy(), w / nw
 
     def inverse(a, b):
         _check_sphere_point(a, "q_minus")
         _check_sphere_point(b, "q_plus")
-        d = float(a @ b)
-        if d <= 1e-12:
+        d = rowdot(a, b)[..., None]
+        if np.any(d <= 1e-12):
             raise DomainViolation("inverse needs the pair on one open hemisphere (q . q_plus > 0)")
         return a.copy(), b / d - a
 
     def jac(q, xi):
         w = q + xi
-        nw = np.linalg.norm(w)
+        nw = np.sqrt(rowdot(w, w))[..., None]
         what = w / nw
-        M = (np.eye(3) - np.outer(what, what)) / nw
-        Z = np.zeros((3, 3))
-        return np.block([[np.eye(3), Z], [M, M]])
+        M = (np.eye(3) - what[..., :, None] * what[..., None, :]) / nw[..., None]
+        J = np.zeros(M.shape[:-2] + (6, 6))
+        J[..., :3, :3] = np.eye(3)
+        J[..., 3:, :3] = J[..., 3:, 3:] = M
+        return J
 
     def validate(q, xi):
         _check_sphere_point(q)
@@ -204,9 +219,9 @@ def sphere_initial_point_map() -> DiscretizationMap:
 
 
 def _sphere_exp(q: Array, eta: Array) -> Array:
-    r = float(np.linalg.norm(eta))
+    r = np.sqrt(rowdot(eta, eta))[..., None]
     # np.sinc(r/pi) = sin(r)/r, stable through r = 0.
-    return math.cos(r) * q + np.sinc(r / math.pi) * eta
+    return np.cos(r) * q + np.sinc(r / math.pi) * eta
 
 
 def sphere_geodesic_midpoint_map() -> DiscretizationMap:
@@ -220,21 +235,21 @@ def sphere_geodesic_midpoint_map() -> DiscretizationMap:
         _check_sphere_point(a, "q_minus")
         _check_sphere_point(b, "q_plus")
         m = a + b
-        nm = np.linalg.norm(m)
-        if nm < 1e-9:
+        nm = np.sqrt(rowdot(m, m))[..., None]
+        if np.any(nm < 1e-9):
             raise DomainViolation("cannot invert: endpoints are antipodal or a quarter turn apart")
         q = m / nm
-        w = b - float(q @ b) * q
-        nw = np.linalg.norm(w)
-        if nw < 1e-15:
-            return q, np.zeros(3)
-        half_angle = math.atan2(nw, float(q @ b))
-        return q, (2.0 * half_angle / nw) * w
+        qb = rowdot(q, b)[..., None]
+        w = b - qb * q
+        nw = np.sqrt(rowdot(w, w))[..., None]
+        tiny = nw < 1e-15  # no rotation: v = 0
+        half_angle = np.arctan2(nw, qb)
+        return q, np.where(tiny, 0.0, (2.0 * half_angle / np.where(tiny, 1.0, nw)) * w)
 
     def validate(q, xi):
         _check_sphere_point(q)
         _check_sphere_tangent(q, xi)
-        if 0.5 * float(np.linalg.norm(xi)) >= math.pi:
+        if np.any(0.5 * np.sqrt(rowdot(xi, xi)) >= math.pi):
             raise DomainViolation("|xi|/2 must stay below pi for the exponential pair to be injective")
 
     return DiscretizationMap(
@@ -251,9 +266,9 @@ def sphere_geodesic_midpoint_map() -> DiscretizationMap:
 # SE(2), charted as (x, y, theta) with body-velocity fibers (v1, v2, omega)
 
 
-def _rot(theta: float) -> Array:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _rot(theta) -> Array:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def se2_exp(xi: Array) -> Array:
@@ -262,31 +277,34 @@ def se2_exp(xi: Array) -> Array:
     Uses 1 - cos(w) = 2 sin^2(w/2) so the translation block stays accurate
     through omega = 0 without an explicit series branch.
     """
-    v1, v2, w = float(xi[0]), float(xi[1]), float(xi[2])
+    xi = np.asarray(xi, dtype=float)
+    v1, v2, w = xi[..., 0], xi[..., 1], xi[..., 2]
     A = np.sinc(w / math.pi)                      # sin(w)/w
-    B = math.sin(0.5 * w) * np.sinc(0.5 * w / math.pi)  # (1 - cos(w))/w
-    return np.array([A * v1 - B * v2, B * v1 + A * v2, w])
+    B = np.sin(0.5 * w) * np.sinc(0.5 * w / math.pi)  # (1 - cos(w))/w
+    return np.stack([A * v1 - B * v2, B * v1 + A * v2, w], axis=-1)
 
 
 def se2_log(g: Array) -> Array:
     """Inverse of :func:`se2_exp`; requires the rotation angle in (-pi, pi)."""
-    x, y, w = float(g[0]), float(g[1]), float(g[2])
-    if abs(w) >= math.pi:
-        raise DomainViolation(f"se2 log needs |theta| < pi, got {w:.6f}")
+    g = np.asarray(g, dtype=float)
+    x, y, w = g[..., 0], g[..., 1], g[..., 2]
+    bad = np.abs(w) >= math.pi
+    if bad.any():
+        raise DomainViolation(f"se2 log needs |theta| < pi, got {w[bad][0]:.6f}")
     A = np.sinc(w / math.pi)
-    B = math.sin(0.5 * w) * np.sinc(0.5 * w / math.pi)
-    det = np.sinc(0.5 * w / math.pi) ** 2         # A^2 + B^2 = (2 - 2 cos w)/w^2
-    return np.array([(A * x + B * y) / det, (-B * x + A * y) / det, w])
+    S = np.sinc(0.5 * w / math.pi)
+    B = np.sin(0.5 * w) * S
+    det = S * S                                   # A^2 + B^2 = (2 - 2 cos w)/w^2
+    return np.stack([(A * x + B * y) / det, (-B * x + A * y) / det, w], axis=-1)
 
 
 def se2_mul(g1: Array, g2: Array) -> Array:
-    xy = g1[:2] + _rot(float(g1[2])) @ g2[:2]
-    return np.array([xy[0], xy[1], float(g1[2]) + float(g2[2])])
+    xy = g1[..., :2] + matvec(_rot(g1[..., 2]), g2[..., :2])
+    return np.concatenate([xy, g1[..., 2:] + g2[..., 2:]], axis=-1)
 
 
 def se2_inv(g: Array) -> Array:
-    xy = -(_rot(-float(g[2])) @ g[:2])
-    return np.array([xy[0], xy[1], -float(g[2])])
+    return np.concatenate([-matvec(_rot(-g[..., 2]), g[..., :2]), -g[..., 2:]], axis=-1)
 
 
 def wrap_angle(theta: float) -> float:
@@ -310,8 +328,9 @@ def se2_exp_map() -> DiscretizationMap:
         return se2_mul(a, se2_exp(0.5 * xi)), xi
 
     def frame(g):
-        F = np.eye(3)
-        F[:2, :2] = _rot(float(g[2]))
+        F = np.zeros(g.shape[:-1] + (3, 3))
+        F[..., :2, :2] = _rot(g[..., 2])
+        F[..., 2, 2] = 1.0
         return F
 
     return DiscretizationMap(
@@ -368,21 +387,18 @@ def verify_discretization_axioms(D: DiscretizationMap, samples, tol: float = 1e-
     Condition 2 is probed by central differences along ``D.fiber_basis(q)``; the
     difference of the two directional derivatives must reproduce the fiber
     direction expressed in chart coordinates through ``D.fiber_frame(q)``.
+    Every sample's zero probe and its +-step u probes go through one checked
+    ``D.forward`` call, one row each.
     """
-    entries = []
-    for i, q in enumerate(samples):
-        q = as_vector(q, name="sample")
-        zero = np.zeros(D.dim)
-        a, b = D.forward(q, zero)
-        c1 = worst_defect([np.max(np.abs(a - q)), np.max(np.abs(b - q))])
-        frame = D.fiber_frame(q)
-        step = eps * max(1.0, float(np.max(np.abs(q))))
-        fiber_defects = []
-        for u in D.fiber_basis(q):
-            ap, bp = D.forward(q, step * u)
-            am, bm = D.forward(q, -step * u)
-            diff = ((bp - bm) - (ap - am)) / (2.0 * step)
-            fiber_defects.append(np.max(np.abs(diff - frame @ u)))
-        c2 = worst_defect(fiber_defects)
-        entries.append(AxiomCheckEntry(i, c1, c2, c1 <= tol and c2 <= tol))
+    Q = np.array([as_vector(q, name="sample") for q in samples])
+    basis = D.fiber_basis(Q)  # (samples, k, dim)
+    k = basis.shape[1]
+    step = eps * np.maximum(1.0, np.max(np.abs(Q), axis=-1))[:, None, None]
+    V = step * basis
+    probes = np.concatenate([np.zeros_like(V[:, :1]), V, -V], axis=1)  # (samples, 2k + 1, dim)
+    A, B = D.forward(np.broadcast_to(Q[:, None], probes.shape), probes)
+    c1 = np.maximum(np.max(np.abs(A[:, 0] - Q), axis=-1), np.max(np.abs(B[:, 0] - Q), axis=-1))
+    diff = ((B[:, 1 : k + 1] - B[:, k + 1 :]) - (A[:, 1 : k + 1] - A[:, k + 1 :])) / (2.0 * step)
+    c2 = np.max(np.abs(diff - matvec(D.fiber_frame(Q)[:, None], basis)), axis=(1, 2))
+    entries = [AxiomCheckEntry(i, float(a), float(b), bool(a <= tol and b <= tol)) for i, (a, b) in enumerate(zip(c1, c2))]
     return AxiomReport(name=D.name, tol=tol, entries=tuple(entries))

@@ -1,7 +1,8 @@
 """Small dense numerics: Newton solves, finite differences, Taylor-mode derivatives.
 
-Everything operates on plain 1-d numpy arrays and is pure; :func:`matvec` and
-:func:`row_jacobian_fd` also take stacks of points, one per row. The rest of
+Everything operates on plain 1-d numpy arrays and is pure; :func:`matvec`,
+:func:`rowdot` and :func:`row_jacobian_fd` also take stacks of points, one per
+row, and give every row the bits of its one-point value. The rest of
 the package builds its maps, lifts and integrators on top of these helpers, so
 the conventions fixed here (central differences, infinity-norm stopping tests)
 propagate everywhere.
@@ -55,6 +56,14 @@ def matvec(A: Array, x: Array) -> Array:
     return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
 
 
+def rowdot(a: Array, b: Array) -> Array:
+    """a . b for one pair of points or for every row of (..., m) arrays, by
+    the matrix product of :func:`matvec`: each row gets the bits of the
+    one-point ``a @ b`` (``np.linalg.norm(w, axis=-1)`` sums differently;
+    take a row norm as ``np.sqrt(rowdot(w, w))``)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def worst_defect(values) -> float:
     """Largest of ``values``, 0.0 for none, and nan when any value is nan:
     the builtin ``max`` keeps its first argument against a nan, which would
@@ -78,10 +87,10 @@ def _eval_vector(f, x) -> Array:
     return np.atleast_1d(np.asarray(y, dtype=float))
 
 
-def default_fd_step(x: Array) -> float:
-    """Default central-difference step, 1e-5 * max(1, ||x||_inf)."""
-    scale = float(np.max(np.abs(x))) if np.size(x) else 0.0
-    return 1e-5 * max(1.0, scale)
+def default_fd_step(x: Array) -> float | Array:
+    """Default central-difference step, 1e-5 * max(1, ||x||_inf); one per
+    row for rows (..., n)."""
+    return 1e-5 * np.maximum(1.0, np.max(np.abs(x), axis=-1, initial=0.0))
 
 
 def jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
@@ -104,18 +113,24 @@ def jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
 
 
 def row_jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
-    """:func:`jacobian_fd` for an ``f`` that maps a stack of points, one per
-    row, to one row each: the 2 n probes x +- eps e_j go to ``f`` as one
-    array.  Same step, same quotient, same bits as :func:`jacobian_fd` when
+    """:func:`jacobian_fd` at one point x (shape (n,)) or at every row of x
+    (shape (..., n), giving (..., m, n)), for an ``f`` that maps a stack of
+    points, one per row, to one row each: the 2 n probes x +- eps e_j of
+    every point go to ``f`` as one (..., 2 n, n) array.  Each point takes its
+    own default step; same quotient, same bits as :func:`jacobian_fd` when
     every row of f's output equals its one-point value."""
-    x = as_vector(x, name="x")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("x contains non-finite entries")
     if eps is None:
         eps = default_fd_step(x)
-    if eps <= 0:
+    elif eps <= 0:
         raise ValueError("eps must be positive")
-    E = eps * np.eye(x.size)
-    Y = np.asarray(f(np.vstack([x + E, x - E])), dtype=float)
-    return np.ascontiguousarray(((Y[: x.size] - Y[x.size :]) / (2.0 * eps)).T)
+    n = x.shape[-1]
+    eps = np.asarray(eps, dtype=float)[..., None, None]
+    E = eps * np.eye(n)
+    Y = np.asarray(f(np.concatenate([x[..., None, :] + E, x[..., None, :] - E], axis=-2)), dtype=float)
+    return np.ascontiguousarray(np.swapaxes((Y[..., :n, :] - Y[..., n:, :]) / (2.0 * eps), -1, -2))
 
 
 def _damped_update(residual, x, r, step, max_halvings=40):

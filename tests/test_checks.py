@@ -41,6 +41,22 @@ def test_unknown_suite_rejected():
         run_all(suites=["bogus"])
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(suites=["convergence", "convergence"]),
+        dict(suites=["convergence"], h_values=(0.04,)),
+        dict(suites=["convergence"], h_values=(0.02, 0.02)),
+        dict(suites=["closed-form"], h_values=(0.0, 0.1)),
+        dict(h_values=(2.0, 1.0)),
+    ],
+    ids=["suite-twice", "one-step", "repeated-step", "step-zero", "step-above-one"],
+)
+def test_run_all_rejects_what_the_cli_rejects(kwargs):
+    with pytest.raises(ValueError):
+        run_all(**kwargs)
+
+
 def test_same_seed_same_defects():
     a = run_all(seed=5, suites=["symplectomorphism"])
     b = run_all(seed=5, suites=["symplectomorphism"])
@@ -71,18 +87,25 @@ def test_sphere_lift_evaluates_each_curve_once_per_stencil_time(monkeypatch):
     unmemoized = sphere_lift_suite(np.random.default_rng(7))
     assert [r.defect for r in plain] == [r.defect for r in unmemoized]
 
-    make_curve, evaluations = checks._sphere_tangent_curve, []
+    make_curves, evaluations = checks._sphere_tangent_curves, []
 
-    def counted(rng):
-        curve = make_curve(rng)
-        return lambda t: evaluations.append(t) or curve(t)
+    def counted(rng, count):
+        curves = make_curves(rng, count)
+
+        def evaluated(t):
+            z = curves(t)
+            evaluations.append(z.shape)
+            return z
+
+        return evaluated
 
     monkeypatch.undo()
-    monkeypatch.setattr(checks, "_sphere_tangent_curve", counted)
+    monkeypatch.setattr(checks, "_sphere_tangent_curves", counted)
     sphere_lift_suite(np.random.default_rng(7))
-    # Per sample: t = 0, +-1e-3, +-2e-3 (the order-1 stencil) and +-4e-3
-    # (the order-2 stencil, whose +-2e-3 points are the same times).
-    assert len(evaluations) == 50 * 7
+    # Once per stencil time, all 50 curves as rows: t = 0, +-1e-3, +-2e-3
+    # (the order-1 stencil) and +-4e-3 (the order-2 stencil, whose +-2e-3
+    # points are the same times).
+    assert evaluations == [(50, 6)] * 7
 
 
 def test_nan_sample_fails_its_case(monkeypatch):
@@ -90,12 +113,15 @@ def test_nan_sample_fails_its_case(monkeypatch):
 
     closed_form, calls = checks.midpoint_cotangent_closed_form, []
 
-    def nan_once(x, d, inverse):
+    def nan_in_one_row(x, d, inverse):
         calls.append(1)
         y = closed_form(x, d, inverse)
-        return y * np.nan if len(calls) == 5 else y
+        if len(calls) == 1:  # the forward closed form of the first case
+            y[3] = np.nan
+        return y
 
-    monkeypatch.setattr(checks, "midpoint_cotangent_closed_form", nan_once)
+    monkeypatch.setattr(checks, "midpoint_cotangent_closed_form", nan_in_one_row)
     results = run_all(suites=["closed-form"])
     assert [r.status for r in results] == ["fail"] + ["pass"] * 7
     assert np.isnan(results[0].defect)
+    assert not any(np.isnan(r.defect) for r in results[1:])

@@ -244,6 +244,17 @@ class TestCheck:
         assert json.load(open("report.json")) == report
         assert "0 failures" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--suite", "closed-form,axioms"], ["--suite", "closed-form", "--suite", "axioms"], ["--config", "suites.json"]],
+        ids=["comma-flag", "two-flags", "comma-config"],
+    )
+    def test_suite_lists_split_on_commas_everywhere(self, capsys, args, isolated):
+        (isolated / "suites.json").write_text('{"suites": "closed-form,axioms"}')
+        assert cli.main(["check", *args]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report) == 17 and {entry["suite"] for entry in report} == {"closed-form", "axioms"}
+
     def test_convergence_h_flag(self, capsys):
         rc = cli.main(["check", "--suite", "convergence", "--h", "0.1,0.05"])
         out, _ = capsys.readouterr()
@@ -260,7 +271,7 @@ class TestCheck:
 
     def test_nan_defect_fails_the_command(self, monkeypatch, capsys):
         closed_form = checks.midpoint_cotangent_closed_form
-        nan_at = lambda x, d, inverse: closed_form(x, d, inverse) * (np.nan if x[0] > 2.0 else 1.0)
+        nan_at = lambda x, d, inverse: closed_form(x, d, inverse) * np.where(x[..., :1] > 2.0, np.nan, 1.0)
         monkeypatch.setattr(checks, "midpoint_cotangent_closed_form", nan_at)
         assert cli.main(["check", "--suite", "closed-form"]) == 1
         out, err = capsys.readouterr()

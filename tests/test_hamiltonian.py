@@ -393,14 +393,19 @@ class TestStepKernel:
     @pytest.mark.parametrize("setup", [free_setup, obstacle_setup], ids=["free", "obstacle"])
     def test_constant_jacobian_base_takes_no_fd_jacobian(self, setup, monkeypatch):
         calls = []
-        original = geodisc.numeric.jacobian_fd
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(original):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
 
-        for module in (geodisc.numeric, geodisc.lifts, geodisc.maps, geodisc.jets):
-            monkeypatch.setattr(module, "jacobian_fd", counted)
+            return counted
+
+        for name in ("jacobian_fd", "row_jacobian_fd"):
+            counted = counting(getattr(geodisc.numeric, name))
+            for module in (geodisc.numeric, geodisc.lifts, geodisc.maps, geodisc.jets):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         C, H = setup()
         z0 = TestTangent.Z0 if C.dim == 6 else np.array([0.0, 0.1, 0.01, 0.2])
         integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size))

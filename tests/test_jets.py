@@ -10,8 +10,6 @@ from geodisc.jets import (
     directional_second_derivative,
     jet_of_curve,
     jet_pushforward,
-    to_normalized,
-    from_normalized,
     unzip_jet_tangent,
     zip_jet_tangent,
 )
@@ -37,12 +35,6 @@ class TestJet:
         back = Jet.from_flat(j.flat(), 3, 3)
         for r in range(4):
             assert np.array_equal(back.slot(r), j.slot(r))
-
-    def test_normalized_conversion(self):
-        j = Jet((np.array([1.0]), np.array([2.0]), np.array([6.0]), np.array([12.0])))
-        nj = to_normalized(j)
-        assert np.allclose(nj.flat(), [1.0, 2.0, 3.0, 2.0])
-        assert np.allclose(from_normalized(nj).flat(), j.flat())
 
     def test_mismatched_slots_rejected(self):
         with pytest.raises(ValueError):

@@ -244,7 +244,7 @@ class TestAffineRows:
         forward = C.forward_flat
         monkeypatch.setattr(C, "forward_flat", lambda x: shapes.append(np.shape(x)) or forward(x))
         check_symplectomorphism(C, [rng.normal(size=24) for _ in range(3)])
-        assert shapes == [(48, 24)] * 3
+        assert shapes == [(3, 48, 24)]  # the 48 probes of each of the 3 samples, in one call
         with pytest.raises(ValueError, match="eps must be positive"):
             check_symplectomorphism(C, [rng.normal(size=24)], eps=0.0)
 
