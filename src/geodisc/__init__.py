@@ -43,7 +43,6 @@ from .maps import (
     sphere_initial_point_map,
     theta_map,
     verify_discretization_axioms,
-    wrap_angle,
 )
 from .lifts import (
     CotangentLiftedMap,

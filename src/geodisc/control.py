@@ -197,31 +197,21 @@ def hermite_costates(q0, v0, q1, v1, T: float) -> tuple[Array, Array]:
     return p0, p1
 
 
-def running_cost(
-    traj: Trajectory,
-    potential: Callable[[Array], float] | None = None,
-    rule: str = "left",
-) -> float:
-    """Quadrature of |u|^2 / 2 (+ V(q) when given) along the trajectory.
-
-    ``rule`` is "left" (rectangle at each step's left state, matching the
-    piecewise control reconstruction) or "trapezoid".
-    """
+def running_cost(traj: Trajectory, potential: Callable[[Array], float] | None = None) -> float:
+    """Quadrature of |u|^2 / 2 (+ V(q) when given) along the trajectory by
+    the rectangle at each step's left state, matching the piecewise control
+    reconstruction."""
     u = traj.controls
     vals = 0.5 * np.einsum("ij,ij->i", u, u)
     if potential is not None:
         vals = vals + potential(traj.positions())
-    if rule == "left":
-        return float(traj.h * np.sum(vals[:-1]))
-    if rule == "trapezoid":
-        return float(traj.h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    return float(traj.h * np.sum(vals[:-1]))
 
 
-def cost_of(traj: Trajectory, prob: OCProblem, rule: str = "left") -> float:
+def cost_of(traj: Trajectory, prob: OCProblem) -> float:
     """Discrete cost of a trajectory under the problem's running cost."""
     V = prob.potential if prob.include_potential_in_cost else None
-    return running_cost(traj, V, rule=rule)
+    return running_cost(traj, V)
 
 
 @dataclass

@@ -27,13 +27,12 @@ Any other base takes w from the lifted map's inverse in the same formula.
 The remainder and its gradient and Hessian take points q of shape (..., n),
 one per row; a 1-D q is one point.
 
-:func:`symplectic_step` takes one start or rows of starts (k, 4n).  On an
-affine lifted map all rows go through the module's one chord iteration
-(:func:`_chord_newton`) at once: residual rows from stacked matrix-vector
-products, one chord Jacobian per row at its own start with the Hessians
-taken in one call and inverted in one batched call, and each row stopped
-against its own tolerance floor, so every row gets the bits of a one-start
-call.  Any other map steps the rows one at a time.
+:func:`symplectic_step` takes one start or rows of starts (k, 4n).  All
+rows go through the module's one chord iteration (:func:`_chord_newton`) at
+once: residual rows from stacked matrix-vector products, one chord Jacobian
+per row at its own start with the Hessians taken in one call and inverted
+in one batched call, and each row stopped against its own tolerance floor,
+so every row gets the bits of a one-start call.
 
 :func:`integrate` takes a step by one of three paths: the chord Newton
 iteration on the closed-form Jacobian of R, inverted once and reused (every
@@ -78,9 +77,8 @@ class HamiltonianSystem:
     :func:`second_order_hamiltonian` it is -V(q).  All three take points q
     of shape (..., dim // 2), one per row (a 1-D q is one point), and return
     one value, gradient or Hessian per point.  :meth:`values` evaluates
-    H on rows of phase points and :meth:`value` on one; :meth:`gradient`
-    (over x) and :meth:`hessian` (in the order (m, p)) come from the same
-    parts.  The one-step method reads S0 and the remainder directly.
+    H on rows of phase points and :meth:`value` on one.  The one-step method
+    reads S0 and the remainder directly.
     """
 
     dim: int
@@ -108,21 +106,6 @@ class HamiltonianSystem:
 
     def value(self, m: Array, p: Array) -> float:
         return float(self.values(np.concatenate([m, p])))
-
-    def gradient(self, m: Array, p: Array) -> Array:
-        x = np.concatenate([m, p])
-        g = self.S0 @ x
-        if self.grad_remainder is not None:
-            k = self.dim // 2
-            g[:k] += self.grad_remainder(x[:k])
-        return g
-
-    def hessian(self, m: Array, p: Array) -> Array:
-        S = self.S0.copy()
-        if self.hess_remainder is not None:
-            k = self.dim // 2
-            S[:k, :k] += self.hess_remainder(np.asarray(m, dtype=float)[:k])
-        return S
 
 
 def second_order_hamiltonian(
@@ -258,14 +241,14 @@ def step_residual(
 
     z0 is checked here, once per step; the residual evaluates the folded
     blocks, or the unchecked flat inverse of the lifted map when that is not
-    affine.  On an affine lifted map z0 may also be rows (k, 4n), one start
-    per row, and the residual then maps rows z1 of the same shape to one
-    residual row each.  ``blocks`` passes the matrices built once per run for
-    this (C, H, h); without it they are built here."""
+    affine.  z0 may also be rows (k, 4n), one start per row, and the
+    residual then maps rows z1 of the same shape to one residual row each.
+    ``blocks`` passes the matrices built once per run for this (C, H, h);
+    without it they are built here."""
     if blocks is None:
         blocks = _StepBlocks(C, H, h)
     d = C.dim
-    if np.ndim(z0) == 2 and blocks.LK is not None:
+    if np.ndim(z0) == 2:
         z0 = np.asarray(z0, dtype=float)
         if not np.isfinite(z0).all():
             raise ValueError("z0 contains non-finite entries")
@@ -280,10 +263,10 @@ def step_residual(
         L = blocks.L
 
         def residual(z1: Array) -> Array:
-            w = C.inverse_flat(np.concatenate([z0, z1]))
-            R = L @ w
+            w = C.inverse_flat(np.concatenate([z0, z1], axis=-1))
+            R = matvec(L, w)
             if grad is not None:
-                R[rows] += h * grad(w[:n])
+                R[..., rows] += h * grad(w[..., :n])
             return R
 
         return residual
@@ -316,24 +299,23 @@ def _step_jacobian(
     It is L K, with K the lifted map's inverse Jacobian, plus the rank-n term
     h Hess U(q) K[:n] (n = d / 2) on the pdot rows of q (the p0 rows of the
     second-order system).  Its z1 block is the chord Jacobian.
-    With an affine inverse L K is the prebuilt ``blocks.LK`` (returned
-    read-only when there is no remainder), and (z0, z1) may be rows: with a
-    remainder the result is then one Jacobian per row, the Hessians taken in
-    one call."""
+    (z0, z1) may be rows; the result is then one Jacobian per row, the
+    Hessians taken in one call, except that with an affine inverse and no
+    remainder it is the prebuilt ``blocks.LK``, read-only and shared."""
     if blocks is None:
         blocks = _StepBlocks(C, H, h)
     hess, n = H.hess_remainder, C.dim // 2
     y = np.concatenate([z0, z1], axis=-1)
     if blocks.LK is None:
         K = C.inverse_jacobian_flat(y)
-        A, Kq = blocks.L @ K, K[:n]
-        q = None if hess is None else C.inverse_flat(y)[:n]
+        A, Kq = blocks.L @ K, K[..., :n, :]
+        q = None if hess is None else C.inverse_flat(y)[..., :n]
     else:
         A, Kq = blocks.LK, blocks.Kq
         q = None if hess is None else matvec(Kq, y) + blocks.kq
     if hess is None:
         return A
-    A = np.array(np.broadcast_to(A, q.shape[:-1] + A.shape))
+    A = np.array(np.broadcast_to(A, q.shape[:-1] + A.shape[-2:]))
     A[..., C.dim : C.dim + n, :] += h * (hess(q) @ Kq)
     return A
 
@@ -434,12 +416,9 @@ def symplectic_step(
 
     The Newton iteration starts from z1 = z0 and reuses the closed-form
     Jacobian of the residual at that point (exact for the affine systems
-    arising from midpoint-family lifts), inverted once.  On an affine lifted
-    map all rows go through one chord iteration, each against its own
-    tolerance and with its own Jacobian; on any other map the rows are
-    stepped one at a time, the composed inverse taking one point."""
-    if np.ndim(z0) == 2 and C.affine_inverse is None:
-        return np.array([symplectic_step(C, H, h, z, tol, max_iter) for z in np.asarray(z0, dtype=float)])
+    arising from midpoint-family lifts), inverted once.  All rows go through
+    one chord iteration, each against its own tolerance and with its own
+    Jacobian."""
     blocks = _StepBlocks(C, H, h)
     residual = step_residual(C, H, h, z0, blocks=blocks)
     z0 = np.asarray(z0, dtype=float)

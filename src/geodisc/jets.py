@@ -9,8 +9,8 @@ rows apart, each with the bits of its one-point value.
 ``jet_pushforward`` maps the jet of c to the jet of F o c.  Two backends:
 
 * ``"chain"`` (orders <= 2): explicit chain rule, using a closed-form Jacobian
-  and second directional derivative of F when supplied, finite differences
-  otherwise.
+  of F when supplied, central differences otherwise, and a fourth-order
+  stencil for the second directional derivative.
 * ``"curve"`` (orders <= 4): rebuild the polynomial curve, compose with F and
   differentiate the composition.  Slower and slightly less accurate, but fully
   independent of the chain-rule path, which makes it the oracle of choice.
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .numeric import MAX_TAYLOR_ORDER, _eval_vector, jacobian_fd, matvec, rowdot, taylor_derivatives
+from .numeric import MAX_TAYLOR_ORDER, _eval_vector, jacobian_fd, matvec, row_jacobian_fd, rowdot, taylor_derivatives
 
 Array = np.ndarray
 
@@ -163,13 +163,12 @@ def jet_pushforward(
     j: Jet,
     method: str = "auto",
     jacobian: Callable[[Array], Array] | None = None,
-    second_directional: Callable[[Array, Array], Array] | None = None,
 ) -> Jet:
     """Jet of F o c given the jet of c.
 
-    ``jacobian`` and ``second_directional`` supply closed-form derivatives of F
-    for the chain backend; omitted ones fall back to finite differences.
-    ``second_directional(x, u)`` must return D^2F(x)[u, u].
+    ``jacobian`` supplies the closed-form Jacobian of F for the chain
+    backend; without it the Jacobian is taken by central differences, for
+    rows by :func:`~geodisc.numeric.row_jacobian_fd`.
     """
     k = j.order
     if method == "auto":
@@ -180,14 +179,11 @@ def jet_pushforward(
         x0 = j.derivs[0]
         slots = [_eval_vector(F, x0)]
         if k >= 1:
-            J = np.asarray(jacobian(x0), dtype=float) if jacobian is not None else jacobian_fd(F, x0)
+            fd = jacobian_fd if x0.ndim == 1 else row_jacobian_fd
+            J = np.asarray(jacobian(x0), dtype=float) if jacobian is not None else fd(F, x0)
             slots.append(matvec(J, j.derivs[1]))
         if k >= 2:
-            if second_directional is not None:
-                s2 = np.atleast_1d(np.asarray(second_directional(x0, j.derivs[1]), dtype=float))
-            else:
-                s2 = directional_second_derivative(F, x0, j.derivs[1])
-            slots.append(s2 + matvec(J, j.derivs[2]))
+            slots.append(directional_second_derivative(F, x0, j.derivs[1]) + matvec(J, j.derivs[2]))
         return Jet(tuple(slots))
     if method == "curve":
         if k > MAX_TAYLOR_ORDER:

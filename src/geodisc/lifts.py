@@ -16,10 +16,9 @@ Lifting moves a discretization map between spaces:
 Every lift is implemented by its unchecked flat maps (``forward_flat``,
 ``inverse_flat``, ``jacobian_forward_flat``) and reaches its base only
 through the base's flat maps; the structured calls check their inputs once
-and delegate.  The flat maps of a higher-order lift and the affine flat maps
-of a cotangent lift also take rows (..., k), one point per row, each with the
-bits of its one-point value.  The closed form of the lifted midpoint map,
-the independent test oracle, is
+and delegate.  Every flat map also takes rows (..., k), one point per row,
+each with the bits of its one-point value.  The closed form of the lifted
+midpoint map, the independent test oracle, is
 :func:`geodisc.checks.midpoint_cotangent_closed_form`.
 """
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import SingularJacobian, UnsupportedOrder
 from .jets import Jet, JetTangent, jet_pushforward, unzip_jet_tangent, zip_jet_tangent
 from .maps import DiscretizationMap, midpoint_map
-from .numeric import MAX_TAYLOR_ORDER, as_vector, jacobian_fd, matvec, row_jacobian_fd, worst_defect
+from .numeric import MAX_TAYLOR_ORDER, as_vector, matvec, row_jacobian_fd, worst_defect
 
 Array = np.ndarray
 
@@ -44,8 +43,8 @@ class HigherOrderDiscretizationMap:
     zdot) to a pair of order-k jets, by pushing the zipped jet through the base
     map.  A base with a constant Jacobian gives an affine lift, precomputed as
     a matrix so that evaluations are exact and cheap; any other base is pushed
-    through its flat maps, with derivatives from its Jacobian or from finite
-    differences.
+    through its flat maps, with derivatives from its ``jacobian_forward_flat``
+    (inverted at the preimage for the inverse jets).
     """
 
     def __init__(self, base: DiscretizationMap, order: int):
@@ -120,13 +119,13 @@ class HigherOrderDiscretizationMap:
         jp = Jet.from_flat(y[..., self.dim :], self.order, self.base_dim)
         paired = Jet(tuple(np.concatenate([a, b], axis=-1) for a, b in zip(jm.derivs, jp.derivs)))
         base = self.base
-        if getattr(base, "jacobian_fn", None) is not None:
-            # The base inverse's Jacobian is the inverse of the forward one at
-            # the preimage.
-            jacobian = lambda y0: np.linalg.inv(base.jacobian_forward_flat(base.inverse_flat(y0)))
-        else:
-            jacobian = lambda y0: row_jacobian_fd(base.inverse_flat, y0)
-        return unzip_jet_tangent(jet_pushforward(base.inverse_flat, paired, jacobian=jacobian)).flat()
+        # The base inverse's Jacobian is the inverse of the forward one at the preimage.
+        jacobian = lambda y0: np.linalg.inv(base.jacobian_forward_flat(base.inverse_flat(y0)))
+        try:
+            jets = jet_pushforward(base.inverse_flat, paired, jacobian=jacobian)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian("base Jacobian is singular at the preimage, inverse jets undefined") from exc
+        return unzip_jet_tangent(jets).flat()
 
     def jacobian_forward_flat(self, x) -> Array:
         x = np.asarray(x, dtype=float)
@@ -175,9 +174,9 @@ class CotangentLiftedMap:
     For a base with a constant Jacobian both directions are affine maps,
     built once here and exposed read-only as ``affine_forward = (F, f)``
     (x -> F x + f) and ``affine_inverse = (K, k)`` (y -> K y + k), None for
-    any other base: each flat map is then one matrix-vector product, on one
-    point or on every row of an (..., 4m) array (each row with the bits of
-    its one-point value), and the one-step method folds K and k into its own
+    any other base, which takes the formulas above.  The flat maps take one
+    point or the rows of an (..., 4m) array, each row with the bits of its
+    one-point value, and the one-step method folds K and k into its own
     matrices.  The four-vector ``forward``/``inverse`` check their inputs
     and delegate.
     The construction makes the map a discretization map on T*M in its own
@@ -240,14 +239,14 @@ class CotangentLiftedMap:
         """The forward map through the base's flat maps, for any base."""
         x = np.asarray(x, dtype=float)
         d = self.dim
-        base_x = np.concatenate([x[:d], x[2 * d : 3 * d]])
+        base_x = np.concatenate([x[..., :d], x[..., 2 * d : 3 * d]], axis=-1)
         pair = self.base.forward_flat(base_x)
-        J = self.base.jacobian_forward_flat(base_x)
+        JT = np.swapaxes(self.base.jacobian_forward_flat(base_x), -1, -2)
         try:
-            c = np.linalg.solve(J.T, np.concatenate([x[3 * d :], x[d : 2 * d]]))
+            c = np.linalg.solve(JT, np.concatenate([x[..., 3 * d :], x[..., d : 2 * d]], axis=-1)[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian("base Jacobian is singular, covector transport undefined") from exc
-        return np.concatenate([pair[:d], -c[:d], pair[d:], c[d:]])
+        return np.concatenate([pair[..., :d], -c[..., :d], pair[..., d:], c[..., d:]], axis=-1)
 
     def inverse_flat(self, y) -> Array:
         if self.affine_inverse is not None:
@@ -259,17 +258,20 @@ class CotangentLiftedMap:
         """The inverse through the base's flat maps, for any base."""
         y = np.asarray(y, dtype=float)
         d = self.dim
-        base_x = self.base.inverse_flat(np.concatenate([y[:d], y[2 * d : 3 * d]]))
-        col = self.base.jacobian_forward_flat(base_x).T @ np.concatenate([-y[d : 2 * d], y[3 * d :]])
-        return np.concatenate([base_x[:d], col[d:], base_x[d:], col[:d]])
+        base_x = self.base.inverse_flat(np.concatenate([y[..., :d], y[..., 2 * d : 3 * d]], axis=-1))
+        JT = np.swapaxes(self.base.jacobian_forward_flat(base_x), -1, -2)
+        col = matvec(JT, np.concatenate([-y[..., d : 2 * d], y[..., 3 * d :]], axis=-1))
+        return np.concatenate([base_x[..., :d], col[..., d:], base_x[..., d:], col[..., :d]], axis=-1)
 
     def inverse_jacobian_flat(self, y) -> Array:
-        """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y: the constant matrix K
-        built once when the base Jacobian is constant, else central
-        differences of ``inverse_flat``."""
+        """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y, one matrix per row:
+        the constant matrix K built once when the base Jacobian is constant,
+        else central differences of ``inverse_flat``."""
+        y = np.asarray(y, dtype=float)
         if self.affine_inverse is not None:
-            return self.affine_inverse[0].copy()
-        return jacobian_fd(self.inverse_flat, np.asarray(y, dtype=float))
+            K = self.affine_inverse[0]
+            return np.broadcast_to(K, y.shape[:-1] + K.shape).copy()
+        return row_jacobian_fd(self.inverse_flat, y)
 
     def as_discretization_map(self) -> DiscretizationMap:
         """The lifted map is itself a discretization map on T*M = R^{2m}: its
@@ -329,7 +331,7 @@ def tangent_lifted_symplectic_matrix(d: int) -> Array:
     return O
 
 
-#: Samples whose probes go to an affine forward in one call.  More hold more
+#: Samples whose probes go to the forward map in one call.  More hold more
 #: memory (100 samples at 4m = 24: 3.4 MB) and run no faster.
 _SAMPLES_PER_CALL = 10
 
@@ -358,21 +360,17 @@ def check_symplectomorphism(C, samples, tol: float = 1e-6, eps: float | None = N
     the canonical form to the paired difference form.
 
     For each sample x in R^{4m} the finite-difference Jacobian S of the flat
-    forward map must satisfy S^T Omega_pair S = Omega_tangent.  A map with
-    an affine forward takes the probes of up to ``_SAMPLES_PER_CALL``
-    samples as one array (:func:`~geodisc.numeric.row_jacobian_fd`); any
-    other map is probed one point at a time.  A nan defect fails the report.
+    forward map must satisfy S^T Omega_pair S = Omega_tangent.  The map
+    takes the probes of up to ``_SAMPLES_PER_CALL`` samples as one array
+    (:func:`~geodisc.numeric.row_jacobian_fd`).  A nan defect fails the
+    report.
     """
     d = C.dim
     target = tangent_lifted_symplectic_matrix(d)
     pair = pair_symplectic_matrix(d)
     X = [as_vector(x, name="sample") for x in samples]
-    if getattr(C, "affine_forward", None) is not None:
-        jacobians = lambda block: row_jacobian_fd(C.forward_flat, np.array(block), eps=eps)
-    else:
-        jacobians = lambda block: np.array([jacobian_fd(C.forward_flat, x, eps=eps) for x in block])
     defects = []
     for i in range(0, len(X), _SAMPLES_PER_CALL):
-        S = jacobians(X[i : i + _SAMPLES_PER_CALL])
+        S = row_jacobian_fd(C.forward_flat, np.array(X[i : i + _SAMPLES_PER_CALL]), eps=eps)
         defects += np.max(np.abs(np.swapaxes(S, -1, -2) @ pair @ S - target), axis=(1, 2)).tolist()
     return SymplectomorphismReport(name=getattr(C, "name", "map"), tol=tol, defects=tuple(defects))

@@ -307,15 +307,6 @@ def se2_inv(g: Array) -> Array:
     return np.concatenate([-matvec(_rot(-g[..., 2]), g[..., :2]), -g[..., 2:]], axis=-1)
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi].  Applied only at input/output boundaries, never inside
-    an integration loop."""
-    w = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
-
-
 def se2_exp_map() -> DiscretizationMap:
     """Exponential-pair map on SE(2): (g, xi) -> (g exp(-xi/2), g exp(xi/2))."""
 

@@ -158,7 +158,7 @@ def _damped_update(residual, x, r, step, max_halvings=40):
 def newton_solve(
     residual: VectorFunc,
     x0,
-    jacobian: Callable[[Array], Array] | None = None,
+    jacobian: Callable[[Array], Array],
     tol: float = 1e-12,
     max_iter: int = 50,
     backtracking: bool = False,
@@ -168,8 +168,8 @@ def newton_solve(
     Args:
         residual: map R^n -> R^n whose root is sought.
         x0: starting point.
-        jacobian: optional closed-form Jacobian, which must return a square
-            matrix of the size of x; central differences otherwise.
+        jacobian: the residual's Jacobian at x, a square matrix of the size
+            of x (``lambda x: jacobian_fd(residual, x)`` for central differences).
         tol: absolute infinity-norm tolerance on the residual.
         max_iter: iteration cap (number of Newton updates).
         backtracking: if set, damp steps that fail to decrease the residual or
@@ -191,12 +191,9 @@ def newton_solve(
         norm = float(np.max(np.abs(r)))
         if norm <= tol:
             return x
-        if jacobian is None:
-            J = jacobian_fd(residual, x)
-        else:
-            J = np.asarray(jacobian(x), dtype=float)
-            if J.shape != (x.size, x.size):
-                raise ValueError(f"jacobian returned shape {J.shape}, expected {(x.size, x.size)}")
+        J = np.asarray(jacobian(x), dtype=float)
+        if J.shape != (x.size, x.size):
+            raise ValueError(f"jacobian returned shape {J.shape}, expected {(x.size, x.size)}")
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError as exc:

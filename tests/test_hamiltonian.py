@@ -3,8 +3,6 @@ import re
 from dataclasses import replace
 
 import numpy as np
-import hypothesis as hyp
-import hypothesis.strategies as st
 import pytest
 
 import geodisc
@@ -62,21 +60,6 @@ class TestSecondOrderHamiltonian:
         H = second_order_hamiltonian(1)
         assert H == H and H != second_order_hamiltonian(1)
         assert len({H, H}) == 1
-
-    @hyp.given(st.integers(0, 2 ** 31 - 1))
-    def test_gradients_match_fd(self, seed):
-        rng = np.random.default_rng(seed)
-        V = lambda q: 0.3 * float(np.sin(q[0])) + 0.1 * float(q @ q)
-        gV = lambda q: 0.3 * np.cos(q[0]) * np.eye(q.size)[0] + 0.2 * q
-        hV = lambda q: -0.3 * np.sin(q[0]) * np.diag(np.eye(q.size)[0]) + 0.2 * np.eye(q.size)
-        H = second_order_hamiltonian(2, V, gV, hV)
-        m = rng.normal(size=4)
-        p = rng.normal(size=4)
-        gm = jacobian_fd(lambda x: np.array([H.value(x, p)]), m)[0]
-        gp = jacobian_fd(lambda x: np.array([H.value(m, x)]), p)[0]
-        assert np.allclose(H.gradient(m, p), np.concatenate([gm, gp]), atol=1e-6)
-        grad = lambda z: H.gradient(z[:4], z[4:])
-        assert np.allclose(H.hessian(m, p), jacobian_fd(grad, np.concatenate([m, p])), atol=1e-8)
 
 
 class TestLegendre:
@@ -149,14 +132,12 @@ def wobbly_system(n=1, amplitude=1e-3):
 
 
 class TestRowSteps:
-    """symplectic_step on rows (k, 4n): one chord iteration for all rows on
-    an affine lifted map, one point at a time on any other."""
-
-    EPS = np.finfo(float).eps
+    """symplectic_step on rows (k, 4n): one chord iteration for all rows,
+    on any lifted map."""
 
     @pytest.mark.parametrize(
         "case",
-        ["midpoint n=1", "theta:0.3 n=3", "obstacle n=3", "non-affine n=1"],
+        ["midpoint n=1", "theta:0.3 n=3", "obstacle n=3", "non-affine n=1", "non-affine theta:0.3 n=1"],
     )
     def test_rows_match_one_row_calls(self, case, rng):
         if case == "midpoint n=1":
@@ -167,14 +148,13 @@ class TestRowSteps:
         elif case == "obstacle n=3":
             (C, H), Z = obstacle_setup(), row_starts(3, 24, rng, obstacle=True)
         else:
-            C = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
+            base = midpoint_map(1) if case == "non-affine n=1" else theta_map(1, 0.3)
+            C = second_order_phase_map(1, base=replace(base, jacobian_constant=False))
             H, Z = second_order_hamiltonian(1), row_starts(1, 6, rng)
         Z[-1] *= 1e6  # one row far above the absolute tolerance: its own floor must hold
         Z1 = symplectic_step(C, H, 0.01, Z)
         assert Z1.shape == Z.shape
-        for z0, z1 in zip(Z, Z1):
-            one = symplectic_step(C, H, 0.01, z0)
-            assert np.max(np.abs(z1 - one)) <= 4 * self.EPS * np.max(np.abs(one))
+        assert np.array_equal(Z1, np.array([symplectic_step(C, H, 0.01, z0) for z0 in Z]))
 
     def test_affine_rows_make_one_chord_iteration(self, monkeypatch, rng):
         C, H = obstacle_setup()

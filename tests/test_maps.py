@@ -18,7 +18,6 @@ from geodisc.maps import (
     sphere_initial_point_map,
     theta_map,
     verify_discretization_axioms,
-    wrap_angle,
 )
 
 
@@ -167,12 +166,6 @@ class TestSE2:
     def test_group_inverse(self, rng):
         g = np.array([0.3, -1.2, 0.9])
         assert np.allclose(se2_mul(g, se2_inv(g)), np.zeros(3), atol=1e-14)
-
-    def test_wrap_angle(self):
-        assert wrap_angle(math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(-math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
-        assert wrap_angle(0.3) == pytest.approx(0.3)
 
     def test_exp_map_zero_velocity(self):
         g = np.array([0.5, -0.2, 0.7])

@@ -161,12 +161,12 @@ class TestJacobianFd:
 class TestNewtonSolve:
     def test_scalar_quadratic(self):
         f = lambda x: np.array([x[0] ** 2 - 2.0])
-        x = newton_solve(f, np.array([1.0]))
+        x = newton_solve(f, np.array([1.0]), jacobian=lambda x: np.array([[2.0 * x[0]]]))
         assert abs(x[0] - np.sqrt(2)) < 1e-12
 
     def test_vector_system(self):
         f = lambda z: np.array([z[0] + z[1] - 3.0, z[0] * z[1] - 2.0])
-        z = newton_solve(f, np.array([0.5, 1.7]))
+        z = newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: jacobian_fd(f, z))
         assert np.allclose(sorted(z), [1.0, 2.0], atol=1e-10)
 
     def test_supplied_jacobian_shape_checked(self):
@@ -181,19 +181,19 @@ class TestNewtonSolve:
     def test_singular_jacobian(self):
         f = lambda z: np.array([z[0] + z[1], z[0] + z[1]])
         with pytest.raises(SingularJacobian):
-            newton_solve(f, np.array([1.0, -2.0]))
+            newton_solve(f, np.array([1.0, -2.0]), jacobian=lambda z: np.ones((2, 2)))
 
     def test_nonconvergence_carries_best_iterate(self):
         f = lambda x: np.array([x[0] ** 2 + 1.0])  # no real root
         with pytest.raises(NonConvergence) as err:
-            newton_solve(f, np.array([3.0]), max_iter=8, backtracking=True)
+            newton_solve(f, np.array([3.0]), lambda x: np.array([[2.0 * x[0]]]), max_iter=8, backtracking=True)
         assert err.value.x_best is not None
         assert err.value.residual_norm >= 1.0
 
     def test_zero_tolerance_never_converges(self):
         f = lambda x: np.array([np.sin(x[0])])
         with pytest.raises(NonConvergence):
-            newton_solve(f, np.array([0.2]), tol=0.0, max_iter=5)
+            newton_solve(f, np.array([0.2]), lambda x: jacobian_fd(f, x), tol=0.0, max_iter=5)
 
     def test_backtracking_avoids_bad_region(self):
         def f(x):
@@ -201,5 +201,5 @@ class TestNewtonSolve:
                 raise DomainViolation("left of the wall")
             return np.array([np.tanh(x[0]) - 0.5])
 
-        x = newton_solve(f, np.array([-0.9]), backtracking=True)
+        x = newton_solve(f, np.array([-0.9]), lambda x: jacobian_fd(f, x), backtracking=True)
         assert abs(np.tanh(x[0]) - 0.5) < 1e-12

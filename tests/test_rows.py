@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from geodisc import checks
-from geodisc.errors import DomainViolation
-from geodisc.jets import jet_of_curve, unzip_jet_tangent
-from geodisc.lifts import higher_order_lift, second_order_phase_map
+from geodisc.errors import DomainViolation, SingularJacobian
+from geodisc.jets import Jet, jet_of_curve, jet_pushforward, unzip_jet_tangent
+from geodisc.lifts import (
+    check_symplectomorphism,
+    cotangent_lift,
+    higher_order_lift,
+    pair_symplectic_matrix,
+    second_order_phase_map,
+    tangent_lifted_symplectic_matrix,
+)
 from geodisc.maps import (
     midpoint_map,
     se2_exp_map,
@@ -17,7 +24,7 @@ from geodisc.maps import (
     sphere_initial_point_map,
     theta_map,
 )
-from geodisc.numeric import worst_defect
+from geodisc.numeric import jacobian_fd, worst_defect
 
 
 def sphere_tangents(rng, count, scale=0.4):
@@ -73,6 +80,11 @@ NONAFFINE_LIFTS = [
         ("generic midpoint", replace(midpoint_map(2), jacobian_constant=False), flat_points),
         ("se2 exponential", se2_exp_map(), se2_points),
     ]
+] + [
+    # Its inverse jets come from the inverted forward Jacobian: no probe of
+    # the base inverse leaves the sphere (order 2 still takes a second
+    # derivative of the inverse by a stencil off the sphere).
+    ("lift1(sphere geodesic-midpoint)", higher_order_lift(sphere_geodesic_midpoint_map(), 1), lift_points(1, sphere_points)),
 ]
 
 
@@ -83,13 +95,76 @@ def test_row_calls_equal_stacked_one_point_calls(D, points, rng):
     calls = [("forward_flat", Y, X), ("jacobian_forward_flat", D.jacobian_forward_flat(X), X)]
     # The sphere initial-point map normalizes q + xi, so its chart Jacobian
     # is singular and the jet lift has no inverse to take rows.
-    invertible = not D.name.startswith("lift") or "sphere" not in D.name
+    invertible = not D.name.startswith("lift") or "sphere-initial-point" not in D.name
     if invertible:
         calls.append(("inverse_flat", D.inverse_flat(Y), Y))
         assert np.max(np.abs(D.inverse_flat(Y) - X)) < 1e-6  # the rows are the right points, too
     for name, rows, arg in calls:
         stacked = np.array([getattr(D, name)(x) for x in arg])
         assert np.array_equal(rows, stacked), name
+
+
+# Cotangent lifts of non-constant-Jacobian bases: the composed flat maps.
+COMPOSED = [
+    ("theta=0.3 order-1, n=1", second_order_phase_map(1, base=replace(theta_map(1, 0.3), jacobian_constant=False))),
+    ("generic midpoint order-1, n=2", second_order_phase_map(2, base=replace(midpoint_map(2), jacobian_constant=False))),
+    ("se2 exponential", cotangent_lift(se2_exp_map())),
+    ("se2 exponential order-1", second_order_phase_map(3, base=se2_exp_map())),
+]
+
+
+@pytest.mark.parametrize("C", [c[1] for c in COMPOSED], ids=[c[0] for c in COMPOSED])
+def test_composed_lift_rows_equal_one_point_calls(C, rng):
+    assert C.affine_inverse is None
+    X = 0.3 * rng.normal(size=(2, 4, 4 * C.dim))
+    for name in ("forward_flat", "inverse_flat", "inverse_jacobian_flat"):
+        rows = getattr(C, name)(X)
+        stacked = np.array([getattr(C, name)(x) for x in X.reshape(-1, 4 * C.dim)])
+        assert np.array_equal(rows, stacked.reshape(rows.shape)), name
+    # The rows are the right points too, to the finite differences of the
+    # se2 lift's jets (~1e-7).
+    assert np.max(np.abs(C.inverse_flat(C.forward_flat(X)) - X)) < 1e-6
+
+
+def test_symplectomorphism_of_a_composed_lift_matches_jacobian_fd(rng):
+    C = cotangent_lift(se2_exp_map())
+    X = list(0.3 * rng.normal(size=(12, 12)))  # two calls: 10 samples, then 2
+    report = check_symplectomorphism(C, X)
+    target, pair = tangent_lifted_symplectic_matrix(3), pair_symplectic_matrix(3)
+    for x, defect in zip(X, report.defects):
+        S = jacobian_fd(C.forward_flat, x)
+        assert defect == np.max(np.abs(S.T @ pair @ S - target))
+    assert report.passed, str(report)
+
+
+def test_sphere_jet_inverse_raises_singular_jacobian():
+    # The sphere initial-point map normalizes q + xi, so its ambient chart
+    # Jacobian has rank 5: inverting it fails at some points.
+    L = higher_order_lift(sphere_initial_point_map(), 2)
+    q, xi = sphere_tangents(np.random.default_rng(1), 20)
+    X = np.zeros((20, 2 * L.dim))
+    X[:, :3], X[:, L.dim : L.dim + 3] = q, xi
+    outcomes = []
+    for y in L.forward_flat(X):
+        try:
+            L.inverse_flat(y)
+            outcomes.append("ok")
+        except SingularJacobian:
+            outcomes.append("singular")
+    assert 0 < outcomes.count("singular") < 20
+    with pytest.raises(SingularJacobian):
+        L.inverse_flat(L.forward_flat(X))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_chain_pushforward_rows_without_jacobian_equal_one_point_calls(order, rng):
+    F = se2_exp_map().forward_flat
+    j = Jet(tuple(0.5 * rng.normal(size=(2, 3, 6)) for _ in range(order + 1)))
+    rows = jet_pushforward(F, j, method="chain")
+    for i in np.ndindex(2, 3):
+        one = jet_pushforward(F, Jet(tuple(d[i] for d in j.derivs)), method="chain")
+        for a, b in zip(rows.derivs, one.derivs):
+            assert np.array_equal(a[i], b)
 
 
 @pytest.mark.parametrize("D", [sphere_initial_point_map(), sphere_geodesic_midpoint_map()], ids=["initial", "geodesic"])
