@@ -3,10 +3,10 @@
 Lifting moves a discretization map between spaces:
 
 * :func:`higher_order_lift` pushes order-k jets through the map; order 1
-  is the tangent lift, which discretizes velocity dynamics.  Working in
-  flat chart coordinates, a tangent vector to the order-k jet space is first
-  rearranged into a jet of a tangent-bundle curve (:func:`~geodisc.jets.zip_jet_tangent`)
-  and then pushed forward slot by slot.
+  is the tangent lift, which discretizes velocity dynamics.  In flat chart
+  coordinates a tangent vector to the order-k jet space is zipped into the
+  jet of a tangent-bundle curve (:func:`~geodisc.jets.zip_jet_tangent`),
+  pushed forward slot by slot and unzipped into the flat pair of jets.
 * :func:`cotangent_lift` turns a discretization map on a space M into one on
   its phase space T*M.  Covectors ride along the inverse transpose of the base
   Jacobian; the resulting map is a symplectomorphism between the tangent lift
@@ -15,10 +15,11 @@ Lifting moves a discretization map between spaces:
 
 Every lift is implemented by its unchecked flat maps (``forward_flat``,
 ``inverse_flat``, ``jacobian_forward_flat``) and reaches its base only
-through the base's flat maps; the structured calls check their inputs once
-and delegate.  Every flat map also takes rows (..., k), one point per row,
-each with the bits of its one-point value.  The closed form of the lifted
-midpoint map, the independent test oracle, is
+through the base's flat maps.  Every flat map also takes rows (..., k), one
+point per row, each with the bits of its one-point value.  A lift that
+inverts a base Jacobian raises :class:`~geodisc.errors.SingularJacobian`
+when that Jacobian is singular to working precision.  The closed form of
+the lifted midpoint map, the independent test oracle, is
 :func:`geodisc.checks.midpoint_cotangent_closed_form`.
 """
 from __future__ import annotations
@@ -29,20 +30,34 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularJacobian, UnsupportedOrder
-from .jets import Jet, JetTangent, jet_pushforward, unzip_jet_tangent, zip_jet_tangent
+from .jets import jet_pushforward, unzip_jet_tangent, zip_jet_tangent
 from .maps import DiscretizationMap, midpoint_map
 from .numeric import MAX_TAYLOR_ORDER, as_vector, matvec, row_jacobian_fd, worst_defect
 
 Array = np.ndarray
 
+#: Largest condition number of a base Jacobian that a lift inverts: LAPACK
+#: raises only on an exactly zero pivot and returns garbage near one.
+_MAX_CONDITION = 1.0 / np.sqrt(np.finfo(float).eps)
+
+
+def _invertible(J: Array, what: str) -> Array:
+    """J (one matrix or one per row), checked to be invertible to working
+    precision.  The 1-norm condition number takes an LU inverse, not an SVD,
+    and is nan for a non-finite J, which fails the check."""
+    if not np.all(np.linalg.cond(J, 1) <= _MAX_CONDITION):
+        raise SingularJacobian(f"base Jacobian is singular, {what}")
+    return J
+
 
 class HigherOrderDiscretizationMap:
     """Order-k lift of a base discretization map.
 
-    Maps a tangent vector to the order-k jet space (base jet z, fiber velocity
-    zdot) to a pair of order-k jets, by pushing the zipped jet through the base
-    map.  A base with a constant Jacobian gives an affine lift, precomputed as
-    a matrix so that evaluations are exact and cheap; any other base is pushed
+    Maps a tangent vector to the order-k jet space, flat as the base jet z
+    and the fiber velocity zdot, to a pair of order-k jets, flat as
+    (z_minus, z_plus), by pushing the zipped jet through the base map.  A
+    base with a constant Jacobian gives an affine lift, precomputed as a
+    matrix so that evaluations are exact and cheap; any other base is pushed
     through its flat maps, with derivatives from its ``jacobian_forward_flat``
     (inverted at the preimage for the inverse jets).
     """
@@ -53,7 +68,6 @@ class HigherOrderDiscretizationMap:
         self.base = base
         self.order = int(order)
         self.jacobian_constant = base.jacobian_constant
-        self.base_dim = base.dim
         self.dim = (self.order + 1) * base.dim
         self.name = f"lift{self.order}({base.name})" if base.name else f"lift{self.order}"
         if self.jacobian_constant:
@@ -66,66 +80,42 @@ class HigherOrderDiscretizationMap:
 
     def _assemble_affine(self, J: Array, offset: Array) -> tuple[Array, Array]:
         """Affine representation of the lifted flat map when the base map is
-        x -> J x + offset: slot r transforms by J alone for r >= 1."""
-        n, k = self.base_dim, self.order
-        N = self.dim
-        M = np.zeros((2 * N, 2 * N))
-        d = np.zeros(2 * N)
-        for r in range(k + 1):
-            rows_a = slice(r * n, (r + 1) * n)
-            rows_b = slice(N + r * n, N + (r + 1) * n)
-            cols_q = slice(r * n, (r + 1) * n)
-            cols_v = slice(N + r * n, N + (r + 1) * n)
-            M[rows_a, cols_q] = J[:n, :n]
-            M[rows_a, cols_v] = J[:n, n:]
-            M[rows_b, cols_q] = J[n:, :n]
-            M[rows_b, cols_v] = J[n:, n:]
-        d[0:n] = offset[:n]
-        d[N : N + n] = offset[n:]
+        x -> J x + offset: J acts on every zipped slot, the offset on slot 0."""
+        slots = zip_jet_tangent(np.arange(2 * self.dim), self.order)
+        M = np.zeros((2 * self.dim, 2 * self.dim))
+        M[slots[:, :, None], slots[:, None, :]] = J
+        d = np.zeros(2 * self.dim)
+        d[slots[0]] = offset
         return M, d
 
-    # -- jet-structured interface ----------------------------------------
-    def forward(self, xt: JetTangent) -> tuple[Jet, Jet]:
-        if xt.order != self.order or xt.dim != self.base_dim:
-            raise ValueError(f"expected an order-{self.order} tangent over R^{self.base_dim}")
-        y = self.forward_flat(xt.flat())
-        return (
-            Jet.from_flat(y[..., : self.dim], self.order, self.base_dim),
-            Jet.from_flat(y[..., self.dim :], self.order, self.base_dim),
-        )
+    def _zipped(self, x: Array) -> Array:
+        """x (..., 2 dim) as the jet (..., order + 1, 2 n) of a tangent-bundle curve."""
+        if x.shape[-1] != 2 * self.dim:
+            raise ValueError(f"{self.name} expects {2 * self.dim} entries, got {x.shape[-1]}")
+        return zip_jet_tangent(x, self.order)
 
-    def inverse(self, jm: Jet, jp: Jet) -> JetTangent:
-        if jm.order != self.order or jp.order != self.order:
-            raise ValueError(f"expected order-{self.order} jets")
-        x = self.inverse_flat(np.concatenate([jm.flat(), jp.flat()], axis=-1))
-        return JetTangent.from_flat(x, self.order, self.base_dim)
-
-    # -- flat interface ---------------------------------------------------
     def forward_flat(self, x) -> Array:
         x = np.asarray(x, dtype=float)
         if self.jacobian_constant:
             M, d = self._forward_affine
             return matvec(M, x) + d
-        j = zip_jet_tangent(JetTangent.from_flat(x, self.order, self.base_dim))
-        jm, jp = _split_pair_jet(jet_pushforward(self.base.forward_flat, j, jacobian=self.base.jacobian_forward_flat))
-        return np.concatenate([jm.flat(), jp.flat()], axis=-1)
+        base = self.base
+        jets = jet_pushforward(base.forward_flat, self._zipped(x), jacobian=base.jacobian_forward_flat)
+        return unzip_jet_tangent(jets)
 
     def inverse_flat(self, y) -> Array:
         y = np.asarray(y, dtype=float)
         if self.jacobian_constant:
             M, d = self._inverse_affine
             return matvec(M, y) + d
-        jm = Jet.from_flat(y[..., : self.dim], self.order, self.base_dim)
-        jp = Jet.from_flat(y[..., self.dim :], self.order, self.base_dim)
-        paired = Jet(tuple(np.concatenate([a, b], axis=-1) for a, b in zip(jm.derivs, jp.derivs)))
         base = self.base
-        # The base inverse's Jacobian is the inverse of the forward one at the preimage.
-        jacobian = lambda y0: np.linalg.inv(base.jacobian_forward_flat(base.inverse_flat(y0)))
-        try:
-            jets = jet_pushforward(base.inverse_flat, paired, jacobian=jacobian)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian("base Jacobian is singular at the preimage, inverse jets undefined") from exc
-        return unzip_jet_tangent(jets).flat()
+
+        def jacobian(y0: Array) -> Array:
+            # The base inverse's Jacobian is the inverse of the forward one at the preimage.
+            J = base.jacobian_forward_flat(base.inverse_flat(y0))
+            return np.linalg.inv(_invertible(J, "inverse jets undefined"))
+
+        return unzip_jet_tangent(jet_pushforward(base.inverse_flat, self._zipped(y), jacobian=jacobian))
 
     def jacobian_forward_flat(self, x) -> Array:
         x = np.asarray(x, dtype=float)
@@ -149,11 +139,6 @@ class HigherOrderDiscretizationMap:
 def higher_order_lift(D: DiscretizationMap, order: int) -> HigherOrderDiscretizationMap:
     """Lift a discretization map to order-k jet spaces."""
     return HigherOrderDiscretizationMap(D, order)
-
-
-def _split_pair_jet(j: Jet) -> tuple[Jet, Jet]:
-    n = j.dim // 2
-    return Jet(tuple(d[..., :n] for d in j.derivs)), Jet(tuple(d[..., n:] for d in j.derivs))
 
 
 class CotangentLiftedMap:
@@ -241,11 +226,9 @@ class CotangentLiftedMap:
         d = self.dim
         base_x = np.concatenate([x[..., :d], x[..., 2 * d : 3 * d]], axis=-1)
         pair = self.base.forward_flat(base_x)
-        JT = np.swapaxes(self.base.jacobian_forward_flat(base_x), -1, -2)
-        try:
-            c = np.linalg.solve(JT, np.concatenate([x[..., 3 * d :], x[..., d : 2 * d]], axis=-1)[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian("base Jacobian is singular, covector transport undefined") from exc
+        J = _invertible(self.base.jacobian_forward_flat(base_x), "covector transport undefined")
+        b = np.concatenate([x[..., 3 * d :], x[..., d : 2 * d]], axis=-1)
+        c = np.linalg.solve(np.swapaxes(J, -1, -2), b[..., None])[..., 0]
         return np.concatenate([pair[..., :d], -c[..., :d], pair[..., d:], c[..., d:]], axis=-1)
 
     def inverse_flat(self, y) -> Array:

@@ -7,7 +7,7 @@ import pytest
 
 from geodisc.checks import midpoint_cotangent_closed_form
 from geodisc.errors import UnsupportedOrder
-from geodisc.jets import Jet, JetTangent, jet_of_curve, unzip_jet_tangent
+from geodisc.jets import jet_of_curve, unzip_jet_tangent, zip_jet_tangent
 from geodisc.lifts import (
     canonical_symplectic_matrix,
     check_symplectomorphism,
@@ -17,7 +17,7 @@ from geodisc.lifts import (
     second_order_phase_map,
     tangent_lifted_symplectic_matrix,
 )
-from geodisc.maps import midpoint_map, sphere_initial_point_map, theta_map, verify_discretization_axioms
+from geodisc.maps import midpoint_map, se2_exp_map, sphere_initial_point_map, theta_map, verify_discretization_axioms
 from geodisc.numeric import jacobian_fd
 
 
@@ -48,19 +48,36 @@ class TestHigherOrderLift:
     def test_inverse_roundtrip(self, rng):
         lift = higher_order_lift(midpoint_map(2), 2)
         x = rng.normal(size=12)
-        xt = JetTangent.from_flat(x, 2, 2)
-        jm, jp = lift.forward(xt)
-        back = lift.inverse(jm, jp)
-        assert np.allclose(back.flat(), x, atol=1e-10)
+        assert np.allclose(lift.inverse_flat(lift.forward_flat(x)), x, atol=1e-10)
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrder):
             higher_order_lift(midpoint_map(1), 5)
 
+    def test_non_affine_flat_maps_check_the_length(self):
+        # 16 entries would zip into an order-1 jet over R^4, not R^3.
+        lift = higher_order_lift(se2_exp_map(), 1)
+        for flat in (lift.forward_flat, lift.inverse_flat):
+            with pytest.raises(ValueError, match="expects 12 entries, got 16"):
+                flat(np.full(16, 0.1))
+
     def test_lifted_map_satisfies_axioms(self, rng):
         D = higher_order_lift(theta_map(1, 0.25), 2).as_discretization_map()
         report = verify_discretization_axioms(D, [rng.normal(size=3) for _ in range(10)])
         assert report.passed, str(report)
+
+    @pytest.mark.parametrize("order, atol", [(0, 0.0), (1, 4e-15), (2, 1e-9), (3, 1e-7), (4, 1e-6)])
+    @pytest.mark.parametrize("D", [midpoint_map(2), theta_map(2, 0.3)], ids=["midpoint", "theta0.3"])
+    def test_affine_lift_is_the_pushed_forward_lift(self, D, order, atol, rng):
+        # The prebuilt matrices against jets pushed through the same base map
+        # marked non-affine (chain backend up to order 2, curve backend above).
+        affine = higher_order_lift(D, order)
+        pushed = higher_order_lift(replace(D, jacobian_constant=False), order)
+        X = rng.normal(size=(20, 2 * affine.dim))
+        for name in ("forward_flat", "inverse_flat"):
+            a, b = getattr(affine, name)(X), getattr(pushed, name)(X)
+            assert a.shape == b.shape == X.shape
+            assert np.max(np.abs(a - b)) <= atol, name
 
     def test_third_order_lift_runs(self, rng):
         lift = higher_order_lift(replace(midpoint_map(1), jacobian_constant=False), 3)
@@ -352,7 +369,7 @@ class TestSphereLift:
         for _ in range(10):
             curve = self._curve(rng)
             j = jet_of_curve(curve, 2)
-            jm, jp = lift.forward(unzip_jet_tangent(j))
+            jm, jp = np.split(zip_jet_tangent(lift.forward_flat(unzip_jet_tangent(j)), 2), 2, axis=-1)
 
             def plus_curve(t, c=curve):
                 z = c(t)
@@ -361,17 +378,18 @@ class TestSphereLift:
 
             op = jet_of_curve(plus_curve, 2)
             om = jet_of_curve(lambda t, c=curve: c(t)[:3], 2)
-            worst = max(worst, float(np.max(np.abs(jp.flat() - op.flat()))))
-            worst = max(worst, float(np.max(np.abs(jm.flat() - om.flat()))))
+            worst = max(worst, float(np.max(np.abs(jp - op))))
+            worst = max(worst, float(np.max(np.abs(jm - om))))
         assert worst < 1e-7, worst
 
     def test_zero_fiber_reproduces_base_jet(self, rng):
         # With no fiber motion both outputs follow the base point's jet.
         lift = higher_order_lift(sphere_initial_point_map(), 2)
-        q, _ = rng.normal(size=3), None
+        q = rng.normal(size=3)
         q = q / np.linalg.norm(q)
-        base = Jet((q, np.zeros(3), np.zeros(3)))
-        xt = JetTangent(base, (np.zeros(3), np.zeros(3), np.zeros(3)))
-        jm, jp = lift.forward(xt)
-        assert np.allclose(jm.flat(), base.flat(), atol=1e-7)
-        assert np.allclose(jp.flat(), base.flat(), atol=1e-7)
+        base = np.zeros((3, 3))
+        base[0] = q
+        x = unzip_jet_tangent(np.concatenate([base, np.zeros((3, 3))], axis=-1))  # zero fiber
+        jm, jp = np.split(zip_jet_tangent(lift.forward_flat(x), 2), 2, axis=-1)
+        assert np.allclose(jm, base, atol=1e-7)
+        assert np.allclose(jp, base, atol=1e-7)

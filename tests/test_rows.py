@@ -8,7 +8,7 @@ import pytest
 
 from geodisc import checks
 from geodisc.errors import DomainViolation, SingularJacobian
-from geodisc.jets import Jet, jet_of_curve, jet_pushforward, unzip_jet_tangent
+from geodisc.jets import jet_of_curve, jet_pushforward, unzip_jet_tangent, zip_jet_tangent
 from geodisc.lifts import (
     check_symplectomorphism,
     cotangent_lift,
@@ -139,32 +139,56 @@ def test_symplectomorphism_of_a_composed_lift_matches_jacobian_fd(rng):
 
 def test_sphere_jet_inverse_raises_singular_jacobian():
     # The sphere initial-point map normalizes q + xi, so its ambient chart
-    # Jacobian has rank 5: inverting it fails at some points.
+    # Jacobian has rank 5 (condition numbers 1e15 and up): every inversion
+    # raises, one point at a time or in rows, though LAPACK meets an exactly
+    # zero pivot at only a few of these points.
     L = higher_order_lift(sphere_initial_point_map(), 2)
     q, xi = sphere_tangents(np.random.default_rng(1), 20)
     X = np.zeros((20, 2 * L.dim))
     X[:, :3], X[:, L.dim : L.dim + 3] = q, xi
-    outcomes = []
     for y in L.forward_flat(X):
-        try:
+        with pytest.raises(SingularJacobian):
             L.inverse_flat(y)
-            outcomes.append("ok")
-        except SingularJacobian:
-            outcomes.append("singular")
-    assert 0 < outcomes.count("singular") < 20
     with pytest.raises(SingularJacobian):
         L.inverse_flat(L.forward_flat(X))
+
+
+@pytest.mark.parametrize("order", [None, 1], ids=["base", "lift1"])
+def test_sphere_cotangent_lift_raises_singular_jacobian(order):
+    # The composed forward transports covectors by a solve with the base
+    # Jacobian, which for the initial-point map (or its order-1 lift, whose
+    # condition numbers are 1e12 and up) is singular to working precision.
+    D = sphere_initial_point_map()
+    C = cotangent_lift(D if order is None else higher_order_lift(D, order))
+    rng = np.random.default_rng(2)
+    q, xi = sphere_tangents(rng, 20)
+    X = 0.3 * rng.normal(size=(20, 4 * C.dim))
+    X[:, :3], X[:, 2 * C.dim : 2 * C.dim + 3] = q, xi
+    for x in X:
+        with pytest.raises(SingularJacobian):
+            C.forward_flat(x)
+    with pytest.raises(SingularJacobian):
+        C.forward_flat(X)
+
+
+def test_non_finite_base_jacobian_raises_singular_jacobian():
+    # An overflowing point makes the base Jacobian non-finite: it has no
+    # condition number, and the covector solve would return garbage.
+    C = cotangent_lift(sphere_geodesic_midpoint_map())
+    x = np.full(12, 0.1)
+    x[0] = 1e308
+    with np.errstate(all="ignore"), pytest.raises(SingularJacobian):
+        C.forward_flat(x)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_chain_pushforward_rows_without_jacobian_equal_one_point_calls(order, rng):
     F = se2_exp_map().forward_flat
-    j = Jet(tuple(0.5 * rng.normal(size=(2, 3, 6)) for _ in range(order + 1)))
+    j = 0.5 * rng.normal(size=(2, 3, order + 1, 6))
     rows = jet_pushforward(F, j, method="chain")
+    assert rows.shape == j.shape
     for i in np.ndindex(2, 3):
-        one = jet_pushforward(F, Jet(tuple(d[i] for d in j.derivs)), method="chain")
-        for a, b in zip(rows.derivs, one.derivs):
-            assert np.array_equal(a[i], b)
+        assert np.array_equal(rows[i], jet_pushforward(F, j[i], method="chain"))
 
 
 @pytest.mark.parametrize("D", [sphere_initial_point_map(), sphere_geodesic_midpoint_map()], ids=["initial", "geodesic"])
@@ -257,7 +281,7 @@ def _sphere_lift_loop(rng):
     for _ in range(50):
         curve = _one_sphere_curve(rng)
         j_in = jet_of_curve(curve, 2)
-        jm, jp = lift.forward(unzip_jet_tangent(j_in))
+        jm, jp = np.split(zip_jet_tangent(lift.forward_flat(unzip_jet_tangent(j_in)), 2), 2, axis=-1)
 
         def plus_curve(t, c=curve):
             w = c(t)[:3] + c(t)[3:]
@@ -265,10 +289,10 @@ def _sphere_lift_loop(rng):
 
         om = jet_of_curve(lambda t, c=curve: c(t)[:3], 2)
         op = jet_of_curve(plus_curve, 2)
-        defects += [np.max(np.abs(jm.flat() - om.flat())), np.max(np.abs(jp.flat() - op.flat()))]
-        (q, xi), (qd, xid), (qdd, xidd) = [np.split(j_in.slot(r), 2) for r in range(3)]
+        defects += [np.max(np.abs(jm - om)), np.max(np.abs(jp - op))]
+        (q, xi), (qd, xid), (qdd, xidd) = [np.split(slot, 2) for slot in j_in]
         for out, squared in ((lin_defects, False), (sq_defects, True)):
-            out.append(np.max(np.abs(_one_point_second_derivative(q, xi, qd, xid, qdd, xidd, squared) - jp.slot(2))))
+            out.append(np.max(np.abs(_one_point_second_derivative(q, xi, qd, xid, qdd, xidd, squared) - jp[2])))
     return [worst_defect(defects), worst_defect(sq_defects), worst_defect(lin_defects)]
 
 
