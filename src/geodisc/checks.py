@@ -132,8 +132,9 @@ def _midpoint_second_lift_closed_form(x: Array, n: int) -> Array:
 
 
 def second_lift_suite(rng) -> list[CheckResult]:
-    """Order-2 lift of the midpoint rule against the slotwise closed form, on
-    both derivative backends, plus the -+I/2 fiber blocks of its Jacobian."""
+    """Order-2 lift of the midpoint rule against the slotwise closed form, as
+    the prebuilt affine lift ("exact") and as jets pushed through the map
+    ("fd"), plus the -+I/2 fiber blocks of its Jacobian."""
     out = []
     n = 2
     exact = midpoint_map(n)

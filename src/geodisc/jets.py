@@ -3,8 +3,8 @@
 An order-k jet of a curve c: R -> R^n is the array (c(0), c'(0), ...,
 c^(k)(0)) of shape (k + 1, n): slot r, on axis -2, is the plain r-th
 derivative, not the Taylor coefficient.  A stack (..., k + 1, n) holds one
-jet per row; jets of row-valued curves and the chain backend keep the rows
-apart, each with the bits of its one-point value.  A jet's flat layout
+jet per row; jets of row-valued curves and both pushforward rules keep the
+rows apart, each with the bits of its one-point value.  A jet's flat layout
 (..., (k + 1) n) is its reshape.
 
 A tangent vector to the order-k jet space is flat as its base jet followed
@@ -13,14 +13,11 @@ turns it into the jet (..., k + 1, 2 n) of a tangent-bundle curve, slot r
 being (base_r, fiber_r), and :func:`unzip_jet_tangent` undoes it; the same
 pair turns a pair of jets into the jet of a pair curve and back.
 
-``jet_pushforward`` maps the jet of c to the jet of F o c.  Two backends:
-
-* ``"chain"`` (orders <= 2): explicit chain rule, using a closed-form Jacobian
-  of F when supplied, central differences otherwise, and a fourth-order
-  stencil for the second directional derivative.
-* ``"curve"`` (orders <= 4): rebuild the polynomial curve, compose with F and
-  differentiate the composition.  Slower and slightly less accurate, but fully
-  independent of the chain-rule path, which makes it the oracle of choice.
+``jet_pushforward`` maps the jet of c to the jet of F o c, and the jet order
+picks the rule: orders <= 2 take the chain rule with the closed-form
+Jacobian of F and a fourth-order stencil for the second directional
+derivative; orders 3 and 4 rebuild the polynomial curve, compose it with F
+and differentiate the composition by central stencils.
 """
 from __future__ import annotations
 
@@ -30,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .numeric import MAX_TAYLOR_ORDER, _eval_vector, jacobian_fd, matvec, row_jacobian_fd, rowdot, taylor_derivatives
+from .numeric import MAX_TAYLOR_ORDER, _eval_vector, matvec, rowdot, taylor_derivatives
 
 Array = np.ndarray
 
@@ -50,15 +47,16 @@ def unzip_jet_tangent(j) -> Array:
     return np.swapaxes(j.reshape(*j.shape[:-1], 2, -1), -3, -2).reshape(*j.shape[:-2], -1)
 
 
-def jet_of_curve(c: Callable[[float], Array], order: int, method: str = "fd") -> Array:
+def jet_of_curve(c: Callable[[float], Array], order: int) -> Array:
     """Order-k jet (k + 1, n) of a black-box curve at t = 0; a curve whose
     values are (..., n) rows gives one jet per row, (..., k + 1, n)."""
-    return np.stack(taylor_derivatives(c, 0.0, order, method=method), axis=-2)
+    return np.stack(taylor_derivatives(c, 0.0, order), axis=-2)
 
 
-def directional_second_derivative(F, x: Array, u: Array) -> Array:
+def directional_second_derivative(F, x: Array, Fx: Array, u: Array) -> Array:
     """d^2/dt^2 F(x + t u) at t = 0 via a fourth-order central stencil, at one
-    point or along every row of (..., n) arrays, with a step per row.
+    point or along every row of (..., n) arrays, with a step per row; ``Fx``
+    is the value F(x), the stencil's centre.
 
     The probe direction is normalized so the step size is independent of |u|;
     a zero direction gives zero.
@@ -66,48 +64,32 @@ def directional_second_derivative(F, x: Array, u: Array) -> Array:
     nu = np.sqrt(rowdot(u, u))[..., None]
     e = u / np.where(nu == 0.0, 1.0, nu)
     h = 6e-3 * np.maximum(1.0, np.max(np.abs(x), axis=-1, keepdims=True))
-    v0 = _eval_vector(F, x)
     v1p = _eval_vector(F, x + h * e)
     v1m = _eval_vector(F, x - h * e)
     v2p = _eval_vector(F, x + 2 * h * e)
     v2m = _eval_vector(F, x - 2 * h * e)
-    d2 = (-v2p + 16 * v1p - 30 * v0 + 16 * v1m - v2m) / (12 * h * h) * (nu * nu)
+    d2 = (-v2p + 16 * v1p - 30 * Fx + 16 * v1m - v2m) / (12 * h * h) * (nu * nu)
     return np.where(nu == 0.0, 0.0, d2)
 
 
-def jet_pushforward(
-    F: Callable[[Array], Array],
-    j,
-    method: str = "auto",
-    jacobian: Callable[[Array], Array] | None = None,
-) -> Array:
-    """Jet of F o c given the jet j (..., k + 1, n) of c.
+def jet_pushforward(F: Callable[[Array], Array], j, jacobian: Callable[[Array, Array], Array]) -> Array:
+    """Jet of F o c given the jet j (..., k + 1, n) of c, for k <= 4.
 
-    ``jacobian`` supplies the closed-form Jacobian of F for the chain
-    backend; without it the Jacobian is taken by central differences, for
-    rows by :func:`~geodisc.numeric.row_jacobian_fd`.
+    Up to order 2 this is the chain rule, (F(x0), J x1, d^2 F(x0)[x1, x1] +
+    J x2), with J = ``jacobian(x0, F(x0))`` the closed-form Jacobian of F at
+    the slot-0 points (F's value there is passed along, so a callback that
+    needs it need not evaluate F again) and the second directional
+    derivative by :func:`directional_second_derivative`.  Orders 3 and 4
+    compose F with the polynomial curve of j and take the composition's jet
+    (:func:`jet_of_curve`); they do not call ``jacobian``.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim < 2 or not np.isfinite(j).all():
         raise ValueError(f"a jet is a finite array of shape (..., order + 1, n), got shape {j.shape}")
     k = j.shape[-2] - 1
-    if method == "auto":
-        method = "chain" if k <= 2 else "curve"
-    if method == "chain":
-        if k > 2:
-            raise UnsupportedOrder("the chain backend covers jet orders <= 2; use method='curve'")
-        x0 = j[..., 0, :]
-        slots = [_eval_vector(F, x0)]
-        if k >= 1:
-            fd = jacobian_fd if x0.ndim == 1 else row_jacobian_fd
-            J = np.asarray(jacobian(x0), dtype=float) if jacobian is not None else fd(F, x0)
-            slots.append(matvec(J, j[..., 1, :]))
-        if k >= 2:
-            slots.append(directional_second_derivative(F, x0, j[..., 1, :]) + matvec(J, j[..., 2, :]))
-        return np.stack(slots, axis=-2)
-    if method == "curve":
-        if k > MAX_TAYLOR_ORDER:
-            raise UnsupportedOrder(f"jet order {k} exceeds the supported maximum {MAX_TAYLOR_ORDER}")
+    if k > MAX_TAYLOR_ORDER:
+        raise UnsupportedOrder(f"jet order {k} exceeds the supported maximum {MAX_TAYLOR_ORDER}")
+    if k >= 3:
         coeffs = [j[..., r, :] / math.factorial(r) for r in range(k + 1)]
 
         def composed(t: float) -> Array:
@@ -117,4 +99,12 @@ def jet_pushforward(
             return F(c)
 
         return jet_of_curve(composed, k)
-    raise ValueError(f"unknown method {method!r}, expected 'auto', 'chain' or 'curve'")
+    x0 = j[..., 0, :]
+    y0 = _eval_vector(F, x0)
+    slots = [y0]
+    if k >= 1:
+        J = np.asarray(jacobian(x0, y0), dtype=float)
+        slots.append(matvec(J, j[..., 1, :]))
+    if k == 2:
+        slots.append(directional_second_derivative(F, x0, y0, j[..., 1, :]) + matvec(J, j[..., 2, :]))
+    return np.stack(slots, axis=-2)

@@ -17,9 +17,10 @@ Every lift is implemented by its unchecked flat maps (``forward_flat``,
 ``inverse_flat``, ``jacobian_forward_flat``) and reaches its base only
 through the base's flat maps.  Every flat map also takes rows (..., k), one
 point per row, each with the bits of its one-point value.  A lift that
-inverts a base Jacobian raises :class:`~geodisc.errors.SingularJacobian`
-when that Jacobian is singular to working precision.  The closed form of
-the lifted midpoint map, the independent test oracle, is
+inverts a base Jacobian or transports covectors by it raises
+:class:`~geodisc.errors.SingularJacobian` when that Jacobian is singular to
+working precision.  The closed form of the lifted midpoint map, the
+independent test oracle, is
 :func:`geodisc.checks.midpoint_cotangent_closed_form`.
 """
 from __future__ import annotations
@@ -100,7 +101,7 @@ class HigherOrderDiscretizationMap:
             M, d = self._forward_affine
             return matvec(M, x) + d
         base = self.base
-        jets = jet_pushforward(base.forward_flat, self._zipped(x), jacobian=base.jacobian_forward_flat)
+        jets = jet_pushforward(base.forward_flat, self._zipped(x), jacobian=lambda x0, _: base.jacobian_forward_flat(x0))
         return unzip_jet_tangent(jets)
 
     def inverse_flat(self, y) -> Array:
@@ -110,10 +111,9 @@ class HigherOrderDiscretizationMap:
             return matvec(M, y) + d
         base = self.base
 
-        def jacobian(y0: Array) -> Array:
-            # The base inverse's Jacobian is the inverse of the forward one at the preimage.
-            J = base.jacobian_forward_flat(base.inverse_flat(y0))
-            return np.linalg.inv(_invertible(J, "inverse jets undefined"))
+        def jacobian(y0: Array, x0: Array) -> Array:
+            # The base inverse's Jacobian is the inverse of the forward one at the preimage x0.
+            return np.linalg.inv(_invertible(base.jacobian_forward_flat(x0), "inverse jets undefined"))
 
         return unzip_jet_tangent(jet_pushforward(base.inverse_flat, self._zipped(y), jacobian=jacobian))
 
@@ -242,7 +242,8 @@ class CotangentLiftedMap:
         y = np.asarray(y, dtype=float)
         d = self.dim
         base_x = self.base.inverse_flat(np.concatenate([y[..., :d], y[..., 2 * d : 3 * d]], axis=-1))
-        JT = np.swapaxes(self.base.jacobian_forward_flat(base_x), -1, -2)
+        J = _invertible(self.base.jacobian_forward_flat(base_x), "covector transport undefined")
+        JT = np.swapaxes(J, -1, -2)
         col = matvec(JT, np.concatenate([-y[..., d : 2 * d], y[..., 3 * d :]], axis=-1))
         return np.concatenate([base_x[..., :d], col[..., d:], base_x[..., d:], col[..., :d]], axis=-1)
 

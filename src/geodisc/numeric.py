@@ -1,15 +1,18 @@
-"""Small dense numerics: Newton solves, finite differences, Taylor-mode derivatives.
+"""Small dense numerics: Newton solves, finite-difference Jacobians and the
+derivatives of curves.
 
 Everything operates on plain 1-d numpy arrays and is pure; :func:`matvec`,
 :func:`rowdot` and :func:`row_jacobian_fd` also take stacks of points, one per
 row, and give every row the bits of its one-point value. The rest of
 the package builds its maps, lifts and integrators on top of these helpers, so
 the conventions fixed here (central differences, infinity-norm stopping tests)
-propagate everywhere.
+propagate everywhere.  :func:`taylor_derivatives` differentiates a black-box
+curve by central stencils up to order ``MAX_TAYLOR_ORDER``; the jets of
+:mod:`geodisc.jets` take it for the jet of a curve and for pushforwards of
+orders 3 and 4 (orders up to 2 take the chain rule).
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -271,53 +274,11 @@ def _fd_stencil(r: int, scale: float) -> tuple[Array, Array]:
     return offsets, w
 
 
-def _taylor_fd(f, t0: float, order: int) -> list[Array]:
-    """f(t0) is evaluated once and serves every stencil's zero offset."""
-    f0 = _eval_vector(f, t0)
-    out = [f0]
-    scale = max(1.0, abs(t0))
-    for r in range(1, order + 1):
-        offsets, w = _fd_stencil(r, scale)
-        acc = np.zeros_like(f0)
-        for off, wi in zip(offsets, w):
-            acc = acc + wi * (f0 if off == 0.0 else _eval_vector(f, t0 + off))
-        out.append(acc)
-    return out
-
-
-def _taylor_series(f, t0: float, order: int) -> list[Array]:
-    t = TaylorScalar.variable(t0, order)
-    try:
-        y = f(t)
-    except GeodiscError:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        raise EvaluationFailure(
-            f"callable does not support Taylor-mode evaluation at {t0}: {exc}"
-        ) from exc
-    comps = np.atleast_1d(np.asarray(y, dtype=object)).ravel()
-    out = []
-    for r in range(order + 1):
-        row = []
-        for comp in comps:
-            if isinstance(comp, TaylorScalar):
-                row.append(comp.derivative(r))
-            else:
-                row.append(float(comp) if r == 0 else 0.0)
-        out.append(np.array(row, dtype=float))
-    return out
-
-
-def taylor_derivatives(f, t0: float, order: int, method: str = "fd") -> list[Array]:
-    """Derivatives (f(t0), f'(t0), ..., f^(order)(t0)) of a curve f: R -> R^m.
-
-    Two independent backends are provided and cross-checked in the test suite:
-
-    * ``"fd"``: fourth-order-accurate central stencils with per-order step
-      sizes.  Works on black-box callables.
-    * ``"taylor"``: truncated Taylor arithmetic.  Requires ``f`` to be written
-      in terms of arithmetic and numpy ufuncs so a :class:`TaylorScalar` can
-      flow through it.
+def taylor_derivatives(f, t0: float, order: int) -> list[Array]:
+    """Derivatives (f(t0), f'(t0), ..., f^(order)(t0)) of a black-box curve
+    f: R -> R^m by fourth-order-accurate central stencils with per-order
+    step sizes.  f(t0) is evaluated once and serves every stencil's zero
+    offset.
 
     Scalar-valued curves come back as length-1 vectors.  Orders above
     ``MAX_TAYLOR_ORDER`` raise :class:`UnsupportedOrder`.
@@ -325,199 +286,13 @@ def taylor_derivatives(f, t0: float, order: int, method: str = "fd") -> list[Arr
     if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_TAYLOR_ORDER:
         raise UnsupportedOrder(f"derivative order must be an integer in [0, {MAX_TAYLOR_ORDER}], got {order!r}")
     t0 = float(t0)
-    if method == "fd":
-        return _taylor_fd(f, t0, int(order))
-    if method == "taylor":
-        return _taylor_series(f, t0, int(order))
-    raise ValueError(f"unknown method {method!r}, expected 'fd' or 'taylor'")
-
-
-class TaylorScalar:
-    """Univariate truncated Taylor series with float coefficients.
-
-    ``coef[r]`` is the r-th Taylor coefficient f^(r)(t0)/r!.  Arithmetic and
-    the elementary functions below propagate series of a fixed truncation
-    order, so feeding ``TaylorScalar.variable(t0, k)`` through a formula
-    evaluates that formula's derivatives at t0.  The elementary functions are
-    exposed as methods named like the numpy ufuncs, which makes object-dtype
-    numpy arrays of TaylorScalars work with np.sin, np.exp and friends.
-    """
-
-    __slots__ = ("coef",)
-
-    def __init__(self, coef):
-        self.coef = np.asarray(coef, dtype=float)
-        if self.coef.ndim != 1 or self.coef.size == 0:
-            raise ValueError("coef must be a nonempty 1-d array")
-
-    @classmethod
-    def variable(cls, value: float, order: int) -> "TaylorScalar":
-        c = np.zeros(order + 1)
-        c[0] = value
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    @classmethod
-    def constant(cls, value: float, order: int) -> "TaylorScalar":
-        c = np.zeros(order + 1)
-        c[0] = float(value)
-        return cls(c)
-
-    @property
-    def order(self) -> int:
-        return self.coef.size - 1
-
-    def derivative(self, r: int) -> float:
-        """r-th derivative value encoded by this series."""
-        if r > self.order:
-            return 0.0
-        return float(self.coef[r]) * math.factorial(r)
-
-    def _coerce(self, other):
-        if isinstance(other, TaylorScalar):
-            if other.order != self.order:
-                raise ValueError("mixing TaylorScalars of different truncation orders")
-            return other
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return TaylorScalar.constant(float(other), self.order)
-        return None
-
-    def __repr__(self):
-        return f"TaylorScalar({self.coef.tolist()})"
-
-    # -- ring operations -------------------------------------------------
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TaylorScalar(self.coef + o.coef)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TaylorScalar(-self.coef)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TaylorScalar(self.coef - o.coef)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TaylorScalar(o.coef - self.coef)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = self.coef.size
-        out = np.zeros(n)
-        for k in range(n):
-            out[k] = np.dot(self.coef[: k + 1], o.coef[k::-1])
-        return TaylorScalar(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.coef[0] == 0.0:
-            raise ZeroDivisionError("division by a series with vanishing constant term")
-        n = self.coef.size
-        out = np.zeros(n)
-        out[0] = self.coef[0] / o.coef[0]
-        for k in range(1, n):
-            out[k] = (self.coef[k] - np.dot(o.coef[1 : k + 1], out[k - 1 :: -1])) / o.coef[0]
-        return TaylorScalar(out)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __pow__(self, p):
-        if isinstance(p, TaylorScalar):
-            return (p * self.log()).exp()
-        if isinstance(p, (int, np.integer)) and p >= 0:
-            # Repeated squaring keeps integer powers valid at coef[0] == 0.
-            result = TaylorScalar.constant(1.0, self.order)
-            base, e = self, int(p)
-            while e:
-                if e & 1:
-                    result = result * base
-                base = base * base
-                e >>= 1
-            return result
-        p = float(p)
-        if self.coef[0] == 0.0:
-            raise ZeroDivisionError("non-integer power of a series with vanishing constant term")
-        n = self.coef.size
-        out = np.zeros(n)
-        out[0] = self.coef[0] ** p
-        for k in range(1, n):
-            s = 0.0
-            for j in range(1, k + 1):
-                s += (j * (p + 1) - k) * self.coef[j] * out[k - j]
-            out[k] = s / (k * self.coef[0])
-        return TaylorScalar(out)
-
-    # -- elementary functions (numpy ufunc method names) -----------------
-    def exp(self):
-        n = self.coef.size
-        out = np.zeros(n)
-        out[0] = math.exp(self.coef[0])
-        for k in range(1, n):
-            s = 0.0
-            for j in range(1, k + 1):
-                s += j * self.coef[j] * out[k - j]
-            out[k] = s / k
-        return TaylorScalar(out)
-
-    def log(self):
-        if self.coef[0] <= 0.0:
-            raise ValueError("log of a series with nonpositive constant term")
-        n = self.coef.size
-        # b' = a'/a, integrated term by term.
-        aprime = np.zeros(n)
-        aprime[: n - 1] = self.coef[1:] * np.arange(1, n)
-        q = TaylorScalar(aprime) / self
-        out = np.zeros(n)
-        out[0] = math.log(self.coef[0])
-        for k in range(1, n):
-            out[k] = q.coef[k - 1] / k
-        return TaylorScalar(out)
-
-    def _sincos(self):
-        n = self.coef.size
-        s = np.zeros(n)
-        c = np.zeros(n)
-        s[0] = math.sin(self.coef[0])
-        c[0] = math.cos(self.coef[0])
-        for k in range(1, n):
-            ss = 0.0
-            cc = 0.0
-            for j in range(1, k + 1):
-                ss += j * self.coef[j] * c[k - j]
-                cc += j * self.coef[j] * s[k - j]
-            s[k] = ss / k
-            c[k] = -cc / k
-        return TaylorScalar(s), TaylorScalar(c)
-
-    def sin(self):
-        return self._sincos()[0]
-
-    def cos(self):
-        return self._sincos()[1]
-
-    def tan(self):
-        s, c = self._sincos()
-        return s / c
-
-    def sqrt(self):
-        return self.__pow__(0.5)
+    f0 = _eval_vector(f, t0)
+    out = [f0]
+    scale = max(1.0, abs(t0))
+    for r in range(1, int(order) + 1):
+        offsets, w = _fd_stencil(r, scale)
+        acc = np.zeros_like(f0)
+        for off, wi in zip(offsets, w):
+            acc = acc + wi * (f0 if off == 0.0 else _eval_vector(f, t0 + off))
+        out.append(acc)
+    return out

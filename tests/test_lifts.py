@@ -5,6 +5,7 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+import geodisc
 from geodisc.checks import midpoint_cotangent_closed_form
 from geodisc.errors import UnsupportedOrder
 from geodisc.jets import jet_of_curve, unzip_jet_tangent, zip_jet_tangent
@@ -61,6 +62,24 @@ class TestHigherOrderLift:
             with pytest.raises(ValueError, match="expects 12 entries, got 16"):
                 flat(np.full(16, 0.1))
 
+    @pytest.mark.parametrize("order, calls", [(1, 1), (2, 5)])
+    def test_non_affine_inverse_evaluates_the_base_inverse_once_at_slot_0(self, order, calls, rng):
+        # The slot-0 preimage serves the value, the inverse Jacobian and the
+        # centre of the order-2 stencil; the stencil adds four more points.
+        D = se2_exp_map()
+        count = []
+
+        def inverse_fn(a, b):
+            count.append(1)
+            return D.inverse_fn(a, b)
+
+        counted = higher_order_lift(replace(D, inverse_fn=inverse_fn), order)
+        plain = higher_order_lift(D, order)
+        y = counted.forward_flat(0.3 * rng.normal(size=2 * counted.dim))
+        x = counted.inverse_flat(y)
+        assert len(count) == calls
+        assert np.array_equal(x, plain.inverse_flat(y))
+
     def test_lifted_map_satisfies_axioms(self, rng):
         D = higher_order_lift(theta_map(1, 0.25), 2).as_discretization_map()
         report = verify_discretization_axioms(D, [rng.normal(size=3) for _ in range(10)])
@@ -70,7 +89,7 @@ class TestHigherOrderLift:
     @pytest.mark.parametrize("D", [midpoint_map(2), theta_map(2, 0.3)], ids=["midpoint", "theta0.3"])
     def test_affine_lift_is_the_pushed_forward_lift(self, D, order, atol, rng):
         # The prebuilt matrices against jets pushed through the same base map
-        # marked non-affine (chain backend up to order 2, curve backend above).
+        # marked non-affine (the chain rule up to order 2, the composed curve above).
         affine = higher_order_lift(D, order)
         pushed = higher_order_lift(replace(D, jacobian_constant=False), order)
         X = rng.normal(size=(20, 2 * affine.dim))
@@ -281,12 +300,13 @@ class TestExactLiftedInverseJets:
             assert np.max(np.abs(generic.inverse_flat(y) - exact.inverse_flat(y))) <= eps * np.max(np.abs(y))
 
     def test_takes_no_finite_differences(self, monkeypatch, rng):
-        import geodisc.jets
-
         def forbidden(*args, **kwargs):
             raise AssertionError("finite-difference Jacobian taken")
 
-        monkeypatch.setattr(geodisc.jets, "jacobian_fd", forbidden)
+        for name in ("jacobian_fd", "row_jacobian_fd"):
+            for module in (geodisc.numeric, geodisc.lifts, geodisc.maps, geodisc.jets):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
         generic = higher_order_lift(replace(midpoint_map(2), jacobian_constant=False), 1)
         y = rng.normal(size=8)
         assert np.allclose(generic.forward_flat(generic.inverse_flat(y)), y, rtol=0.0, atol=1e-14)
