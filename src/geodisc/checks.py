@@ -210,8 +210,7 @@ def step_symplecticity_suite(rng) -> list[CheckResult]:
         ang = rng.uniform(0.0, 2 * np.pi)
         z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
         obstacle.append(z0)
-    V, gV, hV, _ = obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)
-    C, H = second_order_phase_map(3), second_order_hamiltonian(3, V, gV, hV)
+    C, H = second_order_phase_map(3), second_order_hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
     jacobians = (
         ("free n=1", _one_step_jacobian(second_order_phase_map(1), second_order_hamiltonian(1), 0.01, free)),
         # One sample (24 rows) per call: the chord iteration of a nonlinear

@@ -1,19 +1,19 @@
 """Command-line front end: simulate | shoot | check | plot.
 
 Configuration comes from an optional JSON file plus flags; flags win.  The
-environment variable GEODISC_SEED overrides the configured seed for the
-randomized check suites.  Exit codes: 0 success, 1 solver or suite failure,
-2 configuration error.  Every failure prints a single line of the form
+problem is ``obstacle`` (the default, n = 3: the planar body in a Euclidean
+(x, y, theta) chart) or ``free`` (n = 1 by default).  Exit codes: 0 success,
+1 solver or suite failure, 2 configuration error, a config-file value of the
+wrong type included.  Every failure prints a single line of the form
 ``error: <kind>: message`` on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,18 +33,15 @@ from .maps import midpoint_map, theta_map
 
 Array = np.ndarray
 
-PROBLEM_KINDS = ("free", "obstacle", "se2")
+PROBLEM_KINDS = ("free", "obstacle")
 
 #: Errors that mean the run was set up wrong, as opposed to failing numerically.
 _CONFIG_ERRORS = (ConfigError, BadDiscretization, StartInsideObstacle)
 
 
 def _parse_floats(value, name: str) -> Array:
-    if isinstance(value, str):
-        parts = [p for p in re.split(r"[,\s]+", value.strip()) if p]
-    else:
-        parts = list(value)
     try:
+        parts = [p for p in re.split(r"[,\s]+", value.strip()) if p] if isinstance(value, str) else list(value)
         out = np.array([float(p) for p in parts], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: expected a list of numbers, got {value!r}") from exc
@@ -57,7 +54,7 @@ def _parse_floats(value, name: str) -> Array:
 class ExperimentConfig:
     """Everything a CLI run needs; see the module docstring for precedence."""
 
-    problem: str = "se2"
+    problem: str = "obstacle"
     n: int | None = None
     h: float = 0.01
     steps: int = 400
@@ -76,7 +73,6 @@ class ExperimentConfig:
     json_out: str | None = None
     seed: int = 0
     tol: float = 1e-10
-    include_potential_in_cost: bool = True
     suites: list[str] | None = None
     h_values: Sequence[float] = (0.04, 0.02, 0.01)
 
@@ -96,12 +92,12 @@ class ExperimentConfig:
     def dim(self) -> int:
         if self.n is not None:
             return self.n
-        return 3 if self.problem in ("se2", "obstacle") else 1
+        return 3 if self.problem == "obstacle" else 1
 
     @property
     def obstacle(self):
-        """(tau, r, center) for the obstacle problems, else None."""
-        return (self.tau, self.r, self.center) if self.problem in ("obstacle", "se2") else None
+        """(tau, r, center) for the obstacle problem, else None."""
+        return (self.tau, self.r, self.center) if self.problem == "obstacle" else None
 
     @property
     def boundary(self):
@@ -133,8 +129,6 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         self.base_map(1)  # validates the discretization string
         n = self.dim
-        if self.problem == "se2" and n != 3:
-            raise ConfigError("the se2 problem is three-dimensional (x, y, theta)")
         if self.problem == "obstacle" and n < 2:
             raise ConfigError(f"the obstacle acts on (x, y): the obstacle problem needs n >= 2, got n={n}")
         have_boundary = any(v is not None for v in self.boundary)
@@ -156,9 +150,17 @@ class ExperimentConfig:
 
 
 _VECTOR_FIELDS = ("initial_state", "q_start", "qdot_start", "q_end", "qdot_end", "center")
+_STRING_FIELDS = ("problem", "discretization", "csv_out", "svg_out", "json_out")
 
 
 def _coerce_field(name: str, value):
+    """``value`` as config field ``name`` wants it; a value of the wrong
+    type, such as a bool or a fractional number for an integer, raises
+    ConfigError."""
+    if name in _STRING_FIELDS:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name}: expected a string, got {value!r}")
+        return value
     if name in _VECTOR_FIELDS:
         return _parse_floats(value, name)
     if name == "h_values":
@@ -169,15 +171,16 @@ def _coerce_field(name: str, value):
             raise ConfigError(f"suites: expected a list of suite names, got {value!r}")
         return [s for item in items for s in re.split(r"[,\s]+", item.strip()) if s]
     if name in ("n", "steps", "seed"):
-        try:
-            return int(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: expected an integer, got {value!r}") from exc
+        if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+            raise ConfigError(f"{name}: expected an integer, got {value!r}")
+        return int(value)
     if name in ("h", "tau", "r", "T", "tol"):
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: expected a number, got {value!r}") from exc
+        if not isinstance(value, bool):
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                pass
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
     return value
 
 
@@ -223,13 +226,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
     merged = {k: _coerce_field(k, v) for k, v in merged.items()}
     cfg = ExperimentConfig(**merged)
-
-    env_seed = os.environ.get("GEODISC_SEED")
-    if env_seed is not None:
-        try:
-            cfg = replace(cfg, seed=int(env_seed))
-        except ValueError as exc:
-            raise ConfigError(f"GEODISC_SEED must be an integer, got {env_seed!r}") from exc
     cfg.validate(args.command)
     return cfg
 
@@ -254,15 +250,7 @@ def _write_artifacts(cfg: ExperimentConfig, traj, clearances, command: str) -> s
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     n = cfg.dim
-    report = simulate(
-        n,
-        cfg.h,
-        cfg.steps,
-        cfg.initial_state,
-        base=cfg.base_map(n),
-        obstacle=cfg.obstacle,
-        include_potential_in_cost=cfg.include_potential_in_cost,
-    )
+    report = simulate(n, cfg.h, cfg.steps, cfg.initial_state, base=cfg.base_map(n), obstacle=cfg.obstacle)
     csv_line = _write_artifacts(cfg, report.trajectory, report.clearances, "trajectory")
     final = report.trajectory.z[-1]
     print("final q      = [%s]" % " ".join("%.6g" % v for v in final[:n]))
@@ -278,14 +266,7 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
     n = cfg.dim
     T = cfg.horizon()
     if cfg.obstacle is not None:
-        prob = make_obstacle_problem(
-            n,
-            *cfg.obstacle,
-            cfg.boundary,
-            T,
-            cfg.h,
-            include_potential_in_cost=cfg.include_potential_in_cost,
-        )
+        prob = make_obstacle_problem(n, *cfg.obstacle, cfg.boundary, T, cfg.h)
     else:
         prob = make_free_spline(n, cfg.boundary, T, cfg.h)
     C = second_order_phase_map(n, base=cfg.base_map(n))
@@ -359,8 +340,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--problem",
         choices=PROBLEM_KINDS,
-        help="se2 (the default) is the obstacle problem with n=3 in a Euclidean (x, y, theta) chart; "
-        "it does not use the SE(2) exponential map",
+        help="obstacle (the default; n=3 is the planar body in a Euclidean (x, y, theta) chart, "
+        "not the SE(2) exponential map) or free",
     )
     p.add_argument("--n", type=int, help="configuration dimension")
     p.add_argument("--steps", type=int)
@@ -371,14 +352,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv-out", dest="csv_out")
     p.add_argument("--svg-out", dest="svg_out")
     p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--no-potential-in-cost",
-        dest="include_potential_in_cost",
-        action="store_const",
-        const=False,
-        default=None,
-        help="keep the obstacle potential out of the reported cost",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,10 @@
 """Acceleration-controlled optimal control problems and their solvers.
 
-Three problem families: the free spline (minimum integrated squared
-acceleration between fixed endpoint positions and velocities), the same with a
-repulsive obstacle potential added to the running cost, and the planar
-rigid-body run in chart coordinates q = (x, y, theta) with the obstacle acting
-on (x, y) only.
+Two problem families: the free spline (minimum integrated squared
+acceleration between fixed endpoint positions and velocities) and the same
+with a repulsive obstacle potential V(q) on (x, y) added to the running cost,
+|u|^2 / 2 + V(q).  With n = 3 the obstacle problem is the planar body in a
+Euclidean chart q = (x, y, theta).
 
 A forward run from a phase state is :func:`simulate`.  Boundary-value
 problems are solved by single shooting: Newton iteration on the
@@ -16,7 +16,7 @@ one integration gives both the endpoint defect and its 2n x 2n Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     SingularPotential,
     StartInsideObstacle,
 )
-from .hamiltonian import HamiltonianSystem, Trajectory, integrate, second_order_hamiltonian
+from .hamiltonian import Potential, Trajectory, integrate, second_order_hamiltonian
 from .lifts import CotangentLiftedMap, second_order_phase_map
 from .maps import DiscretizationMap
 from .numeric import as_vector, newton_solve
@@ -50,14 +50,14 @@ def grid_steps(T: float, h: float) -> int:
     return n
 
 
-def obstacle_potential(tau: float, r: float, center, n: int):
+def obstacle_potential(tau: float, r: float, center, n: int) -> tuple[Potential, Callable[[Array], Array]]:
     """Repulsive potential tau / (|xy - center|^2 - r^2) on the first two
     coordinates, with closed-form gradient and Hessian and a clearance function.
 
-    Returns (V, gradV, hessV, clearance); clearance(q) = |xy - center|^2 - r^2.
-    Each takes points q of shape (..., n), one per row (a 1-D q is one
-    point), and returns one value, gradient (..., n) or Hessian (..., n, n)
-    per point.  V, gradV and hessV raise SingularPotential once a clearance
+    Returns (V, clearance): the :class:`Potential` V and
+    clearance(q) = |xy - center|^2 - r^2, which like V takes points q of
+    shape (..., n), one per row, and returns one value per point.  V's
+    value, gradient and Hessian raise SingularPotential once a clearance
     drops to ~0, so a caller can never see a nonpositive clearance from a
     state that evaluated cleanly; a nan clearance passes, for the caller's
     own finiteness checks to report.
@@ -105,15 +105,16 @@ def obstacle_potential(tau: float, r: float, center, n: int):
         out[..., :2, :2] = a[..., None, None] * (d[..., :, None] * d[..., None, :]) - b[..., None, None] * eye2
         return out
 
-    return V, gradV, hessV, clearance
+    return Potential(V, gradV, hessV), clearance
 
 
 @dataclass(frozen=True)
 class OCProblem:
     """A two-point boundary problem for an acceleration-controlled system.
 
-    ``potential`` enters the running cost (when ``include_potential_in_cost``)
-    and shapes the dynamics through the Hamiltonian; the free spline has none.
+    ``potential`` enters the running cost and shapes the dynamics through the
+    Hamiltonian, and ``clearance`` measures the states' distance to the
+    obstacle; the free spline has neither.
     """
 
     n: int
@@ -123,11 +124,8 @@ class OCProblem:
     qdot_start: Array
     q_end: Array
     qdot_end: Array
-    potential: Callable[[Array], float] | None = None
-    grad_potential: Callable[[Array], Array] | None = None
-    hess_potential: Callable[[Array], Array] | None = None
-    clearance: Callable[[Array], float] | None = None
-    include_potential_in_cost: bool = True
+    potential: Potential | None = None
+    clearance: Callable[[Array], Array] | None = None
 
     def __post_init__(self):
         for name in ("q_start", "qdot_start", "q_end", "qdot_end"):
@@ -147,21 +145,12 @@ def make_free_spline(n: int, boundary, T: float, h: float) -> OCProblem:
     return OCProblem(n=n, T=float(T), h=float(h), q_start=q0, qdot_start=v0, q_end=q1, qdot_end=v1)
 
 
-def make_obstacle_problem(
-    n: int,
-    tau: float,
-    r: float,
-    center,
-    boundary,
-    T: float,
-    h: float,
-    include_potential_in_cost: bool = True,
-) -> OCProblem:
+def make_obstacle_problem(n: int, tau: float, r: float, center, boundary, T: float, h: float) -> OCProblem:
     """Free-spline problem plus the repulsive potential tau/(|xy-c|^2 - r^2).
 
     Both boundary positions must be strictly outside the obstacle.
     """
-    V, gradV, hessV, clearance = obstacle_potential(tau, r, center, n)
+    V, clearance = obstacle_potential(tau, r, center, n)
     q0, v0, q1, v1 = boundary
     for label, q in (("start", q0), ("end", q1)):
         if clearance(as_vector(q)) <= 0:
@@ -175,15 +164,8 @@ def make_obstacle_problem(
         q_end=q1,
         qdot_end=v1,
         potential=V,
-        grad_potential=gradV,
-        hess_potential=hessV,
         clearance=clearance,
-        include_potential_in_cost=include_potential_in_cost,
     )
-
-
-def hamiltonian_for(prob: OCProblem) -> HamiltonianSystem:
-    return second_order_hamiltonian(prob.n, prob.potential, prob.grad_potential, prob.hess_potential)
 
 
 def hermite_costates(q0, v0, q1, v1, T: float) -> tuple[Array, Array]:
@@ -197,21 +179,15 @@ def hermite_costates(q0, v0, q1, v1, T: float) -> tuple[Array, Array]:
     return p0, p1
 
 
-def running_cost(traj: Trajectory, potential: Callable[[Array], float] | None = None) -> float:
+def running_cost(traj: Trajectory, potential: Potential | None = None) -> float:
     """Quadrature of |u|^2 / 2 (+ V(q) when given) along the trajectory by
     the rectangle at each step's left state, matching the piecewise control
     reconstruction."""
     u = traj.controls
     vals = 0.5 * np.einsum("ij,ij->i", u, u)
     if potential is not None:
-        vals = vals + potential(traj.positions())
+        vals = vals + potential.value(traj.positions())
     return float(traj.h * np.sum(vals[:-1]))
-
-
-def cost_of(traj: Trajectory, prob: OCProblem) -> float:
-    """Discrete cost of a trajectory under the problem's running cost."""
-    V = prob.potential if prob.include_potential_in_cost else None
-    return running_cost(traj, V)
 
 
 @dataclass
@@ -252,7 +228,7 @@ def shoot(
     n = prob.n
     if C is None:
         C = second_order_phase_map(n)
-    H = hamiltonian_for(prob)
+    H = second_order_hamiltonian(n, prob.potential)
     if guess is None:
         guess = hermite_costates(prob.q_start, prob.qdot_start, prob.q_end, prob.qdot_end, prob.T)
     x0 = np.concatenate([as_vector(guess[0]), as_vector(guess[1])])
@@ -308,7 +284,7 @@ def shoot(
         p1=x[n:],
         trajectory=traj,
         defect=defect,
-        cost=cost_of(traj, prob),
+        cost=running_cost(traj, prob.potential),
         converged=converged and defect <= tol,
         message=message,
     )
@@ -337,25 +313,23 @@ def simulate(
     z0,
     base: DiscretizationMap | None = None,
     obstacle: tuple | None = None,
-    include_potential_in_cost: bool = True,
 ) -> SimulationReport:
     """Forward run of the second-order system on R^n from the flat phase
     state z0 = (q, qdot, p0, p1), one-step method from the lifted ``base``
     (the midpoint map when None).
 
     ``obstacle`` = (tau, r, center) adds the potential of
-    :func:`obstacle_potential` to the dynamics and, when
-    ``include_potential_in_cost``, to the running cost.  Raises
-    SingularPotential if the flow reaches the obstacle boundary.
+    :func:`obstacle_potential` to the dynamics and to the running cost.
+    Raises SingularPotential if the flow reaches the obstacle boundary.
     """
-    V = gradV = hessV = clearance = None
+    V = clearance = None
     if obstacle is not None:
-        V, gradV, hessV, clearance = obstacle_potential(*obstacle, n)
+        V, clearance = obstacle_potential(*obstacle, n)
     C = second_order_phase_map(n, base=base)
-    traj = integrate(C, second_order_hamiltonian(n, V, gradV, hessV), h, steps, z0)
+    traj = integrate(C, second_order_hamiltonian(n, V), h, steps, z0)
     return SimulationReport(
         trajectory=traj,
         clearances=None if clearance is None else clearance(traj.positions()),
         h_drift=float(np.max(np.abs(traj.energies - traj.energies[0]))),
-        cost=running_cost(traj, V if include_potential_in_cost else None),
+        cost=running_cost(traj, V),
     )

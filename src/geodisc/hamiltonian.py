@@ -10,22 +10,20 @@ Hamiltonian is
     H(q, qdot, p0, p1) = |p1|^2 / 2 + p0 . qdot - V(q),
 
 whose flow enforces qddot = p1 (so p1 is the control) and q'''' + grad V = 0.
-With x = (m, p) it is x . S0 x / 2 + U(q): a constant quadratic part and the
-remainder U = -V (see :class:`HamiltonianSystem`).
+With x = (m, p) it is x . S0 x / 2 - V(q): a constant quadratic part and the
+:class:`Potential` V (see :class:`HamiltonianSystem`).
 
 One step of size h solves, with w = (m, p, mdot, pdot) the lifted-map
 preimage of the step endpoints (z0, z1) and JJ the canonical symplectic
 matrix, the relations (mdot, pdot) = h JJ grad H(m, p), that is
 
-    R(z1) = L w - h JJ grad U(m, p) = 0,      L = [-h JJ S0 | I],
+    R(z1) = L w + h JJ grad V(q) = 0,      L = [-h JJ S0 | I],
 
 for z1.  When the lifted map's inverse is affine, w = K (z0, z1) + k
 (every constant-Jacobian base), L is folded into it once per run: with
 A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
-residual is A1 z1 + b, and U adds h grad U (= -h grad V) on the n p0 rows.
+residual is A1 z1 + b, and V adds -h grad V on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
-The remainder and its gradient and Hessian take points q of shape (..., n),
-one per row; a 1-D q is one point.
 
 :func:`symplectic_step` takes one start or rows of starts (k, 4n).  All
 rows go through the module's one chord iteration (:func:`_chord_newton`) at
@@ -39,8 +37,8 @@ iteration on the closed-form Jacobian of R, inverted once and reused (every
 step on a non-affine lifted map, step 0 of every run, and any step a fast
 path hands over); block powers of the affine one-step map z1 = M z0 + m
 when the step relation is linear (an affine lifted inverse without a
-remainder: the free problem); and condensed steps, solved in the n
-coordinates of q alone, with a remainder (the obstacle problems).  Both fast
+potential: the free problem); and condensed steps, solved in the n
+coordinates of q alone, with a potential (the obstacle problems).  Both fast
 paths check every step's full residual after each block of rows.
 With the midpoint-family lifts this is an implicit midpoint scheme on the
 phase space and conserves quadratic first integrals to machine precision.
@@ -65,27 +63,34 @@ Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
 
 
+@dataclass(frozen=True)
+class Potential:
+    """A potential V(q) with its closed-form gradient and n x n Hessian.
+
+    Each takes points q of shape (..., n), one per row (a 1-D q is one
+    point), and returns one value, gradient (..., n) or Hessian (..., n, n)
+    per point."""
+
+    value: Callable[[Array], Array]
+    grad: Callable[[Array], Array]
+    hess: Callable[[Array], Array]
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
-    """A Hamiltonian H(x) = x . S0 x / 2 + U(q) on T*M, x = (m, p).
+    """A Hamiltonian H(x) = x . S0 x / 2 - V(q) on T*M, x = (m, p).
 
     ``dim`` is the dimension of M; phase points split as (m, p) with m and p
     of that length, and q = m[:dim // 2] is the position half of
     m = (q, qdot).  ``S0`` is the constant symmetric 2 dim x 2 dim Hessian of
-    the quadratic part, stored read-only.  The optional remainder U of q
-    comes with its closed-form gradient and Hessian; for
-    :func:`second_order_hamiltonian` it is -V(q).  All three take points q
-    of shape (..., dim // 2), one per row (a 1-D q is one point), and return
-    one value, gradient or Hessian per point.  :meth:`values` evaluates
-    H on rows of phase points and :meth:`value` on one.  The one-step method
-    reads S0 and the remainder directly.
+    the quadratic part, stored read-only.  ``potential`` is the optional V
+    of q (None: V = 0).  :meth:`values` evaluates H on rows of phase points.
+    The one-step method reads S0 and the potential directly.
     """
 
     dim: int
     S0: Array
-    remainder: Callable[[Array], float] | None = None
-    grad_remainder: Callable[[Array], Array] | None = None
-    hess_remainder: Callable[[Array], Array] | None = None
+    potential: Potential | None = None
 
     def __post_init__(self):
         S0 = np.array(self.S0, dtype=float)
@@ -93,36 +98,18 @@ class HamiltonianSystem:
             raise ValueError(f"S0 must be {2 * self.dim} x {2 * self.dim}, got shape {S0.shape}")
         S0.setflags(write=False)
         object.__setattr__(self, "S0", S0)
-        given = [f is not None for f in (self.remainder, self.grad_remainder, self.hess_remainder)]
-        if any(given) and not all(given):
-            raise ValueError("supply remainder, grad_remainder and hess_remainder together or not at all")
 
     def values(self, x: Array) -> Array:
         """H at each phase point (m, p) of x, shape (..., 2 dim)."""
         v = 0.5 * np.sum((x @ self.S0) * x, axis=-1)
-        if self.remainder is not None:
-            v = v + self.remainder(x[..., : self.dim // 2])
+        if self.potential is not None:
+            v = v - self.potential.value(x[..., : self.dim // 2])
         return v
 
-    def value(self, m: Array, p: Array) -> float:
-        return float(self.values(np.concatenate([m, p])))
 
-
-def second_order_hamiltonian(
-    n: int,
-    potential: Callable[[Array], float] | None = None,
-    grad_potential: Callable[[Array], Array] | None = None,
-    hess_potential: Callable[[Array], Array] | None = None,
-) -> HamiltonianSystem:
-    """Hamiltonian |p1|^2/2 + p0 . qdot - V(q) on T*(T R^n).
-
-    ``potential``, ``grad_potential`` and ``hess_potential`` (the n x n
-    Hessian of V) must be supplied together, each taking points q of shape
-    (..., n); omitting all three gives the free (quartically flat) system.
-    """
-    given = [f is not None for f in (potential, grad_potential, hess_potential)]
-    if any(given) and not all(given):
-        raise ValueError("supply potential, grad_potential and hess_potential together or not at all")
+def second_order_hamiltonian(n: int, potential: Potential | None = None) -> HamiltonianSystem:
+    """Hamiltonian |p1|^2/2 + p0 . qdot - V(q) on T*(T R^n); without a
+    ``potential`` the free (quartically flat) system."""
     # Coordinates (q, qdot, p0, p1): d2H/dqdot dp0 = I and d2H/dp1^2 = I
     # everywhere; only the q block, -Hess V, depends on the point.
     eye = np.eye(n)
@@ -130,15 +117,7 @@ def second_order_hamiltonian(
     S0[n : 2 * n, 2 * n : 3 * n] = eye
     S0[2 * n : 3 * n, n : 2 * n] = eye
     S0[3 * n :, 3 * n :] = eye
-    if potential is None:
-        return HamiltonianSystem(dim=2 * n, S0=S0)
-    return HamiltonianSystem(
-        dim=2 * n,
-        S0=S0,
-        remainder=lambda q: -np.asarray(potential(q), dtype=float),
-        grad_remainder=lambda q: -np.asarray(grad_potential(q), dtype=float),
-        hess_remainder=lambda q: -np.asarray(hess_potential(q), dtype=float),
-    )
+    return HamiltonianSystem(dim=2 * n, S0=S0, potential=potential)
 
 
 @dataclass
@@ -188,10 +167,10 @@ class _StepBlocks:
     part of the residual.  When C's inverse is affine, y -> K y + k, L is
     folded into it: ``LK`` = L K with column halves ``A0``, ``A1`` (the z0 and
     z1 blocks), ``c`` = L k, and the q rows ``Kq`` = K[:n], ``kq`` = k[:n] of
-    the preimage (n = d / 2, the remainder's coordinates), again split into
+    the preimage (n = d / 2, the potential's coordinates), again split into
     ``Kq0``, ``Kq1``.  For any other C these are None.  ``condensed`` holds
     the relation solved for z1 and the preimage's q, for runs with a
-    remainder.
+    potential.
     """
 
     def __init__(self, C: CotangentLiftedMap, H: HamiltonianSystem, h: float):
@@ -213,10 +192,10 @@ class _StepBlocks:
     @cached_property
     def condensed(self) -> tuple[Array, ...]:
         """For an affine inverse, the folded step relation
-        A0 z0 + A1 z1 + c + h E grad U(q) = 0 (E the n p0 rows,
+        A0 z0 + A1 z1 + c - h E grad V(q) = 0 (E the n p0 rows,
         q = Kq0 z0 + Kq1 z1 + kq) solved for z1 and q with J = A1^-1:
 
-            z1 = M z0 + m - h W grad U(q),    q = Gq z0 + gq - h P grad U(q),
+            z1 = M z0 + m + h W grad V(q),    q = Gq z0 + gq + h P grad V(q),
 
         M = -J A0, m = -J c, W = J E, Gq = Kq0 + Kq1 M, gq = kq + Kq1 m and
         P = Kq1 W.  Returns (S, s, hW, hP, M, Gq) with S = [M - I; Gq] and
@@ -237,7 +216,7 @@ class _StepBlocks:
 def step_residual(
     C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0, *, blocks: _StepBlocks | None = None
 ) -> Callable[[Array], Array]:
-    """Residual R(z1) = L w - h JJ grad U(m, p) whose root defines one step.
+    """Residual R(z1) = L w + h JJ grad V(q) whose root defines one step.
 
     z0 is checked here, once per step; the residual evaluates the folded
     blocks, or the unchecked flat inverse of the lifted map when that is not
@@ -256,8 +235,8 @@ def step_residual(
         z0 = as_vector(z0, name="z0")
     if z0.shape[-1] != 2 * d:
         raise ValueError(f"phase points have {2 * d} coordinates, got {z0.shape[-1]}")
-    n, grad = d // 2, H.grad_remainder
-    rows = slice(d, d + n)  # the pdot rows of q: the only nonzero rows of -h JJ grad U
+    n, V = d // 2, H.potential
+    rows = slice(d, d + n)  # the pdot rows of q: the only nonzero rows of h JJ grad V
 
     if blocks.LK is None:
         L = blocks.L
@@ -265,21 +244,21 @@ def step_residual(
         def residual(z1: Array) -> Array:
             w = C.inverse_flat(np.concatenate([z0, z1], axis=-1))
             R = matvec(L, w)
-            if grad is not None:
-                R[..., rows] += h * grad(w[..., :n])
+            if V is not None:
+                R[..., rows] -= h * V.grad(w[..., :n])
             return R
 
         return residual
 
     A1, Kq1 = blocks.A1, blocks.Kq1
     b = matvec(blocks.A0, z0) + blocks.c
-    if grad is None:
+    if V is None:
         return lambda z1: matvec(A1, z1) + b
     bq = matvec(blocks.Kq0, z0) + blocks.kq
 
     def residual(z1: Array) -> Array:
         R = matvec(A1, z1) + b
-        R[..., rows] += h * grad(matvec(Kq1, z1) + bq)
+        R[..., rows] -= h * V.grad(matvec(Kq1, z1) + bq)
         return R
 
     return residual
@@ -297,26 +276,26 @@ def _step_jacobian(
     """d R / d(z0, z1) of the step residual R at (z0, z1), in closed form.
 
     It is L K, with K the lifted map's inverse Jacobian, plus the rank-n term
-    h Hess U(q) K[:n] (n = d / 2) on the pdot rows of q (the p0 rows of the
+    -h Hess V(q) K[:n] (n = d / 2) on the pdot rows of q (the p0 rows of the
     second-order system).  Its z1 block is the chord Jacobian.
     (z0, z1) may be rows; the result is then one Jacobian per row, the
     Hessians taken in one call, except that with an affine inverse and no
-    remainder it is the prebuilt ``blocks.LK``, read-only and shared."""
+    potential it is the prebuilt ``blocks.LK``, read-only and shared."""
     if blocks is None:
         blocks = _StepBlocks(C, H, h)
-    hess, n = H.hess_remainder, C.dim // 2
+    V, n = H.potential, C.dim // 2
     y = np.concatenate([z0, z1], axis=-1)
     if blocks.LK is None:
         K = C.inverse_jacobian_flat(y)
         A, Kq = blocks.L @ K, K[..., :n, :]
-        q = None if hess is None else C.inverse_flat(y)[..., :n]
+        q = None if V is None else C.inverse_flat(y)[..., :n]
     else:
         A, Kq = blocks.LK, blocks.Kq
-        q = None if hess is None else matvec(Kq, y) + blocks.kq
-    if hess is None:
+        q = None if V is None else matvec(Kq, y) + blocks.kq
+    if V is None:
         return A
     A = np.array(np.broadcast_to(A, q.shape[:-1] + A.shape[-2:]))
-    A[..., C.dim : C.dim + n, :] += h * (hess(q) @ Kq)
+    A[..., C.dim : C.dim + n, :] += h * (-V.hess(q) @ Kq)
     return A
 
 
@@ -432,7 +411,7 @@ _ROWS = 256  # rows per block: of the fast paths' residual check and of the ener
 
 def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float, hG: Array | None = None) -> int:
     """Number of leading steps k, k + 1, .. end - 1 of z whose full residual
-    A0 z_k + A1 z_{k+1} + c, plus ``hG`` (h grad U at the step's preimage,
+    A0 z_k + A1 z_{k+1} + c, plus ``hG`` (-h grad V at the step's preimage,
     one row per step) on the p0 rows, is finite and within the chord
     iteration's own tolerance max(tol, 8 eps ||z_k||_inf): one vectorized
     pass over the block."""
@@ -504,25 +483,24 @@ def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
         return G
 
 
-def _remainder_steps(blocks: _StepBlocks, H: HamiltonianSystem, z: Array, k: int, tol: float, tangent: Array | None):
+def _potential_steps(blocks: _StepBlocks, V: Potential, z: Array, k: int, tol: float, tangent: Array | None):
     """Advance rows k, k + 1, ... of z by condensed steps, as far as they verify.
 
-    A step relation with a remainder U(q) is solved in the n coordinates of
+    A step relation with a potential V(q) is solved in the n coordinates of
     q alone (see :attr:`_StepBlocks.condensed`): one stacked product gives
     (M - I) z_k + m and Gq z_k + gq; a predictor q = Gq z_k + gq - h P g
-    from the previous step's gradient g (0 on entry) and one corrector, two
-    gradient calls, give g = grad U(q), and z_{k+1} is z_k plus the
+    from the previous step's g = -grad V (0 on entry) and one corrector, two
+    gradient calls, give g = -grad V(q), and z_{k+1} is z_k plus the
     increment (M - I) z_k + m - h W g.  After each block of up to 256 rows
     :func:`_verified_steps` checks every step's full residual, at the
     gradients of the rows' preimages q_k taken in one call.
     Over the verified steps the tangent is carried by
-    Phi_k = M - h W Hess U(q_k) D_k^-1 Gq with D_k = I + h P Hess U(q_k),
+    Phi_k = M + h W Hess V(q_k) D_k^-1 Gq with D_k = I - h P Hess V(q_k),
     the Hessians taken in one call and the systems in one batched solve.
     A gradient that raises a GeodiscError ends its block at that step.
     Returns the first step that failed (the step count when none did) and
     the tangent."""
     S, s, hW, hP, M, Gq = blocks.condensed
-    grad, hess = H.grad_remainder, H.hess_remainder
     steps, dz, n = z.shape[0] - 1, z.shape[1], hP.shape[0]
     g = np.zeros(n)
     while k < steps:
@@ -531,8 +509,8 @@ def _remainder_steps(blocks: _StepBlocks, H: HamiltonianSystem, z: Array, k: int
             for j in range(k, end):
                 y = S @ z[j] + s
                 q = y[dz:]
-                g = grad(q - hP @ g)
-                g = grad(q - hP @ g)
+                g = -V.grad(q - hP @ g)
+                g = -V.grad(q - hP @ g)
                 np.subtract(y[:dz], hW @ g, out=z[j + 1])
                 z[j + 1] += z[j]
         except GeodiscError:
@@ -542,9 +520,9 @@ def _remainder_steps(blocks: _StepBlocks, H: HamiltonianSystem, z: Array, k: int
         Q = z[k:stop] @ blocks.Kq0.T
         Q += z[k + 1 : stop + 1] @ blocks.Kq1.T
         Q += blocks.kq
-        verified = _verified_steps(blocks, z, k, stop, tol, blocks.h * _row_gradients(grad, Q))
+        verified = _verified_steps(blocks, z, k, stop, tol, -blocks.h * _row_gradients(V.grad, Q))
         if tangent is not None and verified:
-            Hs = hess(Q[:verified])
+            Hs = -V.hess(Q[:verified])
             try:
                 X = np.linalg.solve(np.eye(n) + hP @ Hs, np.broadcast_to(Gq, (verified,) + Gq.shape))
             except np.linalg.LinAlgError as exc:
@@ -578,12 +556,12 @@ def integrate(
     lifted map the later steps take a fast path, checked after every block
     of up to 256 rows: each step's full residual must be finite and within
     max(tol, 8 eps ||z_k||_inf), the chord iteration's own floor.  Without a
-    remainder in H (a linear step relation: the free problem) every block is
+    potential in H (a linear step relation: the free problem) every block is
     one product with the powers of the one-step map (:func:`_linear_steps`),
     and the chord iteration takes over for the rest of the run from the first
-    step that fails.  With a remainder (the obstacle problems) every step is
+    step that fails.  With a potential (the obstacle problems) every step is
     solved in the n potential coordinates by a predictor and one corrector
-    (:func:`_remainder_steps`); a step that fails goes to the chord iteration
+    (:func:`_potential_steps`); a step that fails goes to the chord iteration
     and the condensed steps resume after it.  So a stall or a non-finite
     state ends in the same NonConvergence as on the chord path.  Runs on an
     affine lifted map step with numpy's overflow and invalid-value warnings
@@ -612,7 +590,7 @@ def integrate(
             raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
     blocks = _StepBlocks(C, H, h)
     affine = blocks.LK is not None
-    linear = affine and H.grad_remainder is None
+    linear = affine and H.potential is None
     condensed = affine and not linear
     z = np.empty((steps + 1, z0.size))
     z[0] = z0
@@ -651,7 +629,7 @@ def integrate(
             if linear and k == 1:
                 k, tangent = _linear_steps(blocks, J_inv, z, k, tol, tangent)
             elif condensed:
-                k, tangent = _remainder_steps(blocks, H, z, k, tol, tangent)
+                k, tangent = _potential_steps(blocks, H.potential, z, k, tol, tangent)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
             energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])

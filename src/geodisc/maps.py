@@ -96,9 +96,6 @@ class DiscretizationMap:
             return np.asarray(self.jacobian_fn(x[..., : self.dim], x[..., self.dim :]), dtype=float)
         return row_jacobian_fd(self.forward_flat, x)
 
-    def jacobian_forward(self, q, v) -> Array:
-        return self.jacobian_forward_flat(np.concatenate([as_vector(q, name="q"), as_vector(v, name="v")]))
-
     def fiber_basis(self, q) -> Array:
         """The fiber directions to probe at q, as the rows of a (..., k, dim) array."""
         q = self._points(q, "q")

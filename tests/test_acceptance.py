@@ -178,7 +178,6 @@ def test_09_sphere_second_lift_against_jet_oracle(capsys):
 
 def test_10_check_command_aggregates_everything(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GEODISC_SEED", raising=False)
     t0 = time.perf_counter()
     rc = cli.main(["check"])
     dt = time.perf_counter() - t0

@@ -11,7 +11,6 @@ from geodisc.checks import CheckResult
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GEODISC_SEED", raising=False)
     return tmp_path
 
 
@@ -68,16 +67,22 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "clearance" in out and "csv: traj.csv" in out
 
-    def test_se2_is_the_obstacle_problem_at_n3(self, capsys):
-        # Same run, same flags: the cost must honour --no-potential-in-cost on both.
-        flags = ["--init=" + SE2_INIT, "--steps", "40", "--tau", "1e-2", "--no-potential-in-cost"]
-        costs = []
-        for problem in (["--problem", "se2"], ["--problem", "obstacle", "--n", "3"]):
-            assert cli.main(["simulate", *problem, *flags, "--csv-out", f"{problem[1]}.csv"]) == 0
-            out = capsys.readouterr().out
-            costs.append(next(line for line in out.splitlines() if line.startswith("cost J")))
-        assert costs[0] == costs[1]
-        assert open("se2.csv", "rb").read() == open("obstacle.csv", "rb").read()
+    def test_default_problem_is_the_obstacle_problem_at_n3(self, capsys):
+        outputs = []
+        for problem in ([], ["--problem", "obstacle", "--n", "3"]):
+            csv, svg = f"run{len(problem)}.csv", f"run{len(problem)}.svg"
+            assert cli.main(["simulate", *problem, "--init=" + SE2_INIT, "--csv-out", csv, "--svg-out", svg]) == 0
+            stdout = capsys.readouterr().out.replace(csv, "<csv>").replace(svg, "<svg>")
+            outputs.append((stdout, open(csv, "rb").read(), open(svg, "rb").read()))
+        assert outputs[0] == outputs[1]
+        assert cli.main(["simulate", "--init=" + SE2_INIT, "--steps", "2"]) == 0
+        assert capsys.readouterr().out.endswith("csv: obstacle-trajectory.csv\n")
+
+    def test_removed_problem_and_cost_flags_are_rejected(self, capsys):
+        for flags in (["--problem", "se2"], ["--no-potential-in-cost"]):
+            with pytest.raises(SystemExit):
+                cli.main(["simulate", "--init=" + SE2_INIT, *flags])
+            assert flags[-1] in capsys.readouterr().err
 
     def test_rerun_writes_identical_csv(self, capsys):
         flags = ["--problem", "free", "--n", "1", "--init=0.3,-0.2,0.02,-0.1", "--h", "0.01", "--steps", "300"]
@@ -100,24 +105,23 @@ class TestSimulate:
         assert rc == 2
         assert "error: config-error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cost_flag", [[], ["--no-potential-in-cost"]], ids=["potential-in-cost", "no-potential"])
-    def test_stdout_reports_the_simulate_report(self, capsys, cost_flag):
-        init = np.array([float(v) for v in SE2_INIT.split(",")])
-        args = ["simulate", "--problem", "obstacle", "--init=" + SE2_INIT, "--tau", "1e-2", "--steps", "40"]
-        assert cli.main(args + cost_flag) == 0
-        report = control.simulate(
-            3, 0.01, 40, init, obstacle=(1e-2, 1.0, np.zeros(2)), include_potential_in_cost=not cost_flag
-        )
-        V = control.obstacle_potential(1e-2, 1.0, np.zeros(2), 3)[0]
-        assert report.cost == control.running_cost(report.trajectory, None if cost_flag else V)
+    @pytest.mark.parametrize("problem", ["obstacle", "free"], ids=["potential-in-cost", "free"])
+    def test_stdout_reports_the_simulate_report(self, capsys, problem):
+        n, init = (3, SE2_INIT) if problem == "obstacle" else (1, "0.3,-0.2,0.02,-0.1")
+        args = ["simulate", "--problem", problem, "--n", str(n), "--init=" + init, "--tau", "1e-2", "--steps", "40"]
+        assert cli.main(args) == 0
+        obstacle = (1e-2, 1.0, np.zeros(2)) if problem == "obstacle" else None
+        report = control.simulate(n, 0.01, 40, np.array([float(v) for v in init.split(",")]), obstacle=obstacle)
+        V = None if obstacle is None else control.obstacle_potential(*obstacle, n)[0]
+        assert report.cost == control.running_cost(report.trajectory, V)
         final = report.trajectory.z[-1]
         assert capsys.readouterr().out.splitlines() == [
-            "final q      = [%s]" % " ".join("%.6g" % v for v in final[:3]),
-            "final qdot   = [%s]" % " ".join("%.6g" % v for v in final[3:6]),
+            "final q      = [%s]" % " ".join("%.6g" % v for v in final[:n]),
+            "final qdot   = [%s]" % " ".join("%.6g" % v for v in final[n : 2 * n]),
             "H drift      = %.6g" % report.h_drift,
-            "min clearance= %.6g" % report.min_clearance,
+            "min clearance= %s" % ("n/a" if V is None else "%.6g" % report.min_clearance),
             "cost J       = %.6g" % report.cost,
-            "csv: obstacle-trajectory.csv",
+            f"csv: {problem}-trajectory.csv",
         ]
 
     def test_csv_output_is_bit_stable(self):
@@ -164,13 +168,17 @@ class TestConfigFile:
     def test_missing_file(self, capsys):
         assert cli.main(["simulate", "--config", "nope.json"]) == 2
 
-    def test_env_seed_override(self, monkeypatch):
+    def test_seed_comes_from_flags_and_file_alone(self, monkeypatch, isolated):
         monkeypatch.setenv("GEODISC_SEED", "77")
-        cfg = cli.load_config(cli.build_parser().parse_args(["check"]))
-        assert cfg.seed == 77
-        monkeypatch.setenv("GEODISC_SEED", "many")
-        with pytest.raises(cli.ConfigError):
-            cli.load_config(cli.build_parser().parse_args(["check"]))
+        assert cli.load_config(cli.build_parser().parse_args(["check"])).seed == 0
+        (isolated / "seed.json").write_text('{"seed": 5}')
+        assert cli.load_config(cli.build_parser().parse_args(["check", "--config", "seed.json"])).seed == 5
+        assert cli.load_config(cli.build_parser().parse_args(["check", "--config", "seed.json", "--seed", "3"])).seed == 3
+
+    def test_integral_float_counts_as_an_integer(self, isolated):
+        (isolated / "steps.json").write_text('{"steps": 2.0, "csv_out": "two.csv"}')
+        assert cli.main(["simulate", "--config", "steps.json", "--init=" + SE2_INIT]) == 0
+        assert len(read_csv_columns("two.csv")["t"]) == 3
 
 
 class TestShoot:
@@ -195,6 +203,21 @@ class TestShoot:
 
 class TestMalformedInput:
     SHOOT = ["shoot", "--problem", "free", "--n", "1", "--q0", "0", "--v0", "0", "--q1", "1", "--v1", "0", "--h", "0.1"]
+    #: Config files with a value of the wrong type or a removed key, each
+    #: read by ``simulate --config <name>.json`` below.
+    BAD_CONFIGS = {
+        "problem-se2": '{"problem": "se2"}',
+        "cost-flag-key": '{"include_potential_in_cost": false}',
+        "discretization-int": '{"discretization": 3}',
+        "csv-out-int": '{"csv_out": 5}',
+        "svg-out-list": '{"svg_out": ["a.svg"]}',
+        "steps-fractional": '{"steps": 2.7}',
+        "steps-bool": '{"steps": true}',
+        "n-string": '{"n": "3"}',
+        "seed-fractional": '{"seed": 0.5}',
+        "h-bool": '{"h": true}',
+        "center-number": '{"center": 5}',
+    }
 
     @pytest.mark.parametrize(
         "args",
@@ -214,15 +237,18 @@ class TestMalformedInput:
             ["check", "--suite", "convergence", "--suite", "convergence"],
             ["check", "--suite", "bogus"],
             ["check", "--config", "suites-5.json"],
+            *(["simulate", "--config", f"{name}.json", "--init=" + SE2_INIT] for name in BAD_CONFIGS),
         ],
         ids=[
             "center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan", "h-zero", "h-2", "json-null",
-            "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number",
+            "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number", *BAD_CONFIGS,
         ],
     )
     def test_is_one_config_error_line(self, capsys, args, isolated):
         (isolated / "null-h.json").write_text('{"h": null}')
         (isolated / "suites-5.json").write_text('{"suites": 5}')
+        for name, text in self.BAD_CONFIGS.items():
+            (isolated / f"{name}.json").write_text(text)
         rc = cli.main(args)
         err = capsys.readouterr().err
         assert rc == 2

@@ -6,7 +6,6 @@ from geodisc.control import (
     OCProblem,
     ShootingResult,
     grid_steps,
-    hamiltonian_for,
     hermite_costates,
     make_free_spline,
     make_obstacle_problem,
@@ -22,7 +21,7 @@ from geodisc.errors import (
     StartInsideObstacle,
 )
 from geodisc.checks import fourth_order_residual
-from geodisc.hamiltonian import Trajectory, integrate
+from geodisc.hamiltonian import Potential, Trajectory, integrate, second_order_hamiltonian
 from geodisc.lifts import second_order_phase_map
 from geodisc.numeric import jacobian_fd, newton_solve
 
@@ -53,51 +52,49 @@ class TestGridSteps:
 
 class TestObstaclePotential:
     def test_known_values(self):
-        V, gV, _, clear = obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)
+        V, clear = obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)
         q = np.array([2.0, 0.0, 0.0])
         assert clear(q) == pytest.approx(3.0)
-        assert V(q) == pytest.approx(1.0 / 3.0)
-        assert np.allclose(gV(q), [-4.0 / 9.0, 0.0, 0.0])
+        assert V.value(q) == pytest.approx(1.0 / 3.0)
+        assert np.allclose(V.grad(q), [-4.0 / 9.0, 0.0, 0.0])
 
     def test_scales_with_tau(self):
-        V, _, _, _ = obstacle_potential(1e-20, 1.0, (0.0, 0.0), 2)
-        assert V(np.array([2.0, 0.0])) == pytest.approx(1e-20 / 3.0)
+        V, _ = obstacle_potential(1e-20, 1.0, (0.0, 0.0), 2)
+        assert V.value(np.array([2.0, 0.0])) == pytest.approx(1e-20 / 3.0)
 
     def test_gradient_matches_fd(self):
         from geodisc.numeric import jacobian_fd
 
-        V, gV, _, _ = obstacle_potential(0.7, 1.2, (0.3, -0.4), 3)
+        V, _ = obstacle_potential(0.7, 1.2, (0.3, -0.4), 3)
         q = np.array([2.0, 1.5, 0.3])
-        fd = jacobian_fd(lambda x: np.array([V(x)]), q)[0]
-        assert np.allclose(gV(q), fd, atol=1e-7)
+        fd = jacobian_fd(lambda x: np.array([V.value(x)]), q)[0]
+        assert np.allclose(V.grad(q), fd, atol=1e-7)
 
     @pytest.mark.parametrize("q", [[2.0, 1.5, 0.3], [0.3, -1.9, -2.0], [-1.1, 0.9, 0.0]])
     def test_hessian_matches_fd_of_gradient(self, q):
         from geodisc.numeric import jacobian_fd
 
-        _, gV, hV, _ = obstacle_potential(0.7, 1.2, (0.3, -0.4), 3)
+        V, _ = obstacle_potential(0.7, 1.2, (0.3, -0.4), 3)
+        hV = V.hess
         q = np.array(q)
-        fd = jacobian_fd(gV, q)
+        fd = jacobian_fd(V.grad, q)
         assert np.array_equal(hV(q), hV(q).T)
         assert np.allclose(hV(q), fd, rtol=1e-7, atol=1e-9 * np.max(np.abs(fd)))
         assert not np.any(hV(q)[2:]) and not np.any(hV(q)[:, 2:])
 
     def test_raises_inside_before_reporting(self):
-        V, gV, hV, clear = obstacle_potential(1.0, 1.0, (0.0, 0.0), 2)
+        V, clear = obstacle_potential(1.0, 1.0, (0.0, 0.0), 2)
         inside = np.array([0.5, 0.0])
         assert clear(inside) < 0  # plain clearance just reports
-        with pytest.raises(SingularPotential):
-            V(inside)
-        with pytest.raises(SingularPotential):
-            gV(inside)
-        with pytest.raises(SingularPotential):
-            hV(inside)
+        for f in (V.value, V.grad, V.hess):
+            with pytest.raises(SingularPotential):
+                f(inside)
 
     def test_zero_tau_still_guards_interior(self):
-        V, _, _, _ = obstacle_potential(0.0, 1.0, (0.0, 0.0), 2)
-        assert V(np.array([5.0, 0.0])) == 0.0
+        V, _ = obstacle_potential(0.0, 1.0, (0.0, 0.0), 2)
+        assert V.value(np.array([5.0, 0.0])) == 0.0
         with pytest.raises(SingularPotential):
-            V(np.array([0.0, 0.0]))
+            V.value(np.array([0.0, 0.0]))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -134,10 +131,9 @@ class TestProblemConstruction:
     def test_obstacle_hamiltonian_value(self):
         boundary = ([2.0, 0.0, 0.0], [0.0] * 3, [3.0, 0.0, 0.0], [0.0] * 3)
         prob = make_obstacle_problem(3, 1.0, 1.0, (0.0, 0.0), boundary, T=1.0, h=0.1)
-        H = hamiltonian_for(prob)
-        m = np.concatenate([prob.q_start, np.zeros(3)])
-        p = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0]])
-        assert H.value(m, p) == pytest.approx(0.5 - 1.0 / 3.0)
+        H = second_order_hamiltonian(3, prob.potential)
+        x = np.concatenate([prob.q_start, np.zeros(6), [1.0, 0.0, 0.0]])
+        assert H.values(x) == pytest.approx(0.5 - 1.0 / 3.0)
 
 
 class TestHermiteCostates:
@@ -166,17 +162,17 @@ class TestRunningCost:
 
     def test_potential_term(self):
         traj = self.two_state_traj()
-        assert running_cost(traj, potential=lambda q: 1.0) == pytest.approx(0.3)
-        assert running_cost(traj, potential=lambda q: np.array([1.0, 5.0])) == pytest.approx(0.3)
+        assert running_cost(traj, Potential(lambda q: 1.0, None, None)) == pytest.approx(0.3)
+        assert running_cost(traj, Potential(lambda q: np.array([1.0, 5.0]), None, None)) == pytest.approx(0.3)
 
     def test_matches_per_state_loop(self, rng):
         # Row sums of u*u may round apart from u @ u: three positive terms
         # per row, so a few eps relative.
-        V, gV, hV, _ = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)
+        V, _ = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)
         z = rng.normal(size=(50, 12))
         z[:, 0] = rng.uniform(2.0, 3.0, size=50)  # outside the unit disc
         traj = Trajectory(h=0.01, z=z, energies=np.zeros(50))
-        vals = [0.5 * float(s[9:] @ s[9:]) + float(V(s[:3])) for s in traj.z]
+        vals = [0.5 * float(s[9:] @ s[9:]) + float(V.value(s[:3])) for s in traj.z]
         assert running_cost(traj, V) == pytest.approx(0.01 * np.sum(vals[:-1]), rel=8 * np.finfo(float).eps, abs=0.0)
 
 
@@ -249,7 +245,7 @@ class TestObstacleShooting:
         assert calls == [True, True, True]
         assert res.converged and res.defect <= 1e-10
 
-        C, H = second_order_phase_map(3), hamiltonian_for(prob)
+        C, H = second_order_phase_map(3), second_order_hamiltonian(3, prob.potential)
 
         def endpoint_defect(x):
             end = integrate(C, H, prob.h, prob.steps, np.concatenate([prob.q_start, prob.qdot_start, x])).z[-1]

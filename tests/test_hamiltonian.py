@@ -11,6 +11,7 @@ from geodisc.control import obstacle_potential
 from geodisc.errors import NonConvergence, SingularJacobian, SingularPotential, TooFewPoints
 from geodisc.hamiltonian import (
     HamiltonianSystem,
+    Potential,
     Trajectory,
     _step_jacobian,
     integrate,
@@ -28,33 +29,26 @@ def free_setup(n=1):
 
 
 def obstacle_setup(tau=1e-3):
-    V, gV, hV, _ = obstacle_potential(tau, 1.0, (0.0, 0.0), 3)
-    return second_order_phase_map(3), second_order_hamiltonian(3, V, gV, hV)
+    return second_order_phase_map(3), second_order_hamiltonian(3, obstacle_potential(tau, 1.0, (0.0, 0.0), 3)[0])
 
 
 class TestSecondOrderHamiltonian:
     def test_free_value(self):
         H = second_order_hamiltonian(1)
-        assert H.value(np.array([0.0, 1.0]), np.array([2.0, 3.0])) == pytest.approx(6.5)
+        assert H.values(np.array([0.0, 1.0, 2.0, 3.0])) == pytest.approx(6.5)
 
     def test_zero_momenta(self):
         H = second_order_hamiltonian(2)
-        assert H.value(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4)) == 0.0
+        assert H.values(np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0])) == 0.0
 
     def test_with_potential(self):
         V = lambda q: 1.0 / (q[0] ** 2 + q[1] ** 2 - 1.0)
         gV = lambda q: np.zeros(3)  # value-only test
         hV = lambda q: np.zeros((3, 3))
-        H = second_order_hamiltonian(3, V, gV, hV)
+        H = second_order_hamiltonian(3, Potential(V, gV, hV))
         m = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         p = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0]])
-        assert H.value(m, p) == pytest.approx(0.5 - 1.0 / 3.0)
-
-    def test_partial_potential_pair_rejected(self):
-        with pytest.raises(ValueError):
-            second_order_hamiltonian(1, potential=lambda q: 0.0)
-        with pytest.raises(ValueError):
-            second_order_hamiltonian(1, lambda q: 0.0, lambda q: np.zeros(1))
+        assert H.values(np.concatenate([m, p])) == pytest.approx(0.5 - 1.0 / 3.0)
 
     def test_compares_and_hashes_by_identity(self):
         H = second_order_hamiltonian(1)
@@ -70,12 +64,12 @@ class TestLegendre:
         V = lambda q: 0.2 * float(q @ q)
         gV = lambda q: 0.4 * q
         hV = lambda q: 0.4 * np.eye(2)
-        H = second_order_hamiltonian(2, V, gV, hV)
+        H = second_order_hamiltonian(2, Potential(V, gV, hV))
         for _ in range(5):
             q, qd, qdd, qddd = (rng.normal(size=2) for _ in range(4))
             p0, p1 = -qddd, qdd
             E = qd @ p0 + qdd @ p1 - (0.5 * qdd @ qdd + V(q))
-            Hval = H.value(np.concatenate([q, qd]), np.concatenate([p0, p1]))
+            Hval = H.values(np.concatenate([q, qd, p0, p1]))
             assert abs(E - Hval) < 1e-9
 
 
@@ -94,8 +88,8 @@ class TestSymplecticStep:
     def test_obstacle_step_satisfies_implicit_relations(self):
         n = 3
         C = second_order_phase_map(n)
-        V, gV, hV, _ = obstacle_potential(0.5, 1.0, (0.0, 0.0), n)
-        H = second_order_hamiltonian(n, V, gV, hV)
+        V = obstacle_potential(0.5, 1.0, (0.0, 0.0), n)[0]
+        H = second_order_hamiltonian(n, V)
         h = 0.01
         z0 = np.concatenate([[2.0, 1.0, 0.1], [0.3, -0.2, 0.0], [0.01, 0.02, 0.0], [0.1, 0.0, 0.05]])
         z1 = symplectic_step(C, H, h, z0)
@@ -105,7 +99,7 @@ class TestSymplecticStep:
         # Midpoint averages and step differences of the scheme.
         assert np.allclose(mdot[:n], h * qdot_mid, atol=1e-10)        # q1 - q0
         assert np.allclose(mdot[n:], h * p1_mid, atol=1e-10)          # qdot1 - qdot0
-        assert np.allclose(pdot[:n], h * gV(q_mid), atol=1e-10)       # p0_1 - p0_0
+        assert np.allclose(pdot[:n], h * V.grad(q_mid), atol=1e-10)   # p0_1 - p0_0
         assert np.allclose(pdot[n:], -h * p0_mid, atol=1e-10)         # p1_1 - p1_0
 
 
@@ -119,7 +113,7 @@ def row_starts(n, k, rng, obstacle=False):
 
 
 def wobbly_system(n=1, amplitude=1e-3):
-    """The free system plus a remainder whose gradient is +-``amplitude``,
+    """The free system plus a potential whose gradient is +-``amplitude``,
     flipping sign on every call, for q > 0.5 and 0 elsewhere, with a zero
     Hessian: a start beyond q = 0.5 makes the chord iteration stall at a
     residual of about h * amplitude."""
@@ -127,8 +121,7 @@ def wobbly_system(n=1, amplitude=1e-3):
     flips = itertools.count()
     grad = lambda q: np.where(q > 0.5, amplitude * (-1.0) ** next(flips), 0.0)
     hess = lambda q: np.zeros(np.shape(q) + (n,))
-    return C, HamiltonianSystem(dim=2 * n, S0=H0.S0, remainder=lambda q: 0.0 * q[..., 0],
-                                grad_remainder=grad, hess_remainder=hess)
+    return C, HamiltonianSystem(dim=2 * n, S0=H0.S0, potential=Potential(lambda q: 0.0 * q[..., 0], grad, hess))
 
 
 class TestRowSteps:
@@ -191,9 +184,9 @@ class TestRowSteps:
 
     def test_nonfinite_row_residual_raises(self, rng):
         C, H0 = free_setup()
-        H = HamiltonianSystem(dim=2, S0=H0.S0, remainder=lambda q: 0.0 * q[..., 0],
-                              grad_remainder=lambda q: np.where(q > 0.5, np.inf, 0.0),
-                              hess_remainder=lambda q: np.zeros(np.shape(q) + (1,)))
+        V = Potential(lambda q: 0.0 * q[..., 0], lambda q: np.where(q > 0.5, np.inf, 0.0),
+                      lambda q: np.zeros(np.shape(q) + (1,)))
+        H = HamiltonianSystem(dim=2, S0=H0.S0, potential=V)
         Z = row_starts(1, 4, rng) * 0.1
         Z[2, 0] = 0.9
         with pytest.raises(NonConvergence, match=r"of row 2 met a non-finite residual at its starting point"):
@@ -320,7 +313,7 @@ class TestIntegrate:
             return np.where(q > 0.5, np.inf, 0.0)
 
         C = second_order_phase_map(1)
-        H = second_order_hamiltonian(1, lambda q: 0.0, gV, lambda q: np.zeros(np.shape(q) + (1,)))
+        H = second_order_hamiltonian(1, Potential(lambda q: 0.0, gV, lambda q: np.zeros(np.shape(q) + (1,))))
         with pytest.raises(NonConvergence, match=r"^step 50 at t = 0\.5: "):
             integrate(C, H, 0.01, 100, np.array([0.0, 1.0, 0.0, 0.0]))
 
@@ -348,7 +341,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(geodisc.hamiltonian, "step_residual", counting)
         C = second_order_phase_map(1)
-        H = second_order_hamiltonian(1, lambda q: 0.0, gV, lambda q: np.zeros(np.shape(q) + (1,)))
+        H = second_order_hamiltonian(1, Potential(lambda q: 0.0, gV, lambda q: np.zeros(np.shape(q) + (1,))))
         with pytest.raises(NonConvergence, match=r"^step 50 at t = 0\.5: ") as err:
             integrate(C, H, 0.01, 100, np.array([0.0, 1.0, 0.0, 0.0]))
         assert len(evals) == 2 and evals[-1] <= 4
@@ -407,8 +400,7 @@ class TestStepKernel:
         composed = cotangent_lift(replace(base(2 * n), jacobian_constant=False))
         assert folded.affine_inverse is not None and composed.affine_inverse is None
         if potential:
-            V, gV, hV, _ = obstacle_potential(1.0, 1.0, (0.0, 0.0), n)
-            H = second_order_hamiltonian(n, V, gV, hV)
+            H = second_order_hamiltonian(n, obstacle_potential(1.0, 1.0, (0.0, 0.0), n)[0])
         else:
             H = second_order_hamiltonian(n)
         eps = np.finfo(float).eps
@@ -445,13 +437,13 @@ class TestStepKernel:
     def test_vectorized_energies_match_the_value_loop(self, rng):
         C, H = free_setup()
         traj = integrate(C, H, 0.01, 500, rng.normal(size=4))
-        loop = [H.value(z[:2], z[2:]) for z in traj.z]
+        loop = [H.values(z) for z in traj.z]
         assert list(traj.energies) == loop
         C, H = obstacle_setup()
         z0 = TestTangent.Z0.copy()
         z0[6:] = [-9.6e-4, -6.2e-3, 0.0, -5.0e-4, -5.8e-3, 0.0]
         traj = integrate(C, H, 0.01, 400, z0)
-        loop = np.array([H.value(z[:6], z[6:]) for z in traj.z])
+        loop = np.array([H.values(z) for z in traj.z])
         assert np.all(np.abs(traj.energies - loop) <= 4 * np.finfo(float).eps * np.abs(loop))
 
     def test_views_agree_with_the_state_array(self):
@@ -671,8 +663,7 @@ class TestBlockPowers:
 
 
 def obstacle_run(base=midpoint_map, tau=1e-3):
-    V, gV, hV, _ = obstacle_potential(tau, 1.0, (0.0, 0.0), 3)
-    return second_order_phase_map(3, base(3)), second_order_hamiltonian(3, V, gV, hV)
+    return second_order_phase_map(3, base(3)), second_order_hamiltonian(3, obstacle_potential(tau, 1.0, (0.0, 0.0), 3)[0])
 
 
 OBSTACLE_CASES = pytest.mark.parametrize(
@@ -758,17 +749,17 @@ class TestRemainderSteps:
         # its block at that row for the chord iteration, so the run ends as on
         # the chord path (measured there: step 25 stalls at max_iter = 8), in
         # the NonConvergence naming the step, not in SingularPotential.
-        V, gV, hV, _ = obstacle_potential(0.2, 1.0, (0.0, 0.0), 3)
+        V = obstacle_potential(0.2, 1.0, (0.0, 0.0), 3)[0]
         raised = []
 
         def recorded(q):
             try:
-                return gV(q)
+                return V.grad(q)
             except SingularPotential:
                 raised.append(np.ndim(q))
                 raise
 
-        C, H = second_order_phase_map(3), second_order_hamiltonian(3, V, recorded, hV)
+        C, H = second_order_phase_map(3), second_order_hamiltonian(3, replace(V, grad=recorded))
         z0 = np.array([-3.0, -0.8, 0.0, 1.0, 0.0, 0.0] + [0.0] * 6)
         with pytest.raises(NonConvergence, match=r"^step 25 at t = 2\.5: one-step solve stalled"):
             integrate(C, H, 0.1, 60, z0, max_iter=8)
@@ -787,13 +778,13 @@ class TestRemainderSteps:
         # The documented 400-step run: step 0 by the chord iteration, then two
         # single-point gradient calls per step and one call on the rows of each
         # block, with no other chord solve.
-        V, gV, hV, _ = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)
+        V = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)[0]
         shapes, chord = [], []
         chord_newton = geodisc.hamiltonian._chord_newton
 
         def counted_gV(q):
             shapes.append(np.shape(q))
-            return gV(q)
+            return V.grad(q)
 
         def counted_chord(*args, **kwargs):
             before = len(shapes)
@@ -802,7 +793,7 @@ class TestRemainderSteps:
             return out
 
         monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counted_chord)
-        C, H = second_order_phase_map(3), second_order_hamiltonian(3, V, counted_gV, hV)
+        C, H = second_order_phase_map(3), second_order_hamiltonian(3, replace(V, grad=counted_gV))
         integrate(C, H, 0.01, 400, self.Z0, tangent=self.T0)
         assert len(chord) == 1
         condensed = shapes[chord[0] :]
@@ -810,15 +801,15 @@ class TestRemainderSteps:
         assert sorted(s for s in condensed if s != (3,)) == [(143, 3), (256, 3)]
 
     def test_potential_rows_equal_point_calls(self, rng):
-        V, gV, hV, clearance = obstacle_potential(0.3, 1.0, (0.2, -0.1), 3)
+        V, clearance = obstacle_potential(0.3, 1.0, (0.2, -0.1), 3)
         Q = rng.normal(size=(2, 25, 3))
         Q[..., :2] *= 3.0 / np.linalg.norm(Q[..., :2], axis=-1, keepdims=True)  # outside the disc
-        for f in (V, gV, hV, clearance):
+        for f in (V.value, V.grad, V.hess, clearance):
             rows = f(Q)
             assert rows.shape == Q.shape[:2] + np.shape(f(Q[0, 0]))
             assert np.array_equal(rows, np.array([[f(q) for q in block] for block in Q]))
         Q[1, 7, :2] = (0.2, -0.1)  # one row at the center
-        for f in (V, gV, hV):
+        for f in (V.value, V.grad, V.hess):
             with pytest.raises(SingularPotential):
                 f(Q)
 
