@@ -12,7 +12,7 @@ measures the fourth-order Euler-Lagrange defect of any sampled curve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -54,20 +54,11 @@ class CheckResult:
         return self.status == "fail"
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "case": self.case,
-            "status": self.status,
-            "defect": self.defect,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def _result(suite: str, case: str, defect: float, tol: float, info: bool = False) -> CheckResult:
-    if info:
-        status = "info"
-    else:
-        status = "pass" if defect <= tol else "fail"
+    status = "info" if info else "pass" if defect <= tol else "fail"
     return CheckResult(suite=suite, case=case, status=status, defect=float(defect), tolerance=float(tol))
 
 

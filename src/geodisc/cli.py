@@ -34,6 +34,7 @@ from .maps import midpoint_map, theta_map
 Array = np.ndarray
 
 PROBLEM_KINDS = ("free", "obstacle")
+MAX_STEPS = 10**6  # a run stores every state: 10^6 steps at n = 3 take 96 MB
 
 #: Errors that mean the run was set up wrong, as opposed to failing numerically.
 _CONFIG_ERRORS = (ConfigError, BadDiscretization, StartInsideObstacle)
@@ -42,6 +43,8 @@ _CONFIG_ERRORS = (ConfigError, BadDiscretization, StartInsideObstacle)
 def _parse_floats(value, name: str) -> Array:
     try:
         parts = [p for p in re.split(r"[,\s]+", value.strip()) if p] if isinstance(value, str) else list(value)
+        if any(isinstance(p, bool) for p in parts):
+            raise TypeError("a bool is not a number")
         out = np.array([float(p) for p in parts], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: expected a list of numbers, got {value!r}") from exc
@@ -117,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError(f"h must be positive, got {self.h}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if self.steps > MAX_STEPS or command == "shoot" and self.horizon() > MAX_STEPS * self.h:
+            raise ConfigError(f"a run takes at most {MAX_STEPS} steps")
         if self.r <= 0:
             raise ConfigError(f"obstacle radius must be positive, got {self.r}")
         if self.center.size != 2:
@@ -405,12 +410,9 @@ def main(argv=None) -> int:
         if args.command == "shoot":
             return cmd_shoot(cfg)
         return cmd_check(cfg)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {_error_kind(exc)}: %s" % " ".join(str(exc).split()), file=sys.stderr)
-        return 2
     except GeodiscError as exc:
         print(f"error: {_error_kind(exc)}: %s" % " ".join(str(exc).split()), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _CONFIG_ERRORS) else 1
 
 
 if __name__ == "__main__":

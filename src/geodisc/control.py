@@ -15,7 +15,7 @@ one integration gives both the endpoint defect and its 2n x 2n Jacobian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -151,21 +151,10 @@ def make_obstacle_problem(n: int, tau: float, r: float, center, boundary, T: flo
     Both boundary positions must be strictly outside the obstacle.
     """
     V, clearance = obstacle_potential(tau, r, center, n)
-    q0, v0, q1, v1 = boundary
-    for label, q in (("start", q0), ("end", q1)):
+    for label, q in (("start", boundary[0]), ("end", boundary[2])):
         if clearance(as_vector(q)) <= 0:
             raise StartInsideObstacle(f"boundary {label} position lies inside the obstacle")
-    return OCProblem(
-        n=n,
-        T=float(T),
-        h=float(h),
-        q_start=q0,
-        qdot_start=v0,
-        q_end=q1,
-        qdot_end=v1,
-        potential=V,
-        clearance=clearance,
-    )
+    return replace(make_free_spline(n, boundary, T, h), potential=V, clearance=clearance)
 
 
 def hermite_costates(q0, v0, q1, v1, T: float) -> tuple[Array, Array]:
@@ -263,14 +252,8 @@ def shoot(
 
     message = ""
     try:
-        x = newton_solve(
-            residual,
-            x0,
-            jacobian=jacobian,
-            tol=tol,
-            max_iter=max_iter,
-            backtracking=prob.potential is not None,
-        )
+        backtracking = prob.potential is not None
+        x = newton_solve(residual, x0, jacobian=jacobian, tol=tol, max_iter=max_iter, backtracking=backtracking)
         converged = True
     except NonConvergence as exc:
         x = exc.x_best
@@ -280,13 +263,8 @@ def shoot(
     traj = flow(x)
     defect = float(np.max(np.abs(traj.z[-1, : 2 * n] - target)))
     return ShootingResult(
-        p0=x[:n],
-        p1=x[n:],
-        trajectory=traj,
-        defect=defect,
-        cost=running_cost(traj, prob.potential),
-        converged=converged and defect <= tol,
-        message=message,
+        p0=x[:n], p1=x[n:], trajectory=traj, defect=defect, cost=running_cost(traj, prob.potential),
+        converged=converged and defect <= tol, message=message,
     )
 
 

@@ -36,15 +36,13 @@ so every row gets the bits of a one-start call.
 iteration on the closed-form Jacobian of R, inverted once and reused (every
 step on a non-affine lifted map, step 0 of every run, and any step a fast
 path hands over); block powers of the affine one-step map z1 = M z0 + m
-when the step relation is linear (an affine lifted inverse without a
-potential: the free problem); and condensed steps, solved in the n
-coordinates of q alone, with a potential (the obstacle problems).  Both fast
-paths check every step's full residual after each block of rows.
-With the midpoint-family lifts this is an implicit midpoint scheme on the
-phase space and conserves quadratic first integrals to machine precision.
-Differentiating the step relations at the converged z1 (the discrete
-variational equation) gives the exact step derivative dz1/dz0, which
-:func:`integrate` can carry along a run.
+when the step relation is linear (the free problem); and, with a potential
+(the obstacle problems), condensed steps in the n coordinates of q, a
+window of steps at a time.  Both fast paths check every step's full
+residual after each block of rows.  With the midpoint-family lifts this is
+an implicit midpoint scheme, conserving quadratic first integrals to
+rounding; the discrete variational equation gives the exact step
+derivative dz1/dz0, which :func:`integrate` can carry along a run.
 """
 from __future__ import annotations
 
@@ -198,19 +196,42 @@ class _StepBlocks:
             z1 = M z0 + m + h W grad V(q),    q = Gq z0 + gq + h P grad V(q),
 
         M = -J A0, m = -J c, W = J E, Gq = Kq0 + Kq1 M, gq = kq + Kq1 m and
-        P = Kq1 W.  Returns (S, s, hW, hP, M, Gq) with S = [M - I; Gq] and
-        s = [m; gq] stacked, built on first use.  M - I = -J (A0 + A1) is
-        the O(h) increment matrix, built as such: a step adds its increment
-        to z0, so the rounding of the stored matrix scales with h instead of
-        biasing every step by eps |z0| (Hairer, Lubich & Wanner, Geometric
-        Numerical Integration, 2nd ed., VIII.5)."""
+        P = Kq1 W; over a window of B = _WINDOW steps from z_k, with
+        g_i = -grad V(q_{k+i}) stacked as g, the rows and their preimages are
+
+            z_{k+1..k+B} = z_k + Z z_k + s - T g,    q_{k..k+B-1} = G z_k + t - K g:
+
+        Z stacks M^j - I and s the offsets sum_{i<j} M^i m (j = 1 .. B), G
+        stacks Gq M^j and t the Gq s_j + gq (j < B), and T and K are block
+        lower-triangular Toeplitz in M^j hW and in Gq M^(j-1) hW with hP on
+        K's diagonal; b < B steps take the leading rows and columns.  Returns
+        (Z, s, T, G, t, K, hW, hP, M, Gq), built on first use.  The powers
+        are built as M^j - I from the O(h) increment M - I = -J (A0 + A1), so
+        their rounding scales with h instead of biasing every row by
+        eps |z_k| (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+        2nd ed., VIII.5)."""
         J = _inverse(self.A1)
-        d, n = self.A1.shape[0] // 2, self.kq.size
+        d, n, B = self.A1.shape[0], self.kq.size, _WINDOW
         D, m = -(J @ (self.A0 + self.A1)), -(J @ self.c)
-        M = np.eye(D.shape[0]) + D
-        hW = self.h * J[:, d : d + n]
-        Gq = self.Kq0 + self.Kq1 @ M
-        return np.vstack([D, Gq]), np.concatenate([m, self.kq + self.Kq1 @ m]), hW, self.Kq1 @ hW, M, Gq
+        M, hW = np.eye(d) + D, self.h * J[:, d // 2 : d // 2 + n]
+        Gq, hP = self.Kq0 + self.Kq1 @ M, self.Kq1 @ hW
+        Z, s = np.zeros((B + 1, d, d)), np.zeros((B + 1, d))  # Z[j] = M^j - I
+        for j in range(B):
+            Z[j + 1] = Z[j] + D + D @ Z[j]
+            s[j + 1] = s[j] + D @ s[j] + m
+        Wp = hW + Z[:B] @ hW  # Wp[j] = M^j hW
+        G = Gq + Gq @ Z[:B]
+        t = s[:B] @ Gq.T + (self.kq + self.Kq1 @ m)
+        T, K = _toeplitz(Wp), _toeplitz(np.concatenate([hP[None], Gq @ Wp[: B - 1]]))
+        return Z[1:].reshape(B * d, d), s[1:].ravel(), T, G.reshape(B * n, d), t.ravel(), K, hW, hP, M, Gq
+
+
+def _toeplitz(blocks: Array) -> Array:
+    """The block lower-triangular Toeplitz matrix with blocks[j] on its j-th
+    block subdiagonal, one block row per block."""
+    i, l = np.indices((len(blocks),) * 2)
+    T = np.where((i >= l)[..., None, None], blocks[np.maximum(i - l, 0)], 0.0)
+    return T.transpose(0, 2, 1, 3).reshape(T.shape[0] * T.shape[2], -1)
 
 
 def step_residual(
@@ -407,6 +428,8 @@ def symplectic_step(
 
 
 _ROWS = 256  # rows per block: of the fast paths' residual check and of the energies
+_WINDOW = 32  # condensed steps solved together as one window
+_SWEEPS = 30  # fixed-point sweeps per window before it fails
 
 
 def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float, hG: Array | None = None) -> int:
@@ -483,44 +506,71 @@ def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
         return G
 
 
+def _window(cond: tuple[Array, ...], V: Potential, z: Array, j: int, b: int, g: Array) -> Array | None:
+    """Solve b condensed steps from row j of z as one window: the fixed point
+    g = -grad V(G z_j + t - K g) of :attr:`_StepBlocks.condensed`, swept from
+    the guess g (b rows) by one gradient call and one matvec per sweep until
+    a sweep moves the preimages by at most 4 eps of their size; one product
+    then writes rows j + 1 .. j + b.  Returns the gradients, or None when a
+    gradient raises a GeodiscError or a sweep stops contracting (a non-finite
+    one included) or has not settled after _SWEEPS."""
+    Z, s, T, G, t, K = cond[:6]
+    dz, n = z.shape[1], g.shape[1]
+    base = G[: b * n] @ z[j] + t[: b * n]
+    K = K[: b * n, : b * n]
+    Q = base - K @ g.ravel()
+    last = np.inf
+    for _ in range(_SWEEPS):
+        try:
+            g = -V.grad(Q.reshape(b, n))
+        except GeodiscError:
+            return None
+        Q, moved = base - K @ g.ravel(), Q
+        change = np.abs(Q - moved).max()
+        if not change < last:  # a nan or inf fails too
+            return None
+        if change <= 4.0 * _EPS * np.abs(Q).max():
+            rows = Z[: b * dz] @ z[j] + s[: b * dz] - T[: b * dz, : b * n] @ g.ravel()
+            np.add(rows.reshape(b, dz), z[j], out=z[j + 1 : j + b + 1])
+            return g
+        last = change
+    return None
+
+
 def _potential_steps(blocks: _StepBlocks, V: Potential, z: Array, k: int, tol: float, tangent: Array | None):
     """Advance rows k, k + 1, ... of z by condensed steps, as far as they verify.
 
-    A step relation with a potential V(q) is solved in the n coordinates of
-    q alone (see :attr:`_StepBlocks.condensed`): one stacked product gives
-    (M - I) z_k + m and Gq z_k + gq; a predictor q = Gq z_k + gq - h P g
-    from the previous step's g = -grad V (0 on entry) and one corrector, two
-    gradient calls, give g = -grad V(q), and z_{k+1} is z_k plus the
-    increment (M - I) z_k + m - h W g.  After each block of up to 256 rows
-    :func:`_verified_steps` checks every step's full residual, at the
-    gradients of the rows' preimages q_k taken in one call.
-    Over the verified steps the tangent is carried by
+    Windows of up to _WINDOW steps (:func:`_window`) start from the previous
+    window's last gradient (0 on entry); a failed window is halved, and a
+    failed one-step window ends its block at that step.  After each block of
+    up to 256 rows :func:`_verified_steps` checks every step's full
+    residual, at the gradients of the rows' preimages q_k taken in one call,
+    and the tangent is carried over the verified steps by
     Phi_k = M + h W Hess V(q_k) D_k^-1 Gq with D_k = I - h P Hess V(q_k),
-    the Hessians taken in one call and the systems in one batched solve.
-    A gradient that raises a GeodiscError ends its block at that step.
-    Returns the first step that failed (the step count when none did) and
-    the tangent."""
-    S, s, hW, hP, M, Gq = blocks.condensed
-    steps, dz, n = z.shape[0] - 1, z.shape[1], hP.shape[0]
-    g = np.zeros(n)
+    the Hessians in one call and the systems in one batched solve.  Returns
+    the first step that failed (the step count when none did) and the
+    tangent."""
+    cond = blocks.condensed
+    hW, hP, M, Gq = cond[6:]
+    steps, n = z.shape[0] - 1, hP.shape[0]
+    g, b = np.zeros((1, n)), _WINDOW
     while k < steps:
-        end = stop = min(k + _ROWS, steps)
-        try:
-            for j in range(k, end):
-                y = S @ z[j] + s
-                q = y[dz:]
-                g = -V.grad(q - hP @ g)
-                g = -V.grad(q - hP @ g)
-                np.subtract(y[:dz], hW @ g, out=z[j + 1])
-                z[j + 1] += z[j]
-        except GeodiscError:
-            stop = j
-        if stop == k:
+        j, end = k, min(k + _ROWS, steps)
+        while j < end:
+            b = min(b, end - j)
+            solved = _window(cond, V, z, j, b, np.broadcast_to(g[-1], (b, n)))
+            if solved is not None:
+                g, j, b = solved, j + b, min(2 * b, _WINDOW)
+            elif b > 1:
+                b //= 2
+            else:
+                break
+        if j == k:
             return k, tangent
-        Q = z[k:stop] @ blocks.Kq0.T
-        Q += z[k + 1 : stop + 1] @ blocks.Kq1.T
+        Q = z[k:j] @ blocks.Kq0.T
+        Q += z[k + 1 : j + 1] @ blocks.Kq1.T
         Q += blocks.kq
-        verified = _verified_steps(blocks, z, k, stop, tol, -blocks.h * _row_gradients(V.grad, Q))
+        verified = _verified_steps(blocks, z, k, j, tol, -blocks.h * _row_gradients(V.grad, Q))
         if tangent is not None and verified:
             Hs = -V.hess(Q[:verified])
             try:
@@ -556,19 +606,19 @@ def integrate(
     lifted map the later steps take a fast path, checked after every block
     of up to 256 rows: each step's full residual must be finite and within
     max(tol, 8 eps ||z_k||_inf), the chord iteration's own floor.  Without a
-    potential in H (a linear step relation: the free problem) every block is
-    one product with the powers of the one-step map (:func:`_linear_steps`),
-    and the chord iteration takes over for the rest of the run from the first
-    step that fails.  With a potential (the obstacle problems) every step is
-    solved in the n potential coordinates by a predictor and one corrector
-    (:func:`_potential_steps`); a step that fails goes to the chord iteration
-    and the condensed steps resume after it.  So a stall or a non-finite
-    state ends in the same NonConvergence as on the chord path.  Runs on an
-    affine lifted map step with numpy's overflow and invalid-value warnings
-    silenced: the finiteness tests report such a state.  The energies are
-    evaluated once over all states after the last step, with the same
-    warnings silenced; a state whose energy is not finite raises
-    NonConvergence naming its step and time.
+    potential (the free problem) every block is one product with the powers
+    of the one-step map (:func:`_linear_steps`), and the chord iteration
+    takes over from the first step that fails.  With a potential (the
+    obstacle problems) windows of up to 32 steps are solved in the n
+    potential coordinates by fixed-point sweeps (:func:`_potential_steps`);
+    a step that fails goes to the chord iteration and the windows resume
+    after it.  So a stall or a non-finite state ends in the same
+    NonConvergence as on the chord path.  Runs on an affine lifted map step
+    with numpy's overflow and invalid-value warnings silenced: the
+    finiteness tests report such a state.  The energies are evaluated once
+    over all states after the last step, with the same warnings silenced; a
+    state whose energy is not finite raises NonConvergence naming its step
+    and time.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
     through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k

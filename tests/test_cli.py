@@ -217,6 +217,8 @@ class TestMalformedInput:
         "seed-fractional": '{"seed": 0.5}',
         "h-bool": '{"h": true}',
         "center-number": '{"center": 5}',
+        "center-bool": '{"center": [true, 0]}',
+        "steps-huge": '{"steps": 1e300}',
     }
 
     @pytest.mark.parametrize(
@@ -237,11 +239,14 @@ class TestMalformedInput:
             ["check", "--suite", "convergence", "--suite", "convergence"],
             ["check", "--suite", "bogus"],
             ["check", "--config", "suites-5.json"],
+            ["simulate", "--steps", "100000000000000000000", "--init=" + SE2_INIT],
+            SHOOT + ["--T", "1e9"],
             *(["simulate", "--config", f"{name}.json", "--init=" + SE2_INIT] for name in BAD_CONFIGS),
         ],
         ids=[
             "center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan", "h-zero", "h-2", "json-null",
-            "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number", *BAD_CONFIGS,
+            "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number",
+            "steps-huge-flag", "shoot-steps-huge", *BAD_CONFIGS,
         ],
     )
     def test_is_one_config_error_line(self, capsys, args, isolated):

@@ -673,8 +673,9 @@ OBSTACLE_CASES = pytest.mark.parametrize(
 
 class TestRemainderSteps:
     """Obstacle runs on an affine lifted map: step 0 by the chord iteration,
-    every later step condensed to the n potential coordinates, checked and
-    carrying the tangent per block of rows."""
+    every later step condensed to the n potential coordinates and solved a
+    window of steps at a time, checked and carrying the tangent per block of
+    rows."""
 
     # The documented shot's start (-2, -1.2, 0) with costates near its solution.
     Z0 = np.array([-2.0, -1.2, 0.0, 1.0, 0.0, 0.0, -9.6e-4, -6.2e-3, 0.0, -5.0e-4, -5.8e-3, 0.0])
@@ -703,11 +704,23 @@ class TestRemainderSteps:
             fd[:, j] = (hi - lo) / (2 * eps)
         assert np.max(np.abs(traj.tangent - fd)) <= 1e-6 * np.max(np.abs(fd))
 
+    def test_coarse_steps_match_the_chord_steps_to_rounding(self):
+        # At h = 0.2 each window's fixed point is solved to rounding, so the
+        # states sit as near a symplectic_step loop as that loop's own
+        # rounding allows (a predictor and one corrector per step left them
+        # 4.8e5 eps away).
+        C, H = obstacle_run()
+        traj = integrate(C, H, 0.2, 20, self.Z0)
+        ref, _ = chord_steps(C, H, 0.2, 20, self.Z0)
+        assert self.column_error(traj.z, ref) <= 50 * np.finfo(float).eps
+
     @OBSTACLE_CASES
     @pytest.mark.parametrize("tau, h", [(0.05, 0.1), (0.05, 0.2)])
     def test_forced_hand_offs_keep_the_chord_states(self, base, tau, h, monkeypatch):
-        # A strong potential at coarse steps: some condensed steps fail their
-        # check and go to the chord iteration, and the run goes on from there.
+        # A strong potential at coarse steps, skimming the disc at squared
+        # clearance 0.02-0.03: near the closest approach even a one-step
+        # window's fixed point stops contracting, that step goes to the chord
+        # iteration, and the run goes on from there.
         calls = []
         chord_newton = geodisc.hamiltonian._chord_newton
 
@@ -718,13 +731,11 @@ class TestRemainderSteps:
         monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counting)
         C, H = obstacle_run(base, tau)
         steps = int(round(4.0 / h))
-        traj = integrate(C, H, h, steps, self.Z0, tangent=self.T0)
+        z0 = np.array([-2.0, -0.6, 0.0, 0.5, 0.0, 0.0] + [0.0] * 6)
+        traj = integrate(C, H, h, steps, z0, tangent=self.T0)
         handed_off = len(calls) - 1
-        ref, ref_tangent = chord_steps(C, H, h, steps, self.Z0, self.T0)
+        ref, ref_tangent = chord_steps(C, H, h, steps, z0, self.T0)
         assert 0 < handed_off < steps
-        # Both solve every step to the residual tolerance; the chord's last
-        # correction puts its states nearer rounding than the verified
-        # condensed ones at these step sizes.
         assert self.column_error(traj.z, ref) <= 1e-10
         assert np.max(np.abs(traj.tangent - ref_tangent)) <= 1e-10 * np.max(np.abs(ref_tangent))
 
@@ -742,28 +753,37 @@ class TestRemainderSteps:
         with pytest.raises(SingularPotential):
             integrate(C, H, 0.01, k + 1, z0)
 
-    def test_a_stall_past_the_disc_is_the_chord_iterations_own(self):
-        # A strong potential at a coarse step, grazing the disc: past a failing
-        # step, condensed iterates and block rows land on the disc, so single-
-        # point and block gradient calls raise SingularPotential.  Each ends
-        # its block at that row for the chord iteration, so the run ends as on
-        # the chord path (measured there: step 25 stalls at max_iter = 8), in
-        # the NonConvergence naming the step, not in SingularPotential.
+    def test_a_stall_past_the_disc_is_the_chord_iterations_own(self, monkeypatch):
+        # A strong potential at a coarse step, grazing the disc: window sweeps
+        # land on the disc, so window gradient calls raise SingularPotential.
+        # Each fails its window, down to one step, which ends its block at
+        # that row for the chord iteration, so the run ends as on the chord
+        # path (measured there: step 25 stalls at max_iter = 8), in the
+        # NonConvergence naming the step, not in SingularPotential.
         V = obstacle_potential(0.2, 1.0, (0.0, 0.0), 3)[0]
-        raised = []
+        raised, in_block = [], []
+        row_gradients = geodisc.hamiltonian._row_gradients
 
         def recorded(q):
             try:
                 return V.grad(q)
             except SingularPotential:
-                raised.append(np.ndim(q))
+                raised.append("block" if in_block else np.ndim(q))
                 raise
 
+        def block_call(grad, Q):
+            in_block.append(1)
+            try:
+                return row_gradients(grad, Q)
+            finally:
+                in_block.pop()
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_row_gradients", block_call)
         C, H = second_order_phase_map(3), second_order_hamiltonian(3, replace(V, grad=recorded))
         z0 = np.array([-3.0, -0.8, 0.0, 1.0, 0.0, 0.0] + [0.0] * 6)
         with pytest.raises(NonConvergence, match=r"^step 25 at t = 2\.5: one-step solve stalled"):
             integrate(C, H, 0.1, 60, z0, max_iter=8)
-        assert 1 in raised and 2 in raised
+        assert 2 in raised  # a window call
 
     def test_overflow_ends_in_the_typed_error_alone(self):
         # Under the suite's error::RuntimeWarning filter: no numpy overflow
@@ -774,13 +794,14 @@ class TestRemainderSteps:
         with pytest.raises(NonConvergence, match="^" + re.escape("step 1896 at t = 18.96: ")):
             integrate(C, H, 0.01, 3000, z0)
 
-    def test_two_gradient_calls_per_step(self, monkeypatch):
-        # The documented 400-step run: step 0 by the chord iteration, then two
-        # single-point gradient calls per step and one call on the rows of each
-        # block, with no other chord solve.
+    def test_gradient_calls_per_window_and_block(self, monkeypatch):
+        # The documented 400-step run: step 0 by the chord iteration, then one
+        # gradient call per window sweep on at most 32 rows and one call on
+        # the rows of each block, with no other chord solve.
         V = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)[0]
-        shapes, chord = [], []
+        shapes, chord, blocks = [], [], []
         chord_newton = geodisc.hamiltonian._chord_newton
+        row_gradients = geodisc.hamiltonian._row_gradients
 
         def counted_gV(q):
             shapes.append(np.shape(q))
@@ -792,13 +813,18 @@ class TestRemainderSteps:
             chord.append(len(shapes) - before)
             return out
 
+        def counted_block(grad, Q):
+            blocks.append(len(shapes))
+            return row_gradients(grad, Q)
+
         monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counted_chord)
+        monkeypatch.setattr(geodisc.hamiltonian, "_row_gradients", counted_block)
         C, H = second_order_phase_map(3), second_order_hamiltonian(3, replace(V, grad=counted_gV))
         integrate(C, H, 0.01, 400, self.Z0, tangent=self.T0)
-        assert len(chord) == 1
-        condensed = shapes[chord[0] :]
-        assert condensed.count((3,)) == 2 * 399
-        assert sorted(s for s in condensed if s != (3,)) == [(143, 3), (256, 3)]
+        assert len(chord) == 1 and len(shapes) <= 60
+        assert [shapes[i] for i in blocks] == [(256, 3), (143, 3)]
+        windows = [s for i, s in enumerate(shapes) if i >= chord[0] and i not in blocks]
+        assert windows and all(len(s) == 2 and 1 <= s[0] <= 32 and s[1] == 3 for s in windows)
 
     def test_potential_rows_equal_point_calls(self, rng):
         V, clearance = obstacle_potential(0.3, 1.0, (0.2, -0.1), 3)
