@@ -7,12 +7,15 @@ they are part of what the suite asserts.  A case's defect is the largest over
 its samples, taken by :func:`~geodisc.numeric.worst_defect`, so a nan sample
 makes the case fail.  A suite draws all its samples first, in one stream
 order per seed, and sends them through each map, lift or jet as the rows of
-one array.  :func:`fourth_order_residual`
+one array.  A suite on the second-order phase space takes its maps from a
+``phase_map`` builder (n -> map): :func:`run_all` hands all suites of a run
+one that builds each map once.  :func:`fourth_order_residual`
 measures the fourth-order Euler-Lagrange defect of any sampled curve.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -100,14 +103,14 @@ def midpoint_cotangent_closed_form(x: Array, d: int, inverse: bool) -> Array:
     return np.concatenate([a - 0.5 * c, b - 0.5 * e, a + 0.5 * c, b + 0.5 * e], axis=-1)
 
 
-def closed_form_suite(rng) -> list[CheckResult]:
+def closed_form_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
     """Generic cotangent lift of the midpoint rule against its closed form,
     both on T*Q and (through the tangent lift) on the second-order phase
     space T*(TQ)."""
     out = []
     tol = 1e-12
     for n in (1, 3):
-        for space, C, d in (("T*Q", cotangent_lift(midpoint_map(n)), n), ("T*(TQ)", second_order_phase_map(n), 2 * n)):
+        for space, C, d in (("T*Q", cotangent_lift(midpoint_map(n)), n), ("T*(TQ)", phase_map(n), 2 * n)):
             X = rng.normal(size=(100, 4 * d))
             fwd = np.max(np.abs(C.forward_flat(X) - midpoint_cotangent_closed_form(X, d, False)))
             inv = np.max(np.abs(C.inverse_flat(X) - midpoint_cotangent_closed_form(X, d, True)))
@@ -143,7 +146,7 @@ def second_lift_suite(rng) -> list[CheckResult]:
     return out
 
 
-def axiom_suite(rng) -> list[CheckResult]:
+def axiom_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
     """Both defining conditions of every shipped discretization map."""
     tol = 1e-7
     out = []
@@ -160,7 +163,7 @@ def axiom_suite(rng) -> list[CheckResult]:
     se2_pts = rng.uniform(-2.0, 2.0, size=(25, 3))
     cases.append(("se2 exponential", se2_exp_map(), se2_pts))
 
-    lifted = second_order_phase_map(1).as_discretization_map()
+    lifted = phase_map(1).as_discretization_map()
     cases.append(("cotangent-lifted midpoint on T*(TQ)", lifted, rng.normal(size=(25, 4))))
 
     for label, D, samples in cases:
@@ -170,13 +173,12 @@ def axiom_suite(rng) -> list[CheckResult]:
     return out
 
 
-def symplecto_suite(rng) -> list[CheckResult]:
+def symplecto_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
     """S^T Omega S identity for the lifted midpoint on T*(TQ), n in {1, 3}."""
     out = []
     tol = 1e-6
     for n in (1, 3):
-        C = second_order_phase_map(n)
-        rep = check_symplectomorphism(C, rng.normal(size=(100, 8 * n)), tol=tol)
+        rep = check_symplectomorphism(phase_map(n), rng.normal(size=(100, 8 * n)), tol=tol)
         out.append(_result("symplectomorphism", f"lifted midpoint n={n}", rep.max_defect, tol))
     return out
 
@@ -190,7 +192,7 @@ def _one_step_jacobian(C, H, h: float, z0: Array, eps: float = 1e-4) -> Array:
     return row_jacobian_fd(step, z0, eps=eps)
 
 
-def step_symplecticity_suite(rng) -> list[CheckResult]:
+def step_symplecticity_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
     """M^T Omega M = Omega for the one-step map, free and obstacle systems."""
     free = rng.normal(size=(20, 4))
     obstacle = []
@@ -201,12 +203,12 @@ def step_symplecticity_suite(rng) -> list[CheckResult]:
         ang = rng.uniform(0.0, 2 * np.pi)
         z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
         obstacle.append(z0)
-    C, H = second_order_phase_map(3), second_order_hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
+    C, H = phase_map(3), second_order_hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
     jacobians = (
-        ("free n=1", _one_step_jacobian(second_order_phase_map(1), second_order_hamiltonian(1), 0.01, free)),
-        # One sample (24 rows) per call: the chord iteration of a nonlinear
-        # step holds a 12 x 24 Jacobian per row, 1.8 MB for all 480 rows.
-        ("obstacle n=3", np.array([_one_step_jacobian(C, H, 0.01, z0) for z0 in obstacle])),
+        ("free n=1", _one_step_jacobian(phase_map(1), second_order_hamiltonian(1), 0.01, free)),
+        # Five samples (120 rows) per call: the chord iteration of a nonlinear step holds a
+        # 12 x 24 Jacobian per row, 0.55 MB at the peak of a call and 1.8 MB for all 20 samples.
+        ("obstacle n=3", np.concatenate([_one_step_jacobian(C, H, 0.01, obstacle[i : i + 5]) for i in range(0, 20, 5)])),
     )
     out = []
     for case, M in jacobians:
@@ -215,10 +217,10 @@ def step_symplecticity_suite(rng) -> list[CheckResult]:
     return out
 
 
-def free_spline_suite() -> list[CheckResult]:
+def free_spline_suite(phase_map=second_order_phase_map) -> list[CheckResult]:
     """Conservation over a long free run: p0 exactly, H to rounding."""
     out = []
-    C = second_order_phase_map(1)
+    C = phase_map(1)
     H = second_order_hamiltonian(1)
     z0 = np.array([0.0, 0.1, 0.01, 0.2])
     traj = integrate(C, H, 0.01, 10_000, z0)
@@ -235,10 +237,10 @@ def free_spline_suite() -> list[CheckResult]:
     return out
 
 
-def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01)) -> list[CheckResult]:
+def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01), phase_map=second_order_phase_map) -> list[CheckResult]:
     """Observed global order against the exactly known cubic free flow."""
     out = []
-    C = second_order_phase_map(1)
+    C = phase_map(1)
     H = second_order_hamiltonian(1)
     z0 = np.array([0.0, 0.0, 12.0, 6.0])
     T = 1.0
@@ -382,12 +384,15 @@ def run_all(
     h_values: Sequence[float] = (0.04, 0.02, 0.01),
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
+    phase_map = cache(second_order_phase_map)  # the suites' phase maps, for this run only
     for name in validate_run(suites, h_values):
         fn = SUITES[name]
         if name == "convergence":
-            results.extend(fn(h_values))
-        elif name in ("free-spline",):
-            results.extend(fn())
-        else:
+            results.extend(fn(h_values, phase_map))
+        elif name == "free-spline":
+            results.extend(fn(phase_map))
+        elif name in ("second-lift", "sphere-lift"):
             results.extend(fn(np.random.default_rng(seed)))
+        else:
+            results.extend(fn(np.random.default_rng(seed), phase_map))
     return results

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import SingularJacobian, UnsupportedOrder
 from .jets import jet_pushforward, unzip_jet_tangent, zip_jet_tangent
 from .maps import DiscretizationMap, midpoint_map
-from .numeric import MAX_TAYLOR_ORDER, as_vector, matvec, row_jacobian_fd, worst_defect
+from .numeric import MAX_TAYLOR_ORDER, matvec, row_jacobian_fd, worst_defect
 
 Array = np.ndarray
 
@@ -162,8 +162,8 @@ class CotangentLiftedMap:
     any other base, which takes the formulas above.  The flat maps take one
     point or the rows of an (..., 4m) array, each row with the bits of its
     one-point value, and the one-step method folds K and k into its own
-    matrices.  The four-vector ``forward``/``inverse`` check their inputs
-    and delegate.
+    matrices.  ``forward`` and ``inverse`` name the same flat maps for
+    perfbench's tracer, which wraps methods of those names.
     The construction makes the map a discretization map on T*M in its own
     right (see ``as_discretization_map``) and a symplectomorphism, checked by
     :func:`check_symplectomorphism`.
@@ -199,20 +199,6 @@ class CotangentLiftedMap:
                 a.setflags(write=False)
             self.affine_forward, self.affine_inverse = (F, f), (K, k)
 
-    def _checked_flat(self, parts, names) -> Array:
-        vs = [as_vector(v, name=name) for v, name in zip(parts, names)]
-        if any(v.size != self.dim for v in vs):
-            raise ValueError(f"{self.name} expects vectors of length {self.dim}")
-        return np.concatenate(vs)
-
-    def forward(self, m, p, mdot, pdot) -> tuple[Array, Array, Array, Array]:
-        x = self._checked_flat((m, p, mdot, pdot), ("m", "p", "mdot", "pdot"))
-        return tuple(np.split(self.forward_flat(x), 4))
-
-    def inverse(self, m0, p0, m1, p1) -> tuple[Array, Array, Array, Array]:
-        y = self._checked_flat((m0, p0, m1, p1), ("m0", "p0", "m1", "p1"))
-        return tuple(np.split(self.inverse_flat(y), 4))
-
     # -- flat maps: input (m, p, mdot, pdot), output (m0, p0, m1, p1) -----
     def forward_flat(self, x) -> Array:
         if self.affine_forward is not None:
@@ -246,6 +232,8 @@ class CotangentLiftedMap:
         JT = np.swapaxes(J, -1, -2)
         col = matvec(JT, np.concatenate([-y[..., d : 2 * d], y[..., 3 * d :]], axis=-1))
         return np.concatenate([base_x[..., :d], col[..., d:], base_x[..., d:], col[..., :d]], axis=-1)
+
+    forward, inverse = forward_flat, inverse_flat
 
     def inverse_jacobian_flat(self, y) -> Array:
         """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y, one matrix per row:
@@ -343,18 +331,23 @@ def check_symplectomorphism(C, samples, tol: float = 1e-6, eps: float | None = N
     """Verify numerically that a cotangent-lifted map sends the tangent lift of
     the canonical form to the paired difference form.
 
-    For each sample x in R^{4m} the finite-difference Jacobian S of the flat
-    forward map must satisfy S^T Omega_pair S = Omega_tangent.  The map
-    takes the probes of up to ``_SAMPLES_PER_CALL`` samples as one array
-    (:func:`~geodisc.numeric.row_jacobian_fd`).  A nan defect fails the
-    report.
+    For each sample x in R^{4m}, one row of ``samples`` (k, 4m), the
+    finite-difference Jacobian S of the flat forward map must satisfy
+    S^T Omega_pair S = Omega_tangent.  Raises ValueError unless the samples
+    are such rows, all finite.  The map takes the probes of up to
+    ``_SAMPLES_PER_CALL`` samples as one array (:func:`row_jacobian_fd`).
+    A nan defect fails the report.
     """
     d = C.dim
     target = tangent_lifted_symplectic_matrix(d)
     pair = pair_symplectic_matrix(d)
-    X = [as_vector(x, name="sample") for x in samples]
+    X = np.asarray(samples, dtype=float)
+    if X.size and (X.ndim != 2 or X.shape[1] != 4 * d):
+        raise ValueError(f"samples must be rows (k, {4 * d}), got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("sample contains non-finite entries")
     defects = []
     for i in range(0, len(X), _SAMPLES_PER_CALL):
-        S = row_jacobian_fd(C.forward_flat, np.array(X[i : i + _SAMPLES_PER_CALL]), eps=eps)
+        S = row_jacobian_fd(C.forward_flat, X[i : i + _SAMPLES_PER_CALL], eps=eps)
         defects += np.max(np.abs(np.swapaxes(S, -1, -2) @ pair @ S - target), axis=(1, 2)).tolist()
     return SymplectomorphismReport(name=getattr(C, "name", "map"), tol=tol, defects=tuple(defects))

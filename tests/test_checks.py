@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geodisc.checks import SUITES, CheckResult, convergence_suite, run_all, sphere_lift_suite
+from geodisc.lifts import CotangentLiftedMap
 
 EXPECTED_SUITES = {
     "closed-form",
@@ -61,6 +62,20 @@ def test_same_seed_same_defects():
     a = run_all(seed=5, suites=["symplectomorphism"])
     b = run_all(seed=5, suites=["symplectomorphism"])
     assert [r.defect for r in a] == [r.defect for r in b]
+
+
+def test_each_run_builds_its_phase_maps_once(monkeypatch):
+    # The eight suites ask for 11 cotangent lifts; a run builds the two
+    # second-order phase maps (n = 1, 3) once, and the next run again.
+    built = []
+    init = CotangentLiftedMap.__init__
+    monkeypatch.setattr(CotangentLiftedMap, "__init__", lambda self, base: built.append(1) or init(self, base))
+    counts = []
+    for _ in range(2):
+        built.clear()
+        run_all(seed=71)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 4
 
 
 def test_convergence_pairs():

@@ -294,7 +294,7 @@ class TestCheck:
         assert len(report) == 1 and "order" in report[0]["case"]
 
     def test_failing_suite_sets_exit_code(self, monkeypatch, capsys):
-        stub = lambda rng: [CheckResult("closed-form", "stub", "fail", 1.0, 0.0)]
+        stub = lambda rng, phase_map: [CheckResult("closed-form", "stub", "fail", 1.0, 0.0)]
         monkeypatch.setitem(checks.SUITES, "closed-form", stub)
         rc = cli.main(["check", "--suite", "closed-form"])
         assert rc == 1

@@ -93,7 +93,7 @@ class TestSymplecticStep:
         h = 0.01
         z0 = np.concatenate([[2.0, 1.0, 0.1], [0.3, -0.2, 0.0], [0.01, 0.02, 0.0], [0.1, 0.0, 0.05]])
         z1 = symplectic_step(C, H, h, z0)
-        m, p, mdot, pdot = C.inverse(z0[: 2 * n], z0[2 * n :], z1[: 2 * n], z1[2 * n :])
+        m, p, mdot, pdot = np.split(C.inverse_flat(np.concatenate([z0, z1])), 4)
         q_mid, qdot_mid = m[:n], m[n:]
         p0_mid, p1_mid = p[:n], p[n:]
         # Midpoint averages and step differences of the scheme.

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from geodisc import checks
+from geodisc.control import obstacle_potential
 from geodisc.errors import DomainViolation, SingularJacobian
+from geodisc.hamiltonian import second_order_hamiltonian
 from geodisc.jets import jet_of_curve, unzip_jet_tangent, zip_jet_tangent
 from geodisc.lifts import (
+    canonical_symplectic_matrix,
     check_symplectomorphism,
     cotangent_lift,
     higher_order_lift,
@@ -207,8 +210,8 @@ def test_one_bad_row_fails_the_checked_batch(D, defect, rng):
 
 
 # ---------------------------------------------------------------------------
-# one-sample loops of the axiom and sphere-lift suites, kept as the oracle of
-# their row versions
+# one-sample loops of the axiom, sphere-lift, step-symplecticity and
+# symplectomorphism suites, kept as the oracle of their row versions
 
 
 def _verify_one_sample_at_a_time(D, samples, tol=1e-7, eps=1e-6):
@@ -293,6 +296,34 @@ def _sphere_lift_loop(rng):
     return [worst_defect(defects), worst_defect(sq_defects), worst_defect(lin_defects)]
 
 
+def _step_symplecticity_loop(rng):
+    free = rng.normal(size=(20, 4))
+    obstacle = []
+    for _ in range(20):
+        z0 = rng.normal(size=12) * 0.3
+        rho, ang = 1.8 + rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * np.pi)
+        z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
+        obstacle.append(z0)
+    V = obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0]
+    defects = []
+    for C, H, samples in (
+        (second_order_phase_map(1), second_order_hamiltonian(1), free),
+        (second_order_phase_map(3), second_order_hamiltonian(3, V), obstacle),
+    ):
+        Om = canonical_symplectic_matrix(C.dim)
+        Ms = [checks._one_step_jacobian(C, H, 0.01, z0) for z0 in samples]
+        defects.append(worst_defect([np.max(np.abs(M.T @ Om @ M - Om)) for M in Ms]))
+    return defects
+
+
+def _symplectomorphism_loop(rng):
+    defects = []
+    for n in (1, 3):
+        C = second_order_phase_map(n)
+        defects.append(worst_defect([check_symplectomorphism(C, [x]).max_defect for x in rng.normal(size=(100, 8 * n))]))
+    return defects
+
+
 # Seed 2 is one where numpy's array power, in place of the scalar one the
 # closed-form variants take, changes a sphere-lift defect.
 @pytest.mark.parametrize("seed", [0, 2, 5, 71])
@@ -301,3 +332,7 @@ def test_row_suites_match_one_sample_loops(seed):
     assert [(r.case, r.defect) for r in rows] == _axiom_loop(np.random.default_rng(seed))
     rows = checks.sphere_lift_suite(np.random.default_rng(seed))
     assert [r.defect for r in rows] == _sphere_lift_loop(np.random.default_rng(seed))
+    rows = checks.step_symplecticity_suite(np.random.default_rng(seed))
+    assert [r.defect for r in rows] == _step_symplecticity_loop(np.random.default_rng(seed))
+    rows = checks.symplecto_suite(np.random.default_rng(seed))
+    assert [r.defect for r in rows] == _symplectomorphism_loop(np.random.default_rng(seed))
