@@ -3,13 +3,20 @@
 Each suite measures a defect against an independent reference (a closed form,
 a jet-of-curve oracle, an exactly known flow, or a structural identity) and
 reports one CheckResult per case.  Tolerances are fixed here, not configurable:
-they are part of what the suite asserts.  A case's defect is the largest over
-its samples, taken by :func:`~geodisc.numeric.worst_defect`, so a nan sample
-makes the case fail.  A suite draws all its samples first, in one stream
-order per seed, and sends them through each map, lift or jet as the rows of
-one array.  A suite on the second-order phase space takes its maps from a
-``phase_map`` builder (n -> map): :func:`run_all` hands all suites of a run
-one that builds each map once.  :func:`fourth_order_residual`
+they are part of what the suite asserts, and this is the one module that
+applies them (the measurements it calls, such as
+:func:`~geodisc.maps.axiom_defects` and
+:func:`~geodisc.lifts.symplectomorphism_defects`, return plain defects).  A
+case's defect is the largest over its samples, taken by
+:func:`~geodisc.numeric.worst_defect`, so a nan sample makes the case fail.
+A suite draws all its samples first, in one stream order per seed, and sends
+them through each map, lift or jet as the rows of one array.
+
+:func:`run_all` calls every suite with the same keywords: ``rng`` (a fresh
+generator on the run's seed), ``phase_map`` (a builder n -> second-order
+phase map that builds each map once per run) and ``h_values`` (the
+convergence steps).  A suite names the ones it reads, each with a default
+where it has one, and takes the rest as ``**_``.  :func:`fourth_order_residual`
 measures the fourth-order Euler-Lagrange defect of any sampled curve.
 """
 from __future__ import annotations
@@ -24,18 +31,18 @@ from .hamiltonian import second_order_hamiltonian, integrate, symplectic_step
 from .jets import jet_of_curve, unzip_jet_tangent, zip_jet_tangent
 from .lifts import (
     canonical_symplectic_matrix,
-    check_symplectomorphism,
     cotangent_lift,
     higher_order_lift,
     second_order_phase_map,
+    symplectomorphism_defects,
 )
 from .maps import (
+    axiom_defects,
     midpoint_map,
     se2_exp_map,
     sphere_geodesic_midpoint_map,
     sphere_initial_point_map,
     theta_map,
-    verify_discretization_axioms,
 )
 from .control import obstacle_potential
 from .errors import TooFewPoints
@@ -103,7 +110,7 @@ def midpoint_cotangent_closed_form(x: Array, d: int, inverse: bool) -> Array:
     return np.concatenate([a - 0.5 * c, b - 0.5 * e, a + 0.5 * c, b + 0.5 * e], axis=-1)
 
 
-def closed_form_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
+def closed_form_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:
     """Generic cotangent lift of the midpoint rule against its closed form,
     both on T*Q and (through the tangent lift) on the second-order phase
     space T*(TQ)."""
@@ -125,7 +132,7 @@ def _midpoint_second_lift_closed_form(x: Array, n: int) -> Array:
     return np.concatenate([base - fiber / 2.0, base + fiber / 2.0], axis=-1)
 
 
-def second_lift_suite(rng) -> list[CheckResult]:
+def second_lift_suite(rng, **_) -> list[CheckResult]:
     """Order-2 lift of the midpoint rule against the slotwise closed form, as
     the prebuilt affine lift ("exact") and as jets pushed through the map
     ("fd"), plus the -+I/2 fiber blocks of its Jacobian."""
@@ -146,7 +153,7 @@ def second_lift_suite(rng) -> list[CheckResult]:
     return out
 
 
-def axiom_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
+def axiom_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:
     """Both defining conditions of every shipped discretization map."""
     tol = 1e-7
     out = []
@@ -167,19 +174,17 @@ def axiom_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
     cases.append(("cotangent-lifted midpoint on T*(TQ)", lifted, rng.normal(size=(25, 4))))
 
     for label, D, samples in cases:
-        rep = verify_discretization_axioms(D, samples, tol=tol)
-        defect = worst_defect([rep.max_condition1, rep.max_condition2])
-        out.append(_result("axioms", label, defect, tol))
+        out.append(_result("axioms", label, worst_defect(axiom_defects(D, samples)), tol))
     return out
 
 
-def symplecto_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
+def symplecto_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:
     """S^T Omega S identity for the lifted midpoint on T*(TQ), n in {1, 3}."""
     out = []
     tol = 1e-6
     for n in (1, 3):
-        rep = check_symplectomorphism(phase_map(n), rng.normal(size=(100, 8 * n)), tol=tol)
-        out.append(_result("symplectomorphism", f"lifted midpoint n={n}", rep.max_defect, tol))
+        defect = worst_defect(symplectomorphism_defects(phase_map(n), rng.normal(size=(100, 8 * n))))
+        out.append(_result("symplectomorphism", f"lifted midpoint n={n}", defect, tol))
     return out
 
 
@@ -192,7 +197,7 @@ def _one_step_jacobian(C, H, h: float, z0: Array, eps: float = 1e-4) -> Array:
     return row_jacobian_fd(step, z0, eps=eps)
 
 
-def step_symplecticity_suite(rng, phase_map=second_order_phase_map) -> list[CheckResult]:
+def step_symplecticity_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:
     """M^T Omega M = Omega for the one-step map, free and obstacle systems."""
     free = rng.normal(size=(20, 4))
     obstacle = []
@@ -217,7 +222,7 @@ def step_symplecticity_suite(rng, phase_map=second_order_phase_map) -> list[Chec
     return out
 
 
-def free_spline_suite(phase_map=second_order_phase_map) -> list[CheckResult]:
+def free_spline_suite(phase_map=second_order_phase_map, **_) -> list[CheckResult]:
     """Conservation over a long free run: p0 exactly, H to rounding."""
     out = []
     C = phase_map(1)
@@ -237,7 +242,9 @@ def free_spline_suite(phase_map=second_order_phase_map) -> list[CheckResult]:
     return out
 
 
-def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01), phase_map=second_order_phase_map) -> list[CheckResult]:
+def convergence_suite(
+    h_values: Sequence[float] = (0.04, 0.02, 0.01), phase_map=second_order_phase_map, **_
+) -> list[CheckResult]:
     """Observed global order against the exactly known cubic free flow."""
     out = []
     C = phase_map(1)
@@ -314,7 +321,7 @@ def _memoized(curve: Callable[[float], Array]) -> Callable[[float], Array]:
     return memo
 
 
-def sphere_lift_suite(rng) -> list[CheckResult]:
+def sphere_lift_suite(rng, **_) -> list[CheckResult]:
     """Order-2 lift of the sphere initial-point map against a jet-of-curve
     oracle, plus informational comparisons with the two closed-form variants.
     The 50 sample curves are evaluated together, as rows, once per stencil
@@ -386,13 +393,5 @@ def run_all(
     results: list[CheckResult] = []
     phase_map = cache(second_order_phase_map)  # the suites' phase maps, for this run only
     for name in validate_run(suites, h_values):
-        fn = SUITES[name]
-        if name == "convergence":
-            results.extend(fn(h_values, phase_map))
-        elif name == "free-spline":
-            results.extend(fn(phase_map))
-        elif name in ("second-lift", "sphere-lift"):
-            results.extend(fn(np.random.default_rng(seed)))
-        else:
-            results.extend(fn(np.random.default_rng(seed), phase_map))
+        results.extend(SUITES[name](rng=np.random.default_rng(seed), phase_map=phase_map, h_values=h_values))
     return results

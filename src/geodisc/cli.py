@@ -1,6 +1,10 @@
 """Command-line front end: simulate | shoot | check | plot.
 
-Configuration comes from an optional JSON file plus flags; flags win.  The
+Configuration comes from an optional JSON file plus flags; flags win.  Each
+command takes only the settings it reads: its flags, and in its config file
+the same settings under their field names (``init`` is ``initial_state``,
+``q0``/``v0``/``q1``/``v1`` are ``q_start``/``qdot_start``/``q_end``/
+``qdot_end``, ``suite`` is ``suites`` and check's ``h`` is ``h_values``).  The
 problem is ``obstacle`` (the default, n = 3: the planar body in a Euclidean
 (x, y, theta) chart) or ``free`` (n = 1 by default).  Exit codes: 0 success,
 1 solver or suite failure, 2 configuration error, a config-file value of the
@@ -13,7 +17,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -110,6 +114,12 @@ class ExperimentConfig:
         return self.T if self.T is not None else self.steps * self.h
 
     def validate(self, command: str) -> None:
+        if command == "check":
+            try:
+                validate_run(self.suites, self.h_values)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            return
         if self.problem not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem kind {self.problem!r}")
         for name in ("h", "tau", "r", "T", "tol"):
@@ -128,10 +138,6 @@ class ExperimentConfig:
             raise ConfigError(f"the obstacle center needs 2 numbers, got {self.center.size}")
         if self.tol < 0:
             raise ConfigError("tol must be nonnegative")
-        try:
-            validate_run(self.suites, self.h_values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         self.base_map(1)  # validates the discretization string
         n = self.dim
         if self.problem == "obstacle" and n < 2:
@@ -189,13 +195,25 @@ def _coerce_field(name: str, value):
     return value
 
 
+#: argparse attribute -> config field
+_ALIAS = {
+    "init": "initial_state",
+    "q0": "q_start",
+    "v0": "qdot_start",
+    "q1": "q_end",
+    "v1": "qdot_end",
+    "suite": "suites",
+}
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    field_names = {f.name for f in fields(ExperimentConfig)}
+    """The command's settings from its config file and flags (flags win);
+    a config key that is not one of the command's settings raises ConfigError."""
+    settings = {_ALIAS.get(a, a): value for a, value in vars(args).items() if a not in ("command", "config")}
     merged: dict = {}
-    path = getattr(args, "config", None)
-    if path:
+    if args.config:
         try:
-            with open(path) as fh:
+            with open(args.config) as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -203,31 +221,16 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - field_names
+        unknown = sorted(set(data) - set(settings))
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ConfigError(
+                f"{', '.join(unknown)}: not a setting of {args.command} (its settings: {', '.join(sorted(settings))})"
+            )
         nulls = sorted(k for k, v in data.items() if v is None)
         if nulls:
             raise ConfigError(f"{nulls[0]}: expected a value, got null")
-        if args.command == "simulate" and "tol" in data:
-            raise ConfigError("tol is the shoot command's terminal defect tolerance; simulate does not take it")
         merged.update(data)
-
-    # argparse attribute -> config field
-    alias = {
-        "init": "initial_state",
-        "q0": "q_start",
-        "v0": "qdot_start",
-        "q1": "q_end",
-        "v1": "qdot_end",
-        "suite": "suites",
-    }
-    for attr, value in vars(args).items():
-        if attr in ("command", "config", "csv", "svg"):
-            continue
-        name = alias.get(attr, attr)
-        if name in field_names and value is not None:
-            merged[name] = value
+    merged.update((name, value) for name, value in settings.items() if value is not None)
 
     merged = {k: _coerce_field(k, v) for k, v in merged.items()}
     cfg = ExperimentConfig(**merged)
@@ -340,7 +343,8 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_problem(p: argparse.ArgumentParser) -> None:
+    """The config file and the problem flags of simulate and shoot."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument(
         "--problem",
@@ -356,7 +360,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--discretization", help="midpoint (default) or theta:<x>")
     p.add_argument("--csv-out", dest="csv_out")
     p.add_argument("--svg-out", dest="svg_out")
-    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,12 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="forward integration from an initial phase state")
-    _add_common(p)
+    _add_problem(p)
     p.add_argument("--h", type=float, help="step size")
     p.add_argument("--init", help="flat initial state q,qdot,p0,p1 (4n numbers)")
 
     p = sub.add_parser("shoot", help="solve a two-point boundary problem by single shooting")
-    _add_common(p)
+    _add_problem(p)
     p.add_argument("--h", type=float, help="step size")
     p.add_argument("--T", type=float, help="horizon (default steps*h)")
     p.add_argument("--q0", help="start position (n numbers)")
@@ -383,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="terminal defect tolerance")
 
     p = sub.add_parser("check", help="run the verification suites, print a JSON report")
-    _add_common(p)
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--seed", type=int, help="seed of every suite's samples (default 0)")
     p.add_argument("--suite", action="append", help="suite name; repeatable (default: all)")
     p.add_argument("--h", dest="h_values", help="comma list of step sizes for the convergence suite")
     p.add_argument("--json-out", dest="json_out", help="also write the report to this file")

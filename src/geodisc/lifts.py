@@ -11,7 +11,8 @@ Lifting moves a discretization map between spaces:
   its phase space T*M.  Covectors ride along the inverse transpose of the base
   Jacobian; the resulting map is a symplectomorphism between the tangent lift
   of the canonical symplectic form and the difference of the two pullbacks on
-  the product, which :func:`check_symplectomorphism` verifies numerically.
+  the product; :func:`symplectomorphism_defects` measures how far a map is
+  from that, and :mod:`geodisc.checks` holds the tolerance that judges it.
 
 Every lift is implemented by its unchecked flat maps (``forward_flat``,
 ``inverse_flat``, ``jacobian_forward_flat``) and reaches its base only
@@ -25,15 +26,12 @@ independent test oracle, is
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import SingularJacobian, UnsupportedOrder
 from .jets import jet_pushforward, unzip_jet_tangent, zip_jet_tangent
 from .maps import DiscretizationMap, midpoint_map
-from .numeric import MAX_TAYLOR_ORDER, matvec, row_jacobian_fd, worst_defect
+from .numeric import MAX_TAYLOR_ORDER, matvec, row_jacobian_fd
 
 Array = np.ndarray
 
@@ -165,8 +163,8 @@ class CotangentLiftedMap:
     matrices.  ``forward`` and ``inverse`` name the same flat maps for
     perfbench's tracer, which wraps methods of those names.
     The construction makes the map a discretization map on T*M in its own
-    right (see ``as_discretization_map``) and a symplectomorphism, checked by
-    :func:`check_symplectomorphism`.
+    right (see ``as_discretization_map``) and a symplectomorphism, measured by
+    :func:`symplectomorphism_defects`.
     """
 
     def __init__(self, base):
@@ -269,7 +267,7 @@ def second_order_phase_map(n: int, base: DiscretizationMap | None = None) -> Cot
 
 
 # ---------------------------------------------------------------------------
-# symplectic structure matrices and the symplectomorphism check
+# symplectic structure matrices and the symplectomorphism defects
 
 
 def canonical_symplectic_matrix(d: int) -> Array:
@@ -308,46 +306,29 @@ def tangent_lifted_symplectic_matrix(d: int) -> Array:
 _SAMPLES_PER_CALL = 10
 
 
-@dataclass(frozen=True)
-class SymplectomorphismReport:
-    name: str
-    tol: float
-    defects: Sequence[float]
+def symplectomorphism_defects(C, samples, eps: float | None = None) -> Array:
+    """How far a cotangent-lifted map is from sending the tangent lift of the
+    canonical form to the paired difference form, one defect per sample.
 
-    @property
-    def max_defect(self) -> float:
-        return worst_defect(self.defects)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_defect <= self.tol
-
-    def __str__(self):
-        status = "ok" if self.passed else "FAILED"
-        return f"symplectomorphism[{self.name}] {status}: max defect {self.max_defect:.2e}, tol {self.tol:.1e}"
-
-
-def check_symplectomorphism(C, samples, tol: float = 1e-6, eps: float | None = None) -> SymplectomorphismReport:
-    """Verify numerically that a cotangent-lifted map sends the tangent lift of
-    the canonical form to the paired difference form.
-
-    For each sample x in R^{4m}, one row of ``samples`` (k, 4m), the
-    finite-difference Jacobian S of the flat forward map must satisfy
-    S^T Omega_pair S = Omega_tangent.  Raises ValueError unless the samples
-    are such rows, all finite.  The map takes the probes of up to
-    ``_SAMPLES_PER_CALL`` samples as one array (:func:`row_jacobian_fd`).
-    A nan defect fails the report.
+    For each sample x in R^{4m}, one row of ``samples`` (k, 4m), the defect is
+    max |S^T Omega_pair S - Omega_tangent| with S the finite-difference
+    Jacobian of the flat forward map; the result is a (k,) array.  Raises
+    ValueError when no sample is given or the samples are not such rows, all
+    finite.  The map takes the probes of up to ``_SAMPLES_PER_CALL`` samples
+    as one array (:func:`row_jacobian_fd`).
     """
     d = C.dim
     target = tangent_lifted_symplectic_matrix(d)
     pair = pair_symplectic_matrix(d)
     X = np.asarray(samples, dtype=float)
-    if X.size and (X.ndim != 2 or X.shape[1] != 4 * d):
+    if not X.size:
+        raise ValueError("symplectomorphism_defects needs at least one sample, got none")
+    if X.ndim != 2 or X.shape[1] != 4 * d:
         raise ValueError(f"samples must be rows (k, {4 * d}), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("sample contains non-finite entries")
     defects = []
     for i in range(0, len(X), _SAMPLES_PER_CALL):
         S = row_jacobian_fd(C.forward_flat, X[i : i + _SAMPLES_PER_CALL], eps=eps)
-        defects += np.max(np.abs(np.swapaxes(S, -1, -2) @ pair @ S - target), axis=(1, 2)).tolist()
-    return SymplectomorphismReport(name=getattr(C, "name", "map"), tol=tol, defects=tuple(defects))
+        defects.append(np.max(np.abs(np.swapaxes(S, -1, -2) @ pair @ S - target), axis=(1, 2)))
+    return np.concatenate(defects)

@@ -6,9 +6,10 @@ Every map here satisfies the two defining conditions
     (1)  forward(q, 0) = (q, q)
     (2)  d/dv forward_2 - d/dv forward_1 = identity on the fiber at v = 0,
 
-which :func:`verify_discretization_axioms` checks by finite differences.  For
-maps on embedded or group manifolds the fiber has its own meaning (tangent
-vectors to the sphere, body velocities on SE(2)); ``fiber_basis`` and
+whose defects :func:`axiom_defects` measures by finite differences (the
+tolerance that judges them lives in :mod:`geodisc.checks`).  For maps on
+embedded or group manifolds the fiber has its own meaning (tangent vectors
+to the sphere, body velocities on SE(2)); ``fiber_basis`` and
 ``fiber_frame`` tell the checker which directions to probe and how fiber
 vectors are identified with chart tangent vectors.
 
@@ -19,13 +20,13 @@ value; so do the map's flat, checked and fiber views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainViolation
-from .numeric import as_vector, matvec, row_jacobian_fd, rowdot, worst_defect
+from .numeric import as_vector, matvec, row_jacobian_fd, rowdot
 
 Array = np.ndarray
 
@@ -331,54 +332,24 @@ def se2_exp_map() -> DiscretizationMap:
 
 
 # ---------------------------------------------------------------------------
-# axiom verification
+# axiom defects
 
 
-@dataclass(frozen=True)
-class AxiomCheckEntry:
-    index: int
-    condition1_defect: float
-    condition2_defect: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    name: str
-    tol: float
-    entries: Sequence[AxiomCheckEntry] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def max_condition1(self) -> float:
-        return worst_defect([e.condition1_defect for e in self.entries])
-
-    @property
-    def max_condition2(self) -> float:
-        return worst_defect([e.condition2_defect for e in self.entries])
-
-    def __str__(self):
-        status = "ok" if self.passed else "FAILED"
-        return (
-            f"axioms[{self.name}] {status}: {len(self.entries)} samples, "
-            f"defects ({self.max_condition1:.2e}, {self.max_condition2:.2e}), tol {self.tol:.1e}"
-        )
-
-
-def verify_discretization_axioms(D: DiscretizationMap, samples, tol: float = 1e-7, eps: float = 1e-6) -> AxiomReport:
-    """Check both defining conditions of a discretization map at the given base
-    points.
+def axiom_defects(D: DiscretizationMap, samples, eps: float = 1e-6) -> Array:
+    """The defects of both defining conditions of a discretization map at the
+    given base points: a (k, 2) array, one row (condition 1, condition 2) per
+    sample.
 
     Condition 2 is probed by central differences along ``D.fiber_basis(q)``; the
     difference of the two directional derivatives must reproduce the fiber
     direction expressed in chart coordinates through ``D.fiber_frame(q)``.
     Every sample's zero probe and its +-step u probes go through one checked
-    ``D.forward`` call, one row each.
+    ``D.forward`` call, one row each.  Raises ValueError when no sample is
+    given.
     """
     Q = np.array([as_vector(q, name="sample") for q in samples])
+    if not len(Q):
+        raise ValueError("axiom_defects needs at least one sample base point, got none")
     basis = D.fiber_basis(Q)  # (samples, k, dim)
     k = basis.shape[1]
     step = eps * np.maximum(1.0, np.max(np.abs(Q), axis=-1))[:, None, None]
@@ -388,5 +359,4 @@ def verify_discretization_axioms(D: DiscretizationMap, samples, tol: float = 1e-
     c1 = np.maximum(np.max(np.abs(A[:, 0] - Q), axis=-1), np.max(np.abs(B[:, 0] - Q), axis=-1))
     diff = ((B[:, 1 : k + 1] - B[:, k + 1 :]) - (A[:, 1 : k + 1] - A[:, k + 1 :])) / (2.0 * step)
     c2 = np.max(np.abs(diff - matvec(D.fiber_frame(Q)[:, None], basis)), axis=(1, 2))
-    entries = [AxiomCheckEntry(i, float(a), float(b), bool(a <= tol and b <= tol)) for i, (a, b) in enumerate(zip(c1, c2))]
-    return AxiomReport(name=D.name, tol=tol, entries=tuple(entries))
+    return np.stack([c1, c2], axis=-1)

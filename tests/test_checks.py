@@ -58,6 +58,19 @@ def test_run_all_rejects_what_the_cli_rejects(kwargs):
         run_all(**kwargs)
 
 
+def test_run_all_calls_every_suite_the_same_way(monkeypatch):
+    calls = []
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda **kwargs: calls.append((sorted(kwargs), kwargs["h_values"])) or [])
+    assert run_all(seed=3, h_values=(0.1, 0.05)) == []
+    assert calls == [(["h_values", "phase_map", "rng"], (0.1, 0.05))] * len(EXPECTED_SUITES)
+
+
+def test_each_suite_runs_alone_on_its_defaults():
+    alone = [result for suite in SUITES.values() for result in suite(rng=np.random.default_rng(5))]
+    assert alone == run_all(seed=5)
+
+
 def test_same_seed_same_defects():
     a = run_all(seed=5, suites=["symplectomorphism"])
     b = run_all(seed=5, suites=["symplectomorphism"])

@@ -155,6 +155,27 @@ class TestConfigFile:
         assert cli.main(["simulate", "--config", "bad.json"]) == 2
         assert "stepz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("simulate", {"suites": ["axioms"], "json_out": "zz.json"}),
+            ("simulate", {"seed": 5}),
+            ("shoot", {"seed": 5}),
+            ("check", {"steps": 0}),
+            ("check", {"r": -1}),
+            ("check", {"h": 0.1}),
+        ],
+        ids=["simulate-check-keys", "simulate-seed", "shoot-seed", "check-steps", "check-r", "check-h"],
+    )
+    def test_key_the_command_does_not_read_is_one_error_line(self, isolated, capsys, command, data):
+        (isolated / "cfg.json").write_text(json.dumps(data))
+        assert cli.main([command, "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        key = sorted(data)[0]
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: config-error: {key}") and f"not a setting of {command}" in err
+        assert not (isolated / "zz.json").exists()
+
     def test_tol_only_for_shoot(self, isolated, capsys):
         (isolated / "sim.json").write_text(
             json.dumps({"problem": "free", "n": 1, "initial_state": [0, 1, 2, 3], "steps": 1, "tol": 0})
@@ -214,7 +235,6 @@ class TestMalformedInput:
         "steps-fractional": '{"steps": 2.7}',
         "steps-bool": '{"steps": true}',
         "n-string": '{"n": "3"}',
-        "seed-fractional": '{"seed": 0.5}',
         "h-bool": '{"h": true}',
         "center-number": '{"center": 5}',
         "center-bool": '{"center": [true, 0]}',
@@ -239,19 +259,21 @@ class TestMalformedInput:
             ["check", "--suite", "convergence", "--suite", "convergence"],
             ["check", "--suite", "bogus"],
             ["check", "--config", "suites-5.json"],
+            ["check", "--config", "seed-fractional.json"],
             ["simulate", "--steps", "100000000000000000000", "--init=" + SE2_INIT],
             SHOOT + ["--T", "1e9"],
             *(["simulate", "--config", f"{name}.json", "--init=" + SE2_INIT] for name in BAD_CONFIGS),
         ],
         ids=[
             "center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan", "h-zero", "h-2", "json-null",
-            "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number",
+            "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number", "seed-fractional",
             "steps-huge-flag", "shoot-steps-huge", *BAD_CONFIGS,
         ],
     )
     def test_is_one_config_error_line(self, capsys, args, isolated):
         (isolated / "null-h.json").write_text('{"h": null}')
         (isolated / "suites-5.json").write_text('{"suites": 5}')
+        (isolated / "seed-fractional.json").write_text('{"seed": 0.5}')
         for name, text in self.BAD_CONFIGS.items():
             (isolated / f"{name}.json").write_text(text)
         rc = cli.main(args)
@@ -259,6 +281,23 @@ class TestMalformedInput:
         assert rc == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: config-error:")
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--init=0,1,2,3", "--seed", "99"],
+            ["shoot", "--seed", "99"],
+            ["check", "--suite", "closed-form", "--r", "-1"],
+            ["check", "--steps", "0"],
+            ["check", "--problem", "free"],
+        ],
+        ids=["simulate-seed", "shoot-seed", "check-r", "check-steps", "check-problem"],
+    )
+    def test_a_flag_the_command_does_not_read_is_rejected(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert args[-2] in capsys.readouterr().err
 
 
 class TestCheck:
@@ -294,7 +333,7 @@ class TestCheck:
         assert len(report) == 1 and "order" in report[0]["case"]
 
     def test_failing_suite_sets_exit_code(self, monkeypatch, capsys):
-        stub = lambda rng, phase_map: [CheckResult("closed-form", "stub", "fail", 1.0, 0.0)]
+        stub = lambda **_: [CheckResult("closed-form", "stub", "fail", 1.0, 0.0)]
         monkeypatch.setitem(checks.SUITES, "closed-form", stub)
         rc = cli.main(["check", "--suite", "closed-form"])
         assert rc == 1

@@ -6,20 +6,20 @@ import hypothesis.strategies as st
 import pytest
 
 import geodisc
-from geodisc.checks import midpoint_cotangent_closed_form
+from geodisc.checks import _result, midpoint_cotangent_closed_form
 from geodisc.errors import UnsupportedOrder
 from geodisc.jets import jet_of_curve, unzip_jet_tangent, zip_jet_tangent
 from geodisc.lifts import (
     canonical_symplectic_matrix,
-    check_symplectomorphism,
     cotangent_lift,
     higher_order_lift,
     pair_symplectic_matrix,
     second_order_phase_map,
+    symplectomorphism_defects,
     tangent_lifted_symplectic_matrix,
 )
-from geodisc.maps import midpoint_map, se2_exp_map, sphere_initial_point_map, theta_map, verify_discretization_axioms
-from geodisc.numeric import jacobian_fd
+from geodisc.maps import axiom_defects, midpoint_map, se2_exp_map, sphere_initial_point_map, theta_map
+from geodisc.numeric import jacobian_fd, worst_defect
 
 
 class TestTangentLift:
@@ -82,8 +82,8 @@ class TestHigherOrderLift:
 
     def test_lifted_map_satisfies_axioms(self, rng):
         D = higher_order_lift(theta_map(1, 0.25), 2).as_discretization_map()
-        report = verify_discretization_axioms(D, [rng.normal(size=3) for _ in range(10)])
-        assert report.passed, str(report)
+        defects = axiom_defects(D, [rng.normal(size=3) for _ in range(10)])
+        assert defects.shape == (10, 2) and np.all(defects <= 1e-7), defects
 
     @pytest.mark.parametrize("order, atol", [(0, 0.0), (1, 4e-15), (2, 1e-9), (3, 1e-7), (4, 1e-6)])
     @pytest.mark.parametrize("D", [midpoint_map(2), theta_map(2, 0.3)], ids=["midpoint", "theta0.3"])
@@ -139,8 +139,8 @@ class TestCotangentLift:
         # theta != 1/2 still yields a valid discretization map on T*Q.
         C = cotangent_lift(theta_map(1, 0.25))
         D = C.as_discretization_map()
-        report = verify_discretization_axioms(D, [rng.normal(size=2) for _ in range(10)])
-        assert report.passed, str(report)
+        defects = axiom_defects(D, [rng.normal(size=2) for _ in range(10)])
+        assert defects.shape == (10, 2) and np.all(defects <= 1e-7), defects
 
     @pytest.mark.parametrize(
         "C", [second_order_phase_map(2), cotangent_lift(theta_map(2, 0.25))], ids=["lifted-midpoint", "theta"]
@@ -262,9 +262,9 @@ class TestAffineRows:
             x = rng.normal(size=4 * C.dim)
             assert np.max(np.abs(row_jacobian_fd(C.forward_flat, x) - jacobian_fd(C.forward_flat, x))) <= 1e-12
         samples = [rng.normal(size=4 * C.dim) for _ in range(5)]
-        report = check_symplectomorphism(C, samples)
+        defects = symplectomorphism_defects(C, samples)
         target, pair = tangent_lifted_symplectic_matrix(C.dim), pair_symplectic_matrix(C.dim)
-        for x, defect in zip(samples, report.defects):
+        for x, defect in zip(samples, defects, strict=True):
             S = jacobian_fd(C.forward_flat, x)
             assert abs(defect - np.max(np.abs(S.T @ pair @ S - target))) <= 1e-12
 
@@ -273,17 +273,23 @@ class TestAffineRows:
         shapes = []
         forward = C.forward_flat
         monkeypatch.setattr(C, "forward_flat", lambda x: shapes.append(np.shape(x)) or forward(x))
-        check_symplectomorphism(C, [rng.normal(size=24) for _ in range(3)])
+        symplectomorphism_defects(C, [rng.normal(size=24) for _ in range(3)])
         assert shapes == [(3, 48, 24)]  # the 48 probes of each of the 3 samples, in one call
         with pytest.raises(ValueError, match="eps must be positive"):
-            check_symplectomorphism(C, [rng.normal(size=24)], eps=0.0)
+            symplectomorphism_defects(C, [rng.normal(size=24)], eps=0.0)
         bad = rng.normal(size=(3, 24))
         bad[2, 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            check_symplectomorphism(C, bad)
+            symplectomorphism_defects(C, bad)
         for shape in ((3, 23), (24,), (3, 2, 24)):
             with pytest.raises(ValueError, match="rows"):
-                check_symplectomorphism(C, np.zeros(shape))
+                symplectomorphism_defects(C, np.zeros(shape))
+
+    @pytest.mark.parametrize("samples", [[], np.zeros((0, 24))], ids=["list", "array"])
+    def test_symplectomorphism_of_no_samples_is_an_error(self, samples):
+        # A check that looked at nothing must not read as a pass (defect 0).
+        with pytest.raises(ValueError, match="at least one sample"):
+            symplectomorphism_defects(second_order_phase_map(3), samples)
 
 
 class TestExactLiftedInverseJets:
@@ -325,14 +331,13 @@ class TestSymplecticStructure:
 
     def test_lifted_midpoint_is_symplectomorphism(self, rng):
         C = second_order_phase_map(1)
-        report = check_symplectomorphism(C, [rng.normal(size=8) for _ in range(25)])
-        assert report.passed, str(report)
-        assert report.max_defect < 1e-9
+        defects = symplectomorphism_defects(C, [rng.normal(size=8) for _ in range(25)])
+        assert defects.shape == (25,) and np.max(defects) < 1e-9, defects
 
     def test_lifted_theta_map_is_symplectomorphism(self, rng):
         C = cotangent_lift(theta_map(2, 0.25))
-        report = check_symplectomorphism(C, [rng.normal(size=8) for _ in range(10)])
-        assert report.passed, str(report)
+        defects = symplectomorphism_defects(C, [rng.normal(size=8) for _ in range(10)])
+        assert np.all(defects <= 1e-6), defects
 
     def test_non_symplectic_map_detected(self, rng):
         # Scaling one momentum block breaks the pairing.
@@ -341,11 +346,11 @@ class TestSymplecticStructure:
 
             def forward_flat(self, x):
                 y = midpoint_cotangent_closed_form(x, 2, inverse=False)
-                y[2:4] *= 1.05
+                y[..., 2:4] *= 1.05  # the p0 block of every row
                 return y
 
-        report = check_symplectomorphism(Scaled(), [rng.normal(size=8) for _ in range(3)])
-        assert not report.passed
+        defects = symplectomorphism_defects(Scaled(), [rng.normal(size=8) for _ in range(3)])
+        assert np.all(defects > 1e-6), defects
 
 
     def test_nan_defect_fails_the_report(self, rng):
@@ -362,10 +367,10 @@ class TestSymplecticStructure:
                 return np.where(np.max(np.abs(x - self.bad), axis=-1, keepdims=True) < 1e-3, np.nan, y)
 
         samples = [rng.normal(size=8) for _ in range(2)]
-        report = check_symplectomorphism(NanAtSecondSample(samples[1]), samples)
-        assert report.defects[0] < 1e-9 and np.isnan(report.defects[1])
-        assert np.isnan(report.max_defect) and not report.passed
-        assert "FAILED" in str(report)
+        defects = symplectomorphism_defects(NanAtSecondSample(samples[1]), samples)
+        assert defects[0] < 1e-9 and np.isnan(defects[1])
+        assert np.isnan(worst_defect(defects))
+        assert _result("symplectomorphism", "nan", worst_defect(defects), 1e-6).failed
 
 
 class TestSphereLift:

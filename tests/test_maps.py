@@ -8,6 +8,7 @@ import pytest
 from geodisc.errors import DomainViolation
 from geodisc.maps import (
     DiscretizationMap,
+    axiom_defects,
     midpoint_map,
     se2_exp,
     se2_exp_map,
@@ -17,7 +18,6 @@ from geodisc.maps import (
     sphere_geodesic_midpoint_map,
     sphere_initial_point_map,
     theta_map,
-    verify_discretization_axioms,
 )
 
 
@@ -207,8 +207,8 @@ class TestAxioms:
             pts = [rng.uniform(-2, 2, size=3) for _ in range(10)]
         else:
             pts = [rng.uniform(-2, 2, size=2) for _ in range(10)]
-        report = verify_discretization_axioms(D, pts)
-        assert report.passed, str(report)
+        defects = axiom_defects(D, pts)
+        assert defects.shape == (10, 2) and np.all(defects <= 1e-7), defects
 
     def test_detects_violation(self, rng):
         # Second output moves at twice the proper rate: condition 2 fails.
@@ -218,9 +218,8 @@ class TestAxioms:
             inverse_fn=lambda a, b: (0.5 * (a + b), 0.5 * (b - a)),
             name="broken",
         )
-        report = verify_discretization_axioms(broken, [rng.normal(size=2)])
-        assert not report.passed
-        assert "FAILED" in str(report)
+        defects = axiom_defects(broken, [rng.normal(size=2)])
+        assert defects[0, 0] <= 1e-12 and defects[0, 1] > 0.5, defects
 
     def test_detects_condition1_violation(self, rng):
         shifted = DiscretizationMap(
@@ -229,6 +228,11 @@ class TestAxioms:
             inverse_fn=lambda a, b: (a, b - a),
             name="shifted",
         )
-        report = verify_discretization_axioms(shifted, [rng.normal(size=2)])
-        assert not report.passed
-        assert report.max_condition1 > 1e-3
+        defects = axiom_defects(shifted, [rng.normal(size=2)])
+        assert defects[0, 0] > 1e-3, defects
+
+    @pytest.mark.parametrize("samples", [[], np.zeros((0, 2))], ids=["list", "array"])
+    def test_no_samples_is_an_error(self, samples):
+        # Not "expects vectors of length 2", and never a pass on nothing.
+        with pytest.raises(ValueError, match="at least one sample"):
+            axiom_defects(midpoint_map(2), samples)
