@@ -14,17 +14,21 @@ Lifting moves a discretization map between spaces:
   the product; :func:`symplectomorphism_defects` measures how far a map is
   from that, and :mod:`geodisc.checks` holds the tolerance that judges it.
 
-Every lift is implemented by its unchecked flat maps (``forward_flat``,
-``inverse_flat``, ``jacobian_forward_flat``) and reaches its base only
-through the base's flat maps.  Every flat map also takes rows (..., k), one
-point per row, each with the bits of its one-point value.  A lift that
-inverts a base Jacobian or transports covectors by it raises
-:class:`~geodisc.errors.SingularJacobian` when that Jacobian is singular to
-working precision.  The closed form of the lifted midpoint map, the
-independent test oracle, is
+A higher-order lift is itself a :class:`~geodisc.maps.DiscretizationMap`,
+given by its flat maps, so the checked views, the axioms and the
+finite-difference Jacobian apply to it as to its base.  Every lift reaches
+its base only through the base's unchecked flat maps (``forward_flat``,
+``inverse_flat``, ``jacobian_forward_flat``).  Every flat map also takes
+rows (..., k), one point per row, each with the bits of its one-point
+value.  A lift that inverts a base Jacobian or transports covectors by it
+raises :class:`~geodisc.errors.SingularJacobian` when that Jacobian is
+singular to working precision.  The closed form of the lifted midpoint
+map, the independent test oracle, is
 :func:`geodisc.checks.midpoint_cotangent_closed_form`.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -49,94 +53,63 @@ def _invertible(J: Array, what: str) -> Array:
     return J
 
 
-class HigherOrderDiscretizationMap:
-    """Order-k lift of a base discretization map.
+def _affine_lift(J: Array, offset: Array, order: int) -> tuple[Callable[[Array], Array], Array]:
+    """The order-k lift of the base map x -> J x + offset, as the flat map
+    x -> M x + d and its matrix M: J acts on every zipped slot, the offset
+    on slot 0."""
+    slots = zip_jet_tangent(np.arange((order + 1) * offset.size), order)
+    M = np.zeros((slots.size, slots.size))
+    M[slots[:, :, None], slots[:, None, :]] = J
+    d = np.zeros(slots.size)
+    d[slots[0]] = offset
+    return (lambda x: matvec(M, np.asarray(x, dtype=float)) + d), M
 
-    Maps a tangent vector to the order-k jet space, flat as the base jet z
+
+def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
+    """The order-k lift of a discretization map, a discretization map on the
+    order-k jets R^((k + 1) dim).
+
+    It maps a tangent vector to the order-k jet space, flat as the base jet z
     and the fiber velocity zdot, to a pair of order-k jets, flat as
     (z_minus, z_plus), by pushing the zipped jet through the base map.  A
     base with a constant Jacobian gives an affine lift, precomputed as a
     matrix so that evaluations are exact and cheap; any other base is pushed
     through its flat maps, with derivatives from its ``jacobian_forward_flat``
-    (inverted at the preimage for the inverse jets).
+    (inverted at the preimage for the inverse jets), and the lift's own
+    Jacobian is taken by central differences.
     """
+    if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_TAYLOR_ORDER:
+        raise UnsupportedOrder(f"lift order must be an integer in [0, {MAX_TAYLOR_ORDER}], got {order!r}")
+    k, dim = int(order), (int(order) + 1) * D.dim
+    name = f"lift{k}({D.name})" if D.name else f"lift{k}"
+    if D.jacobian_constant:
+        zero = np.zeros(2 * D.dim)
+        J, offset = D.jacobian_forward_flat(zero), D.forward_flat(zero)
+        Jinv = np.linalg.inv(J)
+        forward, M = _affine_lift(J, offset, k)
+        inverse, _ = _affine_lift(Jinv, -Jinv @ offset, k)
+        jacobian = lambda x: np.broadcast_to(M, x.shape[:-1] + M.shape)
+        return DiscretizationMap(dim, forward, inverse, jacobian, jacobian_constant=True, name=name)
 
-    def __init__(self, base: DiscretizationMap, order: int):
-        if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_TAYLOR_ORDER:
-            raise UnsupportedOrder(f"lift order must be an integer in [0, {MAX_TAYLOR_ORDER}], got {order!r}")
-        self.base = base
-        self.order = int(order)
-        self.jacobian_constant = base.jacobian_constant
-        self.dim = (self.order + 1) * base.dim
-        self.name = f"lift{self.order}({base.name})" if base.name else f"lift{self.order}"
-        if self.jacobian_constant:
-            zero = np.zeros(2 * base.dim)
-            J = base.jacobian_forward_flat(zero)
-            offset = base.forward_flat(zero)
-            self._forward_affine = self._assemble_affine(J, offset)
-            Jinv = np.linalg.inv(J)
-            self._inverse_affine = self._assemble_affine(Jinv, -Jinv @ offset)
-
-    def _assemble_affine(self, J: Array, offset: Array) -> tuple[Array, Array]:
-        """Affine representation of the lifted flat map when the base map is
-        x -> J x + offset: J acts on every zipped slot, the offset on slot 0."""
-        slots = zip_jet_tangent(np.arange(2 * self.dim), self.order)
-        M = np.zeros((2 * self.dim, 2 * self.dim))
-        M[slots[:, :, None], slots[:, None, :]] = J
-        d = np.zeros(2 * self.dim)
-        d[slots[0]] = offset
-        return M, d
-
-    def _zipped(self, x: Array) -> Array:
-        """x (..., 2 dim) as the jet (..., order + 1, 2 n) of a tangent-bundle curve."""
-        if x.shape[-1] != 2 * self.dim:
-            raise ValueError(f"{self.name} expects {2 * self.dim} entries, got {x.shape[-1]}")
-        return zip_jet_tangent(x, self.order)
-
-    def forward_flat(self, x) -> Array:
+    def zipped(x) -> Array:
+        """x (..., 2 dim) as the jet (..., k + 1, 2 n) of a tangent-bundle curve."""
         x = np.asarray(x, dtype=float)
-        if self.jacobian_constant:
-            M, d = self._forward_affine
-            return matvec(M, x) + d
-        base = self.base
-        jets = jet_pushforward(base.forward_flat, self._zipped(x), jacobian=lambda x0, _: base.jacobian_forward_flat(x0))
-        return unzip_jet_tangent(jets)
+        if x.shape[-1] != 2 * dim:
+            raise ValueError(f"{name} expects {2 * dim} entries, got {x.shape[-1]}")
+        return zip_jet_tangent(x, k)
 
-    def inverse_flat(self, y) -> Array:
-        y = np.asarray(y, dtype=float)
-        if self.jacobian_constant:
-            M, d = self._inverse_affine
-            return matvec(M, y) + d
-        base = self.base
+    def forward(x) -> Array:
+        jacobian = lambda x0, _: D.jacobian_forward_flat(x0)
+        return unzip_jet_tangent(jet_pushforward(D.forward_flat, zipped(x), jacobian=jacobian))
 
+    def inverse(y) -> Array:
         def jacobian(y0: Array, x0: Array) -> Array:
             # The base inverse's Jacobian is the inverse of the forward one at the preimage x0.
-            return np.linalg.inv(_invertible(base.jacobian_forward_flat(x0), "inverse jets undefined"))
+            return np.linalg.inv(_invertible(D.jacobian_forward_flat(x0), "inverse jets undefined"))
 
-        return unzip_jet_tangent(jet_pushforward(base.inverse_flat, self._zipped(y), jacobian=jacobian))
+        return unzip_jet_tangent(jet_pushforward(D.inverse_flat, zipped(y), jacobian=jacobian))
 
-    def jacobian_forward_flat(self, x) -> Array:
-        x = np.asarray(x, dtype=float)
-        if self.jacobian_constant:
-            M = self._forward_affine[0]
-            return np.broadcast_to(M, x.shape[:-1] + M.shape).copy()
-        return row_jacobian_fd(self.forward_flat, x)
-
-    def as_discretization_map(self) -> DiscretizationMap:
-        """View the lifted map as a plain discretization map on R^dim."""
-        return DiscretizationMap(
-            dim=self.dim,
-            forward_fn=lambda z, zdot: np.split(self.forward_flat(np.concatenate([z, zdot], axis=-1)), 2, axis=-1),
-            inverse_fn=lambda a, b: np.split(self.inverse_flat(np.concatenate([a, b], axis=-1)), 2, axis=-1),
-            jacobian_fn=lambda z, zdot: self.jacobian_forward_flat(np.concatenate([z, zdot], axis=-1)),
-            jacobian_constant=self.jacobian_constant,
-            name=self.name,
-        )
-
-
-def higher_order_lift(D: DiscretizationMap, order: int) -> HigherOrderDiscretizationMap:
-    """Lift a discretization map to order-k jet spaces."""
-    return HigherOrderDiscretizationMap(D, order)
+    return DiscretizationMap(dim, forward, inverse, name=name)
 
 
 class CotangentLiftedMap:
@@ -152,8 +125,8 @@ class CotangentLiftedMap:
 
     The flat maps are the implementation and use only the base's flat
     interface (``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``),
-    so the base may be a :class:`DiscretizationMap` or a
-    :class:`HigherOrderDiscretizationMap` and probes may leave its manifold.
+    so the base may be any :class:`~geodisc.maps.DiscretizationMap`, a
+    higher-order lift included, and probes may leave its manifold.
     For a base with a constant Jacobian both directions are affine maps,
     built once here and exposed read-only as ``affine_forward = (F, f)``
     (x -> F x + f) and ``affine_inverse = (K, k)`` (y -> K y + k), None for
@@ -246,12 +219,7 @@ class CotangentLiftedMap:
     def as_discretization_map(self) -> DiscretizationMap:
         """The lifted map is itself a discretization map on T*M = R^{2m}: its
         flat layout is (z, zdot) -> (a, b) with z = (m, p), zdot = (mdot, pdot)."""
-        return DiscretizationMap(
-            dim=2 * self.dim,
-            forward_fn=lambda z, zdot: np.split(self.forward_flat(np.concatenate([z, zdot], axis=-1)), 2, axis=-1),
-            inverse_fn=lambda a, b: np.split(self.inverse_flat(np.concatenate([a, b], axis=-1)), 2, axis=-1),
-            name=self.name,
-        )
+        return DiscretizationMap(2 * self.dim, self.forward_flat, self.inverse_flat, name=self.name)
 
 
 def cotangent_lift(D) -> CotangentLiftedMap:

@@ -13,14 +13,16 @@ to the sphere, body velocities on SE(2)); ``fiber_basis`` and
 ``fiber_frame`` tell the checker which directions to probe and how fiber
 vectors are identified with chart tangent vectors.
 
-Every function a map is built from takes one point (shape (dim,)) or a stack
-of points (shape (..., dim)), and gives each row the bits of its one-point
-value; so do the map's flat, checked and fiber views.
+A map is given by its flat maps on rows (..., 2 dim), (q, v) -> (q_minus,
+q_plus) and back, which the checked ``forward``/``inverse`` join and split;
+higher-order lifts are maps of this type too.  Every function a map is built
+from takes one point or a stack of points, one per row, and gives each row
+the bits of its one-point value; so do the map's flat, checked and fiber views.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -36,22 +38,24 @@ MANIFOLD_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class DiscretizationMap:
-    """A discretization map on a manifold charted in R^dim.
+    """A discretization map on a manifold charted in R^dim, given by its flat maps.
 
-    ``forward_fn`` maps (q, v) to the point pair (q_minus, q_plus); ``inverse_fn``
-    recovers (q, v) from such a pair.  ``jacobian_fn``, when given, returns the
-    2*dim x 2*dim matrix d(q_minus, q_plus)/d(q, v); ``jacobian_constant``
-    promises that this matrix does not depend on the evaluation point (true for
-    affine maps), which downstream lifts exploit for exact derivative handling.
-    ``validate_fn`` guards the structured entry points; the unchecked
-    ``*_flat`` variants skip it so that lifts and finite differences may probe
-    the smooth ambient extension.  All of them take (..., dim) rows.
+    ``forward_flat`` maps rows x = (q, v) of shape (..., 2 dim) to the point
+    pairs (q_minus, q_plus); ``inverse_flat`` recovers x from such a pair.
+    ``jacobian_fn(x)``, when given, returns the 2 dim x 2 dim matrix
+    d(q_minus, q_plus)/d(q, v) of every row; ``jacobian_constant`` promises
+    that this matrix does not depend on the evaluation point (true for
+    affine maps), which downstream lifts exploit for exact derivative
+    handling.  The flat maps are unchecked, so that lifts and finite
+    differences may probe the smooth ambient extension; the checked
+    ``forward`` and ``inverse`` views check finiteness and lengths and run
+    ``validate_fn(q, v)`` on the structured inputs.
     """
 
     dim: int
-    forward_fn: Callable[[Array, Array], tuple[Array, Array]]
-    inverse_fn: Callable[[Array, Array], tuple[Array, Array]]
-    jacobian_fn: Callable[[Array, Array], Array] | None = None
+    forward_flat: Callable[[Array], Array]
+    inverse_flat: Callable[[Array], Array]
+    jacobian_fn: Callable[[Array], Array] | None = None
     jacobian_constant: bool = False
     fiber_basis_fn: Callable[[Array], Array] | None = None
     fiber_frame_fn: Callable[[Array], Array] | None = None
@@ -66,35 +70,26 @@ class DiscretizationMap:
             raise ValueError(f"{self.name or 'map'} expects vectors of length {self.dim}")
         return x
 
+    def _split(self, y: Array, first: str, second: str) -> tuple[Array, Array]:
+        return self._points(y[..., : self.dim], first), self._points(y[..., self.dim :], second)
+
     def forward(self, q, v) -> tuple[Array, Array]:
         """Checked forward: finite inputs and outputs, ``validate_fn`` on every row."""
         q, v = self._points(q, "q"), self._points(v, "v")
         if self.validate_fn is not None:
             self.validate_fn(q, v)
-        a, b = self.forward_fn(q, v)
-        return self._points(a, "q_minus"), self._points(b, "q_plus")
+        return self._split(self.forward_flat(np.concatenate([q, v], axis=-1)), "q_minus", "q_plus")
 
     def inverse(self, q_minus, q_plus) -> tuple[Array, Array]:
-        q, v = self.inverse_fn(self._points(q_minus, "q_minus"), self._points(q_plus, "q_plus"))
-        return self._points(q, "q"), self._points(v, "v")
-
-    # -- flat views used by lifts and finite differences -----------------
-    def forward_flat(self, x) -> Array:
-        x = np.asarray(x, dtype=float)
-        a, b = self.forward_fn(x[..., : self.dim], x[..., self.dim :])
-        return np.concatenate([np.atleast_1d(a), np.atleast_1d(b)], axis=-1)
-
-    def inverse_flat(self, y) -> Array:
-        y = np.asarray(y, dtype=float)
-        q, v = self.inverse_fn(y[..., : self.dim], y[..., self.dim :])
-        return np.concatenate([np.atleast_1d(q), np.atleast_1d(v)], axis=-1)
+        y = np.concatenate([self._points(q_minus, "q_minus"), self._points(q_plus, "q_plus")], axis=-1)
+        return self._split(self.inverse_flat(y), "q", "v")
 
     def jacobian_forward_flat(self, x) -> Array:
         """d(q_minus, q_plus)/d(q, v) at x = (q, v), closed form if available,
         else central FD."""
         x = np.asarray(x, dtype=float)
         if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(x[..., : self.dim], x[..., self.dim :]), dtype=float)
+            return np.asarray(self.jacobian_fn(x), dtype=float)
         return row_jacobian_fd(self.forward_flat, x)
 
     def fiber_basis(self, q) -> Array:
@@ -111,22 +106,25 @@ class DiscretizationMap:
         return np.broadcast_to(np.eye(self.dim), q.shape[:-1] + (self.dim, self.dim))
 
 
+def _flat(fn: Callable[[Array, Array], tuple[Array, Array]], dim: int) -> Callable[[Array], Array]:
+    """The flat map x -> (a, b) of rows (..., 2 dim) of a (q, v) -> (a, b) formula."""
+
+    def flat(x) -> Array:
+        x = np.asarray(x, dtype=float)
+        a, b = fn(x[..., :dim], x[..., dim:])
+        return np.concatenate([np.atleast_1d(a), np.atleast_1d(b)], axis=-1)
+
+    return flat
+
+
 # ---------------------------------------------------------------------------
 # flat-space maps
 
 
 def midpoint_map(n: int) -> DiscretizationMap:
-    """(q, v) -> (q - v/2, q + v/2) on R^n, inverse of the pair average/difference."""
-    eye = np.eye(n)
-    jac = np.block([[eye, -0.5 * eye], [eye, 0.5 * eye]])
-    return DiscretizationMap(
-        dim=n,
-        forward_fn=lambda q, v: (q - 0.5 * v, q + 0.5 * v),
-        inverse_fn=lambda a, b: (0.5 * (a + b), b - a),
-        jacobian_fn=lambda q, v: np.broadcast_to(jac, q.shape[:-1] + jac.shape),
-        jacobian_constant=True,
-        name=f"midpoint(n={n})",
-    )
+    """(q, v) -> (q - v/2, q + v/2) on R^n: the theta map at theta = 1/2,
+    whose (1 - 1/2) a + b/2 rounds exactly as (a + b)/2."""
+    return replace(theta_map(n, 0.5), name=f"midpoint(n={n})")
 
 
 def theta_map(n: int, theta: float) -> DiscretizationMap:
@@ -138,9 +136,9 @@ def theta_map(n: int, theta: float) -> DiscretizationMap:
     jac = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]])
     return DiscretizationMap(
         dim=n,
-        forward_fn=lambda q, v: (q - theta * v, q + (1.0 - theta) * v),
-        inverse_fn=lambda a, b: ((1.0 - theta) * a + theta * b, b - a),
-        jacobian_fn=lambda q, v: np.broadcast_to(jac, q.shape[:-1] + jac.shape),
+        forward_flat=_flat(lambda q, v: (q - theta * v, q + (1.0 - theta) * v), n),
+        inverse_flat=_flat(lambda a, b: ((1.0 - theta) * a + theta * b, b - a), n),
+        jacobian_fn=lambda x: np.broadcast_to(jac, x.shape[:-1] + jac.shape),
         jacobian_constant=True,
         name=f"theta(n={n}, theta={theta})",
     )
@@ -191,8 +189,8 @@ def sphere_initial_point_map() -> DiscretizationMap:
             raise DomainViolation("inverse needs the pair on one open hemisphere (q . q_plus > 0)")
         return a.copy(), b / d - a
 
-    def jac(q, xi):
-        w = q + xi
+    def jac(x):
+        w = x[..., :3] + x[..., 3:]
         nw = np.sqrt(rowdot(w, w))[..., None]
         what = w / nw
         M = (np.eye(3) - what[..., :, None] * what[..., None, :]) / nw[..., None]
@@ -207,8 +205,8 @@ def sphere_initial_point_map() -> DiscretizationMap:
 
     return DiscretizationMap(
         dim=3,
-        forward_fn=forward,
-        inverse_fn=inverse,
+        forward_flat=_flat(forward, 3),
+        inverse_flat=_flat(inverse, 3),
         jacobian_fn=jac,
         fiber_basis_fn=_sphere_tangent_basis,
         validate_fn=validate,
@@ -252,8 +250,8 @@ def sphere_geodesic_midpoint_map() -> DiscretizationMap:
 
     return DiscretizationMap(
         dim=3,
-        forward_fn=forward,
-        inverse_fn=inverse,
+        forward_flat=_flat(forward, 3),
+        inverse_flat=_flat(inverse, 3),
         fiber_basis_fn=_sphere_tangent_basis,
         validate_fn=validate,
         name="sphere-geodesic-midpoint",
@@ -324,8 +322,8 @@ def se2_exp_map() -> DiscretizationMap:
 
     return DiscretizationMap(
         dim=3,
-        forward_fn=forward,
-        inverse_fn=inverse,
+        forward_flat=_flat(forward, 3),
+        inverse_flat=_flat(inverse, 3),
         fiber_frame_fn=frame,
         name="se2-exp",
     )

@@ -8,6 +8,7 @@ import pytest
 from geodisc.errors import DomainViolation
 from geodisc.maps import (
     DiscretizationMap,
+    _flat,
     axiom_defects,
     midpoint_map,
     se2_exp,
@@ -214,8 +215,8 @@ class TestAxioms:
         # Second output moves at twice the proper rate: condition 2 fails.
         broken = DiscretizationMap(
             dim=2,
-            forward_fn=lambda q, v: (q - 0.5 * v, q + 1.5 * v),
-            inverse_fn=lambda a, b: (0.5 * (a + b), 0.5 * (b - a)),
+            forward_flat=_flat(lambda q, v: (q - 0.5 * v, q + 1.5 * v), 2),
+            inverse_flat=_flat(lambda a, b: (0.5 * (a + b), 0.5 * (b - a)), 2),
             name="broken",
         )
         defects = axiom_defects(broken, [rng.normal(size=2)])
@@ -224,8 +225,8 @@ class TestAxioms:
     def test_detects_condition1_violation(self, rng):
         shifted = DiscretizationMap(
             dim=2,
-            forward_fn=lambda q, v: (q + 0.01, q + v),
-            inverse_fn=lambda a, b: (a, b - a),
+            forward_flat=_flat(lambda q, v: (q + 0.01, q + v), 2),
+            inverse_flat=_flat(lambda a, b: (a, b - a), 2),
             name="shifted",
         )
         defects = axiom_defects(shifted, [rng.normal(size=2)])
