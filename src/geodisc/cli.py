@@ -140,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError("tol must be nonnegative")
         self.base_map(1)  # validates the discretization string
         n = self.dim
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got n={n}")
         if self.problem == "obstacle" and n < 2:
             raise ConfigError(f"the obstacle acts on (x, y): the obstacle problem needs n >= 2, got n={n}")
         have_boundary = any(v is not None for v in self.boundary)
@@ -242,16 +244,24 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # commands
 
 
+def _write(write, path, *args, **kwargs) -> None:
+    """``write(path, *args, **kwargs)``, a failure to write ``path`` raised as ConfigError."""
+    try:
+        write(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_artifacts(cfg: ExperimentConfig, traj, clearances, command: str) -> str:
     """Write the trajectory CSV with its clearances (None without an
     obstacle), and the XY-path SVG when asked for.  Returns the closing
     ``csv:`` line."""
     csv_path = cfg.csv_out or f"{cfg.problem}-{command}.csv"
-    write_trajectory_csv(csv_path, traj, clearances)
+    _write(write_trajectory_csv, csv_path, traj, clearances)
     line = f"csv: {csv_path}"
     if cfg.svg_out and cfg.dim >= 2:
         circle = (float(cfg.center[0]), float(cfg.center[1]), cfg.r) if clearances is not None else None
-        write_xy_svg(cfg.svg_out, traj.positions()[:, :2], circle=circle)
+        _write(write_xy_svg, cfg.svg_out, traj.positions()[:, :2], circle=circle)
         line += f"  svg: {cfg.svg_out}"
     return line
 
@@ -301,7 +311,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     payload = json.dumps([r.as_dict() for r in results], indent=2)
     print(payload)
     if cfg.json_out:
-        _atomic_write_text(cfg.json_out, [payload + "\n"])
+        _write(_atomic_write_text, cfg.json_out, [payload + "\n"])
     failures = sum(r.failed for r in results)
     print(f"check: {len(results)} cases, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1
@@ -334,7 +344,7 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
             raise ConfigError(f"{csv_path}: non-numeric clearance cell") from exc
         if r2 > 0:
             circle = (0.0, 0.0, float(np.sqrt(r2)))
-    write_xy_svg(svg_path, xy, circle=circle)
+    _write(write_xy_svg, svg_path, xy, circle=circle)
     print(f"svg: {svg_path}")
     return 0
 

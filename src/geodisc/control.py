@@ -134,6 +134,12 @@ class OCProblem:
                 raise ValueError(f"{name} must have dimension {self.n}")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "steps", grid_steps(self.T, self.h))
+        data = (self.q_start, self.qdot_start, self.q_end, self.qdot_end)
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(hermite_costates(*data, self.T)).all()
+        if not finite:
+            named = "q0=%s, v0=%s, q1=%s, v1=%s" % tuple(v.tolist() for v in data)
+            raise BadDiscretization(f"the cubic guess overflows for {named} and T={self.T:g}")
 
     steps: int = field(init=False, default=0)
 

@@ -45,7 +45,8 @@ class TooFewPoints(GeodiscError):
 
 
 class BadDiscretization(GeodiscError):
-    """Time grid parameters are inconsistent (T not an integer multiple of h)."""
+    """Time grid parameters are inconsistent (T not an integer multiple of
+    h) or give the boundary data a non-finite cubic guess."""
 
 
 class StartInsideObstacle(GeodiscError):

@@ -80,7 +80,8 @@ def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
     """
     if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_TAYLOR_ORDER:
         raise UnsupportedOrder(f"lift order must be an integer in [0, {MAX_TAYLOR_ORDER}], got {order!r}")
-    k, dim = int(order), (int(order) + 1) * D.dim
+    k = int(order)
+    dim = (k + 1) * D.dim
     name = f"lift{k}({D.name})" if D.name else f"lift{k}"
     if D.jacobian_constant:
         zero = np.zeros(2 * D.dim)

@@ -75,14 +75,14 @@ class DiscretizationMap:
 
     def forward(self, q, v) -> tuple[Array, Array]:
         """Checked forward: finite inputs and outputs, ``validate_fn`` on every row."""
-        q, v = self._points(q, "q"), self._points(v, "v")
+        q, v = np.broadcast_arrays(self._points(q, "q"), self._points(v, "v"))
         if self.validate_fn is not None:
             self.validate_fn(q, v)
         return self._split(self.forward_flat(np.concatenate([q, v], axis=-1)), "q_minus", "q_plus")
 
     def inverse(self, q_minus, q_plus) -> tuple[Array, Array]:
-        y = np.concatenate([self._points(q_minus, "q_minus"), self._points(q_plus, "q_plus")], axis=-1)
-        return self._split(self.inverse_flat(y), "q", "v")
+        pair = np.broadcast_arrays(self._points(q_minus, "q_minus"), self._points(q_plus, "q_plus"))
+        return self._split(self.inverse_flat(np.concatenate(pair, axis=-1)), "q", "v")
 
     def jacobian_forward_flat(self, x) -> Array:
         """d(q_minus, q_plus)/d(q, v) at x = (q, v), closed form if available,

@@ -262,12 +262,17 @@ class TestMalformedInput:
             ["check", "--config", "seed-fractional.json"],
             ["simulate", "--steps", "100000000000000000000", "--init=" + SE2_INIT],
             SHOOT + ["--T", "1e9"],
+            ["simulate", "--problem", "free", "--n", "-1", "--init=1,2,3,4"],
+            ["simulate", "--problem", "free", "--n", "0", "--init=1,2,3,4"],
+            ["simulate", "--n", "0", "--init=" + SE2_INIT],
+            ["shoot", "--problem", "free", "--n", "0", "--q0", "0", "--v0", "0", "--q1", "1", "--v1", "0"],
             *(["simulate", "--config", f"{name}.json", "--init=" + SE2_INIT] for name in BAD_CONFIGS),
         ],
         ids=[
             "center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan", "h-zero", "h-2", "json-null",
             "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number", "seed-fractional",
-            "steps-huge-flag", "shoot-steps-huge", *BAD_CONFIGS,
+            "steps-huge-flag", "shoot-steps-huge", "n-negative", "n-zero", "obstacle-n-zero", "shoot-n-zero",
+            *BAD_CONFIGS,
         ],
     )
     def test_is_one_config_error_line(self, capsys, args, isolated):
@@ -281,6 +286,36 @@ class TestMalformedInput:
         assert rc == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: config-error:")
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--problem", "free", "--n", "1", "--steps", "2", "--init=0,0,0,1", "--csv-out", "absent/x.csv"],
+            ["simulate", "--init=" + SE2_INIT, "--steps", "2", "--svg-out", "absent/x.svg"],
+            ["check", "--suite", "axioms", "--json-out", "absent/x.json"],
+            ["plot", "run.csv", "absent/x.svg"],
+        ],
+        ids=["csv", "svg", "json", "plot-svg"],
+    )
+    def test_unwritable_output_is_one_config_error_line(self, capsys, args, isolated):
+        (isolated / "run.csv").write_text("q0,q1\n0,0\n1,1\n")
+        rc = cli.main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: config-error: cannot write {args[-1]}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "data",
+        [["--v0", "0", "--v1", "0", "--T", "1e-300", "--h", "1e-301"], ["--v0", "1e308", "--v1", "1e308", "--T", "1", "--h", "0.5"]],
+        ids=["T-tiny", "v-huge"],
+    )
+    def test_overflowing_cubic_guess_is_one_error_line(self, capsys, data):
+        # The interpolating cubic's costates, the default shooting guess, overflow.
+        rc = cli.main(["shoot", "--problem", "free", "--n", "1", "--q0", "0", "--q1", "1", *data])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad-discretization: the cubic guess overflows")
+        assert f"v0=[{float(data[1])}]" in err and f"T={float(data[5]):g}" in err
 
     @pytest.mark.parametrize(
         "args",

@@ -115,6 +115,11 @@ class TestProblemConstruction:
         with pytest.raises(BadDiscretization):
             make_free_spline(1, ([0.0], [0.0], [1.0], [0.0]), T=1.0, h=0.3)
 
+    @pytest.mark.parametrize("v, T, h", [(0.0, 1e-300, 1e-301), (1e308, 1.0, 0.5)], ids=["T", "v"])
+    def test_overflowing_cubic_guess_is_bad_discretization(self, v, T, h):
+        with pytest.raises(BadDiscretization, match=r"q0=\[0.0\], v0=\[.*\], q1=\[1.0\], v1=\[.*\] and T="):
+            make_free_spline(1, ([0.0], [v], [1.0], [v]), T=T, h=h)
+
     def test_boundary_size_checked(self):
         with pytest.raises(ValueError):
             make_free_spline(2, ([0.0], [0.0], [1.0], [0.0]), T=1.0, h=0.1)

@@ -51,6 +51,14 @@ class TestFlatMaps:
         x = rng.normal(size=4)
         assert np.allclose(theta_map(2, 0.5).forward_flat(x), midpoint_map(2).forward_flat(x))
 
+    def test_checked_views_broadcast_one_point_against_rows(self, rng):
+        D, V = midpoint_map(2), rng.normal(size=(4, 2))
+        q = np.array([1.0, 2.0])
+        a, b = D.forward(q, V)
+        assert a.shape == b.shape == (4, 2) and np.array_equal(b, q + 0.5 * V)
+        q2, v2 = D.inverse(q, V)
+        assert q2.shape == v2.shape == (4, 2) and np.array_equal(v2, V - q)
+
     @pytest.mark.parametrize("theta", [-0.1, 1.5])
     def test_theta_range_checked(self, theta):
         with pytest.raises(ValueError):

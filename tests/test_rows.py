@@ -181,6 +181,21 @@ def test_sphere_cotangent_lift_raises_singular_jacobian(order):
             flat(points)
 
 
+def test_second_order_geodesic_midpoint_inverse_refuses_its_own_image():
+    # The order-2 inverse takes the second derivative of the base inverse by
+    # a stencil off the sphere, where the base inverse refuses its points.
+    # Without that refusal it returns wrong jets (round trips off by up to
+    # 0.66): its first-derivative map, the inverted forward Jacobian, agrees
+    # with the ambient inverse's only on tangent vectors.
+    lift = higher_order_lift(sphere_geodesic_midpoint_map(), 2)
+    Y = lift.forward_flat(lift_points(2, sphere_points)(np.random.default_rng(7), 200))
+    with pytest.raises(DomainViolation, match="not on the unit sphere"):
+        lift.inverse_flat(Y)
+    for y in Y:
+        with pytest.raises(DomainViolation, match="not on the unit sphere"):
+            lift.inverse_flat(y)
+
+
 def test_non_finite_base_jacobian_raises_singular_jacobian():
     # An overflowing point makes the base Jacobian non-finite: it has no
     # condition number, and the covector solve would return garbage.
