@@ -14,9 +14,12 @@ wrong type included.  Every failure prints a single line of the form
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,6 +37,7 @@ from .errors import (
 )
 from .lifts import second_order_phase_map
 from .maps import midpoint_map, theta_map
+from .numeric import rowdot
 
 Array = np.ndarray
 
@@ -244,25 +248,41 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # commands
 
 
-def _write(write, path, *args, **kwargs) -> None:
-    """``write(path, *args, **kwargs)``, a failure to write ``path`` raised as ConfigError."""
+def _write(*outputs) -> None:
+    """Write every output ``(write, path, *args)`` as ``write(path, *args)``,
+    or none: each goes to a new temp file beside its path, and the temp
+    files replace their paths once all are written.  A failure to write a
+    path is raised as ConfigError naming it."""
+    staged = []
     try:
-        write(path, *args, **kwargs)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        for write, path, *args in outputs:
+            fd, tmp = tempfile.mkstemp(prefix=".geodisc-", dir=os.path.dirname(path) or ".")
+            os.close(fd)
+            staged.append(tmp)
+            write(tmp, *args)
+        for tmp, (_, path, *_) in zip(staged, outputs):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _write_artifacts(cfg: ExperimentConfig, traj, clearances, command: str) -> str:
     """Write the trajectory CSV with its clearances (None without an
-    obstacle), and the XY-path SVG when asked for.  Returns the closing
-    ``csv:`` line."""
+    obstacle), and the XY-path SVG when asked for, all or none.  Returns the
+    closing ``csv:`` line."""
     csv_path = cfg.csv_out or f"{cfg.problem}-{command}.csv"
-    _write(write_trajectory_csv, csv_path, traj, clearances)
+    outputs = [(write_trajectory_csv, csv_path, traj, clearances)]
     line = f"csv: {csv_path}"
     if cfg.svg_out and cfg.dim >= 2:
         circle = (float(cfg.center[0]), float(cfg.center[1]), cfg.r) if clearances is not None else None
-        _write(write_xy_svg, cfg.svg_out, traj.positions()[:, :2], circle=circle)
+        outputs.append((write_xy_svg, cfg.svg_out, traj.positions()[:, :2], circle))
         line += f"  svg: {cfg.svg_out}"
+    _write(*outputs)
     return line
 
 
@@ -309,9 +329,9 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
 def cmd_check(cfg: ExperimentConfig) -> int:
     results = run_all(seed=cfg.seed, suites=cfg.suites, h_values=cfg.h_values)
     payload = json.dumps([r.as_dict() for r in results], indent=2)
-    print(payload)
     if cfg.json_out:
-        _write(_atomic_write_text, cfg.json_out, [payload + "\n"])
+        _write((_atomic_write_text, cfg.json_out, [payload + "\n"]))
+    print(payload)
     failures = sum(r.failed for r in results)
     print(f"check: {len(results)} cases, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1
@@ -335,16 +355,22 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
         raise ConfigError(f"{csv_path}: no data rows")
 
     circle = None
-    cells = cols.get("clearance", [])
-    filled = [(row, cell) for row, cell in enumerate(cells) if cell != ""]
+    filled = [(row, cell) for row, cell in enumerate(cols.get("clearance", [])) if cell != ""]
     if filled:
         try:
-            r2 = np.median([xy[i] @ xy[i] - float(cell) for i, cell in filled])
+            clearance = np.array([float(cell) for _, cell in filled])
         except ValueError as exc:
             raise ConfigError(f"{csv_path}: non-numeric clearance cell") from exc
-        if r2 > 0:
-            circle = (0.0, 0.0, float(np.sqrt(r2)))
-    _write(write_xy_svg, svg_path, xy, circle=circle)
+        # clearance = |xy - c|^2 - r^2, so |xy|^2 - clearance = 2 c . xy + (r^2 - |c|^2):
+        # linear in (c, r^2 - |c|^2), fitted by least squares over the filled rows.
+        P = xy[[row for row, _ in filled]]
+        A, b = np.column_stack([2.0 * P, np.ones(len(P))]), rowdot(P, P) - clearance
+        if np.isfinite(b).all():  # b is not finite wherever A is not
+            (cx, cy, e), _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+            r2 = e + cx * cx + cy * cy
+            if rank == 3 and r2 > 0:  # positions that span the plane fix the circle
+                circle = (cx, cy, float(np.sqrt(r2)))
+    _write((write_xy_svg, svg_path, xy, circle))
     print(f"svg: {svg_path}")
     return 0
 

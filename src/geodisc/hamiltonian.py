@@ -11,7 +11,8 @@ Hamiltonian is
 
 whose flow enforces qddot = p1 (so p1 is the control) and q'''' + grad V = 0.
 With x = (m, p) it is x . S0 x / 2 - V(q): a constant quadratic part and the
-:class:`Potential` V (see :class:`HamiltonianSystem`).
+:class:`Potential` V (see :class:`HamiltonianSystem`).  The lifted map C
+lives on T*M, so ``C.dim`` = 2 ``H.dim`` = 4n, the length of a phase point.
 
 One step of size h solves, with w = (m, p, mdot, pdot) the lifted-map
 preimage of the step endpoints (z0, z1) and JJ the canonical symplectic
@@ -172,7 +173,7 @@ class _StepBlocks:
     """
 
     def __init__(self, C: CotangentLiftedMap, H: HamiltonianSystem, h: float):
-        d = C.dim
+        d = C.dim // 2
         if H.dim != d:
             raise ValueError(f"Hamiltonian lives on T*R^{H.dim} but the map expects dimension {d}")
         self.h = h
@@ -247,7 +248,7 @@ def step_residual(
     without it they are built here."""
     if blocks is None:
         blocks = _StepBlocks(C, H, h)
-    d = C.dim
+    d = C.dim // 2
     if np.ndim(z0) == 2:
         z0 = np.asarray(z0, dtype=float)
         if not np.isfinite(z0).all():
@@ -304,7 +305,7 @@ def _step_jacobian(
     potential it is the prebuilt ``blocks.LK``, read-only and shared."""
     if blocks is None:
         blocks = _StepBlocks(C, H, h)
-    V, n = H.potential, C.dim // 2
+    V, d, n = H.potential, C.dim // 2, C.dim // 4
     y = np.concatenate([z0, z1], axis=-1)
     if blocks.LK is None:
         K = C.inverse_jacobian_flat(y)
@@ -316,7 +317,7 @@ def _step_jacobian(
     if V is None:
         return A
     A = np.array(np.broadcast_to(A, q.shape[:-1] + A.shape[-2:]))
-    A[..., C.dim : C.dim + n, :] += h * (-V.hess(q) @ Kq)
+    A[..., d : d + n, :] += h * (-V.hess(q) @ Kq)
     return A
 
 
@@ -422,7 +423,7 @@ def symplectic_step(
     blocks = _StepBlocks(C, H, h)
     residual = step_residual(C, H, h, z0, blocks=blocks)
     z0 = np.asarray(z0, dtype=float)
-    chord = lambda z1: _step_jacobian(C, H, h, z0, z1, blocks=blocks)[..., 2 * C.dim :]
+    chord = lambda z1: _step_jacobian(C, H, h, z0, z1, blocks=blocks)[..., C.dim :]
     z1, _ = _chord_newton(residual, chord, z0, None, tol, max_iter)
     return z1
 
@@ -630,7 +631,7 @@ def integrate(
         raise ValueError("h must be positive")
     if steps < 1:
         raise ValueError("need at least one step")
-    d = C.dim
+    d = C.dim // 2
     if d % 2 != 0:
         raise ValueError("second-order trajectories need an even-dimensional base")
     z0 = as_vector(z0, name="z0")

@@ -14,20 +14,22 @@ Lifting moves a discretization map between spaces:
   the product; :func:`symplectomorphism_defects` measures how far a map is
   from that, and :mod:`geodisc.checks` holds the tolerance that judges it.
 
-A higher-order lift is itself a :class:`~geodisc.maps.DiscretizationMap`,
-given by its flat maps, so the checked views, the axioms and the
-finite-difference Jacobian apply to it as to its base.  Every lift reaches
-its base only through the base's unchecked flat maps (``forward_flat``,
-``inverse_flat``, ``jacobian_forward_flat``).  Every flat map also takes
-rows (..., k), one point per row, each with the bits of its one-point
-value.  A lift that inverts a base Jacobian or transports covectors by it
-raises :class:`~geodisc.errors.SingularJacobian` when that Jacobian is
-singular to working precision.  The closed form of the lifted midpoint
-map, the independent test oracle, is
+Every lift is itself a :class:`~geodisc.maps.DiscretizationMap` given by
+its flat maps, so the checked views, the axioms and the finite-difference
+Jacobian apply to it as to its base; a cotangent lift is a
+:class:`CotangentLiftedMap` on T*M, whose ``dim`` is 2m, not m.  Every lift
+reaches its base only through the base's unchecked flat maps
+(``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``).  Every flat
+map also takes rows (..., k), one point per row, each with the bits of its
+one-point value.  A lift that inverts a base Jacobian or transports
+covectors by it raises :class:`~geodisc.errors.SingularJacobian` when that
+Jacobian is singular to working precision.  The closed form of the lifted
+midpoint map, the independent test oracle, is
 :func:`geodisc.checks.midpoint_cotangent_closed_form`.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,16 +55,25 @@ def _invertible(J: Array, what: str) -> Array:
     return J
 
 
-def _affine_lift(J: Array, offset: Array, order: int) -> tuple[Callable[[Array], Array], Array]:
-    """The order-k lift of the base map x -> J x + offset, as the flat map
-    x -> M x + d and its matrix M: J acts on every zipped slot, the offset
-    on slot 0."""
+def _affine_lift(J: Array, offset: Array, order: int) -> tuple[Array, Array]:
+    """The order-k lift of the base map x -> J x + offset, as (M, d) for the
+    flat map x -> M x + d: J acts on every zipped slot, the offset on slot 0."""
     slots = zip_jet_tangent(np.arange((order + 1) * offset.size), order)
     M = np.zeros((slots.size, slots.size))
     M[slots[:, :, None], slots[:, None, :]] = J
     d = np.zeros(slots.size)
     d[slots[0]] = offset
-    return (lambda x: matvec(M, np.asarray(x, dtype=float)) + d), M
+    return M, d
+
+
+def _affine(M: Array, d: Array) -> Callable[[Array], Array]:
+    """The flat map x -> M x + d on rows."""
+    return lambda x: matvec(M, np.asarray(x, dtype=float)) + d
+
+
+def _constant(M: Array) -> Callable[[Array], Array]:
+    """The Jacobian x -> M of an affine map, one read-only view per row."""
+    return lambda x: np.broadcast_to(M, x.shape[:-1] + M.shape)
 
 
 def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
@@ -87,10 +98,9 @@ def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
         zero = np.zeros(2 * D.dim)
         J, offset = D.jacobian_forward_flat(zero), D.forward_flat(zero)
         Jinv = np.linalg.inv(J)
-        forward, M = _affine_lift(J, offset, k)
-        inverse, _ = _affine_lift(Jinv, -Jinv @ offset, k)
-        jacobian = lambda x: np.broadcast_to(M, x.shape[:-1] + M.shape)
-        return DiscretizationMap(dim, forward, inverse, jacobian, jacobian_constant=True, name=name)
+        M, d = _affine_lift(J, offset, k)
+        inverse = _affine(*_affine_lift(Jinv, -Jinv @ offset, k))
+        return DiscretizationMap(dim, _affine(M, d), inverse, _constant(M), jacobian_constant=True, name=name)
 
     def zipped(x) -> Array:
         """x (..., 2 dim) as the jet (..., k + 1, 2 n) of a tangent-bundle curve."""
@@ -113,119 +123,89 @@ def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
     return DiscretizationMap(dim, forward, inverse, name=name)
 
 
-class CotangentLiftedMap:
-    """Phase-space lift of a discretization map on M = R^m.
+@dataclass(frozen=True, eq=False)
+class CotangentLiftedMap(DiscretizationMap):
+    """A discretization map on T*M = R^2m lifted from one on M = R^m by
+    :func:`cotangent_lift`; ``dim`` is 2m.
 
-    Maps a tangent vector (m, p, mdot, pdot) of T*M to a pair of phase points
-    ((m0, p0), (m1, p1)).  The point pair is the base map applied to (m, mdot);
-    the covectors solve, with J the base Jacobian at (m, mdot) and covectors as
-    rows,
+    Its flat maps take (m, p, mdot, pdot), the point z = (m, p) and the fiber
+    velocity zdot = (mdot, pdot), to the phase-point pair (m0, p0, m1, p1)
+    and back.  The point pair is the base map at (m, mdot); the covectors
+    solve, with J the base Jacobian at (m, mdot) and covectors as rows,
 
         (-p0, p1) = (pdot, p) . J^{-1}        (forward)
         (pdot, p) = (-p0, p1) . J             (inverse)
 
-    The flat maps are the implementation and use only the base's flat
-    interface (``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``),
-    so the base may be any :class:`~geodisc.maps.DiscretizationMap`, a
-    higher-order lift included, and probes may leave its manifold.
-    For a base with a constant Jacobian both directions are affine maps,
-    built once here and exposed read-only as ``affine_forward = (F, f)``
-    (x -> F x + f) and ``affine_inverse = (K, k)`` (y -> K y + k), None for
-    any other base, which takes the formulas above.  The flat maps take one
-    point or the rows of an (..., 4m) array, each row with the bits of its
-    one-point value, and the one-step method folds K and k into its own
-    matrices.  ``forward`` and ``inverse`` name the same flat maps for
-    perfbench's tracer, which wraps methods of those names.
-    The construction makes the map a discretization map on T*M in its own
-    right (see ``as_discretization_map``) and a symplectomorphism, measured by
-    :func:`symplectomorphism_defects`.
+    The map is a symplectomorphism (:func:`symplectomorphism_defects`).  It
+    adds what the one-step method reads: ``affine_inverse = (K, k)``
+    (y -> K y + k, prebuilt for a base with a constant Jacobian, else None)
+    and :meth:`inverse_jacobian_flat`.
     """
 
-    def __init__(self, base):
-        self.base = base
-        self.dim = base.dim
-        self.name = f"cotangent({base.name})" if base.name else "cotangent"
-        self.affine_forward = self.affine_inverse = None
-        if base.jacobian_constant:
-            # Both directions are affine.  With J the constant base Jacobian:
-            # forward x -> F x + f, (m0, m1) = J (m, mdot) + const and
-            # (-p0, p1) = J^{-T} (pdot, p); inverse y -> K y + k,
-            # (m, mdot) = J^{-1} (m0, m1) + const and (pdot, p) = J^T (-p0, p1).
-            # f and k are the composed maps at 0.
-            d = self.dim
-            J = base.jacobian_forward_flat(np.zeros(2 * d))
-            Jinv = np.linalg.inv(J)
-            points = np.r_[0:d, 2 * d : 3 * d]  # (m, mdot) and (m0, m1)
-            covectors = np.r_[d : 2 * d, 3 * d : 4 * d]  # (p0, p1)
-            dual = np.r_[3 * d : 4 * d, d : 2 * d]  # (pdot, p)
-            signs = np.r_[-np.ones(d), np.ones(d)]
-            F = np.zeros((4 * d, 4 * d))
-            F[np.ix_(points, points)] = J
-            F[np.ix_(covectors, dual)] = Jinv.T * signs[:, None]
-            K = np.zeros((4 * d, 4 * d))
-            K[np.ix_(points, points)] = Jinv
-            K[np.ix_(dual, covectors)] = J.T * signs
-            f = self._composed_forward_flat(np.zeros(4 * d))
-            k = self._composed_inverse_flat(np.zeros(4 * d))
-            for a in (F, f, K, k):
-                a.setflags(write=False)
-            self.affine_forward, self.affine_inverse = (F, f), (K, k)
-
-    # -- flat maps: input (m, p, mdot, pdot), output (m0, p0, m1, p1) -----
-    def forward_flat(self, x) -> Array:
-        if self.affine_forward is not None:
-            F, f = self.affine_forward
-            return matvec(F, np.asarray(x, dtype=float)) + f
-        return self._composed_forward_flat(x)
-
-    def _composed_forward_flat(self, x) -> Array:
-        """The forward map through the base's flat maps, for any base."""
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        base_x = np.concatenate([x[..., :d], x[..., 2 * d : 3 * d]], axis=-1)
-        pair = self.base.forward_flat(base_x)
-        J = _invertible(self.base.jacobian_forward_flat(base_x), "covector transport undefined")
-        b = np.concatenate([x[..., 3 * d :], x[..., d : 2 * d]], axis=-1)
-        c = np.linalg.solve(np.swapaxes(J, -1, -2), b[..., None])[..., 0]
-        return np.concatenate([pair[..., :d], -c[..., :d], pair[..., d:], c[..., d:]], axis=-1)
-
-    def inverse_flat(self, y) -> Array:
-        if self.affine_inverse is not None:
-            K, k = self.affine_inverse
-            return matvec(K, np.asarray(y, dtype=float)) + k
-        return self._composed_inverse_flat(y)
-
-    def _composed_inverse_flat(self, y) -> Array:
-        """The inverse through the base's flat maps, for any base."""
-        y = np.asarray(y, dtype=float)
-        d = self.dim
-        base_x = self.base.inverse_flat(np.concatenate([y[..., :d], y[..., 2 * d : 3 * d]], axis=-1))
-        J = _invertible(self.base.jacobian_forward_flat(base_x), "covector transport undefined")
-        JT = np.swapaxes(J, -1, -2)
-        col = matvec(JT, np.concatenate([-y[..., d : 2 * d], y[..., 3 * d :]], axis=-1))
-        return np.concatenate([base_x[..., :d], col[..., d:], base_x[..., d:], col[..., :d]], axis=-1)
-
-    forward, inverse = forward_flat, inverse_flat
+    affine_inverse: tuple[Array, Array] | None = None
 
     def inverse_jacobian_flat(self, y) -> Array:
         """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y, one matrix per row:
         the constant matrix K built once when the base Jacobian is constant,
         else central differences of ``inverse_flat``."""
         y = np.asarray(y, dtype=float)
-        if self.affine_inverse is not None:
-            K = self.affine_inverse[0]
-            return np.broadcast_to(K, y.shape[:-1] + K.shape).copy()
-        return row_jacobian_fd(self.inverse_flat, y)
-
-    def as_discretization_map(self) -> DiscretizationMap:
-        """The lifted map is itself a discretization map on T*M = R^{2m}: its
-        flat layout is (z, zdot) -> (a, b) with z = (m, p), zdot = (mdot, pdot)."""
-        return DiscretizationMap(2 * self.dim, self.forward_flat, self.inverse_flat, name=self.name)
+        if self.affine_inverse is None:
+            return row_jacobian_fd(self.inverse_flat, y)
+        return _constant(self.affine_inverse[0])(y).copy()
 
 
-def cotangent_lift(D) -> CotangentLiftedMap:
-    """Lift a discretization map on M to the phase space T*M."""
-    return CotangentLiftedMap(D)
+def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
+    """The lift of a discretization map D on M = R^m to the phase space T*M.
+
+    It reaches D only through its unchecked flat maps, so D may be any
+    discretization map, a higher-order lift included, and probes may leave
+    its manifold.  A D with a constant Jacobian gives an affine lift,
+    x -> F x + f and y -> K y + k built once, with Jacobian F; any other D
+    takes the composed maps, forward with one batched solve against J^T.
+    """
+    m = D.dim
+    name = f"cotangent({D.name})" if D.name else "cotangent"
+
+    def forward(x) -> Array:
+        x = np.asarray(x, dtype=float)
+        base_x = np.concatenate([x[..., :m], x[..., 2 * m : 3 * m]], axis=-1)
+        pair = D.forward_flat(base_x)
+        J = _invertible(D.jacobian_forward_flat(base_x), "covector transport undefined")
+        b = np.concatenate([x[..., 3 * m :], x[..., m : 2 * m]], axis=-1)
+        c = np.linalg.solve(np.swapaxes(J, -1, -2), b[..., None])[..., 0]
+        return np.concatenate([pair[..., :m], -c[..., :m], pair[..., m:], c[..., m:]], axis=-1)
+
+    def inverse(y) -> Array:
+        y = np.asarray(y, dtype=float)
+        base_x = D.inverse_flat(np.concatenate([y[..., :m], y[..., 2 * m : 3 * m]], axis=-1))
+        J = _invertible(D.jacobian_forward_flat(base_x), "covector transport undefined")
+        col = matvec(np.swapaxes(J, -1, -2), np.concatenate([-y[..., m : 2 * m], y[..., 3 * m :]], axis=-1))
+        return np.concatenate([base_x[..., :m], col[..., m:], base_x[..., m:], col[..., :m]], axis=-1)
+
+    if not D.jacobian_constant:
+        return CotangentLiftedMap(2 * m, forward, inverse, name=name)
+    # Affine both ways, with J the constant base Jacobian: forward
+    # (m0, m1) = J (m, mdot) + const, (-p0, p1) = J^{-T} (pdot, p); inverse
+    # (m, mdot) = J^{-1} (m0, m1) + const, (pdot, p) = J^T (-p0, p1).  f and
+    # k are the composed maps at 0.
+    J = D.jacobian_forward_flat(np.zeros(2 * m))
+    Jinv = np.linalg.inv(J)
+    points = np.r_[0:m, 2 * m : 3 * m]  # (m, mdot) and (m0, m1)
+    covectors = np.r_[m : 2 * m, 3 * m : 4 * m]  # (p0, p1)
+    dual = np.r_[3 * m : 4 * m, m : 2 * m]  # (pdot, p)
+    signs = np.r_[-np.ones(m), np.ones(m)]
+    F = np.zeros((4 * m, 4 * m))
+    F[np.ix_(points, points)] = J
+    F[np.ix_(covectors, dual)] = Jinv.T * signs[:, None]
+    K = np.zeros((4 * m, 4 * m))
+    K[np.ix_(points, points)] = Jinv
+    K[np.ix_(dual, covectors)] = J.T * signs
+    f, k = forward(np.zeros(4 * m)), inverse(np.zeros(4 * m))
+    for a in (F, f, K, k):
+        a.setflags(write=False)
+    return CotangentLiftedMap(
+        2 * m, _affine(F, f), _affine(K, k), _constant(F), jacobian_constant=True, name=name, affine_inverse=(K, k)
+    )
 
 
 def second_order_phase_map(n: int, base: DiscretizationMap | None = None) -> CotangentLiftedMap:
@@ -279,14 +259,14 @@ def symplectomorphism_defects(C, samples, eps: float | None = None) -> Array:
     """How far a cotangent-lifted map is from sending the tangent lift of the
     canonical form to the paired difference form, one defect per sample.
 
-    For each sample x in R^{4m}, one row of ``samples`` (k, 4m), the defect is
+    For each sample x in R^{4m} (C.dim = 2m), one row of ``samples`` (k, 4m), the defect is
     max |S^T Omega_pair S - Omega_tangent| with S the finite-difference
     Jacobian of the flat forward map; the result is a (k,) array.  Raises
     ValueError when no sample is given or the samples are not such rows, all
     finite.  The map takes the probes of up to ``_SAMPLES_PER_CALL`` samples
     as one array (:func:`row_jacobian_fd`).
     """
-    d = C.dim
+    d = C.dim // 2
     target = tangent_lifted_symplectic_matrix(d)
     pair = pair_symplectic_matrix(d)
     X = np.asarray(samples, dtype=float)

@@ -82,7 +82,7 @@ def test_each_run_builds_its_phase_maps_once(monkeypatch):
     # second-order phase maps (n = 1, 3) once, and the next run again.
     built = []
     init = CotangentLiftedMap.__init__
-    monkeypatch.setattr(CotangentLiftedMap, "__init__", lambda self, base: built.append(1) or init(self, base))
+    monkeypatch.setattr(CotangentLiftedMap, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
     counts = []
     for _ in range(2):
         built.clear()

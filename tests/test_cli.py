@@ -6,6 +6,7 @@ import pytest
 from geodisc import checks, cli, control
 from geodisc.artifacts import read_csv_columns
 from geodisc.checks import CheckResult
+from geodisc.errors import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -305,6 +306,48 @@ class TestMalformedInput:
         assert err == f"error: config-error: cannot write {args[-1]}: No such file or directory\n"
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--init=" + SE2_INIT, "--steps", "2"],
+            ["shoot", "--problem", "free", "--n", "2", "--q0", "0,0", "--v0", "0,0", "--q1", "1,1", "--v1", "0,0", "--T", "1"],
+        ],
+        ids=["simulate", "shoot"],
+    )
+    def test_unwritable_svg_leaves_no_csv(self, capsys, args, isolated):
+        rc = cli.main([*args, "--csv-out", "left.csv", "--svg-out", "absent/o.svg"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: config-error: cannot write absent/o.svg: No such file or directory\n"
+        assert list(isolated.iterdir()) == []  # no CSV and no temp file
+
+    def test_unwritable_json_prints_no_report(self, capsys, isolated):
+        rc = cli.main(["check", "--suite", "axioms", "--json-out", "absent/x.json"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and len(err.splitlines()) == 1
+        assert list(isolated.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error, raised, message",
+        [
+            (OSError(28, "No space left on device"), ConfigError, "^cannot write new.svg: No space left on device$"),
+            (ValueError("bad rows"), ValueError, "^bad rows$"),
+        ],
+        ids=["os-error", "other-error"],
+    )
+    def test_a_failed_output_keeps_the_earlier_file(self, isolated, error, raised, message):
+        # The first output is staged beside old.csv; the second fails, and
+        # neither the staged file nor a change to old.csv is left behind.
+        (isolated / "old.csv").write_text("old\n")
+
+        def failing(path):
+            raise error
+
+        new = lambda path: open(path, "w").write("new\n")
+        with pytest.raises(raised, match=message):
+            cli._write((new, "old.csv"), (failing, "new.svg"))
+        assert [p.name for p in isolated.iterdir()] == ["old.csv"] and (isolated / "old.csv").read_text() == "old\n"
+
+    @pytest.mark.parametrize(
         "data",
         [["--v0", "0", "--v1", "0", "--T", "1e-300", "--h", "1e-301"], ["--v0", "1e308", "--v1", "1e308", "--T", "1", "--h", "0.5"]],
         ids=["T-tiny", "v-huge"],
@@ -394,12 +437,11 @@ class TestCheck:
 
 
 class TestPlot:
-    def make_csv(self):
+    def make_csv(self, init="2.5,0,0,0,1,0,0,0,0,1,0,0", *flags):
+        # The default start accelerates along x while it moves along y, so
+        # its path curves and spans the plane.
         rc = cli.main(
-            [
-                "simulate", "--problem", "obstacle", "--init", "2.5,0,0,0,1,0,0,0,0,0,0,0",
-                "--h", "0.05", "--steps", "10", "--csv-out", "o.csv",
-            ]
+            ["simulate", "--problem", "obstacle", f"--init={init}", "--h", "0.05", "--steps", "10", "--csv-out", "o.csv", *flags]
         )
         assert rc == 0
 
@@ -410,6 +452,26 @@ class TestPlot:
         assert "<circle" in svg
         points = svg.split('points="')[1].split('"')[0]
         assert len(points.split()) == 11
+
+    @pytest.mark.parametrize("center", ["0,0", "0.5,2", "-3,1.25"])
+    def test_replot_draws_the_simulated_circle(self, center):
+        # The circle is fitted to the clearance column wherever its center is.
+        self.make_csv(SE2_INIT, f"--center={center}", "--tau", "1e-3", "--h", "0.01", "--steps", "400", "--svg-out", "a.svg")
+        assert cli.main(["plot", "o.csv", "b.svg"]) == 0
+        assert "<circle" in open("a.svg").read()
+        assert open("a.svg").read() == open("b.svg").read()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_clearance_draws_no_circle(self, isolated, cell):
+        (isolated / "n.csv").write_text(f"q0,q1,clearance\n0,0,{cell}\n2,0,3\n0,2,3\n")
+        assert cli.main(["plot", "n.csv", "n.svg"]) == 0
+        assert "<circle" not in open("n.svg").read()
+
+    def test_positions_on_a_line_draw_no_circle(self):
+        # Clearances along a line do not fix a circle (the fit has rank 2).
+        self.make_csv("2.5,0,0,0,1,0,0,0,0,0,0,0")
+        assert cli.main(["plot", "o.csv", "o.svg"]) == 0
+        assert "<circle" not in open("o.svg").read()
 
     def test_missing_column(self, isolated, capsys):
         (isolated / "m.csv").write_text("a,b\n1,2\n")

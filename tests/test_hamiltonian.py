@@ -354,7 +354,7 @@ class TestStepKernel:
     @pytest.mark.parametrize("setup", [free_setup, lambda: obstacle_setup(tau=1.0)], ids=["free", "obstacle"])
     def test_chord_block_matches_fd_of_the_residual(self, setup, rng):
         C, H = setup()
-        d = C.dim
+        d = C.dim // 2
         for _ in range(5):
             z0 = rng.normal(size=2 * d) * 0.3
             if d == 6:
@@ -380,7 +380,7 @@ class TestStepKernel:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         C, H = setup()
-        z0 = TestTangent.Z0 if C.dim == 6 else np.array([0.0, 0.1, 0.01, 0.2])
+        z0 = TestTangent.Z0 if C.dim == 12 else np.array([0.0, 0.1, 0.01, 0.2])
         integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size))
         symplectic_step(C, H, 0.01, z0)
         assert calls == []
@@ -428,7 +428,7 @@ class TestStepKernel:
 
         monkeypatch.setattr(geodisc.hamiltonian, "_StepBlocks", counted)
         C, H = setup()
-        z0 = TestTangent.Z0 if C.dim == 6 else np.array([0.0, 0.1, 0.01, 0.2])
+        z0 = TestTangent.Z0 if C.dim == 12 else np.array([0.0, 0.1, 0.01, 0.2])
         integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size))
         assert len(built) == 1
         symplectic_step(C, H, 0.01, z0)
@@ -473,7 +473,7 @@ class TestTangent:
     @pytest.mark.parametrize("setup", [free_setup, lambda: obstacle_setup(tau=1.0)], ids=["free", "obstacle"])
     def test_one_step_jacobian_is_symplectic_and_matches_fd(self, setup, rng):
         C, H = setup()
-        d = 4 * (C.dim // 2)
+        d = C.dim
         Om = canonical_symplectic_matrix(d // 2)
         for _ in range(5):
             z0 = rng.normal(size=d) * 0.3
@@ -505,7 +505,7 @@ def chord_steps(C, H, h, steps, z0, tangent=None):
     """``steps`` steps taken one at a time by :func:`symplectic_step`, the
     chord iteration alone, with the tangent carried by the chord path's own
     solve; returns the states and the final tangent."""
-    d = C.dim
+    d = C.dim // 2
     z = [np.asarray(z0, dtype=float)]
     for _ in range(steps):
         z.append(symplectic_step(C, H, h, z[-1]))

@@ -18,7 +18,14 @@ from geodisc.lifts import (
     symplectomorphism_defects,
     tangent_lifted_symplectic_matrix,
 )
-from geodisc.maps import axiom_defects, midpoint_map, se2_exp_map, sphere_initial_point_map, theta_map
+from geodisc.maps import (
+    DiscretizationMap,
+    axiom_defects,
+    midpoint_map,
+    se2_exp_map,
+    sphere_initial_point_map,
+    theta_map,
+)
 from geodisc.numeric import jacobian_fd, worst_defect
 
 
@@ -106,6 +113,13 @@ class TestHigherOrderLift:
         assert np.allclose(out, np.concatenate([base - fiber / 2, base + fiber / 2]), atol=1e-5)
 
 
+def composed_twin(base):
+    """The second-order phase map of ``base`` through the composed flat maps:
+    the cotangent lift of its order-1 lift with the constant-Jacobian
+    promise dropped, which keeps the lift's closed-form Jacobian."""
+    return cotangent_lift(replace(higher_order_lift(base, 1), jacobian_constant=False))
+
+
 class TestCotangentLift:
     def test_midpoint_closed_form_value(self):
         C = cotangent_lift(midpoint_map(1))
@@ -138,8 +152,7 @@ class TestCotangentLift:
     def test_lift_of_nonsymmetric_base(self, rng):
         # theta != 1/2 still yields a valid discretization map on T*Q.
         C = cotangent_lift(theta_map(1, 0.25))
-        D = C.as_discretization_map()
-        defects = axiom_defects(D, [rng.normal(size=2) for _ in range(10)])
+        defects = axiom_defects(C, [rng.normal(size=2) for _ in range(10)])
         assert defects.shape == (10, 2) and np.all(defects <= 1e-7), defects
 
     @pytest.mark.parametrize(
@@ -147,28 +160,28 @@ class TestCotangentLift:
     )
     def test_constant_inverse_jacobian_matches_fd(self, C, rng):
         for _ in range(5):
-            y = rng.normal(size=4 * C.dim)
+            y = rng.normal(size=2 * C.dim)
             assert np.allclose(C.inverse_jacobian_flat(y), jacobian_fd(C.inverse_flat, y), rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_affine_inverse_is_the_composed_inverse_bit_for_bit(self, n, rng):
         # Midpoint coefficients (+-1/2, +-1) make every product exact, so the
         # one matvec rounds exactly as the composed path does.
-        C = second_order_phase_map(n)
+        C, composed = second_order_phase_map(n), composed_twin(midpoint_map(n))
         for _ in range(200):
             y = rng.normal(size=8 * n) * 10.0 ** rng.integers(-3, 4)
-            assert np.array_equal(C.inverse_flat(y), C._composed_inverse_flat(y))
+            assert np.array_equal(C.inverse_flat(y), composed.inverse_flat(y))
 
     def test_affine_inverse_matches_composed_theta_to_rounding(self, rng):
         # theta = 0.3 products are inexact: BLAS may fuse a row's two
         # multiply-adds in one path and not the other, which moves each
         # entry by at most one rounding of its terms.
-        C = second_order_phase_map(3, theta_map(3, 0.3))
+        C, composed = second_order_phase_map(3, theta_map(3, 0.3)), composed_twin(theta_map(3, 0.3))
         K = C.inverse_jacobian_flat(np.zeros(24))
         for _ in range(200):
             y = rng.normal(size=24) * 10.0 ** rng.integers(-3, 4)
             bound = 2 * np.finfo(float).eps * (np.abs(K) @ np.abs(y))
-            assert np.all(np.abs(C.inverse_flat(y) - C._composed_inverse_flat(y)) <= bound)
+            assert np.all(np.abs(C.inverse_flat(y) - composed.inverse_flat(y)) <= bound)
 
     def test_generic_inverse_jacobian_matches_constant(self, rng):
         # Central differences of an inverse that itself takes jet derivatives
@@ -187,10 +200,41 @@ class TestCotangentLift:
         assert np.allclose(C.inverse_flat(C.forward_flat(x)), x, atol=1e-9)
 
 
+class TestCotangentLiftIsADiscretizationMap:
+    """A cotangent lift is a discretization map on T*M: the checked views,
+    the constant Jacobian and the lifts of its base apply to it."""
+
+    @pytest.mark.parametrize(
+        "D", [midpoint_map(2), higher_order_lift(theta_map(2, 0.3), 1), se2_exp_map()], ids=["midpoint", "theta-lift1", "se2"]
+    )
+    def test_checked_views_round_trip_on_the_phase_space(self, D, rng):
+        C = cotangent_lift(D)
+        assert isinstance(C, DiscretizationMap) and C.dim == 2 * D.dim
+        z, zdot = 0.3 * rng.normal(size=(2, 5, C.dim))
+        a, b = C.forward(z, zdot)
+        assert a.shape == b.shape == (5, C.dim)
+        assert np.array_equal(np.concatenate([a, b], axis=-1), C.forward_flat(np.concatenate([z, zdot], axis=-1)))
+        z_back, zdot_back = C.inverse(a, b)
+        # To rounding, or to the finite differences of the se2 lift's jets.
+        assert np.max(np.abs(z_back - z)) < 1e-9 and np.max(np.abs(zdot_back - zdot)) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_lift_of_an_affine_cotangent_lift_is_affine(self, n, rng):
+        # The order-1 lift of the phase map keeps its constant Jacobian and
+        # takes the prebuilt matrices, not the jet path with its Jacobians.
+        C = second_order_phase_map(n)
+        affine, jets = higher_order_lift(C, 1), higher_order_lift(replace(C, jacobian_constant=False), 1)
+        assert C.jacobian_constant and affine.jacobian_constant and not jets.jacobian_constant
+        eps = np.finfo(float).eps
+        X = rng.normal(size=(50, 2 * affine.dim)) * 10.0 ** rng.integers(-3, 4, size=(50, 1))
+        bound = 4 * eps * np.abs(X).max(axis=1)
+        for flat in ("forward_flat", "inverse_flat"):
+            diff = np.abs(getattr(affine, flat)(X) - getattr(jets, flat)(X)).max(axis=1)
+            assert np.all(diff <= bound), flat
+
+
 AFFINE_CASES = pytest.mark.parametrize(
-    "C",
-    [second_order_phase_map(1), second_order_phase_map(3), second_order_phase_map(3, theta_map(3, 0.3))],
-    ids=["midpoint-n1", "midpoint-n3", "theta0.3-n3"],
+    "base", [midpoint_map(1), midpoint_map(3), theta_map(3, 0.3)], ids=["midpoint-n1", "midpoint-n3", "theta0.3-n3"]
 )
 
 
@@ -198,26 +242,30 @@ class TestAffineForward:
     """The prebuilt forward x -> F x + f of a constant-Jacobian lift."""
 
     @AFFINE_CASES
-    def test_matches_the_composed_forward_to_rounding(self, C, rng):
+    def test_matches_the_composed_forward_to_rounding(self, base, rng):
+        C, composed = second_order_phase_map(base.dim, base), composed_twin(base)
         eps = np.finfo(float).eps
         for _ in range(200):
-            x = rng.normal(size=4 * C.dim) * 10.0 ** rng.integers(-3, 4)
+            x = rng.normal(size=2 * C.dim) * 10.0 ** rng.integers(-3, 4)
             bound = 4 * eps * np.max(np.abs(x))
-            assert np.max(np.abs(C.forward_flat(x) - C._composed_forward_flat(x))) <= bound
+            assert np.max(np.abs(C.forward_flat(x) - composed.forward_flat(x))) <= bound
 
     @AFFINE_CASES
-    def test_round_trips_with_the_affine_inverse(self, C, rng):
+    def test_round_trips_with_the_affine_inverse(self, base, rng):
+        C = second_order_phase_map(base.dim, base)
         eps = np.finfo(float).eps
         for _ in range(200):
-            x = rng.normal(size=4 * C.dim) * 10.0 ** rng.integers(-3, 4)
+            x = rng.normal(size=2 * C.dim) * 10.0 ** rng.integers(-3, 4)
             assert np.max(np.abs(C.inverse_flat(C.forward_flat(x)) - x)) <= 4 * eps * np.max(np.abs(x))
             assert np.max(np.abs(C.forward_flat(C.inverse_flat(x)) - x)) <= 4 * eps * np.max(np.abs(x))
 
     def test_matrices_are_read_only_and_absent_for_other_bases(self):
-        F, f = second_order_phase_map(1).affine_forward
-        assert not F.flags.writeable and not f.flags.writeable
+        C = second_order_phase_map(1)
+        K, k = C.affine_inverse
+        F = C.jacobian_forward_flat(np.zeros(8))
+        assert C.jacobian_constant and not any(a.flags.writeable for a in (F, K, k))
         generic = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
-        assert generic.affine_forward is None and generic.affine_inverse is None
+        assert not generic.jacobian_constant and generic.jacobian_fn is None and generic.affine_inverse is None
 
     def test_forward_is_one_matvec(self, monkeypatch, rng):
         calls = []
@@ -230,15 +278,16 @@ class TestAffineForward:
             return wrapped
 
         base = higher_order_lift(midpoint_map(2), 1)
-        C = cotangent_lift(
-            replace(base, jacobian_fn=counting("jacobian", base.jacobian_fn), forward_flat=counting("forward", base.forward_flat))
+        counted = replace(
+            base, jacobian_fn=counting("jacobian", base.jacobian_fn), forward_flat=counting("forward", base.forward_flat)
         )
+        C, composed = cotangent_lift(counted), cotangent_lift(replace(counted, jacobian_constant=False))
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         calls.clear()  # the construction's own calls
         for _ in range(10):
             C.forward_flat(rng.normal(size=16))
         assert calls == []
-        C._composed_forward_flat(rng.normal(size=16))
+        composed.forward_flat(rng.normal(size=16))
         assert calls == ["forward", "jacobian", "solve"]
 
 
@@ -246,35 +295,39 @@ class TestAffineRows:
     """The affine flat maps of a cotangent lift on rows (..., 4d)."""
 
     @AFFINE_CASES
-    def test_rows_match_one_row_calls(self, C, rng):
+    def test_rows_match_one_row_calls(self, base, rng):
+        C = second_order_phase_map(base.dim, base)
         eps = np.finfo(float).eps
-        X = rng.normal(size=(2, 15, 4 * C.dim)) * 10.0 ** rng.integers(-3, 4, size=(2, 15, 1))
-        for flat, (M, _) in ((C.forward_flat, C.affine_forward), (C.inverse_flat, C.affine_inverse)):
+        X = rng.normal(size=(2, 15, 2 * C.dim)) * 10.0 ** rng.integers(-3, 4, size=(2, 15, 1))
+        F, K = C.jacobian_forward_flat(np.zeros(2 * C.dim)), C.affine_inverse[0]
+        for flat, M in ((C.forward_flat, F), (C.inverse_flat, K)):
             Y = flat(X)
             assert Y.shape == X.shape
-            for x, y in zip(X.reshape(-1, 4 * C.dim), Y.reshape(-1, 4 * C.dim)):
+            for x, y in zip(X.reshape(-1, 2 * C.dim), Y.reshape(-1, 2 * C.dim)):
                 bound = 2 * eps * np.linalg.norm(M, np.inf) * np.max(np.abs(x))
                 assert np.max(np.abs(y - flat(x))) <= bound
 
     @AFFINE_CASES
-    def test_symplectomorphism_rows_path_matches_jacobian_fd(self, C, rng):
+    def test_symplectomorphism_rows_path_matches_jacobian_fd(self, base, rng):
         from geodisc.numeric import row_jacobian_fd
 
+        C = second_order_phase_map(base.dim, base)
         for _ in range(5):
-            x = rng.normal(size=4 * C.dim)
+            x = rng.normal(size=2 * C.dim)
             assert np.max(np.abs(row_jacobian_fd(C.forward_flat, x) - jacobian_fd(C.forward_flat, x))) <= 1e-12
-        samples = [rng.normal(size=4 * C.dim) for _ in range(5)]
+        samples = [rng.normal(size=2 * C.dim) for _ in range(5)]
         defects = symplectomorphism_defects(C, samples)
-        target, pair = tangent_lifted_symplectic_matrix(C.dim), pair_symplectic_matrix(C.dim)
+        d = C.dim // 2
+        target, pair = tangent_lifted_symplectic_matrix(d), pair_symplectic_matrix(d)
         for x, defect in zip(samples, defects, strict=True):
             S = jacobian_fd(C.forward_flat, x)
             assert abs(defect - np.max(np.abs(S.T @ pair @ S - target))) <= 1e-12
 
-    def test_symplectomorphism_probes_in_one_call(self, monkeypatch, rng):
+    def test_symplectomorphism_probes_in_one_call(self, rng):
         C = second_order_phase_map(3)
         shapes = []
         forward = C.forward_flat
-        monkeypatch.setattr(C, "forward_flat", lambda x: shapes.append(np.shape(x)) or forward(x))
+        C = replace(C, forward_flat=lambda x: shapes.append(np.shape(x)) or forward(x))
         symplectomorphism_defects(C, [rng.normal(size=24) for _ in range(3)])
         assert shapes == [(3, 48, 24)]  # the 48 probes of each of the 3 samples, in one call
         with pytest.raises(ValueError, match="eps must be positive"):
@@ -344,7 +397,7 @@ class TestSymplecticStructure:
     def test_non_symplectic_map_detected(self, rng):
         # Scaling one momentum block breaks the pairing.
         class Scaled:
-            dim = 2
+            dim = 4
 
             def forward_flat(self, x):
                 y = midpoint_cotangent_closed_form(x, 2, inverse=False)
@@ -359,7 +412,7 @@ class TestSymplecticStructure:
         class NanAtSecondSample:
             """The midpoint lift on rows, except that rows near the second sample are nan."""
 
-            dim = 2
+            dim = 4
 
             def __init__(self, bad):
                 self.bad = bad

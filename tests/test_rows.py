@@ -119,10 +119,10 @@ COMPOSED = [
 @pytest.mark.parametrize("C", [c[1] for c in COMPOSED], ids=[c[0] for c in COMPOSED])
 def test_composed_lift_rows_equal_one_point_calls(C, rng):
     assert C.affine_inverse is None
-    X = 0.3 * rng.normal(size=(2, 4, 4 * C.dim))
+    X = 0.3 * rng.normal(size=(2, 4, 2 * C.dim))
     for name in ("forward_flat", "inverse_flat", "inverse_jacobian_flat"):
         rows = getattr(C, name)(X)
-        stacked = np.array([getattr(C, name)(x) for x in X.reshape(-1, 4 * C.dim)])
+        stacked = np.array([getattr(C, name)(x) for x in X.reshape(-1, 2 * C.dim)])
         assert np.array_equal(rows, stacked.reshape(rows.shape)), name
     # The rows are the right points too, to the finite differences of the
     # se2 lift's jets (~1e-7).
@@ -163,15 +163,16 @@ def test_sphere_cotangent_lift_raises_singular_jacobian(order):
     # map (or its order-1 lift, whose condition numbers are 1e12 and up) is
     # singular to working precision: neither direction is defined.
     D = sphere_initial_point_map()
-    C = cotangent_lift(D if order is None else higher_order_lift(D, order))
-    d = C.dim
+    base = D if order is None else higher_order_lift(D, order)
+    C = cotangent_lift(base)
+    d = C.dim // 2
     rng = np.random.default_rng(2)
     q, xi = sphere_tangents(rng, 20)
     X = 0.3 * rng.normal(size=(20, 4 * d))
     X[:, :3], X[:, 2 * d : 2 * d + 3] = q, xi
     # Pairs of the base map's image, with random covectors.
     Y = X.copy()
-    pairs = C.base.forward_flat(np.concatenate([X[:, :d], X[:, 2 * d : 3 * d]], axis=-1))
+    pairs = base.forward_flat(np.concatenate([X[:, :d], X[:, 2 * d : 3 * d]], axis=-1))
     Y[:, :d], Y[:, 2 * d : 3 * d] = pairs[:, :d], pairs[:, d:]
     for flat, points in ((C.forward_flat, X), (C.inverse_flat, Y)):
         for x in points:
@@ -262,7 +263,7 @@ def _axiom_loop(rng):
     cases.append(("sphere geodesic-midpoint", sphere_geodesic_midpoint_map(), sphere_pts))
     se2_pts = [np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2.0, 2.0)]) for _ in range(25)]
     cases.append(("se2 exponential", se2_exp_map(), se2_pts))
-    lifted = second_order_phase_map(1).as_discretization_map()
+    lifted = second_order_phase_map(1)
     cases.append(("cotangent-lifted midpoint on T*(TQ)", lifted, [rng.normal(size=4) for _ in range(25)]))
     return [(label, _verify_one_sample_at_a_time(D, samples)) for label, D, samples in cases]
 
@@ -325,7 +326,7 @@ def _step_symplecticity_loop(rng):
         (second_order_phase_map(1), second_order_hamiltonian(1), free),
         (second_order_phase_map(3), second_order_hamiltonian(3, V), obstacle),
     ):
-        Om = canonical_symplectic_matrix(C.dim)
+        Om = canonical_symplectic_matrix(C.dim // 2)
         Ms = [checks._one_step_jacobian(C, H, 0.01, z0) for z0 in samples]
         defects.append(worst_defect([np.max(np.abs(M.T @ Om @ M - Om)) for M in Ms]))
     return defects
