@@ -13,15 +13,12 @@ turns it into the jet (..., k + 1, 2 n) of a tangent-bundle curve, slot r
 being (base_r, fiber_r), and :func:`unzip_jet_tangent` undoes it; the same
 pair turns a pair of jets into the jet of a pair curve and back.
 
-``jet_pushforward`` maps the jet of c to the jet of F o c, and the jet order
-picks the rule: orders <= 2 take the chain rule with the closed-form
-Jacobian of F and a fourth-order stencil for the second directional
-derivative; orders 3 and 4 rebuild the polynomial curve, compose it with F
-and differentiate the composition by central stencils.
+``jet_pushforward`` maps the jet of c, of order at most 2, to the jet of
+F o c by the chain rule, with the closed-form Jacobian of F and a
+fourth-order stencil for the second directional derivative.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -50,7 +47,7 @@ def unzip_jet_tangent(j) -> Array:
 def jet_of_curve(c: Callable[[float], Array], order: int) -> Array:
     """Order-k jet (k + 1, n) of a black-box curve at t = 0; a curve whose
     values are (..., n) rows gives one jet per row, (..., k + 1, n)."""
-    return np.stack(taylor_derivatives(c, 0.0, order), axis=-2)
+    return np.stack(taylor_derivatives(c, order), axis=-2)
 
 
 def directional_second_derivative(F, x: Array, Fx: Array, u: Array) -> Array:
@@ -73,15 +70,12 @@ def directional_second_derivative(F, x: Array, Fx: Array, u: Array) -> Array:
 
 
 def jet_pushforward(F: Callable[[Array], Array], j, jacobian: Callable[[Array, Array], Array]) -> Array:
-    """Jet of F o c given the jet j (..., k + 1, n) of c, for k <= 4.
-
-    Up to order 2 this is the chain rule, (F(x0), J x1, d^2 F(x0)[x1, x1] +
-    J x2), with J = ``jacobian(x0, F(x0))`` the closed-form Jacobian of F at
-    the slot-0 points (F's value there is passed along, so a callback that
-    needs it need not evaluate F again) and the second directional
-    derivative by :func:`directional_second_derivative`.  Orders 3 and 4
-    compose F with the polynomial curve of j and take the composition's jet
-    (:func:`jet_of_curve`); they do not call ``jacobian``.
+    """Jet of F o c given the jet j (..., k + 1, n) of c, for k <= 2: the
+    chain rule, (F(x0), J x1, d^2 F(x0)[x1, x1] + J x2), with J =
+    ``jacobian(x0, F(x0))`` the closed-form Jacobian of F at the slot-0
+    points (F's value there is passed along, so a callback that needs it need
+    not evaluate F again) and the second directional derivative by
+    :func:`directional_second_derivative`.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim < 2 or not np.isfinite(j).all():
@@ -89,16 +83,6 @@ def jet_pushforward(F: Callable[[Array], Array], j, jacobian: Callable[[Array, A
     k = j.shape[-2] - 1
     if k > MAX_TAYLOR_ORDER:
         raise UnsupportedOrder(f"jet order {k} exceeds the supported maximum {MAX_TAYLOR_ORDER}")
-    if k >= 3:
-        coeffs = [j[..., r, :] / math.factorial(r) for r in range(k + 1)]
-
-        def composed(t: float) -> Array:
-            c = coeffs[-1]
-            for a in coeffs[-2::-1]:
-                c = a + t * c
-            return F(c)
-
-        return jet_of_curve(composed, k)
     x0 = j[..., 0, :]
     y0 = _eval_vector(F, x0)
     slots = [y0]

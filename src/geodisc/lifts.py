@@ -87,10 +87,12 @@ def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
     matrix so that evaluations are exact and cheap; any other base is pushed
     through its flat maps, with derivatives from its ``jacobian_forward_flat``
     (inverted at the preimage for the inverse jets), and the lift's own
-    Jacobian is taken by central differences.
+    Jacobian is taken by central differences.  An affine lift, a matrix,
+    takes orders up to 4, any other up to ``MAX_TAYLOR_ORDER`` = 2.
     """
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_TAYLOR_ORDER:
-        raise UnsupportedOrder(f"lift order must be an integer in [0, {MAX_TAYLOR_ORDER}], got {order!r}")
+    top = 4 if D.jacobian_constant else MAX_TAYLOR_ORDER
+    if not isinstance(order, (int, np.integer)) or order < 0 or order > top:
+        raise UnsupportedOrder(f"lift order must be an integer in [0, {top}], got {order!r}")
     k = int(order)
     dim = (k + 1) * D.dim
     name = f"lift{k}({D.name})" if D.name else f"lift{k}"
@@ -143,6 +145,10 @@ class CotangentLiftedMap(DiscretizationMap):
     """
 
     affine_inverse: tuple[Array, Array] | None = None
+
+    def __post_init__(self) -> None:
+        if self.affine_inverse is not None and not self.jacobian_constant:
+            raise ValueError("a cotangent lift with a point-dependent Jacobian has no affine inverse")
 
     def inverse_jacobian_flat(self, y) -> Array:
         """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y, one matrix per row:

@@ -7,14 +7,12 @@ row, and give every row the bits of its one-point value. The rest of
 the package builds its maps, lifts and integrators on top of these helpers, so
 the conventions fixed here (central differences, infinity-norm stopping tests)
 propagate everywhere.  :func:`taylor_derivatives` differentiates a black-box
-curve by central stencils up to order ``MAX_TAYLOR_ORDER``; the jets of
-:mod:`geodisc.jets` take it for the jet of a curve and for pushforwards of
-orders 3 and 4 (orders up to 2 take the chain rule).
+curve at 0 by central stencils up to order ``MAX_TAYLOR_ORDER`` = 2; the
+jets of :mod:`geodisc.jets` take it for the jet of a curve.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +31,8 @@ Array = np.ndarray
 VectorFunc = Callable[[Array], Array]
 
 #: Highest derivative order supported by ``taylor_derivatives`` (and therefore
-#: by jets built on top of it).
-MAX_TAYLOR_ORDER = 4
+#: by the jets pushed through a map that is not affine).
+MAX_TAYLOR_ORDER = 2
 
 # Errors that mean "this probe point was bad", as opposed to "the function is
 # broken".  Damped iterations are allowed to back off when they see one.
@@ -220,79 +218,29 @@ def newton_solve(
     )
 
 
-def fd_weights(offsets: Sequence[float], order: int) -> Array:
-    """Finite-difference weights for the ``order``-th derivative at 0.
-
-    Fornberg's recurrence on an arbitrary grid of ``offsets``; returns ``w``
-    with sum_i w_i f(offset_i) ~ f^(order)(0).
-    """
-    x = np.asarray(offsets, dtype=float)
-    n = x.size
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if order >= n:
-        raise ValueError(f"need at least {order + 1} points for derivative order {order}")
-    C = np.zeros((n, order + 1))
-    C[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
-                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
-            C[j, 0] = c4 * C[j, 0] / c3
-        c1 = c2
-    return C[:, order]
+#: The central five-point stencils, (h, weights at h (-2, -1, 0, 1, 2)), of
+#: the first and second derivative at 0: Fornberg's weights, on steps where
+#: truncation (h^4) and roundoff amplification balance near 1e-8 relative.
+_STENCILS = (
+    (1e-3, (83.33333333333333, -666.6666666666666, 0.0, 666.6666666666666, -83.33333333333331)),
+    (2e-3, (-20833.333333333332, 333333.3333333333, -625000.0, 333333.3333333334, -20833.333333333336)),
+)
 
 
-# Step sizes and symmetric stencil half-widths per derivative order, tuned so
-# that truncation (h^4 with the stencils below) and roundoff amplification
-# balance near 1e-8 relative in the worst case.
-_FD_ORDER_STEP = {1: 1e-3, 2: 2e-3, 3: 5e-3, 4: 1.5e-2}
-_FD_HALF_WIDTH = {1: 2, 2: 2, 3: 3, 4: 3}
-
-
-@lru_cache(maxsize=64)
-def _fd_stencil(r: int, scale: float) -> tuple[Array, Array]:
-    """Offsets and weights of the order-r stencil at time scale ``scale``."""
-    h = _FD_ORDER_STEP[r] * scale
-    s = _FD_HALF_WIDTH[r]
-    offsets = np.arange(-s, s + 1) * h
-    w = fd_weights(offsets, r)
-    offsets.setflags(write=False)
-    w.setflags(write=False)
-    return offsets, w
-
-
-def taylor_derivatives(f, t0: float, order: int) -> list[Array]:
-    """Derivatives (f(t0), f'(t0), ..., f^(order)(t0)) of a black-box curve
-    f: R -> R^m by fourth-order-accurate central stencils with per-order
-    step sizes.  f(t0) is evaluated once and serves every stencil's zero
-    offset.
-
-    Scalar-valued curves come back as length-1 vectors.  Orders above
-    ``MAX_TAYLOR_ORDER`` raise :class:`UnsupportedOrder`.
+def taylor_derivatives(f, order: int) -> list[Array]:
+    """Derivatives (f(0), f'(0), ..., f^(order)(0)) of a black-box curve
+    f: R -> R^m by the fourth-order-accurate central stencils ``_STENCILS``;
+    f(0) is evaluated once and serves both zero offsets.  Scalar-valued
+    curves come back as length-1 vectors.  Orders above ``MAX_TAYLOR_ORDER``
+    raise :class:`UnsupportedOrder`.
     """
     if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_TAYLOR_ORDER:
         raise UnsupportedOrder(f"derivative order must be an integer in [0, {MAX_TAYLOR_ORDER}], got {order!r}")
-    t0 = float(t0)
-    f0 = _eval_vector(f, t0)
+    f0 = _eval_vector(f, 0.0)
     out = [f0]
-    scale = max(1.0, abs(t0))
-    for r in range(1, int(order) + 1):
-        offsets, w = _fd_stencil(r, scale)
+    for h, w in _STENCILS[: int(order)]:
         acc = np.zeros_like(f0)
-        for off, wi in zip(offsets, w):
-            acc = acc + wi * (f0 if off == 0.0 else _eval_vector(f, t0 + off))
+        for k, wi in zip(range(-2, 3), w):
+            acc = acc + wi * (f0 if k == 0 else _eval_vector(f, k * h))
         out.append(acc)
     return out

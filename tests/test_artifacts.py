@@ -1,12 +1,19 @@
+from fractions import Fraction
+
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from geodisc.artifacts import (
+    _DECADES,
+    _g17,
     read_csv_columns,
     trajectory_columns,
     write_trajectory_csv,
     write_xy_svg,
 )
+from geodisc.control import simulate
 from geodisc.hamiltonian import Trajectory
 
 
@@ -61,11 +68,67 @@ class TestTrajectoryCsv:
         write_trajectory_csv(str(path), traj, clearances)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
+    @pytest.mark.parametrize(
+        "n, init, obstacle",
+        [(1, [0.3, -0.2, 0.02, -0.1], None), (3, [-2, -1.2, 0, 1, 0, 0, 0, 0, 0, 0, 0.01, 0], (1e-3, 1.0, (0, 0)))],
+        ids=["free-n1", "obstacle-n3"],
+    )
+    def test_bytes_match_the_row_template(self, tmp_path, n, init, obstacle):
+        # The per-row template the writer used before its array kernel.
+        report = simulate(n, 0.01, 400, np.array(init, dtype=float), obstacle=obstacle)
+        traj, clearances = report.trajectory, report.clearances
+        columns = [traj.times, traj.z, traj.controls, traj.energies]
+        if clearances is not None:
+            columns.append(clearances)
+        table = np.column_stack(columns)
+        if obstacle is None:
+            assert clearances is None  # the blank clearance cell
+        else:  # zero columns and cells %g prints in exponent form
+            assert np.all(table == 0, axis=0).sum() >= 3 and np.sum((table != 0) & (np.abs(table) < 1e-4)) >= 100
+        row = ",".join(["%.17g"] * table.shape[1]) + ("," if clearances is None else "") + "\n"
+        want = ",".join(trajectory_columns(n)) + "\n" + "".join(row % tuple(values) for values in table.tolist())
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(str(path), traj, clearances)
+        assert path.read_text() == want
+
     def test_overwrite_replaces_content(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("stale")
         write_trajectory_csv(str(path), tiny_traj())
         assert path.read_text().startswith("t,")
+
+
+def commas(v):
+    return np.frombuffer(b",\0\0\0" * v.size, np.uint32)
+
+
+class TestG17:
+    """The array kernel behind the CSV writer against ``b"%.17g" % x``."""
+
+    @hyp.settings(max_examples=300)
+    @hyp.given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+    def test_matches_percent_formatting(self, values):
+        v = np.array(values)
+        assert _g17(v, commas(v)) == b"".join(b"%.17g," % x for x in values)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(21)
+        bits = rng.integers(0, 2**64, size=120_000, dtype=np.uint64).view(np.float64)  # nan payloads, subnormals
+        fixed = rng.uniform(1, 10, size=230_000) * 10.0 ** rng.integers(-5, 17, size=230_000)  # 17 digits, no exponent
+        ties = (2 * rng.integers(2 * 10**15, 45 * 10**14, size=150_000) + 1) / 4.0  # odd k / 4: 18-digit ties
+        powers = np.array([float(f"1e{E}") for E in range(-6, 19)])
+        near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        edges = np.array([1e-4, np.nextafter(1e-4, 0.0), 99999999999999999.0, 1e17, np.nextafter(1e17, 0.0), 0.0])
+        v = np.concatenate([bits, fixed, ties, near, edges])
+        v = np.concatenate([v, -v])
+        assert v.size >= 10**6
+        for i in range(0, v.size, 8192):
+            chunk = v[i : i + 8192]
+            assert _g17(chunk, commas(chunk)) == b"".join(b"%.17g," % x for x in chunk.tolist()), i
+
+    def test_decades_are_the_least_doubles_at_their_powers(self):
+        # The exponent of |v| is the number of these at or below it.
+        assert all(Fraction(d) >= Fraction(10) ** E > Fraction(np.nextafter(d, 0.0)) for E, d in zip(range(-5, 17), _DECADES))
 
 
 class TestReadCsvColumns:

@@ -11,6 +11,7 @@ from geodisc.jets import (
     unzip_jet_tangent,
     zip_jet_tangent,
 )
+from jet_oracles import composed_jet
 
 
 def poly_curve(coeffs):
@@ -71,7 +72,7 @@ class TestJetOfCurve:
 
     def test_order_above_cap(self):
         with pytest.raises(UnsupportedOrder):
-            jet_of_curve(lambda t: np.array([t]), 5)
+            jet_of_curve(lambda t: np.array([t]), 3)
 
 
 class TestDirectionalSecondDerivative:
@@ -115,14 +116,17 @@ class TestJetPushforward:
             assert np.allclose(out[r], M @ j[r], atol=1e-9)
 
     def test_order3_polynomial_composition(self):
-        # c(t) = (t, t^2), F(x, y) = x*y => (F o c)(t) = t^3, third deriv 6.
+        # c(t) = (t, t^2), F(x, y) = x*y => (F o c)(t) = t^3, third deriv 6:
+        # the composed-curve oracle has it; the chain rule stops at order 2.
         j = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         F = lambda x: np.array([x[0] * x[1]])
-        out = jet_pushforward(F, j, jacobian=lambda x, y: np.array([[x[1], x[0]]]))
+        out = composed_jet(F, j)
         assert abs(out[0, 0]) < 1e-9
         assert abs(out[1, 0]) < 1e-6
         assert abs(out[2, 0]) < 1e-4
         assert abs(out[3, 0] - 6.0) < 1e-3
+        with pytest.raises(UnsupportedOrder, match="jet order 3 exceeds the supported maximum 2"):
+            jet_pushforward(F, j, jacobian=lambda x, y: np.array([[x[1], x[0]]]))
 
     @hyp.given(st.integers(0, 2 ** 31 - 1))
     def test_composition_of_pushforwards(self, seed):
@@ -139,8 +143,8 @@ class TestJetPushforward:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_jet_rejected(self, bad):
-        for order in (2, 3):  # the chain rule and the composed curve
+        for order in (1, 2):
             j = np.zeros((order + 1, 2))
-            j[2, 1] = bad
+            j[order, 1] = bad
             with pytest.raises(ValueError, match="finite"):
                 jet_pushforward(lambda x: x, j, jacobian=lambda x, y: np.eye(2))

@@ -27,6 +27,7 @@ from geodisc.maps import (
     theta_map,
 )
 from geodisc.numeric import jacobian_fd, worst_defect
+from jet_oracles import composed_jet
 
 
 class TestTangentLift:
@@ -95,22 +96,34 @@ class TestHigherOrderLift:
     @pytest.mark.parametrize("order, atol", [(0, 0.0), (1, 4e-15), (2, 1e-9), (3, 1e-7), (4, 1e-6)])
     @pytest.mark.parametrize("D", [midpoint_map(2), theta_map(2, 0.3)], ids=["midpoint", "theta0.3"])
     def test_affine_lift_is_the_pushed_forward_lift(self, D, order, atol, rng):
-        # The prebuilt matrices against jets pushed through the same base map
-        # marked non-affine (the chain rule up to order 2, the composed curve above).
+        # The prebuilt matrices against jets pushed through the same base map:
+        # marked non-affine up to order 2 (the chain rule), by the
+        # composed-curve oracle above.
         affine = higher_order_lift(D, order)
-        pushed = higher_order_lift(replace(D, jacobian_constant=False), order)
+        if order <= 2:
+            pushed = higher_order_lift(replace(D, jacobian_constant=False), order)
+            maps = {name: getattr(pushed, name) for name in ("forward_flat", "inverse_flat")}
+        else:
+            maps = {
+                name: lambda X, F=getattr(D, name): unzip_jet_tangent(composed_jet(F, zip_jet_tangent(X, order)))
+                for name in ("forward_flat", "inverse_flat")
+            }
         X = rng.normal(size=(20, 2 * affine.dim))
-        for name in ("forward_flat", "inverse_flat"):
-            a, b = getattr(affine, name)(X), getattr(pushed, name)(X)
+        for name, pushed_flat in maps.items():
+            a, b = getattr(affine, name)(X), pushed_flat(X)
             assert a.shape == b.shape == X.shape
             assert np.max(np.abs(a - b)) <= atol, name
 
     def test_third_order_lift_runs(self, rng):
-        lift = higher_order_lift(replace(midpoint_map(1), jacobian_constant=False), 3)
+        # Affine, the order-3 midpoint lift is the midpoint map on every slot;
+        # a base that is not affine stops at order 2.
+        lift = higher_order_lift(midpoint_map(1), 3)
         x = rng.normal(size=8)
         out = lift.forward_flat(x)
         base, fiber = x[:4], x[4:]
-        assert np.allclose(out, np.concatenate([base - fiber / 2, base + fiber / 2]), atol=1e-5)
+        assert np.allclose(out, np.concatenate([base - fiber / 2, base + fiber / 2]), atol=1e-12)
+        with pytest.raises(UnsupportedOrder, match=r"\[0, 2\]"):
+            higher_order_lift(replace(midpoint_map(1), jacobian_constant=False), 3)
 
 
 def composed_twin(base):
@@ -223,7 +236,8 @@ class TestCotangentLiftIsADiscretizationMap:
         # The order-1 lift of the phase map keeps its constant Jacobian and
         # takes the prebuilt matrices, not the jet path with its Jacobians.
         C = second_order_phase_map(n)
-        affine, jets = higher_order_lift(C, 1), higher_order_lift(replace(C, jacobian_constant=False), 1)
+        affine = higher_order_lift(C, 1)
+        jets = higher_order_lift(replace(C, jacobian_constant=False, affine_inverse=None), 1)
         assert C.jacobian_constant and affine.jacobian_constant and not jets.jacobian_constant
         eps = np.finfo(float).eps
         X = rng.normal(size=(50, 2 * affine.dim)) * 10.0 ** rng.integers(-3, 4, size=(50, 1))
@@ -231,6 +245,15 @@ class TestCotangentLiftIsADiscretizationMap:
         for flat in ("forward_flat", "inverse_flat"):
             diff = np.abs(getattr(affine, flat)(X) - getattr(jets, flat)(X)).max(axis=1)
             assert np.all(diff <= bound), flat
+
+
+    def test_a_point_dependent_jacobian_has_no_affine_inverse(self):
+        # A copy that drops the constant Jacobian must drop the prebuilt
+        # inverse too, or the step would still fold it.
+        C = second_order_phase_map(1)
+        with pytest.raises(ValueError, match="no affine inverse"):
+            replace(C, jacobian_constant=False)
+        assert replace(C, jacobian_constant=False, affine_inverse=None).affine_inverse is None
 
 
 AFFINE_CASES = pytest.mark.parametrize(
