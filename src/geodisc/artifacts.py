@@ -1,17 +1,16 @@
 """Trajectory CSV and SVG output.
 
-Files are written atomically (temp file in the target directory, then rename)
-and deterministically: identical trajectories produce byte-identical files.
-The SVG side sticks to polyline and circle primitives so no plotting
-dependency is needed.
+Each writer writes the bytes of its file straight to the path it is given,
+deterministically: identical trajectories produce byte-identical files.
+Staging a command's outputs so that it writes all or none of them is the
+command line's job (``geodisc.cli``).  The SVG side sticks to polyline and
+circle primitives so no plotting dependency is needed.
 """
 from __future__ import annotations
 
 import itertools
-import os
-import tempfile
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,24 +23,14 @@ __all__ = [
     "write_trajectory_csv",
     "read_csv_columns",
     "write_xy_svg",
+    "write_bytes",
 ]
 
 
-def _atomic_write_text(path, chunks: Iterable[str]) -> None:
-    """Write the strings in ``chunks``, in order, as the new content of ``path``."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".geodisc-", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def write_bytes(path, chunks: Iterable[bytes]) -> None:
+    """Write the byte strings in ``chunks``, in order, as the content of ``path``."""
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def trajectory_columns(n: int) -> list[str]:
@@ -72,8 +61,8 @@ def write_trajectory_csv(path, traj: Trajectory, clearances=None) -> None:
     rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
     words = np.tile(np.frombuffer(seps, np.uint32), rows)
     # A block of rows at a time (about 400 bytes of temporaries a cell), never the whole text.
-    blocks = (_g17(table[i : i + rows].ravel(), words).decode() for i in range(0, table.shape[0], rows))
-    _atomic_write_text(path, itertools.chain([",".join(trajectory_columns(traj.n)) + "\n"], blocks))
+    blocks = (_g17(table[i : i + rows].ravel(), words) for i in range(0, table.shape[0], rows))
+    write_bytes(path, itertools.chain([(",".join(trajectory_columns(traj.n)) + "\n").encode()], blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +179,18 @@ def write_xy_svg(path, xy, circle=None, size: int = 560, margin: int = 40) -> No
     off_x = (size - scale * span_x) / 2.0
     off_y = (size - scale * span_y) / 2.0
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
+    def to_px(x, y):  # one point, or arrays of them
         return (off_x + scale * (x - xs[0]), size - off_y - scale * (y - ys[0]))
 
-    parts = [
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
-    if circle is not None:
-        px, py = to_px(cx, cy)
-        parts.append(
-            '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="#c0392b" stroke-width="1.5"/>'
-            % (px, py, scale * r)
-        )
-    points = " ".join("%.3f,%.3f" % to_px(x, y) for x, y in xy)
-    parts.append(
-        f'<polyline points="{points}" fill="none" stroke="#2c3e50" stroke-width="1.5"/>'
+        f'viewBox="0 0 {size} {size}">\n'
+        f'<rect width="{size}" height="{size}" fill="white"/>\n'
     )
-    parts.append("</svg>")
-    _atomic_write_text(path, ["\n".join(parts) + "\n"])
+    if circle is not None:
+        tag = '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="#c0392b" stroke-width="1.5"/>\n'
+        head += tag % (*to_px(cx, cy), scale * r)
+    pixels = np.column_stack(to_px(xy[:, 0], xy[:, 1])).ravel().tolist()
+    points = (b"%.3f,%.3f " * len(xy) % tuple(pixels))[:-1]
+    tail = b'" fill="none" stroke="#2c3e50" stroke-width="1.5"/>\n</svg>\n'
+    write_bytes(path, [head.encode(), b'<polyline points="', points, tail])

@@ -16,8 +16,7 @@ them through each map, lift or jet as the rows of one array.
 generator on the run's seed), ``phase_map`` (a builder n -> second-order
 phase map that builds each map once per run) and ``h_values`` (the
 convergence steps).  A suite names the ones it reads, each with a default
-where it has one, and takes the rest as ``**_``.  :func:`fourth_order_residual`
-measures the fourth-order Euler-Lagrange defect of any sampled curve.
+where it has one, and takes the rest as ``**_``.
 """
 from __future__ import annotations
 
@@ -45,7 +44,6 @@ from .maps import (
     theta_map,
 )
 from .control import obstacle_potential
-from .errors import TooFewPoints
 from .numeric import row_jacobian_fd, rowdot, worst_defect
 
 Array = np.ndarray
@@ -268,24 +266,6 @@ def convergence_suite(
             )
         )
     return out
-
-
-def fourth_order_residual(q, h: float, grad_potential=None) -> Array:
-    """Infinity norms of the defect of the fourth-order Euler-Lagrange
-    equation d^4 q / dt^4 + grad V(q) = 0 on positions ``q`` sampled at step
-    h (one row per node; a 1-D array is one coordinate): the centered fourth
-    difference (q_{k-2} - 4 q_{k-1} + 6 q_k - 4 q_{k+1} + q_{k+2}) / h^4 plus
-    grad V(q_k), at the interior nodes k = 2 .. N-2 (``grad_potential`` takes
-    them as rows)."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        q = q[:, None]
-    if q.shape[0] < 5:
-        raise TooFewPoints("need at least five states for a fourth difference")
-    r = (q[:-4] - 4 * q[1:-3] + 6 * q[2:-2] - 4 * q[3:-1] + q[4:]) / h**4
-    if grad_potential is not None:
-        r = r + grad_potential(q[2:-2])
-    return np.max(np.abs(r), axis=1)
 
 
 def _scalar_pow(r: Array, p: int) -> Array:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import re
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_csv_columns, write_trajectory_csv, write_xy_svg, _atomic_write_text
+from .artifacts import read_csv_columns, write_bytes, write_trajectory_csv, write_xy_svg
 from .checks import run_all, validate_run
 from .control import make_free_spline, make_obstacle_problem, shoot, simulate
 from .errors import (
@@ -250,15 +251,21 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _write(*outputs) -> None:
     """Write every output ``(write, path, *args)`` as ``write(path, *args)``,
-    or none: each goes to a new temp file beside its path, and the temp
-    files replace their paths once all are written.  A failure to write a
-    path is raised as ConfigError naming it."""
+    or none: no path may be a directory, each output is written once, to a
+    new temp file beside its path with the permissions the umask gives a new
+    file, and the temp files replace their paths once all are written.  A
+    failure to write a path is raised as ConfigError naming it."""
     staged = []
+    os.umask(umask := os.umask(0))  # no call reads the umask without setting it
     try:
+        for _, path, *_ in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for write, path, *args in outputs:
             fd, tmp = tempfile.mkstemp(prefix=".geodisc-", dir=os.path.dirname(path) or ".")
             os.close(fd)
             staged.append(tmp)
+            os.chmod(tmp, 0o666 & ~umask)
             write(tmp, *args)
         for tmp, (_, path, *_) in zip(staged, outputs):
             os.replace(tmp, path)
@@ -330,7 +337,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     results = run_all(seed=cfg.seed, suites=cfg.suites, h_values=cfg.h_values)
     payload = json.dumps([r.as_dict() for r in results], indent=2)
     if cfg.json_out:
-        _write((_atomic_write_text, cfg.json_out, [payload + "\n"]))
+        _write((write_bytes, cfg.json_out, [(payload + "\n").encode()]))
     print(payload)
     failures = sum(r.failed for r in results)
     print(f"check: {len(results)} cases, {failures} failures", file=sys.stderr)

@@ -9,9 +9,9 @@ Euclidean chart q = (x, y, theta).
 A forward run from a phase state is :func:`simulate`.  Boundary-value
 problems are solved by single shooting: Newton iteration on the
 initial costates (p0(0), p1(0)) of the forward symplectic flow, with exact
-discrete sensitivities.  Each forward integration also carries the tangent
-block d z_N / d(p0(0), p1(0)) through the discrete variational equation, so
-one integration gives both the endpoint defect and its 2n x 2n Jacobian.
+discrete sensitivities.  Each forward integration also records the tangent
+block d z_N / d(p0(0), p1(0)) of the discrete variational equation, so one
+integration gives both the endpoint defect and its 2n x 2n Jacobian.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .errors import (
     SingularPotential,
     StartInsideObstacle,
 )
-from .hamiltonian import Potential, Trajectory, integrate, second_order_hamiltonian
+from .hamiltonian import Potential, Trajectory, _StepBlocks, integrate, second_order_hamiltonian
 from .lifts import CotangentLiftedMap, second_order_phase_map
 from .maps import DiscretizationMap
 from .numeric import as_vector, newton_solve
@@ -207,8 +207,9 @@ def shoot(
 
     Newton iteration runs on the endpoint map (p0(0), p1(0)) -> (q(T) - q_end,
     qdot(T) - qdot_end).  Its Jacobian is exact to rounding: each forward
-    integration carries the tangent block of the discrete flow with respect
-    to the initial costates, and the last integration is kept, so a Newton
+    integration, on step blocks built once per problem, records the tangent
+    block of the discrete flow with respect to the initial costates, carried
+    only when Newton reads it, and the last integration is kept, so a Newton
     iteration costs one integration and the returned trajectory reuses the
     converged one.  The default guess is the interpolating-cubic costate
     pair, which is exact for the free spline.  Obstacle problems damp Newton
@@ -218,7 +219,8 @@ def shoot(
     On NonConvergence the best iterate found is returned with converged=False
     rather than raising.  A trial whose forward integration fails is a bad
     probe point (EvaluationFailure): obstacle problems damp away from it,
-    and a guess whose own integration fails raises it.
+    and a guess whose own integration fails raises it.  A singular step
+    linearization raises SingularJacobian once Newton reads its Jacobian.
     """
     n = prob.n
     if C is None:
@@ -230,6 +232,7 @@ def shoot(
     if x0.size != 2 * n:
         raise ValueError(f"costate guess must have {2 * n} entries")
     tangent0 = np.vstack([np.zeros((2 * n, 2 * n)), np.eye(2 * n)])
+    blocks = _StepBlocks(C, H, prob.h)
     last: dict[bytes, Trajectory] = {}  # the latest flow, keyed on the bits of x
 
     def flow(x: Array) -> Trajectory:
@@ -237,7 +240,7 @@ def shoot(
         if key not in last:
             z0 = np.concatenate([prob.q_start, prob.qdot_start, x])
             try:
-                traj = integrate(C, H, prob.h, prob.steps, z0, tangent=tangent0)
+                traj = integrate(C, H, prob.h, prob.steps, z0, tangent=tangent0, blocks=blocks)
             except SingularPotential as exc:
                 raise ObstaclePenetration(str(exc)) from exc
             except NonConvergence as exc:

@@ -40,10 +40,6 @@ class DomainViolation(GeodiscError):
     non-tangent vector, log branch, antipodal pair, ...)."""
 
 
-class TooFewPoints(GeodiscError):
-    """A stencil-based postprocessing step received too short a trajectory."""
-
-
 class BadDiscretization(GeodiscError):
     """Time grid parameters are inconsistent (T not an integer multiple of
     h) or give the boundary data a non-finite cubic guess."""

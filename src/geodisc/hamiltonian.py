@@ -48,8 +48,8 @@ derivative dz1/dz0, which :func:`integrate` can carry along a run.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -128,12 +128,17 @@ class Trajectory:
     ``controls`` (the control of the second-order problem is u = qddot = p1)
     and ``positions()`` are views of ``z``.  ``tangent`` is the final
     state's tangent block d z_N / d z_0 . T_0 when :func:`integrate` was
-    given an initial block T_0, else None."""
+    given an initial block T_0, else None.  It is evaluated on first read
+    by ``linearization``, which :func:`integrate` records, and kept."""
 
     h: float
     z: Array
     energies: Array
-    tangent: Array | None = None
+    linearization: Callable[[], Array] | None = field(default=None, repr=False)
+
+    @cached_property
+    def tangent(self) -> Array | None:
+        return None if self.linearization is None else self.linearization()
 
     @property
     def n(self) -> int:
@@ -211,7 +216,7 @@ class _StepBlocks:
         their rounding scales with h instead of biasing every row by
         eps |z_k| (Hairer, Lubich & Wanner, Geometric Numerical Integration,
         2nd ed., VIII.5)."""
-        J = _inverse(self.A1)
+        J = _solve(self.A1)
         d, n, B = self.A1.shape[0], self.kq.size, _WINDOW
         D, m = -(J @ (self.A0 + self.A1)), -(J @ self.c)
         M, hW = np.eye(d) + D, self.h * J[:, d // 2 : d // 2 + n]
@@ -321,9 +326,10 @@ def _step_jacobian(
     return A
 
 
-def _inverse(J: Array) -> Array:
+def _solve(A: Array, B: Array | None = None) -> Array:
+    """A^-1 B, or A^-1 without B, raising SingularJacobian for a singular A."""
     try:
-        return np.linalg.inv(J)
+        return np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian("one-step linearization is singular") from exc
 
@@ -370,7 +376,7 @@ def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float
         raise failed("met a non-finite residual at its starting point", 0, bad)
     refreshed = np.full(norm.shape, J_inv is None)
     if J_inv is None:
-        J_inv = _inverse(jacobian(x))
+        J_inv = _solve(jacobian(x))
     it = 0
     while True:
         step = matvec(J_inv, r)
@@ -399,7 +405,7 @@ def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float
             # the stale rows are re-inverted (a 0-d flag indexes one point).
             shape = x.shape + x.shape[-1:]
             J_inv = np.array(np.broadcast_to(J_inv, shape))
-            J_inv[stale] = _inverse(np.broadcast_to(jacobian(x), shape)[stale])
+            J_inv[stale] = _solve(np.broadcast_to(jacobian(x), shape)[stale])
             refreshed = refreshed | stale
         norm = np.where(open_rows, new_norm, norm)
 
@@ -451,7 +457,7 @@ def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float,
     return end - k if failed.size == 0 else int(failed[0])
 
 
-def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, tangent: Array | None):
+def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, carry: list | None) -> int:
     """Advance rows k, k + 1, ... of z by linear steps, as far as they verify.
 
     A linear step relation A0 z0 + A1 z1 + c = 0 makes the one-step map
@@ -461,11 +467,11 @@ def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, t
     block of up to B rows is one matrix product from the block's first row:
     z_{k+j} = M^j z_k + s_j.  After each block :func:`_verified_steps`
     checks every step's residual.  Returns the first step that failed its
-    check (the step count when none did) and the tangent carried over the
-    verified steps, M^v T over v of them."""
+    check (the step count when none did).  ``carry`` (None: no tangent)
+    gains the linearization of each block's v verified steps, T -> M^v T."""
     steps = z.shape[0] - 1
     if k >= steps:
-        return k, tangent
+        return k
     A0, c = blocks.A0, blocks.c
     d = A0.shape[0]
     B = min(_ROWS, steps - k)
@@ -482,12 +488,12 @@ def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, t
         b = end - k
         np.add((P[: b * d] @ z[k]).reshape(b, d), s[:b], out=z[k + 1 : end + 1])
         verified = k + _verified_steps(blocks, z, k, end, tol)
-        if tangent is not None and verified > k:
-            tangent = Mp[verified - k - 1] @ tangent
+        if carry is not None and verified > k:
+            carry.append(partial(np.matmul, Mp[verified - k - 1]))
         if verified < end:
-            return verified, tangent
+            return verified
         k = end
-    return k, tangent
+    return k
 
 
 def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
@@ -538,22 +544,19 @@ def _window(cond: tuple[Array, ...], V: Potential, z: Array, j: int, b: int, g: 
     return None
 
 
-def _potential_steps(blocks: _StepBlocks, V: Potential, z: Array, k: int, tol: float, tangent: Array | None):
+def _potential_steps(blocks: _StepBlocks, V: Potential, z: Array, k: int, tol: float, carry: list | None) -> int:
     """Advance rows k, k + 1, ... of z by condensed steps, as far as they verify.
 
     Windows of up to _WINDOW steps (:func:`_window`) start from the previous
     window's last gradient (0 on entry); a failed window is halved, and a
     failed one-step window ends its block at that step.  After each block of
     up to 256 rows :func:`_verified_steps` checks every step's full
-    residual, at the gradients of the rows' preimages q_k taken in one call,
-    and the tangent is carried over the verified steps by
-    Phi_k = M + h W Hess V(q_k) D_k^-1 Gq with D_k = I - h P Hess V(q_k),
-    the Hessians in one call and the systems in one batched solve.  Returns
-    the first step that failed (the step count when none did) and the
-    tangent."""
+    residual, at the gradients of the rows' preimages q_k taken in one call;
+    ``carry`` (None: no tangent) gains the linearization of the verified
+    steps, :func:`_condensed_tangent` at their preimages.  Returns the first
+    step that failed (the step count when none did)."""
     cond = blocks.condensed
-    hW, hP, M, Gq = cond[6:]
-    steps, n = z.shape[0] - 1, hP.shape[0]
+    steps, n = z.shape[0] - 1, blocks.kq.size
     g, b = np.zeros((1, n)), _WINDOW
     while k < steps:
         j, end = k, min(k + _ROWS, steps)
@@ -567,25 +570,36 @@ def _potential_steps(blocks: _StepBlocks, V: Potential, z: Array, k: int, tol: f
             else:
                 break
         if j == k:
-            return k, tangent
+            return k
         Q = z[k:j] @ blocks.Kq0.T
         Q += z[k + 1 : j + 1] @ blocks.Kq1.T
         Q += blocks.kq
         verified = _verified_steps(blocks, z, k, j, tol, -blocks.h * _row_gradients(V.grad, Q))
-        if tangent is not None and verified:
-            Hs = -V.hess(Q[:verified])
-            try:
-                X = np.linalg.solve(np.eye(n) + hP @ Hs, np.broadcast_to(Gq, (verified,) + Gq.shape))
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobian("one-step linearization is singular at the converged step") from exc
-            Phi = hW @ (Hs @ X)
-            np.subtract(M, Phi, out=Phi)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
-            for step_map in Phi:
-                tangent = step_map @ tangent
+        if carry is not None and verified:
+            carry.append(partial(_condensed_tangent, blocks, V, Q[:verified]))
         k += verified
         if k < end:
-            return k, tangent
-    return k, tangent
+            return k
+    return k
+
+
+def _condensed_tangent(blocks: _StepBlocks, V: Potential, Q: Array, tangent: Array) -> Array:
+    """``tangent`` carried over condensed steps with preimages Q by Phi_k = M + h W Hess V(q_k) D_k^-1 Gq,
+    D_k = I - h P Hess V(q_k): the Hessians in one call and the systems in one batched solve."""
+    hW, hP, M, Gq = blocks.condensed[6:]
+    Hs = -V.hess(Q)
+    X = _solve(np.eye(hP.shape[0]) + hP @ Hs, np.broadcast_to(Gq, (len(Q),) + Gq.shape))
+    Phi = hW @ (Hs @ X)
+    np.subtract(M, Phi, out=Phi)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
+    for step_map in Phi:
+        tangent = step_map @ tangent
+    return tangent
+
+
+def _chord_tangent(C, H, h, blocks: _StepBlocks, z0: Array, z1: Array, tangent: Array) -> Array:
+    """``tangent`` carried over the step z0 -> z1 by dz1/dz0 = -(dR/dz1)^-1 dR/dz0."""
+    A = _step_jacobian(C, H, h, z0, z1, blocks=blocks)
+    return -_solve(A[:, C.dim :], A[:, : C.dim] @ tangent)
 
 
 def integrate(
@@ -597,11 +611,15 @@ def integrate(
     tol: float = 1e-12,
     max_iter: int = 50,
     tangent: Array | None = None,
+    *,
+    blocks: _StepBlocks | None = None,
 ) -> Trajectory:
     """Run ``steps`` steps of the one-step method, recording energy and control
     at every state.
 
-    The step matrices are built once per call.  Step 0 runs the chord
+    The step matrices are built once per call, or passed as ``blocks``,
+    built once for this (C, H, h) and shared by every run of a problem
+    (blocks for another h raise ValueError).  Step 0 runs the chord
     iteration; the inverse of the residual's closed-form Jacobian is carried
     across chord steps and refreshed only when a step stalls.  On an affine
     lifted map the later steps take a fast path, checked after every block
@@ -624,8 +642,12 @@ def integrate(
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
     through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k
     and returned as ``Trajectory.tangent``; the states are the same with or
-    without it.  A step that stalls raises NonConvergence naming its index k
-    and its start time k h.
+    without it.  The run records what each step's linearization needs (a
+    chord step's endpoints, a linear block's power of M, a condensed block's
+    preimages); the tangent is carried on the first read of
+    ``Trajectory.tangent``, in the run's error state, and a singular
+    linearization raises SingularJacobian there.  A step that stalls raises
+    NonConvergence naming its index k and its start time k h.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -636,10 +658,14 @@ def integrate(
         raise ValueError("second-order trajectories need an even-dimensional base")
     z0 = as_vector(z0, name="z0")
     if tangent is not None:
-        tangent = np.asarray(tangent, dtype=float)
+        tangent = np.array(tangent, dtype=float)  # a copy: it is read when the tangent is
         if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
             raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
-    blocks = _StepBlocks(C, H, h)
+    if blocks is None:
+        blocks = _StepBlocks(C, H, h)
+    elif blocks.h != h:
+        raise ValueError(f"the step blocks were built for h = {blocks.h}, not h = {h}")
+    carry = None if tangent is None else []
     affine = blocks.LK is not None
     linear = affine and H.potential is None
     condensed = affine and not linear
@@ -651,7 +677,8 @@ def integrate(
     # Set on affine maps only: while any numpy error state is set, every
     # small ufunc call costs about 4 % more, which the chord steps of a run
     # on a non-affine map would pay on every step.
-    with np.errstate(over="ignore", invalid="ignore") if affine else nullcontext():
+    quiet = lambda: np.errstate(over="ignore", invalid="ignore") if affine else nullcontext()
+    with quiet():
         while k < steps:
             zk = z[k]
             residual = step_residual(C, H, h, zk, blocks=blocks)
@@ -669,18 +696,14 @@ def integrate(
                         residual_norm=exc.residual_norm,
                         iterations=exc.iterations,
                     ) from exc
-            if tangent is not None:
-                A = _step_jacobian(C, H, h, zk, z1, blocks=blocks)
-                try:
-                    tangent = -np.linalg.solve(A[:, 2 * d :], A[:, : 2 * d] @ tangent)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularJacobian("one-step linearization is singular at the converged step") from exc
+            if carry is not None:
+                carry.append(partial(_chord_tangent, C, H, h, blocks, zk.copy(), z1))
             z[k + 1] = z1
             k += 1
             if linear and k == 1:
-                k, tangent = _linear_steps(blocks, J_inv, z, k, tol, tangent)
+                k = _linear_steps(blocks, J_inv, z, k, tol, carry)
             elif condensed:
-                k, tangent = _potential_steps(blocks, H.potential, z, k, tol, tangent)
+                k = _potential_steps(blocks, H.potential, z, k, tol, carry)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
             energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])
@@ -689,4 +712,9 @@ def integrate(
         k = int(bad[0])
         message = f"step {k} at t = {k * h:.6g}: energy H = {energies[k]} is not finite"
         raise NonConvergence(message, x_best=z[k].copy())
-    return Trajectory(h=h, z=z, energies=energies, tangent=tangent)
+
+    def linearization() -> Array:
+        with quiet():
+            return reduce(lambda T, step: step(T), carry, tangent)
+
+    return Trajectory(h=h, z=z, energies=energies, linearization=None if carry is None else linearization)

@@ -189,6 +189,25 @@ class TestSvg:
         (x0, y0), (x1, y1) = [[float(a) for a in pair.split(",")] for pair in points.split()]
         assert y1 < y0
 
+    @pytest.mark.parametrize("circle", [None, (0.5, 2.0, 1.0)])
+    def test_polyline_matches_per_point_formatting(self, tmp_path, circle):
+        # The pixel columns are computed as arrays in to_px's order of
+        # operations, so every point prints as "%.3f,%.3f" % to_px(x, y).
+        rng = np.random.default_rng(3)
+        xy = np.cumsum(rng.normal(size=(401, 2)) * 10.0 ** rng.integers(-3, 3, size=(401, 1)), axis=0)
+        path = tmp_path / "p.svg"
+        write_xy_svg(str(path), xy, circle=circle)
+        xs, ys = [xy[:, 0].min(), xy[:, 0].max()], [xy[:, 1].min(), xy[:, 1].max()]
+        if circle is not None:
+            cx, cy, r = circle
+            xs, ys = [min(xs[0], cx - r), max(xs[1], cx + r)], [min(ys[0], cy - r), max(ys[1], cy + r)]
+        span_x, span_y = max(xs[1] - xs[0], 1e-9), max(ys[1] - ys[0], 1e-9)
+        scale = min(480 / span_x, 480 / span_y)
+        off_x, off_y = (560 - scale * span_x) / 2.0, (560 - scale * span_y) / 2.0
+        to_px = lambda x, y: (off_x + scale * (x - xs[0]), 560 - off_y - scale * (y - ys[0]))
+        expected = " ".join("%.3f,%.3f" % to_px(x, y) for x, y in xy)
+        assert path.read_text().split('points="')[1].split('"')[0] == expected
+
     def test_single_point_ok(self, tmp_path):
         path = tmp_path / "s.svg"
         write_xy_svg(str(path), np.array([[1.0, 1.0]]))

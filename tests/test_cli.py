@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -346,6 +348,50 @@ class TestMalformedInput:
         with pytest.raises(raised, match=message):
             cli._write((new, "old.csv"), (failing, "new.svg"))
         assert [p.name for p in isolated.iterdir()] == ["old.csv"] and (isolated / "old.csv").read_text() == "old\n"
+
+    @pytest.mark.parametrize(
+        "args, outputs",
+        [
+            (["simulate", "--init=" + SE2_INIT, "--steps", "20", "--csv-out", "a.csv", "--svg-out", "a.svg"], 2),
+            (["shoot", "--problem", "free", "--n", "2", "--q0", "0,0", "--v0", "0,0", "--q1", "1,1", "--v1", "0,0",
+              "--T", "1", "--csv-out", "s.csv", "--svg-out", "s.svg"], 2),
+            (["check", "--suite", "axioms", "--json-out", "c.json"], 1),
+            (["plot", "run.csv", "p.svg"], 1),
+        ],
+        ids=["simulate", "shoot", "check", "plot"],
+    )
+    def test_each_output_is_staged_once(self, capsys, monkeypatch, isolated, args, outputs):
+        (isolated / "run.csv").write_text("q0,q1\n0,0\n1,1\n")
+        staged = []
+        mkstemp = cli.tempfile.mkstemp
+        monkeypatch.setattr(cli.tempfile, "mkstemp", lambda **kw: staged.append(kw) or mkstemp(**kw))
+        assert cli.main(args) == 0
+        assert len(staged) == outputs
+        assert not [p for p in isolated.iterdir() if p.name.startswith(".geodisc-")]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])
+    def test_outputs_get_the_permissions_of_the_umask(self, capsys, isolated, umask):
+        old = os.umask(umask)
+        try:
+            rc = cli.main(["simulate", "--init=" + SE2_INIT, "--steps", "5", "--csv-out", "ok.csv", "--svg-out", "ok.svg"])
+            (isolated / "touched").touch()
+        finally:
+            os.umask(old)
+        assert rc == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in isolated.iterdir()}
+        assert modes == dict.fromkeys(["ok.csv", "ok.svg", "touched"], 0o666 & ~umask)
+
+    @pytest.mark.parametrize("first", [False, True], ids=["svg", "csv"])
+    def test_a_directory_target_writes_nothing(self, capsys, isolated, first):
+        (isolated / "adir").mkdir()
+        (isolated / "left.csv").write_text("old\n")
+        csv, svg = ("adir", "left.svg") if first else ("left.csv", "adir")
+        rc = cli.main(["simulate", "--init=" + SE2_INIT, "--steps", "5", "--csv-out", csv, "--svg-out", svg])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: config-error: cannot write adir: Is a directory\n"
+        assert sorted(p.name for p in isolated.iterdir()) == ["adir", "left.csv"]
+        assert (isolated / "left.csv").read_text() == "old\n" and not list((isolated / "adir").iterdir())
 
     @pytest.mark.parametrize(
         "data",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geodisc import control
+from curve_oracles import fourth_order_residual
+from geodisc import control, hamiltonian
 from geodisc.control import (
     OCProblem,
     ShootingResult,
@@ -20,7 +21,6 @@ from geodisc.errors import (
     SingularPotential,
     StartInsideObstacle,
 )
-from geodisc.checks import fourth_order_residual
 from geodisc.hamiltonian import Potential, Trajectory, integrate, second_order_hamiltonian
 from geodisc.lifts import second_order_phase_map
 from geodisc.numeric import jacobian_fd, newton_solve
@@ -260,6 +260,33 @@ class TestObstacleShooting:
         fd = lambda x: jacobian_fd(endpoint_defect, x)
         reference = newton_solve(endpoint_defect, x0, jacobian=fd, tol=1e-10, max_iter=40, backtracking=True)
         assert np.max(np.abs(np.concatenate([res.p0, res.p1]) - reference)) <= 1e-12
+
+    def test_step_blocks_are_built_once_per_problem(self, monkeypatch):
+        # At y0 = y1 = -1.12 Newton takes three iterations: four integrations
+        # share the one set of step blocks, and no tangent is carried for the
+        # converged trial, which Newton never linearizes.
+        built = []
+        original = hamiltonian._StepBlocks
+
+        def counted(*args):
+            built.append(1)
+            return original(*args)
+
+        for module in (hamiltonian, control):
+            monkeypatch.setattr(module, "_StepBlocks", counted)
+        trials = []
+
+        def recorded(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            trials.append(traj)
+            return traj
+
+        monkeypatch.setattr(control, "integrate", recorded)
+        boundary = ([-2.0, -1.12, 0.0], [1.0, 0.0, 0.0], [2.0, -1.12, 0.0], [1.0, 0.0, 0.0])
+        res = shoot(make_obstacle_problem(3, 1e-3, 1.0, (0.0, 0.0), boundary, T=4.0, h=0.01))
+        assert res.converged and len(trials) == 4 and len(built) == 1
+        # A tangent once read is cached in the trajectory's own attributes.
+        assert ["tangent" in vars(t) for t in trials] == [True, True, True, False]
 
     def test_guess_through_obstacle_raises(self):
         boundary = ([-2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0])

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import geodisc
-from geodisc.checks import _one_step_jacobian, fourth_order_residual
+from curve_oracles import TooFewPoints, fourth_order_residual
+from geodisc.checks import _one_step_jacobian
 from geodisc.control import obstacle_potential
-from geodisc.errors import NonConvergence, SingularJacobian, SingularPotential, TooFewPoints
+from geodisc.errors import NonConvergence, SingularJacobian, SingularPotential
 from geodisc.hamiltonian import (
     HamiltonianSystem,
     Potential,
@@ -381,7 +382,7 @@ class TestStepKernel:
                     monkeypatch.setattr(module, name, counted)
         C, H = setup()
         z0 = TestTangent.Z0 if C.dim == 12 else np.array([0.0, 0.1, 0.01, 0.2])
-        integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size))
+        integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size)).tangent  # the tangent is carried when read
         symplectic_step(C, H, 0.01, z0)
         assert calls == []
 
@@ -838,6 +839,139 @@ class TestRemainderSteps:
         for f in (V.value, V.grad, V.hess):
             with pytest.raises(SingularPotential):
                 f(Q)
+
+
+def eager_run(C, H, h, steps, z0, T, tol=1e-12):
+    """States and tangent of ``integrate(C, H, h, steps, z0, tangent=T)``
+    on an affine lifted map, with the tangent carried along the run, each
+    step's or block's linearization applied as soon as the step is taken:
+    the same paths, steps and blocks as ``integrate`` and the same numpy
+    calls on the same arrays, done eagerly."""
+    hm = geodisc.hamiltonian
+    blocks, d, V = hm._StepBlocks(C, H, h), C.dim, H.potential
+    z = np.empty((steps + 1, d))
+    z[0], J_inv, k = z0, None, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < steps:
+            zk = z[k]
+            residual = hm.step_residual(C, H, h, zk, blocks=blocks)
+            chord = lambda z1: hm._step_jacobian(C, H, h, zk, z1, blocks=blocks)[:, d:]
+            try:
+                z1, J_inv = hm._chord_newton(residual, chord, zk, J_inv, tol, 50)
+            except NonConvergence:
+                z1, J_inv = hm._chord_newton(residual, chord, zk, None, tol, 50)
+            A = hm._step_jacobian(C, H, h, zk, z1, blocks=blocks)
+            T = -np.linalg.solve(A[:, d:], A[:, :d] @ T)
+            z[k + 1] = z1
+            k += 1
+            if V is None and k == 1 and k < steps:  # block powers, as hamiltonian._linear_steps
+                B = min(hm._ROWS, steps - k)
+                M = -(J_inv @ blocks.A0)
+                Mp, s = np.empty((B, d, d)), np.empty((B, d))
+                Mp[0], s[0] = M, -(J_inv @ blocks.c)
+                for j in range(1, B):
+                    Mp[j], s[j] = M @ Mp[j - 1], M @ s[j - 1] + s[0]
+                while k < steps:
+                    end = min(k + B, steps)
+                    np.add((Mp.reshape(B * d, d)[: (end - k) * d] @ z[k]).reshape(-1, d), s[: end - k], out=z[k + 1 : end + 1])
+                    verified = k + hm._verified_steps(blocks, z, k, end, tol)
+                    T = Mp[verified - k - 1] @ T if verified > k else T
+                    k = verified
+                    if k < end:
+                        break
+            elif V is not None:  # condensed windows, as hamiltonian._potential_steps
+                cond, g, b = blocks.condensed, np.zeros((1, d // 4)), hm._WINDOW
+                hW, hP, M, Gq = cond[6:]
+                while k < steps:
+                    j, end = k, min(k + hm._ROWS, steps)
+                    while j < end:
+                        b = min(b, end - j)
+                        solved = hm._window(cond, V, z, j, b, np.broadcast_to(g[-1], (b, d // 4)))
+                        if solved is not None:
+                            g, j, b = solved, j + b, min(2 * b, hm._WINDOW)
+                        elif b > 1:
+                            b //= 2
+                        else:
+                            break
+                    Q = z[k:j] @ blocks.Kq0.T
+                    Q += z[k + 1 : j + 1] @ blocks.Kq1.T
+                    Q += blocks.kq
+                    verified = hm._verified_steps(blocks, z, k, j, tol, -h * hm._row_gradients(V.grad, Q)) if j > k else 0
+                    if verified:
+                        Hs = -V.hess(Q[:verified])
+                        X = np.linalg.solve(np.eye(d // 4) + hP @ Hs, np.broadcast_to(Gq, (verified,) + Gq.shape))
+                        Phi = hW @ (Hs @ X)
+                        np.subtract(M, Phi, out=Phi)
+                        for step_map in Phi:
+                            T = step_map @ T
+                    k += verified
+                    if k < end:
+                        break
+    return z, T
+
+
+class TestLazyTangent:
+    """``integrate(..., tangent=T0)`` records each step's linearization and
+    carries the tangent on the first read of ``Trajectory.tangent``."""
+
+    T6 = np.vstack([np.zeros((6, 6)), np.eye(6)])
+    Z0 = TestRemainderSteps.Z0
+
+    @pytest.mark.parametrize(
+        "case",
+        ["free-n1", "obstacle-n3", "theta0.3-n3", "hand-off"],
+    )
+    def test_tangent_has_the_bits_of_the_eager_carry(self, case):
+        if case == "free-n1":
+            (C, H), h, steps, z0, T0 = free_setup(), 0.01, 3000, np.array([0.3, -0.2, 0.02, -0.1]), np.eye(4)
+        elif case == "hand-off":  # the run of test_forced_hand_offs_keep_the_chord_states
+            (C, H), h, steps, z0, T0 = obstacle_run(tau=0.05), 0.1, 40, np.array([-2.0, -0.6, 0.0, 0.5] + [0.0] * 8), self.T6
+        else:
+            base = midpoint_map if case == "obstacle-n3" else (lambda n: theta_map(n, 0.3))
+            (C, H), h, steps, z0, T0 = obstacle_run(base), 0.01, 400, self.Z0, self.T6
+        ref_z, ref_tangent = eager_run(C, H, h, steps, z0, T0)
+        traj = integrate(C, H, h, steps, z0, tangent=T0)
+        assert np.array_equal(traj.z, ref_z)
+        assert np.array_equal(traj.tangent, ref_tangent)
+
+    def test_hessians_are_taken_on_the_first_read_alone(self):
+        V = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)[0]
+        calls = []
+        counted = replace(V, hess=lambda q: calls.append(np.shape(q)) or V.hess(q))
+        C, H = second_order_phase_map(3), second_order_hamiltonian(3, counted)
+        integrate(C, H, 0.01, 400, self.Z0)
+        plain = len(calls)  # the chord Jacobian of step 0
+        traj = integrate(C, H, 0.01, 400, self.Z0, tangent=self.T6)
+        assert len(calls) == 2 * plain
+        first = traj.tangent
+        assert len(calls) > 2 * plain
+        read = len(calls)
+        assert traj.tangent is first and len(calls) == read
+
+    def test_a_singular_linearization_raises_on_read(self, monkeypatch):
+        # With every linear solve singular the run still completes (it solves
+        # no linearization), and the first read of the tangent raises.
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        C, H = obstacle_run()
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        traj = integrate(C, H, 0.01, 50, self.Z0, tangent=self.T6)
+        with pytest.raises(SingularJacobian, match="one-step linearization is singular"):
+            traj.tangent
+
+    @pytest.mark.parametrize("setup", [free_setup, obstacle_run], ids=["free", "obstacle"])
+    def test_shared_blocks_give_the_same_bits(self, setup):
+        C, H = setup()
+        z0 = self.Z0 if C.dim == 12 else np.array([0.3, -0.2, 0.02, -0.1])
+        T0 = np.eye(C.dim)
+        blocks = geodisc.hamiltonian._StepBlocks(C, H, 0.01)
+        own = integrate(C, H, 0.01, 400, z0, tangent=T0)
+        for _ in range(2):
+            shared = integrate(C, H, 0.01, 400, z0, tangent=T0, blocks=blocks)
+            assert np.array_equal(shared.z, own.z) and np.array_equal(shared.tangent, own.tangent)
+        with pytest.raises(ValueError, match="built for h = 0.01"):
+            integrate(C, H, 0.02, 400, z0, blocks=blocks)
 
 
 class TestNonFiniteEnergy:
