@@ -22,6 +22,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -405,6 +406,7 @@ def _add_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--svg-out", dest="svg_out")
 
 
+@cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geodisc",

@@ -128,8 +128,9 @@ class Trajectory:
     ``controls`` (the control of the second-order problem is u = qddot = p1)
     and ``positions()`` are views of ``z``.  ``tangent`` is the final
     state's tangent block d z_N / d z_0 . T_0 when :func:`integrate` was
-    given an initial block T_0, else None.  It is evaluated on first read
-    by ``linearization``, which :func:`integrate` records, and kept."""
+    given an initial block T_0, else None.  It is evaluated on first read by
+    ``linearization``, which :func:`integrate` records, and kept; condensed
+    steps enter it as a pairwise product tree, not one step at a time."""
 
     h: float
     z: Array
@@ -233,11 +234,11 @@ class _StepBlocks:
 
 
 def _toeplitz(blocks: Array) -> Array:
-    """The block lower-triangular Toeplitz matrix with blocks[j] on its j-th
-    block subdiagonal, one block row per block."""
-    i, l = np.indices((len(blocks),) * 2)
-    T = np.where((i >= l)[..., None, None], blocks[np.maximum(i - l, 0)], 0.0)
-    return T.transpose(0, 2, 1, 3).reshape(T.shape[0] * T.shape[2], -1)
+    """The block lower-triangular Toeplitz matrix with blocks[j] on its j-th block subdiagonal: block
+    row i is the window i .. i + B - 1 of the reversed blocks and B - 1 zero blocks, read backwards."""
+    B, r, c = blocks.shape
+    T = np.lib.stride_tricks.sliding_window_view(np.concatenate([blocks[::-1], np.zeros((B - 1, r, c))]), B, axis=0)
+    return T[::-1].transpose(0, 1, 3, 2).reshape(B * r, B * c)  # T[::-1][i, :, :, l] = blocks[i - l]
 
 
 def step_residual(
@@ -584,16 +585,17 @@ def _potential_steps(blocks: _StepBlocks, V: Potential, z: Array, k: int, tol: f
 
 
 def _condensed_tangent(blocks: _StepBlocks, V: Potential, Q: Array, tangent: Array) -> Array:
-    """``tangent`` carried over condensed steps with preimages Q by Phi_k = M + h W Hess V(q_k) D_k^-1 Gq,
-    D_k = I - h P Hess V(q_k): the Hessians in one call and the systems in one batched solve."""
+    """``tangent`` carried over condensed steps with preimages Q by Phi_k = M - hW (Hs_k D_k^-1) Gq,
+    Hs_k = -Hess V(q_k), D_k = I + hP Hs_k (the Hessians in one call, the D_k in one batched
+    inverse), the maps multiplied as a pairwise tree: log2(b) batched products for b steps."""
     hW, hP, M, Gq = blocks.condensed[6:]
     Hs = -V.hess(Q)
-    X = _solve(np.eye(hP.shape[0]) + hP @ Hs, np.broadcast_to(Gq, (len(Q),) + Gq.shape))
-    Phi = hW @ (Hs @ X)
-    np.subtract(M, Phi, out=Phi)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
-    for step_map in Phi:
-        tangent = step_map @ tangent
-    return tangent
+    Phi = M - hW @ ((Hs @ _solve(np.eye(hP.shape[0]) + hP @ Hs)) @ Gq)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
+    while len(Phi) > 1:  # an odd leading map goes into the tangent, the rest pair up
+        if len(Phi) % 2:
+            tangent, Phi = Phi[0] @ tangent, Phi[1:]
+        Phi = Phi[1::2] @ Phi[0::2]
+    return Phi[0] @ tangent
 
 
 def _chord_tangent(C, H, h, blocks: _StepBlocks, z0: Array, z1: Array, tangent: Array) -> Array:
@@ -644,10 +646,10 @@ def integrate(
     and returned as ``Trajectory.tangent``; the states are the same with or
     without it.  The run records what each step's linearization needs (a
     chord step's endpoints, a linear block's power of M, a condensed block's
-    preimages); the tangent is carried on the first read of
-    ``Trajectory.tangent``, in the run's error state, and a singular
-    linearization raises SingularJacobian there.  A step that stalls raises
-    NonConvergence naming its index k and its start time k h.
+    preimages); the tangent is built on the first read of ``.tangent``, in
+    the run's error state, each condensed block's step maps multiplied as a
+    pairwise tree, and a singular linearization raises SingularJacobian
+    there.  A stalled step raises NonConvergence naming k and its time k h.
     """
     if h <= 0:
         raise ValueError("h must be positive")

@@ -425,6 +425,18 @@ class TestMalformedInput:
 
 
 class TestCheck:
+    def test_repeated_main_calls_build_one_parser(self, capsys):
+        # The parser is built once per process; a repeated --suite appends to
+        # a fresh list on every call, so it never carries into the next one.
+        cli.build_parser.cache_clear()
+        counts = []
+        for _ in range(3):
+            assert cli.main(["check", "--suite", "axioms", "--suite", "closed-form"]) == 0
+            counts.append(len(json.loads(capsys.readouterr().out)))
+        assert cli.build_parser.cache_info().misses == 1
+        assert counts == [17] * 3
+        assert cli.build_parser().parse_args(["check"]).suite is None
+
     def test_report_schema_and_success(self, capsys):
         rc = cli.main(["check", "--suite", "closed-form", "--suite", "axioms", "--json-out", "report.json"])
         out, err = capsys.readouterr()

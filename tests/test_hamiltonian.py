@@ -841,12 +841,57 @@ class TestRemainderSteps:
                 f(Q)
 
 
-def eager_run(C, H, h, steps, z0, T, tol=1e-12):
+def toeplitz_by_indices(blocks):
+    """The block lower-triangular Toeplitz matrix of ``blocks`` by index
+    arithmetic and ``np.where``, the oracle of ``hamiltonian._toeplitz``."""
+    i, l = np.indices((len(blocks),) * 2)
+    T = np.where((i >= l)[..., None, None], blocks[np.maximum(i - l, 0)], 0.0)
+    return T.transpose(0, 2, 1, 3).reshape(T.shape[0] * T.shape[2], -1)
+
+
+@pytest.mark.parametrize("shape", [(32, 12, 3), (32, 3, 3), (5, 3, 3), (1, 2, 2)])
+def test_toeplitz_view_has_the_bits_of_the_index_construction(rng, shape):
+    blocks = rng.normal(size=shape)
+    T = geodisc.hamiltonian._toeplitz(blocks)
+    assert T.shape == (shape[0] * shape[1], shape[0] * shape[2])
+    assert np.array_equal(T, toeplitz_by_indices(blocks))
+
+
+def loop_product(Phi, T):
+    """Phi[-1] .. Phi[1] Phi[0] T, one step map at a time."""
+    for step_map in Phi:
+        T = step_map @ T
+    return T
+
+
+def tree_product(Phi, T):
+    """The same product as a pairwise tree, in the order of
+    ``hamiltonian._condensed_tangent``: an odd leading map is folded into T,
+    the others are paired as Phi[2i + 1] Phi[2i]."""
+    while len(Phi) > 1:
+        if len(Phi) % 2:
+            T, Phi = Phi[0] @ T, Phi[1:]
+        Phi = Phi[1::2] @ Phi[0::2]
+    return Phi[0] @ T
+
+
+def exact_product(Phi, T):
+    """The loop's product in long double, as the reference of both orders."""
+    return loop_product(Phi.astype(np.longdouble), T.astype(np.longdouble))
+
+
+def column_error(T, ref):
+    """Largest deviation of each column of T from ref, in eps of the column's size."""
+    return (np.abs(T - ref).max(axis=0) / np.abs(ref).max(axis=0)).astype(float) / np.finfo(float).eps
+
+
+def eager_run(C, H, h, steps, z0, T, tol=1e-12, product=tree_product):
     """States and tangent of ``integrate(C, H, h, steps, z0, tangent=T)``
     on an affine lifted map, with the tangent carried along the run, each
     step's or block's linearization applied as soon as the step is taken:
     the same paths, steps and blocks as ``integrate`` and the same numpy
-    calls on the same arrays, done eagerly."""
+    calls on the same arrays, done eagerly.  ``product`` multiplies a
+    condensed block's step maps into the tangent."""
     hm = geodisc.hamiltonian
     blocks, d, V = hm._StepBlocks(C, H, h), C.dim, H.potential
     z = np.empty((steps + 1, d))
@@ -899,11 +944,9 @@ def eager_run(C, H, h, steps, z0, T, tol=1e-12):
                     verified = hm._verified_steps(blocks, z, k, j, tol, -h * hm._row_gradients(V.grad, Q)) if j > k else 0
                     if verified:
                         Hs = -V.hess(Q[:verified])
-                        X = np.linalg.solve(np.eye(d // 4) + hP @ Hs, np.broadcast_to(Gq, (verified,) + Gq.shape))
-                        Phi = hW @ (Hs @ X)
+                        Phi = hW @ ((Hs @ np.linalg.inv(np.eye(d // 4) + hP @ Hs)) @ Gq)
                         np.subtract(M, Phi, out=Phi)
-                        for step_map in Phi:
-                            T = step_map @ T
+                        T = product(Phi, T)
                     k += verified
                     if k < end:
                         break
@@ -917,22 +960,39 @@ class TestLazyTangent:
     T6 = np.vstack([np.zeros((6, 6)), np.eye(6)])
     Z0 = TestRemainderSteps.Z0
 
-    @pytest.mark.parametrize(
-        "case",
-        ["free-n1", "obstacle-n3", "theta0.3-n3", "hand-off"],
-    )
-    def test_tangent_has_the_bits_of_the_eager_carry(self, case):
+    def lazy_case(self, case):
+        """(C, H, h, steps, z0, T0) of one of the four reference runs."""
         if case == "free-n1":
-            (C, H), h, steps, z0, T0 = free_setup(), 0.01, 3000, np.array([0.3, -0.2, 0.02, -0.1]), np.eye(4)
-        elif case == "hand-off":  # the run of test_forced_hand_offs_keep_the_chord_states
-            (C, H), h, steps, z0, T0 = obstacle_run(tau=0.05), 0.1, 40, np.array([-2.0, -0.6, 0.0, 0.5] + [0.0] * 8), self.T6
-        else:
-            base = midpoint_map if case == "obstacle-n3" else (lambda n: theta_map(n, 0.3))
-            (C, H), h, steps, z0, T0 = obstacle_run(base), 0.01, 400, self.Z0, self.T6
+            return (*free_setup(), 0.01, 3000, np.array([0.3, -0.2, 0.02, -0.1]), np.eye(4))
+        if case == "hand-off":  # the run of test_forced_hand_offs_keep_the_chord_states
+            return (*obstacle_run(tau=0.05), 0.1, 40, np.array([-2.0, -0.6, 0.0, 0.5] + [0.0] * 8), self.T6)
+        base = midpoint_map if case == "obstacle-n3" else (lambda n: theta_map(n, 0.3))
+        return (*obstacle_run(base), 0.01, 400, self.Z0, self.T6)
+
+    @pytest.mark.parametrize("case", ["free-n1", "obstacle-n3", "theta0.3-n3", "hand-off"])
+    def test_tangent_has_the_bits_of_the_eager_carry(self, case):
+        C, H, h, steps, z0, T0 = self.lazy_case(case)
         ref_z, ref_tangent = eager_run(C, H, h, steps, z0, T0)
         traj = integrate(C, H, h, steps, z0, tangent=T0)
         assert np.array_equal(traj.z, ref_z)
         assert np.array_equal(traj.tangent, ref_tangent)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.05, 0.2])
+    def test_tree_is_as_accurate_as_the_loop(self, tau):
+        # Both orders against a long-double product of the same step maps on
+        # the documented 400-step run: the worst column of either is within
+        # 64 eps of its size (about 34 at most for either order here).
+        run = (*obstacle_run(tau=tau), 0.01, 400, self.Z0, self.T6)
+        exact = eager_run(*run, product=exact_product)[1]
+        tree, loop = eager_run(*run)[1], eager_run(*run, product=loop_product)[1]
+        assert np.array_equal(integrate(*run[:5], tangent=self.T6).tangent, tree)
+        assert column_error(tree, exact).max() <= 64 and column_error(loop, exact).max() <= 64
+
+    @pytest.mark.parametrize("case", ["free-n1", "obstacle-n3", "theta0.3-n3", "hand-off"])
+    def test_tree_stays_near_the_loop(self, case):
+        C, H, h, steps, z0, T0 = self.lazy_case(case)
+        tree = integrate(C, H, h, steps, z0, tangent=T0).tangent
+        assert column_error(tree, eager_run(C, H, h, steps, z0, T0, product=loop_product)[1]).max() <= 50
 
     def test_hessians_are_taken_on_the_first_read_alone(self):
         V = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)[0]
@@ -950,12 +1010,33 @@ class TestLazyTangent:
 
     def test_a_singular_linearization_raises_on_read(self, monkeypatch):
         # With every linear solve singular the run still completes (it solves
-        # no linearization), and the first read of the tangent raises.
+        # no linearization); with every inverse singular too from then on
+        # (the run's chord steps invert their Jacobians), the read raises.
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         C, H = obstacle_run()
         monkeypatch.setattr(np.linalg, "solve", singular)
+        traj = integrate(C, H, 0.01, 50, self.Z0, tangent=self.T6)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(SingularJacobian, match="one-step linearization is singular"):
+            traj.tangent
+
+    def test_a_singular_condensed_step_raises_on_read(self):
+        # One condensed step's D_k = I + hP Hs_k is exactly zero (hP is a
+        # multiple of I here, Hess V = hP^-1 at that step); every chord step
+        # and every other condensed step is regular.
+        C, H = obstacle_run()
+        hP, V = geodisc.hamiltonian._StepBlocks(C, H, 0.01).condensed[7], H.potential
+        assert not np.any(np.eye(3) - hP @ np.linalg.inv(hP))
+
+        def hess(q):  # rows: the condensed linearization; one point: a chord step
+            out = V.hess(q)
+            if np.ndim(q) == 2:
+                out[7] = np.linalg.inv(hP)
+            return out
+
+        H = second_order_hamiltonian(3, replace(V, hess=hess))
         traj = integrate(C, H, 0.01, 50, self.Z0, tangent=self.T6)
         with pytest.raises(SingularJacobian, match="one-step linearization is singular"):
             traj.tangent
