@@ -7,9 +7,9 @@ the same settings under their field names (``init`` is ``initial_state``,
 ``qdot_end``, ``suite`` is ``suites`` and check's ``h`` is ``h_values``).  The
 problem is ``obstacle`` (the default, n = 3: the planar body in a Euclidean
 (x, y, theta) chart) or ``free`` (n = 1 by default).  Exit codes: 0 success,
-1 solver or suite failure, 2 configuration error, a config-file value of the
-wrong type included.  Every failure prints a single line of the form
-``error: <kind>: message`` on stderr.
+1 solver or suite failure or a stdout closed early, 2 configuration error, a
+config-file value of the wrong type included.  Every failure prints a single
+line of the form ``error: <kind>: message`` on stderr.
 """
 from __future__ import annotations
 
@@ -452,16 +452,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "plot":
-            return cmd_plot(args.csv, args.svg)
-        cfg = load_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "shoot":
-            return cmd_shoot(cfg)
-        return cmd_check(cfg)
+            code = cmd_plot(args.csv, args.svg)
+        else:
+            code = {"simulate": cmd_simulate, "shoot": cmd_shoot, "check": cmd_check}[args.command](load_config(args))
+        sys.stdout.flush()  # a reader that left early fails here, not in the exit-time flush
+        return code
     except GeodiscError as exc:
         print(f"error: {_error_kind(exc)}: %s" % " ".join(str(exc).split()), file=sys.stderr)
         return 2 if isinstance(exc, _CONFIG_ERRORS) else 1
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # what is left in the buffer goes nowhere at exit
+        os.close(devnull)
+        print("error: broken-pipe: stdout was closed before the output was written", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

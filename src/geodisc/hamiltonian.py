@@ -33,17 +33,17 @@ per row at its own start with the Hessians taken in one call and inverted
 in one batched call, and each row stopped against its own tolerance floor,
 so every row gets the bits of a one-start call.
 
-:func:`integrate` takes a step by one of three paths: the chord Newton
+:func:`integrate` takes a step by one of two paths: the chord Newton
 iteration on the closed-form Jacobian of R, inverted once and reused (every
-step on a non-affine lifted map, step 0 of every run, and any step a fast
-path hands over); block powers of the affine one-step map z1 = M z0 + m
-when the step relation is linear (the free problem); and, with a potential
-(the obstacle problems), condensed steps in the n coordinates of q, a
-window of steps at a time.  Both fast paths check every step's full
-residual after each block of rows.  With the midpoint-family lifts this is
-an implicit midpoint scheme, conserving quadratic first integrals to
-rounding; the discrete variational equation gives the exact step
-derivative dz1/dz0, which :func:`integrate` can carry along a run.
+step on a non-affine lifted map, step 0 of every run, and any step the
+other path hands over); and, on an affine lifted map, condensed steps, a
+window at a time: one product with the powers of the one-step map, after
+fixed-point sweeps in the n coordinates of q when there is a potential (the
+obstacle problems).  Every step's full residual is checked after each block
+of rows.  With the midpoint-family lifts this is an implicit midpoint
+scheme, conserving quadratic first integrals to rounding; the discrete
+variational equation gives the exact step derivative dz1/dz0, which
+:func:`integrate` can carry along a run.
 """
 from __future__ import annotations
 
@@ -174,15 +174,16 @@ class _StepBlocks:
     z1 blocks), ``c`` = L k, and the q rows ``Kq`` = K[:n], ``kq`` = k[:n] of
     the preimage (n = d / 2, the potential's coordinates), again split into
     ``Kq0``, ``Kq1``.  For any other C these are None.  ``condensed`` holds
-    the relation solved for z1 and the preimage's q, for runs with a
-    potential.
+    the relation solved for z1 and the preimage's q over ``window`` steps:
+    _WINDOW with a potential, _ROWS without one, where a window has no
+    fixed point and is one product.
     """
 
     def __init__(self, C: CotangentLiftedMap, H: HamiltonianSystem, h: float):
         d = C.dim // 2
         if H.dim != d:
             raise ValueError(f"Hamiltonian lives on T*R^{H.dim} but the map expects dimension {d}")
-        self.h = h
+        self.h, self.window = h, _WINDOW if H.potential is not None else _ROWS
         self.L = np.hstack([-h * (canonical_symplectic_matrix(d) @ H.S0), np.eye(2 * d)])
         self.LK = self.A0 = self.A1 = self.c = self.Kq = self.Kq0 = self.Kq1 = self.kq = None
         if C.affine_inverse is not None:
@@ -211,26 +212,32 @@ class _StepBlocks:
         Z stacks M^j - I and s the offsets sum_{i<j} M^i m (j = 1 .. B), G
         stacks Gq M^j and t the Gq s_j + gq (j < B), and T and K are block
         lower-triangular Toeplitz in M^j hW and in Gq M^(j-1) hW with hP on
-        K's diagonal; b < B steps take the leading rows and columns.  Returns
-        (Z, s, T, G, t, K, hW, hP, M, Gq), built on first use.  The powers
-        are built as M^j - I from the O(h) increment M - I = -J (A0 + A1), so
-        their rounding scales with h instead of biasing every row by
-        eps |z_k| (Hairer, Lubich & Wanner, Geometric Numerical Integration,
-        2nd ed., VIII.5)."""
+        K's diagonal; b < B steps take the leading rows and columns.  Z and s
+        go on to j = ``window`` (without a potential a window is 256 steps
+        and only they are read).  Returns (Z, s, T, G, t, K, hW, hP, M, Gq),
+        built on first use.  The first B powers are built as M^j - I from the
+        O(h) increment M - I = -J (A0 + A1), so their rounding scales with h
+        instead of biasing every row by eps |z_k| (Hairer, Lubich & Wanner,
+        Geometric Numerical Integration, 2nd ed., VIII.5); the later ones B at
+        a time from M^(i+j) - I = Z_i + Z_j + Z_j Z_i, one product each."""
         J = _solve(self.A1)
-        d, n, B = self.A1.shape[0], self.kq.size, _WINDOW
+        d, n, B, R = self.A1.shape[0], self.kq.size, _WINDOW, self.window
         D, m = -(J @ (self.A0 + self.A1)), -(J @ self.c)
         M, hW = np.eye(d) + D, self.h * J[:, d // 2 : d // 2 + n]
         Gq, hP = self.Kq0 + self.Kq1 @ M, self.Kq1 @ hW
-        Z, s = np.zeros((B + 1, d, d)), np.zeros((B + 1, d))  # Z[j] = M^j - I
+        Z, s = np.zeros((R + 1, d, d)), np.zeros((R + 1, d))  # Z[j] = M^j - I
         for j in range(B):
             Z[j + 1] = Z[j] + D + D @ Z[j]
             s[j + 1] = s[j] + D @ s[j] + m
+        P = Z[1 : B + 1].reshape(B * d, d)
+        for i in range(B, R, B):  # s_(i+j) = s_i + s_j + Z_j s_i
+            Z[i + 1 : i + B + 1] = Z[i] + Z[1 : B + 1] + (P @ Z[i]).reshape(B, d, d)
+            s[i + 1 : i + B + 1] = s[i] + s[1 : B + 1] + (P @ s[i]).reshape(B, d)
         Wp = hW + Z[:B] @ hW  # Wp[j] = M^j hW
         G = Gq + Gq @ Z[:B]
         t = s[:B] @ Gq.T + (self.kq + self.Kq1 @ m)
         T, K = _toeplitz(Wp), _toeplitz(np.concatenate([hP[None], Gq @ Wp[: B - 1]]))
-        return Z[1:].reshape(B * d, d), s[1:].ravel(), T, G.reshape(B * n, d), t.ravel(), K, hW, hP, M, Gq
+        return Z[1:].reshape(R * d, d), s[1:].ravel(), T, G.reshape(B * n, d), t.ravel(), K, hW, hP, M, Gq
 
 
 def _toeplitz(blocks: Array) -> Array:
@@ -435,8 +442,8 @@ def symplectic_step(
     return z1
 
 
-_ROWS = 256  # rows per block: of the fast paths' residual check and of the energies
-_WINDOW = 32  # condensed steps solved together as one window
+_ROWS = 256  # rows per block of the condensed steps' check and of the energies; the window without a potential
+_WINDOW = 32  # condensed steps solved together as one window with a potential
 _SWEEPS = 30  # fixed-point sweeps per window before it fails
 
 
@@ -458,45 +465,6 @@ def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float,
     return end - k if failed.size == 0 else int(failed[0])
 
 
-def _linear_steps(blocks: _StepBlocks, J: Array, z: Array, k: int, tol: float, carry: list | None) -> int:
-    """Advance rows k, k + 1, ... of z by linear steps, as far as they verify.
-
-    A linear step relation A0 z0 + A1 z1 + c = 0 makes the one-step map
-    affine, z_{k+1} = M z_k + m with M = -J A0 and m = -J c, J the inverse
-    of A1.  The powers M^1 .. M^B (B = min(256, steps left)) and the offsets
-    s_j = sum_{i<j} M^i m are built once, by repeated multiplication, so a
-    block of up to B rows is one matrix product from the block's first row:
-    z_{k+j} = M^j z_k + s_j.  After each block :func:`_verified_steps`
-    checks every step's residual.  Returns the first step that failed its
-    check (the step count when none did).  ``carry`` (None: no tangent)
-    gains the linearization of each block's v verified steps, T -> M^v T."""
-    steps = z.shape[0] - 1
-    if k >= steps:
-        return k
-    A0, c = blocks.A0, blocks.c
-    d = A0.shape[0]
-    B = min(_ROWS, steps - k)
-    M = -(J @ A0)
-    Mp = np.empty((B, d, d))  # Mp[j - 1] = M^j
-    s = np.empty((B, d))  # s[j - 1] = s_j
-    Mp[0], s[0] = M, -(J @ c)
-    for j in range(1, B):
-        Mp[j] = M @ Mp[j - 1]
-        s[j] = M @ s[j - 1] + s[0]
-    P = Mp.reshape(B * d, d)
-    while k < steps:
-        end = min(k + B, steps)
-        b = end - k
-        np.add((P[: b * d] @ z[k]).reshape(b, d), s[:b], out=z[k + 1 : end + 1])
-        verified = k + _verified_steps(blocks, z, k, end, tol)
-        if carry is not None and verified > k:
-            carry.append(partial(np.matmul, Mp[verified - k - 1]))
-        if verified < end:
-            return verified
-        k = end
-    return k
-
-
 def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
     """grad at every row of Q in one call.  When that call raises a
     GeodiscError (a row on a singular set, such as the obstacle), the rows
@@ -514,83 +482,96 @@ def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
         return G
 
 
-def _window(cond: tuple[Array, ...], V: Potential, z: Array, j: int, b: int, g: Array) -> Array | None:
-    """Solve b condensed steps from row j of z as one window: the fixed point
-    g = -grad V(G z_j + t - K g) of :attr:`_StepBlocks.condensed`, swept from
-    the guess g (b rows) by one gradient call and one matvec per sweep until
-    a sweep moves the preimages by at most 4 eps of their size; one product
-    then writes rows j + 1 .. j + b.  Returns the gradients, or None when a
-    gradient raises a GeodiscError or a sweep stops contracting (a non-finite
-    one included) or has not settled after _SWEEPS."""
+def _window(cond: tuple[Array, ...], V: Potential | None, z: Array, j: int, b: int, g: Array) -> Array | None:
+    """Solve b condensed steps from row j of z as one window, and write rows
+    j + 1 .. j + b by one product, z_j + Z z_j + s - T g, with the terms of
+    :attr:`_StepBlocks.condensed`.  Without a potential (V None) g = 0 and
+    the window returns ``g``.  With one, the fixed point g = -grad V(G z_j +
+    t - K g) is swept first, from every row at the last gradient ``g``, by
+    one gradient call and one matvec per sweep until a sweep moves the
+    preimages by at most 4 eps of their size; the window returns its last
+    gradient, or None when a gradient raises a GeodiscError or a sweep stops
+    contracting (a non-finite one included) or has not settled after
+    _SWEEPS."""
     Z, s, T, G, t, K = cond[:6]
-    dz, n = z.shape[1], g.shape[1]
-    base = G[: b * n] @ z[j] + t[: b * n]
-    K = K[: b * n, : b * n]
-    Q = base - K @ g.ravel()
-    last = np.inf
-    for _ in range(_SWEEPS):
-        try:
-            g = -V.grad(Q.reshape(b, n))
-        except GeodiscError:
+    dz, n = z.shape[1], g.size
+    rows = Z[: b * dz] @ z[j] + s[: b * dz]
+    if V is not None:
+        base, K, gs = G[: b * n] @ z[j] + t[: b * n], K[: b * n, : b * n], np.empty((b, n))
+        gs[:] = g
+        Q, last = base - K @ gs.ravel(), np.inf
+        for _ in range(_SWEEPS):
+            try:
+                gs = -V.grad(Q.reshape(b, n))
+            except GeodiscError:
+                return None
+            Q, moved = base - K @ gs.ravel(), Q
+            change = np.abs(Q - moved).max()
+            if not change < last:  # a nan or inf fails too
+                return None
+            if change <= 4.0 * _EPS * np.abs(Q).max():
+                break
+            last = change
+        else:
             return None
-        Q, moved = base - K @ g.ravel(), Q
-        change = np.abs(Q - moved).max()
-        if not change < last:  # a nan or inf fails too
-            return None
-        if change <= 4.0 * _EPS * np.abs(Q).max():
-            rows = Z[: b * dz] @ z[j] + s[: b * dz] - T[: b * dz, : b * n] @ g.ravel()
-            np.add(rows.reshape(b, dz), z[j], out=z[j + 1 : j + b + 1])
-            return g
-        last = change
-    return None
+        rows -= T[: b * dz, : b * n] @ gs.ravel()
+        g = gs[-1]
+    np.add(rows.reshape(b, dz), z[j], out=z[j + 1 : j + b + 1])
+    return g
 
 
-def _potential_steps(blocks: _StepBlocks, V: Potential, z: Array, k: int, tol: float, carry: list | None) -> int:
+def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int, tol: float, carry: list | None) -> int:
     """Advance rows k, k + 1, ... of z by condensed steps, as far as they verify.
 
-    Windows of up to _WINDOW steps (:func:`_window`) start from the previous
-    window's last gradient (0 on entry); a failed window is halved, and a
-    failed one-step window ends its block at that step.  After each block of
-    up to 256 rows :func:`_verified_steps` checks every step's full
-    residual, at the gradients of the rows' preimages q_k taken in one call;
+    Windows of up to ``blocks.window`` steps (:func:`_window`) start from the
+    previous window's last gradient (0 on entry); a failed window is halved,
+    and a failed one-step window ends its block at that step.  Without a
+    potential a window is a whole block.  After each block of up to _ROWS
+    rows :func:`_verified_steps` checks every step's full residual, with a
+    potential at the gradients of the rows' preimages q_k taken in one call;
     ``carry`` (None: no tangent) gains the linearization of the verified
-    steps, :func:`_condensed_tangent` at their preimages.  Returns the first
-    step that failed (the step count when none did)."""
-    cond = blocks.condensed
+    steps, :func:`_condensed_tangent`.  Returns the first step that failed
+    (the step count when none did)."""
     steps, n = z.shape[0] - 1, blocks.kq.size
-    g, b = np.zeros((1, n)), _WINDOW
+    g, b = np.zeros(n), blocks.window
     while k < steps:
         j, end = k, min(k + _ROWS, steps)
         while j < end:
             b = min(b, end - j)
-            solved = _window(cond, V, z, j, b, np.broadcast_to(g[-1], (b, n)))
+            solved = _window(blocks.condensed, V, z, j, b, g)
             if solved is not None:
-                g, j, b = solved, j + b, min(2 * b, _WINDOW)
+                g, j, b = solved, j + b, min(2 * b, blocks.window)
             elif b > 1:
                 b //= 2
             else:
                 break
         if j == k:
             return k
-        Q = z[k:j] @ blocks.Kq0.T
-        Q += z[k + 1 : j + 1] @ blocks.Kq1.T
-        Q += blocks.kq
-        verified = _verified_steps(blocks, z, k, j, tol, -blocks.h * _row_gradients(V.grad, Q))
+        Q = hG = None
+        if V is not None:
+            Q = z[k:j] @ blocks.Kq0.T
+            Q += z[k + 1 : j + 1] @ blocks.Kq1.T
+            Q += blocks.kq
+            hG = -blocks.h * _row_gradients(V.grad, Q)
+        verified = _verified_steps(blocks, z, k, j, tol, hG)
         if carry is not None and verified:
-            carry.append(partial(_condensed_tangent, blocks, V, Q[:verified]))
+            carry.append(partial(_condensed_tangent, blocks, V, verified, Q))
         k += verified
         if k < end:
             return k
     return k
 
 
-def _condensed_tangent(blocks: _StepBlocks, V: Potential, Q: Array, tangent: Array) -> Array:
-    """``tangent`` carried over condensed steps with preimages Q by Phi_k = M - hW (Hs_k D_k^-1) Gq,
-    Hs_k = -Hess V(q_k), D_k = I + hP Hs_k (the Hessians in one call, the D_k in one batched
-    inverse), the maps multiplied as a pairwise tree: log2(b) batched products for b steps."""
+def _condensed_tangent(blocks: _StepBlocks, V: Potential | None, steps: int, Q: Array | None, tangent: Array) -> Array:
+    """``tangent`` carried over ``steps`` condensed steps with preimages Q by Phi_k = M - hW (Hs_k D_k^-1) Gq,
+    Hs_k = -Hess V(q_k), D_k = I + hP Hs_k (the Hessians in one call, the D_k in one batched inverse; without
+    a potential every Phi_k is M), the maps multiplied as a pairwise tree: log2(b) batched products for b steps."""
     hW, hP, M, Gq = blocks.condensed[6:]
-    Hs = -V.hess(Q)
-    Phi = M - hW @ ((Hs @ _solve(np.eye(hP.shape[0]) + hP @ Hs)) @ Gq)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
+    if V is None:
+        Phi = np.broadcast_to(M, (steps,) + M.shape)
+    else:
+        Hs = -V.hess(Q[:steps])
+        Phi = M - hW @ ((Hs @ _solve(np.eye(hP.shape[0]) + hP @ Hs)) @ Gq)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
     while len(Phi) > 1:  # an odd leading map goes into the tangent, the rest pair up
         if len(Phi) % 2:
             tangent, Phi = Phi[0] @ tangent, Phi[1:]
@@ -624,32 +605,30 @@ def integrate(
     (blocks for another h raise ValueError).  Step 0 runs the chord
     iteration; the inverse of the residual's closed-form Jacobian is carried
     across chord steps and refreshed only when a step stalls.  On an affine
-    lifted map the later steps take a fast path, checked after every block
-    of up to 256 rows: each step's full residual must be finite and within
-    max(tol, 8 eps ||z_k||_inf), the chord iteration's own floor.  Without a
-    potential (the free problem) every block is one product with the powers
-    of the one-step map (:func:`_linear_steps`), and the chord iteration
-    takes over from the first step that fails.  With a potential (the
-    obstacle problems) windows of up to 32 steps are solved in the n
-    potential coordinates by fixed-point sweeps (:func:`_potential_steps`);
-    a step that fails goes to the chord iteration and the windows resume
-    after it.  So a stall or a non-finite state ends in the same
-    NonConvergence as on the chord path.  Runs on an affine lifted map step
-    with numpy's overflow and invalid-value warnings silenced: the
-    finiteness tests report such a state.  The energies are evaluated once
-    over all states after the last step, with the same warnings silenced; a
-    state whose energy is not finite raises NonConvergence naming its step
-    and time.
+    lifted map the later steps are condensed (:func:`_condensed_steps`),
+    checked after every block of up to 256 rows: each step's full residual
+    must be finite and within max(tol, 8 eps ||z_k||_inf), the chord
+    iteration's own floor.  With a potential (the obstacle problems) windows
+    of up to 32 steps are solved in the n potential coordinates by
+    fixed-point sweeps; without one (the free problem) a block is one
+    product with the powers of the one-step map.  A step that fails goes to
+    the chord iteration and the windows resume after it.  So a stall or a
+    non-finite state ends in the same NonConvergence as on the chord path.
+    Runs on an affine lifted map step with numpy's overflow and
+    invalid-value warnings silenced: the finiteness tests report such a
+    state.  The energies are evaluated once over all states after the last
+    step, with the same warnings silenced; a state whose energy is not
+    finite raises NonConvergence naming its step and time.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
     through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k
     and returned as ``Trajectory.tangent``; the states are the same with or
     without it.  The run records what each step's linearization needs (a
-    chord step's endpoints, a linear block's power of M, a condensed block's
-    preimages); the tangent is built on the first read of ``.tangent``, in
-    the run's error state, each condensed block's step maps multiplied as a
-    pairwise tree, and a singular linearization raises SingularJacobian
-    there.  A stalled step raises NonConvergence naming k and its time k h.
+    chord step's endpoints, a condensed block's step count and preimages);
+    the tangent is built on the first read of ``.tangent``, in the run's
+    error state, each condensed block's step maps multiplied as a pairwise
+    tree, and a singular linearization raises SingularJacobian there.  A
+    stalled step raises NonConvergence naming k and its time k h.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -669,8 +648,6 @@ def integrate(
         raise ValueError(f"the step blocks were built for h = {blocks.h}, not h = {h}")
     carry = None if tangent is None else []
     affine = blocks.LK is not None
-    linear = affine and H.potential is None
-    condensed = affine and not linear
     z = np.empty((steps + 1, z0.size))
     z[0] = z0
     energies = np.empty(steps + 1)  # beside z: allocated after the loop it raised peak memory
@@ -702,10 +679,8 @@ def integrate(
                 carry.append(partial(_chord_tangent, C, H, h, blocks, zk.copy(), z1))
             z[k + 1] = z1
             k += 1
-            if linear and k == 1:
-                k = _linear_steps(blocks, J_inv, z, k, tol, carry)
-            elif condensed:
-                k = _potential_steps(blocks, H.potential, z, k, tol, carry)
+            if affine:
+                k = _condensed_steps(blocks, H.potential, z, k, tol, carry)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
             energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])

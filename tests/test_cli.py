@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -546,3 +548,34 @@ class TestPlot:
 
     def test_missing_file(self):
         assert cli.main(["plot", "absent.csv", "out.svg"]) == 2
+
+
+
+CLOSED_STDOUT_COMMANDS = {
+    "check": ["check", "--suite", "closed-form"],
+    "simulate": ["simulate", "--problem", "free", "--n", "1", "--steps", "2", "--init=0,0,0,1", "--csv-out", "s.csv"],
+}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", sorted(CLOSED_STDOUT_COMMANDS))
+def test_closed_stdout_is_one_error_line(command, buffered):
+    # The pipe's read end is closed before the command starts, so its first
+    # write to stdout (unbuffered), or the flush of what it buffered, fails
+    # with EPIPE, as in `geodisc check | head -1` when head has gone.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        argv = [sys.executable, "-m", "geodisc.cli", *CLOSED_STDOUT_COMMANDS[command]]
+        run = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    errors = [line for line in run.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: broken-pipe: ")
+    assert "Traceback" not in run.stderr
