@@ -252,28 +252,19 @@ def shoot(
         return last[key]
 
     target = np.concatenate([prob.q_end, prob.qdot_end])
-
-    def residual(x: Array) -> Array:
-        return flow(x).z[-1, : 2 * n] - target
-
-    def jacobian(x: Array) -> Array:
-        return flow(x).tangent[: 2 * n]
-
-    message = ""
+    residual = lambda x: flow(x).z[-1, : 2 * n] - target
+    jacobian = lambda x: flow(x).tangent[: 2 * n]
+    message = ""  # no message: Newton converged
     try:
-        backtracking = prob.potential is not None
-        x = newton_solve(residual, x0, jacobian=jacobian, tol=tol, max_iter=max_iter, backtracking=backtracking)
-        converged = True
+        x, _ = newton_solve(residual, x0, jacobian, tol, max_iter, backtracking=prob.potential is not None)
     except NonConvergence as exc:
-        x = exc.x_best
-        converged = False
-        message = str(exc)
+        x, message = exc.x_best, str(exc)
 
     traj = flow(x)
     defect = float(np.max(np.abs(traj.z[-1, : 2 * n] - target)))
     return ShootingResult(
         p0=x[:n], p1=x[n:], trajectory=traj, defect=defect, cost=running_cost(traj, prob.potential),
-        converged=converged and defect <= tol, message=message,
+        converged=not message and defect <= tol, message=message,
     )
 
 

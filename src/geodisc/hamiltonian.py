@@ -26,24 +26,24 @@ A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
 residual is A1 z1 + b, and V adds -h grad V on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
 
-:func:`symplectic_step` takes one start or rows of starts (k, 4n).  All
-rows go through the module's one chord iteration (:func:`_chord_newton`) at
-once: residual rows from stacked matrix-vector products, one chord Jacobian
-per row at its own start with the Hessians taken in one call and inverted
-in one batched call, and each row stopped against its own tolerance floor,
-so every row gets the bits of a one-start call.
+:func:`symplectic_step` takes one start or rows of starts (k, 4n), all in
+one chord iteration, the package's Newton iteration
+:func:`geodisc.numeric.newton_solve` on its chord policy: one closed-form
+Jacobian of R per row at its start, the Hessians in one call and the
+inverses in one batched call, and each row stopped at its own floor
+:func:`_floor`, so every row gets the bits of a one-start call.
 
-:func:`integrate` takes a step by one of two paths: the chord Newton
-iteration on the closed-form Jacobian of R, inverted once and reused (every
-step on a non-affine lifted map, step 0 of every run, and any step the
-other path hands over); and, on an affine lifted map, condensed steps, a
-window at a time: one product with the powers of the one-step map, after
-fixed-point sweeps in the n coordinates of q when there is a potential (the
-obstacle problems).  Every step's full residual is checked after each block
-of rows.  With the midpoint-family lifts this is an implicit midpoint
-scheme, conserving quadratic first integrals to rounding; the discrete
-variational equation gives the exact step derivative dz1/dz0, which
-:func:`integrate` can carry along a run.
+:func:`integrate` takes a step by one of two paths: that chord iteration,
+its inverse Jacobian carried from step to step (every step on a non-affine
+lifted map, step 0 of every run, and any step the other path hands over);
+and, on an affine lifted map, condensed steps, a window at a time: one
+product with the powers of the one-step map, after fixed-point sweeps in
+the n coordinates of q when there is a potential (the obstacle problems).
+Every step's full residual is checked after each block of rows.  With the
+midpoint-family lifts this is an implicit midpoint scheme, conserving
+quadratic first integrals to rounding; the discrete variational equation
+gives the exact step derivative dz1/dz0, which :func:`integrate` can carry
+along a run.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import GeodiscError, NonConvergence, SingularJacobian
 from .lifts import CotangentLiftedMap, canonical_symplectic_matrix
-from .numeric import as_vector, matvec
+from .numeric import as_vector, matvec, newton_solve
 
 Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
@@ -183,7 +183,7 @@ class _StepBlocks:
         d = C.dim // 2
         if H.dim != d:
             raise ValueError(f"Hamiltonian lives on T*R^{H.dim} but the map expects dimension {d}")
-        self.h, self.window = h, _WINDOW if H.potential is not None else _ROWS
+        self.C, self.H, self.h, self.window = C, H, h, _WINDOW if H.potential is not None else _ROWS
         self.L = np.hstack([-h * (canonical_symplectic_matrix(d) @ H.S0), np.eye(2 * d)])
         self.LK = self.A0 = self.A1 = self.c = self.Kq = self.Kq0 = self.Kq1 = self.kq = None
         if C.affine_inverse is not None:
@@ -240,6 +240,18 @@ class _StepBlocks:
         return Z[1:].reshape(R * d, d), s[1:].ravel(), T, G.reshape(B * n, d), t.ravel(), K, hW, hP, M, Gq
 
 
+def _blocks_for(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, blocks: _StepBlocks | None) -> _StepBlocks:
+    """``blocks``, refused with ValueError unless built for this C and H (by identity) and this h; new
+    blocks when None."""
+    if blocks is None:
+        return _StepBlocks(C, H, h)
+    if blocks.C is not C or blocks.H is not H:
+        raise ValueError("the step blocks were built for another lifted map or Hamiltonian")
+    if blocks.h != h:
+        raise ValueError(f"the step blocks were built for h = {blocks.h}, not h = {h}")
+    return blocks
+
+
 def _toeplitz(blocks: Array) -> Array:
     """The block lower-triangular Toeplitz matrix with blocks[j] on its j-th block subdiagonal: block
     row i is the window i .. i + B - 1 of the reversed blocks and B - 1 zero blocks, read backwards."""
@@ -258,9 +270,9 @@ def step_residual(
     affine.  z0 may also be rows (k, 4n), one start per row, and the
     residual then maps rows z1 of the same shape to one residual row each.
     ``blocks`` passes the matrices built once per run for this (C, H, h);
-    without it they are built here."""
-    if blocks is None:
-        blocks = _StepBlocks(C, H, h)
+    without it they are built here, and blocks built for any other (C, H, h)
+    raise ValueError."""
+    blocks = _blocks_for(C, H, h, blocks)
     d = C.dim // 2
     if np.ndim(z0) == 2:
         z0 = np.asarray(z0, dtype=float)
@@ -342,80 +354,20 @@ def _solve(A: Array, B: Array | None = None) -> Array:
         raise SingularJacobian("one-step linearization is singular") from exc
 
 
+def _floor(tol: float, z: Array) -> Array:
+    """The one-step tolerance at each state (row) of z: max(tol, 8 eps ||z||_inf), never below the rounding
+    level of the state (for tol = 1e-12 the second term takes over above ||z||_inf ~ 560)."""
+    return np.maximum(tol, 8.0 * _EPS * np.abs(z).max(axis=-1))
+
+
 def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, max_iter: int):
-    """Newton iteration reusing one inverted Jacobian, refreshed only on stalls.
-
-    x0 is one point or rows (k, m), one system per row: ``residual`` maps x
-    to residuals of the same shape, and ``jacobian(x)`` gives the residual's
-    Jacobian at x, one matrix per row or one shared by all.  Each Jacobian
-    is inverted once per refresh (all rows in one batched call) and applied
-    by matrix-vector products.  ``J_inv`` is a carried inverse (None to start
-    from the Jacobian at x0).  Returns (solution, inverse_used) so callers
-    integrating many steps can carry it across steps.
-
-    Every row runs the iteration it would run alone: its own tolerance,
-    never below 8 eps ||x0_i||_inf, the rounding level of its state (for
-    tol = 1e-12 that floor takes over above ||x0_i||_inf ~ 560); its own
-    Jacobian refresh when it contracts too slowly; and one last correction
-    once within its tolerance, after which it stays fixed.  The first
-    residual that is not finite ends the attempt: iterating from it would
-    only spread inf and nan.  A stall or a non-finite residual raises
-    NonConvergence for the first row it hits, named when x0 has rows.
-    """
-    tol = np.maximum(tol, 8.0 * _EPS * np.abs(x0).max(axis=-1))
-    x = solution = x0
-    r = residual(x)
-    norm = np.abs(r).max(axis=-1)
-    best_x, best_norm = x, norm
-    open_rows = np.ones(norm.shape, dtype=bool)  # 0-d for one point
-
-    def failed(reason: str, iterations: int, rows: Array) -> NonConvergence:
-        i = () if x.ndim == 1 else int(np.flatnonzero(rows)[0])
-        where = "" if x.ndim == 1 else f" of row {i}"
-        return NonConvergence(
-            f"one-step solve{where} {reason.format(best=best_norm[i])} (tol {tol[i]:.1e})",
-            x_best=best_x[i].copy(),
-            residual_norm=float(best_norm[i]),
-            iterations=iterations,
-        )
-
-    bad = ~np.isfinite(norm)
-    if bad.any():
-        raise failed("met a non-finite residual at its starting point", 0, bad)
-    refreshed = np.full(norm.shape, J_inv is None)
-    if J_inv is None:
-        J_inv = _solve(jacobian(x))
-    it = 0
-    while True:
-        step = matvec(J_inv, r)
-        done = open_rows & (norm <= tol)
-        if done.any():
-            # One last correction so long integrations are not limited by tol.
-            solution = np.where(done[..., None], x - step, solution)
-            open_rows = open_rows & ~done
-            if not open_rows.any():
-                return solution, J_inv
-        if it == max_iter:
-            raise failed("stalled at residual {best:.3e}", max_iter, open_rows)
-        it += 1
-        x = np.where(open_rows[..., None], x - step, x)
-        r = residual(x)
-        new_norm = np.abs(r).max(axis=-1)
-        bad = open_rows & ~np.isfinite(new_norm)
-        if bad.any():
-            raise failed(f"met a non-finite residual at iteration {it}, best residual {{best:.3e}}", it, bad)
-        better = open_rows & (new_norm < best_norm)
-        best_x = np.where(better[..., None], x, best_x)
-        best_norm = np.where(better, new_norm, best_norm)
-        stale = open_rows & (new_norm > 0.5 * norm) & (new_norm > tol) & ~refreshed
-        if stale.any():
-            # Insufficient contraction: the carried Jacobian is stale.  Only
-            # the stale rows are re-inverted (a 0-d flag indexes one point).
-            shape = x.shape + x.shape[-1:]
-            J_inv = np.array(np.broadcast_to(J_inv, shape))
-            J_inv[stale] = _solve(np.broadcast_to(jacobian(x), shape)[stale])
-            refreshed = refreshed | stale
-        norm = np.where(open_rows, new_norm, norm)
+    """:func:`~geodisc.numeric.newton_solve`'s chord policy from x0, one start or rows, each row against
+    its own :func:`_floor`; returns (solution, inverse used), and words a failure as the one-step solve's."""
+    try:
+        return newton_solve(residual, x0, jacobian, _floor(tol, x0), max_iter, chord=True, J_inv=J_inv)
+    except (NonConvergence, SingularJacobian) as exc:
+        exc.args = (str(exc).replace("Newton", "one-step" if isinstance(exc, SingularJacobian) else "one-step solve"),)
+        raise
 
 
 def symplectic_step(
@@ -438,8 +390,7 @@ def symplectic_step(
     residual = step_residual(C, H, h, z0, blocks=blocks)
     z0 = np.asarray(z0, dtype=float)
     chord = lambda z1: _step_jacobian(C, H, h, z0, z1, blocks=blocks)[..., C.dim :]
-    z1, _ = _chord_newton(residual, chord, z0, None, tol, max_iter)
-    return z1
+    return _chord_newton(residual, chord, z0, None, tol, max_iter)[0]
 
 
 _ROWS = 256  # rows per block of the condensed steps' check and of the energies; the window without a potential
@@ -451,17 +402,14 @@ def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float,
     """Number of leading steps k, k + 1, .. end - 1 of z whose full residual
     A0 z_k + A1 z_{k+1} + c, plus ``hG`` (-h grad V at the step's preimage,
     one row per step) on the p0 rows, is finite and within the chord
-    iteration's own tolerance max(tol, 8 eps ||z_k||_inf): one vectorized
-    pass over the block."""
+    iteration's own tolerance, :func:`_floor`: one pass over the block."""
     R = z[k:end] @ blocks.A0.T
     R += z[k + 1 : end + 1] @ blocks.A1.T
     R += blocks.c
     if hG is not None:
         d = R.shape[1] // 2
         R[:, d : d + hG.shape[1]] += hG
-    norms = np.abs(R, out=R).max(axis=1)
-    floors = np.maximum(tol, 8.0 * _EPS * np.abs(z[k:end], out=R).max(axis=1))
-    failed = np.flatnonzero(~(norms <= floors))  # a nan fails too
+    failed = np.flatnonzero(~(np.abs(R, out=R).max(axis=1) <= _floor(tol, z[k:end])))  # a nan fails too
     return end - k if failed.size == 0 else int(failed[0])
 
 
@@ -642,10 +590,7 @@ def integrate(
         tangent = np.array(tangent, dtype=float)  # a copy: it is read when the tangent is
         if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
             raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
-    if blocks is None:
-        blocks = _StepBlocks(C, H, h)
-    elif blocks.h != h:
-        raise ValueError(f"the step blocks were built for h = {blocks.h}, not h = {h}")
+    blocks = _blocks_for(C, H, h, blocks)
     carry = None if tangent is None else []
     affine = blocks.LK is not None
     z = np.empty((steps + 1, z0.size))
@@ -664,17 +609,12 @@ def integrate(
             chord = lambda z1, zk=zk: _step_jacobian(C, H, h, zk, z1, blocks=blocks)[:, 2 * d :]
             try:
                 z1, J_inv = _chord_newton(residual, chord, zk, J_inv, tol, max_iter)
-            except NonConvergence:
-                # One retry with a fresh Jacobian before giving up.
+            except NonConvergence:  # one retry with a fresh Jacobian before giving up
                 try:
                     z1, J_inv = _chord_newton(residual, chord, zk, None, tol, max_iter)
                 except NonConvergence as exc:
-                    raise NonConvergence(
-                        f"step {k} at t = {k * h:.6g}: {exc}",
-                        x_best=exc.x_best,
-                        residual_norm=exc.residual_norm,
-                        iterations=exc.iterations,
-                    ) from exc
+                    exc.args = (f"step {k} at t = {k * h:.6g}: {exc}",)
+                    raise
             if carry is not None:
                 carry.append(partial(_chord_tangent, C, H, h, blocks, zk.copy(), z1))
             z[k + 1] = z1

@@ -1,14 +1,16 @@
-"""Small dense numerics: Newton solves, finite-difference Jacobians and the
-derivatives of curves.
+"""Small dense numerics: the package's one Newton iteration, finite-difference
+Jacobians and the derivatives of curves.
 
 Everything operates on plain 1-d numpy arrays and is pure; :func:`matvec`,
-:func:`rowdot` and :func:`row_jacobian_fd` also take stacks of points, one per
-row, and give every row the bits of its one-point value. The rest of
-the package builds its maps, lifts and integrators on top of these helpers, so
-the conventions fixed here (central differences, infinity-norm stopping tests)
-propagate everywhere.  :func:`taylor_derivatives` differentiates a black-box
-curve at 0 by central stencils up to order ``MAX_TAYLOR_ORDER`` = 2; the
-jets of :mod:`geodisc.jets` take it for the jet of a curve.
+:func:`rowdot`, :func:`row_jacobian_fd` and :func:`newton_solve` also take
+stacks of points, one per row, and give every row the bits of its one-point
+value.  :func:`newton_solve` serves the implicit step (its chord policy) and
+shooting (its Newton policy, damped).  The rest of the package builds its
+maps, lifts and integrators on these helpers, so the conventions fixed here
+(central differences, infinity-norm stopping tests) propagate everywhere.
+:func:`taylor_derivatives` differentiates a black-box curve at 0 by central
+stencils up to order ``MAX_TAYLOR_ORDER`` = 2; the jets of
+:mod:`geodisc.jets` take it for the jet of a curve.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ VectorFunc = Callable[[Array], Array]
 MAX_TAYLOR_ORDER = 2
 
 # Errors that mean "this probe point was bad", as opposed to "the function is
-# broken".  Damped iterations are allowed to back off when they see one.
+# broken": newton_solve's backtracking backs off from one.
 EVALUATION_ERRORS = (EvaluationFailure, DomainViolation, SingularPotential, ObstaclePenetration)
 
 
@@ -134,88 +136,114 @@ def row_jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
     return np.ascontiguousarray(np.swapaxes((Y[..., :n, :] - Y[..., n:, :]) / (2.0 * eps), -1, -2))
 
 
-def _damped_update(residual, x, r, step, max_halvings=40):
-    """Backtracking line search: halve the Newton step until the residual norm
-    drops or an evaluation stops failing.  Returns (x_new, r_new)."""
-    norm0 = float(np.max(np.abs(r)))
-    alpha = 1.0
-    for _ in range(max_halvings):
-        x_new = x - alpha * step
-        try:
-            r_new = _eval_vector(residual, x_new)
-        except EVALUATION_ERRORS:
-            alpha *= 0.5
-            continue
-        if float(np.max(np.abs(r_new))) < norm0:
-            return x_new, r_new
-        alpha *= 0.5
-    raise NonConvergence(
-        f"backtracking failed to reduce the residual below {norm0:.3e}",
-        x_best=np.array(x),
-        residual_norm=norm0,
-    )
-
-
 def newton_solve(
     residual: VectorFunc,
     x0,
     jacobian: Callable[[Array], Array],
-    tol: float = 1e-12,
+    tol: float | Array = 1e-12,
     max_iter: int = 50,
     backtracking: bool = False,
-) -> Array:
-    """Solve residual(x) = 0 by Newton iteration.
+    *,
+    chord: bool = False,
+    J_inv: Array | None = None,
+) -> tuple[Array, Array | None]:
+    """Solve residual(x) = 0 by x <- x - J^-1 r from one point x0 (m,) or
+    from rows (k, m), one system per row.
 
-    Args:
-        residual: map R^n -> R^n whose root is sought.
-        x0: starting point.
-        jacobian: the residual's Jacobian at x, a square matrix of the size
-            of x (``lambda x: jacobian_fd(residual, x)`` for central differences).
-        tol: absolute infinity-norm tolerance on the residual.
-        max_iter: iteration cap (number of Newton updates).
-        backtracking: if set, damp steps that fail to decrease the residual or
-            that land on points where ``residual`` raises a domain error.
+    ``residual`` maps x to residuals of x's shape and ``jacobian(x)`` gives
+    J at x, one m x m matrix per row or one for all.  Each J is inverted
+    once, all rows in one batched call, and applied by matrix-vector
+    products.  ``tol`` bounds the residual's infinity norm, one value or one
+    per row; a row within it stops there.  ``chord`` selects when J is taken:
 
-    Returns the solution as a 1-d array.  Raises :class:`NonConvergence` (with
-    the best iterate attached) if the cap is hit, :class:`SingularJacobian` if
-    the linearization cannot be solved.
+    - False, Newton: at every iterate still above tol, never at one within it.
+    - True, the chord (simplified Newton) iteration (Hairer & Wanner,
+      Solving ODEs II, IV.8): J^-1 is the carried ``J_inv``, or J is taken
+      at x0; a row whose residual fails to halve takes J again, once per
+      solve; a row within tol gets one last correction, so that long
+      integrations are not limited by tol.
+
+    ``backtracking`` (one point) halves a step until the residual drops at a
+    point where ``residual`` raises none of ``EVALUATION_ERRORS``.  Returns
+    (solution, the inverse last used).  The first residual that is not
+    finite ends the solve.  A stall, a non-finite residual or a failed
+    backtracking raises NonConvergence with the best iterate of the first
+    row it hits, named when x0 has rows; a singular J raises
+    SingularJacobian and a J that is not m x m ValueError.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    x = as_vector(x0, name="x0").copy()
-    r = _eval_vector(residual, x)
-    if r.size != x.size:
-        raise ValueError(f"residual maps R^{x.size} to R^{r.size}, need a square system")
-    best_x, best_norm = x.copy(), float(np.max(np.abs(r)))
-    iterations = 0
-    for _ in range(max_iter):
-        norm = float(np.max(np.abs(r)))
-        if norm <= tol:
-            return x
+    x = solution = np.asarray(x0, dtype=float)
+    r = residual(x)
+    norm = np.abs(r).max(axis=-1)
+    best_x, best_norm = x, norm
+    open_rows = np.ones(norm.shape, dtype=bool)  # 0-d for one point
+    shape = x.shape + x.shape[-1:]
+
+    def failed(reason: str, iterations: int, rows: Array) -> NonConvergence:
+        i = () if x.ndim == 1 else int(np.flatnonzero(rows)[0])
+        reason = reason.format(where="" if x.ndim == 1 else f" of row {i}", best=best_norm[i], it=iterations)
+        tol_i = np.broadcast_to(tol, norm.shape)[i]
+        return NonConvergence(f"{reason} (tol {tol_i:.1e})", best_x[i].copy(), float(best_norm[i]), iterations)
+
+    def inverted(J_inv: Array | None, rows: Array) -> Array:
+        """J_inv with the given rows' J taken at x and inverted (all of it the first time)."""
         J = np.asarray(jacobian(x), dtype=float)
-        if J.shape != (x.size, x.size):
-            raise ValueError(f"jacobian returned shape {J.shape}, expected {(x.size, x.size)}")
+        if J.shape[-2:] != shape[-2:]:
+            raise ValueError(f"jacobian returned shape {J.shape}, expected {shape[-2:]} per row")
         try:
-            step = np.linalg.solve(J, r)
+            if J_inv is None or rows.all():
+                return np.linalg.inv(J)
+            J_inv = np.array(np.broadcast_to(J_inv, shape))
+            J_inv[rows] = np.linalg.inv(np.broadcast_to(J, shape)[rows])
+            return J_inv
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Newton linearization is singular at iteration {iterations}") from exc
+            raise SingularJacobian("Newton linearization is singular") from exc
+
+    bad = ~np.isfinite(norm)
+    if bad.any():
+        raise failed("Newton{where} met a non-finite residual at its starting point", 0, bad)
+    stale = refreshed = np.full(norm.shape, J_inv is None)
+    it = 0
+    while True:
+        if chord:
+            if stale.any():
+                J_inv, refreshed = inverted(J_inv, stale), refreshed | stale
+            step = matvec(J_inv, r)
+        done = open_rows & (norm <= tol)
+        if done.any():
+            solution = np.where(done[..., None], x - step if chord else x, solution)
+            open_rows = open_rows & ~done
+            if not open_rows.any():
+                return solution, J_inv
+        if it == max_iter:
+            raise failed("Newton{where} stalled at residual {best:.3e}", max_iter, open_rows)
+        if not chord:
+            J_inv = inverted(J_inv, open_rows)
+            step = matvec(J_inv, r)
+        it += 1
         if backtracking:
-            x, r = _damped_update(residual, x, r, step)
+            for alpha in 0.5 ** np.arange(40):
+                trial = x - alpha * step
+                try:
+                    r = residual(trial)
+                except EVALUATION_ERRORS:
+                    continue
+                if np.abs(r).max() < norm:
+                    break
+            else:
+                raise failed("backtracking failed to reduce the residual below {best:.3e}", it, open_rows)
+            x = trial
         else:
-            x = x - step
-            r = _eval_vector(residual, x)
-        iterations += 1
-        norm = float(np.max(np.abs(r)))
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
-    if float(np.max(np.abs(r))) <= tol:
-        return x
-    raise NonConvergence(
-        f"Newton stalled at residual {best_norm:.3e} after {iterations} iterations (tol {tol:.1e})",
-        x_best=best_x,
-        residual_norm=best_norm,
-        iterations=iterations,
-    )
+            x = np.where(open_rows[..., None], x - step, x)
+            r = residual(x)
+        new_norm = np.abs(r).max(axis=-1)
+        bad = open_rows & ~np.isfinite(new_norm)
+        if bad.any():
+            raise failed("Newton{where} met a non-finite residual at iteration {it}, best residual {best:.3e}", it, bad)
+        better = open_rows & (new_norm < best_norm)
+        best_x = np.where(better[..., None], x, best_x)
+        best_norm = np.where(better, new_norm, best_norm)
+        stale = open_rows & (new_norm > 0.5 * norm) & (new_norm > tol) & ~refreshed
+        norm = np.where(open_rows, new_norm, norm)
 
 
 #: The central five-point stencils, (h, weights at h (-2, -1, 0, 1, 2)), of

@@ -258,7 +258,7 @@ class TestObstacleShooting:
 
         x0 = np.concatenate(hermite_costates(prob.q_start, prob.qdot_start, prob.q_end, prob.qdot_end, prob.T))
         fd = lambda x: jacobian_fd(endpoint_defect, x)
-        reference = newton_solve(endpoint_defect, x0, jacobian=fd, tol=1e-10, max_iter=40, backtracking=True)
+        reference, _ = newton_solve(endpoint_defect, x0, jacobian=fd, tol=1e-10, max_iter=40, backtracking=True)
         assert np.max(np.abs(np.concatenate([res.p0, res.p1]) - reference)) <= 1e-12
 
     def test_step_blocks_are_built_once_per_problem(self, monkeypatch):

@@ -210,7 +210,7 @@ class TestRowSteps:
             return A
 
         monkeypatch.setattr(geodisc.hamiltonian, "_step_jacobian", one_singular)
-        with pytest.raises(SingularJacobian):
+        with pytest.raises(SingularJacobian, match="^one-step linearization is singular$"):
             symplectic_step(C, H, 0.01, row_starts(3, 3, rng, obstacle=True))
 
     def test_one_step_jacobian_steps_its_probes_as_one_array(self, monkeypatch, rng):
@@ -1083,6 +1083,22 @@ class TestLazyTangent:
             assert np.array_equal(shared.z, own.z) and np.array_equal(shared.tangent, own.tangent)
         with pytest.raises(ValueError, match="built for h = 0.01"):
             integrate(C, H, 0.02, 400, z0, blocks=blocks)
+
+    @pytest.mark.parametrize("case", ["free blocks, obstacle run", "midpoint blocks, theta0.3 run"])
+    def test_blocks_of_another_map_or_hamiltonian_are_refused(self, case):
+        # Without the check the first case failed deep in a window (a matmul
+        # size mismatch) and the second ran the midpoint steps, 9e-5 off from
+        # this start over 400 steps, with no error.  Each case keeps one of
+        # C and H, so each identity test is exercised.
+        C, H = obstacle_run()
+        if case.startswith("free"):
+            blocks = geodisc.hamiltonian._StepBlocks(C, second_order_hamiltonian(3), 0.01)
+        else:
+            blocks, C = geodisc.hamiltonian._StepBlocks(C, H, 0.01), obstacle_run(lambda n: theta_map(n, 0.3))[0]
+        for run in (lambda: integrate(C, H, 0.01, 400, self.Z0, blocks=blocks),
+                    lambda: step_residual(C, H, 0.01, self.Z0, blocks=blocks)):
+            with pytest.raises(ValueError, match="^the step blocks were built for another lifted map or Hamiltonian$"):
+                run()
 
 
 class TestNonFiniteEnergy:

@@ -114,12 +114,12 @@ class TestJacobianFd:
 class TestNewtonSolve:
     def test_scalar_quadratic(self):
         f = lambda x: np.array([x[0] ** 2 - 2.0])
-        x = newton_solve(f, np.array([1.0]), jacobian=lambda x: np.array([[2.0 * x[0]]]))
+        x, _ = newton_solve(f, np.array([1.0]), jacobian=lambda x: np.array([[2.0 * x[0]]]))
         assert abs(x[0] - np.sqrt(2)) < 1e-12
 
     def test_vector_system(self):
         f = lambda z: np.array([z[0] + z[1] - 3.0, z[0] * z[1] - 2.0])
-        z = newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: jacobian_fd(f, z))
+        z, _ = newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: jacobian_fd(f, z))
         assert np.allclose(sorted(z), [1.0, 2.0], atol=1e-10)
 
     def test_supplied_jacobian_shape_checked(self):
@@ -128,7 +128,7 @@ class TestNewtonSolve:
             newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: np.ones((2, 1)))
         with pytest.raises(ValueError, match="shape"):
             newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: np.ones(4))
-        z = newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: np.array([[1.0, 1.0], [1.0, -1.0]]))
+        z, _ = newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: np.array([[1.0, 1.0], [1.0, -1.0]]))
         assert np.allclose(z, [1.5, 1.5], atol=1e-12)
 
     def test_singular_jacobian(self):
@@ -143,6 +143,15 @@ class TestNewtonSolve:
         assert err.value.x_best is not None
         assert err.value.residual_norm >= 1.0
 
+    def test_nonfinite_residual_names_its_row_and_iteration(self):
+        # A Jacobian a quarter of the true one: row 1's first update lands past x = 3.
+        f = lambda x: np.where(x > 3.0, np.inf, x - 2.0)
+        with pytest.raises(NonConvergence) as err:
+            newton_solve(f, np.array([[2.5], [-2.0]]), lambda x: np.full((1, 1), 0.25), tol=1e-12)
+        expected = "Newton of row 1 met a non-finite residual at iteration 1, best residual 4.000e+00 (tol 1.0e-12)"
+        assert str(err.value) == expected
+        assert err.value.iterations == 1 and np.array_equal(err.value.x_best, [-2.0])
+
     def test_zero_tolerance_never_converges(self):
         f = lambda x: np.array([np.sin(x[0])])
         with pytest.raises(NonConvergence):
@@ -154,5 +163,73 @@ class TestNewtonSolve:
                 raise DomainViolation("left of the wall")
             return np.array([np.tanh(x[0]) - 0.5])
 
-        x = newton_solve(f, np.array([-0.9]), lambda x: jacobian_fd(f, x), backtracking=True)
+        x, _ = newton_solve(f, np.array([-0.9]), lambda x: jacobian_fd(f, x), backtracking=True)
         assert abs(np.tanh(x[0]) - 0.5) < 1e-12
+
+
+class TestRefreshPolicies:
+    """The two refresh policies of ``newton_solve`` on one small system:
+    rows of the scalar equations a_i x_i = b_i, whose Jacobian the tests
+    supply wrong on purpose to control each row's contraction."""
+
+    A, B = np.array([2.0, 5.0]), np.array([1.0, -3.0])
+
+    def residual(self, x):
+        return self.A[:, None] * x - self.B[:, None]
+
+    def counted(self, jacobian):
+        calls = []
+
+        def counting(x):
+            calls.append(np.array(x))
+            return jacobian(x)
+
+        return counting, calls
+
+    def test_chord_with_a_good_carried_inverse_takes_no_jacobian(self):
+        jac, calls = self.counted(lambda x: self.A[:, None, None])
+        J_inv = (1.0 / self.A)[:, None, None]
+        x, used = newton_solve(self.residual, np.zeros((2, 1)), jac, tol=1e-12, chord=True, J_inv=J_inv)
+        assert calls == [] and used is J_inv
+        assert np.array_equal(x[:, 0], self.B / self.A)
+
+    def test_chord_refreshes_a_slow_row_once(self):
+        # Row 1 carries a third of its inverse Jacobian and is given three
+        # times its Jacobian: its residual shrinks by 2/3 per iteration, so
+        # it goes stale at once and stays slow after its one refresh.  Row 0
+        # carries its exact inverse and is never refreshed.
+        jac, calls = self.counted(lambda x: 3.0 * self.A[:, None, None])
+        J_inv = np.array([[[1.0 / self.A[0]]], [[1.0 / (3.0 * self.A[1])]]])
+        x, used = newton_solve(self.residual, np.zeros((2, 1)), jac, tol=1e-12, max_iter=200, chord=True, J_inv=J_inv)
+        assert len(calls) == 1
+        assert used[0, 0, 0] == 1.0 / self.A[0] and used[1, 0, 0] == 1.0 / (3.0 * self.A[1])
+        assert np.max(np.abs(self.A * x[:, 0] - self.B)) <= 1e-12
+
+    def test_chord_applies_the_last_correction(self):
+        # Both starts are within tol 0.1, so neither iterates; the chord still
+        # takes one step, and the Newton policy returns the starts unchanged.
+        x0 = np.array([[0.52], [-0.59]])
+        jac, calls = self.counted(lambda x: self.A[:, None, None])
+        x, _ = newton_solve(self.residual, x0, jac, tol=0.1, chord=True)
+        assert len(calls) == 1 and np.allclose(x[:, 0], self.B / self.A, rtol=0, atol=1e-15)
+        jac, calls = self.counted(lambda x: self.A[:, None, None])
+        x, used = newton_solve(self.residual, x0, jac, tol=0.1)
+        assert calls == [] and used is None and np.array_equal(x, x0)
+
+    def test_newton_takes_one_jacobian_per_iterate_above_tol(self):
+        f = lambda x: np.array([x[0] ** 2 - 2.0])
+        iterates = []
+
+        def residual(x):
+            iterates.append(np.array(x))
+            return f(x)
+
+        jac, calls = self.counted(lambda x: np.array([[2.0 * x[0]]]))
+        x, _ = newton_solve(residual, np.array([1.0]), jac, tol=1e-12)
+        assert len(iterates) >= 4 and [c.tolist() for c in calls] == [i.tolist() for i in iterates[:-1]]
+        assert all(abs(f(c)[0]) > 1e-12 for c in calls) and abs(f(x)[0]) <= 1e-12
+
+    def test_newton_takes_no_jacobian_at_a_converged_start(self):
+        jac, calls = self.counted(lambda x: np.array([[2.0]]))
+        x, used = newton_solve(lambda x: 2.0 * x - 1.0, np.array([0.5]), jac, tol=0.0)
+        assert calls == [] and used is None and np.array_equal(x, [0.5])
