@@ -28,7 +28,7 @@ from .errors import (
     SingularPotential,
     StartInsideObstacle,
 )
-from .hamiltonian import Potential, Trajectory, _StepBlocks, integrate, second_order_hamiltonian
+from .hamiltonian import Potential, Trajectory, integrate, second_order_hamiltonian
 from .lifts import CotangentLiftedMap, second_order_phase_map
 from .maps import DiscretizationMap
 from .numeric import as_vector, newton_solve
@@ -232,7 +232,6 @@ def shoot(
     if x0.size != 2 * n:
         raise ValueError(f"costate guess must have {2 * n} entries")
     tangent0 = np.vstack([np.zeros((2 * n, 2 * n)), np.eye(2 * n)])
-    blocks = _StepBlocks(C, H, prob.h)
     last: dict[bytes, Trajectory] = {}  # the latest flow, keyed on the bits of x
 
     def flow(x: Array) -> Trajectory:
@@ -240,7 +239,7 @@ def shoot(
         if key not in last:
             z0 = np.concatenate([prob.q_start, prob.qdot_start, x])
             try:
-                traj = integrate(C, H, prob.h, prob.steps, z0, tangent=tangent0, blocks=blocks)
+                traj = integrate(C, H, prob.h, prob.steps, z0, tangent=tangent0)
             except SingularPotential as exc:
                 raise ObstaclePenetration(str(exc)) from exc
             except NonConvergence as exc:

@@ -21,7 +21,7 @@ matrix, the relations (mdot, pdot) = h JJ grad H(m, p), that is
     R(z1) = L w + h JJ grad V(q) = 0,      L = [-h JJ S0 | I],
 
 for z1.  When the lifted map's inverse is affine, w = K (z0, z1) + k
-(every constant-Jacobian base), L is folded into it once per run: with
+(every constant-Jacobian base), L is folded into it once per (C, H, h): with
 A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
 residual is A1 z1 + b, and V adds -h grad V on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
@@ -47,9 +47,8 @@ along a run.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -166,7 +165,8 @@ class Trajectory:
 
 
 class _StepBlocks:
-    """The step relations of one (C, H, h) as matrices, built once per run.
+    """The step relations of one (C, H, h) as matrices, looked up by
+    :func:`_step_blocks` and built once for the few latest (C, H, h).
 
     ``L`` = [-h JJ S0 | I] maps the lifted-map preimage w to the quadratic
     part of the residual.  When C's inverse is affine, y -> K y + k, L is
@@ -183,7 +183,7 @@ class _StepBlocks:
         d = C.dim // 2
         if H.dim != d:
             raise ValueError(f"Hamiltonian lives on T*R^{H.dim} but the map expects dimension {d}")
-        self.C, self.H, self.h, self.window = C, H, h, _WINDOW if H.potential is not None else _ROWS
+        self.h, self.window = h, _WINDOW if H.potential is not None else _ROWS
         self.L = np.hstack([-h * (canonical_symplectic_matrix(d) @ H.S0), np.eye(2 * d)])
         self.LK = self.A0 = self.A1 = self.c = self.Kq = self.Kq0 = self.Kq1 = self.kq = None
         if C.affine_inverse is not None:
@@ -240,16 +240,9 @@ class _StepBlocks:
         return Z[1:].reshape(R * d, d), s[1:].ravel(), T, G.reshape(B * n, d), t.ravel(), K, hW, hP, M, Gq
 
 
-def _blocks_for(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, blocks: _StepBlocks | None) -> _StepBlocks:
-    """``blocks``, refused with ValueError unless built for this C and H (by identity) and this h; new
-    blocks when None."""
-    if blocks is None:
-        return _StepBlocks(C, H, h)
-    if blocks.C is not C or blocks.H is not H:
-        raise ValueError("the step blocks were built for another lifted map or Hamiltonian")
-    if blocks.h != h:
-        raise ValueError(f"the step blocks were built for h = {blocks.h}, not h = {h}")
-    return blocks
+# The step blocks of the eight latest (C, H, h), C and H matched by identity: the runs of one problem, or at a
+# few step sizes in turn, share one build and its arrays, which no caller writes.
+_step_blocks = lru_cache(maxsize=8)(_StepBlocks)
 
 
 def _toeplitz(blocks: Array) -> Array:
@@ -260,19 +253,15 @@ def _toeplitz(blocks: Array) -> Array:
     return T[::-1].transpose(0, 1, 3, 2).reshape(B * r, B * c)  # T[::-1][i, :, :, l] = blocks[i - l]
 
 
-def step_residual(
-    C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0, *, blocks: _StepBlocks | None = None
-) -> Callable[[Array], Array]:
+def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> Callable[[Array], Array]:
     """Residual R(z1) = L w + h JJ grad V(q) whose root defines one step.
 
     z0 is checked here, once per step; the residual evaluates the folded
     blocks, or the unchecked flat inverse of the lifted map when that is not
     affine.  z0 may also be rows (k, 4n), one start per row, and the
     residual then maps rows z1 of the same shape to one residual row each.
-    ``blocks`` passes the matrices built once per run for this (C, H, h);
-    without it they are built here, and blocks built for any other (C, H, h)
-    raise ValueError."""
-    blocks = _blocks_for(C, H, h, blocks)
+    The matrices are those of :func:`_step_blocks` for this (C, H, h)."""
+    blocks = _step_blocks(C, H, h)
     d = C.dim // 2
     if np.ndim(z0) == 2:
         z0 = np.asarray(z0, dtype=float)
@@ -311,15 +300,7 @@ def step_residual(
     return residual
 
 
-def _step_jacobian(
-    C: CotangentLiftedMap,
-    H: HamiltonianSystem,
-    h: float,
-    z0: Array,
-    z1: Array,
-    *,
-    blocks: _StepBlocks | None = None,
-) -> Array:
+def _step_jacobian(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0: Array, z1: Array) -> Array:
     """d R / d(z0, z1) of the step residual R at (z0, z1), in closed form.
 
     It is L K, with K the lifted map's inverse Jacobian, plus the rank-n term
@@ -327,9 +308,8 @@ def _step_jacobian(
     second-order system).  Its z1 block is the chord Jacobian.
     (z0, z1) may be rows; the result is then one Jacobian per row, the
     Hessians taken in one call, except that with an affine inverse and no
-    potential it is the prebuilt ``blocks.LK``, read-only and shared."""
-    if blocks is None:
-        blocks = _StepBlocks(C, H, h)
+    potential it is the prebuilt ``LK`` of :func:`_step_blocks`, read-only and shared."""
+    blocks = _step_blocks(C, H, h)
     V, d, n = H.potential, C.dim // 2, C.dim // 4
     y = np.concatenate([z0, z1], axis=-1)
     if blocks.LK is None:
@@ -386,10 +366,9 @@ def symplectic_step(
     arising from midpoint-family lifts), inverted once.  All rows go through
     one chord iteration, each against its own tolerance and with its own
     Jacobian."""
-    blocks = _StepBlocks(C, H, h)
-    residual = step_residual(C, H, h, z0, blocks=blocks)
+    residual = step_residual(C, H, h, z0)
     z0 = np.asarray(z0, dtype=float)
-    chord = lambda z1: _step_jacobian(C, H, h, z0, z1, blocks=blocks)[..., C.dim :]
+    chord = lambda z1: _step_jacobian(C, H, h, z0, z1)[..., C.dim :]
     return _chord_newton(residual, chord, z0, None, tol, max_iter)[0]
 
 
@@ -512,14 +491,14 @@ def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int,
 
 def _condensed_tangent(blocks: _StepBlocks, V: Potential | None, steps: int, Q: Array | None, tangent: Array) -> Array:
     """``tangent`` carried over ``steps`` condensed steps with preimages Q by Phi_k = M - hW (Hs_k D_k^-1) Gq,
-    Hs_k = -Hess V(q_k), D_k = I + hP Hs_k (the Hessians in one call, the D_k in one batched inverse; without
-    a potential every Phi_k is M), the maps multiplied as a pairwise tree: log2(b) batched products for b steps."""
-    hW, hP, M, Gq = blocks.condensed[6:]
+    Hs_k = -Hess V(q_k), D_k = I + hP Hs_k (the Hessians in one call, the D_k in one batched inverse), the maps
+    multiplied as a pairwise tree: log2(b) batched products for b steps.  Without a potential every Phi_k is
+    M, and the product is T + (M^b - I) T with the power the blocks hold."""
+    Z, *_, hW, hP, M, Gq = blocks.condensed
     if V is None:
-        Phi = np.broadcast_to(M, (steps,) + M.shape)
-    else:
-        Hs = -V.hess(Q[:steps])
-        Phi = M - hW @ ((Hs @ _solve(np.eye(hP.shape[0]) + hP @ Hs)) @ Gq)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
+        return tangent + Z[(steps - 1) * len(M) : steps * len(M)] @ tangent
+    Hs = -V.hess(Q[:steps])
+    Phi = M - hW @ ((Hs @ _solve(np.eye(hP.shape[0]) + hP @ Hs)) @ Gq)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
     while len(Phi) > 1:  # an odd leading map goes into the tangent, the rest pair up
         if len(Phi) % 2:
             tangent, Phi = Phi[0] @ tangent, Phi[1:]
@@ -527,9 +506,9 @@ def _condensed_tangent(blocks: _StepBlocks, V: Potential | None, steps: int, Q: 
     return Phi[0] @ tangent
 
 
-def _chord_tangent(C, H, h, blocks: _StepBlocks, z0: Array, z1: Array, tangent: Array) -> Array:
+def _chord_tangent(C, H, h, z0: Array, z1: Array, tangent: Array) -> Array:
     """``tangent`` carried over the step z0 -> z1 by dz1/dz0 = -(dR/dz1)^-1 dR/dz0."""
-    A = _step_jacobian(C, H, h, z0, z1, blocks=blocks)
+    A = _step_jacobian(C, H, h, z0, z1)
     return -_solve(A[:, C.dim :], A[:, : C.dim] @ tangent)
 
 
@@ -542,17 +521,14 @@ def integrate(
     tol: float = 1e-12,
     max_iter: int = 50,
     tangent: Array | None = None,
-    *,
-    blocks: _StepBlocks | None = None,
 ) -> Trajectory:
     """Run ``steps`` steps of the one-step method, recording energy and control
     at every state.
 
-    The step matrices are built once per call, or passed as ``blocks``,
-    built once for this (C, H, h) and shared by every run of a problem
-    (blocks for another h raise ValueError).  Step 0 runs the chord
-    iteration; the inverse of the residual's closed-form Jacobian is carried
-    across chord steps and refreshed only when a step stalls.  On an affine
+    The step matrices are looked up by :func:`_step_blocks`, so every run of
+    one (C, H, h) shares one build.  Step 0 runs the chord iteration; the
+    inverse of the residual's closed-form Jacobian is carried across chord
+    steps and refreshed only when a step stalls.  On an affine
     lifted map the later steps are condensed (:func:`_condensed_steps`),
     checked after every block of up to 256 rows: each step's full residual
     must be finite and within max(tol, 8 eps ||z_k||_inf), the chord
@@ -562,10 +538,9 @@ def integrate(
     product with the powers of the one-step map.  A step that fails goes to
     the chord iteration and the windows resume after it.  So a stall or a
     non-finite state ends in the same NonConvergence as on the chord path.
-    Runs on an affine lifted map step with numpy's overflow and
-    invalid-value warnings silenced: the finiteness tests report such a
-    state.  The energies are evaluated once over all states after the last
-    step, with the same warnings silenced; a state whose energy is not
+    A run steps with numpy's overflow and invalid-value warnings silenced:
+    the finiteness tests report such a state.  The energies are evaluated
+    once over all states after the last step; a state whose energy is not
     finite raises NonConvergence naming its step and time.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
@@ -576,7 +551,8 @@ def integrate(
     the tangent is built on the first read of ``.tangent``, in the run's
     error state, each condensed block's step maps multiplied as a pairwise
     tree, and a singular linearization raises SingularJacobian there.  A
-    stalled step raises NonConvergence naming k and its time k h.
+    stalled step raises NonConvergence naming k and its time k h, after one
+    retry with a fresh Jacobian when the failed solve carried an inverse.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -590,38 +566,35 @@ def integrate(
         tangent = np.array(tangent, dtype=float)  # a copy: it is read when the tangent is
         if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
             raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
-    blocks = _blocks_for(C, H, h, blocks)
+    blocks = _step_blocks(C, H, h)
     carry = None if tangent is None else []
-    affine = blocks.LK is not None
     z = np.empty((steps + 1, z0.size))
     z[0] = z0
     energies = np.empty(steps + 1)  # beside z: allocated after the loop it raised peak memory
     J_inv = None
     k = 0
-    # Set on affine maps only: while any numpy error state is set, every
-    # small ufunc call costs about 4 % more, which the chord steps of a run
-    # on a non-affine map would pay on every step.
-    quiet = lambda: np.errstate(over="ignore", invalid="ignore") if affine else nullcontext()
+    quiet = partial(np.errstate, over="ignore", invalid="ignore")
     with quiet():
         while k < steps:
             zk = z[k]
-            residual = step_residual(C, H, h, zk, blocks=blocks)
-            chord = lambda z1, zk=zk: _step_jacobian(C, H, h, zk, z1, blocks=blocks)[:, 2 * d :]
+            residual = step_residual(C, H, h, zk)
+            chord = lambda z1, zk=zk: _step_jacobian(C, H, h, zk, z1)[:, 2 * d :]
             try:
                 z1, J_inv = _chord_newton(residual, chord, zk, J_inv, tol, max_iter)
-            except NonConvergence:  # one retry with a fresh Jacobian before giving up
+            except NonConvergence:  # a carried inverse gets one retry with a fresh Jacobian
                 try:
+                    if J_inv is None:
+                        raise
                     z1, J_inv = _chord_newton(residual, chord, zk, None, tol, max_iter)
                 except NonConvergence as exc:
                     exc.args = (f"step {k} at t = {k * h:.6g}: {exc}",)
                     raise
             if carry is not None:
-                carry.append(partial(_chord_tangent, C, H, h, blocks, zk.copy(), z1))
+                carry.append(partial(_chord_tangent, C, H, h, zk.copy(), z1))
             z[k + 1] = z1
             k += 1
-            if affine:
+            if blocks.LK is not None:
                 k = _condensed_steps(blocks, H.potential, z, k, tol, carry)
-    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
             energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])
     bad = np.flatnonzero(~np.isfinite(energies))

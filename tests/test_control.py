@@ -263,17 +263,11 @@ class TestObstacleShooting:
 
     def test_step_blocks_are_built_once_per_problem(self, monkeypatch):
         # At y0 = y1 = -1.12 Newton takes three iterations: four integrations
-        # share the one set of step blocks, and no tangent is carried for the
-        # converged trial, which Newton never linearizes.
+        # look up the one set of step blocks, and no tangent is carried for
+        # the converged trial, which Newton never linearizes.
         built = []
-        original = hamiltonian._StepBlocks
-
-        def counted(*args):
-            built.append(1)
-            return original(*args)
-
-        for module in (hamiltonian, control):
-            monkeypatch.setattr(module, "_StepBlocks", counted)
+        init = hamiltonian._StepBlocks.__init__
+        monkeypatch.setattr(hamiltonian._StepBlocks, "__init__", lambda self, *args: built.append(1) or init(self, *args))
         trials = []
 
         def recorded(*args, **kwargs):
