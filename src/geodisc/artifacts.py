@@ -60,18 +60,19 @@ def write_trajectory_csv(path, traj: Trajectory, clearances=None) -> None:
     seps = b",\0\0\0" * (table.shape[1] - 1) + (b"\n\0\0\0" if clearances is not None else b",\n\0\0")
     rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
     words = np.tile(np.frombuffer(seps, np.uint32), rows)
-    # A block of rows at a time (about 400 bytes of temporaries a cell), never the whole text.
+    # A block of rows at a time (about 430 bytes of temporaries a cell), never the whole text.
     blocks = (_g17(table[i : i + rows].ravel(), words) for i in range(0, table.shape[0], rows))
     write_bytes(path, itertools.chain([(",".join(trajectory_columns(traj.n)) + "\n").encode()], blocks))
 
 
 # ---------------------------------------------------------------------------
-# '%.17g' of an array of cells: a finite v prints in fixed notation when its
-# 17 significant digits, D with |v| ~ D 10^(E - 16), have E in [-4, 16].  D is
-# |v| 10^(16 - E) rounded half to even, exactly: Dekker's product of |v| and
-# the double 10^(16 - E) is hi + lo with hi an even integer above 2^53, so
-# hi + rint(lo) rounds it.  The doubles 1e-5 .. 1e16 are each the least double
-# >= its power of ten, so they give E exactly.
+# '%.17g' of an array of cells: a finite v prints in fixed notation when its 17 significant digits,
+# D with |v| ~ D 10^(E - 16), have E in [-4, 16].  D is |v| 10^(16 - E) rounded half to even, exactly:
+# Dekker's product of |v| and the double 10^(16 - E) is hi + lo with hi an even integer above 2^53, so
+# hi + rint(lo) rounds it.  The doubles 1e-5 .. 1e16 are each the least double >= its power of ten, so
+# they give E exactly.  Such a cell is a subsequence of a 48-byte template of six words: "-0.000", the
+# 17 digits each followed by a '.' slot, the separator and NUL padding.  A mask looked up by (E, the
+# trailing zeros of D, sign, separator length) keeps the cell's bytes; one compress drops the rest.
 
 _POW10 = 10.0 ** np.arange(22)
 _DECADES = np.array([float(f"1e{E}") for E in range(-5, 17)])
@@ -89,25 +90,23 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 @lru_cache(maxsize=1)
 def _g17_tables() -> tuple[Array, Array, Array]:
-    """The 4-digit groups as words, their trailing zeros (4 for 0000), and the
-    source byte of each output byte (sign, 23 of number, separator) by (E + 4, tz)."""
-    d = np.arange(48, 58, dtype=np.uint8)
-    quads = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(-1, 4)
-    z = np.arange(10) == 0
-    trailing = (z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))).reshape(-1)
-    e, tz = (a.reshape(-1, 1) for a in np.meshgrid(np.arange(-4, 17), np.arange(17), indexing="ij"))
-    j, whole, keep = np.arange(23), np.maximum(e, 0) + 1, np.maximum(e + 1, 17 - tz)  # digits printed
-    digit = np.where(j < whole, j, j - 1) + np.minimum(e, 0)  # negative for the zeros of E < 0
-    point = (j == whole) & (keep > np.maximum(e + 1, 0))  # when a digit follows it
-    number = np.select([point, j == whole, digit < 0, digit >= keep], [25, 22, 0, 22], digit + 3)
-    return quads.view(np.uint32)[:, 0], trailing, np.hstack([np.full((357, 1), 24), number, np.tile([20, 21], (357, 1))])
+    """The 4-digit groups as template words (each digit, then a '.' slot), their trailing
+    zeros (4 for 0000), and the keep-mask of a template by (E + 4, tz, sign, separator length)."""
+    d = np.arange(10_000)
+    groups = sum((d // 10 ** (3 - i) % 10 + 48 << 16 * i) + (46 << 16 * i + 8) for i in range(4))
+    trailing = sum(d % 10**i == 0 for i in range(1, 5))
+    E, tz, sign, L, p = np.ix_(np.arange(-4, 17), np.arange(17), np.arange(2), np.arange(3), np.arange(48))
+    j, keep = (p - 6) // 2, np.maximum(E + 1, 17 - tz)  # digit j sits at byte 6 + 2j; digits printed
+    mask = ((p == 0) & (sign == 1)) | ((E < 0) & (p >= 1) & (p < 2 - E)) | ((p >= 40) & (p < 40 + L))
+    number = (p >= 6) & (p < 40) & np.where(p % 2 == 0, j < keep, (j == E) & (keep > E + 1))
+    return groups, trailing.astype(np.int8), (mask | number).reshape(-1, 48)
 
 
 def _g17(v: Array, separators: Array) -> bytes:
     """``b"%.17g" % x`` for every x of the 1-d float array v, each followed by
     its separator ``separators[i]`` (up to 2 bytes padded with NUL to a uint32);
     values printed in exponent form or not finite are formatted by ``%``."""
-    quads, trailing, layouts = _g17_tables()
+    groups, trailing, masks = _g17_tables()
     fixed = (np.abs(v) >= 1e-5) & (np.abs(v) < 1e17)
     a = np.where(fixed, np.abs(v), 1.0)
     e = np.searchsorted(_DECADES, a, side="right") - 6
@@ -120,18 +119,17 @@ def _g17(v: Array, separators: Array) -> bytes:
     fixed = (fixed & (e >= -4) & (e <= 16)) | (v == 0)
     top, bottom = np.divmod(D, 10**8)
     d0, top = np.divmod(top, 10**8)
-    digits = (d0,) + np.divmod(top, 10**4) + np.divmod(bottom, 10**4)
-    # A cell's source row: "000", digits 0-16, separator, NUL NUL, "-" or NUL, ".", NUL NUL.
-    signs = np.where(np.signbit(v), *np.frombuffer(b"-.\0\0\0.\0\0", np.uint32))
-    src = np.stack([*(quads[g] for g in digits), separators[: v.size], signs], axis=1).view(np.uint8)
-    t = trailing[np.stack(digits[4:0:-1])]  # trailing zeros of digits 13-16, 9-12, 5-8, 1-4
-    tz = t[0] + (t[0] == 4) * (t[1] + (t[1] == 4) * (t[2] + (t[2] == 4) * t[3]))
-    index = layouts[np.where(fixed, (e + 4) * 17 + tz, 0)]
-    index += np.arange(0, 28 * v.size, 28)[:, None]
-    out = np.take(src, index)
-    cells = np.array([b"%.17g" % x for x in v[~fixed].tolist()], dtype="S24").view(np.uint8).reshape(-1, 24)
-    out[~fixed] = np.concatenate([cells, src[~fixed, 20:22]], axis=1)
-    return out[out != 0].tobytes()
+    digits = np.divmod(top, 10**4) + np.divmod(bottom, 10**4)  # digits 1-4, 5-8, 9-12, 13-16
+    t = [trailing.take(g) for g in digits]
+    tz = t[3] + (t[3] == 4) * (t[2] + (t[2] == 4) * (t[1] + (t[1] == 4) * t[0]))
+    sep, head = separators[: v.size], np.frombuffer(b"-0.0000.", np.int64)
+    words = np.column_stack([(d0 << 48) + head, *(groups.take(g) for g in digits), sep])
+    key = (((e + 4) * 17 + tz) * 2 + np.signbit(v)) * 3 + (sep != 0) + (sep > 255)
+    mask = masks.take(key, axis=0, mode="clip")  # a cell in exponent form gets its own below
+    rest = np.flatnonzero(~fixed)
+    words[rest, :5] = np.array([b"%.17g" % x for x in v[rest].tolist()], dtype="S40").view(np.int64).reshape(-1, 5)
+    mask[rest] = words[rest].view(np.uint8).reshape(-1, 48) != 0
+    return np.compress(mask.ravel(), words.view(np.uint8).ravel()).tobytes()
 
 
 def read_csv_columns(path) -> dict[str, list[str]]:

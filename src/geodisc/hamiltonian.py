@@ -334,10 +334,10 @@ def _solve(A: Array, B: Array | None = None) -> Array:
         raise SingularJacobian("one-step linearization is singular") from exc
 
 
-def _floor(tol: float, z: Array) -> Array:
-    """The one-step tolerance at each state (row) of z: max(tol, 8 eps ||z||_inf), never below the rounding
-    level of the state (for tol = 1e-12 the second term takes over above ||z||_inf ~ 560)."""
-    return np.maximum(tol, 8.0 * _EPS * np.abs(z).max(axis=-1))
+def _floor(tol: float, z: Array, axis: int = -1) -> Array:
+    """The one-step tolerance at each state (row; column with ``axis=0``) of z: max(tol, 8 eps ||z||_inf), never
+    below the rounding level of the state (for tol = 1e-12 the second term takes over above ||z||_inf ~ 560)."""
+    return np.maximum(tol, 8.0 * _EPS * np.abs(z).max(axis=axis))
 
 
 def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, max_iter: int):
@@ -381,14 +381,16 @@ def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float,
     """Number of leading steps k, k + 1, .. end - 1 of z whose full residual
     A0 z_k + A1 z_{k+1} + c, plus ``hG`` (-h grad V at the step's preimage,
     one row per step) on the p0 rows, is finite and within the chord
-    iteration's own tolerance, :func:`_floor`: one pass over the block."""
-    R = z[k:end] @ blocks.A0.T
-    R += z[k + 1 : end + 1] @ blocks.A1.T
-    R += blocks.c
+    iteration's own tolerance, :func:`_floor`: one pass over the block, with
+    the steps as columns so that each maximum runs along whole rows."""
+    zT = np.ascontiguousarray(z[k : end + 1].T)
+    R = blocks.A0 @ zT[:, :-1]
+    R += blocks.A1 @ zT[:, 1:]
+    R += blocks.c[:, None]
     if hG is not None:
-        d = R.shape[1] // 2
-        R[:, d : d + hG.shape[1]] += hG
-    failed = np.flatnonzero(~(np.abs(R, out=R).max(axis=1) <= _floor(tol, z[k:end])))  # a nan fails too
+        d = R.shape[0] // 2
+        R[d : d + hG.shape[1]] += hG.T
+    failed = np.flatnonzero(~(np.abs(R, out=R).max(axis=0) <= _floor(tol, zT[:, :-1], axis=0)))  # a nan fails too
     return end - k if failed.size == 0 else int(failed[0])
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import hypothesis as hyp
@@ -125,6 +126,32 @@ class TestG17:
         for i in range(0, v.size, 8192):
             chunk = v[i : i + 8192]
             assert _g17(chunk, commas(chunk)) == b"".join(b"%.17g," % x for x in chunk.tolist()), i
+
+    def test_every_template_mask_with_mixed_separators(self):
+        # One value for each exponent E in -4..16, count of trailing zeros tz in 0..16 among
+        # the 16 digits after the first, and sign: a double whose 17 digits are an integer M of
+        # 17 - tz digits, last digit nonzero, then tz zeros.  Cells in exponent form and
+        # non-finite ones ride along; each cell's separator is drawn from ",", "\n", ",\n" and "".
+        rng = np.random.default_rng(27)
+        values = []
+        for E, tz in itertools.product(range(-4, 17), range(17)):
+            s = 17 - tz  # significant digits
+
+            def candidates():
+                for _ in range(1000):
+                    head = int(rng.integers(10 ** (s - 2), 10 ** (s - 1))) if s > 1 else 0
+                    M = 10 * head + int(rng.integers(1, 10))
+                    yield M, float(f"{M}e{E - s + 1}")
+
+            digits = lambda M: str(M).ljust(17, "0")
+            M, x = next((M, x) for M, x in candidates() if "%.16e" % x == f"{digits(M)[0]}.{digits(M)[1:]}e{E:+03d}")
+            values += [x, -x]
+        values += [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-5, 5e-324, 1e17, -1e300]
+        v = np.array(values)
+        words = np.frombuffer(b",\0\0\0\n\0\0\0,\n\0\0\0\0\0\0", np.uint32)
+        seps = rng.choice(words, size=v.size)
+        want = b"".join(b"%.17g" % x + sep.tobytes().rstrip(b"\0") for x, sep in zip(values, seps))
+        assert _g17(v, seps) == want
 
     def test_decades_are_the_least_doubles_at_their_powers(self):
         # The exponent of |v| is the number of these at or below it.

@@ -892,6 +892,92 @@ class TestRemainderSteps:
                 f(Q)
 
 
+def row_verified(blocks, z, k, end, tol, hG=None):
+    """The count of ``hamiltonian._verified_steps`` written out one step a
+    row: the leading steps k .. end - 1 whose residual A0 z_k + A1 z_{k+1} + c,
+    plus hG on the p0 rows, is finite and at most max(tol, 8 eps ||z_k||_inf)."""
+    R = z[k:end] @ blocks.A0.T + z[k + 1 : end + 1] @ blocks.A1.T + blocks.c
+    if hG is not None:
+        d = R.shape[1] // 2
+        R[:, d : d + hG.shape[1]] += hG
+    passed = np.abs(R).max(axis=1) <= np.maximum(tol, 8 * np.finfo(float).eps * np.abs(z[k:end]).max(axis=1))
+    return end - k if passed.all() else int(np.argmin(passed))
+
+
+class TestVerifiedSteps:
+    """``hamiltonian._verified_steps``, the check after each block of condensed
+    steps, against :func:`row_verified` on blocks of real runs, as they are and
+    with faults planted in them."""
+
+    CASES = pytest.mark.parametrize(
+        "n, potential", [(1, False), (1, True), (3, False), (3, True)], ids=["n1", "n1-hG", "n3", "n3-hG"]
+    )
+
+    @staticmethod
+    def block(n, potential, rng):
+        """(blocks, z, k, end, hG) for a block of at most 256 steps inside a 300-step run from a random
+        start; with a potential (0.1 |q|^2 / 2) hG is -h grad V at the steps' preimages, as the
+        condensed steps pass it."""
+        V = None
+        if potential:
+            hess = lambda q: np.broadcast_to(0.1 * np.eye(n), np.shape(q) + (n,))
+            V = Potential(lambda q: 0.05 * np.sum(q * q, axis=-1), lambda q: 0.1 * q, hess)
+        C, H, h = second_order_phase_map(n), second_order_hamiltonian(n, V), 0.01
+        blocks = geodisc.hamiltonian._step_blocks(C, H, h)
+        z = integrate(C, H, h, 300, rng.normal(size=4 * n)).z
+        k = int(rng.integers(1, 40))
+        end = k + int(rng.integers(200, 257))
+        hG = None
+        if potential:
+            Q = z[k:end] @ blocks.Kq0.T + z[k + 1 : end + 1] @ blocks.Kq1.T + blocks.kq
+            hG = -h * V.grad(Q)
+        return blocks, z, k, end, hG
+
+    @CASES
+    def test_a_block_of_a_run_passes_whole(self, n, potential, rng):
+        blocks, z, k, end, hG = self.block(n, potential, rng)
+        for tol in (1e-12, 1e-14):
+            want = row_verified(blocks, z, k, end, tol, hG)
+            assert geodisc.hamiltonian._verified_steps(blocks, z, k, end, tol, hG) == want
+        assert want == end - k
+
+    @CASES
+    @pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "above-floor", "at-floor", "tol-0"])
+    def test_planted_faults_count_as_the_row_formula(self, n, potential, fault, rng):
+        blocks, z, k, end, hG = self.block(n, potential, rng)
+        z = z.copy()
+        m, j = int(rng.integers(0, end - k - 1)), int(rng.integers(0, 4 * n))  # step m, component j
+        tol = 1e-12
+        if fault in ("nan", "inf", "-inf"):
+            z[k + m + 1, j] = float(fault)
+        elif fault in ("above-floor", "at-floor"):
+            # Step m's residual lands near 1e-10, far above every other step's and the
+            # 8 eps ||z||_inf term; the tolerance then sits just below or just above it.
+            z[k + m + 1, j] += 1e-10 / np.abs(blocks.A1[:, j]).max()
+            R = z[k + m] @ blocks.A0.T + z[k + m + 1] @ blocks.A1.T + blocks.c
+            if hG is not None:
+                R[2 * n : 3 * n] += hG[m]
+            tol = np.abs(R).max() * (1 - 1e-9 if fault == "above-floor" else 1 + 1e-9)
+        else:
+            tol = 0.0  # the floor is 8 eps ||z_k||_inf alone
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = row_verified(blocks, z, k, end, tol, hG)
+            got = geodisc.hamiltonian._verified_steps(blocks, z, k, end, tol, hG)
+        assert got == want
+        if fault != "tol-0":
+            assert want == m if fault != "at-floor" else want > m
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_nan_gradient_fails_its_step(self, n, rng):
+        # As _row_gradients leaves it for a row whose gradient raises.
+        blocks, z, k, end, hG = self.block(n, True, rng)
+        m = int(rng.integers(0, end - k))
+        hG[m:] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert geodisc.hamiltonian._verified_steps(blocks, z, k, end, 1e-12, hG) == m
+        assert row_verified(blocks, z, k, end, 1e-12, hG) == m
+
+
 def toeplitz_by_indices(blocks):
     """The block lower-triangular Toeplitz matrix of ``blocks`` by index
     arithmetic and ``np.where``, the oracle of ``hamiltonian._toeplitz``."""
