@@ -137,7 +137,7 @@ def second_lift_suite(rng, **_) -> list[CheckResult]:
     out = []
     n = 2
     exact = midpoint_map(n)
-    generic = replace(exact, jacobian_constant=False)  # same map, pushed as a nonlinear one
+    generic = replace(exact, affine=None)  # same map, pushed as a nonlinear one
     for mode, base, tol in (("exact", exact, 1e-9), ("fd", generic, 1e-6)):
         X = rng.normal(size=(30, 6 * n))
         defect = np.max(np.abs(higher_order_lift(base, 2).forward_flat(X) - _midpoint_second_lift_closed_form(X, n)))

@@ -121,6 +121,8 @@ class ExperimentConfig:
 
     def validate(self, command: str) -> None:
         if command == "check":
+            if self.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {self.seed}")
             try:
                 validate_run(self.suites, self.h_values)
             except ValueError as exc:
@@ -150,6 +152,8 @@ class ExperimentConfig:
             raise ConfigError(f"n must be >= 1, got n={n}")
         if self.problem == "obstacle" and n < 2:
             raise ConfigError(f"the obstacle acts on (x, y): the obstacle problem needs n >= 2, got n={n}")
+        if self.svg_out and n < 2:
+            raise ConfigError(f"the SVG plots (q0, q1): --svg-out needs n >= 2, got n={n}")
         have_boundary = any(v is not None for v in self.boundary)
         if self.initial_state is not None and have_boundary:
             raise ConfigError("give either an initial state or boundary data, not both")
@@ -203,21 +207,10 @@ def _coerce_field(name: str, value):
     return value
 
 
-#: argparse attribute -> config field
-_ALIAS = {
-    "init": "initial_state",
-    "q0": "q_start",
-    "v0": "qdot_start",
-    "q1": "q_end",
-    "v1": "qdot_end",
-    "suite": "suites",
-}
-
-
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The command's settings from its config file and flags (flags win);
     a config key that is not one of the command's settings raises ConfigError."""
-    settings = {_ALIAS.get(a, a): value for a, value in vars(args).items() if a not in ("command", "config")}
+    settings = {a: value for a, value in vars(args).items() if a not in ("command", "config")}
     merged: dict = {}
     if args.config:
         try:
@@ -286,7 +279,7 @@ def _write_artifacts(cfg: ExperimentConfig, traj, clearances, command: str) -> s
     csv_path = cfg.csv_out or f"{cfg.problem}-{command}.csv"
     outputs = [(write_trajectory_csv, csv_path, traj, clearances)]
     line = f"csv: {csv_path}"
-    if cfg.svg_out and cfg.dim >= 2:
+    if cfg.svg_out:
         circle = (float(cfg.center[0]), float(cfg.center[1]), cfg.r) if clearances is not None else None
         outputs.append((write_xy_svg, cfg.svg_out, traj.positions()[:, :2], circle))
         line += f"  svg: {cfg.svg_out}"
@@ -418,22 +411,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="forward integration from an initial phase state")
     _add_problem(p)
     p.add_argument("--h", type=float, help="step size")
-    p.add_argument("--init", help="flat initial state q,qdot,p0,p1 (4n numbers)")
+    p.add_argument("--init", dest="initial_state", metavar="INIT", help="flat initial state q,qdot,p0,p1 (4n numbers)")
 
     p = sub.add_parser("shoot", help="solve a two-point boundary problem by single shooting")
     _add_problem(p)
     p.add_argument("--h", type=float, help="step size")
     p.add_argument("--T", type=float, help="horizon (default steps*h)")
-    p.add_argument("--q0", help="start position (n numbers)")
-    p.add_argument("--v0", help="start velocity")
-    p.add_argument("--q1", help="end position")
-    p.add_argument("--v1", help="end velocity")
+    p.add_argument("--q0", dest="q_start", metavar="Q0", help="start position (n numbers)")
+    p.add_argument("--v0", dest="qdot_start", metavar="V0", help="start velocity")
+    p.add_argument("--q1", dest="q_end", metavar="Q1", help="end position")
+    p.add_argument("--v1", dest="qdot_end", metavar="V1", help="end velocity")
     p.add_argument("--tol", type=float, help="terminal defect tolerance")
 
     p = sub.add_parser("check", help="run the verification suites, print a JSON report")
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--seed", type=int, help="seed of every suite's samples (default 0)")
-    p.add_argument("--suite", action="append", help="suite name; repeatable (default: all)")
+    p.add_argument("--suite", dest="suites", metavar="SUITE", action="append", help="suite name; repeatable (default: all)")
     p.add_argument("--h", dest="h_values", help="comma list of step sizes for the convergence suite")
     p.add_argument("--json-out", dest="json_out", help="also write the report to this file")
 

@@ -21,7 +21,7 @@ matrix, the relations (mdot, pdot) = h JJ grad H(m, p), that is
     R(z1) = L w + h JJ grad V(q) = 0,      L = [-h JJ S0 | I],
 
 for z1.  When the lifted map's inverse is affine, w = K (z0, z1) + k
-(every constant-Jacobian base), L is folded into it once per (C, H, h): with
+(every base with an ``affine`` form), L is folded into it once per (C, H, h): with
 A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
 residual is A1 z1 + b, and V adds -h grad V on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
@@ -186,8 +186,8 @@ class _StepBlocks:
         self.h, self.window = h, _WINDOW if H.potential is not None else _ROWS
         self.L = np.hstack([-h * (canonical_symplectic_matrix(d) @ H.S0), np.eye(2 * d)])
         self.LK = self.A0 = self.A1 = self.c = self.Kq = self.Kq0 = self.Kq1 = self.kq = None
-        if C.affine_inverse is not None:
-            K, k = C.affine_inverse
+        if C.affine is not None:
+            _, _, K, k = C.affine
             n = d // 2
             self.LK, self.c, self.Kq, self.kq = self.L @ K, self.L @ k, K[:n], k[:n]
             for a in (self.L, self.LK, self.c):

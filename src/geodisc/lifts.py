@@ -19,9 +19,10 @@ its flat maps, so the checked views, the axioms and the finite-difference
 Jacobian apply to it as to its base; a cotangent lift is a
 :class:`CotangentLiftedMap` on T*M, whose ``dim`` is 2m, not m.  Every lift
 reaches its base only through the base's unchecked flat maps
-(``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``).  Every flat
-map also takes rows (..., k), one point per row, each with the bits of its
-one-point value.  A lift that inverts a base Jacobian or transports
+(``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``) and the
+matrices of its ``affine``, placed into the lift's own.  Every flat map also
+takes rows (..., k), one point per row, each with the bits of its one-point
+value.  A lift that inverts a base Jacobian or transports
 covectors by it raises :class:`~geodisc.errors.SingularJacobian` when that
 Jacobian is singular to working precision.  The closed form of the lifted
 midpoint map, the independent test oracle, is
@@ -82,27 +83,23 @@ def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
 
     It maps a tangent vector to the order-k jet space, flat as the base jet z
     and the fiber velocity zdot, to a pair of order-k jets, flat as
-    (z_minus, z_plus), by pushing the zipped jet through the base map.  A
-    base with a constant Jacobian gives an affine lift, precomputed as a
-    matrix so that evaluations are exact and cheap; any other base is pushed
+    (z_minus, z_plus), by pushing the zipped jet through the base map.  An
+    affine base gives an affine lift, the base's ``affine`` placed on every
+    zipped slot with nothing evaluated or inverted; any other base is pushed
     through its flat maps, with derivatives from its ``jacobian_forward_flat``
     (inverted at the preimage for the inverse jets), and the lift's own
     Jacobian is taken by central differences.  An affine lift, a matrix,
     takes orders up to 4, any other up to ``MAX_TAYLOR_ORDER`` = 2.
     """
-    top = 4 if D.jacobian_constant else MAX_TAYLOR_ORDER
+    top = 4 if D.affine is not None else MAX_TAYLOR_ORDER
     if not isinstance(order, (int, np.integer)) or order < 0 or order > top:
         raise UnsupportedOrder(f"lift order must be an integer in [0, {top}], got {order!r}")
     k = int(order)
     dim = (k + 1) * D.dim
     name = f"lift{k}({D.name})" if D.name else f"lift{k}"
-    if D.jacobian_constant:
-        zero = np.zeros(2 * D.dim)
-        J, offset = D.jacobian_forward_flat(zero), D.forward_flat(zero)
-        Jinv = np.linalg.inv(J)
-        M, d = _affine_lift(J, offset, k)
-        inverse = _affine(*_affine_lift(Jinv, -Jinv @ offset, k))
-        return DiscretizationMap(dim, _affine(M, d), inverse, _constant(M), jacobian_constant=True, name=name)
+    if D.affine is not None:
+        (M, d), (Minv, dinv) = _affine_lift(*D.affine[:2], k), _affine_lift(*D.affine[2:], k)
+        return DiscretizationMap(dim, _affine(M, d), _affine(Minv, dinv), _constant(M), (M, d, Minv, dinv), name=name)
 
     def zipped(x) -> Array:
         """x (..., 2 dim) as the jet (..., k + 1, 2 n) of a tangent-bundle curve."""
@@ -138,26 +135,8 @@ class CotangentLiftedMap(DiscretizationMap):
         (-p0, p1) = (pdot, p) . J^{-1}        (forward)
         (pdot, p) = (-p0, p1) . J             (inverse)
 
-    The map is a symplectomorphism (:func:`symplectomorphism_defects`).  It
-    adds what the one-step method reads: ``affine_inverse = (K, k)``
-    (y -> K y + k, prebuilt for a base with a constant Jacobian, else None)
-    and :meth:`inverse_jacobian_flat`.
+    The map is a symplectomorphism (:func:`symplectomorphism_defects`).
     """
-
-    affine_inverse: tuple[Array, Array] | None = None
-
-    def __post_init__(self) -> None:
-        if self.affine_inverse is not None and not self.jacobian_constant:
-            raise ValueError("a cotangent lift with a point-dependent Jacobian has no affine inverse")
-
-    def inverse_jacobian_flat(self, y) -> Array:
-        """d(m, p, mdot, pdot)/d(m0, p0, m1, p1) at y, one matrix per row:
-        the constant matrix K built once when the base Jacobian is constant,
-        else central differences of ``inverse_flat``."""
-        y = np.asarray(y, dtype=float)
-        if self.affine_inverse is None:
-            return row_jacobian_fd(self.inverse_flat, y)
-        return _constant(self.affine_inverse[0])(y).copy()
 
 
 def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
@@ -165,8 +144,8 @@ def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
 
     It reaches D only through its unchecked flat maps, so D may be any
     discretization map, a higher-order lift included, and probes may leave
-    its manifold.  A D with a constant Jacobian gives an affine lift,
-    x -> F x + f and y -> K y + k built once, with Jacobian F; any other D
+    its manifold.  An affine D gives an affine lift, x -> F x + f and
+    y -> K y + k placed once from J and J^{-1} in ``D.affine``; any other D
     takes the composed maps, forward with one batched solve against J^T.
     """
     m = D.dim
@@ -188,14 +167,13 @@ def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
         col = matvec(np.swapaxes(J, -1, -2), np.concatenate([-y[..., m : 2 * m], y[..., 3 * m :]], axis=-1))
         return np.concatenate([base_x[..., :m], col[..., m:], base_x[..., m:], col[..., :m]], axis=-1)
 
-    if not D.jacobian_constant:
+    if D.affine is None:
         return CotangentLiftedMap(2 * m, forward, inverse, name=name)
-    # Affine both ways, with J the constant base Jacobian: forward
+    # Affine both ways, with (J, J^{-1}) the base's (F, K): forward
     # (m0, m1) = J (m, mdot) + const, (-p0, p1) = J^{-T} (pdot, p); inverse
     # (m, mdot) = J^{-1} (m0, m1) + const, (pdot, p) = J^T (-p0, p1).  f and
     # k are the composed maps at 0.
-    J = D.jacobian_forward_flat(np.zeros(2 * m))
-    Jinv = np.linalg.inv(J)
+    J, _, Jinv, _ = D.affine
     points = np.r_[0:m, 2 * m : 3 * m]  # (m, mdot) and (m0, m1)
     covectors = np.r_[m : 2 * m, 3 * m : 4 * m]  # (p0, p1)
     dual = np.r_[3 * m : 4 * m, m : 2 * m]  # (pdot, p)
@@ -207,11 +185,7 @@ def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
     K[np.ix_(points, points)] = Jinv
     K[np.ix_(dual, covectors)] = J.T * signs
     f, k = forward(np.zeros(4 * m)), inverse(np.zeros(4 * m))
-    for a in (F, f, K, k):
-        a.setflags(write=False)
-    return CotangentLiftedMap(
-        2 * m, _affine(F, f), _affine(K, k), _constant(F), jacobian_constant=True, name=name, affine_inverse=(K, k)
-    )
+    return CotangentLiftedMap(2 * m, _affine(F, f), _affine(K, k), _constant(F), (F, f, K, k), name=name)
 
 
 def second_order_phase_map(n: int, base: DiscretizationMap | None = None) -> CotangentLiftedMap:

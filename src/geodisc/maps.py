@@ -43,10 +43,10 @@ class DiscretizationMap:
     ``forward_flat`` maps rows x = (q, v) of shape (..., 2 dim) to the point
     pairs (q_minus, q_plus); ``inverse_flat`` recovers x from such a pair.
     ``jacobian_fn(x)``, when given, returns the 2 dim x 2 dim matrix
-    d(q_minus, q_plus)/d(q, v) of every row; ``jacobian_constant`` promises
-    that this matrix does not depend on the evaluation point (true for
-    affine maps), which downstream lifts exploit for exact derivative
-    handling.  The flat maps are unchecked, so that lifts and finite
+    d(q_minus, q_plus)/d(q, v) of every row.  ``affine = (F, f, K, k)``, made
+    read-only, states that the map is x -> F x + f with inverse y -> K y + k:
+    lifts place these matrices, and the one-step method folds (K, k) into
+    its step.  The flat maps are unchecked, so that lifts and finite
     differences may probe the smooth ambient extension; the checked
     ``forward`` and ``inverse`` views check finiteness and lengths and run
     ``validate_fn(q, v)`` on the structured inputs.
@@ -56,11 +56,15 @@ class DiscretizationMap:
     forward_flat: Callable[[Array], Array]
     inverse_flat: Callable[[Array], Array]
     jacobian_fn: Callable[[Array], Array] | None = None
-    jacobian_constant: bool = False
+    affine: tuple[Array, Array, Array, Array] | None = None
     fiber_basis_fn: Callable[[Array], Array] | None = None
     fiber_frame_fn: Callable[[Array], Array] | None = None
     validate_fn: Callable[[Array, Array], None] | None = None
     name: str = ""
+
+    def __post_init__(self) -> None:
+        for a in self.affine or ():
+            a.setflags(write=False)
 
     def _points(self, x, name: str) -> Array:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -91,6 +95,14 @@ class DiscretizationMap:
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(x), dtype=float)
         return row_jacobian_fd(self.forward_flat, x)
+
+    def inverse_jacobian_flat(self, y) -> Array:
+        """d(q, v)/d(q_minus, q_plus) at y, one matrix per row: K of an affine
+        map, else central differences of ``inverse_flat``."""
+        y = np.asarray(y, dtype=float)
+        if self.affine is None:
+            return row_jacobian_fd(self.inverse_flat, y)
+        return np.broadcast_to(self.affine[2], y.shape[:-1] + self.affine[2].shape).copy()
 
     def fiber_basis(self, q) -> Array:
         """The fiber directions to probe at q, as the rows of a (..., k, dim) array."""
@@ -133,13 +145,14 @@ def theta_map(n: int, theta: float) -> DiscretizationMap:
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     eye = np.eye(n)
-    jac = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]])
+    F, f = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]]), np.zeros(2 * n)
+    K = np.block([[(1.0 - theta) * eye, theta * eye], [-eye, eye]])
     return DiscretizationMap(
         dim=n,
         forward_flat=_flat(lambda q, v: (q - theta * v, q + (1.0 - theta) * v), n),
         inverse_flat=_flat(lambda a, b: ((1.0 - theta) * a + theta * b, b - a), n),
-        jacobian_fn=lambda x: np.broadcast_to(jac, x.shape[:-1] + jac.shape),
-        jacobian_constant=True,
+        jacobian_fn=lambda x: np.broadcast_to(F, x.shape[:-1] + F.shape),
+        affine=(F, f, K, -K @ f),
         name=f"theta(n={n}, theta={theta})",
     )
 

@@ -265,6 +265,8 @@ class TestMalformedInput:
             ["check", "--suite", "bogus"],
             ["check", "--config", "suites-5.json"],
             ["check", "--config", "seed-fractional.json"],
+            ["check", "--seed=-1"],
+            ["check", "--config", "seed-negative.json"],
             ["simulate", "--steps", "100000000000000000000", "--init=" + SE2_INIT],
             SHOOT + ["--T", "1e9"],
             ["simulate", "--problem", "free", "--n", "-1", "--init=1,2,3,4"],
@@ -276,6 +278,7 @@ class TestMalformedInput:
         ids=[
             "center-3", "obstacle-n1", "r-nan", "tau-nan", "tau-inf", "T-nan", "tol-nan", "h-zero", "h-2", "json-null",
             "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number", "seed-fractional",
+            "seed-negative-flag", "seed-negative-config",
             "steps-huge-flag", "shoot-steps-huge", "n-negative", "n-zero", "obstacle-n-zero", "shoot-n-zero",
             *BAD_CONFIGS,
         ],
@@ -284,6 +287,7 @@ class TestMalformedInput:
         (isolated / "null-h.json").write_text('{"h": null}')
         (isolated / "suites-5.json").write_text('{"suites": 5}')
         (isolated / "seed-fractional.json").write_text('{"seed": 0.5}')
+        (isolated / "seed-negative.json").write_text('{"seed": -3}')
         for name, text in self.BAD_CONFIGS.items():
             (isolated / f"{name}.json").write_text(text)
         rc = cli.main(args)
@@ -323,6 +327,28 @@ class TestMalformedInput:
         assert rc == 2 and out == ""
         assert err == "error: config-error: cannot write absent/o.svg: No such file or directory\n"
         assert list(isolated.iterdir()) == []  # no CSV and no temp file
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--problem", "free", "--init", "1,2,0,0", "--steps", "3"],
+            ["shoot", "--problem", "free", "--q0", "0", "--v0", "0", "--q1", "1", "--v1", "0", "--T", "1", "--h", "0.1"],
+        ],
+        ids=["simulate", "shoot"],
+    )
+    def test_an_svg_of_one_coordinate_is_refused_before_any_output(self, capsys, args, spelling, isolated):
+        # The SVG plots (q0, q1): with n = 1 there is no q1 to plot.
+        if spelling == "flag":
+            args = [*args, "--svg-out", "a.svg"]
+        else:
+            (isolated / "svg.json").write_text('{"svg_out": "a.svg"}')
+            args = [*args, "--config", "svg.json"]
+        rc = cli.main([*args, "--csv-out", "a.csv"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: config-error: the SVG plots (q0, q1): --svg-out needs n >= 2, got n=1\n"
+        assert sorted(p.name for p in isolated.iterdir()) == ([] if spelling == "flag" else ["svg.json"])
 
     def test_unwritable_json_prints_no_report(self, capsys, isolated):
         rc = cli.main(["check", "--suite", "axioms", "--json-out", "absent/x.json"])
@@ -437,7 +463,7 @@ class TestCheck:
             counts.append(len(json.loads(capsys.readouterr().out)))
         assert cli.build_parser.cache_info().misses == 1
         assert counts == [17] * 3
-        assert cli.build_parser().parse_args(["check"]).suite is None
+        assert cli.build_parser().parse_args(["check"]).suites is None
 
     def test_report_schema_and_success(self, capsys):
         rc = cli.main(["check", "--suite", "closed-form", "--suite", "axioms", "--json-out", "report.json"])

@@ -151,7 +151,7 @@ class TestRowSteps:
             (C, H), Z = obstacle_setup(), row_starts(3, 24, rng, obstacle=True)
         else:
             base = midpoint_map(1) if case == "non-affine n=1" else theta_map(1, 0.3)
-            C = second_order_phase_map(1, base=replace(base, jacobian_constant=False))
+            C = second_order_phase_map(1, base=replace(base, affine=None))
             H, Z = second_order_hamiltonian(1), row_starts(1, 6, rng)
         Z[-1] *= 1e6  # one row far above the absolute tolerance: its own floor must hold
         Z1 = symplectic_step(C, H, 0.01, Z)
@@ -413,13 +413,13 @@ class TestStepKernel:
     )
     def test_folded_residual_matches_the_composed_path(self, n, base, potential, rng):
         # The order-1 lift of a linear base on R^n is that base on R^2n acting
-        # on (q, qdot), so a non-constant-Jacobian copy of base(2n) takes the
+        # on (q, qdot), so a copy of base(2n) without its affine form takes the
         # composed path, w = C.inverse_flat(y), for the same map with exact
         # jets (the jet lift of such a copy would take them by finite
         # differences, ~1e-11).
         folded = second_order_phase_map(n, base(n))
-        composed = cotangent_lift(replace(base(2 * n), jacobian_constant=False))
-        assert folded.affine_inverse is not None and composed.affine_inverse is None
+        composed = cotangent_lift(replace(base(2 * n), affine=None))
+        assert folded.affine is not None and composed.affine is None
         if potential:
             H = second_order_hamiltonian(n, obstacle_potential(1.0, 1.0, (0.0, 0.0), n)[0])
         else:

@@ -50,7 +50,7 @@ class TestHigherOrderLift:
 
     def test_exact_and_fd_backends_agree(self, rng):
         a = higher_order_lift(midpoint_map(2), 2)
-        b = higher_order_lift(replace(midpoint_map(2), jacobian_constant=False), 2)
+        b = higher_order_lift(replace(midpoint_map(2), affine=None), 2)
         x = rng.normal(size=12)
         assert np.allclose(a.forward_flat(x), b.forward_flat(x), atol=1e-8)
 
@@ -101,7 +101,7 @@ class TestHigherOrderLift:
         # composed-curve oracle above.
         affine = higher_order_lift(D, order)
         if order <= 2:
-            pushed = higher_order_lift(replace(D, jacobian_constant=False), order)
+            pushed = higher_order_lift(replace(D, affine=None), order)
             maps = {name: getattr(pushed, name) for name in ("forward_flat", "inverse_flat")}
         else:
             maps = {
@@ -123,14 +123,14 @@ class TestHigherOrderLift:
         base, fiber = x[:4], x[4:]
         assert np.allclose(out, np.concatenate([base - fiber / 2, base + fiber / 2]), atol=1e-12)
         with pytest.raises(UnsupportedOrder, match=r"\[0, 2\]"):
-            higher_order_lift(replace(midpoint_map(1), jacobian_constant=False), 3)
+            higher_order_lift(replace(midpoint_map(1), affine=None), 3)
 
 
 def composed_twin(base):
     """The second-order phase map of ``base`` through the composed flat maps:
-    the cotangent lift of its order-1 lift with the constant-Jacobian
-    promise dropped, which keeps the lift's closed-form Jacobian."""
-    return cotangent_lift(replace(higher_order_lift(base, 1), jacobian_constant=False))
+    the cotangent lift of its order-1 lift with its affine form dropped,
+    which keeps the lift's closed-form Jacobian."""
+    return cotangent_lift(replace(higher_order_lift(base, 1), affine=None))
 
 
 class TestCotangentLift:
@@ -154,9 +154,9 @@ class TestCotangentLift:
             assert np.allclose(C.inverse_flat(x), midpoint_cotangent_closed_form(x, 4, inverse=True), atol=1e-12)
 
     def test_generic_base_matches_closed_form(self, rng):
-        # The same midpoint map without the constant-Jacobian promise takes the
+        # The same midpoint map without its affine form takes the
         # jet-pushforward path of the first-order lift.
-        C = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
+        C = second_order_phase_map(1, base=replace(midpoint_map(1), affine=None))
         for _ in range(10):
             x = rng.normal(size=8)
             assert np.allclose(C.forward_flat(x), midpoint_cotangent_closed_form(x, 2, inverse=False), atol=1e-8)
@@ -200,7 +200,7 @@ class TestCotangentLift:
         # Central differences of an inverse that itself takes jet derivatives
         # by finite differences (~1e-11): ~1e-6 is that noise over the step.
         exact = second_order_phase_map(1)
-        generic = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
+        generic = second_order_phase_map(1, base=replace(midpoint_map(1), affine=None))
         for _ in range(5):
             y = rng.normal(size=8)
             assert np.allclose(generic.inverse_jacobian_flat(y), exact.inverse_jacobian_flat(y), rtol=0.0, atol=2e-6)
@@ -215,7 +215,7 @@ class TestCotangentLift:
 
 class TestCotangentLiftIsADiscretizationMap:
     """A cotangent lift is a discretization map on T*M: the checked views,
-    the constant Jacobian and the lifts of its base apply to it."""
+    the affine form and the lifts of its base apply to it."""
 
     @pytest.mark.parametrize(
         "D", [midpoint_map(2), higher_order_lift(theta_map(2, 0.3), 1), se2_exp_map()], ids=["midpoint", "theta-lift1", "se2"]
@@ -233,12 +233,12 @@ class TestCotangentLiftIsADiscretizationMap:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_lift_of_an_affine_cotangent_lift_is_affine(self, n, rng):
-        # The order-1 lift of the phase map keeps its constant Jacobian and
-        # takes the prebuilt matrices, not the jet path with its Jacobians.
+        # The order-1 lift of the phase map keeps its affine form and places
+        # its matrices, not the jet path with its Jacobians.
         C = second_order_phase_map(n)
         affine = higher_order_lift(C, 1)
-        jets = higher_order_lift(replace(C, jacobian_constant=False, affine_inverse=None), 1)
-        assert C.jacobian_constant and affine.jacobian_constant and not jets.jacobian_constant
+        jets = higher_order_lift(replace(C, affine=None), 1)
+        assert C.affine is not None and affine.affine is not None and jets.affine is None
         eps = np.finfo(float).eps
         X = rng.normal(size=(50, 2 * affine.dim)) * 10.0 ** rng.integers(-3, 4, size=(50, 1))
         bound = 4 * eps * np.abs(X).max(axis=1)
@@ -247,22 +247,13 @@ class TestCotangentLiftIsADiscretizationMap:
             assert np.all(diff <= bound), flat
 
 
-    def test_a_point_dependent_jacobian_has_no_affine_inverse(self):
-        # A copy that drops the constant Jacobian must drop the prebuilt
-        # inverse too, or the step would still fold it.
-        C = second_order_phase_map(1)
-        with pytest.raises(ValueError, match="no affine inverse"):
-            replace(C, jacobian_constant=False)
-        assert replace(C, jacobian_constant=False, affine_inverse=None).affine_inverse is None
-
-
 AFFINE_CASES = pytest.mark.parametrize(
     "base", [midpoint_map(1), midpoint_map(3), theta_map(3, 0.3)], ids=["midpoint-n1", "midpoint-n3", "theta0.3-n3"]
 )
 
 
 class TestAffineForward:
-    """The prebuilt forward x -> F x + f of a constant-Jacobian lift."""
+    """The prebuilt forward x -> F x + f of an affine lift."""
 
     @AFFINE_CASES
     def test_matches_the_composed_forward_to_rounding(self, base, rng):
@@ -284,11 +275,11 @@ class TestAffineForward:
 
     def test_matrices_are_read_only_and_absent_for_other_bases(self):
         C = second_order_phase_map(1)
-        K, k = C.affine_inverse
-        F = C.jacobian_forward_flat(np.zeros(8))
-        assert C.jacobian_constant and not any(a.flags.writeable for a in (F, K, k))
-        generic = second_order_phase_map(1, base=replace(midpoint_map(1), jacobian_constant=False))
-        assert not generic.jacobian_constant and generic.jacobian_fn is None and generic.affine_inverse is None
+        F, f, K, k = C.affine
+        assert np.array_equal(F, C.jacobian_forward_flat(np.zeros(8)))
+        assert not any(a.flags.writeable for a in (F, f, K, k))
+        generic = second_order_phase_map(1, base=replace(midpoint_map(1), affine=None))
+        assert generic.jacobian_fn is None and generic.affine is None
 
     def test_forward_is_one_matvec(self, monkeypatch, rng):
         calls = []
@@ -304,7 +295,7 @@ class TestAffineForward:
         counted = replace(
             base, jacobian_fn=counting("jacobian", base.jacobian_fn), forward_flat=counting("forward", base.forward_flat)
         )
-        C, composed = cotangent_lift(counted), cotangent_lift(replace(counted, jacobian_constant=False))
+        C, composed = cotangent_lift(counted), cotangent_lift(replace(counted, affine=None))
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         calls.clear()  # the construction's own calls
         for _ in range(10):
@@ -322,7 +313,7 @@ class TestAffineRows:
         C = second_order_phase_map(base.dim, base)
         eps = np.finfo(float).eps
         X = rng.normal(size=(2, 15, 2 * C.dim)) * 10.0 ** rng.integers(-3, 4, size=(2, 15, 1))
-        F, K = C.jacobian_forward_flat(np.zeros(2 * C.dim)), C.affine_inverse[0]
+        F, _, K, _ = C.affine
         for flat, M in ((C.forward_flat, F), (C.inverse_flat, K)):
             Y = flat(X)
             assert Y.shape == X.shape
@@ -370,15 +361,59 @@ class TestAffineRows:
             symplectomorphism_defects(second_order_phase_map(3), samples)
 
 
+def theta_affine_maps():
+    for theta in (0.0, 0.3, 0.5, 1.0):
+        base = theta_map(2, theta)
+        yield f"theta{theta}", base
+        for k in (1, 2, 3, 4):
+            yield f"theta{theta}-lift{k}", higher_order_lift(base, k)
+        for k in (0, 1, 2):
+            yield f"theta{theta}-cotangent{k}", cotangent_lift(higher_order_lift(base, k))
+
+
+THETA_AFFINE_MAPS = list(theta_affine_maps())
+
+
+class TestAffineForm:
+    """``affine = (F, f, K, k)`` states x -> F x + f with inverse y -> K y + k:
+    the theta maps, their higher-order lifts and their cotangent lifts."""
+
+    @pytest.mark.parametrize("D", [c[1] for c in THETA_AFFINE_MAPS], ids=[c[0] for c in THETA_AFFINE_MAPS])
+    def test_flat_maps_are_the_affine_form(self, D, rng):
+        F, f, K, k = D.affine
+        eps = np.finfo(float).eps
+        X = rng.normal(size=(20, 2 * D.dim)) * 10.0 ** rng.integers(-3, 4, size=(20, 1))
+        for flat, M, c in ((D.forward_flat, F, f), (D.inverse_flat, K, k)):
+            bound = 4 * eps * (np.abs(X) @ np.abs(M).T + np.abs(c))
+            assert np.all(np.abs(flat(X) - (X @ M.T + c)) <= bound)
+        assert np.max(np.abs(K @ F - np.eye(2 * D.dim))) <= 4 * eps
+        assert np.max(np.abs(K @ f + k)) <= 4 * eps * np.max(np.abs(f), initial=0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_a_lift_places_the_base_matrices_without_calling_the_base(self, theta, order, rng):
+        def forbidden(x):
+            raise AssertionError("the base map was evaluated")
+
+        base = theta_map(2, theta)
+        lift = higher_order_lift(replace(base, forward_flat=forbidden, inverse_flat=forbidden, jacobian_fn=forbidden), order)
+        plain = higher_order_lift(base, order)
+        X = rng.normal(size=(10, 2 * lift.dim))
+        for name in ("forward_flat", "inverse_flat", "jacobian_forward_flat", "inverse_jacobian_flat"):
+            assert np.array_equal(getattr(lift, name)(X), getattr(plain, name)(X)), name
+        for a, b in zip(lift.affine, plain.affine, strict=True):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestExactLiftedInverseJets:
-    """A non-constant-Jacobian base with a closed-form Jacobian: the lift's
+    """A base without an affine form but with a closed-form Jacobian: the lift's
     inverse takes its jets with the inverse of that Jacobian, not by finite
     differences."""
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_matches_the_affine_lift_to_rounding(self, n, rng):
         exact = higher_order_lift(midpoint_map(n), 1)
-        generic = higher_order_lift(replace(midpoint_map(n), jacobian_constant=False), 1)
+        generic = higher_order_lift(replace(midpoint_map(n), affine=None), 1)
         eps = np.finfo(float).eps
         for _ in range(100):
             y = rng.normal(size=4 * n)
@@ -392,7 +427,7 @@ class TestExactLiftedInverseJets:
             for module in (geodisc.numeric, geodisc.lifts, geodisc.maps, geodisc.jets):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
-        generic = higher_order_lift(replace(midpoint_map(2), jacobian_constant=False), 1)
+        generic = higher_order_lift(replace(midpoint_map(2), affine=None), 1)
         y = rng.normal(size=8)
         assert np.allclose(generic.forward_flat(generic.inverse_flat(y)), y, rtol=0.0, atol=1e-14)
 

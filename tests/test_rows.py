@@ -80,7 +80,7 @@ NONAFFINE_LIFTS = [
     for k in (1, 2)
     for label, D, points in [
         ("sphere initial-point", sphere_initial_point_map(), sphere_points),
-        ("generic midpoint", replace(midpoint_map(2), jacobian_constant=False), flat_points),
+        ("generic midpoint", replace(midpoint_map(2), affine=None), flat_points),
         ("se2 exponential", se2_exp_map(), se2_points),
     ]
 ] + [
@@ -107,10 +107,10 @@ def test_row_calls_equal_stacked_one_point_calls(D, points, rng):
         assert np.array_equal(rows, stacked), name
 
 
-# Cotangent lifts of non-constant-Jacobian bases: the composed flat maps.
+# Cotangent lifts of bases without an affine form: the composed flat maps.
 COMPOSED = [
-    ("theta=0.3 order-1, n=1", second_order_phase_map(1, base=replace(theta_map(1, 0.3), jacobian_constant=False))),
-    ("generic midpoint order-1, n=2", second_order_phase_map(2, base=replace(midpoint_map(2), jacobian_constant=False))),
+    ("theta=0.3 order-1, n=1", second_order_phase_map(1, base=replace(theta_map(1, 0.3), affine=None))),
+    ("generic midpoint order-1, n=2", second_order_phase_map(2, base=replace(midpoint_map(2), affine=None))),
     ("se2 exponential", cotangent_lift(se2_exp_map())),
     ("se2 exponential order-1", second_order_phase_map(3, base=se2_exp_map())),
 ]
@@ -118,7 +118,7 @@ COMPOSED = [
 
 @pytest.mark.parametrize("C", [c[1] for c in COMPOSED], ids=[c[0] for c in COMPOSED])
 def test_composed_lift_rows_equal_one_point_calls(C, rng):
-    assert C.affine_inverse is None
+    assert C.affine is None
     X = 0.3 * rng.normal(size=(2, 4, 2 * C.dim))
     for name in ("forward_flat", "inverse_flat", "inverse_jacobian_flat"):
         rows = getattr(C, name)(X)
