@@ -44,7 +44,7 @@ from .maps import (
     theta_map,
 )
 from .control import obstacle_potential
-from .numeric import row_jacobian_fd, rowdot, worst_defect
+from .numeric import jacobian_fd, rowdot, worst_defect
 
 Array = np.ndarray
 
@@ -191,7 +191,7 @@ def _one_step_jacobian(C, H, h: float, z0: Array, eps: float = 1e-4) -> Array:
     rows of one array."""
     d = np.shape(z0)[-1]
     step = lambda Z: symplectic_step(C, H, h, Z.reshape(-1, d), tol=1e-13).reshape(Z.shape)
-    return row_jacobian_fd(step, z0, eps=eps)
+    return jacobian_fd(step, z0, eps=eps)
 
 
 def step_symplecticity_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:

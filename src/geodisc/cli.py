@@ -8,8 +8,8 @@ the same settings under their field names (``init`` is ``initial_state``,
 problem is ``obstacle`` (the default, n = 3: the planar body in a Euclidean
 (x, y, theta) chart) or ``free`` (n = 1 by default).  Exit codes: 0 success,
 1 solver or suite failure or a stdout closed early, 2 configuration error, a
-config-file value of the wrong type included.  Every failure prints a single
-line of the form ``error: <kind>: message`` on stderr.
+usage error or a config-file value of the wrong type included.  Every failure
+prints a single line of the form ``error: <kind>: message`` on stderr.
 """
 from __future__ import annotations
 
@@ -181,8 +181,8 @@ def _coerce_field(name: str, value):
     type, such as a bool or a fractional number for an integer, raises
     ConfigError."""
     if name in _STRING_FIELDS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{name}: expected a string, got {value!r}")
+        if not isinstance(value, str) or not value and name.endswith("_out"):
+            raise ConfigError(f"{name}: expected a {'nonempty ' * name.endswith('_out')}string, got {value!r}")
         return value
     if name in _VECTOR_FIELDS:
         return _parse_floats(value, name)
@@ -352,6 +352,8 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
         xy = np.array([[float(a), float(b)] for a, b in zip(cols["q0"], cols["q1"])])
     except ValueError as exc:
         raise ConfigError(f"{csv_path}: non-numeric position cell") from exc
+    if not np.isfinite(xy).all():
+        raise ConfigError(f"{csv_path}: non-finite position cell")
     if xy.shape[0] < 1:
         raise ConfigError(f"{csv_path}: no data rows")
 
@@ -399,9 +401,16 @@ def _add_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--svg-out", dest="svg_out")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, subcommands included, whose usage errors raise ConfigError."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geodisc",
         description="Symplectic integrators for acceleration-controlled systems, "
         "built from cotangent-lifted discretization maps.",
@@ -442,8 +451,8 @@ def _error_kind(exc: BaseException) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "plot":
             code = cmd_plot(args.csv, args.svg)
         else:

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import SingularJacobian, UnsupportedOrder
 from .jets import jet_pushforward, unzip_jet_tangent, zip_jet_tangent
 from .maps import DiscretizationMap, midpoint_map
-from .numeric import MAX_TAYLOR_ORDER, matvec, row_jacobian_fd
+from .numeric import MAX_TAYLOR_ORDER, jacobian_fd, matvec
 
 Array = np.ndarray
 
@@ -244,7 +244,7 @@ def symplectomorphism_defects(C, samples, eps: float | None = None) -> Array:
     Jacobian of the flat forward map; the result is a (k,) array.  Raises
     ValueError when no sample is given or the samples are not such rows, all
     finite.  The map takes the probes of up to ``_SAMPLES_PER_CALL`` samples
-    as one array (:func:`row_jacobian_fd`).
+    as one array (:func:`jacobian_fd`).
     """
     d = C.dim // 2
     target = tangent_lifted_symplectic_matrix(d)
@@ -258,6 +258,6 @@ def symplectomorphism_defects(C, samples, eps: float | None = None) -> Array:
         raise ValueError("sample contains non-finite entries")
     defects = []
     for i in range(0, len(X), _SAMPLES_PER_CALL):
-        S = row_jacobian_fd(C.forward_flat, X[i : i + _SAMPLES_PER_CALL], eps=eps)
+        S = jacobian_fd(C.forward_flat, X[i : i + _SAMPLES_PER_CALL], eps=eps)
         defects.append(np.max(np.abs(np.swapaxes(S, -1, -2) @ pair @ S - target), axis=(1, 2)))
     return np.concatenate(defects)

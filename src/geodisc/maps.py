@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainViolation
-from .numeric import as_vector, matvec, row_jacobian_fd, rowdot
+from .numeric import as_vector, jacobian_fd, matvec, rowdot
 
 Array = np.ndarray
 
@@ -94,14 +94,14 @@ class DiscretizationMap:
         x = np.asarray(x, dtype=float)
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(x), dtype=float)
-        return row_jacobian_fd(self.forward_flat, x)
+        return jacobian_fd(self.forward_flat, x)
 
     def inverse_jacobian_flat(self, y) -> Array:
         """d(q, v)/d(q_minus, q_plus) at y, one matrix per row: K of an affine
         map, else central differences of ``inverse_flat``."""
         y = np.asarray(y, dtype=float)
         if self.affine is None:
-            return row_jacobian_fd(self.inverse_flat, y)
+            return jacobian_fd(self.inverse_flat, y)
         return np.broadcast_to(self.affine[2], y.shape[:-1] + self.affine[2].shape).copy()
 
     def fiber_basis(self, q) -> Array:

@@ -2,7 +2,7 @@
 Jacobians and the derivatives of curves.
 
 Everything operates on plain 1-d numpy arrays and is pure; :func:`matvec`,
-:func:`rowdot`, :func:`row_jacobian_fd` and :func:`newton_solve` also take
+:func:`rowdot`, :func:`jacobian_fd` and :func:`newton_solve` also take
 stacks of points, one per row, and give every row the bits of its one-point
 value.  :func:`newton_solve` serves the implicit step (its chord policy) and
 shooting (its Newton policy, damped).  The rest of the package builds its
@@ -90,43 +90,18 @@ def _eval_vector(f, x) -> Array:
     return np.atleast_1d(np.asarray(y, dtype=float))
 
 
-def default_fd_step(x: Array) -> float | Array:
-    """Default central-difference step, 1e-5 * max(1, ||x||_inf); one per
-    row for rows (..., n)."""
-    return 1e-5 * np.maximum(1.0, np.max(np.abs(x), axis=-1, initial=0.0))
-
-
 def jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
-    """Central-difference Jacobian of ``f`` at ``x``.
-
-    Entry (i, j) is (f_i(x + eps e_j) - f_i(x - eps e_j)) / (2 eps).  Exact for
-    affine maps up to roundoff; second order accurate otherwise.
-    """
-    x = as_vector(x, name="x")
-    if eps is None:
-        eps = default_fd_step(x)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    cols = []
-    for j in range(x.size):
-        dx = np.zeros_like(x)
-        dx[j] = eps
-        cols.append((_eval_vector(f, x + dx) - _eval_vector(f, x - dx)) / (2.0 * eps))
-    return np.column_stack(cols)
-
-
-def row_jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
-    """:func:`jacobian_fd` at one point x (shape (n,)) or at every row of x
-    (shape (..., n), giving (..., m, n)), for an ``f`` that maps a stack of
-    points, one per row, to one row each: the 2 n probes x +- eps e_j of
-    every point go to ``f`` as one (..., 2 n, n) array.  Each point takes its
-    own default step; same quotient, same bits as :func:`jacobian_fd` when
-    every row of f's output equals its one-point value."""
+    """Central-difference Jacobian of ``f`` at one point x (n,) or at every
+    row of x (..., n), giving (..., m, n), for an ``f`` that maps rows to
+    rows: column j is (f(x + eps e_j) - f(x - eps e_j)) / (2 eps), with the
+    2 n probes of all points in one (..., 2 n, n) call and by default each
+    point's own eps = 1e-5 max(1, ||x||_inf).  Each row gets the bits of its
+    one-point Jacobian when each row of f's output has its one-point bits."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("x contains non-finite entries")
     if eps is None:
-        eps = default_fd_step(x)
+        eps = 1e-5 * np.maximum(1.0, np.max(np.abs(x), axis=-1, initial=0.0))
     elif eps <= 0:
         raise ValueError("eps must be positive")
     n = x.shape[-1]

@@ -22,6 +22,15 @@ def isolated(tmp_path, monkeypatch):
 SE2_INIT = "-2,-1.5,0,1,0,0.05,0,0.02,0,0,0.1,-0.05"
 
 
+def assert_one_config_error(capsys, argv, *names):
+    """``cli.main(argv)`` returns 2 with one ``config-error`` line on stderr
+    naming each of ``names``, and prints nothing on stdout."""
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: config-error: ")
+    assert all(name in err for name in names), err
+
+
 class TestSimulate:
     def test_free_single_step_csv(self, capsys):
         rc = cli.main(
@@ -85,9 +94,7 @@ class TestSimulate:
 
     def test_removed_problem_and_cost_flags_are_rejected(self, capsys):
         for flags in (["--problem", "se2"], ["--no-potential-in-cost"]):
-            with pytest.raises(SystemExit):
-                cli.main(["simulate", "--init=" + SE2_INIT, *flags])
-            assert flags[-1] in capsys.readouterr().err
+            assert_one_config_error(capsys, ["simulate", "--init=" + SE2_INIT, *flags], flags[-1])
 
     def test_rerun_writes_identical_csv(self, capsys):
         flags = ["--problem", "free", "--n", "1", "--init=0.3,-0.2,0.02,-0.1", "--h", "0.01", "--steps", "300"]
@@ -96,9 +103,7 @@ class TestSimulate:
         assert open("a.csv", "rb").read() == open("b.csv", "rb").read()
 
     def test_simulate_has_no_tol_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["simulate", "--problem", "free", "--n", "1", "--init", "0,1,2,3", "--tol", "0"])
-        assert "--tol" in capsys.readouterr().err
+        assert_one_config_error(capsys, ["simulate", "--problem", "free", "--n", "1", "--init", "0,1,2,3", "--tol", "0"], "--tol")
 
     def test_missing_init_is_config_error(self, capsys):
         rc = cli.main(["simulate"])
@@ -446,10 +451,50 @@ class TestMalformedInput:
         ids=["simulate-seed", "shoot-seed", "check-r", "check-steps", "check-problem"],
     )
     def test_a_flag_the_command_does_not_read_is_rejected(self, capsys, args):
+        assert_one_config_error(capsys, args, args[-2])
+
+    @pytest.mark.parametrize(
+        "args, names",
+        [
+            (["simulate", "--steps", "abc"], ["--steps", "'abc'"]),
+            (["check", "--seed", "1.5"], ["--seed", "'1.5'"]),
+            (["simulate", "--bogus", "1"], ["--bogus"]),
+            (["simulate", "--problem", "se2"], ["--problem", "'se2'"]),
+            ([], ["command"]),
+            (["plot", "a.csv"], ["svg"]),
+        ],
+        ids=["steps-abc", "seed-fractional", "unknown-flag", "problem-se2", "no-command", "plot-one-path"],
+    )
+    def test_a_usage_error_is_one_config_error_line(self, capsys, isolated, args, names):
+        # The argument parser's own errors read like every other failure:
+        # no usage block, exit 2, no output written.
+        assert_one_config_error(capsys, args, *names)
+        assert list(isolated.iterdir()) == []
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(args)
-        assert exc.value.code == 2
-        assert args[-2] in capsys.readouterr().err
+            cli.main(["--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: geodisc")
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["simulate", "--problem", "free", "--n", "1", "--init=1,2,0,0", "--steps", "3"], "csv_out"),
+            (["simulate", "--problem", "free", "--n", "2", "--init=1,2,0,0,0,0,0,0", "--steps", "3"], "svg_out"),
+            (["check", "--suite", "closed-form"], "json_out"),
+        ],
+        ids=["csv", "svg", "json"],
+    )
+    def test_an_empty_output_path_is_one_config_error_line(self, capsys, isolated, args, name, spelling):
+        # An empty path once meant "the default CSV name" or "no SVG/JSON".
+        if spelling == "flag":
+            args = [*args, "--" + name.replace("_", "-"), ""]
+        else:
+            (isolated / "empty.json").write_text(json.dumps({name: ""}))
+            args = [*args, "--config", "empty.json"]
+        assert_one_config_error(capsys, args, f"{name}: expected a nonempty string, got ''")
+        assert sorted(p.name for p in isolated.iterdir()) == ([] if spelling == "flag" else ["empty.json"])
 
 
 class TestCheck:
@@ -571,6 +616,15 @@ class TestPlot:
     def test_nonnumeric_cells(self, isolated):
         (isolated / "x.csv").write_text("q0,q1\nfoo,bar\n")
         assert cli.main(["plot", "x.csv", "x.svg"]) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["q0", "q1"])
+    def test_non_finite_positions_are_refused(self, capsys, isolated, cell, column):
+        rows = {"q0": ["0", "1", "0"], "q1": ["0", "0", "1"]}
+        rows[column][1] = cell
+        (isolated / "p.csv").write_text("q0,q1,clearance\n" + "".join(f"{a},{b},3\n" for a, b in zip(*rows.values())))
+        assert_one_config_error(capsys, ["plot", "p.csv", "p.svg"], "p.csv: non-finite position cell")
+        assert sorted(p.name for p in isolated.iterdir()) == ["p.csv"]
 
     def test_missing_file(self):
         assert cli.main(["plot", "absent.csv", "out.svg"]) == 2

@@ -67,7 +67,7 @@ class TestObstaclePotential:
 
         V, _ = obstacle_potential(0.7, 1.2, (0.3, -0.4), 3)
         q = np.array([2.0, 1.5, 0.3])
-        fd = jacobian_fd(lambda x: np.array([V.value(x)]), q)[0]
+        fd = jacobian_fd(lambda X: np.array([[V.value(x)] for x in X]), q)[0]
         assert np.allclose(V.grad(q), fd, atol=1e-7)
 
     @pytest.mark.parametrize("q", [[2.0, 1.5, 0.3], [0.3, -1.9, -2.0], [-1.1, 0.9, 0.0]])
@@ -257,7 +257,7 @@ class TestObstacleShooting:
             return np.concatenate([end[:3] - prob.q_end, end[3:6] - prob.qdot_end])
 
         x0 = np.concatenate(hermite_costates(prob.q_start, prob.qdot_start, prob.q_end, prob.qdot_end, prob.T))
-        fd = lambda x: jacobian_fd(endpoint_defect, x)
+        fd = lambda x: jacobian_fd(lambda X: np.array([endpoint_defect(y) for y in X]), x)
         reference, _ = newton_solve(endpoint_defect, x0, jacobian=fd, tol=1e-10, max_iter=40, backtracking=True)
         assert np.max(np.abs(np.concatenate([res.p0, res.p1]) - reference)) <= 1e-12
 

@@ -395,11 +395,10 @@ class TestStepKernel:
 
             return counted
 
-        for name in ("jacobian_fd", "row_jacobian_fd"):
-            counted = counting(getattr(geodisc.numeric, name))
-            for module in (geodisc.numeric, geodisc.lifts, geodisc.maps, geodisc.jets):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted)
+        counted = counting(geodisc.numeric.jacobian_fd)
+        for module in (geodisc.numeric, geodisc.lifts, geodisc.maps, geodisc.jets):
+            if hasattr(module, "jacobian_fd"):
+                monkeypatch.setattr(module, "jacobian_fd", counted)
         C, H = setup()
         z0 = TestTangent.Z0 if C.dim == 12 else np.array([0.0, 0.1, 0.01, 0.2])
         integrate(C, H, 0.01, 50, z0, tangent=np.eye(z0.size)).tangent  # the tangent is carried when read
@@ -877,6 +876,43 @@ class TestRemainderSteps:
         assert [shapes[i] for i in blocks] == [(256, 3), (143, 3)]
         windows = [s for i, s in enumerate(shapes) if i >= chord[0] and i not in blocks]
         assert windows and all(len(s) == 2 and 1 <= s[0] <= 32 and s[1] == 3 for s in windows)
+
+    def test_a_block_check_that_raises_takes_its_rows_one_at_a_time(self):
+        # A grad that refuses calls of more than 32 rows refuses the block
+        # check alone (a window has at most 32): its gradients are then taken
+        # one row at a time, each with the bits of its row in one call.
+        C, H = obstacle_run()
+        V, point_calls = H.potential, []
+
+        def fussy(q):
+            if np.ndim(q) == 2 and len(q) > 32:
+                raise SingularPotential("more than 32 rows")
+            point_calls.append(np.ndim(q) == 1)
+            return V.grad(q)
+
+        traj = integrate(C, second_order_hamiltonian(3, replace(V, grad=fussy)), 0.01, 40, self.Z0)
+        assert sum(point_calls) >= 39  # the block check's rows 1..39, and the chord step 0's calls
+        assert np.array_equal(traj.z, integrate(C, H, 0.01, 40, self.Z0).z)
+
+    def test_a_failed_first_window_hands_every_step_to_the_chord_iteration(self, monkeypatch):
+        # A grad that refuses every call on rows fails every window, down to
+        # its first one-step window, so each block ends at its first step
+        # and the run goes on step by step in the chord iteration.
+        calls = []
+        chord_newton = geodisc.hamiltonian._chord_newton
+        monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", lambda *a, **k: calls.append(1) or chord_newton(*a, **k))
+        C, H = obstacle_run()
+        V = H.potential
+
+        def points_only(q):
+            if np.ndim(q) == 2:
+                raise SingularPotential("rows")
+            return V.grad(q)
+
+        traj = integrate(C, second_order_hamiltonian(3, replace(V, grad=points_only)), 0.01, 40, self.Z0)
+        assert len(calls) == 40
+        ref, _ = chord_steps(C, H, 0.01, 40, self.Z0)
+        assert self.column_error(traj.z, ref) <= 1e-10
 
     def test_potential_rows_equal_point_calls(self, rng):
         V, clearance = obstacle_potential(0.3, 1.0, (0.2, -0.1), 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geodisc.errors import DomainViolation, NonConvergence, SingularJacobian, UnsupportedOrder
-from geodisc.numeric import jacobian_fd, newton_solve, row_jacobian_fd, taylor_derivatives, worst_defect
+from geodisc.numeric import jacobian_fd, newton_solve, taylor_derivatives, worst_defect
 from jet_oracles import fd_weights, taylor_reference
 
 
@@ -94,20 +94,27 @@ class TestRowHelpers:
         assert np.isnan(worst_defect([float("nan"), 1e-12]))
         assert worst_defect([3e-12, 1e-12]) == 3e-12 and worst_defect([]) == 0.0
 
-    def test_row_jacobian_fd_matches_jacobian_fd(self):
+    def test_jacobian_fd_rows_match_one_point_calls(self):
         f = lambda X: np.stack([X[..., 0] * X[..., 1], np.sin(X[..., 2]) - X[..., 0]], axis=-1)
-        x = np.array([0.3, -0.7, 1.1])
-        J = row_jacobian_fd(f, x)
-        assert np.array_equal(J, jacobian_fd(lambda v: f(v[None])[0], x))
-        assert J.flags.c_contiguous
+        X = np.array([[0.3, -0.7, 1.1], [-40.0, 2.5, 0.2], [1e-3, 0.0, -3.0]])  # default steps 1e-5, 4e-4, 3e-5
+        J = jacobian_fd(f, X)
+        assert J.shape == (3, 2, 3) and J.flags.c_contiguous
+        for x, Jx in zip(X, J, strict=True):
+            one = jacobian_fd(f, x)
+            assert np.array_equal(Jx, one) and one.flags.c_contiguous
         with pytest.raises(ValueError, match="eps must be positive"):
-            row_jacobian_fd(f, x, eps=-1e-6)
+            jacobian_fd(f, X[0], eps=-1e-6)
+
+
+def pointwise(f):
+    """``f`` of one point as a map of rows, one call per row."""
+    return lambda X: np.array([f(x) for x in X])
 
 
 class TestJacobianFd:
     def test_simple_map(self):
         F = lambda z: np.array([z[0] ** 2, z[0] * z[1]])
-        J = jacobian_fd(F, np.array([1.0, 2.0]))
+        J = jacobian_fd(pointwise(F), np.array([1.0, 2.0]))
         assert np.allclose(J, [[2.0, 0.0], [2.0, 1.0]], atol=1e-7)
 
 
@@ -119,7 +126,7 @@ class TestNewtonSolve:
 
     def test_vector_system(self):
         f = lambda z: np.array([z[0] + z[1] - 3.0, z[0] * z[1] - 2.0])
-        z, _ = newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: jacobian_fd(f, z))
+        z, _ = newton_solve(f, np.array([0.5, 1.7]), jacobian=lambda z: jacobian_fd(pointwise(f), z))
         assert np.allclose(sorted(z), [1.0, 2.0], atol=1e-10)
 
     def test_supplied_jacobian_shape_checked(self):
@@ -155,7 +162,7 @@ class TestNewtonSolve:
     def test_zero_tolerance_never_converges(self):
         f = lambda x: np.array([np.sin(x[0])])
         with pytest.raises(NonConvergence):
-            newton_solve(f, np.array([0.2]), lambda x: jacobian_fd(f, x), tol=0.0, max_iter=5)
+            newton_solve(f, np.array([0.2]), lambda x: jacobian_fd(pointwise(f), x), tol=0.0, max_iter=5)
 
     def test_backtracking_avoids_bad_region(self):
         def f(x):
@@ -163,7 +170,7 @@ class TestNewtonSolve:
                 raise DomainViolation("left of the wall")
             return np.array([np.tanh(x[0]) - 0.5])
 
-        x, _ = newton_solve(f, np.array([-0.9]), lambda x: jacobian_fd(f, x), backtracking=True)
+        x, _ = newton_solve(f, np.array([-0.9]), lambda x: jacobian_fd(pointwise(f), x), backtracking=True)
         assert abs(np.tanh(x[0]) - 0.5) < 1e-12
 
 
