@@ -13,14 +13,14 @@ A suite draws all its samples first, in one stream order per seed, and sends
 them through each map, lift or jet as the rows of one array.
 
 :func:`run_all` calls every suite with the same keywords: ``rng`` (a fresh
-generator on the run's seed), ``phase_map`` (a builder n -> second-order
-phase map that builds each map once per run) and ``h_values`` (the
-convergence steps).  A suite names the ones it reads, each with a default
-where it has one, and takes the rest as ``**_``.
+generator on the run's seed), ``phase_map`` and ``hamiltonian`` (builders
+of the second-order phase map and Hamiltonian that build each once per run)
+and ``h_values`` (the convergence steps).  A suite names the ones it reads,
+each with a default where it has one, and takes the rest as ``**_``.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
@@ -62,7 +62,7 @@ class CheckResult:
         return self.status == "fail"
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(suite=self.suite, case=self.case, status=self.status, defect=self.defect, tolerance=self.tolerance)
 
 
 def _result(suite: str, case: str, defect: float, tol: float, info: bool = False) -> CheckResult:
@@ -194,23 +194,20 @@ def _one_step_jacobian(C, H, h: float, z0: Array, eps: float = 1e-4) -> Array:
     return jacobian_fd(step, z0, eps=eps)
 
 
-def step_symplecticity_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:
+def step_symplecticity_suite(
+    rng, phase_map=second_order_phase_map, hamiltonian=second_order_hamiltonian, **_
+) -> list[CheckResult]:
     """M^T Omega M = Omega for the one-step map, free and obstacle systems."""
     free = rng.normal(size=(20, 4))
-    obstacle = []
-    for _ in range(20):  # normal and uniform draws interleave per sample
-        z0 = rng.normal(size=12) * 0.3
-        # Keep the position comfortably outside the obstacle.
-        rho = 1.8 + rng.uniform(0.0, 1.5)
-        ang = rng.uniform(0.0, 2 * np.pi)
+    obstacle = np.empty((20, 12))
+    for z0 in obstacle:  # normal and uniform draws interleave per sample
+        z0[:] = rng.normal(size=12) * 0.3
+        rho, ang = 1.8 + rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * np.pi)  # comfortably outside the obstacle
         z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
-        obstacle.append(z0)
-    C, H = phase_map(3), second_order_hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
+    H = hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
     jacobians = (
-        ("free n=1", _one_step_jacobian(phase_map(1), second_order_hamiltonian(1), 0.01, free)),
-        # Five samples (120 rows) per call: the chord iteration of a nonlinear step holds a
-        # 12 x 24 Jacobian per row, 0.55 MB at the peak of a call and 1.8 MB for all 20 samples.
-        ("obstacle n=3", np.concatenate([_one_step_jacobian(C, H, 0.01, obstacle[i : i + 5]) for i in range(0, 20, 5)])),
+        ("free n=1", _one_step_jacobian(phase_map(1), hamiltonian(1), 0.01, free)),
+        ("obstacle n=3", _one_step_jacobian(phase_map(3), H, 0.01, obstacle)),
     )
     out = []
     for case, M in jacobians:
@@ -219,11 +216,11 @@ def step_symplecticity_suite(rng, phase_map=second_order_phase_map, **_) -> list
     return out
 
 
-def free_spline_suite(phase_map=second_order_phase_map, **_) -> list[CheckResult]:
+def free_spline_suite(phase_map=second_order_phase_map, hamiltonian=second_order_hamiltonian, **_) -> list[CheckResult]:
     """Conservation over a long free run: p0 exactly, H to rounding."""
     out = []
     C = phase_map(1)
-    H = second_order_hamiltonian(1)
+    H = hamiltonian(1)
     z0 = np.array([0.0, 0.1, 0.01, 0.2])
     traj = integrate(C, H, 0.01, 10_000, z0)
     p0 = traj.z[:, 2]  # (q, qdot, p0, p1) at n = 1
@@ -240,12 +237,15 @@ def free_spline_suite(phase_map=second_order_phase_map, **_) -> list[CheckResult
 
 
 def convergence_suite(
-    h_values: Sequence[float] = (0.04, 0.02, 0.01), phase_map=second_order_phase_map, **_
+    h_values: Sequence[float] = (0.04, 0.02, 0.01),
+    phase_map=second_order_phase_map,
+    hamiltonian=second_order_hamiltonian,
+    **_,
 ) -> list[CheckResult]:
     """Observed global order against the exactly known cubic free flow."""
     out = []
     C = phase_map(1)
-    H = second_order_hamiltonian(1)
+    H = hamiltonian(1)
     z0 = np.array([0.0, 0.0, 12.0, 6.0])
     T = 1.0
     # Exact flow: p0 constant, p1 linear, qdot and q its integrals.
@@ -370,7 +370,8 @@ def run_all(
     h_values: Sequence[float] = (0.04, 0.02, 0.01),
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
-    phase_map = cache(second_order_phase_map)  # the suites' phase maps, for this run only
+    # The suites' phase maps and Hamiltonians, for this run only: runs at one (C, H, h) share a step-block build.
+    builders = dict(phase_map=cache(second_order_phase_map), hamiltonian=cache(second_order_hamiltonian))
     for name in validate_run(suites, h_values):
-        results.extend(SUITES[name](rng=np.random.default_rng(seed), phase_map=phase_map, h_values=h_values))
+        results.extend(SUITES[name](rng=np.random.default_rng(seed), h_values=h_values, **builders))
     return results

@@ -161,9 +161,7 @@ class ExperimentConfig:
             if self.initial_state is None:
                 raise ConfigError("simulate needs --init (flat state q,qdot,p0,p1)")
             if self.initial_state.size != 4 * n:
-                raise ConfigError(
-                    f"initial state needs {4 * n} numbers for n={n}, got {self.initial_state.size}"
-                )
+                raise ConfigError(f"initial state needs {4 * n} numbers for n={n}, got {self.initial_state.size}")
         if command == "shoot":
             if any(v is None for v in self.boundary):
                 raise ConfigError("shoot needs --q0, --v0, --q1 and --v1")
@@ -402,7 +400,11 @@ def _add_problem(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser, subcommands included, whose usage errors raise ConfigError."""
+    """A parser, subcommands included, that takes only whole flag names and
+    whose usage errors raise ConfigError."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ConfigError(message)

@@ -63,7 +63,7 @@ def test_run_all_calls_every_suite_the_same_way(monkeypatch):
     for name in SUITES:
         monkeypatch.setitem(SUITES, name, lambda **kwargs: calls.append((sorted(kwargs), kwargs["h_values"])) or [])
     assert run_all(seed=3, h_values=(0.1, 0.05)) == []
-    assert calls == [(["h_values", "phase_map", "rng"], (0.1, 0.05))] * len(EXPECTED_SUITES)
+    assert calls == [(["h_values", "hamiltonian", "phase_map", "rng"], (0.1, 0.05))] * len(EXPECTED_SUITES)
 
 
 def test_each_suite_runs_alone_on_its_defaults():
@@ -89,6 +89,17 @@ def test_each_run_builds_its_phase_maps_once(monkeypatch):
         run_all(seed=71)
         counts.append(len(built))
     assert counts[0] == counts[1] <= 4
+
+
+def test_free_runs_at_one_step_share_their_step_blocks(monkeypatch):
+    # free-spline and the convergence suite's finest run both step the free
+    # n = 1 system at h = 0.01: one Hamiltonian per run, so one build.
+    import geodisc.hamiltonian as hamiltonian
+
+    built, init = [], hamiltonian._StepBlocks.__init__
+    monkeypatch.setattr(hamiltonian._StepBlocks, "__init__", lambda self, C, H, h: built.append(h) or init(self, C, H, h))
+    run_all(seed=0, suites=["free-spline", "convergence"])
+    assert built == [0.01, 0.04, 0.02]
 
 
 def test_convergence_pairs():

@@ -105,6 +105,16 @@ class TestSimulate:
     def test_simulate_has_no_tol_flag(self, capsys):
         assert_one_config_error(capsys, ["simulate", "--problem", "free", "--n", "1", "--init", "0,1,2,3", "--tol", "0"], "--tol")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--problem", "free", "--n", "1", "--init=0,0,0,1", "--st", "2"], ["check", "--se", "3"]],
+        ids=["simulate-st", "check-se"],
+    )
+    def test_abbreviated_flags_are_rejected(self, capsys, isolated, argv):
+        # Prefix matching would read --st as --steps and --se as --seed.
+        assert_one_config_error(capsys, argv, "unrecognized arguments: " + " ".join(argv[-2:]))
+        assert list(isolated.iterdir()) == []
+
     def test_missing_init_is_config_error(self, capsys):
         rc = cli.main(["simulate"])
         assert rc == 2

@@ -159,17 +159,26 @@ class TestRowSteps:
         assert np.array_equal(Z1, np.array([symplectic_step(C, H, 0.01, z0) for z0 in Z]))
 
     def test_affine_rows_make_one_chord_iteration(self, monkeypatch, rng):
+        # Rows that verify make no chord call; one row whose condensed step
+        # misses its floor sends all rows through one chord iteration, and
+        # that row alone takes its result.
         C, H = obstacle_setup()
-        calls = []
-        chord_newton = geodisc.hamiltonian._chord_newton
+        Z = row_starts(3, 10, rng, obstacle=True)
+        condensed_rows = geodisc.hamiltonian._condensed_rows
 
-        def counting(*args):
-            calls.append(args[2].shape)
-            return chord_newton(*args)
+        def one_off(*args):
+            z1, ok = condensed_rows(*args)
+            z1[3] *= 1 + 1e-4
+            return z1, ok
 
-        monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counting)
-        symplectic_step(C, H, 0.01, row_starts(3, 10, rng, obstacle=True))
+        calls = counted_chord(monkeypatch)
+        condensed = symplectic_step(C, H, 0.01, Z)
+        assert calls == []
+        monkeypatch.setattr(geodisc.hamiltonian, "_condensed_rows", one_off)
+        Z1 = symplectic_step(C, H, 0.01, Z)
         assert calls == [(10, 12)]
+        assert np.array_equal(Z1[3], chord_step(C, H, 0.01, Z[3]))
+        assert np.array_equal(np.delete(Z1, 3, axis=0), np.delete(condensed, 3, axis=0))
 
     def test_stalled_row_raises_nonconvergence_naming_it(self, rng):
         C, H = wobbly_system()
@@ -218,6 +227,7 @@ class TestRowSteps:
             return A
 
         monkeypatch.setattr(geodisc.hamiltonian, "_step_jacobian", one_singular)
+        monkeypatch.setattr(geodisc.hamiltonian, "_SWEEPS", 0)  # no row settles: the chord path
         with pytest.raises(SingularJacobian, match="^one-step linearization is singular$"):
             symplectic_step(C, H, 0.01, row_starts(3, 3, rng, obstacle=True))
 
@@ -246,6 +256,86 @@ class TestRowSteps:
             monkeypatch.undo()
             assert calls == [(2 * z0.size, z0.size)]
             assert np.max(np.abs(M - reference)) <= 1e-12
+
+
+def counted_chord(monkeypatch):
+    """The row shapes of every chord iteration from here on."""
+    calls, chord_newton = [], geodisc.hamiltonian._chord_newton
+    monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", lambda *args: calls.append(args[2].shape) or chord_newton(*args))
+    return calls
+
+
+class TestCondensedRows:
+    """symplectic_step on an affine lifted map: each row's condensed step,
+    kept when it verifies, else the chord iteration's result or error."""
+
+    @pytest.mark.parametrize("case", ["midpoint n=1", "theta:0.3 n=3", "obstacle n=3"])
+    @pytest.mark.parametrize("h", [0.01, 0.1])
+    def test_rows_are_within_the_floor_and_next_to_the_chord_result(self, case, h, monkeypatch, rng):
+        if case == "midpoint n=1":
+            (C, H), Z = free_setup(1), row_starts(1, 40, rng)
+        elif case == "theta:0.3 n=3":
+            C, H = second_order_phase_map(3, base=theta_map(3, 0.3)), second_order_hamiltonian(3)
+            Z = row_starts(3, 40, rng)
+        else:
+            (C, H), Z = obstacle_setup(), row_starts(3, 40, rng, obstacle=True)
+        Z[-1] *= 1e6
+        calls = counted_chord(monkeypatch)
+        Z1 = symplectic_step(C, H, h, Z)
+        assert calls == []
+        assert np.all(np.abs(step_residual(C, H, h, Z)(Z1)).max(axis=1) <= geodisc.hamiltonian._floor(1e-12, Z))
+        ref = chord_step(C, H, h, Z)
+        assert np.all(np.abs(Z1 - ref).max(axis=1) <= 8 * np.finfo(float).eps * np.abs(ref).max(axis=1))
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 1e-9])
+    def test_a_row_that_cannot_settle_falls_back_with_the_chord_error(self, amplitude, rng):
+        Z = row_starts(1, 5, rng) * 0.1
+        Z[3, 0] = 0.9
+        errors = []
+        for step in (symplectic_step, chord_step):
+            with pytest.raises(NonConvergence) as info:
+                step(*wobbly_system(amplitude=amplitude), 0.1, Z, max_iter=20)
+            errors.append((str(info.value), info.value.iterations))
+        assert errors[0] == errors[1] and "of row 3 stalled" in errors[0][0]
+
+    def test_a_row_whose_gradient_raises_falls_back_with_the_chord_error(self, rng):
+        C, H0 = free_setup()
+
+        def grad(q):
+            if np.any(q > 0.5):
+                raise SingularPotential("q beyond 0.5")
+            return 0.0 * q
+
+        V = Potential(lambda q: 0.0 * q[..., 0], grad, lambda q: 0.0 * q[..., None])
+        H = HamiltonianSystem(dim=2, S0=H0.S0, potential=V)
+        Z = row_starts(1, 4, rng) * 0.1
+        Z[2, 0] = 0.9
+        for step in (symplectic_step, chord_step):
+            with pytest.raises(SingularPotential, match="^q beyond 0.5$"):
+                step(C, H, 0.1, Z)
+        symplectic_step(C, H, 0.1, np.delete(Z, 2, axis=0))  # the other rows step
+
+    def test_a_map_without_an_affine_form_keeps_the_chord_bits(self, monkeypatch, rng):
+        C, H = second_order_phase_map(1, base=replace(midpoint_map(1), affine=None)), second_order_hamiltonian(1)
+        Z = row_starts(1, 6, rng)
+        ref = chord_step(C, H, 0.01, Z)
+        calls = counted_chord(monkeypatch)
+        assert np.array_equal(symplectic_step(C, H, 0.01, Z), ref)
+        assert calls == [(6, 4)]
+
+    def test_overflowing_rows_raise_no_warning(self):
+        # pytest turns a RuntimeWarning into an error.  The obstacle's
+        # clearance overflows on these rows, and their condensed steps verify;
+        # on the second row the chord iteration meets a nan Hessian and fails.
+        C, H = obstacle_setup()
+        Z = np.zeros((2, 12))
+        Z[0, :2], Z[0, 9] = (-2.0, -1.5), 1e306
+        Z[1, [0, 1, 3, 9]] = (1e308, -1.5, 1e308, 1e308)
+        Z1 = symplectic_step(C, H, 0.1, Z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.abs(step_residual(C, H, 0.1, Z)(Z1)).max(axis=1) <= geodisc.hamiltonian._floor(1e-12, Z))
+            ref = chord_step(C, H, 0.1, Z[0])
+        assert np.abs(Z1[0] - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
 
 class TestIntegrate:
@@ -521,14 +611,21 @@ class TestTangent:
         assert np.max(np.abs(block - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
+def chord_step(C, H, h, z0, tol=1e-12, max_iter=50):
+    """One step by the chord iteration alone, from z1 = z0 with the
+    closed-form Jacobian there: the path :func:`symplectic_step` falls back to."""
+    jacobian = lambda z1: _step_jacobian(C, H, h, z0, z1)[..., C.dim :]
+    return geodisc.hamiltonian._chord_newton(step_residual(C, H, h, z0), jacobian, z0, None, tol, max_iter)[0]
+
+
 def chord_steps(C, H, h, steps, z0, tangent=None):
-    """``steps`` steps taken one at a time by :func:`symplectic_step`, the
-    chord iteration alone, with the tangent carried by the chord path's own
+    """``steps`` steps taken one at a time by the chord iteration alone
+    (:func:`chord_step`), with the tangent carried by the chord path's own
     solve; returns the states and the final tangent."""
     d = C.dim // 2
     z = [np.asarray(z0, dtype=float)]
     for _ in range(steps):
-        z.append(symplectic_step(C, H, h, z[-1]))
+        z.append(chord_step(C, H, h, z[-1]))
         if tangent is not None:
             A = _step_jacobian(C, H, h, z[-2], z[-1])
             tangent = -np.linalg.solve(A[:, 2 * d :], A[:, : 2 * d] @ tangent)
