@@ -62,7 +62,7 @@ class CheckResult:
         return self.status == "fail"
 
     def as_dict(self) -> dict:
-        return dict(suite=self.suite, case=self.case, status=self.status, defect=self.defect, tolerance=self.tolerance)
+        return dict(vars(self))
 
 
 def _result(suite: str, case: str, defect: float, tol: float, info: bool = False) -> CheckResult:
@@ -199,15 +199,18 @@ def step_symplecticity_suite(
 ) -> list[CheckResult]:
     """M^T Omega M = Omega for the one-step map, free and obstacle systems."""
     free = rng.normal(size=(20, 4))
-    obstacle = np.empty((20, 12))
-    for z0 in obstacle:  # normal and uniform draws interleave per sample
-        z0[:] = rng.normal(size=12) * 0.3
-        rho, ang = 1.8 + rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * np.pi)  # comfortably outside the obstacle
+    obstacle = []
+    for _ in range(20):  # normal and uniform draws interleave per sample
+        z0 = rng.normal(size=12) * 0.3
+        # Keep the position comfortably outside the obstacle.
+        rho = 1.8 + rng.uniform(0.0, 1.5)
+        ang = rng.uniform(0.0, 2 * np.pi)
         z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
+        obstacle.append(z0)
     H = hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
     jacobians = (
         ("free n=1", _one_step_jacobian(phase_map(1), hamiltonian(1), 0.01, free)),
-        ("obstacle n=3", _one_step_jacobian(phase_map(3), H, 0.01, obstacle)),
+        ("obstacle n=3", _one_step_jacobian(phase_map(3), H, 0.01, np.array(obstacle))),
     )
     out = []
     for case, M in jacobians:
@@ -288,18 +291,6 @@ def _normalized_curve_second_derivative(q, xi, qd, xid, qdd, xidd, squared: bool
     return wdd / r - (2.0 * s * wd + (rowdot(xid, xid) + rowdot(xi, xidd))[:, None] * w) / _scalar_pow(r, 3) + last
 
 
-def _memoized(curve: Callable[[float], Array]) -> Callable[[float], Array]:
-    """``curve`` evaluated once per distinct time; later calls share that value."""
-    values: dict[float, Array] = {}
-
-    def memo(t: float) -> Array:
-        if t not in values:
-            values[t] = curve(t)
-        return values[t]
-
-    return memo
-
-
 def sphere_lift_suite(rng, **_) -> list[CheckResult]:
     """Order-2 lift of the sphere initial-point map against a jet-of-curve
     oracle, plus informational comparisons with the two closed-form variants.
@@ -307,7 +298,7 @@ def sphere_lift_suite(rng, **_) -> list[CheckResult]:
     time; their jets and both oracles read those values."""
     out = []
     lift = higher_order_lift(sphere_initial_point_map(), 2)
-    curves = _memoized(_sphere_tangent_curves(rng, 50))
+    curves = cache(_sphere_tangent_curves(rng, 50))  # one evaluation per distinct time, shared
     j_in = jet_of_curve(curves, 2)
     jm, jp = np.split(zip_jet_tangent(lift.forward_flat(unzip_jet_tangent(j_in)), 2), 2, axis=-1)
 

@@ -161,7 +161,9 @@ class ExperimentConfig:
             if self.initial_state is None:
                 raise ConfigError("simulate needs --init (flat state q,qdot,p0,p1)")
             if self.initial_state.size != 4 * n:
-                raise ConfigError(f"initial state needs {4 * n} numbers for n={n}, got {self.initial_state.size}")
+                raise ConfigError(
+                    f"initial state needs {4 * n} numbers for n={n}, got {self.initial_state.size}"
+                )
         if command == "shoot":
             if any(v is None for v in self.boundary):
                 raise ConfigError("shoot needs --q0, --v0, --q1 and --v1")

@@ -2,42 +2,56 @@
 discretization map, specialized to second-order (acceleration-controlled)
 systems.
 
-Phase points (q, qdot, p0, p1) live on T*(TQ), Q = R^n: m = (q, qdot) is
-the tangent-bundle point and p = (p0, p1) its conjugate momenta.  For the
-running cost |qddot|^2 / 2 + V(q) the Hamiltonian is
+Phase points live on T*(TQ) with Q = R^n and are ordered
+(q, qdot, p0, p1); m = (q, qdot) is the tangent-bundle point and p = (p0, p1)
+its conjugate momenta.  For the running cost |qddot|^2 / 2 + V(q) the
+Hamiltonian is
 
     H(q, qdot, p0, p1) = |p1|^2 / 2 + p0 . qdot - V(q),
 
 whose flow enforces qddot = p1 (so p1 is the control) and q'''' + grad V = 0.
-With x = (m, p) it is x . S0 x / 2 - V(q) (:class:`HamiltonianSystem`, with
-the :class:`Potential` V).  The lifted map C lives on T*M, so ``C.dim`` =
-2 ``H.dim`` = 4n, the length of a phase point.
+With x = (m, p) it is x . S0 x / 2 - V(q): a constant quadratic part and the
+:class:`Potential` V (see :class:`HamiltonianSystem`).  The lifted map C
+lives on T*M, so ``C.dim`` = 2 ``H.dim`` = 4n, the length of a phase point.
 
-One step of size h solves (mdot, pdot) = h JJ grad H(m, p), with
-w = (m, p, mdot, pdot) the lifted-map preimage of the endpoints (z0, z1) and
-JJ the canonical symplectic matrix, that is
+One step of size h solves, with w = (m, p, mdot, pdot) the lifted-map
+preimage of the step endpoints (z0, z1) and JJ the canonical symplectic
+matrix, the relations (mdot, pdot) = h JJ grad H(m, p), that is
 
-    R(z1) = L w + h JJ grad V(q) = 0,      L = [-h JJ S0 | I].
+    R(z1) = L w + h JJ grad V(q) = 0,      L = [-h JJ S0 | I],
 
-When the lifted map's inverse is affine, w = K (z0, z1) + k (every base
-with an ``affine`` form), L is folded into it once per (C, H, h), and the
-step is affine in z0 but for grad V at one preimage q: it has n unknowns
-(:attr:`_StepBlocks.one_step`).  Any other base takes w from the lifted
-map's inverse in the same formula.
+for z1.  When the lifted map's inverse is affine, w = K (z0, z1) + k
+(every base with an ``affine`` form), L is folded into it once per (C, H, h): with
+A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
+residual is A1 z1 + b, and V adds -h grad V on the n p0 rows.
+Any other base takes w from the lifted map's inverse in the same formula.
+An affine step is linear but for grad V at one preimage q: it has n
+unknowns, not 4n (:attr:`_StepBlocks.one_step`).
 
-:func:`symplectic_step` (one start or rows (k, 4n)) and :func:`integrate`
-(after its step 0, a window of steps at a time) solve steps condensed, by
-fixed-point sweeps in q when there is a potential, and keep a step whose
-full residual is within :func:`_floor`.  Any other step goes to the chord
-iteration (:func:`geodisc.numeric.newton_solve` on its chord policy), each
-row against its own floor, so a row gets the bits of a one-start call.
-With the midpoint-family lifts this is an implicit midpoint scheme,
-conserving quadratic first integrals to rounding; the discrete variational
-equation gives the exact step derivative dz1/dz0, which :func:`integrate`
-can carry along a run.
+:func:`symplectic_step` takes one start or rows of starts (k, 4n).  It
+solves each row of an affine lifted map in those n unknowns and keeps the
+row when its full residual is within its floor :func:`_floor`.  The other
+rows go to one chord iteration, the package's Newton iteration
+:func:`geodisc.numeric.newton_solve` on its chord policy: one closed-form
+Jacobian of R per row at its start, the Hessians in one call and the
+inverses in one batched call, and each row stopped at its own floor.
+Either way every row gets the bits of a one-start call.
+
+:func:`integrate` takes a step by one of two paths: that chord iteration,
+its inverse Jacobian carried from step to step (every step on a non-affine
+lifted map, step 0 of every run, and any step the other path hands over);
+and, on an affine lifted map, condensed steps, a window at a time: one
+product with the powers of the one-step map, after fixed-point sweeps in
+the n coordinates of q when there is a potential (the obstacle problems).
+Every step's full residual is checked after each block of rows.  With the
+midpoint-family lifts this is an implicit midpoint scheme, conserving
+quadratic first integrals to rounding; the discrete variational equation
+gives the exact step derivative dz1/dz0, which :func:`integrate` can carry
+along a run.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable
@@ -54,9 +68,11 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class Potential:
-    """A potential V(q) with its closed-form gradient and n x n Hessian.  Each takes points q of shape
-    (..., n), one per row (a 1-D q is one point), and returns one value, gradient (..., n) or Hessian
-    (..., n, n) per point."""
+    """A potential V(q) with its closed-form gradient and n x n Hessian.
+
+    Each takes points q of shape (..., n), one per row (a 1-D q is one
+    point), and returns one value, gradient (..., n) or Hessian (..., n, n)
+    per point."""
 
     value: Callable[[Array], Array]
     grad: Callable[[Array], Array]
@@ -67,11 +83,13 @@ class Potential:
 class HamiltonianSystem:
     """A Hamiltonian H(x) = x . S0 x / 2 - V(q) on T*M, x = (m, p).
 
-    ``dim`` is the dimension of M; phase points split as (m, p) with m and p of that length, and
-    q = m[:dim // 2] is the position half of m = (q, qdot).  ``S0`` is the constant symmetric
-    2 dim x 2 dim Hessian of the quadratic part, stored read-only.  ``potential`` is the optional V of q
-    (None: V = 0).  :meth:`values` evaluates H on rows of phase points; the one-step method reads S0 and
-    the potential directly."""
+    ``dim`` is the dimension of M; phase points split as (m, p) with m and p
+    of that length, and q = m[:dim // 2] is the position half of
+    m = (q, qdot).  ``S0`` is the constant symmetric 2 dim x 2 dim Hessian of
+    the quadratic part, stored read-only.  ``potential`` is the optional V
+    of q (None: V = 0).  :meth:`values` evaluates H on rows of phase points.
+    The one-step method reads S0 and the potential directly.
+    """
 
     dim: int
     S0: Array
@@ -109,11 +127,14 @@ def second_order_hamiltonian(n: int, potential: Potential | None = None) -> Hami
 class Trajectory:
     """States produced by :func:`integrate`: row k of the (steps + 1) x 4n
     array ``z`` is the flat state (q, qdot, p0, p1) at time k h, with its
-    energy in ``energies[k]``.  ``controls`` (u = qddot = p1) and
-    ``positions()`` are views of ``z``.  ``tangent`` is the final state's
-    tangent block d z_N / d z_0 . T_0 when :func:`integrate` was given an
-    initial block T_0, else None, evaluated on first read by the
-    ``linearization`` that :func:`integrate` records, and kept."""
+    energy in ``energies[k]``.
+
+    ``controls`` (the control of the second-order problem is u = qddot = p1)
+    and ``positions()`` are views of ``z``.  ``tangent`` is the final
+    state's tangent block d z_N / d z_0 . T_0 when :func:`integrate` was
+    given an initial block T_0, else None.  It is evaluated on first read by
+    ``linearization``, which :func:`integrate` records, and kept; condensed
+    steps enter it as a pairwise product tree, not one step at a time."""
 
     h: float
     z: Array
@@ -149,15 +170,19 @@ class Trajectory:
 
 
 class _StepBlocks:
-    """The step relations of one (C, H, h) as matrices, looked up by :func:`_step_blocks` and built once
-    for the few latest (C, H, h).
+    """The step relations of one (C, H, h) as matrices, looked up by
+    :func:`_step_blocks` and built once for the few latest (C, H, h).
 
-    ``L`` = [-h JJ S0 | I] maps the lifted-map preimage w to the quadratic part of the residual.  When C's
-    inverse is affine, y -> K y + k, L is folded into it: ``LK`` = L K with column halves ``A0``, ``A1``
-    (the z0 and z1 blocks), ``c`` = L k, and the q rows ``Kq`` = K[:n], ``kq`` = k[:n] of the preimage
-    (n = d / 2, the potential's coordinates), again split into ``Kq0``, ``Kq1``; for any other C these are
-    None.  ``one_step`` holds the relation solved for z1 and q, ``condensed`` the same over ``window``
-    steps: _WINDOW with a potential, _ROWS without one."""
+    ``L`` = [-h JJ S0 | I] maps the lifted-map preimage w to the quadratic
+    part of the residual.  When C's inverse is affine, y -> K y + k, L is
+    folded into it: ``LK`` = L K with column halves ``A0``, ``A1`` (the z0 and
+    z1 blocks), ``c`` = L k, and the q rows ``Kq`` = K[:n], ``kq`` = k[:n] of
+    the preimage (n = d / 2, the potential's coordinates), again split into
+    ``Kq0``, ``Kq1``.  For any other C these are None.  ``one_step`` holds
+    the relation solved for z1 and the preimage's q, and ``condensed`` the
+    same over ``window`` steps: _WINDOW with a potential, _ROWS without one,
+    where a window has no fixed point and is one product.
+    """
 
     def __init__(self, C: CotangentLiftedMap, H: HamiltonianSystem, h: float):
         d = C.dim // 2
@@ -168,7 +193,8 @@ class _StepBlocks:
         self.LK = self.A0 = self.A1 = self.c = self.Kq = self.Kq0 = self.Kq1 = self.kq = None
         if C.affine is not None:
             _, _, K, k = C.affine
-            self.LK, self.c, self.Kq, self.kq = self.L @ K, self.L @ k, K[: d // 2], k[: d // 2]
+            n = d // 2
+            self.LK, self.c, self.Kq, self.kq = self.L @ K, self.L @ k, K[:n], k[:n]
             for a in (self.L, self.LK, self.c):
                 a.setflags(write=False)
             self.A0, self.A1 = self.LK[:, : 2 * d], self.LK[:, 2 * d :]
@@ -180,31 +206,36 @@ class _StepBlocks:
         A0 z0 + A1 z1 + c - h E grad V(q) = 0 (E the n p0 rows,
         q = Kq0 z0 + Kq1 z1 + kq) solved for z1 and q with J = A1^-1:
 
-            z1 = z0 + D z0 + m + hW grad V(q),    q = Gq z0 + gq + hP grad V(q),
+            z1 = z0 + D z0 + m + h W grad V(q),    q = Gq z0 + gq + h P grad V(q),
 
-        D = M - I = -J (A0 + A1), m = -J c, hW = h J E, Gq = Kq0 + Kq1 M,
-        gq = kq + Kq1 m and hP = Kq1 hW.  Returns (D, m, hW, hP, Gq, gq),
-        built on first use; one step and a window of them read these."""
+        D = M - I = -J (A0 + A1), m = -J c, W = J E, Gq = Kq0 + Kq1 M,
+        gq = kq + Kq1 m and P = Kq1 W.  Returns (D, m, hW, hP, Gq, gq), built
+        on first use; one step and :attr:`condensed` read them."""
         J = _solve(self.A1)
         d, n = self.A1.shape[0], self.kq.size
         D, m = -(J @ (self.A0 + self.A1)), -(J @ self.c)
-        hW = self.h * J[:, d // 2 : d // 2 + n]
-        return D, m, hW, self.Kq1 @ hW, self.Kq0 + self.Kq1 @ (np.eye(d) + D), self.kq + self.Kq1 @ m
+        M, hW = np.eye(d) + D, self.h * J[:, d // 2 : d // 2 + n]
+        return D, m, hW, self.Kq1 @ hW, self.Kq0 + self.Kq1 @ M, self.kq + self.Kq1 @ m
 
     @cached_property
     def condensed(self) -> tuple[Array, ...]:
-        """The terms of :attr:`one_step` over a window of B = _WINDOW steps: from z_k, with g_i =
-        -grad V(q_{k+i}) stacked as g, the rows and their preimages are
+        """The relation of :attr:`one_step` over a window of B = _WINDOW steps:
+        from z_k, with g_i = -grad V(q_{k+i}) stacked as g, the rows and their
+        preimages are
 
             z_{k+1..k+B} = z_k + Z z_k + s - T g,    q_{k..k+B-1} = G z_k + t - K g:
 
-        Z stacks M^j - I and s the offsets sum_{i<j} M^i m (j = 1 .. B), G stacks Gq M^j and t the
-        Gq s_j + gq (j < B), and T and K are block lower-triangular Toeplitz in M^j hW and in
-        Gq M^(j-1) hW with hP on K's diagonal; b < B steps take the leading rows and columns.  Z and s go
-        on to j = ``window``.  Returns (Z, s, T, G, t, K, hW, hP, M, Gq), built on first use.  The first B
-        powers are built from the O(h) increment D, so their rounding scales with h instead of biasing
-        every row by eps |z_k| (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2nd ed., VIII.5);
-        the later ones B at a time from M^(i+j) - I = Z_i + Z_j + Z_j Z_i, one product each."""
+        Z stacks M^j - I and s the offsets sum_{i<j} M^i m (j = 1 .. B), G
+        stacks Gq M^j and t the Gq s_j + gq (j < B), and T and K are block
+        lower-triangular Toeplitz in M^j hW and in Gq M^(j-1) hW with hP on
+        K's diagonal; b < B steps take the leading rows and columns.  Z and s
+        go on to j = ``window`` (without a potential a window is 256 steps
+        and only they are read).  Returns (Z, s, T, G, t, K, hW, hP, M, Gq),
+        built on first use.  The first B powers are built as M^j - I from the
+        O(h) increment D, so their rounding scales with h instead of biasing
+        every row by eps |z_k| (Hairer, Lubich & Wanner, Geometric Numerical
+        Integration, 2nd ed., VIII.5); the later ones B at a time from
+        M^(i+j) - I = Z_i + Z_j + Z_j Z_i, one product each."""
         D, m, hW, hP, Gq, gq = self.one_step
         d, n, B, R = D.shape[0], gq.size, _WINDOW, self.window
         Z, s = np.zeros((R + 1, d, d)), np.zeros((R + 1, d))  # Z[j] = M^j - I
@@ -238,9 +269,11 @@ def _toeplitz(blocks: Array) -> Array:
 def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> Callable[[Array], Array]:
     """Residual R(z1) = L w + h JJ grad V(q) whose root defines one step.
 
-    z0 is checked here, once per step; the residual evaluates the folded blocks of :func:`_step_blocks`,
-    or the unchecked flat inverse of the lifted map when that is not affine.  z0 may also be rows (k, 4n),
-    one start per row, and the residual then maps rows z1 of that shape to one residual row each."""
+    z0 is checked here, once per step; the residual evaluates the folded
+    blocks, or the unchecked flat inverse of the lifted map when that is not
+    affine.  z0 may also be rows (k, 4n), one start per row, and the
+    residual then maps rows z1 of the same shape to one residual row each.
+    The matrices are those of :func:`_step_blocks` for this (C, H, h)."""
     blocks = _step_blocks(C, H, h)
     d = C.dim // 2
     if np.ndim(z0) == 2:
@@ -281,10 +314,14 @@ def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> 
 
 
 def _step_jacobian(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0: Array, z1: Array) -> Array:
-    """d R / d(z0, z1) of the step residual R at (z0, z1), in closed form: L K, with K the lifted map's
-    inverse Jacobian, plus the rank-n term -h Hess V(q) K[:n] (n = d / 2) on the p0 rows.  Its z1 block is
-    the chord Jacobian.  (z0, z1) may be rows, for one Jacobian per row (the Hessians in one call), except
-    that with an affine inverse and no potential it is the prebuilt ``LK``, read-only and shared."""
+    """d R / d(z0, z1) of the step residual R at (z0, z1), in closed form.
+
+    It is L K, with K the lifted map's inverse Jacobian, plus the rank-n term
+    -h Hess V(q) K[:n] (n = d / 2) on the pdot rows of q (the p0 rows of the
+    second-order system).  Its z1 block is the chord Jacobian.
+    (z0, z1) may be rows; the result is then one Jacobian per row, the
+    Hessians taken in one call, except that with an affine inverse and no
+    potential it is the prebuilt ``LK`` of :func:`_step_blocks`, read-only and shared."""
     blocks = _step_blocks(C, H, h)
     V, d, n = H.potential, C.dim // 2, C.dim // 4
     y = np.concatenate([z0, z1], axis=-1)
@@ -316,50 +353,64 @@ def _floor(tol: float, z: Array, axis: int = -1) -> Array:
     return np.maximum(tol, 8.0 * _EPS * np.abs(z).max(axis=axis))
 
 
-def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, max_iter: int):
+def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, max_iter: int, rows=None):
     """:func:`~geodisc.numeric.newton_solve`'s chord policy from x0, one start or rows, each row against
-    its own :func:`_floor`; returns (solution, inverse used), and words a failure as the one-step solve's."""
+    its own :func:`_floor`; returns (solution, inverse used), and words a failure as the one-step solve's,
+    naming a failed row i of x0 as ``rows[i]`` when the caller's rows are numbered so."""
     try:
         return newton_solve(residual, x0, jacobian, _floor(tol, x0), max_iter, chord=True, J_inv=J_inv)
     except (NonConvergence, SingularJacobian) as exc:
-        exc.args = (str(exc).replace("Newton", "one-step" if isinstance(exc, SingularJacobian) else "one-step solve"),)
+        text = str(exc).replace("Newton", "one-step" if isinstance(exc, SingularJacobian) else "one-step solve")
+        if rows is not None:
+            text = re.sub(r"(?<=of row )\d+", lambda i: str(rows[int(i[0])]), text, count=1)
+        exc.args = (text,)
         raise
 
 
 def symplectic_step(
-    C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0, tol: float = 1e-12, max_iter: int = 50
+    C: CotangentLiftedMap,
+    H: HamiltonianSystem,
+    h: float,
+    z0,
+    tol: float = 1e-12,
+    max_iter: int = 50,
 ) -> Array:
-    """Advance one step of size h from the phase point z0 (flat, length 4n), or from every row of z0
-    (shape (k, 4n)); the result has z0's shape.  On an affine lifted map a row keeps its condensed step
-    (:func:`_condensed_rows`) when that step's full residual is finite and within :func:`_floor`, the
-    chord iteration's own test.  If a row fails, or on any other map, all rows go through the chord
-    iteration from z1 = z0 (each row's closed-form Jacobian inverted once) and the failed rows take its
-    result, so a failure is the chord iteration's, naming its row.  Each row gets its one-start bits."""
+    """Advance one step of size h from the phase point z0 (flat, length 4n),
+    or from every row of z0 (shape (k, 4n)); the result has z0's shape.
+
+    On an affine lifted map a row keeps its condensed step
+    (:func:`_condensed_rows`) when that step's full residual is finite and
+    within :func:`_floor`, the chord iteration's own test.  The other rows
+    go through one chord iteration from z1 = z0, which reuses the closed-form
+    Jacobian of the residual there, inverted once, each row against its own
+    tolerance; its errors name the caller's rows."""
     residual = step_residual(C, H, h, z0)
     z0 = np.asarray(z0, dtype=float)
-    rows, blocks = z0.reshape(-1, z0.shape[-1]), _step_blocks(C, H, h)
-    z1, ok = rows, np.zeros(len(rows), dtype=bool)
+    z1, todo, blocks = z0, None, _step_blocks(C, H, h)
     if blocks.LK is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            z1, ok = _condensed_rows(blocks, H.potential, rows)
+            z1, ok = _condensed_rows(blocks, H.potential, z0.reshape(-1, z0.shape[-1]))
             try:
                 ok &= (np.abs(residual(z1.reshape(z0.shape))).max(axis=-1) <= _floor(tol, z0)).reshape(-1)
             except GeodiscError:
                 ok[:] = False
         if ok.all():
             return z1.reshape(z0.shape)
-    chord = lambda z1: _step_jacobian(C, H, h, z0, z1)[..., C.dim :]
-    solved = _chord_newton(residual, chord, z0, None, tol, max_iter)[0]
-    return np.where(ok[:, None], z1, solved.reshape(rows.shape)).reshape(z0.shape)
+        if z0.ndim == 2:  # the chord iteration on the failed rows alone
+            todo = np.flatnonzero(~ok)
+            z0, residual = z0[todo], step_residual(C, H, h, z0[todo])
+    chord = lambda x: _step_jacobian(C, H, h, z0, x)[..., C.dim :]
+    solved = _chord_newton(residual, chord, z0, None, tol, max_iter, todo)[0]
+    if todo is None:
+        return solved
+    z1[todo] = solved
+    return z1
 
 
 def _condensed_rows(blocks: _StepBlocks, V: Potential | None, z0: Array) -> tuple[Array, Array]:
-    """The condensed step from each row of z0 (k, 4n), z1 = z0 + (D z0 + m + hW grad V(q)) in the terms of
-    :attr:`_StepBlocks.one_step`, with q = Gq z0 + gq + hP grad V(q) swept as in :func:`_window` at b = 1,
-    from grad V = 0 and by one gradient call per sweep on the rows still open.  A row settles once a sweep
-    moves its q by at most 4 eps of its size, and fails when a sweep stops contracting (a gradient that is
-    not finite or raises a GeodiscError included) or after _SWEEPS.  Returns (z1, settled), z1 = z0 on the
-    rows that failed."""
+    """Each row of z0 (k, 4n) stepped in the terms of :attr:`_StepBlocks.one_step`, q swept from grad V = 0 by
+    one gradient call per sweep on the rows still open, and each row settled or failed by :func:`_swept` (a
+    gradient that raises is nan) within _SWEEPS.  Returns (z1, settled), z1 = z0 on a failed row."""
     D, m, hW, hP, Gq, gq = blocks.one_step
     z1, ok = matvec(D, z0) + m, np.ones(len(z0), dtype=bool)
     if V is not None:
@@ -367,16 +418,22 @@ def _condensed_rows(blocks: _StepBlocks, V: Potential | None, z0: Array) -> tupl
         q, g, last, live = base.copy(), np.zeros_like(base), np.full(len(z0), np.inf), ok.copy()
         for _ in range(_SWEEPS):
             i = np.flatnonzero(live)
-            g[i] = _row_gradients(V.grad, q[i], every=True)
+            g[i] = _row_gradients(V.grad, q[i])
             moved, q[i] = q[i], base[i] + matvec(hP, g[i])
-            change = np.abs(q[i] - moved).max(axis=-1)
-            ok[i] = change < last[i]
-            live[i], last[i] = ok[i] & ~(change <= 4.0 * _EPS * np.abs(q[i]).max(axis=-1)), change
+            last[i], ok[i], settled = _swept(q[i], moved, last[i])
+            live[i] = ok[i] & ~settled
             if not live.any():
                 break
         ok &= ~live
         z1 += matvec(hW, g)
     return np.where(ok[:, None], z0 + z1, z0), ok
+
+
+def _swept(Q: Array, moved: Array, last):
+    """The fixed-point sweeps' rule, per row of Q (a 1-D Q is one): a sweep's change ||Q - moved||_inf, whether it
+    still contracts (is below the last change; a nan or inf is not) and whether it settled (<= 4 eps ||Q||_inf)."""
+    change = np.abs(Q - moved).max(axis=-1)
+    return change, change < last, change <= 4.0 * _EPS * np.abs(Q).max(axis=-1)
 
 
 _ROWS = 256  # rows per block of the condensed steps' check and of the energies; the window without a potential
@@ -385,10 +442,11 @@ _SWEEPS = 30  # fixed-point sweeps per window before it fails
 
 
 def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float, hG: Array | None = None) -> int:
-    """Number of leading steps k, k + 1, .. end - 1 of z whose full residual A0 z_k + A1 z_{k+1} + c, plus
-    ``hG`` (-h grad V at the step's preimage, one row per step) on the p0 rows, is finite and within the
-    chord iteration's own tolerance, :func:`_floor`: one pass over the block, with the steps as columns so
-    that each maximum runs along whole rows."""
+    """Number of leading steps k, k + 1, .. end - 1 of z whose full residual
+    A0 z_k + A1 z_{k+1} + c, plus ``hG`` (-h grad V at the step's preimage,
+    one row per step) on the p0 rows, is finite and within the chord
+    iteration's own tolerance, :func:`_floor`: one pass over the block, with
+    the steps as columns so that each maximum runs along whole rows."""
     zT = np.ascontiguousarray(z[k : end + 1].T)
     R = blocks.A0 @ zT[:, :-1]
     R += blocks.A1 @ zT[:, 1:]
@@ -400,12 +458,11 @@ def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float,
     return end - k if failed.size == 0 else int(failed[0])
 
 
-def _row_gradients(grad: Callable[[Array], Array], Q: Array, every: bool = False) -> Array:
+def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
     """grad at every row of Q in one call.  When that call raises a
     GeodiscError (a row on a singular set, such as the obstacle), the rows
-    are taken one at a time and the gradients are nan from the first row
-    that raises (with ``every``, at each row that raises), so that its step
-    fails its check."""
+    are taken one at a time and the gradient is nan at each row that
+    raises, so that its step fails its check."""
     try:
         return grad(Q)
     except GeodiscError:
@@ -414,19 +471,20 @@ def _row_gradients(grad: Callable[[Array], Array], Q: Array, every: bool = False
             try:
                 G[i] = grad(q)
             except GeodiscError:
-                if not every:
-                    break
+                pass
         return G
 
 
 def _window(cond: tuple[Array, ...], V: Potential | None, z: Array, j: int, b: int, g: Array) -> Array | None:
-    """Solve b condensed steps from row j of z as one window, and write rows j + 1 .. j + b by one product,
-    z_j + Z z_j + s - T g, with the terms of :attr:`_StepBlocks.condensed`.  Without a potential (V None)
-    g = 0 and the window returns ``g``.  With one, the fixed point g = -grad V(G z_j + t - K g) is swept
-    first, from every row at the last gradient ``g``, by one gradient call and one matvec per sweep until
-    a sweep moves the preimages by at most 4 eps of their size; the window returns its last gradient, or
-    None when a gradient raises a GeodiscError, a sweep stops contracting (a non-finite one included) or
-    it has not settled after _SWEEPS."""
+    """Solve b condensed steps from row j of z as one window, and write rows
+    j + 1 .. j + b by one product, z_j + Z z_j + s - T g, with the terms of
+    :attr:`_StepBlocks.condensed`.  Without a potential (V None) g = 0 and
+    the window returns ``g``.  With one, the fixed point g = -grad V(G z_j +
+    t - K g) is swept first, from every row at the last gradient ``g``, by
+    one gradient call and one matvec per sweep until the sweeps' rule
+    :func:`_swept` finds the preimages settled; the window returns its last
+    gradient, or None when a gradient raises a GeodiscError or a sweep stops
+    contracting or has not settled after _SWEEPS."""
     Z, s, T, G, t, K = cond[:6]
     dz, n = z.shape[1], g.size
     rows = Z[: b * dz] @ z[j] + s[: b * dz]
@@ -440,10 +498,10 @@ def _window(cond: tuple[Array, ...], V: Potential | None, z: Array, j: int, b: i
             except GeodiscError:
                 return None
             Q, moved = base - K @ gs.ravel(), Q
-            change = np.abs(Q - moved).max()
-            if not change < last:  # a nan or inf fails too
+            change, contracting, settled = _swept(Q, moved, last)
+            if not contracting:
                 return None
-            if change <= 4.0 * _EPS * np.abs(Q).max():
+            if settled:
                 break
             last = change
         else:
@@ -457,12 +515,15 @@ def _window(cond: tuple[Array, ...], V: Potential | None, z: Array, j: int, b: i
 def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int, tol: float, carry: list | None) -> int:
     """Advance rows k, k + 1, ... of z by condensed steps, as far as they verify.
 
-    Windows of up to ``blocks.window`` steps (:func:`_window`) start from the previous window's last
-    gradient (0 on entry); a failed window is halved, and a failed one-step window ends its block at that
-    step.  Without a potential a window is a whole block.  After each block of up to _ROWS rows
-    :func:`_verified_steps` checks every step's full residual, with a potential at the gradients of the
-    rows' preimages q_k taken in one call; ``carry`` (None: no tangent) gains the linearization of the
-    verified steps, :func:`_condensed_tangent`.  Returns the first failed step (else the step count)."""
+    Windows of up to ``blocks.window`` steps (:func:`_window`) start from the
+    previous window's last gradient (0 on entry); a failed window is halved,
+    and a failed one-step window ends its block at that step.  Without a
+    potential a window is a whole block.  After each block of up to _ROWS
+    rows :func:`_verified_steps` checks every step's full residual, with a
+    potential at the gradients of the rows' preimages q_k taken in one call;
+    ``carry`` (None: no tangent) gains the linearization of the verified
+    steps, :func:`_condensed_tangent`.  Returns the first step that failed
+    (the step count when none did)."""
     steps, n = z.shape[0] - 1, blocks.kq.size
     g, b = np.zeros(n), blocks.window
     while k < steps:
@@ -529,25 +590,34 @@ def integrate(
     """Run ``steps`` steps of the one-step method, recording energy and control
     at every state.
 
-    Step 0 runs the chord iteration, whose inverse Jacobian is carried across
-    chord steps and refreshed only when a step stalls.  On an affine lifted
-    map the later steps are condensed (:func:`_condensed_steps`) and checked
-    after every block of up to 256 rows, each step's full residual against
-    :func:`_floor`; a step that fails goes to the chord iteration and the
-    windows resume after it.  So a stall or a non-finite state ends in the
-    chord path's NonConvergence, naming the step k and its time k h, after
-    one retry with a fresh Jacobian when the failed solve carried an inverse.
+    The step matrices are looked up by :func:`_step_blocks`, so every run of
+    one (C, H, h) shares one build.  Step 0 runs the chord iteration; the
+    inverse of the residual's closed-form Jacobian is carried across chord
+    steps and refreshed only when a step stalls.  On an affine
+    lifted map the later steps are condensed (:func:`_condensed_steps`),
+    checked after every block of up to 256 rows: each step's full residual
+    must be finite and within max(tol, 8 eps ||z_k||_inf), the chord
+    iteration's own floor.  With a potential (the obstacle problems) windows
+    of up to 32 steps are solved in the n potential coordinates by
+    fixed-point sweeps; without one (the free problem) a block is one
+    product with the powers of the one-step map.  A step that fails goes to
+    the chord iteration and the windows resume after it.  So a stall or a
+    non-finite state ends in the same NonConvergence as on the chord path.
     A run steps with numpy's overflow and invalid-value warnings silenced:
     the finiteness tests report such a state.  The energies are evaluated
-    over all states after the last step; one that is not finite raises
-    NonConvergence naming its step and time.
+    once over all states after the last step; a state whose energy is not
+    finite raises NonConvergence naming its step and time.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
     through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k
     and returned as ``Trajectory.tangent``; the states are the same with or
-    without it.  The run records what each step's linearization needs; the
-    tangent is built on the first read of ``.tangent``, in the run's error
-    state, and a singular linearization raises SingularJacobian there.
+    without it.  The run records what each step's linearization needs (a
+    chord step's endpoints, a condensed block's step count and preimages);
+    the tangent is built on the first read of ``.tangent``, in the run's
+    error state, each condensed block's step maps multiplied as a pairwise
+    tree, and a singular linearization raises SingularJacobian there.  A
+    stalled step raises NonConvergence naming k and its time k h, after one
+    retry with a fresh Jacobian when the failed solve carried an inverse.
     """
     if h <= 0:
         raise ValueError("h must be positive")

@@ -122,7 +122,7 @@ def test_sphere_lift_evaluates_each_curve_once_per_stencil_time(monkeypatch):
     import geodisc.checks as checks
 
     plain = sphere_lift_suite(np.random.default_rng(7))  # memoized, as shipped
-    monkeypatch.setattr(checks, "_memoized", lambda curve: curve)
+    monkeypatch.setattr(checks, "cache", lambda curve: curve)
     unmemoized = sphere_lift_suite(np.random.default_rng(7))
     assert [r.defect for r in plain] == [r.defect for r in unmemoized]
 

@@ -134,8 +134,8 @@ def wobbly_system(n=1, amplitude=1e-3):
 
 
 class TestRowSteps:
-    """symplectic_step on rows (k, 4n): one chord iteration for all rows,
-    on any lifted map."""
+    """symplectic_step on rows (k, 4n): one call for all rows, on any
+    lifted map, with each row's one-row bits and errors."""
 
     @pytest.mark.parametrize(
         "case",
@@ -160,8 +160,8 @@ class TestRowSteps:
 
     def test_affine_rows_make_one_chord_iteration(self, monkeypatch, rng):
         # Rows that verify make no chord call; one row whose condensed step
-        # misses its floor sends all rows through one chord iteration, and
-        # that row alone takes its result.
+        # misses its floor goes through one chord iteration alone and takes
+        # its result.
         C, H = obstacle_setup()
         Z = row_starts(3, 10, rng, obstacle=True)
         condensed_rows = geodisc.hamiltonian._condensed_rows
@@ -176,7 +176,7 @@ class TestRowSteps:
         assert calls == []
         monkeypatch.setattr(geodisc.hamiltonian, "_condensed_rows", one_off)
         Z1 = symplectic_step(C, H, 0.01, Z)
-        assert calls == [(10, 12)]
+        assert calls == [(1, 12)]
         assert np.array_equal(Z1[3], chord_step(C, H, 0.01, Z[3]))
         assert np.array_equal(np.delete(Z1, 3, axis=0), np.delete(condensed, 3, axis=0))
 
@@ -322,6 +322,32 @@ class TestCondensedRows:
         calls = counted_chord(monkeypatch)
         assert np.array_equal(symplectic_step(C, H, 0.01, Z), ref)
         assert calls == [(6, 4)]
+
+    def test_a_row_the_chord_cannot_solve_keeps_its_condensed_step_beside_a_fallback(self, monkeypatch, rng):
+        # Row 1 verifies condensed, but the chord iteration meets a nan
+        # Hessian on it; row 0 misses its floor and falls back.  Each row
+        # gets its one-row result, and no error is raised for row 1.
+        C, H = obstacle_setup()
+        Z = np.zeros((3, 12))
+        Z[0] = row_starts(3, 1, rng, obstacle=True)[0]
+        Z[1, [0, 1, 3, 9]] = (1e308, -1.5, 1e308, 1e308)
+        Z[2] = row_starts(3, 1, rng, obstacle=True)[0]
+        alone = [symplectic_step(C, H, 0.1, z0) for z0 in Z]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence):
+            chord_step(C, H, 0.1, Z[1])
+        condensed_rows = geodisc.hamiltonian._condensed_rows
+
+        def row_0_off(*args):
+            z1, ok = condensed_rows(*args)
+            z1[0] *= 1 + 1e-4
+            return z1, ok
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_condensed_rows", row_0_off)
+        calls = counted_chord(monkeypatch)
+        Z1 = symplectic_step(C, H, 0.1, Z)
+        assert calls == [(1, 12)]
+        assert np.array_equal(Z1[0], chord_step(C, H, 0.1, Z[0]))
+        assert np.array_equal(Z1[1:], np.array(alone[1:]))
 
     def test_overflowing_rows_raise_no_warning(self):
         # pytest turns a RuntimeWarning into an error.  The obstacle's
