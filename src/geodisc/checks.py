@@ -13,10 +13,10 @@ A suite draws all its samples first, in one stream order per seed, and sends
 them through each map, lift or jet as the rows of one array.
 
 :func:`run_all` calls every suite with the same keywords: ``rng`` (a fresh
-generator on the run's seed), ``phase_map`` and ``hamiltonian`` (builders
-of the second-order phase map and Hamiltonian that build each once per run)
-and ``h_values`` (the convergence steps).  A suite names the ones it reads,
-each with a default where it has one, and takes the rest as ``**_``.
+generator on the run's seed) and ``h_values`` (the convergence steps).  A
+suite names the ones it reads, each with a default where it has one, and
+takes the rest as ``**_``.  Maps, lifts and step blocks are built once per
+process by their memos, so the suites of a run share them, as do later runs.
 """
 from __future__ import annotations
 
@@ -108,14 +108,14 @@ def midpoint_cotangent_closed_form(x: Array, d: int, inverse: bool) -> Array:
     return np.concatenate([a - 0.5 * c, b - 0.5 * e, a + 0.5 * c, b + 0.5 * e], axis=-1)
 
 
-def closed_form_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:
+def closed_form_suite(rng, **_) -> list[CheckResult]:
     """Generic cotangent lift of the midpoint rule against its closed form,
     both on T*Q and (through the tangent lift) on the second-order phase
     space T*(TQ)."""
     out = []
     tol = 1e-12
     for n in (1, 3):
-        for space, C, d in (("T*Q", cotangent_lift(midpoint_map(n)), n), ("T*(TQ)", phase_map(n), 2 * n)):
+        for space, C, d in (("T*Q", cotangent_lift(midpoint_map(n)), n), ("T*(TQ)", second_order_phase_map(n), 2 * n)):
             X = rng.normal(size=(100, 4 * d))
             fwd = np.max(np.abs(C.forward_flat(X) - midpoint_cotangent_closed_form(X, d, False)))
             inv = np.max(np.abs(C.inverse_flat(X) - midpoint_cotangent_closed_form(X, d, True)))
@@ -151,7 +151,7 @@ def second_lift_suite(rng, **_) -> list[CheckResult]:
     return out
 
 
-def axiom_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:
+def axiom_suite(rng, **_) -> list[CheckResult]:
     """Both defining conditions of every shipped discretization map."""
     tol = 1e-7
     out = []
@@ -168,19 +168,19 @@ def axiom_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]
     se2_pts = rng.uniform(-2.0, 2.0, size=(25, 3))
     cases.append(("se2 exponential", se2_exp_map(), se2_pts))
 
-    cases.append(("cotangent-lifted midpoint on T*(TQ)", phase_map(1), rng.normal(size=(25, 4))))
+    cases.append(("cotangent-lifted midpoint on T*(TQ)", second_order_phase_map(1), rng.normal(size=(25, 4))))
 
     for label, D, samples in cases:
         out.append(_result("axioms", label, worst_defect(axiom_defects(D, samples)), tol))
     return out
 
 
-def symplecto_suite(rng, phase_map=second_order_phase_map, **_) -> list[CheckResult]:
+def symplecto_suite(rng, **_) -> list[CheckResult]:
     """S^T Omega S identity for the lifted midpoint on T*(TQ), n in {1, 3}."""
     out = []
     tol = 1e-6
     for n in (1, 3):
-        defect = worst_defect(symplectomorphism_defects(phase_map(n), rng.normal(size=(100, 8 * n))))
+        defect = worst_defect(symplectomorphism_defects(second_order_phase_map(n), rng.normal(size=(100, 8 * n))))
         out.append(_result("symplectomorphism", f"lifted midpoint n={n}", defect, tol))
     return out
 
@@ -194,9 +194,7 @@ def _one_step_jacobian(C, H, h: float, z0: Array, eps: float = 1e-4) -> Array:
     return jacobian_fd(step, z0, eps=eps)
 
 
-def step_symplecticity_suite(
-    rng, phase_map=second_order_phase_map, hamiltonian=second_order_hamiltonian, **_
-) -> list[CheckResult]:
+def step_symplecticity_suite(rng, **_) -> list[CheckResult]:
     """M^T Omega M = Omega for the one-step map, free and obstacle systems."""
     free = rng.normal(size=(20, 4))
     obstacle = []
@@ -207,10 +205,10 @@ def step_symplecticity_suite(
         ang = rng.uniform(0.0, 2 * np.pi)
         z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
         obstacle.append(z0)
-    H = hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
+    H = second_order_hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
     jacobians = (
-        ("free n=1", _one_step_jacobian(phase_map(1), hamiltonian(1), 0.01, free)),
-        ("obstacle n=3", _one_step_jacobian(phase_map(3), H, 0.01, np.array(obstacle))),
+        ("free n=1", _one_step_jacobian(second_order_phase_map(1), second_order_hamiltonian(1), 0.01, free)),
+        ("obstacle n=3", _one_step_jacobian(second_order_phase_map(3), H, 0.01, np.array(obstacle))),
     )
     out = []
     for case, M in jacobians:
@@ -219,13 +217,11 @@ def step_symplecticity_suite(
     return out
 
 
-def free_spline_suite(phase_map=second_order_phase_map, hamiltonian=second_order_hamiltonian, **_) -> list[CheckResult]:
+def free_spline_suite(**_) -> list[CheckResult]:
     """Conservation over a long free run: p0 exactly, H to rounding."""
     out = []
-    C = phase_map(1)
-    H = hamiltonian(1)
     z0 = np.array([0.0, 0.1, 0.01, 0.2])
-    traj = integrate(C, H, 0.01, 10_000, z0)
+    traj = integrate(second_order_phase_map(1), second_order_hamiltonian(1), 0.01, 10_000, z0)
     p0 = traj.z[:, 2]  # (q, qdot, p0, p1) at n = 1
     out.append(_result("free-spline", "p0 drift over 1e4 steps", float(np.max(np.abs(p0 - p0[0]))), 1e-12))
     out.append(
@@ -239,16 +235,10 @@ def free_spline_suite(phase_map=second_order_phase_map, hamiltonian=second_order
     return out
 
 
-def convergence_suite(
-    h_values: Sequence[float] = (0.04, 0.02, 0.01),
-    phase_map=second_order_phase_map,
-    hamiltonian=second_order_hamiltonian,
-    **_,
-) -> list[CheckResult]:
+def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01), **_) -> list[CheckResult]:
     """Observed global order against the exactly known cubic free flow."""
     out = []
-    C = phase_map(1)
-    H = hamiltonian(1)
+    C, H = second_order_phase_map(1), second_order_hamiltonian(1)
     z0 = np.array([0.0, 0.0, 12.0, 6.0])
     T = 1.0
     # Exact flow: p0 constant, p1 linear, qdot and q its integrals.
@@ -361,8 +351,6 @@ def run_all(
     h_values: Sequence[float] = (0.04, 0.02, 0.01),
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
-    # The suites' phase maps and Hamiltonians, for this run only: runs at one (C, H, h) share a step-block build.
-    builders = dict(phase_map=cache(second_order_phase_map), hamiltonian=cache(second_order_hamiltonian))
     for name in validate_run(suites, h_values):
-        results.extend(SUITES[name](rng=np.random.default_rng(seed), h_values=h_values, **builders))
+        results.extend(SUITES[name](rng=np.random.default_rng(seed), h_values=h_values))
     return results

@@ -34,7 +34,6 @@ from .errors import (
     BadDiscretization,
     ConfigError,
     GeodiscError,
-    NonConvergence,
     StartInsideObstacle,
 )
 from .lifts import second_order_phase_map

@@ -207,7 +207,7 @@ def shoot(
 
     Newton iteration runs on the endpoint map (p0(0), p1(0)) -> (q(T) - q_end,
     qdot(T) - qdot_end).  Its Jacobian is exact to rounding: each forward
-    integration, on step blocks built once per problem, records the tangent
+    integration, on step blocks built once per process, records the tangent
     block of the discrete flow with respect to the initial costates, carried
     only when Newton reads it, and the last integration is kept, so a Newton
     iteration costs one integration and the returned trajectory reuses the

@@ -13,14 +13,16 @@ class NonConvergence(GeodiscError):
     """An iterative solve hit its iteration cap before reaching tolerance.
 
     Carries the best iterate seen so far and its residual norm so callers can
-    degrade gracefully instead of losing the partial result.
+    degrade gracefully instead of losing the partial result, and the index
+    of the failed row when the solve had rows (None for one point).
     """
 
-    def __init__(self, message, x_best=None, residual_norm=None, iterations=None):
+    def __init__(self, message, x_best=None, residual_norm=None, iterations=None, row=None):
         super().__init__(message)
         self.x_best = x_best
         self.residual_norm = residual_norm
         self.iterations = iterations
+        self.row = row
 
 
 class SingularJacobian(GeodiscError):

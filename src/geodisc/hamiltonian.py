@@ -21,7 +21,7 @@ matrix, the relations (mdot, pdot) = h JJ grad H(m, p), that is
     R(z1) = L w + h JJ grad V(q) = 0,      L = [-h JJ S0 | I],
 
 for z1.  When the lifted map's inverse is affine, w = K (z0, z1) + k
-(every base with an ``affine`` form), L is folded into it once per (C, H, h): with
+(every base with an ``affine`` form), L is folded into it once per (C, S0, h): with
 A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
 residual is A1 z1 + b, and V adds -h grad V on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
@@ -51,7 +51,6 @@ along a run.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable
@@ -60,7 +59,7 @@ import numpy as np
 
 from .errors import GeodiscError, NonConvergence, SingularJacobian
 from .lifts import CotangentLiftedMap, canonical_symplectic_matrix
-from .numeric import as_vector, matvec, newton_solve
+from .numeric import as_vector, matvec, newton_solve, read_only
 
 Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
@@ -170,8 +169,8 @@ class Trajectory:
 
 
 class _StepBlocks:
-    """The step relations of one (C, H, h) as matrices, looked up by
-    :func:`_step_blocks` and built once for the few latest (C, H, h).
+    """The step relations of one (C, dim, S0, potential or not, h) as matrices, all they read of a Hamiltonian
+    (S0 by its bytes): looked up by :func:`_step_blocks`, built once for the few latest keys, and read-only.
 
     ``L`` = [-h JJ S0 | I] maps the lifted-map preimage w to the quadratic
     part of the residual.  When C's inverse is affine, y -> K y + k, L is
@@ -184,19 +183,18 @@ class _StepBlocks:
     where a window has no fixed point and is one product.
     """
 
-    def __init__(self, C: CotangentLiftedMap, H: HamiltonianSystem, h: float):
+    def __init__(self, C: CotangentLiftedMap, dim: int, S0: bytes, potential: bool, h: float):
         d = C.dim // 2
-        if H.dim != d:
-            raise ValueError(f"Hamiltonian lives on T*R^{H.dim} but the map expects dimension {d}")
-        self.h, self.window = h, _WINDOW if H.potential is not None else _ROWS
-        self.L = np.hstack([-h * (canonical_symplectic_matrix(d) @ H.S0), np.eye(2 * d)])
+        if dim != d:
+            raise ValueError(f"Hamiltonian lives on T*R^{dim} but the map expects dimension {d}")
+        self.h, self.window = h, _WINDOW if potential else _ROWS
+        S0 = np.frombuffer(S0).reshape(2 * d, 2 * d)
+        (self.L,) = read_only(np.hstack([-h * (canonical_symplectic_matrix(d) @ S0), np.eye(2 * d)]))
         self.LK = self.A0 = self.A1 = self.c = self.Kq = self.Kq0 = self.Kq1 = self.kq = None
         if C.affine is not None:
             _, _, K, k = C.affine
             n = d // 2
-            self.LK, self.c, self.Kq, self.kq = self.L @ K, self.L @ k, K[:n], k[:n]
-            for a in (self.L, self.LK, self.c):
-                a.setflags(write=False)
+            self.LK, self.c, self.Kq, self.kq = read_only(self.L @ K, self.L @ k) + (K[:n], k[:n])
             self.A0, self.A1 = self.LK[:, : 2 * d], self.LK[:, 2 * d :]
             self.Kq0, self.Kq1 = self.Kq[:, : 2 * d], self.Kq[:, 2 * d :]
 
@@ -215,7 +213,7 @@ class _StepBlocks:
         d, n = self.A1.shape[0], self.kq.size
         D, m = -(J @ (self.A0 + self.A1)), -(J @ self.c)
         M, hW = np.eye(d) + D, self.h * J[:, d // 2 : d // 2 + n]
-        return D, m, hW, self.Kq1 @ hW, self.Kq0 + self.Kq1 @ M, self.kq + self.Kq1 @ m
+        return read_only(D, m, hW, self.Kq1 @ hW, self.Kq0 + self.Kq1 @ M, self.kq + self.Kq1 @ m)
 
     @cached_property
     def condensed(self) -> tuple[Array, ...]:
@@ -250,12 +248,17 @@ class _StepBlocks:
         G = Gq + Gq @ Z[:B]
         t = s[:B] @ Gq.T + gq
         T, K = _toeplitz(Wp), _toeplitz(np.concatenate([hP[None], Gq @ Wp[: B - 1]]))
-        return Z[1:].reshape(R * d, d), s[1:].ravel(), T, G.reshape(B * n, d), t.ravel(), K, hW, hP, np.eye(d) + D, Gq
+        Z, s, G, t = Z[1:].reshape(R * d, d), s[1:].ravel(), G.reshape(B * n, d), t.ravel()
+        return read_only(Z, s, T, G, t, K, hW, hP, np.eye(d) + D, Gq)
 
 
-# The step blocks of the eight latest (C, H, h), C and H matched by identity: the runs of one problem, or at a
-# few step sizes in turn, share one build and its arrays, which no caller writes.
-_step_blocks = lru_cache(maxsize=8)(_StepBlocks)
+_blocks = lru_cache(maxsize=8)(_StepBlocks)
+
+
+def _step_blocks(C: CotangentLiftedMap, H: HamiltonianSystem, h: float) -> _StepBlocks:
+    """The step blocks of (C, H, h) from the memo of the eight latest keys (C, dim, S0, potential or not, h), C
+    matched by identity: every Hamiltonian with H's quadratic part, whatever its potential, shares one build."""
+    return _blocks(C, H.dim, H.S0.tobytes(), H.potential is not None, h)
 
 
 def _toeplitz(blocks: Array) -> Array:
@@ -276,12 +279,9 @@ def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> 
     The matrices are those of :func:`_step_blocks` for this (C, H, h)."""
     blocks = _step_blocks(C, H, h)
     d = C.dim // 2
-    if np.ndim(z0) == 2:
-        z0 = np.asarray(z0, dtype=float)
-        if not np.isfinite(z0).all():
-            raise ValueError("z0 contains non-finite entries")
-    else:
-        z0 = as_vector(z0, name="z0")
+    z0 = np.asarray(z0, dtype=float) if np.ndim(z0) == 2 else as_vector(z0, name="z0")
+    if z0.ndim == 2 and not np.isfinite(z0).all():
+        raise ValueError("z0 contains non-finite entries")
     if z0.shape[-1] != 2 * d:
         raise ValueError(f"phase points have {2 * d} coordinates, got {z0.shape[-1]}")
     n, V = d // 2, H.potential
@@ -361,8 +361,8 @@ def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float
         return newton_solve(residual, x0, jacobian, _floor(tol, x0), max_iter, chord=True, J_inv=J_inv)
     except (NonConvergence, SingularJacobian) as exc:
         text = str(exc).replace("Newton", "one-step" if isinstance(exc, SingularJacobian) else "one-step solve")
-        if rows is not None:
-            text = re.sub(r"(?<=of row )\d+", lambda i: str(rows[int(i[0])]), text, count=1)
+        if rows is not None and isinstance(exc, NonConvergence):
+            text, exc.row = text.replace(f"of row {exc.row}", f"of row {rows[exc.row]}", 1), int(rows[exc.row])
         exc.args = (text,)
         raise
 
@@ -591,7 +591,7 @@ def integrate(
     at every state.
 
     The step matrices are looked up by :func:`_step_blocks`, so every run of
-    one (C, H, h) shares one build.  Step 0 runs the chord iteration; the
+    one (C, S0, h) shares one build.  Step 0 runs the chord iteration; the
     inverse of the residual's closed-form Jacobian is carried across chord
     steps and refreshed only when a step stalls.  On an affine
     lifted map the later steps are condensed (:func:`_condensed_steps`),

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .numeric import MAX_TAYLOR_ORDER, _eval_vector, matvec, rowdot, taylor_derivatives
+from .numeric import MAX_TAYLOR_ORDER, matvec, rowdot, taylor_derivatives
 
 Array = np.ndarray
 
@@ -61,10 +61,7 @@ def directional_second_derivative(F, x: Array, Fx: Array, u: Array) -> Array:
     nu = np.sqrt(rowdot(u, u))[..., None]
     e = u / np.where(nu == 0.0, 1.0, nu)
     h = 6e-3 * np.maximum(1.0, np.max(np.abs(x), axis=-1, keepdims=True))
-    v1p = _eval_vector(F, x + h * e)
-    v1m = _eval_vector(F, x - h * e)
-    v2p = _eval_vector(F, x + 2 * h * e)
-    v2m = _eval_vector(F, x - 2 * h * e)
+    v1p, v1m, v2p, v2m = (F(x + s * h * e) for s in (1, -1, 2, -2))  # x - h e rounds as x + (-h) e
     d2 = (-v2p + 16 * v1p - 30 * Fx + 16 * v1m - v2m) / (12 * h * h) * (nu * nu)
     return np.where(nu == 0.0, 0.0, d2)
 
@@ -84,7 +81,7 @@ def jet_pushforward(F: Callable[[Array], Array], j, jacobian: Callable[[Array, A
     if k > MAX_TAYLOR_ORDER:
         raise UnsupportedOrder(f"jet order {k} exceeds the supported maximum {MAX_TAYLOR_ORDER}")
     x0 = j[..., 0, :]
-    y0 = _eval_vector(F, x0)
+    y0 = np.asarray(F(x0), dtype=float)
     slots = [y0]
     if k >= 1:
         J = np.asarray(jacobian(x0, y0), dtype=float)

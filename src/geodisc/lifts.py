@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import SingularJacobian, UnsupportedOrder
 from .jets import jet_pushforward, unzip_jet_tangent, zip_jet_tangent
-from .maps import DiscretizationMap, midpoint_map
+from .maps import DiscretizationMap, memoized, midpoint_map
 from .numeric import MAX_TAYLOR_ORDER, jacobian_fd, matvec
 
 Array = np.ndarray
@@ -77,6 +77,7 @@ def _constant(M: Array) -> Callable[[Array], Array]:
     return lambda x: np.broadcast_to(M, x.shape[:-1] + M.shape)
 
 
+@memoized
 def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
     """The order-k lift of a discretization map, a discretization map on the
     order-k jets R^((k + 1) dim).
@@ -139,6 +140,7 @@ class CotangentLiftedMap(DiscretizationMap):
     """
 
 
+@memoized
 def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
     """The lift of a discretization map D on M = R^m to the phase space T*M.
 
@@ -188,6 +190,7 @@ def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
     return CotangentLiftedMap(2 * m, _affine(F, f), _affine(K, k), _constant(F), (F, f, K, k), name=name)
 
 
+@memoized
 def second_order_phase_map(n: int, base: DiscretizationMap | None = None) -> CotangentLiftedMap:
     """Discretization map on the phase space of second-order dynamics on R^n:
     the cotangent lift of the first-order lift of a base map (midpoint unless

@@ -23,17 +23,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainViolation
-from .numeric import as_vector, jacobian_fd, matvec, rowdot
+from .numeric import as_vector, jacobian_fd, matvec, read_only, rowdot
 
 Array = np.ndarray
 
 #: How far off the constraint set structured inputs may sit before being rejected.
 MANIFOLD_TOL = 1e-8
+
+#: The memo of every constructor of maps and lifts: a map is a frozen value, so a process builds each
+#: (constructor, arguments) once and keeps the latest 32; typed, so that an order 1.0 is not a valid order 1.
+memoized = lru_cache(maxsize=32, typed=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +68,7 @@ class DiscretizationMap:
     name: str = ""
 
     def __post_init__(self) -> None:
-        for a in self.affine or ():
-            a.setflags(write=False)
+        read_only(*(self.affine or ()))
 
     def _points(self, x, name: str) -> Array:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -133,12 +137,14 @@ def _flat(fn: Callable[[Array, Array], tuple[Array, Array]], dim: int) -> Callab
 # flat-space maps
 
 
+@memoized
 def midpoint_map(n: int) -> DiscretizationMap:
     """(q, v) -> (q - v/2, q + v/2) on R^n: the theta map at theta = 1/2,
     whose (1 - 1/2) a + b/2 rounds exactly as (a + b)/2."""
     return replace(theta_map(n, 0.5), name=f"midpoint(n={n})")
 
 
+@memoized
 def theta_map(n: int, theta: float) -> DiscretizationMap:
     """(q, v) -> (q - theta v, q + (1 - theta) v); theta = 1/2 is the midpoint map."""
     theta = float(theta)
@@ -169,6 +175,8 @@ def _check_sphere_point(q, what="q"):
 
 
 def _check_sphere_tangent(q, xi):
+    """A sphere map's ``validate_fn``: q on the sphere and xi tangent to it at q."""
+    _check_sphere_point(q)
     qxi = rowdot(q, xi)
     bad = np.abs(qxi) > MANIFOLD_TOL
     if bad.any():
@@ -183,6 +191,7 @@ def _sphere_tangent_basis(q: Array) -> Array:
     return np.stack([u, np.cross(q, u)], axis=-2)
 
 
+@memoized
 def sphere_initial_point_map() -> DiscretizationMap:
     """Sphere map keeping the first output at the base point:
     (q, xi) -> (q, (q + xi)/|q + xi|)."""
@@ -212,17 +221,13 @@ def sphere_initial_point_map() -> DiscretizationMap:
         J[..., 3:, :3] = J[..., 3:, 3:] = M
         return J
 
-    def validate(q, xi):
-        _check_sphere_point(q)
-        _check_sphere_tangent(q, xi)
-
     return DiscretizationMap(
         dim=3,
         forward_flat=_flat(forward, 3),
         inverse_flat=_flat(inverse, 3),
         jacobian_fn=jac,
         fiber_basis_fn=_sphere_tangent_basis,
-        validate_fn=validate,
+        validate_fn=_check_sphere_tangent,
         name="sphere-initial-point",
     )
 
@@ -233,6 +238,7 @@ def _sphere_exp(q: Array, eta: Array) -> Array:
     return np.cos(r) * q + np.sinc(r / math.pi) * eta
 
 
+@memoized
 def sphere_geodesic_midpoint_map() -> DiscretizationMap:
     """Sphere map placing (q, xi) at the geodesic midpoint of the output pair:
     (q, xi) -> (exp_q(-xi/2), exp_q(xi/2))."""
@@ -256,7 +262,6 @@ def sphere_geodesic_midpoint_map() -> DiscretizationMap:
         return q, np.where(tiny, 0.0, (2.0 * half_angle / np.where(tiny, 1.0, nw)) * w)
 
     def validate(q, xi):
-        _check_sphere_point(q)
         _check_sphere_tangent(q, xi)
         if np.any(0.5 * np.sqrt(rowdot(xi, xi)) >= math.pi):
             raise DomainViolation("|xi|/2 must stay below pi for the exponential pair to be injective")
@@ -316,6 +321,7 @@ def se2_inv(g: Array) -> Array:
     return np.concatenate([-matvec(_rot(-g[..., 2]), g[..., :2]), -g[..., 2:]], axis=-1)
 
 
+@memoized
 def se2_exp_map() -> DiscretizationMap:
     """Exponential-pair map on SE(2): (g, xi) -> (g exp(-xi/2), g exp(xi/2))."""
 

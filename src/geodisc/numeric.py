@@ -67,27 +67,19 @@ def rowdot(a: Array, b: Array) -> Array:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def read_only(*arrays: Array) -> tuple[Array, ...]:
+    """The arrays, each made read-only: the matrices of maps and step blocks, shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def worst_defect(values) -> float:
     """Largest of ``values``, 0.0 for none, and nan when any value is nan:
     the builtin ``max`` keeps its first argument against a nan, which would
     let a nan defect pass a ``<= tol`` test."""
     a = np.asarray(values, dtype=float)
     return float(a.max()) if a.size else 0.0
-
-
-def _eval_vector(f, x) -> Array:
-    """Evaluate ``f`` and coerce the result to a 1-d float array.
-
-    Domain errors from inside the package propagate unchanged; any foreign
-    exception is wrapped in :class:`EvaluationFailure`.
-    """
-    try:
-        y = f(x)
-    except GeodiscError:
-        raise
-    except Exception as exc:  # noqa: BLE001, deliberate firewall
-        raise EvaluationFailure(f"callable failed at {x!r}: {exc}") from exc
-    return np.atleast_1d(np.asarray(y, dtype=float))
 
 
 def jacobian_fd(f: VectorFunc, x, eps: float | None = None) -> Array:
@@ -154,10 +146,11 @@ def newton_solve(
     shape = x.shape + x.shape[-1:]
 
     def failed(reason: str, iterations: int, rows: Array) -> NonConvergence:
-        i = () if x.ndim == 1 else int(np.flatnonzero(rows)[0])
-        reason = reason.format(where="" if x.ndim == 1 else f" of row {i}", best=best_norm[i], it=iterations)
+        row = None if x.ndim == 1 else int(np.flatnonzero(rows)[0])
+        i = () if row is None else row
+        reason = reason.format(where="" if row is None else f" of row {row}", best=best_norm[i], it=iterations)
         tol_i = np.broadcast_to(tol, norm.shape)[i]
-        return NonConvergence(f"{reason} (tol {tol_i:.1e})", best_x[i].copy(), float(best_norm[i]), iterations)
+        return NonConvergence(f"{reason} (tol {tol_i:.1e})", best_x[i].copy(), float(best_norm[i]), iterations, row)
 
     def inverted(J_inv: Array | None, rows: Array) -> Array:
         """J_inv with the given rows' J taken at x and inverted (all of it the first time)."""
@@ -235,15 +228,26 @@ def taylor_derivatives(f, order: int) -> list[Array]:
     f: R -> R^m by the fourth-order-accurate central stencils ``_STENCILS``;
     f(0) is evaluated once and serves both zero offsets.  Scalar-valued
     curves come back as length-1 vectors.  Orders above ``MAX_TAYLOR_ORDER``
-    raise :class:`UnsupportedOrder`.
+    raise :class:`UnsupportedOrder`.  A foreign exception raised by f is
+    wrapped in :class:`EvaluationFailure`; the package's own propagate.
     """
     if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_TAYLOR_ORDER:
         raise UnsupportedOrder(f"derivative order must be an integer in [0, {MAX_TAYLOR_ORDER}], got {order!r}")
-    f0 = _eval_vector(f, 0.0)
+
+    def at(t: float) -> Array:
+        try:
+            y = f(t)
+        except GeodiscError:
+            raise
+        except Exception as exc:  # noqa: BLE001, deliberate firewall
+            raise EvaluationFailure(f"callable failed at {t!r}: {exc}") from exc
+        return np.atleast_1d(np.asarray(y, dtype=float))
+
+    f0 = at(0.0)
     out = [f0]
     for h, w in _STENCILS[: int(order)]:
         acc = np.zeros_like(f0)
         for k, wi in zip(range(-2, 3), w):
-            acc = acc + wi * (f0 if k == 0 else _eval_vector(f, k * h))
+            acc = acc + wi * (f0 if k == 0 else at(k * h))
         out.append(acc)
     return out

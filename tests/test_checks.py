@@ -63,7 +63,7 @@ def test_run_all_calls_every_suite_the_same_way(monkeypatch):
     for name in SUITES:
         monkeypatch.setitem(SUITES, name, lambda **kwargs: calls.append((sorted(kwargs), kwargs["h_values"])) or [])
     assert run_all(seed=3, h_values=(0.1, 0.05)) == []
-    assert calls == [(["h_values", "hamiltonian", "phase_map", "rng"], (0.1, 0.05))] * len(EXPECTED_SUITES)
+    assert calls == [(["h_values", "rng"], (0.1, 0.05))] * len(EXPECTED_SUITES)
 
 
 def test_each_suite_runs_alone_on_its_defaults():
@@ -77,9 +77,9 @@ def test_same_seed_same_defects():
     assert [r.defect for r in a] == [r.defect for r in b]
 
 
-def test_each_run_builds_its_phase_maps_once(monkeypatch):
-    # The eight suites ask for 11 cotangent lifts; a run builds the two
-    # second-order phase maps (n = 1, 3) once, and the next run again.
+def test_runs_in_one_process_build_each_cotangent_lift_once(monkeypatch, clear_memos):
+    # The eight suites ask for 11 cotangent lifts of four maps; the first run
+    # builds those four, and the next run finds them in the memo.
     built = []
     init = CotangentLiftedMap.__init__
     monkeypatch.setattr(CotangentLiftedMap, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
@@ -88,16 +88,16 @@ def test_each_run_builds_its_phase_maps_once(monkeypatch):
         built.clear()
         run_all(seed=71)
         counts.append(len(built))
-    assert counts[0] == counts[1] <= 4
+    assert counts == [4, 0]
 
 
-def test_free_runs_at_one_step_share_their_step_blocks(monkeypatch):
+def test_free_runs_at_one_step_share_their_step_blocks(monkeypatch, clear_memos):
     # free-spline and the convergence suite's finest run both step the free
-    # n = 1 system at h = 0.01: one Hamiltonian per run, so one build.
+    # n = 1 system at h = 0.01: one key (C, S0, no potential, h), one build.
     import geodisc.hamiltonian as hamiltonian
 
     built, init = [], hamiltonian._StepBlocks.__init__
-    monkeypatch.setattr(hamiltonian._StepBlocks, "__init__", lambda self, C, H, h: built.append(h) or init(self, C, H, h))
+    monkeypatch.setattr(hamiltonian._StepBlocks, "__init__", lambda self, *key: built.append(key[-1]) or init(self, *key))
     run_all(seed=0, suites=["free-spline", "convergence"])
     assert built == [0.01, 0.04, 0.02]
 

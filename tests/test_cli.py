@@ -577,6 +577,24 @@ class TestCheck:
         assert {entry["suite"] for entry in json.loads(out)} == {"sphere-lift"}
 
 
+SHOOT = "shoot --problem obstacle --n 3 --tau 1e-3 --r 1 --center 0,0 --q0=-2,-1.2,0 --v0 1,0,0 --q1=2,-1.15,0 --v1 1,0,0 --T 4 --h 0.01"
+
+
+def test_a_warm_process_writes_the_outputs_of_a_cold_one(capsys, clear_memos, isolated):
+    # Maps, lifts and step blocks built by one command serve the next ones
+    # and change no output: check, a theta:0.3 simulate, the documented shot
+    # and check again, in one process, then the shot once more from empty memos.
+    simulate = "simulate --problem free --n 1 --h 0.01 --steps 500 --init=0.3,-0.2,0.02,-0.1 --discretization theta:0.3"
+    for command in ("check --seed 0 --json-out cold.json", simulate, f"{SHOOT} --csv-out warm.csv",
+                    "check --seed 0 --json-out warm.json"):
+        assert cli.main(command.split()) == 0
+    clear_memos()
+    assert cli.main(f"{SHOOT} --csv-out cold.csv".split()) == 0
+    capsys.readouterr()
+    assert (isolated / "cold.json").read_bytes() == (isolated / "warm.json").read_bytes()
+    assert (isolated / "cold.csv").read_bytes() == (isolated / "warm.csv").read_bytes()
+
+
 class TestPlot:
     def make_csv(self, init="2.5,0,0,0,1,0,0,0,0,1,0,0", *flags):
         # The default start accelerates along x while it moves along y, so

@@ -261,7 +261,7 @@ class TestObstacleShooting:
         reference, _ = newton_solve(endpoint_defect, x0, jacobian=fd, tol=1e-10, max_iter=40, backtracking=True)
         assert np.max(np.abs(np.concatenate([res.p0, res.p1]) - reference)) <= 1e-12
 
-    def test_step_blocks_are_built_once_per_problem(self, monkeypatch):
+    def test_step_blocks_are_built_once_per_problem(self, monkeypatch, clear_memos):
         # At y0 = y1 = -1.12 Newton takes three iterations: four integrations
         # look up the one set of step blocks, and no tangent is carried for
         # the converged trial, which Newton never linearizes.

@@ -26,10 +26,10 @@ from geodisc.numeric import jacobian_fd
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """The h of every step-block build from here on."""
+def builds(monkeypatch, clear_memos):
+    """The h of every step-block build from here on, the memos emptied first."""
     built, init = [], geodisc.hamiltonian._StepBlocks.__init__
-    monkeypatch.setattr(geodisc.hamiltonian._StepBlocks, "__init__", lambda self, C, H, h: built.append(h) or init(self, C, H, h))
+    monkeypatch.setattr(geodisc.hamiltonian._StepBlocks, "__init__", lambda self, *key: built.append(key[-1]) or init(self, *key))
     return built
 
 
@@ -187,6 +187,7 @@ class TestRowSteps:
         with pytest.raises(NonConvergence, match=r"one-step solve of row 3 stalled") as info:
             symplectic_step(C, H, 0.1, Z, max_iter=20)
         assert info.value.x_best.shape == (4,) and info.value.iterations == 20
+        assert info.value.row == 3
         with pytest.raises(NonConvergence, match=r"^one-step solve stalled"):
             symplectic_step(C, H, 0.1, Z[3], max_iter=20)
         symplectic_step(C, H, 0.1, np.delete(Z, 3, axis=0), max_iter=20)  # the other rows converge
@@ -569,6 +570,36 @@ class TestStepKernel:
             integrate(C, H, h, 50, TestTangent.Z0, tangent=np.eye(12)).tangent
             symplectic_step(C, H, h, TestTangent.Z0)
         assert builds == [0.01, 0.02]
+
+    def test_hamiltonians_with_one_quadratic_part_share_their_blocks(self, builds, clear_memos):
+        # The blocks read C, S0, whether H has a potential and h: obstacles
+        # that differ only in their centre share one build, and the shared
+        # build gives each run the bits of a fresh one.  The free system of
+        # the same S0 has its own blocks (its windows are _ROWS steps long).
+        C = second_order_phase_map(3)
+        H0, H1 = (second_order_hamiltonian(3, obstacle_potential(1e-3, 1.0, c, 3)[0]) for c in ((0.0, 0.0), (0.3, 0.5)))
+        first = integrate(C, H0, 0.01, 300, TestTangent.Z0)
+        shared = integrate(C, H1, 0.01, 300, TestTangent.Z0)
+        assert builds == [0.01] and not np.array_equal(first.z, shared.z)
+        clear_memos()
+        assert np.array_equal(integrate(second_order_phase_map(3), H1, 0.01, 300, TestTangent.Z0).z, shared.z)
+        assert builds == [0.01, 0.01]
+        free = geodisc.hamiltonian._step_blocks(C, second_order_hamiltonian(3), 0.01)
+        assert builds == [0.01, 0.01, 0.01]
+        assert free is not geodisc.hamiltonian._step_blocks(C, H1, 0.01)
+        assert free.window == geodisc.hamiltonian._ROWS and geodisc.hamiltonian._step_blocks(C, H1, 0.01).window == 32
+
+    @pytest.mark.parametrize("setup", [free_setup, obstacle_setup], ids=["free", "obstacle"])
+    def test_cached_blocks_and_map_matrices_are_read_only(self, setup):
+        # The blocks and maps live for the whole process, shared by every caller.
+        C, H = setup()
+        blocks = geodisc.hamiltonian._step_blocks(C, H, 0.01)
+        arrays = [blocks.L, blocks.LK, blocks.A0, blocks.A1, blocks.c, blocks.Kq, blocks.kq, blocks.Kq0, blocks.Kq1]
+        arrays += [*blocks.one_step, *blocks.condensed, *C.affine, *midpoint_map(C.dim // 4).affine]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        assert C is second_order_phase_map(C.dim // 4) and blocks is geodisc.hamiltonian._step_blocks(C, H, 0.01)
 
     def test_vectorized_energies_match_the_value_loop(self, rng):
         C, H = free_setup()

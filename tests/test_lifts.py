@@ -23,6 +23,7 @@ from geodisc.maps import (
     axiom_defects,
     midpoint_map,
     se2_exp_map,
+    sphere_geodesic_midpoint_map,
     sphere_initial_point_map,
     theta_map,
 )
@@ -370,6 +371,31 @@ def theta_affine_maps():
 
 
 THETA_AFFINE_MAPS = list(theta_affine_maps())
+
+
+class TestMemoizedConstructors:
+    """Maps and lifts are frozen values: a process builds each (constructor,
+    arguments) once, and lifts key on their base by identity."""
+
+    def test_the_same_arguments_give_the_same_map(self, clear_memos):
+        for make in (lambda: midpoint_map(3), lambda: theta_map(2, 0.3), sphere_initial_point_map,
+                     sphere_geodesic_midpoint_map, se2_exp_map, lambda: higher_order_lift(se2_exp_map(), 2)):
+            assert make() is make()
+        C = second_order_phase_map(3)
+        assert C is second_order_phase_map(3, midpoint_map(3)) is cotangent_lift(higher_order_lift(midpoint_map(3), 1))
+        assert C is not second_order_phase_map(3, theta_map(3, 0.3)) and C is not second_order_phase_map(1)
+        generic = replace(midpoint_map(3), affine=None)  # equal fields, another map
+        assert cotangent_lift(generic) is not cotangent_lift(midpoint_map(3))
+
+    def test_a_float_order_is_refused_after_the_integer_order_was_built(self, clear_memos):
+        D = midpoint_map(1)
+        assert higher_order_lift(D, 1) is higher_order_lift(D, 1)
+        with pytest.raises(UnsupportedOrder):
+            higher_order_lift(D, 1.0)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            theta_map(1, 2.0)
+        with pytest.raises(ValueError, match="theta must lie in"):  # a failed build is not kept
+            theta_map(1, 2.0)
 
 
 class TestAffineForm:

@@ -158,6 +158,10 @@ class TestNewtonSolve:
         expected = "Newton of row 1 met a non-finite residual at iteration 1, best residual 4.000e+00 (tol 1.0e-12)"
         assert str(err.value) == expected
         assert err.value.iterations == 1 and np.array_equal(err.value.x_best, [-2.0])
+        assert err.value.row == 1
+        with pytest.raises(NonConvergence, match=r"^Newton met a non-finite residual at iteration 1") as err:
+            newton_solve(f, np.array([-2.0]), lambda x: np.full((1, 1), 0.25), tol=1e-12)
+        assert err.value.row is None
 
     def test_zero_tolerance_never_converges(self):
         f = lambda x: np.array([np.sin(x[0])])
