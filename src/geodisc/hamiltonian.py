@@ -257,7 +257,7 @@ _blocks = lru_cache(maxsize=8)(_StepBlocks)
 
 def _step_blocks(C: CotangentLiftedMap, H: HamiltonianSystem, h: float) -> _StepBlocks:
     """The step blocks of (C, H, h) from the memo of the eight latest keys (C, dim, S0, potential or not, h), C
-    matched by identity: every Hamiltonian with H's quadratic part, whatever its potential, shares one build."""
+    matched by identity: all Hamiltonians with H's S0 and some potential share one build, and all with none another."""
     return _blocks(C, H.dim, H.S0.tobytes(), H.potential is not None, h)
 
 
