@@ -60,7 +60,7 @@ def write_trajectory_csv(path, traj: Trajectory, clearances=None) -> None:
     seps = b",\0\0\0" * (table.shape[1] - 1) + (b"\n\0\0\0" if clearances is not None else b",\n\0\0")
     rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
     words = np.tile(np.frombuffer(seps, np.uint32), rows)
-    # A block of rows at a time (about 430 bytes of temporaries a cell), never the whole text.
+    # A block of rows at a time (about 340 bytes of temporaries a cell), never the whole text.
     blocks = (_g17(table[i : i + rows].ravel(), words) for i in range(0, table.shape[0], rows))
     write_bytes(path, itertools.chain([(",".join(trajectory_columns(traj.n)) + "\n").encode()], blocks))
 
@@ -69,13 +69,14 @@ def write_trajectory_csv(path, traj: Trajectory, clearances=None) -> None:
 # '%.17g' of an array of cells: a finite v prints in fixed notation when its 17 significant digits,
 # D with |v| ~ D 10^(E - 16), have E in [-4, 16].  D is |v| 10^(16 - E) rounded half to even, exactly:
 # Dekker's product of |v| and the double 10^(16 - E) is hi + lo with hi an even integer above 2^53, so
-# hi + rint(lo) rounds it.  The doubles 1e-5 .. 1e16 are each the least double >= its power of ten, so
-# they give E exactly.  Such a cell is a subsequence of a 48-byte template of six words: "-0.000", the
-# 17 digits each followed by a '.' slot, the separator and NUL padding.  A mask looked up by (E, the
-# trailing zeros of D, sign, separator length) keeps the cell's bytes; one compress drops the rest.
+# hi + rint(lo) rounds it.  E is floor((x - 1) log10 2) for |v| in [2^(x - 1), 2^x), or one more: the
+# doubles 1e-5 .. 1e17 are each the least double >= its power of ten, so one comparison tells.  Such a
+# cell is a subsequence of a 48-byte template of six words: "-0.000", the 17 digits each followed by a
+# '.' slot, the separator and NUL padding.  A mask looked up by (E, the trailing zeros of D, sign,
+# separator length) keeps the cell's bytes; one compress drops the rest.
 
 _POW10 = 10.0 ** np.arange(22)
-_DECADES = np.array([float(f"1e{E}") for E in range(-5, 17)])
+_DECADES = np.array([float(f"1e{E}") for E in range(-5, 18)])
 
 
 def _split(a: Array) -> tuple[Array, Array]:
@@ -86,6 +87,13 @@ def _split(a: Array) -> tuple[Array, Array]:
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a: Array, i: Array) -> Array:
+    """a 10^i rounded half to even, as int64: Dekker's exact product hi + lo, then hi + rint(lo)."""
+    (a_hi, a_lo), b_hi, b_lo = _split(a), _POW10_HI.take(i), _POW10_LO.take(i)
+    hi = a * _POW10.take(i)
+    return hi.astype(np.int64) + np.rint(((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo).astype(np.int64)
 
 
 @lru_cache(maxsize=1)
@@ -107,28 +115,34 @@ def _g17(v: Array, separators: Array) -> bytes:
     its separator ``separators[i]`` (up to 2 bytes padded with NUL to a uint32);
     values printed in exponent form or not finite are formatted by ``%``."""
     groups, trailing, masks = _g17_tables()
-    fixed = (np.abs(v) >= 1e-5) & (np.abs(v) < 1e17)
-    a = np.where(fixed, np.abs(v), 1.0)
-    e = np.searchsorted(_DECADES, a, side="right") - 6
-    a_hi, a_lo = _split(a)
-    b, b_hi, b_lo = _POW10[16 - e], _POW10_HI[16 - e], _POW10_LO[16 - e]
-    hi = a * b
-    D = hi.astype(np.int64) + np.rint(((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo).astype(np.int64)
+    a = np.abs(v)
+    fixed = (a >= 1e-5) & (a < 1e17)
+    np.copyto(a, 1.0, where=~fixed)
+    e = (np.frexp(a)[1] - 1) * 78913 >> 18  # floor((x - 1) log10 2) in int32, exact for |x| < 1700
+    e += a >= _DECADES.take(e + 6)
+    D = _scaled(a, 16 - e)
     carry = D == 10**17  # rounded up to the next power of ten
-    D, e = np.where(carry, 10**16, D) * (v != 0), e + carry  # "0" and "-0" take E = 0
+    D[carry], e = 10**16, e + carry
+    D *= v != 0  # "0" and "-0" take E = 0
     fixed = (fixed & (e >= -4) & (e <= 16)) | (v == 0)
-    top, bottom = np.divmod(D, 10**8)
-    d0, top = np.divmod(top, 10**8)
-    digits = np.divmod(top, 10**4) + np.divmod(bottom, 10**4)  # digits 1-4, 5-8, 9-12, 13-16
+    hi8 = D // 10**8  # D < 10^17: its first digit and two groups of 8 digits, each group in int32
+    top, bottom = hi8.astype(np.int32), (D - hi8 * 10**8).astype(np.int32)
+    d0 = top // 10**8
+    top -= d0 * 10**8
+    g1, g3 = top // 10**4, bottom // 10**4
+    digits = (g1, top - g1 * 10**4, g3, bottom - g3 * 10**4)  # digits 1-4, 5-8, 9-12, 13-16
     t = [trailing.take(g) for g in digits]
     tz = t[3] + (t[3] == 4) * (t[2] + (t[2] == 4) * (t[1] + (t[1] == 4) * t[0]))
-    sep, head = separators[: v.size], np.frombuffer(b"-0.0000.", np.int64)
-    words = np.column_stack([(d0 << 48) + head, *(groups.take(g) for g in digits), sep])
+    sep, words = separators[: v.size], np.empty((v.size, 6), np.int64)  # a template per cell, filled in place
+    words[:, 0], words[:, 5] = (d0.astype(np.int64) << 48) + np.frombuffer(b"-0.0000.", np.int64), sep
+    for j, g in enumerate(digits, 1):
+        words[:, j] = groups.take(g)
     key = (((e + 4) * 17 + tz) * 2 + np.signbit(v)) * 3 + (sep != 0) + (sep > 255)
     mask = masks.take(key, axis=0, mode="clip")  # a cell in exponent form gets its own below
     rest = np.flatnonzero(~fixed)
-    words[rest, :5] = np.array([b"%.17g" % x for x in v[rest].tolist()], dtype="S40").view(np.int64).reshape(-1, 5)
-    mask[rest] = words[rest].view(np.uint8).reshape(-1, 48) != 0
+    if rest.size:
+        words[rest, :5] = np.array([b"%.17g" % x for x in v[rest].tolist()], dtype="S40").view(np.int64).reshape(-1, 5)
+        mask[rest] = words[rest].view(np.uint8).reshape(-1, 48) != 0
     return np.compress(mask.ravel(), words.view(np.uint8).ravel()).tobytes()
 
 

@@ -21,7 +21,7 @@ process by their memos, so the suites of a run share them, as do later runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .lifts import (
 )
 from .maps import (
     axiom_defects,
+    memoized,
     midpoint_map,
     se2_exp_map,
     sphere_geodesic_midpoint_map,
@@ -130,15 +131,17 @@ def _midpoint_second_lift_closed_form(x: Array, n: int) -> Array:
     return np.concatenate([base - fiber / 2.0, base + fiber / 2.0], axis=-1)
 
 
+#: A map without its affine form, so that its lifts push jets through it: one copy per map and process.
+_without_affine = memoized(partial(replace, affine=None))
+
+
 def second_lift_suite(rng, **_) -> list[CheckResult]:
     """Order-2 lift of the midpoint rule against the slotwise closed form, as
     the prebuilt affine lift ("exact") and as jets pushed through the map
     ("fd"), plus the -+I/2 fiber blocks of its Jacobian."""
     out = []
     n = 2
-    exact = midpoint_map(n)
-    generic = replace(exact, affine=None)  # same map, pushed as a nonlinear one
-    for mode, base, tol in (("exact", exact, 1e-9), ("fd", generic, 1e-6)):
+    for mode, base, tol in (("exact", midpoint_map(n), 1e-9), ("fd", _without_affine(midpoint_map(n)), 1e-6)):
         X = rng.normal(size=(30, 6 * n))
         defect = np.max(np.abs(higher_order_lift(base, 2).forward_flat(X) - _midpoint_second_lift_closed_form(X, n)))
         out.append(_result("second-lift", f"closed form ({mode} backend)", defect, tol))
@@ -219,20 +222,12 @@ def step_symplecticity_suite(rng, **_) -> list[CheckResult]:
 
 def free_spline_suite(**_) -> list[CheckResult]:
     """Conservation over a long free run: p0 exactly, H to rounding."""
-    out = []
-    z0 = np.array([0.0, 0.1, 0.01, 0.2])
-    traj = integrate(second_order_phase_map(1), second_order_hamiltonian(1), 0.01, 10_000, z0)
-    p0 = traj.z[:, 2]  # (q, qdot, p0, p1) at n = 1
-    out.append(_result("free-spline", "p0 drift over 1e4 steps", float(np.max(np.abs(p0 - p0[0]))), 1e-12))
-    out.append(
-        _result(
-            "free-spline",
-            "H drift over 1e4 steps",
-            float(np.max(np.abs(traj.energies - traj.energies[0]))),
-            1e-10,
-        )
-    )
-    return out
+    traj = integrate(second_order_phase_map(1), second_order_hamiltonian(1), 0.01, 10_000, np.array([0.0, 0.1, 0.01, 0.2]))
+    p0, H = traj.z[:, 2], traj.energies  # (q, qdot, p0, p1) at n = 1
+    return [
+        _result("free-spline", "p0 drift over 1e4 steps", np.max(np.abs(p0 - p0[0])), 1e-12),
+        _result("free-spline", "H drift over 1e4 steps", np.max(np.abs(H - H[0])), 1e-10),
+    ]
 
 
 def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01), **_) -> list[CheckResult]:
@@ -248,16 +243,9 @@ def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01), **_) -> li
         traj = integrate(C, H, h, int(round(T / h)), z0)
         errs.append(abs(traj.z[-1, 0] - q_exact))
     for i in range(len(errs) - 1):
-        ratio = h_values[i] / h_values[i + 1]
-        order = float(np.log(errs[i] / errs[i + 1]) / np.log(ratio))
-        out.append(
-            _result(
-                "convergence",
-                f"order h={h_values[i]}->{h_values[i + 1]}: observed {order:.4f}",
-                abs(order - 2.0),
-                0.1,
-            )
-        )
+        h0, h1 = h_values[i], h_values[i + 1]
+        order = float(np.log(errs[i] / errs[i + 1]) / np.log(h0 / h1))
+        out.append(_result("convergence", f"order h={h0}->{h1}: observed {order:.4f}", abs(order - 2.0), 0.1))
     return out
 
 

@@ -28,26 +28,16 @@ Any other base takes w from the lifted map's inverse in the same formula.
 An affine step is linear but for grad V at one preimage q: it has n
 unknowns, not 4n (:attr:`_StepBlocks.one_step`).
 
-:func:`symplectic_step` takes one start or rows of starts (k, 4n).  It
-solves each row of an affine lifted map in those n unknowns and keeps the
-row when its full residual is within its floor :func:`_floor`.  The other
-rows go to one chord iteration, the package's Newton iteration
-:func:`geodisc.numeric.newton_solve` on its chord policy: one closed-form
-Jacobian of R per row at its start, the Hessians in one call and the
-inverses in one batched call, and each row stopped at its own floor.
-Either way every row gets the bits of a one-start call.
-
-:func:`integrate` takes a step by one of two paths: that chord iteration,
-its inverse Jacobian carried from step to step (every step on a non-affine
-lifted map, step 0 of every run, and any step the other path hands over);
-and, on an affine lifted map, condensed steps, a window at a time: one
-product with the powers of the one-step map, after fixed-point sweeps in
-the n coordinates of q when there is a potential (the obstacle problems).
-Every step's full residual is checked after each block of rows.  With the
-midpoint-family lifts this is an implicit midpoint scheme, conserving
-quadratic first integrals to rounding; the discrete variational equation
-gives the exact step derivative dz1/dz0, which :func:`integrate` can carry
-along a run.
+One step from each row of starts (k, 4n) is :func:`symplectic_step`, a run
+:func:`integrate`.  On an affine lifted map both solve steps in those n
+unknowns and check each against its full residual; a step that fails goes to
+the chord iteration, :func:`geodisc.numeric.newton_solve` on its chord
+policy, which also takes step 0 of every run and every step on a non-affine
+lifted map; :func:`symplectic_step` gives each row the bits of a one-start
+call.  With the midpoint-family lifts this is an implicit midpoint scheme,
+conserving quadratic first integrals to rounding; the discrete variational
+equation gives the exact step derivative dz1/dz0, which :func:`integrate`
+can carry along a run.
 """
 from __future__ import annotations
 
@@ -347,10 +337,11 @@ def _solve(A: Array, B: Array | None = None) -> Array:
         raise SingularJacobian("one-step linearization is singular") from exc
 
 
-def _floor(tol: float, z: Array, axis: int = -1) -> Array:
+def _floor(tol: float, z: Array, axis: int = -1, out: Array | None = None) -> Array:
     """The one-step tolerance at each state (row; column with ``axis=0``) of z: max(tol, 8 eps ||z||_inf), never
-    below the rounding level of the state (for tol = 1e-12 the second term takes over above ||z||_inf ~ 560)."""
-    return np.maximum(tol, 8.0 * _EPS * np.abs(z).max(axis=axis))
+    below the rounding level of the state (for tol = 1e-12 the second term takes over above ||z||_inf ~ 560);
+    ``out`` takes |z|."""
+    return np.maximum(tol, 8.0 * _EPS * np.abs(z, out=out).max(axis=axis))
 
 
 def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, max_iter: int, rows=None):
@@ -436,25 +427,26 @@ def _swept(Q: Array, moved: Array, last):
     return change, change < last, change <= 4.0 * _EPS * np.abs(Q).max(axis=-1)
 
 
-_ROWS = 256  # rows per block of the condensed steps' check and of the energies; the window without a potential
+_ROWS = 256  # the window without a potential, and the most steps one tangent factor carries
 _WINDOW = 32  # condensed steps solved together as one window with a potential
+_SPAN = 8  # windows per check of the condensed steps and per block of the energies
 _SWEEPS = 30  # fixed-point sweeps per window before it fails
 
 
 def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float, hG: Array | None = None) -> int:
-    """Number of leading steps k, k + 1, .. end - 1 of z whose full residual
-    A0 z_k + A1 z_{k+1} + c, plus ``hG`` (-h grad V at the step's preimage,
-    one row per step) on the p0 rows, is finite and within the chord
-    iteration's own tolerance, :func:`_floor`: one pass over the block, with
-    the steps as columns so that each maximum runs along whole rows."""
-    zT = np.ascontiguousarray(z[k : end + 1].T)
-    R = blocks.A0 @ zT[:, :-1]
-    R += blocks.A1 @ zT[:, 1:]
-    R += blocks.c[:, None]
+    """Number of leading steps k .. end - 1 of z whose full residual A0 z_k + A1 z_{k+1} + c, plus ``hG`` (-h grad V
+    at the step's preimage, a row per step) on the p0 rows, is finite and within :func:`_floor`: the steps as columns,
+    so each maximum runs along whole rows, in two arrays of their size (a broadcast sum would buffer a third)."""
+    tmp = z[k:end].T.copy()
+    floor = _floor(tol, tmp, axis=0, out=tmp)
+    R = blocks.A0 @ z[k:end].T
+    R += np.matmul(blocks.A1, z[k + 1 : end + 1].T, out=tmp)
+    tmp[...] = blocks.c[:, None]
+    R += tmp
     if hG is not None:
         d = R.shape[0] // 2
         R[d : d + hG.shape[1]] += hG.T
-    failed = np.flatnonzero(~(np.abs(R, out=R).max(axis=0) <= _floor(tol, zT[:, :-1], axis=0)))  # a nan fails too
+    failed = np.flatnonzero(~(np.abs(R, out=R).max(axis=0, out=tmp[0]) <= floor))  # a nan fails too
     return end - k if failed.size == 0 else int(failed[0])
 
 
@@ -517,17 +509,17 @@ def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int,
 
     Windows of up to ``blocks.window`` steps (:func:`_window`) start from the
     previous window's last gradient (0 on entry); a failed window is halved,
-    and a failed one-step window ends its block at that step.  Without a
-    potential a window is a whole block.  After each block of up to _ROWS
-    rows :func:`_verified_steps` checks every step's full residual, with a
-    potential at the gradients of the rows' preimages q_k taken in one call;
-    ``carry`` (None: no tangent) gains the linearization of the verified
-    steps, :func:`_condensed_tangent`.  Returns the first step that failed
-    (the step count when none did)."""
+    and a failed one-step window ends its span at that step.  After each span
+    of up to _SPAN windows :func:`_verified_steps` checks every step's full
+    residual, with a potential at the gradients of the rows' preimages q_k
+    taken in one call; ``carry`` (None: no tangent) gains the linearization
+    of the verified steps, :func:`_condensed_tangent`, in factors of up to
+    _ROWS steps.  Returns the first step that failed (the step count when
+    none did)."""
     steps, n = z.shape[0] - 1, blocks.kq.size
     g, b = np.zeros(n), blocks.window
     while k < steps:
-        j, end = k, min(k + _ROWS, steps)
+        j, end = k, min(k + _SPAN * blocks.window, steps)
         while j < end:
             b = min(b, end - j)
             solved = _window(blocks.condensed, V, z, j, b, g)
@@ -546,8 +538,8 @@ def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int,
             Q += blocks.kq
             hG = -blocks.h * _row_gradients(V.grad, Q)
         verified = _verified_steps(blocks, z, k, j, tol, hG)
-        if carry is not None and verified:
-            carry.append(partial(_condensed_tangent, blocks, V, verified, Q))
+        for i in range(0, verified if carry is not None else 0, _ROWS):  # a tangent factor per _ROWS steps
+            carry.append(partial(_condensed_tangent, blocks, V, min(_ROWS, verified - i), None if Q is None else Q[i:]))
         k += verified
         if k < end:
             return k
@@ -593,30 +585,26 @@ def integrate(
     The step matrices are looked up by :func:`_step_blocks`, so every run of
     one (C, S0, h) shares one build.  Step 0 runs the chord iteration; the
     inverse of the residual's closed-form Jacobian is carried across chord
-    steps and refreshed only when a step stalls.  On an affine
-    lifted map the later steps are condensed (:func:`_condensed_steps`),
-    checked after every block of up to 256 rows: each step's full residual
-    must be finite and within max(tol, 8 eps ||z_k||_inf), the chord
-    iteration's own floor.  With a potential (the obstacle problems) windows
-    of up to 32 steps are solved in the n potential coordinates by
-    fixed-point sweeps; without one (the free problem) a block is one
-    product with the powers of the one-step map.  A step that fails goes to
-    the chord iteration and the windows resume after it.  So a stall or a
-    non-finite state ends in the same NonConvergence as on the chord path.
-    A run steps with numpy's overflow and invalid-value warnings silenced:
-    the finiteness tests report such a state.  The energies are evaluated
-    once over all states after the last step; a state whose energy is not
-    finite raises NonConvergence naming its step and time.
+    steps and refreshed only when a step stalls.  On an affine lifted map
+    the later steps are condensed a window at a time
+    (:func:`_condensed_steps`: 32 steps with a potential, 256 without) and
+    checked once per eight windows: each step's full residual must be finite
+    and within max(tol, 8 eps ||z_k||_inf), the chord iteration's own floor.
+    A step that fails goes to the chord iteration and the windows resume
+    after it, so a stall or a non-finite state ends in the same
+    NonConvergence as on the chord path.  A run steps with numpy's overflow
+    and invalid-value warnings silenced: the finiteness tests report such a
+    state.  The energies are evaluated after the last step, eight windows'
+    rows at a time; a state whose energy is not finite raises NonConvergence
+    naming its step and time.
 
     ``tangent``, an optional 4n x k block T_0 of directions at z0, is carried
     through the discrete variational equation T_{k+1} = (dz_{k+1}/dz_k) T_k
-    and returned as ``Trajectory.tangent``; the states are the same with or
-    without it.  The run records what each step's linearization needs (a
-    chord step's endpoints, a condensed block's step count and preimages);
-    the tangent is built on the first read of ``.tangent``, in the run's
-    error state, each condensed block's step maps multiplied as a pairwise
-    tree, and a singular linearization raises SingularJacobian there.  A
-    stalled step raises NonConvergence naming k and its time k h, after one
+    and returned as ``Trajectory.tangent``, built on its first read, in the
+    run's error state, from what the run records (a chord step's endpoints, a
+    condensed factor's steps and preimages); the states are the same with or
+    without it, and a singular linearization raises SingularJacobian there.
+    A stalled step raises NonConvergence naming k and its time k h, after one
     retry with a fresh Jacobian when the failed solve carried an inverse.
     """
     if h <= 0:
@@ -660,8 +648,9 @@ def integrate(
             k += 1
             if blocks.LK is not None:
                 k = _condensed_steps(blocks, H.potential, z, k, tol, carry)
-        for i in range(0, steps + 1, _ROWS):  # blocks of rows: no temporary the size of z
-            energies[i : i + _ROWS] = H.values(z[i : i + _ROWS])
+        span = _SPAN * blocks.window
+        for i in range(0, steps + 1, span):  # blocks of rows: no temporary the size of z
+            energies[i : i + span] = H.values(z[i : i + span])
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         k = int(bad[0])

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainViolation
-from .numeric import as_vector, jacobian_fd, matvec, read_only, rowdot
+from .numeric import jacobian_fd, matvec, read_only, rowdot
 
 Array = np.ndarray
 
@@ -362,9 +362,14 @@ def axiom_defects(D: DiscretizationMap, samples, eps: float = 1e-6) -> Array:
     direction expressed in chart coordinates through ``D.fiber_frame(q)``.
     Every sample's zero probe and its +-step u probes go through one checked
     ``D.forward`` call, one row each.  Raises ValueError when no sample is
-    given.
+    given, or when a sample is not one finite vector.
     """
-    Q = np.array([as_vector(q, name="sample") for q in samples])
+    Q = np.asarray(samples, dtype=float)
+    Q = Q[:, None] if Q.ndim == 1 else Q  # a number is a point of a line
+    if Q.ndim > 2:
+        raise ValueError(f"sample must be one-dimensional, got shape {Q.shape[1:]}")
+    if not np.isfinite(Q).all():
+        raise ValueError("sample contains non-finite entries")
     if not len(Q):
         raise ValueError("axiom_defects needs at least one sample base point, got none")
     basis = D.fiber_basis(Q)  # (samples, k, dim)

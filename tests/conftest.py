@@ -13,11 +13,24 @@ def rng():
 
 @pytest.fixture
 def clear_memos():
-    """Empties every memo of the package (the constructors of maps and lifts
-    and the step blocks) on entry, and returns the function that does so."""
-    from geodisc import hamiltonian, lifts, maps
+    """Empties every memo of the package (:func:`package_memos`) on entry,
+    and returns the function that does so."""
+    memos = package_memos()
 
-    memos = (
+    def clear():
+        for memo in memos:
+            memo.cache_clear()
+
+    clear()
+    return clear
+
+
+def package_memos():
+    """Every memo of the package: the constructors of maps and lifts, the
+    second-lift suite's non-affine copies of maps, and the step blocks."""
+    from geodisc import checks, hamiltonian, lifts, maps
+
+    return (
         maps.midpoint_map,
         maps.theta_map,
         maps.sphere_initial_point_map,
@@ -26,12 +39,6 @@ def clear_memos():
         lifts.higher_order_lift,
         lifts.cotangent_lift,
         lifts.second_order_phase_map,
+        checks._without_affine,
         hamiltonian._blocks,
     )
-
-    def clear():
-        for memo in memos:
-            memo.cache_clear()
-
-    clear()
-    return clear

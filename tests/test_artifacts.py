@@ -120,6 +120,9 @@ class TestG17:
         powers = np.array([float(f"1e{E}") for E in range(-6, 19)])
         near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
         edges = np.array([1e-4, np.nextafter(1e-4, 0.0), 99999999999999999.0, 1e17, np.nextafter(1e17, 0.0), 0.0])
+        # 17 digits at the int32 group boundaries (all nines, a one and sixteen zeros, ...) at each E.
+        groups = ["99999999999999999", "10000000000000000", "19999999999999999", "10000000099999999", "99999999900000000"]
+        edges = np.concatenate([edges, [float(f"{g[0]}.{g[1:]}e{E}") for g in groups for E in range(-4, 17)]])
         v = np.concatenate([bits, fixed, ties, near, edges])
         v = np.concatenate([v, -v])
         assert v.size >= 10**6
@@ -154,8 +157,10 @@ class TestG17:
         assert _g17(v, seps) == want
 
     def test_decades_are_the_least_doubles_at_their_powers(self):
-        # The exponent of |v| is the number of these at or below it.
-        assert all(Fraction(d) >= Fraction(10) ** E > Fraction(np.nextafter(d, 0.0)) for E, d in zip(range(-5, 17), _DECADES))
+        # A cell of |v| in [2^(x - 1), 2^x) has E = floor((x - 1) log10 2) or one more, told by the
+        # entry for E + 1: for |v| in [1e-5, 1e17) that is 10^-5 .. 10^17, every entry of the table.
+        assert len(_DECADES) == 23
+        assert all(Fraction(d) >= Fraction(10) ** E > Fraction(np.nextafter(d, 0.0)) for E, d in zip(range(-5, 18), _DECADES))
 
 
 class TestReadCsvColumns:

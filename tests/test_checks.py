@@ -3,6 +3,7 @@ import pytest
 
 from geodisc.checks import SUITES, CheckResult, convergence_suite, run_all, sphere_lift_suite
 from geodisc.lifts import CotangentLiftedMap
+from conftest import package_memos
 
 EXPECTED_SUITES = {
     "closed-form",
@@ -79,16 +80,19 @@ def test_same_seed_same_defects():
 
 def test_runs_in_one_process_build_each_cotangent_lift_once(monkeypatch, clear_memos):
     # The eight suites ask for 11 cotangent lifts of four maps; the first run
-    # builds those four, and the next run finds them in the memo.
+    # builds those four, and the next run finds them, and every other map,
+    # lift and step-block set, in the memo: no memo misses again.
     built = []
     init = CotangentLiftedMap.__init__
     monkeypatch.setattr(CotangentLiftedMap, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
-    counts = []
+    counts, misses = [], []
     for _ in range(2):
         built.clear()
         run_all(seed=71)
         counts.append(len(built))
+        misses.append([memo.cache_info().misses for memo in package_memos()])
     assert counts == [4, 0]
+    assert misses[1] == misses[0]
 
 
 def test_free_runs_at_one_step_share_their_step_blocks(monkeypatch, clear_memos):

@@ -775,8 +775,10 @@ class TestLinearSteps:
 
     def test_failed_check_costs_one_chord_step(self, monkeypatch, rng):
         # The first window's rows, off by 1e-4 of their size, fail their
-        # check from step 1 on: step 1 alone goes to the chord iteration, and
-        # the windows resume after it.
+        # check from step 1 on.  The check comes after the span's windows
+        # (rows 2-257 and 258-300), so the second one runs once for nothing;
+        # then step 1 alone goes to the chord iteration, and the windows
+        # resume after it.
         calls, windows = [], []
         chord_newton, window = geodisc.hamiltonian._chord_newton, geodisc.hamiltonian._window
 
@@ -796,8 +798,45 @@ class TestLinearSteps:
         C, H = free_setup()
         z0 = rng.normal(size=4)
         traj = integrate(C, H, 0.01, 300, z0, tangent=np.eye(4))
-        assert len(calls) == 2 and windows == [1, 2, 258]
+        assert len(calls) == 2 and windows == [1, 257, 2, 258]
         ref_z, ref_tangent = chord_steps(C, H, 0.01, 300, z0, np.eye(4))
+        assert np.max(np.abs(traj.z - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
+        assert np.max(np.abs(traj.tangent - ref_tangent)) <= 1e-12 * np.max(np.abs(ref_tangent))
+
+
+    @LINEAR_CASES
+    def test_failed_check_in_a_later_window_of_a_span(self, n, base, monkeypatch, rng):
+        # Row 1001 of a 3000-step run, off by 1e-6 of its size, sits in the
+        # fourth window of the first span (steps 1-2048, checked once after
+        # eight windows): steps 1-999 verify, step 1000 alone goes to the
+        # chord iteration, and the next span starts at step 1001.
+        starts, spans = [], []
+        chord_newton, window = geodisc.hamiltonian._chord_newton, geodisc.hamiltonian._window
+        verified_steps = geodisc.hamiltonian._verified_steps
+
+        def counting(residual, jacobian, x0, *args, **kwargs):
+            starts.append(x0.copy())
+            return chord_newton(residual, jacobian, x0, *args, **kwargs)
+
+        def perturbed(cond, V, z, j, b, g):
+            out = window(cond, V, z, j, b, g)
+            if j < 1001 <= j + b and len(starts) == 1:
+                z[1001] *= 1 + 1e-6
+            return out
+
+        def checked(blocks, z, k, end, *args):
+            spans.append((k, end))
+            return verified_steps(blocks, z, k, end, *args)
+
+        monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counting)
+        monkeypatch.setattr(geodisc.hamiltonian, "_window", perturbed)
+        monkeypatch.setattr(geodisc.hamiltonian, "_verified_steps", checked)
+        C, H = second_order_phase_map(n, base(n)), second_order_hamiltonian(n)
+        z0, T0 = rng.normal(size=4 * n), rng.normal(size=(4 * n, 2))
+        traj = integrate(C, H, 0.01, 3000, z0, tangent=T0)
+        assert spans == [(1, 2049), (1001, 3000)]
+        assert len(starts) == 2 and np.array_equal(starts[1], traj.z[1000])
+        ref_z, ref_tangent = chord_steps(C, H, 0.01, 3000, z0, T0)
         assert np.max(np.abs(traj.z - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
         assert np.max(np.abs(traj.tangent - ref_tangent)) <= 1e-12 * np.max(np.abs(ref_tangent))
 

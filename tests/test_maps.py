@@ -245,3 +245,17 @@ class TestAxioms:
         # Not "expects vectors of length 2", and never a pass on nothing.
         with pytest.raises(ValueError, match="at least one sample"):
             axiom_defects(midpoint_map(2), samples)
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([[0.0, 1.0], [np.nan, 0.0]], "sample contains non-finite entries"),
+            (np.array([[0.0, 1.0], [np.inf, 0.0]]), "sample contains non-finite entries"),
+            (np.zeros((3, 2, 2)), r"sample must be one-dimensional, got shape \(2, 2\)"),
+        ],
+        ids=["nan", "inf", "3-d"],
+    )
+    def test_samples_are_checked_as_one_array(self, samples, message):
+        # The texts of a per-sample check, from one check of all the samples.
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            axiom_defects(midpoint_map(2), samples)
