@@ -538,8 +538,9 @@ def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int,
             Q += blocks.kq
             hG = -blocks.h * _row_gradients(V.grad, Q)
         verified = _verified_steps(blocks, z, k, j, tol, hG)
-        for i in range(0, verified if carry is not None else 0, _ROWS):  # a tangent factor per _ROWS steps
-            carry.append(partial(_condensed_tangent, blocks, V, min(_ROWS, verified - i), None if Q is None else Q[i:]))
+        if carry is not None:  # a tangent factor per _ROWS steps
+            for i in range(0, verified, _ROWS):
+                carry.append(partial(_condensed_tangent, blocks, V, min(_ROWS, verified - i), None if Q is None else Q[i:]))
         k += verified
         if k < end:
             return k
