@@ -696,7 +696,7 @@ LINEAR_CASES = pytest.mark.parametrize(
 
 class TestLinearSteps:
     """Free runs on an affine lifted map: step 0 by the chord iteration, every
-    later step by the refined affine update, checked per block of rows."""
+    later step by the refined affine update, checked once per span of windows."""
 
     @LINEAR_CASES
     def test_states_match_the_chord_steps(self, n, base, rng):
@@ -802,7 +802,6 @@ class TestLinearSteps:
         ref_z, ref_tangent = chord_steps(C, H, 0.01, 300, z0, np.eye(4))
         assert np.max(np.abs(traj.z - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
         assert np.max(np.abs(traj.tangent - ref_tangent)) <= 1e-12 * np.max(np.abs(ref_tangent))
-
 
     @LINEAR_CASES
     def test_failed_check_in_a_later_window_of_a_span(self, n, base, monkeypatch, rng):
