@@ -30,13 +30,14 @@ unknowns, not 4n (:attr:`_StepBlocks.one_step`).
 
 One step from each row of starts (k, 4n) is :func:`symplectic_step`, a run
 :func:`integrate`.  On an affine lifted map both solve steps in those n
-unknowns and check each against its full residual; a step that fails goes to
-the chord iteration, :func:`geodisc.numeric.newton_solve` on its chord
-policy, which also takes step 0 of every run and every step on a non-affine
-lifted map; :func:`symplectic_step` gives each row the bits of a one-start
-call.  With the midpoint-family lifts this is an implicit midpoint scheme,
-conserving quadratic first integrals to rounding; the discrete variational
-equation gives the exact step derivative dz1/dz0, which :func:`integrate`
+unknowns by one fixed-point kernel, :func:`_window`, and check each against
+its full residual; a step that fails goes to the chord iteration,
+:func:`geodisc.numeric.newton_solve` on its chord policy, which also takes
+step 0 of every run and every step on a non-affine lifted map;
+:func:`symplectic_step` gives each row the bits of a one-start call.  With the
+midpoint-family lifts this is an implicit midpoint scheme, conserving
+quadratic first integrals to rounding; the discrete variational equation
+gives the exact step derivative dz1/dz0, which :func:`integrate`
 can carry along a run.
 """
 from __future__ import annotations
@@ -167,10 +168,10 @@ class _StepBlocks:
     folded into it: ``LK`` = L K with column halves ``A0``, ``A1`` (the z0 and
     z1 blocks), ``c`` = L k, and the q rows ``Kq`` = K[:n], ``kq`` = k[:n] of
     the preimage (n = d / 2, the potential's coordinates), again split into
-    ``Kq0``, ``Kq1``.  For any other C these are None.  ``one_step`` holds
-    the relation solved for z1 and the preimage's q, and ``condensed`` the
-    same over ``window`` steps: _WINDOW with a potential, _ROWS without one,
-    where a window has no fixed point and is one product.
+    ``Kq0``, ``Kq1``.  For any other C these are None.  ``condensed`` holds
+    the relation solved for the rows and preimages of ``window`` steps:
+    _WINDOW with a potential, _ROWS without one, where a window has no fixed
+    point and is one product; ``one_step`` holds the same terms for one step.
     """
 
     def __init__(self, C: CotangentLiftedMap, dim: int, S0: bytes, potential: bool, h: float):
@@ -197,21 +198,21 @@ class _StepBlocks:
             z1 = z0 + D z0 + m + h W grad V(q),    q = Gq z0 + gq + h P grad V(q),
 
         D = M - I = -J (A0 + A1), m = -J c, W = J E, Gq = Kq0 + Kq1 M,
-        gq = kq + Kq1 m and P = Kq1 W.  Returns (D, m, hW, hP, Gq, gq), built
-        on first use; one step and :attr:`condensed` read them."""
+        gq = kq + Kq1 m and P = Kq1 W.  Returns (D, m, hW, Gq, gq, hP), built on
+        first use: the terms (Z, s, T, G, t, K) of :attr:`condensed` at b = 1."""
         J = _solve(self.A1)
         d, n = self.A1.shape[0], self.kq.size
         D, m = -(J @ (self.A0 + self.A1)), -(J @ self.c)
         M, hW = np.eye(d) + D, self.h * J[:, d // 2 : d // 2 + n]
-        return read_only(D, m, hW, self.Kq1 @ hW, self.Kq0 + self.Kq1 @ M, self.kq + self.Kq1 @ m)
+        return read_only(D, m, hW, self.Kq0 + self.Kq1 @ M, self.kq + self.Kq1 @ m, self.Kq1 @ hW)
 
     @cached_property
     def condensed(self) -> tuple[Array, ...]:
         """The relation of :attr:`one_step` over a window of B = _WINDOW steps:
-        from z_k, with g_i = -grad V(q_{k+i}) stacked as g, the rows and their
+        from z_k, with g_i = grad V(q_{k+i}) stacked as g, the rows and their
         preimages are
 
-            z_{k+1..k+B} = z_k + Z z_k + s - T g,    q_{k..k+B-1} = G z_k + t - K g:
+            z_{k+1..k+B} = z_k + Z z_k + s + T g,    q_{k..k+B-1} = G z_k + t + K g:
 
         Z stacks M^j - I and s the offsets sum_{i<j} M^i m (j = 1 .. B), G
         stacks Gq M^j and t the Gq s_j + gq (j < B), and T and K are block
@@ -224,7 +225,7 @@ class _StepBlocks:
         every row by eps |z_k| (Hairer, Lubich & Wanner, Geometric Numerical
         Integration, 2nd ed., VIII.5); the later ones B at a time from
         M^(i+j) - I = Z_i + Z_j + Z_j Z_i, one product each."""
-        D, m, hW, hP, Gq, gq = self.one_step
+        D, m, hW, Gq, gq, hP = self.one_step
         d, n, B, R = D.shape[0], gq.size, _WINDOW, self.window
         Z, s = np.zeros((R + 1, d, d)), np.zeros((R + 1, d))  # Z[j] = M^j - I
         for j in range(B):
@@ -369,18 +370,21 @@ def symplectic_step(
     """Advance one step of size h from the phase point z0 (flat, length 4n),
     or from every row of z0 (shape (k, 4n)); the result has z0's shape.
 
-    On an affine lifted map a row keeps its condensed step
-    (:func:`_condensed_rows`) when that step's full residual is finite and
-    within :func:`_floor`, the chord iteration's own test.  The other rows
-    go through one chord iteration from z1 = z0, which reuses the closed-form
+    On an affine lifted map each row takes a one-step window from grad V = 0
+    (:func:`_window` in the terms of :attr:`_StepBlocks.one_step`) and keeps
+    it when the window settled and its full residual is finite and within
+    :func:`_floor`, the chord iteration's own test.  The other rows go
+    through one chord iteration from z1 = z0, which reuses the closed-form
     Jacobian of the residual there, inverted once, each row against its own
     tolerance; its errors name the caller's rows."""
     residual = step_residual(C, H, h, z0)
     z0 = np.asarray(z0, dtype=float)
     z1, todo, blocks = z0, None, _step_blocks(C, H, h)
     if blocks.LK is not None:
+        starts = z0.reshape(-1, z0.shape[-1])
+        z1 = starts.copy()  # a row whose window fails keeps z0
         with np.errstate(over="ignore", invalid="ignore"):
-            z1, ok = _condensed_rows(blocks, H.potential, z0.reshape(-1, z0.shape[-1]))
+            ok = _window(blocks.one_step, H.potential, starts, 1, np.zeros((len(starts), blocks.kq.size)), z1[:, None])[1]
             try:
                 ok &= (np.abs(residual(z1.reshape(z0.shape))).max(axis=-1) <= _floor(tol, z0)).reshape(-1)
             except GeodiscError:
@@ -396,35 +400,6 @@ def symplectic_step(
         return solved
     z1[todo] = solved
     return z1
-
-
-def _condensed_rows(blocks: _StepBlocks, V: Potential | None, z0: Array) -> tuple[Array, Array]:
-    """Each row of z0 (k, 4n) stepped in the terms of :attr:`_StepBlocks.one_step`, q swept from grad V = 0 by
-    one gradient call per sweep on the rows still open, and each row settled or failed by :func:`_swept` (a
-    gradient that raises is nan) within _SWEEPS.  Returns (z1, settled), z1 = z0 on a failed row."""
-    D, m, hW, hP, Gq, gq = blocks.one_step
-    z1, ok = matvec(D, z0) + m, np.ones(len(z0), dtype=bool)
-    if V is not None:
-        base = matvec(Gq, z0) + gq
-        q, g, last, live = base.copy(), np.zeros_like(base), np.full(len(z0), np.inf), ok.copy()
-        for _ in range(_SWEEPS):
-            i = np.flatnonzero(live)
-            g[i] = _row_gradients(V.grad, q[i])
-            moved, q[i] = q[i], base[i] + matvec(hP, g[i])
-            last[i], ok[i], settled = _swept(q[i], moved, last[i])
-            live[i] = ok[i] & ~settled
-            if not live.any():
-                break
-        ok &= ~live
-        z1 += matvec(hW, g)
-    return np.where(ok[:, None], z0 + z1, z0), ok
-
-
-def _swept(Q: Array, moved: Array, last):
-    """The fixed-point sweeps' rule, per row of Q (a 1-D Q is one): a sweep's change ||Q - moved||_inf, whether it
-    still contracts (is below the last change; a nan or inf is not) and whether it settled (<= 4 eps ||Q||_inf)."""
-    change = np.abs(Q - moved).max(axis=-1)
-    return change, change < last, change <= 4.0 * _EPS * np.abs(Q).max(axis=-1)
 
 
 _ROWS = 256  # the window without a potential, and the most steps one tangent factor carries
@@ -454,7 +429,7 @@ def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
     """grad at every row of Q in one call.  When that call raises a
     GeodiscError (a row on a singular set, such as the obstacle), the rows
     are taken one at a time and the gradient is nan at each row that
-    raises, so that its step fails its check."""
+    raises, so that its step fails its check (or its window's sweeps)."""
     try:
         return grad(Q)
     except GeodiscError:
@@ -467,41 +442,43 @@ def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
         return G
 
 
-def _window(cond: tuple[Array, ...], V: Potential | None, z: Array, j: int, b: int, g: Array) -> Array | None:
-    """Solve b condensed steps from row j of z as one window, and write rows
-    j + 1 .. j + b by one product, z_j + Z z_j + s - T g, with the terms of
-    :attr:`_StepBlocks.condensed`.  Without a potential (V None) g = 0 and
-    the window returns ``g``.  With one, the fixed point g = -grad V(G z_j +
-    t - K g) is swept first, from every row at the last gradient ``g``, by
-    one gradient call and one matvec per sweep until the sweeps' rule
-    :func:`_swept` finds the preimages settled; the window returns its last
-    gradient, or None when a gradient raises a GeodiscError or a sweep stops
-    contracting or has not settled after _SWEEPS."""
-    Z, s, T, G, t, K = cond[:6]
-    dz, n = z.shape[1], g.size
-    rows = Z[: b * dz] @ z[j] + s[: b * dz]
+def _window(terms: tuple[Array, ...], V: Potential | None, z0: Array, b: int, g: Array, out: Array) -> tuple[Array, Array]:
+    """Solve b condensed steps from each start of z0 (one state, or rows (k, 4n)) as one window in the terms
+    (Z, s, T, G, t, K) of :attr:`_StepBlocks.condensed` (:attr:`_StepBlocks.one_step` at b = 1): write the rows
+    z0 + Z z0 + s + T g of each start that settles into ``out`` (..., b, 4n) and return (last gradients, settled
+    mask).  Every product is a ``matvec``, so each start has the bits of a one-start call.  Without a potential
+    g = 0; with one, the fixed point g = grad V(G z0 + t + K g) is swept from each start's last gradient ``g``
+    (..., n), one gradient call on the open starts and one matvec a sweep.  A start leaves with its gradients once
+    a sweep moves its preimages by at most 4 eps of their size (settled), by no less than the sweep before (failed,
+    as on a nan) or when its gradient raises a GeodiscError (on rows, its own row's: :func:`_row_gradients`)."""
+    Z, s, T, G, t, K = terms[:6]
+    dz, n = z0.shape[-1], g.shape[-1]
+    rows = matvec(Z[: b * dz], z0) + s[: b * dz]
+    ok = (np.ones if V is None else np.zeros)(z0.shape[:-1], dtype=bool)  # with a potential, ok once settled
     if V is not None:
-        base, K, gs = G[: b * n] @ z[j] + t[: b * n], K[: b * n, : b * n], np.empty((b, n))
-        gs[:] = g
-        Q, last = base - K @ gs.ravel(), np.inf
+        base, K, gs = matvec(G[: b * n], z0) + t[: b * n], K[: b * n, : b * n], np.empty(z0.shape[:-1] + (b * n,))
+        gs.reshape(g.shape[:-1] + (b, n))[:] = g[..., None, :]
+        lone = z0.ndim == 1  # one start: no row fallback for its gradient and no count of open starts
+        grad = V.grad if lone else partial(_row_gradients, V.grad)
+        Q, last, i = base + matvec(K, gs), np.inf, ...  # the open starts' preimages and last changes, their index
         for _ in range(_SWEEPS):
             try:
-                gs = -V.grad(Q.reshape(b, n))
-            except GeodiscError:
-                return None
-            Q, moved = base - K @ gs.ravel(), Q
-            change, contracting, settled = _swept(Q, moved, last)
-            if not contracting:
-                return None
-            if settled:
-                break
+                go = grad(Q.reshape(-1, n)).reshape(Q.shape)
+            except GeodiscError:  # only a lone start's call raises; nan fails it
+                go = np.full(Q.shape, np.nan)
+            Q, moved = base + matvec(K, go), Q
+            change = np.abs(Q - moved).max(axis=-1)
+            stay = (change < last) & (change > 4.0 * _EPS * np.abs(Q).max(axis=-1))
+            if (not stay) if lone else (np.count_nonzero(stay) < stay.size or not stay.size):  # a start leaves
+                ok[i], gs[i] = change < last, go
+                if lone or not stay.any():
+                    break
+                i, base, Q, change = np.arange(ok.size)[i][stay], base[stay], Q[stay], change[stay]
             last = change
-        else:
-            return None
-        rows -= T[: b * dz, : b * n] @ gs.ravel()
-        g = gs[-1]
-    np.add(rows.reshape(b, dz), z[j], out=z[j + 1 : j + b + 1])
-    return g
+        rows += matvec(T[: b * dz, : b * n], gs)
+        g = gs[..., -n:]
+    np.add(rows.reshape(out.shape), z0[..., None, :], out=out, where=ok[..., None, None])
+    return g, ok
 
 
 def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int, tol: float, carry: list | None) -> int:
@@ -522,8 +499,8 @@ def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int,
         j, end = k, min(k + _SPAN * blocks.window, steps)
         while j < end:
             b = min(b, end - j)
-            solved = _window(blocks.condensed, V, z, j, b, g)
-            if solved is not None:
+            solved, ok = _window(blocks.condensed, V, z[j], b, g, z[j + 1 : j + b + 1])
+            if ok:
                 g, j, b = solved, j + b, min(2 * b, blocks.window)
             elif b > 1:
                 b //= 2

@@ -33,15 +33,16 @@ def zip_jet_tangent(x, order: int) -> Array:
     """The flat tangent vector x (..., 2 (k + 1) n) to the order-k jet space
     as the jet (..., k + 1, 2 n) of a tangent-bundle curve: a permutation of
     the entries, undone by :func:`unzip_jet_tangent`."""
-    x = np.asarray(x)
-    return np.swapaxes(x.reshape(*x.shape[:-1], 2, order + 1, -1), -3, -2).reshape(*x.shape[:-1], order + 1, -1)
+    *lead, size = np.shape(x)  # sizes, not -1, which numpy cannot infer on an empty stack
+    x = np.swapaxes(np.reshape(x, (*lead, 2, order + 1, size // (2 * order + 2))), -3, -2)
+    return x.reshape(*lead, order + 1, size // (order + 1))
 
 
 def unzip_jet_tangent(j) -> Array:
     """The jet (..., k + 1, 2 n) of a tangent-bundle curve as the flat
     tangent vector (..., 2 (k + 1) n): base slots, then fiber slots."""
-    j = np.asarray(j)
-    return np.swapaxes(j.reshape(*j.shape[:-1], 2, -1), -3, -2).reshape(*j.shape[:-2], -1)
+    *lead, slots, size = np.shape(j)
+    return np.swapaxes(np.reshape(j, (*lead, slots, 2, size // 2)), -3, -2).reshape(*lead, slots * size)
 
 
 def jet_of_curve(c: Callable[[float], Array], order: int) -> Array:

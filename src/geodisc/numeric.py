@@ -173,15 +173,15 @@ def newton_solve(
     it = 0
     while True:
         if chord:
-            if stale.any():
+            if J_inv is None or stale.any():  # J_inv None, stale none: no rows
                 J_inv, refreshed = inverted(J_inv, stale), refreshed | stale
             step = matvec(J_inv, r)
         done = open_rows & (norm <= tol)
         if done.any():
             solution = np.where(done[..., None], x - step if chord else x, solution)
             open_rows = open_rows & ~done
-            if not open_rows.any():
-                return solution, J_inv
+        if not open_rows.any():
+            return solution, J_inv
         if it == max_iter:
             raise failed("Newton{where} stalled at residual {best:.3e}", max_iter, open_rows)
         if not chord:

@@ -164,17 +164,17 @@ class TestRowSteps:
         # its result.
         C, H = obstacle_setup()
         Z = row_starts(3, 10, rng, obstacle=True)
-        condensed_rows = geodisc.hamiltonian._condensed_rows
+        window = geodisc.hamiltonian._window
 
-        def one_off(*args):
-            z1, ok = condensed_rows(*args)
-            z1[3] *= 1 + 1e-4
-            return z1, ok
+        def one_off(terms, V, z0, b, g, out):
+            solved = window(terms, V, z0, b, g, out)
+            out[3] *= 1 + 1e-4
+            return solved
 
         calls = counted_chord(monkeypatch)
         condensed = symplectic_step(C, H, 0.01, Z)
         assert calls == []
-        monkeypatch.setattr(geodisc.hamiltonian, "_condensed_rows", one_off)
+        monkeypatch.setattr(geodisc.hamiltonian, "_window", one_off)
         Z1 = symplectic_step(C, H, 0.01, Z)
         assert calls == [(1, 12)]
         assert np.array_equal(Z1[3], chord_step(C, H, 0.01, Z[3]))
@@ -336,14 +336,14 @@ class TestCondensedRows:
         alone = [symplectic_step(C, H, 0.1, z0) for z0 in Z]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence):
             chord_step(C, H, 0.1, Z[1])
-        condensed_rows = geodisc.hamiltonian._condensed_rows
+        window = geodisc.hamiltonian._window
 
-        def row_0_off(*args):
-            z1, ok = condensed_rows(*args)
-            z1[0] *= 1 + 1e-4
-            return z1, ok
+        def row_0_off(terms, V, z0, b, g, out):
+            solved = window(terms, V, z0, b, g, out)
+            out[0] *= 1 + 1e-4
+            return solved
 
-        monkeypatch.setattr(geodisc.hamiltonian, "_condensed_rows", row_0_off)
+        monkeypatch.setattr(geodisc.hamiltonian, "_window", row_0_off)
         calls = counted_chord(monkeypatch)
         Z1 = symplectic_step(C, H, 0.1, Z)
         assert calls == [(1, 12)]
@@ -363,6 +363,105 @@ class TestCondensedRows:
             assert np.all(np.abs(step_residual(C, H, 0.1, Z)(Z1)).max(axis=1) <= geodisc.hamiltonian._floor(1e-12, Z))
             ref = chord_step(C, H, 0.1, Z[0])
         assert np.abs(Z1[0] - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
+
+
+class TestWindow:
+    """``hamiltonian._window``, the one fixed-point kernel: b condensed steps
+    from one start for ``integrate``, one step from each row of starts for
+    ``symplectic_step``."""
+
+    @pytest.mark.parametrize("potential", [False, True], ids=["free", "obstacle"])
+    @pytest.mark.parametrize("base", [midpoint_map, lambda n: theta_map(n, 0.3)], ids=["midpoint", "theta0.3"])
+    @pytest.mark.parametrize("h", [0.01, 0.1])
+    def test_condensed_terms_at_one_step_are_the_one_step_terms(self, potential, base, h):
+        # The merge rests on this: (Z, s, T, G, t, K) cut to b = 1 are
+        # one_step's (D, m, hW, Gq, gq, hP).  Z and s are built by increments
+        # from Z_0 = 0 and s_0 = 0, so they hold +0 where D and m hold -0;
+        # the sign of a zero aside, every bit agrees.
+        V = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)[0] if potential else None
+        C, H = second_order_phase_map(3, base(3)), second_order_hamiltonian(3, V)
+        blocks = geodisc.hamiltonian._step_blocks(C, H, h)
+        d, n = C.dim, C.dim // 4
+        Z, s, T, G, t, K = blocks.condensed[:6]
+        for cut, term in zip((Z[:d], s[:d], T[:d, :n], G[:n], t[:n], K[:n, :n]), blocks.one_step):
+            assert cut.shape == term.shape
+            assert (cut + 0.0).tobytes() == (term + 0.0).tobytes()
+        for cut, term in zip((T[:d, :n], G[:n], t[:n], K[:n, :n]), blocks.one_step[2:]):
+            assert cut.tobytes() == term.tobytes()
+
+    def test_rows_that_leave_at_different_sweeps_keep_their_one_start_bits(self, rng):
+        # A strong potential at a coarse step, row 0 near the disc: the rows
+        # settle after 2 to 4 sweeps, and each leaves the sweeps with the
+        # gradient, settled flag and step of its own one-start window.
+        V0 = obstacle_potential(0.05, 1.0, (0.0, 0.0), 3)[0]
+        sizes = []  # rows per gradient call
+        V = replace(V0, grad=lambda q: sizes.append(len(q)) or V0.grad(q))
+        C, H = second_order_phase_map(3), second_order_hamiltonian(3, V)
+        one_step = geodisc.hamiltonian._step_blocks(C, H, 0.1).one_step
+        Z = row_starts(3, 12, rng, obstacle=True)
+        Z[0, :2] = (1.1, 0.2)
+        out = np.zeros((12, 1, 12))
+        g, ok = geodisc.hamiltonian._window(one_step, V, Z, 1, np.zeros((12, 3)), out)
+        row_sizes, sweeps = sizes.copy(), []
+        for i, z0 in enumerate(Z):
+            sizes.clear()
+            alone = np.zeros((1, 12))
+            g1, ok1 = geodisc.hamiltonian._window(one_step, V, z0, 1, np.zeros(3), alone)
+            sweeps.append(len(sizes))
+            assert sizes == [1] * sweeps[-1]
+            assert ok1 and ok[i] and np.array_equal(g1, g[i]) and np.array_equal(alone, out[i])
+        assert sorted(set(sweeps)) == [2, 3, 4] and sweeps[0] == 4
+        assert row_sizes == [sum(k > sweep for k in sweeps) for sweep in range(max(sweeps))]
+
+    def test_a_row_whose_gradient_raises_in_the_sweeps_fails_alone(self, monkeypatch, rng):
+        # Row 2 starts just outside the disc and runs into it: its sweeps'
+        # preimages lie inside, where the gradient raises, so its window
+        # fails (its gradient is nan) while its start's own residual is
+        # fine.  The other rows keep their windows and make no chord call;
+        # row 2 goes to the chord iteration alone and ends in its error.
+        C, H = obstacle_setup()
+        Z = row_starts(3, 6, rng, obstacle=True)
+        Z[2, :6] = (-1.02, 0.0, 0.0, 10.0, 0.0, 0.0)
+        out, one_step = Z[:, None].copy(), geodisc.hamiltonian._step_blocks(C, H, 0.01).one_step
+        g, ok = geodisc.hamiltonian._window(one_step, H.potential, Z, 1, np.zeros((6, 3)), out)
+        assert ok.tolist() == [True, True, False, True, True, True] and np.isnan(g[2]).all()
+        assert np.array_equal(out[2, 0], Z[2])
+        with pytest.raises(SingularPotential) as alone:
+            chord_step(C, H, 0.01, Z[2])
+        calls = counted_chord(monkeypatch)
+        with pytest.raises(SingularPotential) as rows:
+            symplectic_step(C, H, 0.01, Z)
+        assert calls == [(1, 12)] and str(rows.value) == str(alone.value)
+        monkeypatch.undo()
+        rest = np.delete(Z, 2, axis=0)
+        assert np.array_equal(symplectic_step(C, H, 0.01, rest), np.array([symplectic_step(C, H, 0.01, z0) for z0 in rest]))
+
+    def test_a_lone_start_whose_gradient_raises_fails_after_one_call(self):
+        # One start's window takes its b rows' gradients in one call and
+        # fails when that call raises, without a call per row.
+        C, H = obstacle_setup()
+        calls = []
+
+        def refusing(q):
+            calls.append(np.shape(q))
+            raise SingularPotential("refused")
+
+        V = replace(H.potential, grad=refusing)
+        blocks = geodisc.hamiltonian._step_blocks(C, second_order_hamiltonian(3, V), 0.01)
+        out = np.full((32, 12), 7.0)
+        z0 = TestRemainderSteps.Z0
+        g, ok = geodisc.hamiltonian._window(blocks.condensed, V, z0, 32, np.zeros(3), out)
+        assert not ok and calls == [(32, 3)] and np.all(out == 7.0)
+
+    @pytest.mark.parametrize("case", ["free n=1", "obstacle n=3", "non-affine n=1"])
+    def test_no_rows(self, case):
+        if case == "free n=1":
+            C, H = free_setup(1)
+        elif case == "obstacle n=3":
+            C, H = obstacle_setup()
+        else:
+            C, H = second_order_phase_map(1, base=replace(midpoint_map(1), affine=None)), second_order_hamiltonian(1)
+        assert symplectic_step(C, H, 0.01, np.empty((0, C.dim))).shape == (0, C.dim)
 
 
 class TestIntegrate:
@@ -689,6 +788,26 @@ def chord_steps(C, H, h, steps, z0, tangent=None):
     return np.array(z), tangent
 
 
+def after_windows(monkeypatch, after):
+    """Call ``after(z, j, b)`` after each window of the condensed steps of a run, with the run's states z and
+    the window's first row j: the window wrote rows j + 1 .. j + b of z from row j."""
+    hm = geodisc.hamiltonian
+    window, condensed_steps, runs = hm._window, hm._condensed_steps, []
+
+    def steps(blocks, V, z, *args):
+        runs.append(z)
+        return condensed_steps(blocks, V, z, *args)
+
+    def watched(terms, V, z0, b, g, out):
+        solved = window(terms, V, z0, b, g, out)
+        z = runs[-1]
+        after(z, (z0.ctypes.data - z.ctypes.data) // z.strides[0], b)
+        return solved
+
+    monkeypatch.setattr(hm, "_condensed_steps", steps)
+    monkeypatch.setattr(hm, "_window", watched)
+
+
 LINEAR_CASES = pytest.mark.parametrize(
     "n, base", [(1, midpoint_map), (3, lambda n: theta_map(n, 0.3))], ids=["midpoint-n1", "theta0.3-n3"]
 )
@@ -780,21 +899,19 @@ class TestLinearSteps:
         # then step 1 alone goes to the chord iteration, and the windows
         # resume after it.
         calls, windows = [], []
-        chord_newton, window = geodisc.hamiltonian._chord_newton, geodisc.hamiltonian._window
+        chord_newton = geodisc.hamiltonian._chord_newton
 
         def counting(*args, **kwargs):
             calls.append(1)
             return chord_newton(*args, **kwargs)
 
-        def perturbed(cond, V, z, j, b, g):
-            out = window(cond, V, z, j, b, g)
+        def perturbed(z, j, b):
             if not windows:
                 z[j + 1 : j + b + 1] *= 1 + 1e-4
             windows.append(j)
-            return out
 
         monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counting)
-        monkeypatch.setattr(geodisc.hamiltonian, "_window", perturbed)
+        after_windows(monkeypatch, perturbed)
         C, H = free_setup()
         z0 = rng.normal(size=4)
         traj = integrate(C, H, 0.01, 300, z0, tangent=np.eye(4))
@@ -810,25 +927,23 @@ class TestLinearSteps:
         # eight windows): steps 1-999 verify, step 1000 alone goes to the
         # chord iteration, and the next span starts at step 1001.
         starts, spans = [], []
-        chord_newton, window = geodisc.hamiltonian._chord_newton, geodisc.hamiltonian._window
+        chord_newton = geodisc.hamiltonian._chord_newton
         verified_steps = geodisc.hamiltonian._verified_steps
 
         def counting(residual, jacobian, x0, *args, **kwargs):
             starts.append(x0.copy())
             return chord_newton(residual, jacobian, x0, *args, **kwargs)
 
-        def perturbed(cond, V, z, j, b, g):
-            out = window(cond, V, z, j, b, g)
+        def perturbed(z, j, b):
             if j < 1001 <= j + b and len(starts) == 1:
                 z[1001] *= 1 + 1e-6
-            return out
 
         def checked(blocks, z, k, end, *args):
             spans.append((k, end))
             return verified_steps(blocks, z, k, end, *args)
 
         monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", counting)
-        monkeypatch.setattr(geodisc.hamiltonian, "_window", perturbed)
+        after_windows(monkeypatch, perturbed)
         monkeypatch.setattr(geodisc.hamiltonian, "_verified_steps", checked)
         C, H = second_order_phase_map(n, base(n)), second_order_hamiltonian(n)
         z0, T0 = rng.normal(size=4 * n), rng.normal(size=(4 * n, 2))
@@ -1285,8 +1400,8 @@ def eager_run(C, H, h, steps, z0, T, tol=1e-12, product=None):
                 j, end = k, min(k + hm._ROWS, steps)
                 while j < end:
                     b = min(b, end - j)
-                    solved = hm._window(cond, V, z, j, b, g)
-                    if solved is not None:
+                    solved, ok = hm._window(cond, V, z[j], b, g, z[j + 1 : j + b + 1])
+                    if ok:
                         g, j, b = solved, j + b, min(2 * b, blocks.window)
                     elif b > 1:
                         b //= 2

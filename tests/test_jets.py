@@ -50,6 +50,14 @@ class TestJetTangent:
         assert np.array_equal(unzip_jet_tangent(z), x)
         assert np.array_equal(zip_jet_tangent(unzip_jet_tangent(z), 2), z)
 
+    @pytest.mark.parametrize("order, n", [(0, 1), (1, 2), (2, 3)])
+    def test_empty_stacks(self, order, n):
+        # Explicit sizes: numpy cannot infer a -1 on a stack of no rows.
+        z = zip_jet_tangent(np.empty((0, 5, 2 * (order + 1) * n)), order)
+        assert z.shape == (0, 5, order + 1, 2 * n)
+        assert unzip_jet_tangent(z).shape == (0, 5, 2 * (order + 1) * n)
+        assert unzip_jet_tangent(np.empty((0, order + 1, 2 * n))).shape == (0, 2 * (order + 1) * n)
+
     def test_zip_layout(self):
         # Base slots (1, 2), fiber slots (10, 20).
         z = zip_jet_tangent(np.array([1.0, 2.0, 10.0, 20.0]), 1)

@@ -509,6 +509,25 @@ class TestSymplecticStructure:
         assert _result("symplectomorphism", "nan", worst_defect(defects), 1e-6).failed
 
 
+@pytest.mark.parametrize(
+    "lift",
+    [
+        lambda: higher_order_lift(replace(midpoint_map(1), affine=None), 1),
+        lambda: higher_order_lift(replace(midpoint_map(2), affine=None), 2),
+        lambda: higher_order_lift(sphere_initial_point_map(), 2),
+        lambda: higher_order_lift(sphere_geodesic_midpoint_map(), 1),
+        lambda: cotangent_lift(higher_order_lift(replace(midpoint_map(1), affine=None), 1)),
+        lambda: second_order_phase_map(1),
+    ],
+    ids=["midpoint-1", "midpoint-2", "sphere-initial-2", "sphere-midpoint-1", "cotangent", "affine"],
+)
+def test_flat_maps_take_no_rows(lift):
+    # A lift's flat maps on a stack of no rows return no rows, affine or not.
+    L = lift()
+    for f in (L.forward_flat, L.inverse_flat):
+        assert f(np.empty((0, 2 * L.dim))).shape == (0, 2 * L.dim)
+
+
 class TestSphereLift:
     def _curve(self, rng):
         a = rng.normal(size=3)
