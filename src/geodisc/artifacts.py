@@ -34,17 +34,10 @@ def write_bytes(path, chunks: Iterable[bytes]) -> None:
 
 
 def trajectory_columns(n: int) -> list[str]:
-    cols = ["t"]
-    cols += [f"q{i}" for i in range(n)]
-    cols += [f"qdot{i}" for i in range(n)]
-    cols += [f"p0_{i}" for i in range(n)]
-    cols += [f"p1_{i}" for i in range(n)]
-    cols += [f"u{i}" for i in range(n)]
-    cols += ["H", "clearance"]
-    return cols
+    return ["t"] + [f"{name}{i}" for name in ("q", "qdot", "p0_", "p1_", "u") for i in range(n)] + ["H", "clearance"]
 
 
-_CSV_BLOCK_CELLS = 2048
+_CSV_BLOCK_CELLS = 4096
 
 
 def write_trajectory_csv(path, traj: Trajectory, clearances=None) -> None:
@@ -52,17 +45,26 @@ def write_trajectory_csv(path, traj: Trajectory, clearances=None) -> None:
     printed with ``%.17g``.
 
     The clearance cell is left blank when ``clearances`` is None (no obstacle
-    in the problem)."""
-    columns = [traj.times, traj.z, traj.controls, traj.energies]
+    in the problem); a wrong count of clearances raises ValueError before writing."""
+    columns, N = [traj.z, traj.controls, traj.energies[:, None]], len(traj.z)
     if clearances is not None:
-        columns.append(np.asarray(clearances, dtype=float))
-    table = np.column_stack(columns)
-    seps = b",\0\0\0" * (table.shape[1] - 1) + (b"\n\0\0\0" if clearances is not None else b",\n\0\0")
-    rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
-    words = np.tile(np.frombuffer(seps, np.uint32), rows)
-    # A block of rows at a time (about 340 bytes of temporaries a cell), never the whole text.
-    blocks = (_g17(table[i : i + rows].ravel(), words) for i in range(0, table.shape[0], rows))
-    write_bytes(path, itertools.chain([(",".join(trajectory_columns(traj.n)) + "\n").encode()], blocks))
+        columns.append(np.asarray(clearances, dtype=float).reshape(-1, 1))
+        if len(columns[-1]) != N:
+            raise ValueError(f"{len(columns[-1])} clearances for {N} states")
+    width = 1 + sum(c.shape[1] for c in columns)
+    seps = b",\0\0\0" * (width - 1) + (b"\n\0\0\0" if clearances is not None else b",\n\0\0")
+    rows = max(1, _CSV_BLOCK_CELLS // width)
+    words, table = np.tile(np.frombuffer(seps, np.uint32), rows), np.empty((rows, width))
+    text = bytearray(48 * table.size)  # every full block's templates, reused: a fresh buffer a block faults in pages
+
+    def blocks():  # a block of rows at a time, stacked into one buffer (with its templates, about 170 bytes a cell)
+        for i in range(0, N, rows):
+            block = table[: min(rows, N - i)]
+            np.multiply(traj.h, np.arange(i, i + len(block)), out=block[:, 0])  # the bits of traj.times
+            np.concatenate([c[i : i + len(block)] for c in columns], axis=1, out=block[:, 1:])
+            yield _g17(block.ravel(), words, text if block.size == table.size else None)
+
+    write_bytes(path, itertools.chain([(",".join(trajectory_columns(traj.n)) + "\n").encode()], blocks()))
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +74,8 @@ def write_trajectory_csv(path, traj: Trajectory, clearances=None) -> None:
 # hi + rint(lo) rounds it.  E is floor((x - 1) log10 2) for |v| in [2^(x - 1), 2^x), or one more: the
 # doubles 1e-5 .. 1e17 are each the least double >= its power of ten, so one comparison tells.  Such a
 # cell is a subsequence of a 48-byte template of six words: "-0.000", the 17 digits each followed by a
-# '.' slot, the separator and NUL padding.  A mask looked up by (E, the trailing zeros of D, sign,
-# separator length) keeps the cell's bytes; one compress drops the rest.
+# '.' slot, the separator and NUL padding.  A mask looked up by (E, the trailing zeros of D, sign) zeroes
+# the other bytes, and one translate drops every NUL: no printed byte is NUL.
 
 _POW10 = 10.0 ** np.arange(22)
 _DECADES = np.array([float(f"1e{E}") for E in range(-5, 18)])
@@ -99,21 +101,21 @@ def _scaled(a: Array, i: Array) -> Array:
 @lru_cache(maxsize=1)
 def _g17_tables() -> tuple[Array, Array, Array]:
     """The 4-digit groups as template words (each digit, then a '.' slot), their trailing
-    zeros (4 for 0000), and the keep-mask of a template by (E + 4, tz, sign, separator length)."""
+    zeros (4 for 0000), and the 0x00/0xFF keep-mask words of a template by (E + 4, tz, sign)."""
     d = np.arange(10_000)
     groups = sum((d // 10 ** (3 - i) % 10 + 48 << 16 * i) + (46 << 16 * i + 8) for i in range(4))
     trailing = sum(d % 10**i == 0 for i in range(1, 5))
-    E, tz, sign, L, p = np.ix_(np.arange(-4, 17), np.arange(17), np.arange(2), np.arange(3), np.arange(48))
+    E, tz, sign, p = np.ix_(np.arange(-4, 17), np.arange(17), np.arange(2), np.arange(48))
     j, keep = (p - 6) // 2, np.maximum(E + 1, 17 - tz)  # digit j sits at byte 6 + 2j; digits printed
-    mask = ((p == 0) & (sign == 1)) | ((E < 0) & (p >= 1) & (p < 2 - E)) | ((p >= 40) & (p < 40 + L))
+    mask = ((p == 0) & (sign == 1)) | ((E < 0) & (p >= 1) & (p < 2 - E)) | (p >= 40)  # the separator word: NUL-padded
     number = (p >= 6) & (p < 40) & np.where(p % 2 == 0, j < keep, (j == E) & (keep > E + 1))
-    return groups, trailing.astype(np.int8), (mask | number).reshape(-1, 48)
+    return groups, trailing.astype(np.int8), (255 * (mask | number).astype(np.uint8)).reshape(-1, 48).view(np.int64)
 
 
-def _g17(v: Array, separators: Array) -> bytes:
-    """``b"%.17g" % x`` for every x of the 1-d float array v, each followed by
-    its separator ``separators[i]`` (up to 2 bytes padded with NUL to a uint32);
-    values printed in exponent form or not finite are formatted by ``%``."""
+def _g17(v: Array, separators: Array, text: bytearray | None = None) -> bytearray:
+    """``b"%.17g" % x`` for every x of the 1-d float array v, each followed by its separator ``separators[i]``
+    (up to 2 bytes padded with NUL to a uint32), through templates written into ``text`` (48 v.size bytes, a new
+    bytearray when None); values printed in exponent form or not finite are formatted by ``%``."""
     groups, trailing, masks = _g17_tables()
     a = np.abs(v)
     fixed = (a >= 1e-5) & (a < 1e17)
@@ -133,17 +135,16 @@ def _g17(v: Array, separators: Array) -> bytes:
     digits = (g1, top - g1 * 10**4, g3, bottom - g3 * 10**4)  # digits 1-4, 5-8, 9-12, 13-16
     t = [trailing.take(g) for g in digits]
     tz = t[3] + (t[3] == 4) * (t[2] + (t[2] == 4) * (t[1] + (t[1] == 4) * t[0]))
-    sep, words = separators[: v.size], np.empty((v.size, 6), np.int64)  # a template per cell, filled in place
+    sep, text = separators[: v.size], bytearray(48 * v.size) if text is None else text
+    words = np.frombuffer(text, np.int64).reshape(-1, 6)  # a template per cell, filled in place; no copy for translate
     words[:, 0], words[:, 5] = (d0.astype(np.int64) << 48) + np.frombuffer(b"-0.0000.", np.int64), sep
     for j, g in enumerate(digits, 1):
         words[:, j] = groups.take(g)
-    key = (((e + 4) * 17 + tz) * 2 + np.signbit(v)) * 3 + (sep != 0) + (sep > 255)
-    mask = masks.take(key, axis=0, mode="clip")  # a cell in exponent form gets its own below
-    rest = np.flatnonzero(~fixed)
+    words &= masks.take(((e + 4) * 17 + tz) * 2 + np.signbit(v), axis=0, mode="clip")
+    rest = np.flatnonzero(~fixed)  # cells in exponent form or not finite: '%' text, NUL-padded
     if rest.size:
         words[rest, :5] = np.array([b"%.17g" % x for x in v[rest].tolist()], dtype="S40").view(np.int64).reshape(-1, 5)
-        mask[rest] = words[rest].view(np.uint8).reshape(-1, 48) != 0
-    return np.compress(mask.ravel(), words.view(np.uint8).ravel()).tobytes()
+    return text.translate(None, b"\0")
 
 
 def read_csv_columns(path) -> dict[str, list[str]]:
@@ -178,21 +179,16 @@ def write_xy_svg(path, xy, circle=None, size: int = 560, margin: int = 40) -> No
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] < 1:
         raise ValueError("xy must be an (N, 2) array with N >= 1")
-    xs = [xy[:, 0].min(), xy[:, 0].max()]
-    ys = [xy[:, 1].min(), xy[:, 1].max()]
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
     if circle is not None:
         cx, cy, r = (float(v) for v in circle)
-        xs = [min(xs[0], cx - r), max(xs[1], cx + r)]
-        ys = [min(ys[0], cy - r), max(ys[1], cy + r)]
-    span_x = max(xs[1] - xs[0], 1e-9)
-    span_y = max(ys[1] - ys[0], 1e-9)
-    scale = min((size - 2 * margin) / span_x, (size - 2 * margin) / span_y)
-    # Center the drawing inside the square viewport.
-    off_x = (size - scale * span_x) / 2.0
-    off_y = (size - scale * span_y) / 2.0
+        lo, hi = np.minimum(lo, (cx - r, cy - r)), np.maximum(hi, (cx + r, cy + r))
+    span = np.maximum(hi - lo, 1e-9)
+    scale = ((size - 2 * margin) / span).min()
+    off = (size - scale * span) / 2.0  # centers the drawing inside the square viewport
 
     def to_px(x, y):  # one point, or arrays of them
-        return (off_x + scale * (x - xs[0]), size - off_y - scale * (y - ys[0]))
+        return (off[0] + scale * (x - lo[0]), size - off[1] - scale * (y - lo[1]))
 
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

@@ -387,8 +387,12 @@ def symplectic_step(
             ok = _window(blocks.one_step, H.potential, starts, 1, np.zeros((len(starts), blocks.kq.size)), z1[:, None])[1]
             try:
                 ok &= (np.abs(residual(z1.reshape(z0.shape))).max(axis=-1) <= _floor(tol, z0)).reshape(-1)
-            except GeodiscError:
-                ok[:] = False
+            except GeodiscError:  # row by row, as _row_gradients: only the rows that raise go to the chord
+                for i in np.flatnonzero(ok):
+                    try:
+                        ok[i] = np.abs(step_residual(C, H, h, starts[[i]])(z1[[i]])).max() <= _floor(tol, starts[i])
+                    except GeodiscError:
+                        ok[i] = False
         if ok.all():
             return z1.reshape(z0.shape)
         if z0.ndim == 2:  # the chord iteration on the failed rows alone

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis as hyp
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from geodisc.artifacts import (
+    _CSV_BLOCK_CELLS,
     _DECADES,
     _g17,
     read_csv_columns,
@@ -70,13 +72,19 @@ class TestTrajectoryCsv:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize(
-        "n, init, obstacle",
-        [(1, [0.3, -0.2, 0.02, -0.1], None), (3, [-2, -1.2, 0, 1, 0, 0, 0, 0, 0, 0, 0.01, 0], (1e-3, 1.0, (0, 0)))],
-        ids=["free-n1", "obstacle-n3"],
+        "n, steps, init, obstacle",
+        [
+            (1, 400, [0.3, -0.2, 0.02, -0.1], None),
+            (1, 1500, [0.3, -0.2, 2e-5, -0.1], None),
+            (3, 400, [-2, -1.2, 0, 1, 0, 0, 0, 0, 0, 0, 0.01, 0], (1e-3, 1.0, (0, 0))),
+        ],
+        ids=["free-n1", "free-n1-blocks", "obstacle-n3"],
     )
-    def test_bytes_match_the_row_template(self, tmp_path, n, init, obstacle):
-        # The per-row template the writer used before its array kernel.
-        report = simulate(n, 0.01, 400, np.array(init, dtype=float), obstacle=obstacle)
+    def test_bytes_match_the_row_template(self, tmp_path, n, steps, init, obstacle):
+        # The per-row template the writer used before its array kernel.  The
+        # 1500-step run spans more than two formatting blocks and ends in a
+        # partial one, with its p0 cells in exponent form.
+        report = simulate(n, 0.01, steps, np.array(init, dtype=float), obstacle=obstacle)
         traj, clearances = report.trajectory, report.clearances
         columns = [traj.times, traj.z, traj.controls, traj.energies]
         if clearances is not None:
@@ -86,11 +94,36 @@ class TestTrajectoryCsv:
             assert clearances is None  # the blank clearance cell
         else:  # zero columns and cells %g prints in exponent form
             assert np.all(table == 0, axis=0).sum() >= 3 and np.sum((table != 0) & (np.abs(table) < 1e-4)) >= 100
+        if steps > 400:  # more than two blocks, the last one partial, and p0 cells in exponent form
+            rows = _CSV_BLOCK_CELLS // table.shape[1]
+            assert table.shape[0] > 2 * rows and table.shape[0] % rows and np.all(np.abs(table[:, 3]) < 1e-4)
         row = ",".join(["%.17g"] * table.shape[1]) + ("," if clearances is None else "") + "\n"
         want = ",".join(trajectory_columns(n)) + "\n" + "".join(row % tuple(values) for values in table.tolist())
         path = tmp_path / "t.csv"
         write_trajectory_csv(str(path), traj, clearances)
         assert path.read_text() == want
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # Blocks of rows are stacked from the trajectory's columns into one
+        # buffer, so twice the rows need no second table of cells (8 bytes each).
+        peaks = []
+        for steps in (10_000, 20_000):
+            traj = simulate(1, 0.01, steps, np.array([0.3, -0.2, 0.005, -0.1])).trajectory
+            write_trajectory_csv(str(tmp_path / "t.csv"), traj)  # the kernel's tables
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(str(tmp_path / "t.csv"), traj)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 70_007 * 8 / 4
+
+    def test_a_clearance_column_of_another_length_writes_nothing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("kept")
+        with pytest.raises(ValueError, match="^3 clearances for 2 states$"):
+            write_trajectory_csv(str(path), tiny_traj(), clearances=np.array([3.0, 2.5, 2.0]))
+        assert path.read_text() == "kept"
 
     def test_overwrite_replaces_content(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -299,7 +299,7 @@ class TestCondensedRows:
             errors.append((str(info.value), info.value.iterations))
         assert errors[0] == errors[1] and "of row 3 stalled" in errors[0][0]
 
-    def test_a_row_whose_gradient_raises_falls_back_with_the_chord_error(self, rng):
+    def test_a_row_whose_gradient_raises_falls_back_with_the_chord_error(self, monkeypatch, rng):
         C, H0 = free_setup()
 
         def grad(q):
@@ -311,9 +311,13 @@ class TestCondensedRows:
         H = HamiltonianSystem(dim=2, S0=H0.S0, potential=V)
         Z = row_starts(1, 4, rng) * 0.1
         Z[2, 0] = 0.9
+        calls = counted_chord(monkeypatch)
         for step in (symplectic_step, chord_step):
             with pytest.raises(SingularPotential, match="^q beyond 0.5$"):
                 step(C, H, 0.1, Z)
+        # symplectic_step checks the rows one by one when their residual check
+        # raises, so row 2 alone goes to its chord iteration; chord_step takes all 4.
+        assert calls == [(1, 4), (4, 4)]
         symplectic_step(C, H, 0.1, np.delete(Z, 2, axis=0))  # the other rows step
 
     def test_a_map_without_an_affine_form_keeps_the_chord_bits(self, monkeypatch, rng):
