@@ -531,17 +531,18 @@ def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int,
 def _condensed_tangent(blocks: _StepBlocks, V: Potential | None, steps: int, Q: Array | None, tangent: Array) -> Array:
     """``tangent`` carried over ``steps`` condensed steps with preimages Q by Phi_k = M - hW (Hs_k D_k^-1) Gq,
     Hs_k = -Hess V(q_k), D_k = I + hP Hs_k (the Hessians in one call, the D_k in one batched inverse), the maps
-    multiplied as a pairwise tree: log2(b) batched products for b steps.  Without a potential every Phi_k is
-    M, and the product is T + (M^b - I) T with the power the blocks hold."""
+    multiplied as a pairwise tree, log2(b) batched products for b steps, written into the maps and one half-size
+    buffer in turn.  Without a potential every Phi_k is M, and the product is T + (M^b - I) T with the blocks' power."""
     Z, *_, hW, hP, M, Gq = blocks.condensed
     if V is None:
         return tangent + Z[(steps - 1) * len(M) : steps * len(M)] @ tangent
     Hs = -V.hess(Q[:steps])
-    Phi = M - hW @ ((Hs @ _solve(np.eye(hP.shape[0]) + hP @ Hs)) @ Gq)  # Phi[i] = dz_{k+i+1} / dz_{k+i}
-    while len(Phi) > 1:  # an odd leading map goes into the tangent, the rest pair up
+    Phi = hW @ ((Hs @ _solve(np.eye(hP.shape[0]) + hP @ Hs)) @ Gq)
+    Phi, spare = np.subtract(M, Phi, out=Phi), np.empty((steps // 2, *M.shape))  # Phi[i] = dz_{k+i+1} / dz_{k+i}
+    while len(Phi) > 1:  # an odd leading map goes into the tangent, the rest pair up into the other buffer
         if len(Phi) % 2:
             tangent, Phi = Phi[0] @ tangent, Phi[1:]
-        Phi = Phi[1::2] @ Phi[0::2]
+        Phi, spare = np.matmul(Phi[1::2], Phi[0::2], out=spare[: len(Phi) // 2]), Phi
     return Phi[0] @ tangent
 
 

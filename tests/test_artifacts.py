@@ -76,14 +76,15 @@ class TestTrajectoryCsv:
         [
             (1, 400, [0.3, -0.2, 0.02, -0.1], None),
             (1, 1500, [0.3, -0.2, 2e-5, -0.1], None),
+            (1, 1500, [0.3, -0.2, 3e-6, -0.1], None),
             (3, 400, [-2, -1.2, 0, 1, 0, 0, 0, 0, 0, 0, 0.01, 0], (1e-3, 1.0, (0, 0))),
         ],
-        ids=["free-n1", "free-n1-blocks", "obstacle-n3"],
+        ids=["free-n1", "free-n1-blocks", "free-n1-e6", "obstacle-n3"],
     )
     def test_bytes_match_the_row_template(self, tmp_path, n, steps, init, obstacle):
         # The per-row template the writer used before its array kernel.  The
-        # 1500-step run spans more than two formatting blocks and ends in a
-        # partial one, with its p0 cells in exponent form.
+        # 1500-step runs span more than two formatting blocks and end in a
+        # partial one, with their p0 cells in exponent form, at E = -5 and -6.
         report = simulate(n, 0.01, steps, np.array(init, dtype=float), obstacle=obstacle)
         traj, clearances = report.trajectory, report.clearances
         columns = [traj.times, traj.z, traj.controls, traj.energies]
@@ -97,6 +98,7 @@ class TestTrajectoryCsv:
         if steps > 400:  # more than two blocks, the last one partial, and p0 cells in exponent form
             rows = _CSV_BLOCK_CELLS // table.shape[1]
             assert table.shape[0] > 2 * rows and table.shape[0] % rows and np.all(np.abs(table[:, 3]) < 1e-4)
+            assert np.all(np.abs(table[:, 3]) >= (1e-6 if init[2] < 1e-5 else 1e-5))
         row = ",".join(["%.17g"] * table.shape[1]) + ("," if clearances is None else "") + "\n"
         want = ",".join(trajectory_columns(n)) + "\n" + "".join(row % tuple(values) for values in table.tolist())
         path = tmp_path / "t.csv"
@@ -153,9 +155,13 @@ class TestG17:
         powers = np.array([float(f"1e{E}") for E in range(-6, 19)])
         near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
         edges = np.array([1e-4, np.nextafter(1e-4, 0.0), 99999999999999999.0, 1e17, np.nextafter(1e17, 0.0), 0.0])
+        # The least double >= 1e-6, where the kernel starts, and the one before it, float("1e-6"), which '%' formats.
+        assert np.nextafter(_DECADES[0], 0.0) == float("1e-6")
+        small = rng.uniform(1e-6, 1e-4, size=20_000)  # E = -6 and -5, the exponent form in the kernel, and E = -4
+        edges = np.concatenate([edges, [_DECADES[0], float("1e-6")], small])
         # 17 digits at the int32 group boundaries (all nines, a one and sixteen zeros, ...) at each E.
         groups = ["99999999999999999", "10000000000000000", "19999999999999999", "10000000099999999", "99999999900000000"]
-        edges = np.concatenate([edges, [float(f"{g[0]}.{g[1:]}e{E}") for g in groups for E in range(-4, 17)]])
+        edges = np.concatenate([edges, [float(f"{g[0]}.{g[1:]}e{E}") for g in groups for E in range(-6, 17)]])
         v = np.concatenate([bits, fixed, ties, near, edges])
         v = np.concatenate([v, -v])
         assert v.size >= 10**6
@@ -164,13 +170,14 @@ class TestG17:
             assert _g17(chunk, commas(chunk)) == b"".join(b"%.17g," % x for x in chunk.tolist()), i
 
     def test_every_template_mask_with_mixed_separators(self):
-        # One value for each exponent E in -4..16, count of trailing zeros tz in 0..16 among
+        # One value for each exponent E in -6..16, count of trailing zeros tz in 0..16 among
         # the 16 digits after the first, and sign: a double whose 17 digits are an integer M of
-        # 17 - tz digits, last digit nonzero, then tz zeros.  Cells in exponent form and
+        # 17 - tz digits, last digit nonzero, then tz zeros.  E = -6 and -5 take the exponent
+        # form.  Values just below 1e-5 and 1e-4, where E steps, cells '%' formats and
         # non-finite ones ride along; each cell's separator is drawn from ",", "\n", ",\n" and "".
         rng = np.random.default_rng(27)
         values = []
-        for E, tz in itertools.product(range(-4, 17), range(17)):
+        for E, tz in itertools.product(range(-6, 17), range(17)):
             s = 17 - tz  # significant digits
 
             def candidates():
@@ -180,9 +187,15 @@ class TestG17:
                     yield M, float(f"{M}e{E - s + 1}")
 
             digits = lambda M: str(M).ljust(17, "0")
-            M, x = next((M, x) for M, x in candidates() if "%.16e" % x == f"{digits(M)[0]}.{digits(M)[1:]}e{E:+03d}")
+            exact = lambda M: f"{digits(M)[0]}.{digits(M)[1:]}e{E:+03d}"
+            found = next(((M, x) for M, x in candidates() if "%.16e" % x == exact(M)), None)
+            if found is None:  # no double's 17 digits are d 10^E, d in 1..9, at E = -6 or -5: those two rows go unused
+                assert E < -4 and tz == 16 and all("%.17g" % float(f"{d}e{E}") != f"{d}e{E:03d}" for d in range(1, 10))
+                continue
+            M, x = found
             values += [x, -x]
-        values += [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-5, 5e-324, 1e17, -1e300]
+        below = [x for p in (1e-5, 1e-4) for x in np.nextafter(p, 0.0) - np.arange(8) * np.spacing(p) / 2]
+        values += below + [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-5, 1e-6, 5e-324, 1e17, -1e300]
         v = np.array(values)
         words = np.frombuffer(b",\0\0\0\n\0\0\0,\n\0\0\0\0\0\0", np.uint32)
         seps = rng.choice(words, size=v.size)
@@ -191,9 +204,9 @@ class TestG17:
 
     def test_decades_are_the_least_doubles_at_their_powers(self):
         # A cell of |v| in [2^(x - 1), 2^x) has E = floor((x - 1) log10 2) or one more, told by the
-        # entry for E + 1: for |v| in [1e-5, 1e17) that is 10^-5 .. 10^17, every entry of the table.
-        assert len(_DECADES) == 23
-        assert all(Fraction(d) >= Fraction(10) ** E > Fraction(np.nextafter(d, 0.0)) for E, d in zip(range(-5, 18), _DECADES))
+        # entry for E + 1: for |v| in [_DECADES[0], 1e17) that is 10^-6 .. 10^17, every entry of the table.
+        assert len(_DECADES) == 24
+        assert all(Fraction(d) >= Fraction(10) ** E > Fraction(np.nextafter(d, 0.0)) for E, d in zip(range(-6, 18), _DECADES))
 
 
 class TestReadCsvColumns:

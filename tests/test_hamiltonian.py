@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -1497,6 +1498,19 @@ class TestLazyTangent:
         assert len(calls) > 2 * plain
         read = len(calls)
         assert traj.tangent is first and len(calls) == read
+
+    def test_first_read_of_the_documented_run_peaks_under_550_kb(self):
+        # A block's step maps are formed in place and multiplied as a tree
+        # into one half-size buffer that alternates with them: a new array a
+        # tree level took the first read to about 670 KB; this reads about 460.
+        traj = integrate(*obstacle_run(), 0.01, 400, self.Z0, tangent=self.T6)
+        tracemalloc.start()
+        try:
+            traj.tangent
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 550_000
 
     def test_a_singular_linearization_raises_on_read(self, monkeypatch):
         # With every linear solve singular the run still completes (it solves
