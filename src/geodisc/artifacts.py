@@ -179,13 +179,14 @@ def read_csv_columns(path) -> dict[str, list[str]]:
     return cols
 
 
-def write_xy_svg(path, xy, circle=None, size: int = 560, margin: int = 40) -> None:
+def write_xy_svg(path, xy, circle=None) -> None:
     """Plot a planar path as one polyline, plus the obstacle disk boundary.
 
     ``xy`` is an (N, 2) array; ``circle`` an optional (cx, cy, radius).  The
-    viewport preserves aspect ratio and flips y so the picture matches the
-    usual plane orientation.
+    560-pixel square viewport keeps a 40-pixel margin, preserves aspect ratio
+    and flips y so the picture matches the usual plane orientation.
     """
+    size, margin = 560, 40
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] < 1:
         raise ValueError("xy must be an (N, 2) array with N >= 1")

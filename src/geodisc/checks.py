@@ -75,14 +75,14 @@ def _result(suite: str, case: str, defect: float, tol: float, info: bool = False
 # samplers
 
 
-def _sphere_tangent_curves(rng, count: int, scale: float = 0.3) -> Callable[[float], Array]:
+def _sphere_tangent_curves(rng, count: int) -> Callable[[float], Array]:
     """``count`` smooth curves t -> (q(t), xi(t)) in the tangent bundle of the
     sphere, one row each: a normalized polynomial base curve with a
-    projected polynomial fiber."""
+    projected polynomial fiber, their coefficients past a scaled by 0.3."""
     R = rng.normal(size=(count, 21))  # per curve: a, then the rows of B and of Cf
     a = R[:, :3] / np.sqrt(rowdot(R[:, :3], R[:, :3]))[:, None]
-    B = R[:, 3:12].reshape(count, 3, 3) * scale
-    Cf = R[:, 12:].reshape(count, 3, 3) * scale
+    B = R[:, 3:12].reshape(count, 3, 3) * 0.3
+    Cf = R[:, 12:].reshape(count, 3, 3) * 0.3
 
     def curves(t: float) -> Array:
         v = a + B[:, 0] * t + B[:, 1] * t * t + B[:, 2] * t**3
@@ -188,13 +188,13 @@ def symplecto_suite(rng, **_) -> list[CheckResult]:
     return out
 
 
-def _one_step_jacobian(C, H, h: float, z0: Array, eps: float = 1e-4) -> Array:
+def _one_step_jacobian(C, H, h: float, z0: Array) -> Array:
     """Central differences of the one-step map at z0, or at every row of z0:
-    the 2 d perturbed starts z0 +- eps e_i of all rows are stepped as the
+    the 2 d perturbed starts z0 +- 1e-4 e_i of all rows are stepped as the
     rows of one array."""
     d = np.shape(z0)[-1]
     step = lambda Z: symplectic_step(C, H, h, Z.reshape(-1, d), tol=1e-13).reshape(Z.shape)
-    return jacobian_fd(step, z0, eps=eps)
+    return jacobian_fd(step, z0, eps=1e-4)
 
 
 def step_symplecticity_suite(rng, **_) -> list[CheckResult]:

@@ -153,9 +153,6 @@ class ExperimentConfig:
             raise ConfigError(f"the obstacle acts on (x, y): the obstacle problem needs n >= 2, got n={n}")
         if self.svg_out and n < 2:
             raise ConfigError(f"the SVG plots (q0, q1): --svg-out needs n >= 2, got n={n}")
-        have_boundary = any(v is not None for v in self.boundary)
-        if self.initial_state is not None and have_boundary:
-            raise ConfigError("give either an initial state or boundary data, not both")
         if command == "simulate":
             if self.initial_state is None:
                 raise ConfigError("simulate needs --init (flat state q,qdot,p0,p1)")
@@ -203,7 +200,6 @@ def _coerce_field(name: str, value):
             except (TypeError, ValueError):
                 pass
         raise ConfigError(f"{name}: expected a number, got {value!r}")
-    return value
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -233,6 +229,11 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     merged.update((name, value) for name, value in settings.items() if value is not None)
 
     merged = {k: _coerce_field(k, v) for k, v in merged.items()}
+    obstacle = [k for k in ("tau", "r", "center") if k in merged and merged.get("problem") == "free"]
+    if obstacle:
+        raise ConfigError(f"{', '.join(obstacle)}: not read by the free problem, which has no obstacle")
+    if "steps" in merged and "T" in merged:
+        raise ConfigError("steps: not read beside T, which sets shoot's horizon (T / h steps)")
     cfg = ExperimentConfig(**merged)
     cfg.validate(args.command)
     return cfg

@@ -201,7 +201,6 @@ def shoot(
     C: CotangentLiftedMap | None = None,
     guess: tuple | None = None,
     tol: float = 1e-10,
-    max_iter: int = 40,
 ) -> ShootingResult:
     """Solve the two-point boundary problem by single shooting.
 
@@ -216,7 +215,8 @@ def shoot(
     trials whose forward flow penetrates the obstacle; a guess whose own flow
     already penetrates raises ObstaclePenetration.
 
-    On NonConvergence the best iterate found is returned with converged=False
+    On NonConvergence (such as tol not met in 40 Newton iterations) the
+    best iterate found is returned with converged=False
     rather than raising.  A trial whose forward integration fails is a bad
     probe point (EvaluationFailure): obstacle problems damp away from it,
     and a guess whose own integration fails raises it.  A singular step
@@ -255,7 +255,7 @@ def shoot(
     jacobian = lambda x: flow(x).tangent[: 2 * n]
     message = ""  # no message: Newton converged
     try:
-        x, _ = newton_solve(residual, x0, jacobian, tol, max_iter, backtracking=prob.potential is not None)
+        x, _ = newton_solve(residual, x0, jacobian, tol, 40, backtracking=prob.potential is not None)
     except NonConvergence as exc:
         x, message = exc.x_best, str(exc)
 

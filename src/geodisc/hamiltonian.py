@@ -345,12 +345,12 @@ def _floor(tol: float, z: Array, axis: int = -1, out: Array | None = None) -> Ar
     return np.maximum(tol, 8.0 * _EPS * np.abs(z, out=out).max(axis=axis))
 
 
-def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, max_iter: int, rows=None):
-    """:func:`~geodisc.numeric.newton_solve`'s chord policy from x0, one start or rows, each row against
-    its own :func:`_floor`; returns (solution, inverse used), and words a failure as the one-step solve's,
-    naming a failed row i of x0 as ``rows[i]`` when the caller's rows are numbered so."""
+def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, rows=None):
+    """:func:`~geodisc.numeric.newton_solve`'s chord policy, its default 50 iterations at most, from x0, one start
+    or rows, each row against its own :func:`_floor`; returns (solution, inverse used), and words a failure as the
+    one-step solve's, naming a failed row i of x0 as ``rows[i]`` when the caller's rows are numbered so."""
     try:
-        return newton_solve(residual, x0, jacobian, _floor(tol, x0), max_iter, chord=True, J_inv=J_inv)
+        return newton_solve(residual, x0, jacobian, _floor(tol, x0), chord=True, J_inv=J_inv)
     except (NonConvergence, SingularJacobian) as exc:
         text = str(exc).replace("Newton", "one-step" if isinstance(exc, SingularJacobian) else "one-step solve")
         if rows is not None and isinstance(exc, NonConvergence):
@@ -365,7 +365,6 @@ def symplectic_step(
     h: float,
     z0,
     tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> Array:
     """Advance one step of size h from the phase point z0 (flat, length 4n),
     or from every row of z0 (shape (k, 4n)); the result has z0's shape.
@@ -399,7 +398,7 @@ def symplectic_step(
             todo = np.flatnonzero(~ok)
             z0, residual = z0[todo], step_residual(C, H, h, z0[todo])
     chord = lambda x: _step_jacobian(C, H, h, z0, x)[..., C.dim :]
-    solved = _chord_newton(residual, chord, z0, None, tol, max_iter, todo)[0]
+    solved = _chord_newton(residual, chord, z0, None, tol, todo)[0]
     if todo is None:
         return solved
     z1[todo] = solved
@@ -559,7 +558,6 @@ def integrate(
     steps: int,
     z0,
     tol: float = 1e-12,
-    max_iter: int = 50,
     tangent: Array | None = None,
 ) -> Trajectory:
     """Run ``steps`` steps of the one-step method, recording energy and control
@@ -616,12 +614,12 @@ def integrate(
             residual = step_residual(C, H, h, zk)
             chord = lambda z1, zk=zk: _step_jacobian(C, H, h, zk, z1)[:, 2 * d :]
             try:
-                z1, J_inv = _chord_newton(residual, chord, zk, J_inv, tol, max_iter)
+                z1, J_inv = _chord_newton(residual, chord, zk, J_inv, tol)
             except NonConvergence:  # a carried inverse gets one retry with a fresh Jacobian
                 try:
                     if J_inv is None:
                         raise
-                    z1, J_inv = _chord_newton(residual, chord, zk, None, tol, max_iter)
+                    z1, J_inv = _chord_newton(residual, chord, zk, None, tol)
                 except NonConvergence as exc:
                     exc.args = (f"step {k} at t = {k * h:.6g}: {exc}",)
                     raise

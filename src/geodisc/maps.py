@@ -9,15 +9,15 @@ Every map here satisfies the two defining conditions
 whose defects :func:`axiom_defects` measures by finite differences (the
 tolerance that judges them lives in :mod:`geodisc.checks`).  For maps on
 embedded or group manifolds the fiber has its own meaning (tangent vectors
-to the sphere, body velocities on SE(2)); ``fiber_basis`` and
-``fiber_frame`` tell the checker which directions to probe and how fiber
+to the sphere, body velocities on SE(2)); ``fiber_basis_fn`` and
+``fiber_frame_fn`` tell the checker which directions to probe and how fiber
 vectors are identified with chart tangent vectors.
 
 A map is given by its flat maps on rows (..., 2 dim), (q, v) -> (q_minus,
 q_plus) and back, which the checked ``forward``/``inverse`` join and split;
 higher-order lifts are maps of this type too.  Every function a map is built
 from takes one point or a stack of points, one per row, and gives each row
-the bits of its one-point value; so do the map's flat, checked and fiber views.
+the bits of its one-point value; so do the map's flat and checked views.
 """
 from __future__ import annotations
 
@@ -107,19 +107,6 @@ class DiscretizationMap:
         if self.affine is None:
             return jacobian_fd(self.inverse_flat, y)
         return np.broadcast_to(self.affine[2], y.shape[:-1] + self.affine[2].shape).copy()
-
-    def fiber_basis(self, q) -> Array:
-        """The fiber directions to probe at q, as the rows of a (..., k, dim) array."""
-        q = self._points(q, "q")
-        if self.fiber_basis_fn is not None:
-            return np.asarray(self.fiber_basis_fn(q), dtype=float)
-        return np.broadcast_to(np.eye(self.dim), q.shape[:-1] + (self.dim, self.dim)).copy()
-
-    def fiber_frame(self, q) -> Array:
-        q = self._points(q, "q")
-        if self.fiber_frame_fn is not None:
-            return np.asarray(self.fiber_frame_fn(q), dtype=float)
-        return np.broadcast_to(np.eye(self.dim), q.shape[:-1] + (self.dim, self.dim))
 
 
 def _flat(fn: Callable[[Array, Array], tuple[Array, Array]], dim: int) -> Callable[[Array], Array]:
@@ -357,28 +344,29 @@ def axiom_defects(D: DiscretizationMap, samples, eps: float = 1e-6) -> Array:
     given base points: a (k, 2) array, one row (condition 1, condition 2) per
     sample.
 
-    Condition 2 is probed by central differences along ``D.fiber_basis(q)``; the
-    difference of the two directional derivatives must reproduce the fiber
-    direction expressed in chart coordinates through ``D.fiber_frame(q)``.
+    Condition 2 is probed by central differences along the rows of
+    ``D.fiber_basis_fn(q)`` (k, dim); the difference of the two directional
+    derivatives must reproduce the fiber direction expressed in chart
+    coordinates through ``D.fiber_frame_fn(q)``, each the identity when None.
     Every sample's zero probe and its +-step u probes go through one checked
     ``D.forward`` call, one row each.  Raises ValueError when no sample is
-    given, or when a sample is not one finite vector.
+    given, or when a sample is not one finite vector of length ``D.dim``.
     """
     Q = np.asarray(samples, dtype=float)
     Q = Q[:, None] if Q.ndim == 1 else Q  # a number is a point of a line
     if Q.ndim > 2:
         raise ValueError(f"sample must be one-dimensional, got shape {Q.shape[1:]}")
-    if not np.isfinite(Q).all():
-        raise ValueError("sample contains non-finite entries")
     if not len(Q):
         raise ValueError("axiom_defects needs at least one sample base point, got none")
-    basis = D.fiber_basis(Q)  # (samples, k, dim)
-    k = basis.shape[1]
+    Q = D._points(Q, "sample")
+    basis = np.eye(D.dim) if D.fiber_basis_fn is None else np.asarray(D.fiber_basis_fn(Q), dtype=float)
+    k = basis.shape[-2]
     step = eps * np.maximum(1.0, np.max(np.abs(Q), axis=-1))[:, None, None]
     V = step * basis
     probes = np.concatenate([np.zeros_like(V[:, :1]), V, -V], axis=1)  # (samples, 2k + 1, dim)
     A, B = D.forward(np.broadcast_to(Q[:, None], probes.shape), probes)
     c1 = np.maximum(np.max(np.abs(A[:, 0] - Q), axis=-1), np.max(np.abs(B[:, 0] - Q), axis=-1))
     diff = ((B[:, 1 : k + 1] - B[:, k + 1 :]) - (A[:, 1 : k + 1] - A[:, k + 1 :])) / (2.0 * step)
-    c2 = np.max(np.abs(diff - matvec(D.fiber_frame(Q)[:, None], basis)), axis=(1, 2))
+    chart = basis if D.fiber_frame_fn is None else matvec(np.asarray(D.fiber_frame_fn(Q), dtype=float)[:, None], basis)
+    c2 = np.max(np.abs(diff - chart), axis=(1, 2))
     return np.stack([c1, c2], axis=-1)

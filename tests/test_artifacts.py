@@ -286,6 +286,12 @@ class TestSvg:
         expected = " ".join("%.3f,%.3f" % to_px(x, y) for x, y in xy)
         assert path.read_text().split('points="')[1].split('"')[0] == expected
 
+    def test_refuses_points_that_are_not_planar(self, tmp_path):
+        path = tmp_path / "w.svg"
+        with pytest.raises(ValueError, match=r"^xy must be an \(N, 2\) array with N >= 1$"):
+            write_xy_svg(str(path), np.zeros((3, 3)))
+        assert not path.exists()
+
     def test_single_point_ok(self, tmp_path):
         path = tmp_path / "s.svg"
         write_xy_svg(str(path), np.array([[1.0, 1.0]]))

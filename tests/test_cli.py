@@ -128,7 +128,8 @@ class TestSimulate:
     @pytest.mark.parametrize("problem", ["obstacle", "free"], ids=["potential-in-cost", "free"])
     def test_stdout_reports_the_simulate_report(self, capsys, problem):
         n, init = (3, SE2_INIT) if problem == "obstacle" else (1, "0.3,-0.2,0.02,-0.1")
-        args = ["simulate", "--problem", problem, "--n", str(n), "--init=" + init, "--tau", "1e-2", "--steps", "40"]
+        tau = ["--tau", "1e-2"] if problem == "obstacle" else []  # a free run refuses obstacle settings
+        args = ["simulate", "--problem", problem, "--n", str(n), "--init=" + init, *tau, "--steps", "40"]
         assert cli.main(args) == 0
         obstacle = (1e-2, 1.0, np.zeros(2)) if problem == "obstacle" else None
         report = control.simulate(n, 0.01, 40, np.array([float(v) for v in init.split(",")]), obstacle=obstacle)
@@ -259,7 +260,9 @@ class TestMalformedInput:
         "center-number": '{"center": 5}',
         "center-bool": '{"center": [true, 0]}',
         "steps-huge": '{"steps": 1e300}',
+        "json-list": '[{"steps": 2}]',
     }
+    FREE = ["simulate", "--problem", "free", "--n", "1", "--steps", "3", "--init=1,2,0,0"]
 
     @pytest.mark.parametrize(
         "args",
@@ -288,6 +291,18 @@ class TestMalformedInput:
             ["simulate", "--problem", "free", "--n", "0", "--init=1,2,3,4"],
             ["simulate", "--n", "0", "--init=" + SE2_INIT],
             ["shoot", "--problem", "free", "--n", "0", "--q0", "0", "--v0", "0", "--q1", "1", "--v1", "0"],
+            ["simulate", "--init=" + SE2_INIT, "--center="],
+            ["simulate", "--init=" + SE2_INIT, "--discretization", "theta:abc"],
+            ["simulate", "--init=" + SE2_INIT, "--steps", "0"],
+            ["simulate", "--init=" + SE2_INIT, "--r", "0"],
+            SHOOT + ["--T", "1", "--tol", "-1"],
+            ["simulate", "--init=1,2,3,4"],
+            ["shoot", "--problem", "free", "--n", "1", "--q0", "0", "--v0", "0", "--v1", "0", "--T", "1", "--h", "0.1"],
+            ["shoot", "--problem", "free", "--n", "1", "--q0=0,0", "--v0", "0", "--q1", "1", "--v1", "0", "--T", "1"],
+            FREE + ["--tau", "5"],
+            FREE + ["--r", "-1"],
+            FREE + ["--center", "7,7"],
+            SHOOT + ["--T", "1", "--steps", "7"],
             *(["simulate", "--config", f"{name}.json", "--init=" + SE2_INIT] for name in BAD_CONFIGS),
         ],
         ids=[
@@ -295,6 +310,8 @@ class TestMalformedInput:
             "h-single", "h-repeated", "suite-twice", "suite-unknown", "suites-number", "seed-fractional",
             "seed-negative-flag", "seed-negative-config",
             "steps-huge-flag", "shoot-steps-huge", "n-negative", "n-zero", "obstacle-n-zero", "shoot-n-zero",
+            "center-empty", "theta-abc", "steps-zero", "r-zero", "tol-negative", "init-length", "shoot-no-q1",
+            "q0-length", "free-tau", "free-r-negative", "free-center", "shoot-steps-beside-T",
             *BAD_CONFIGS,
         ],
     )
@@ -310,6 +327,25 @@ class TestMalformedInput:
         assert rc == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: config-error:")
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "args, data, message",
+        [
+            (FREE + ["--tau", "5", "--r", "2", "--center", "7,7"], None, "tau, r, center: not read by the free problem"),
+            (FREE, {"r": -1}, "r: not read by the free problem"),
+            (FREE[:1] + FREE[3:], {"problem": "free", "center": [7, 7]}, "center: not read by the free problem"),
+            (SHOOT + ["--T", "1", "--steps", "7"], None, "steps: not read beside T"),
+            (SHOOT + ["--T", "1"], {"steps": 7}, "steps: not read beside T"),
+        ],
+        ids=["free-flags", "free-r-key", "free-problem-key", "shoot-steps-flag", "shoot-steps-key"],
+    )
+    def test_a_setting_the_run_does_not_read_is_refused(self, capsys, isolated, args, data, message):
+        # Whether it comes from a flag or a config key, and whatever its value.
+        if data is not None:
+            (isolated / "cfg.json").write_text(json.dumps(data))
+            args = args + ["--config", "cfg.json"]
+        assert_one_config_error(capsys, args, "error: config-error: " + message)
+        assert [p.name for p in isolated.iterdir()] == ["cfg.json"] * (data is not None)
 
     @pytest.mark.parametrize(
         "args",
@@ -644,6 +680,16 @@ class TestPlot:
     def test_nonnumeric_cells(self, isolated):
         (isolated / "x.csv").write_text("q0,q1\nfoo,bar\n")
         assert cli.main(["plot", "x.csv", "x.svg"]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("q0,q1,clearance\n", "no data rows"), ("q0,q1,clearance\n0,0,3\n1,0,abc\n", "non-numeric clearance cell")],
+        ids=["header-only", "clearance-text"],
+    )
+    def test_a_csv_without_a_plot_is_one_config_error_line(self, capsys, isolated, text, message):
+        (isolated / "c.csv").write_text(text)
+        assert_one_config_error(capsys, ["plot", "c.csv", "c.svg"], f"error: config-error: c.csv: {message}\n")
+        assert [p.name for p in isolated.iterdir()] == ["c.csv"]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", ["q0", "q1"])

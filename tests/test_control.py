@@ -282,6 +282,11 @@ class TestObstacleShooting:
         # A tangent once read is cached in the trajectory's own attributes.
         assert ["tangent" in vars(t) for t in trials] == [True, True, True, False]
 
+    def test_guess_of_the_wrong_size_is_refused(self):
+        prob = make_free_spline(1, ([0.0], [0.0], [1.0], [0.0]), T=1.0, h=0.1)
+        with pytest.raises(ValueError, match="^costate guess must have 2 entries$"):
+            shoot(prob, guess=(np.zeros(1), np.zeros(2)))
+
     def test_guess_through_obstacle_raises(self):
         boundary = ([-2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         prob = make_obstacle_problem(3, 1e-3, 1.0, (0.0, 0.0), boundary, T=4.0, h=0.5)

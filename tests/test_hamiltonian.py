@@ -2,6 +2,7 @@ import itertools
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,6 +35,15 @@ def builds(monkeypatch, clear_memos):
     return built
 
 
+@pytest.fixture
+def cap_iterations(monkeypatch):
+    """Sets the iteration cap of every one-step chord solve from here on:
+    its ``newton_solve`` call, at that function's default of 50 otherwise."""
+    return lambda max_iter: monkeypatch.setattr(
+        geodisc.hamiltonian, "newton_solve", partial(geodisc.numeric.newton_solve, max_iter=max_iter)
+    )
+
+
 def free_setup(n=1):
     return second_order_phase_map(n), second_order_hamiltonian(n)
 
@@ -59,6 +69,10 @@ class TestSecondOrderHamiltonian:
         m = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         p = np.concatenate([np.zeros(3), [1.0, 0.0, 0.0]])
         assert H.values(np.concatenate([m, p])) == pytest.approx(0.5 - 1.0 / 3.0)
+
+    def test_s0_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"^S0 must be 4 x 4, got shape \(3, 3\)$"):
+            HamiltonianSystem(dim=2, S0=np.eye(3))
 
     def test_compares_and_hashes_by_identity(self):
         H = second_order_hamiltonian(1)
@@ -181,26 +195,28 @@ class TestRowSteps:
         assert np.array_equal(Z1[3], chord_step(C, H, 0.01, Z[3]))
         assert np.array_equal(np.delete(Z1, 3, axis=0), np.delete(condensed, 3, axis=0))
 
-    def test_stalled_row_raises_nonconvergence_naming_it(self, rng):
+    def test_stalled_row_raises_nonconvergence_naming_it(self, rng, cap_iterations):
         C, H = wobbly_system()
         Z = row_starts(1, 5, rng) * 0.1
         Z[3, 0] = 0.9
+        cap_iterations(20)
         with pytest.raises(NonConvergence, match=r"one-step solve of row 3 stalled") as info:
-            symplectic_step(C, H, 0.1, Z, max_iter=20)
+            symplectic_step(C, H, 0.1, Z)
         assert info.value.x_best.shape == (4,) and info.value.iterations == 20
         assert info.value.row == 3
         with pytest.raises(NonConvergence, match=r"^one-step solve stalled"):
-            symplectic_step(C, H, 0.1, Z[3], max_iter=20)
-        symplectic_step(C, H, 0.1, np.delete(Z, 3, axis=0), max_iter=20)  # the other rows converge
+            symplectic_step(C, H, 0.1, Z[3])
+        symplectic_step(C, H, 0.1, np.delete(Z, 3, axis=0))  # the other rows converge
 
-    def test_each_row_stops_against_its_own_floor(self, rng):
+    def test_each_row_stops_against_its_own_floor(self, rng, cap_iterations):
         # Row 0 stalls near 1e-10, above its floor 1e-12; row 1's floor,
         # 8 eps ||z0||_inf ~ 1.8e-9, would accept that residual.
         C, H = wobbly_system(amplitude=1e-9)
         Z = np.array([[0.9, 0.1, 0.0, 0.2], [-1e6, 0.0, 0.0, 0.0]])
+        cap_iterations(20)
         with pytest.raises(NonConvergence, match=r"of row 0 stalled at residual .* \(tol 1\.0e-12\)"):
-            symplectic_step(C, H, 0.1, Z, max_iter=20)
-        symplectic_step(C, H, 0.1, Z[1:], max_iter=20)
+            symplectic_step(C, H, 0.1, Z)
+        symplectic_step(C, H, 0.1, Z[1:])
 
     def test_nonfinite_row_residual_raises(self, rng):
         C, H0 = free_setup()
@@ -290,13 +306,14 @@ class TestCondensedRows:
         assert np.all(np.abs(Z1 - ref).max(axis=1) <= 8 * np.finfo(float).eps * np.abs(ref).max(axis=1))
 
     @pytest.mark.parametrize("amplitude", [1e-3, 1e-9])
-    def test_a_row_that_cannot_settle_falls_back_with_the_chord_error(self, amplitude, rng):
+    def test_a_row_that_cannot_settle_falls_back_with_the_chord_error(self, amplitude, rng, cap_iterations):
         Z = row_starts(1, 5, rng) * 0.1
         Z[3, 0] = 0.9
         errors = []
+        cap_iterations(20)
         for step in (symplectic_step, chord_step):
             with pytest.raises(NonConvergence) as info:
-                step(*wobbly_system(amplitude=amplitude), 0.1, Z, max_iter=20)
+                step(*wobbly_system(amplitude=amplitude), 0.1, Z)
             errors.append((str(info.value), info.value.iterations))
         assert errors[0] == errors[1] and "of row 3 stalled" in errors[0][0]
 
@@ -520,22 +537,44 @@ class TestIntegrate:
             integrate(C, H, 0.1, 0, np.zeros(4))
         with pytest.raises(ValueError, match="4 rows"):
             integrate(C, H, 0.1, 5, np.zeros(4), tangent=np.eye(3))
+        # The lift of a first-order map: phase points (q, p) on T*R, no (q, qdot) to step.
+        with pytest.raises(ValueError, match="^second-order trajectories need an even-dimensional base$"):
+            integrate(cotangent_lift(midpoint_map(1)), HamiltonianSystem(dim=1, S0=np.eye(2)), 0.1, 5, np.zeros(2))
 
-    def test_stall_names_step_and_time(self):
+    def test_a_map_and_a_hamiltonian_of_different_dimensions_are_refused(self):
+        C, H = second_order_phase_map(1), second_order_hamiltonian(2)
+        with pytest.raises(ValueError, match=r"^Hamiltonian lives on T\*R\^4 but the map expects dimension 2$"):
+            step_residual(C, H, 0.1, np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (np.array([[0.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]]), "z0 contains non-finite entries"),
+            (np.zeros((2, 5)), "phase points have 4 coordinates, got 5"),
+        ],
+        ids=["non-finite", "width"],
+    )
+    def test_bad_rows_of_starts_are_refused(self, rows, message):
+        C, H = free_setup()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            step_residual(C, H, 0.1, rows)
+
+    def test_stall_names_step_and_time(self, cap_iterations):
         # Condensed steps carry the run far from the obstacle; on the grazing
         # approach a step fails its check and goes to the chord iteration,
         # where one iteration no longer suffices, so the stall comes mid-run.
         C, H = obstacle_setup()
         z0 = np.array([-10.0, -1.0, 0.0, 2.0, 0.0, 0.0] + [0.0] * 6)
+        cap_iterations(1)
         with pytest.raises(NonConvergence) as err:
-            integrate(C, H, 0.01, 600, z0, max_iter=1)
+            integrate(C, H, 0.01, 600, z0)
         found = re.match(r"step (\d+) at t = ([0-9.]+): one-step solve stalled", str(err.value))
         assert found, str(err.value)
         k, t = int(found.group(1)), float(found.group(2))
         assert k > 0 and t == pytest.approx(0.01 * k)
         assert err.value.x_best is not None and err.value.x_best.size == 12
 
-    def test_a_fresh_jacobian_is_not_retried(self, monkeypatch):
+    def test_a_fresh_jacobian_is_not_retried(self, monkeypatch, cap_iterations):
         # Step 0 carries no inverse: its one failed attempt already took a
         # fresh Jacobian, so it is not run again before the error.
         calls = []
@@ -543,8 +582,9 @@ class TestIntegrate:
         monkeypatch.setattr(geodisc.hamiltonian, "_chord_newton", lambda *args: calls.append(1) or chord_newton(*args))
         C, H = wobbly_system()
         message = r"^step 0 at t = 0: one-step solve stalled at residual 2\.000e-04 \(tol 1\.0e-12\)$"
+        cap_iterations(20)
         with pytest.raises(NonConvergence, match=message):
-            integrate(C, H, 0.1, 10, np.array([0.9, 0.1, 0.0, 0.2]), max_iter=20)
+            integrate(C, H, 0.1, 10, np.array([0.9, 0.1, 0.0, 0.2]))
         assert len(calls) == 1
 
     def test_nonfinite_gradient_stalls_at_the_step_that_meets_it(self):
@@ -772,11 +812,11 @@ class TestTangent:
         assert np.max(np.abs(block - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
-def chord_step(C, H, h, z0, tol=1e-12, max_iter=50):
+def chord_step(C, H, h, z0, tol=1e-12):
     """One step by the chord iteration alone, from z1 = z0 with the
     closed-form Jacobian there: the path :func:`symplectic_step` falls back to."""
     jacobian = lambda z1: _step_jacobian(C, H, h, z0, z1)[..., C.dim :]
-    return geodisc.hamiltonian._chord_newton(step_residual(C, H, h, z0), jacobian, z0, None, tol, max_iter)[0]
+    return geodisc.hamiltonian._chord_newton(step_residual(C, H, h, z0), jacobian, z0, None, tol)[0]
 
 
 def chord_steps(C, H, h, steps, z0, tangent=None):
@@ -1116,12 +1156,12 @@ class TestRemainderSteps:
         with pytest.raises(SingularPotential):
             integrate(C, H, 0.01, k + 1, z0)
 
-    def test_a_stall_past_the_disc_is_the_chord_iterations_own(self, monkeypatch):
+    def test_a_stall_past_the_disc_is_the_chord_iterations_own(self, monkeypatch, cap_iterations):
         # A strong potential at a coarse step, grazing the disc: window sweeps
         # land on the disc, so window gradient calls raise SingularPotential.
         # Each fails its window, down to one step, which ends its block at
         # that row for the chord iteration, so the run ends as on the chord
-        # path (measured there: step 25 stalls at max_iter = 8), in the
+        # path (measured there: step 25 stalls at a cap of 8 iterations), in the
         # NonConvergence naming the step, not in SingularPotential.
         V = obstacle_potential(0.2, 1.0, (0.0, 0.0), 3)[0]
         raised, in_block = [], []
@@ -1144,8 +1184,9 @@ class TestRemainderSteps:
         monkeypatch.setattr(geodisc.hamiltonian, "_row_gradients", block_call)
         C, H = second_order_phase_map(3), second_order_hamiltonian(3, replace(V, grad=recorded))
         z0 = np.array([-3.0, -0.8, 0.0, 1.0, 0.0, 0.0] + [0.0] * 6)
+        cap_iterations(8)
         with pytest.raises(NonConvergence, match=r"^step 25 at t = 2\.5: one-step solve stalled"):
-            integrate(C, H, 0.1, 60, z0, max_iter=8)
+            integrate(C, H, 0.1, 60, z0)
         assert 2 in raised  # a window call
 
     def test_overflow_ends_in_the_typed_error_alone(self):
@@ -1391,11 +1432,11 @@ def eager_run(C, H, h, steps, z0, T, tol=1e-12, product=None):
             residual = hm.step_residual(C, H, h, zk)
             chord = lambda z1: hm._step_jacobian(C, H, h, zk, z1)[:, d:]
             try:
-                z1, J_inv = hm._chord_newton(residual, chord, zk, J_inv, tol, 50)
+                z1, J_inv = hm._chord_newton(residual, chord, zk, J_inv, tol)
             except NonConvergence:
                 if J_inv is None:
                     raise
-                z1, J_inv = hm._chord_newton(residual, chord, zk, None, tol, 50)
+                z1, J_inv = hm._chord_newton(residual, chord, zk, None, tol)
             A = hm._step_jacobian(C, H, h, zk, z1)
             T = -np.linalg.solve(A[:, d:], A[:, :d] @ T)
             z[k + 1] = z1

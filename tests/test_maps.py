@@ -47,6 +47,11 @@ class TestFlatMaps:
         a, b = theta_map(1, 0.0).forward([1.0], [2.0])
         assert np.allclose(a, [1.0]) and np.allclose(b, [3.0])
 
+    @pytest.mark.parametrize("view", ["forward", "inverse"])
+    def test_checked_views_refuse_the_wrong_length(self, view):
+        with pytest.raises(ValueError, match=r"^midpoint\(n=2\) expects vectors of length 2$"):
+            getattr(midpoint_map(2), view)(np.zeros(2), np.zeros(3))
+
     def test_theta_half_is_midpoint(self, rng):
         x = rng.normal(size=4)
         assert np.allclose(theta_map(2, 0.5).forward_flat(x), midpoint_map(2).forward_flat(x))
@@ -105,6 +110,11 @@ class TestSphereInitialPoint:
     def test_rejects_non_tangent_velocity(self):
         with pytest.raises(DomainViolation):
             sphere_initial_point_map().forward([1.0, 0.0, 0.0], [0.3, 0.2, 0.0])
+
+    def test_flat_forward_refuses_a_vanishing_sum(self):
+        # The unchecked flat map takes q + xi = 0, off the tangent bundle, and still refuses it.
+        with pytest.raises(DomainViolation, match="^q \\+ xi vanishes"):
+            sphere_initial_point_map().forward_flat(np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0]))
 
     def test_inverse_needs_open_hemisphere(self):
         D = sphere_initial_point_map()
@@ -193,7 +203,7 @@ class TestSE2:
 
     def test_fiber_frame_rotates_translations(self):
         D = se2_exp_map()
-        F = D.fiber_frame(np.array([0.0, 0.0, math.pi / 2]))
+        F = D.fiber_frame_fn(np.array([0.0, 0.0, math.pi / 2]))
         assert np.allclose(F, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
 
 
@@ -252,8 +262,9 @@ class TestAxioms:
             ([[0.0, 1.0], [np.nan, 0.0]], "sample contains non-finite entries"),
             (np.array([[0.0, 1.0], [np.inf, 0.0]]), "sample contains non-finite entries"),
             (np.zeros((3, 2, 2)), r"sample must be one-dimensional, got shape \(2, 2\)"),
+            (np.zeros((3, 3)), r"midpoint\(n=2\) expects vectors of length 2"),
         ],
-        ids=["nan", "inf", "3-d"],
+        ids=["nan", "inf", "3-d", "width"],
     )
     def test_samples_are_checked_as_one_array(self, samples, message):
         # The texts of a per-sample check, from one check of all the samples.

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geodisc.errors import DomainViolation, NonConvergence, SingularJacobian, UnsupportedOrder
-from geodisc.numeric import jacobian_fd, newton_solve, taylor_derivatives, worst_defect
+from geodisc.errors import DomainViolation, EvaluationFailure, NonConvergence, SingularJacobian, UnsupportedOrder
+from geodisc.numeric import as_vector, jacobian_fd, newton_solve, taylor_derivatives, worst_defect
 from jet_oracles import fd_weights, taylor_reference
 
 
@@ -65,6 +65,11 @@ class TestTaylorDerivatives:
             for r, g_r in enumerate(got):
                 assert np.allclose(g_r, want[r], rtol=1e-6, atol=1e-6)
 
+    def test_a_foreign_error_of_the_curve_is_an_evaluation_failure(self):
+        with pytest.raises(EvaluationFailure, match="^callable failed at 0.0: float division by zero$") as err:
+            taylor_derivatives(lambda t: 1.0 / 0.0, 1)
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+
     def test_order_cap(self):
         f = lambda t: np.array([t])
         with pytest.raises(UnsupportedOrder):
@@ -116,6 +121,24 @@ class TestJacobianFd:
         F = lambda z: np.array([z[0] ** 2, z[0] * z[1]])
         J = jacobian_fd(pointwise(F), np.array([1.0, 2.0]))
         assert np.allclose(J, [[2.0, 0.0], [2.0, 1.0]], atol=1e-7)
+
+    def test_non_finite_point_is_refused(self):
+        with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+            jacobian_fd(lambda x: x, np.array([1.0, np.nan]))
+
+
+class TestAsVector:
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.zeros((2, 2)), r"v must be one-dimensional, got shape \(2, 2\)"),
+            ([1.0, np.inf], "v contains non-finite entries"),
+        ],
+        ids=["2-d", "non-finite"],
+    )
+    def test_refuses(self, x, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            as_vector(x, name="v")
 
 
 class TestNewtonSolve:
@@ -176,6 +199,13 @@ class TestNewtonSolve:
 
         x, _ = newton_solve(f, np.array([-0.9]), lambda x: jacobian_fd(pointwise(f), x), backtracking=True)
         assert abs(np.tanh(x[0]) - 0.5) < 1e-12
+
+    def test_backtracking_that_never_lowers_the_residual_fails(self):
+        # A Jacobian of the wrong sign: every halved step moves uphill.
+        with pytest.raises(NonConvergence) as err:
+            newton_solve(lambda x: x, np.array([1.0]), lambda x: -np.eye(1), backtracking=True)
+        assert str(err.value) == "backtracking failed to reduce the residual below 1.000e+00 (tol 1.0e-12)"
+        assert err.value.iterations == 1 and np.array_equal(err.value.x_best, [1.0])
 
 
 class TestRefreshPolicies:

@@ -236,10 +236,10 @@ def _verify_one_sample_at_a_time(D, samples, tol=1e-7, eps=1e-6):
         zero = np.zeros(D.dim)
         a, b = D.forward(q, zero)
         c1 = worst_defect([np.max(np.abs(a - q)), np.max(np.abs(b - q))])
-        frame = D.fiber_frame(q)
+        frame = np.eye(D.dim) if D.fiber_frame_fn is None else D.fiber_frame_fn(q)
         step = eps * max(1.0, float(np.max(np.abs(q))))
         fiber_defects = []
-        for u in D.fiber_basis(q):
+        for u in np.eye(D.dim) if D.fiber_basis_fn is None else D.fiber_basis_fn(q):
             ap, bp = D.forward(q, step * u)
             am, bm = D.forward(q, -step * u)
             diff = ((bp - bm) - (ap - am)) / (2.0 * step)
