@@ -14,15 +14,15 @@ class NonConvergence(GeodiscError):
 
     Carries the best iterate seen so far and its residual norm so callers can
     degrade gracefully instead of losing the partial result, and the index
-    of the failed row when the solve had rows (None for one point).
+    of the failed row of a ``symplectic_step`` on rows (else None).
     """
 
-    def __init__(self, message, x_best=None, residual_norm=None, iterations=None, row=None):
+    def __init__(self, message, x_best=None, residual_norm=None, iterations=None):
         super().__init__(message)
         self.x_best = x_best
         self.residual_norm = residual_norm
         self.iterations = iterations
-        self.row = row
+        self.row = None
 
 
 class SingularJacobian(GeodiscError):

@@ -33,8 +33,8 @@ One step from each row of starts (k, 4n) is :func:`symplectic_step`, a run
 unknowns by one fixed-point kernel, :func:`_window`, and check each against
 its full residual; a step that fails goes to the chord iteration,
 :func:`geodisc.numeric.newton_solve` on its chord policy, which also takes
-step 0 of every run and every step on a non-affine lifted map;
-:func:`symplectic_step` gives each row the bits of a one-start call.  With the
+step 0 of every run and every step on a non-affine lifted map, one start at
+a time: a row of :func:`symplectic_step` that fails takes a one-start call.  With the
 midpoint-family lifts this is an implicit midpoint scheme, conserving
 quadratic first integrals to rounding; the discrete variational equation
 gives the exact step derivative dz1/dz0, which :func:`integrate`
@@ -305,28 +305,25 @@ def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> 
 
 
 def _step_jacobian(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0: Array, z1: Array) -> Array:
-    """d R / d(z0, z1) of the step residual R at (z0, z1), in closed form.
+    """d R / d(z0, z1) of the step residual R at one pair (z0, z1), in closed form.
 
     It is L K, with K the lifted map's inverse Jacobian, plus the rank-n term
     -h Hess V(q) K[:n] (n = d / 2) on the pdot rows of q (the p0 rows of the
-    second-order system).  Its z1 block is the chord Jacobian.
-    (z0, z1) may be rows; the result is then one Jacobian per row, the
-    Hessians taken in one call, except that with an affine inverse and no
-    potential it is the prebuilt ``LK`` of :func:`_step_blocks`, read-only and shared."""
+    second-order system).  Its z1 block is the chord Jacobian.  With an
+    affine inverse and no potential it is the prebuilt ``LK`` of
+    :func:`_step_blocks`, read-only and shared."""
     blocks = _step_blocks(C, H, h)
     V, d, n = H.potential, C.dim // 2, C.dim // 4
-    y = np.concatenate([z0, z1], axis=-1)
+    y = np.concatenate([z0, z1])
     if blocks.LK is None:
         K = C.inverse_jacobian_flat(y)
-        A, Kq = blocks.L @ K, K[..., :n, :]
-        q = None if V is None else C.inverse_flat(y)[..., :n]
+        A, Kq = blocks.L @ K, K[:n]
     else:
         A, Kq = blocks.LK, blocks.Kq
-        q = None if V is None else matvec(Kq, y) + blocks.kq
-    if V is None:
-        return A
-    A = np.array(np.broadcast_to(A, q.shape[:-1] + A.shape[-2:]))
-    A[..., d : d + n, :] += h * (-V.hess(q) @ Kq)
+    if V is not None:
+        q = C.inverse_flat(y)[:n] if blocks.LK is None else Kq @ y + blocks.kq
+        A = np.array(A)
+        A[d : d + n] += h * (-V.hess(q) @ Kq)
     return A
 
 
@@ -345,17 +342,13 @@ def _floor(tol: float, z: Array, axis: int = -1, out: Array | None = None) -> Ar
     return np.maximum(tol, 8.0 * _EPS * np.abs(z, out=out).max(axis=axis))
 
 
-def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float, rows=None):
-    """:func:`~geodisc.numeric.newton_solve`'s chord policy, its default 50 iterations at most, from x0, one start
-    or rows, each row against its own :func:`_floor`; returns (solution, inverse used), and words a failure as the
-    one-step solve's, naming a failed row i of x0 as ``rows[i]`` when the caller's rows are numbered so."""
+def _chord_newton(residual, jacobian, x0: Array, J_inv: Array | None, tol: float):
+    """:func:`~geodisc.numeric.newton_solve`'s chord policy, its default 50 iterations at most, from one start x0
+    against its :func:`_floor`; returns (solution, inverse used), and words a failure as the one-step solve's."""
     try:
         return newton_solve(residual, x0, jacobian, _floor(tol, x0), chord=True, J_inv=J_inv)
     except (NonConvergence, SingularJacobian) as exc:
-        text = str(exc).replace("Newton", "one-step" if isinstance(exc, SingularJacobian) else "one-step solve")
-        if rows is not None and isinstance(exc, NonConvergence):
-            text, exc.row = text.replace(f"of row {exc.row}", f"of row {rows[exc.row]}", 1), int(rows[exc.row])
-        exc.args = (text,)
+        exc.args = (str(exc).replace("Newton", "one-step" if isinstance(exc, SingularJacobian) else "one-step solve"),)
         raise
 
 
@@ -372,36 +365,32 @@ def symplectic_step(
     On an affine lifted map each row takes a one-step window from grad V = 0
     (:func:`_window` in the terms of :attr:`_StepBlocks.one_step`) and keeps
     it when the window settled and its full residual is finite and within
-    :func:`_floor`, the chord iteration's own test.  The other rows go
-    through one chord iteration from z1 = z0, which reuses the closed-form
-    Jacobian of the residual there, inverted once, each row against its own
-    tolerance; its errors name the caller's rows."""
+    :func:`_floor`, the chord iteration's own test.  A start that fails goes
+    through the chord iteration from z1 = z0, with the closed-form Jacobian
+    of the residual there, inverted once.  A row that fails, and every row
+    when the rows' check raises or the map is not affine, takes its own
+    one-start call, whose NonConvergence gains "of row i" and ``row`` = i."""
     residual = step_residual(C, H, h, z0)
     z0 = np.asarray(z0, dtype=float)
-    z1, todo, blocks = z0, None, _step_blocks(C, H, h)
+    z1, ok, blocks = z0.copy(), np.zeros(z0.shape[:-1], dtype=bool), _step_blocks(C, H, h)  # a failed row keeps z0
     if blocks.LK is not None:
-        starts = z0.reshape(-1, z0.shape[-1])
-        z1 = starts.copy()  # a row whose window fails keeps z0
         with np.errstate(over="ignore", invalid="ignore"):
-            ok = _window(blocks.one_step, H.potential, starts, 1, np.zeros((len(starts), blocks.kq.size)), z1[:, None])[1]
+            ok = _window(blocks.one_step, H.potential, z0, 1, np.zeros(z0.shape[:-1] + blocks.kq.shape), z1[..., None, :])[1]
             try:
-                ok &= (np.abs(residual(z1.reshape(z0.shape))).max(axis=-1) <= _floor(tol, z0)).reshape(-1)
-            except GeodiscError:  # row by row, as _row_gradients: only the rows that raise go to the chord
-                for i in np.flatnonzero(ok):
-                    try:
-                        ok[i] = np.abs(step_residual(C, H, h, starts[[i]])(z1[[i]])).max() <= _floor(tol, starts[i])
-                    except GeodiscError:
-                        ok[i] = False
-        if ok.all():
-            return z1.reshape(z0.shape)
-        if z0.ndim == 2:  # the chord iteration on the failed rows alone
-            todo = np.flatnonzero(~ok)
-            z0, residual = z0[todo], step_residual(C, H, h, z0[todo])
-    chord = lambda x: _step_jacobian(C, H, h, z0, x)[..., C.dim :]
-    solved = _chord_newton(residual, chord, z0, None, tol, todo)[0]
-    if todo is None:
-        return solved
-    z1[todo] = solved
+                ok &= np.abs(residual(z1)).max(axis=-1) <= _floor(tol, z0)
+            except GeodiscError:  # then every row goes alone
+                ok[...] = False
+    if ok.all():
+        return z1
+    if z0.ndim == 1:
+        chord = lambda x: _step_jacobian(C, H, h, z0, x)[:, C.dim :]
+        return _chord_newton(residual, chord, z0, None, tol)[0]
+    for i in np.flatnonzero(~ok):
+        try:
+            z1[i] = symplectic_step(C, H, h, z0[i], tol)
+        except NonConvergence as exc:
+            exc.args, exc.row = (str(exc).replace("one-step solve", f"one-step solve of row {i}", 1),), int(i)
+            raise
     return z1
 
 

@@ -2,10 +2,10 @@
 Jacobians and the derivatives of curves.
 
 Everything operates on plain 1-d numpy arrays and is pure; :func:`matvec`,
-:func:`rowdot`, :func:`jacobian_fd` and :func:`newton_solve` also take
-stacks of points, one per row, and give every row the bits of its one-point
-value.  :func:`newton_solve` serves the implicit step (its chord policy) and
-shooting (its Newton policy, damped).  The rest of the package builds its
+:func:`rowdot` and :func:`jacobian_fd` also take stacks of points, one per
+row, and give every row the bits of its one-point value.  :func:`newton_solve`
+solves for one point: the implicit step's (its chord policy) and shooting's
+(its Newton policy, damped).  The rest of the package builds its
 maps, lifts and integrators on these helpers, so the conventions fixed here
 (central differences, infinity-norm stopping tests) propagate everywhere.
 :func:`taylor_derivatives` differentiates a black-box curve at 0 by central
@@ -107,86 +107,66 @@ def newton_solve(
     residual: VectorFunc,
     x0,
     jacobian: Callable[[Array], Array],
-    tol: float | Array = 1e-12,
+    tol: float = 1e-12,
     max_iter: int = 50,
     backtracking: bool = False,
     *,
     chord: bool = False,
     J_inv: Array | None = None,
 ) -> tuple[Array, Array | None]:
-    """Solve residual(x) = 0 by x <- x - J^-1 r from one point x0 (m,) or
-    from rows (k, m), one system per row.
+    """Solve residual(x) = 0 by x <- x - J^-1 r from one point x0 (m,).
 
-    ``residual`` maps x to residuals of x's shape and ``jacobian(x)`` gives
-    J at x, one m x m matrix per row or one for all.  Each J is inverted
-    once, all rows in one batched call, and applied by matrix-vector
-    products.  ``tol`` bounds the residual's infinity norm, one value or one
-    per row; a row within it stops there.  ``chord`` selects when J is taken:
+    ``residual`` maps x to a residual of x's shape and ``jacobian(x)`` gives
+    the m x m matrix J at x.  Each J is inverted once and applied by
+    matrix-vector products.  ``tol`` bounds the residual's infinity norm.
+    ``chord`` selects when J is taken:
 
     - False, Newton: at every iterate still above tol, never at one within it.
     - True, the chord (simplified Newton) iteration (Hairer & Wanner,
       Solving ODEs II, IV.8): J^-1 is the carried ``J_inv``, or J is taken
-      at x0; a row whose residual fails to halve takes J again, once per
-      solve; a row within tol gets one last correction, so that long
+      at x0; a residual that fails to halve takes J again, once per solve;
+      an iterate within tol gets one last correction, so that long
       integrations are not limited by tol.
 
-    ``backtracking`` (one point) halves a step until the residual drops at a
-    point where ``residual`` raises none of ``EVALUATION_ERRORS``.  Returns
+    ``backtracking`` halves a step until the residual drops at a point
+    where ``residual`` raises none of ``EVALUATION_ERRORS``.  Returns
     (solution, the inverse last used).  The first residual that is not
     finite ends the solve.  A stall, a non-finite residual or a failed
-    backtracking raises NonConvergence with the best iterate of the first
-    row it hits, named when x0 has rows; a singular J raises
-    SingularJacobian and a J that is not m x m ValueError.
+    backtracking raises NonConvergence with the best iterate; a singular J
+    raises SingularJacobian and a J that is not m x m ValueError.
     """
-    x = solution = np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     r = residual(x)
-    norm = np.abs(r).max(axis=-1)
+    norm = np.abs(r).max()
     best_x, best_norm = x, norm
-    open_rows = np.ones(norm.shape, dtype=bool)  # 0-d for one point
-    shape = x.shape + x.shape[-1:]
 
-    def failed(reason: str, iterations: int, rows: Array) -> NonConvergence:
-        row = None if x.ndim == 1 else int(np.flatnonzero(rows)[0])
-        i = () if row is None else row
-        reason = reason.format(where="" if row is None else f" of row {row}", best=best_norm[i], it=iterations)
-        tol_i = np.broadcast_to(tol, norm.shape)[i]
-        return NonConvergence(f"{reason} (tol {tol_i:.1e})", best_x[i].copy(), float(best_norm[i]), iterations, row)
+    def failed(reason: str, iterations: int) -> NonConvergence:
+        return NonConvergence(f"{reason} (tol {tol:.1e})", best_x.copy(), float(best_norm), iterations)
 
-    def inverted(J_inv: Array | None, rows: Array) -> Array:
-        """J_inv with the given rows' J taken at x and inverted (all of it the first time)."""
+    def inverted() -> Array:
+        """J taken at x and inverted."""
         J = np.asarray(jacobian(x), dtype=float)
-        if J.shape[-2:] != shape[-2:]:
-            raise ValueError(f"jacobian returned shape {J.shape}, expected {shape[-2:]} per row")
+        if J.shape != 2 * x.shape:
+            raise ValueError(f"jacobian returned shape {J.shape}, expected {2 * x.shape}")
         try:
-            if J_inv is None or rows.all():
-                return np.linalg.inv(J)
-            J_inv = np.array(np.broadcast_to(J_inv, shape))
-            J_inv[rows] = np.linalg.inv(np.broadcast_to(J, shape)[rows])
-            return J_inv
+            return np.linalg.inv(J)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian("Newton linearization is singular") from exc
 
-    bad = ~np.isfinite(norm)
-    if bad.any():
-        raise failed("Newton{where} met a non-finite residual at its starting point", 0, bad)
-    stale = refreshed = np.full(norm.shape, J_inv is None)
+    if not np.isfinite(norm):
+        raise failed("Newton met a non-finite residual at its starting point", 0)
+    stale = refreshed = J_inv is None
     it = 0
     while True:
-        if chord:
-            if J_inv is None or stale.any():  # J_inv None, stale none: no rows
-                J_inv, refreshed = inverted(J_inv, stale), refreshed | stale
-            step = matvec(J_inv, r)
-        done = open_rows & (norm <= tol)
-        if done.any():
-            solution = np.where(done[..., None], x - step if chord else x, solution)
-            open_rows = open_rows & ~done
-        if not open_rows.any():
-            return solution, J_inv
+        if chord and stale:
+            J_inv, refreshed = inverted(), True
+        if norm <= tol:
+            return (x - J_inv @ r if chord else x.copy()), J_inv
         if it == max_iter:
-            raise failed("Newton{where} stalled at residual {best:.3e}", max_iter, open_rows)
+            raise failed(f"Newton stalled at residual {best_norm:.3e}", max_iter)
         if not chord:
-            J_inv = inverted(J_inv, open_rows)
-            step = matvec(J_inv, r)
+            J_inv = inverted()
+        step = J_inv @ r
         it += 1
         if backtracking:
             for alpha in 0.5 ** np.arange(40):
@@ -198,20 +178,18 @@ def newton_solve(
                 if np.abs(r).max() < norm:
                     break
             else:
-                raise failed("backtracking failed to reduce the residual below {best:.3e}", it, open_rows)
+                raise failed(f"backtracking failed to reduce the residual below {best_norm:.3e}", it)
             x = trial
         else:
-            x = np.where(open_rows[..., None], x - step, x)
+            x = x - step
             r = residual(x)
-        new_norm = np.abs(r).max(axis=-1)
-        bad = open_rows & ~np.isfinite(new_norm)
-        if bad.any():
-            raise failed("Newton{where} met a non-finite residual at iteration {it}, best residual {best:.3e}", it, bad)
-        better = open_rows & (new_norm < best_norm)
-        best_x = np.where(better[..., None], x, best_x)
-        best_norm = np.where(better, new_norm, best_norm)
-        stale = open_rows & (new_norm > 0.5 * norm) & (new_norm > tol) & ~refreshed
-        norm = np.where(open_rows, new_norm, norm)
+        new_norm = np.abs(r).max()
+        if not np.isfinite(new_norm):
+            raise failed(f"Newton met a non-finite residual at iteration {it}, best residual {best_norm:.3e}", it)
+        if new_norm < best_norm:
+            best_x, best_norm = x, new_norm
+        stale = new_norm > 0.5 * norm and new_norm > tol and not refreshed
+        norm = new_norm
 
 
 #: The central five-point stencils, (h, weights at h (-2, -1, 0, 1, 2)), of

@@ -175,15 +175,15 @@ class TestRowSteps:
 
     def test_affine_rows_make_one_chord_iteration(self, monkeypatch, rng):
         # Rows that verify make no chord call; one row whose condensed step
-        # misses its floor goes through one chord iteration alone and takes
-        # its result.
+        # misses its floor, in the rows' call and in its own, goes through
+        # one chord iteration alone and takes its result.
         C, H = obstacle_setup()
         Z = row_starts(3, 10, rng, obstacle=True)
         window = geodisc.hamiltonian._window
 
         def one_off(terms, V, z0, b, g, out):
             solved = window(terms, V, z0, b, g, out)
-            out[3] *= 1 + 1e-4
+            out[(z0 == Z[3]).all(axis=-1)] *= 1 + 1e-4
             return solved
 
         calls = counted_chord(monkeypatch)
@@ -191,7 +191,7 @@ class TestRowSteps:
         assert calls == []
         monkeypatch.setattr(geodisc.hamiltonian, "_window", one_off)
         Z1 = symplectic_step(C, H, 0.01, Z)
-        assert calls == [(1, 12)]
+        assert calls == [(12,)]
         assert np.array_equal(Z1[3], chord_step(C, H, 0.01, Z[3]))
         assert np.array_equal(np.delete(Z1, 3, axis=0), np.delete(condensed, 3, axis=0))
 
@@ -207,6 +207,39 @@ class TestRowSteps:
         with pytest.raises(NonConvergence, match=r"^one-step solve stalled"):
             symplectic_step(C, H, 0.1, Z[3])
         symplectic_step(C, H, 0.1, np.delete(Z, 3, axis=0))  # the other rows converge
+
+    @pytest.mark.parametrize("stall, raising", [(1, 3), (3, 1)])
+    def test_of_several_failing_rows_the_lowest_raises_its_one_start_error(self, stall, raising, rng, cap_iterations):
+        # One row stalls and one row's gradient raises, so the rows' residual
+        # check raises and every row takes its own one-start call: the
+        # lowest failing row's error ends the step, a stall with "of row i"
+        # inserted and ``row`` = i, a raising gradient's error unchanged.
+        def system():
+            C, H = wobbly_system()
+            wobbly = H.potential.grad
+
+            def grad(q):
+                if np.any(q < -0.5):
+                    raise SingularPotential("q below -0.5")
+                return wobbly(q)
+
+            return C, replace(H, potential=replace(H.potential, grad=grad))
+
+        Z = row_starts(1, 5, rng) * 0.1
+        Z[stall, 0], Z[raising, 0] = 0.9, -0.9
+        cap_iterations(20)
+        kind = NonConvergence if stall < raising else SingularPotential
+        with pytest.raises(kind) as rows:
+            symplectic_step(*system(), 0.1, Z)
+        with pytest.raises(kind) as alone:
+            symplectic_step(*system(), 0.1, Z[min(stall, raising)])
+        if kind is NonConvergence:
+            assert str(alone.value).startswith("one-step solve stalled at residual ")
+            assert str(rows.value) == str(alone.value).replace("one-step solve", f"one-step solve of row {stall}", 1)
+            assert rows.value.row == stall and alone.value.row is None
+            assert rows.value.iterations == alone.value.iterations == 20
+        else:
+            assert str(rows.value) == str(alone.value) == "q below -0.5"
 
     def test_each_row_stops_against_its_own_floor(self, rng, cap_iterations):
         # Row 0 stalls near 1e-10, above its floor 1e-12; row 1's floor,
@@ -329,13 +362,16 @@ class TestCondensedRows:
         H = HamiltonianSystem(dim=2, S0=H0.S0, potential=V)
         Z = row_starts(1, 4, rng) * 0.1
         Z[2, 0] = 0.9
-        calls = counted_chord(monkeypatch)
+        calls, alone, one_start = counted_chord(monkeypatch), [], geodisc.hamiltonian.symplectic_step
+        monkeypatch.setattr(geodisc.hamiltonian, "symplectic_step", lambda *args: alone.append(args[3]) or one_start(*args))
         for step in (symplectic_step, chord_step):
             with pytest.raises(SingularPotential, match="^q beyond 0.5$"):
                 step(C, H, 0.1, Z)
-        # symplectic_step checks the rows one by one when their residual check
-        # raises, so row 2 alone goes to its chord iteration; chord_step takes all 4.
-        assert calls == [(1, 4), (4, 4)]
+        # symplectic_step takes every row alone when their residual check
+        # raises: rows 0 and 1 verify, row 2 alone goes to its chord
+        # iteration; chord_step takes rows 0, 1 and 2, one at a time.
+        assert np.array_equal(alone, Z[:3])
+        assert calls == [(4,)] + [(4,)] * 3
         symplectic_step(C, H, 0.1, np.delete(Z, 2, axis=0))  # the other rows step
 
     def test_a_map_without_an_affine_form_keeps_the_chord_bits(self, monkeypatch, rng):
@@ -344,7 +380,7 @@ class TestCondensedRows:
         ref = chord_step(C, H, 0.01, Z)
         calls = counted_chord(monkeypatch)
         assert np.array_equal(symplectic_step(C, H, 0.01, Z), ref)
-        assert calls == [(6, 4)]
+        assert calls == [(4,)] * 6
 
     def test_a_row_the_chord_cannot_solve_keeps_its_condensed_step_beside_a_fallback(self, monkeypatch, rng):
         # Row 1 verifies condensed, but the chord iteration meets a nan
@@ -368,7 +404,7 @@ class TestCondensedRows:
         monkeypatch.setattr(geodisc.hamiltonian, "_window", row_0_off)
         calls = counted_chord(monkeypatch)
         Z1 = symplectic_step(C, H, 0.1, Z)
-        assert calls == [(1, 12)]
+        assert calls == [(12,)]
         assert np.array_equal(Z1[0], chord_step(C, H, 0.1, Z[0]))
         assert np.array_equal(Z1[1:], np.array(alone[1:]))
 
@@ -453,7 +489,7 @@ class TestWindow:
         calls = counted_chord(monkeypatch)
         with pytest.raises(SingularPotential) as rows:
             symplectic_step(C, H, 0.01, Z)
-        assert calls == [(1, 12)] and str(rows.value) == str(alone.value)
+        assert calls == [(12,)] and str(rows.value) == str(alone.value)
         monkeypatch.undo()
         rest = np.delete(Z, 2, axis=0)
         assert np.array_equal(symplectic_step(C, H, 0.01, rest), np.array([symplectic_step(C, H, 0.01, z0) for z0 in rest]))
@@ -814,8 +850,19 @@ class TestTangent:
 
 def chord_step(C, H, h, z0, tol=1e-12):
     """One step by the chord iteration alone, from z1 = z0 with the
-    closed-form Jacobian there: the path :func:`symplectic_step` falls back to."""
-    jacobian = lambda z1: _step_jacobian(C, H, h, z0, z1)[..., C.dim :]
+    closed-form Jacobian there: the path :func:`symplectic_step` falls back
+    to.  Rows step one at a time; row i's NonConvergence says "of row i" and
+    carries ``row`` = i, as :func:`symplectic_step` words it."""
+    if np.ndim(z0) == 2:
+        rows = []
+        for i, z in enumerate(z0):
+            try:
+                rows.append(chord_step(C, H, h, z, tol))
+            except NonConvergence as exc:
+                exc.args, exc.row = (str(exc).replace("one-step solve", f"one-step solve of row {i}", 1),), i
+                raise
+        return np.array(rows)
+    jacobian = lambda z1: _step_jacobian(C, H, h, z0, z1)[:, C.dim :]
     return geodisc.hamiltonian._chord_newton(step_residual(C, H, h, z0), jacobian, z0, None, tol)[0]
 
 

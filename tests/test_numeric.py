@@ -173,17 +173,14 @@ class TestNewtonSolve:
         assert err.value.x_best is not None
         assert err.value.residual_norm >= 1.0
 
-    def test_nonfinite_residual_names_its_row_and_iteration(self):
-        # A Jacobian a quarter of the true one: row 1's first update lands past x = 3.
+    def test_nonfinite_residual_names_its_iteration(self):
+        # A Jacobian a quarter of the true one: the first update lands past x = 3.
         f = lambda x: np.where(x > 3.0, np.inf, x - 2.0)
         with pytest.raises(NonConvergence) as err:
-            newton_solve(f, np.array([[2.5], [-2.0]]), lambda x: np.full((1, 1), 0.25), tol=1e-12)
-        expected = "Newton of row 1 met a non-finite residual at iteration 1, best residual 4.000e+00 (tol 1.0e-12)"
+            newton_solve(f, np.array([-2.0]), lambda x: np.full((1, 1), 0.25), tol=1e-12)
+        expected = "Newton met a non-finite residual at iteration 1, best residual 4.000e+00 (tol 1.0e-12)"
         assert str(err.value) == expected
         assert err.value.iterations == 1 and np.array_equal(err.value.x_best, [-2.0])
-        assert err.value.row == 1
-        with pytest.raises(NonConvergence, match=r"^Newton met a non-finite residual at iteration 1") as err:
-            newton_solve(f, np.array([-2.0]), lambda x: np.full((1, 1), 0.25), tol=1e-12)
         assert err.value.row is None
 
     def test_zero_tolerance_never_converges(self):
@@ -210,13 +207,13 @@ class TestNewtonSolve:
 
 class TestRefreshPolicies:
     """The two refresh policies of ``newton_solve`` on one small system:
-    rows of the scalar equations a_i x_i = b_i, whose Jacobian the tests
-    supply wrong on purpose to control each row's contraction."""
+    the equations a_i x_i = b_i of one point, whose Jacobian the tests
+    supply wrong on purpose to control the contraction."""
 
     A, B = np.array([2.0, 5.0]), np.array([1.0, -3.0])
 
     def residual(self, x):
-        return self.A[:, None] * x - self.B[:, None]
+        return self.A * x - self.B
 
     def counted(self, jacobian):
         calls = []
@@ -228,32 +225,34 @@ class TestRefreshPolicies:
         return counting, calls
 
     def test_chord_with_a_good_carried_inverse_takes_no_jacobian(self):
-        jac, calls = self.counted(lambda x: self.A[:, None, None])
-        J_inv = (1.0 / self.A)[:, None, None]
-        x, used = newton_solve(self.residual, np.zeros((2, 1)), jac, tol=1e-12, chord=True, J_inv=J_inv)
+        jac, calls = self.counted(lambda x: np.diag(self.A))
+        J_inv = np.diag(1.0 / self.A)
+        x, used = newton_solve(self.residual, np.zeros(2), jac, tol=1e-12, chord=True, J_inv=J_inv)
         assert calls == [] and used is J_inv
-        assert np.array_equal(x[:, 0], self.B / self.A)
+        assert np.array_equal(x, self.B / self.A)
 
-    def test_chord_refreshes_a_slow_row_once(self):
-        # Row 1 carries a third of its inverse Jacobian and is given three
-        # times its Jacobian: its residual shrinks by 2/3 per iteration, so
-        # it goes stale at once and stays slow after its one refresh.  Row 0
-        # carries its exact inverse and is never refreshed.
-        jac, calls = self.counted(lambda x: 3.0 * self.A[:, None, None])
-        J_inv = np.array([[[1.0 / self.A[0]]], [[1.0 / (3.0 * self.A[1])]]])
-        x, used = newton_solve(self.residual, np.zeros((2, 1)), jac, tol=1e-12, max_iter=200, chord=True, J_inv=J_inv)
-        assert len(calls) == 1
-        assert used[0, 0, 0] == 1.0 / self.A[0] and used[1, 0, 0] == 1.0 / (3.0 * self.A[1])
-        assert np.max(np.abs(self.A * x[:, 0] - self.B)) <= 1e-12
+    def test_chord_refreshes_a_slow_iterate_once(self):
+        # The point carries a third of its inverse Jacobian and is given
+        # three times its Jacobian: its residual shrinks by 2/3 per
+        # iteration, so it goes stale at once and stays slow after its one
+        # refresh.
+        a, b = self.A[1:], self.B[1:]
+        jac, calls = self.counted(lambda x: np.diag(3.0 * a))
+        J_inv = np.diag(1.0 / (3.0 * a))
+        x, used = newton_solve(lambda x: a * x - b, np.zeros(1), jac, tol=1e-12, max_iter=200, chord=True, J_inv=J_inv)
+        assert len(calls) == 1 and used is not J_inv
+        assert used[0, 0] == 1.0 / (3.0 * a[0])
+        assert np.max(np.abs(a * x - b)) <= 1e-12
 
     def test_chord_applies_the_last_correction(self):
-        # Both starts are within tol 0.1, so neither iterates; the chord still
-        # takes one step, and the Newton policy returns the starts unchanged.
-        x0 = np.array([[0.52], [-0.59]])
-        jac, calls = self.counted(lambda x: self.A[:, None, None])
+        # The start is within tol 0.1, so it does not iterate; the chord
+        # still takes one step, and the Newton policy returns the start
+        # unchanged.
+        x0 = np.array([0.52, -0.59])
+        jac, calls = self.counted(lambda x: np.diag(self.A))
         x, _ = newton_solve(self.residual, x0, jac, tol=0.1, chord=True)
-        assert len(calls) == 1 and np.allclose(x[:, 0], self.B / self.A, rtol=0, atol=1e-15)
-        jac, calls = self.counted(lambda x: self.A[:, None, None])
+        assert len(calls) == 1 and np.allclose(x, self.B / self.A, rtol=0, atol=1e-15)
+        jac, calls = self.counted(lambda x: np.diag(self.A))
         x, used = newton_solve(self.residual, x0, jac, tol=0.1)
         assert calls == [] and used is None and np.array_equal(x, x0)
 
