@@ -18,14 +18,6 @@ from .hamiltonian import Trajectory
 
 Array = np.ndarray
 
-__all__ = [
-    "trajectory_columns",
-    "write_trajectory_csv",
-    "read_csv_columns",
-    "write_xy_svg",
-    "write_bytes",
-]
-
 
 def write_bytes(path, chunks: Iterable[bytes]) -> None:
     """Write the byte strings in ``chunks``, in order, as the content of ``path``."""

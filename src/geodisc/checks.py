@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .hamiltonian import second_order_hamiltonian, integrate, symplectic_step
+from .hamiltonian import integrate, obstacle_potential, second_order_hamiltonian, symplectic_step
 from .jets import jet_of_curve, unzip_jet_tangent, zip_jet_tangent
 from .lifts import (
     canonical_symplectic_matrix,
@@ -44,7 +44,6 @@ from .maps import (
     sphere_initial_point_map,
     theta_map,
 )
-from .control import obstacle_potential
 from .numeric import jacobian_fd, rowdot, worst_defect
 
 Array = np.ndarray

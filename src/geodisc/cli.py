@@ -27,9 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_csv_columns, write_bytes, write_trajectory_csv, write_xy_svg
-from .checks import run_all, validate_run
-from .control import make_free_spline, make_obstacle_problem, shoot, simulate
 from .errors import (
     BadDiscretization,
     ConfigError,
@@ -120,6 +117,7 @@ class ExperimentConfig:
 
     def validate(self, command: str) -> None:
         if command == "check":
+            from .checks import validate_run
             if self.seed < 0:
                 raise ConfigError(f"seed must be >= 0, got {self.seed}")
             try:
@@ -245,10 +243,12 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _write(*outputs) -> None:
     """Write every output ``(write, path, *args)`` as ``write(path, *args)``,
-    or none: no path may be a directory, each output is written once, to a
-    new temp file beside its path with the permissions the umask gives a new
-    file, and the temp files replace their paths once all are written.  A
-    failure to write a path is raised as ConfigError naming it."""
+    or none: no path may be a directory or another output's file, each is
+    written once, to a new temp file beside its path with the permissions the
+    umask gives a new file, and the temp files replace their paths once all
+    are written.  A failure to write a path is raised as ConfigError naming it."""
+    if len({os.path.realpath(path) for _, path, *_ in outputs}) < len(outputs):
+        raise ConfigError("two outputs name one file: " + " and ".join(path for _, path, *_ in outputs))
     staged = []
     os.umask(umask := os.umask(0))  # no call reads the umask without setting it
     try:
@@ -276,6 +276,7 @@ def _write_artifacts(cfg: ExperimentConfig, traj, clearances, command: str) -> s
     """Write the trajectory CSV with its clearances (None without an
     obstacle), and the XY-path SVG when asked for, all or none.  Returns the
     closing ``csv:`` line."""
+    from .artifacts import write_trajectory_csv, write_xy_svg
     csv_path = cfg.csv_out or f"{cfg.problem}-{command}.csv"
     outputs = [(write_trajectory_csv, csv_path, traj, clearances)]
     line = f"csv: {csv_path}"
@@ -288,8 +289,9 @@ def _write_artifacts(cfg: ExperimentConfig, traj, clearances, command: str) -> s
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    from . import artifacts, control  # artifacts too: a run loads all it uses before its first step
     n = cfg.dim
-    report = simulate(n, cfg.h, cfg.steps, cfg.initial_state, base=cfg.base_map(n), obstacle=cfg.obstacle)
+    report = control.simulate(n, cfg.h, cfg.steps, cfg.initial_state, base=cfg.base_map(n), obstacle=cfg.obstacle)
     csv_line = _write_artifacts(cfg, report.trajectory, report.clearances, "trajectory")
     final = report.trajectory.z[-1]
     print("final q      = [%s]" % " ".join("%.6g" % v for v in final[:n]))
@@ -302,14 +304,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_shoot(cfg: ExperimentConfig) -> int:
+    from . import artifacts, control  # artifacts too: a run loads all it uses before its first step
     n = cfg.dim
     T = cfg.horizon()
     if cfg.obstacle is not None:
-        prob = make_obstacle_problem(n, *cfg.obstacle, cfg.boundary, T, cfg.h)
+        prob = control.make_obstacle_problem(n, *cfg.obstacle, cfg.boundary, T, cfg.h)
     else:
-        prob = make_free_spline(n, cfg.boundary, T, cfg.h)
+        prob = control.make_free_spline(n, cfg.boundary, T, cfg.h)
     C = second_order_phase_map(n, base=cfg.base_map(n))
-    result = shoot(prob, C=C, tol=cfg.tol)
+    result = control.shoot(prob, C=C, tol=cfg.tol)
     traj = result.trajectory
     clearances = None if prob.clearance is None else prob.clearance(traj.positions())
     csv_line = _write_artifacts(cfg, traj, clearances, "shoot")
@@ -328,9 +331,11 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
 
 
 def cmd_check(cfg: ExperimentConfig) -> int:
+    from .checks import run_all
     results = run_all(seed=cfg.seed, suites=cfg.suites, h_values=cfg.h_values)
     payload = json.dumps([r.as_dict() for r in results], indent=2)
     if cfg.json_out:
+        from .artifacts import write_bytes
         _write((write_bytes, cfg.json_out, [(payload + "\n").encode()]))
     print(payload)
     failures = sum(r.failed for r in results)
@@ -339,6 +344,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
 
 
 def cmd_plot(csv_path: str, svg_path: str) -> int:
+    from .artifacts import read_csv_columns, write_xy_svg
     try:
         cols = read_csv_columns(csv_path)
     except OSError as exc:

@@ -28,15 +28,12 @@ from .errors import (
     SingularPotential,
     StartInsideObstacle,
 )
-from .hamiltonian import Potential, Trajectory, integrate, second_order_hamiltonian
+from .hamiltonian import SINGULAR_CLEARANCE, Potential, Trajectory, integrate, obstacle_potential, second_order_hamiltonian
 from .lifts import CotangentLiftedMap, second_order_phase_map
 from .maps import DiscretizationMap
 from .numeric import as_vector, newton_solve
 
 Array = np.ndarray
-
-#: Potential denominators at or below this are treated as "on the obstacle".
-SINGULAR_CLEARANCE = 1e-9
 
 
 def grid_steps(T: float, h: float) -> int:
@@ -48,64 +45,6 @@ def grid_steps(T: float, h: float) -> int:
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
         raise BadDiscretization(f"horizon T={T} is not an integer multiple of h={h}")
     return n
-
-
-def obstacle_potential(tau: float, r: float, center, n: int) -> tuple[Potential, Callable[[Array], Array]]:
-    """Repulsive potential tau / (|xy - center|^2 - r^2) on the first two
-    coordinates, with closed-form gradient and Hessian and a clearance function.
-
-    Returns (V, clearance): the :class:`Potential` V and
-    clearance(q) = |xy - center|^2 - r^2, which like V takes points q of
-    shape (..., n), one per row, and returns one value per point.  V's
-    value, gradient and Hessian raise SingularPotential once a clearance
-    drops to ~0, so a caller can never see a nonpositive clearance from a
-    state that evaluated cleanly; a nan clearance passes, for the caller's
-    own finiteness checks to report.
-    """
-    if n < 2:
-        raise ValueError("obstacle potential needs at least coordinates (x, y)")
-    if r <= 0:
-        raise ValueError("obstacle radius must be positive")
-    c = as_vector(center, name="center")
-    if c.size != 2:
-        raise ValueError("obstacle center must have exactly two components")
-
-    def offsets(q) -> tuple[Array, Array]:
-        d = np.asarray(q, dtype=float)[..., :2] - c
-        x, y = d[..., 0], d[..., 1]
-        return d, x * x + y * y - r * r
-
-    def clearance(q):
-        return offsets(q)[1]
-
-    def checked(q) -> tuple[Array, Array]:
-        d, s = offsets(q)
-        inside = s <= SINGULAR_CLEARANCE
-        if inside.any() if inside.ndim else inside:  # one point: the plain test is the cheap one
-            worst = float(np.min(np.where(inside, s, np.inf)))
-            raise SingularPotential(f"state at squared clearance {worst:.3e} is on or inside the obstacle")
-        return d, s
-
-    def V(q):
-        return tau / checked(q)[1]
-
-    def gradV(q) -> Array:
-        d, s = checked(q)
-        g = np.zeros(d.shape[:-1] + (n,))
-        g[..., :2] = d * (-2.0 * tau / (s * s))[..., None]
-        return g
-
-    eye2 = np.eye(2)
-
-    def hessV(q) -> Array:
-        # -2 tau / s^2 I + 8 tau d d^T / s^3 on the (x, y) block, d = xy - center.
-        d, s = checked(q)
-        a, b = 8.0 * tau / (s * s * s), 2.0 * tau / (s * s)
-        out = np.zeros(d.shape[:-1] + (n, n))
-        out[..., :2, :2] = a[..., None, None] * (d[..., :, None] * d[..., None, :]) - b[..., None, None] * eye2
-        return out
-
-    return Potential(V, gradV, hessV), clearance
 
 
 @dataclass(frozen=True)
@@ -296,7 +235,7 @@ def simulate(
     (the midpoint map when None).
 
     ``obstacle`` = (tau, r, center) adds the potential of
-    :func:`obstacle_potential` to the dynamics and to the running cost.
+    :func:`~geodisc.hamiltonian.obstacle_potential` to the dynamics and to the running cost.
     Raises SingularPotential if the flow reaches the obstacle boundary.
     """
     V = clearance = None

@@ -472,6 +472,23 @@ class TestMalformedInput:
         assert sorted(p.name for p in isolated.iterdir()) == ["adir", "left.csv"]
         assert (isolated / "left.csv").read_text() == "old\n" and not list((isolated / "adir").iterdir())
 
+    @pytest.mark.parametrize("svg", ["same.out", "./same.out"], ids=["same", "dot-slash"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--init=" + SE2_INIT, "--steps", "5"],
+            ["shoot", "--problem", "free", "--n", "2", "--q0", "0,0", "--v0", "0,0", "--q1", "1,1", "--v1", "0,0", "--T", "1"],
+        ],
+        ids=["simulate", "shoot"],
+    )
+    def test_two_outputs_on_one_file_write_nothing(self, capsys, isolated, args, svg):
+        # Written one after the other, the SVG would replace the CSV.
+        rc = cli.main([*args, "--csv-out", "same.out", "--svg-out", svg])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: config-error: two outputs name one file: same.out and {svg}\n"
+        assert list(isolated.iterdir()) == []
+
     @pytest.mark.parametrize(
         "data",
         [["--v0", "0", "--v1", "0", "--T", "1e-300", "--h", "1e-301"], ["--v0", "1e308", "--v1", "1e308", "--T", "1", "--h", "0.5"]],
@@ -703,6 +720,61 @@ class TestPlot:
     def test_missing_file(self):
         assert cli.main(["plot", "absent.csv", "out.svg"]) == 2
 
+
+
+FOOTPRINT = """
+import contextlib, io, json, sys
+from geodisc import cli, hamiltonian
+
+
+class FirstStep(BaseException):
+    pass
+
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("geodisc."))
+
+
+def first_step(*args, **kwargs):
+    raise FirstStep(loaded())
+
+
+argv = json.loads(sys.argv[1])
+if argv[0] != "check":
+    hamiltonian.step_residual = first_step
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv):
+            sys.exit("the command failed")
+    print(json.dumps({"stopped": False, "modules": loaded()}))
+except FirstStep as stop:
+    print(json.dumps({"stopped": True, "modules": stop.args[0]}))
+"""
+
+RUN_MODULES = ["geodisc.artifacts", "geodisc.control"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, not_loaded",
+    [
+        (["check", "--seed", "0"], [], ["geodisc.artifacts", "geodisc.control"]),
+        (["simulate", "--problem", "free", "--n", "1", "--steps", "3", "--init=1,2,0,0"], RUN_MODULES, ["geodisc.checks"]),
+        (["shoot", "--problem", "free", "--n", "1", "--q0", "0", "--v0", "0", "--q1", "1", "--v1", "0", "--T", "1"],
+         RUN_MODULES, ["geodisc.checks"]),
+    ],
+    ids=["check", "simulate", "shoot"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded, not_loaded, isolated):
+    # In a fresh interpreter: check never loads the problems or the writers,
+    # and simulate and shoot load all they run before their first step
+    # (hamiltonian.step_residual), and never the check suites.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)], env=env, capture_output=True, text=True, check=True)
+    report = json.loads(run.stdout)
+    modules = set(report["modules"])
+    assert report["stopped"] == (argv[0] != "check")
+    assert set(loaded) <= modules and not set(not_loaded) & modules, modules
 
 
 CLOSED_STDOUT_COMMANDS = {
