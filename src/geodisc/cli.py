@@ -116,6 +116,9 @@ class ExperimentConfig:
         return self.T if self.T is not None else self.steps * self.h
 
     def validate(self, command: str) -> None:
+        if command != "check":  # the CSV a run writes, named after the problem and command by default
+            self.csv_out = self.csv_out or f"{self.problem}-{'trajectory' if command == 'simulate' else command}.csv"
+        _check_outputs(*filter(None, (self.csv_out, self.svg_out, self.json_out)))
         if command == "check":
             from .checks import validate_run
             if self.seed < 0:
@@ -241,20 +244,25 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # commands
 
 
+def _check_outputs(*paths: str) -> None:
+    """Refuse, before any work, outputs that name one file twice, a directory or a file in a missing directory."""
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ConfigError("two outputs name one file: " + " and ".join(paths))
+    for path in paths:
+        missing = not os.path.exists(os.path.dirname(path) or ".")
+        if missing or os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.ENOENT if missing else errno.EISDIR)}")
+
+
 def _write(*outputs) -> None:
     """Write every output ``(write, path, *args)`` as ``write(path, *args)``,
-    or none: no path may be a directory or another output's file, each is
+    or none, on paths that :func:`_check_outputs` has passed: each is
     written once, to a new temp file beside its path with the permissions the
     umask gives a new file, and the temp files replace their paths once all
     are written.  A failure to write a path is raised as ConfigError naming it."""
-    if len({os.path.realpath(path) for _, path, *_ in outputs}) < len(outputs):
-        raise ConfigError("two outputs name one file: " + " and ".join(path for _, path, *_ in outputs))
     staged = []
     os.umask(umask := os.umask(0))  # no call reads the umask without setting it
     try:
-        for _, path, *_ in outputs:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for write, path, *args in outputs:
             fd, tmp = tempfile.mkstemp(prefix=".geodisc-", dir=os.path.dirname(path) or ".")
             os.close(fd)
@@ -272,14 +280,13 @@ def _write(*outputs) -> None:
         raise
 
 
-def _write_artifacts(cfg: ExperimentConfig, traj, clearances, command: str) -> str:
+def _write_artifacts(cfg: ExperimentConfig, traj, clearances) -> str:
     """Write the trajectory CSV with its clearances (None without an
     obstacle), and the XY-path SVG when asked for, all or none.  Returns the
     closing ``csv:`` line."""
     from .artifacts import write_trajectory_csv, write_xy_svg
-    csv_path = cfg.csv_out or f"{cfg.problem}-{command}.csv"
-    outputs = [(write_trajectory_csv, csv_path, traj, clearances)]
-    line = f"csv: {csv_path}"
+    outputs = [(write_trajectory_csv, cfg.csv_out, traj, clearances)]
+    line = f"csv: {cfg.csv_out}"
     if cfg.svg_out:
         circle = (float(cfg.center[0]), float(cfg.center[1]), cfg.r) if clearances is not None else None
         outputs.append((write_xy_svg, cfg.svg_out, traj.positions()[:, :2], circle))
@@ -292,7 +299,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     from . import artifacts, control  # artifacts too: a run loads all it uses before its first step
     n = cfg.dim
     report = control.simulate(n, cfg.h, cfg.steps, cfg.initial_state, base=cfg.base_map(n), obstacle=cfg.obstacle)
-    csv_line = _write_artifacts(cfg, report.trajectory, report.clearances, "trajectory")
+    csv_line = _write_artifacts(cfg, report.trajectory, report.clearances)
     final = report.trajectory.z[-1]
     print("final q      = [%s]" % " ".join("%.6g" % v for v in final[:n]))
     print("final qdot   = [%s]" % " ".join("%.6g" % v for v in final[n : 2 * n]))
@@ -315,7 +322,7 @@ def cmd_shoot(cfg: ExperimentConfig) -> int:
     result = control.shoot(prob, C=C, tol=cfg.tol)
     traj = result.trajectory
     clearances = None if prob.clearance is None else prob.clearance(traj.positions())
-    csv_line = _write_artifacts(cfg, traj, clearances, "shoot")
+    csv_line = _write_artifacts(cfg, traj, clearances)
 
     print("converged    = %s" % result.converged)
     print("p0(0)        = [%s]" % " ".join("%.10g" % v for v in result.p0))
@@ -344,6 +351,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
 
 
 def cmd_plot(csv_path: str, svg_path: str) -> int:
+    _check_outputs(svg_path)
     from .artifacts import read_csv_columns, write_xy_svg
     try:
         cols = read_csv_columns(csv_path)

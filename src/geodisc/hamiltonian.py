@@ -226,9 +226,9 @@ class _StepBlocks:
     ``L`` = [-h JJ S0 | I] maps the lifted-map preimage w to the quadratic
     part of the residual.  When C's inverse is affine, y -> K y + k, L is
     folded into it: ``LK`` = L K with column halves ``A0``, ``A1`` (the z0 and
-    z1 blocks), ``c`` = L k, and the q rows ``Kq`` = K[:n], ``kq`` = k[:n] of
-    the preimage (n = d / 2, the potential's coordinates), again split into
-    ``Kq0``, ``Kq1``.  For any other C these are None.  ``condensed`` holds
+    z1 blocks), ``c`` = L k, and the q rows of the preimage (n = d / 2, the
+    potential's coordinates), views ``Kq0``, ``Kq1`` of K[:n] and ``kq`` =
+    k[:n].  For any other C these are None.  ``condensed`` holds
     the relation solved for the rows and preimages of ``window`` steps:
     _WINDOW with a potential, _ROWS without one, where a window has no fixed
     point and is one product; ``one_step`` holds the same terms for one step.
@@ -241,13 +241,13 @@ class _StepBlocks:
         self.h, self.window = h, _WINDOW if potential else _ROWS
         S0 = np.frombuffer(S0).reshape(2 * d, 2 * d)
         (self.L,) = read_only(np.hstack([-h * (canonical_symplectic_matrix(d) @ S0), np.eye(2 * d)]))
-        self.LK = self.A0 = self.A1 = self.c = self.Kq = self.Kq0 = self.Kq1 = self.kq = None
+        self.LK = self.A0 = self.A1 = self.c = self.Kq0 = self.Kq1 = self.kq = None
         if C.affine is not None:
             _, _, K, k = C.affine
             n = d // 2
-            self.LK, self.c, self.Kq, self.kq = read_only(self.L @ K, self.L @ k) + (K[:n], k[:n])
+            self.LK, self.c, self.kq = read_only(self.L @ K, self.L @ k) + (k[:n],)
             self.A0, self.A1 = self.LK[:, : 2 * d], self.LK[:, 2 * d :]
-            self.Kq0, self.Kq1 = self.Kq[:, : 2 * d], self.Kq[:, 2 * d :]
+            self.Kq0, self.Kq1 = K[:n, : 2 * d], K[:n, 2 * d :]
 
     @cached_property
     def one_step(self) -> tuple[Array, ...]:
@@ -367,23 +367,16 @@ def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> 
 def _step_jacobian(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0: Array, z1: Array) -> Array:
     """d R / d(z0, z1) of the step residual R at one pair (z0, z1), in closed form.
 
-    It is L K, with K the lifted map's inverse Jacobian, plus the rank-n term
-    -h Hess V(q) K[:n] (n = d / 2) on the pdot rows of q (the p0 rows of the
-    second-order system).  Its z1 block is the chord Jacobian.  With an
-    affine inverse and no potential it is the prebuilt ``LK`` of
-    :func:`_step_blocks`, read-only and shared."""
-    blocks = _step_blocks(C, H, h)
+    It is L K, with K the lifted map's inverse Jacobian at y = (z0, z1), plus
+    the rank-n term -h Hess V(q) K[:n] (n = d / 2, q the first n entries of
+    the preimage of y) on the pdot rows of q (the p0 rows of the second-order
+    system).  Its z1 block is the chord Jacobian."""
     V, d, n = H.potential, C.dim // 2, C.dim // 4
     y = np.concatenate([z0, z1])
-    if blocks.LK is None:
-        K = C.inverse_jacobian_flat(y)
-        A, Kq = blocks.L @ K, K[:n]
-    else:
-        A, Kq = blocks.LK, blocks.Kq
+    K = C.inverse_jacobian_flat(y)
+    A = _step_blocks(C, H, h).L @ K
     if V is not None:
-        q = C.inverse_flat(y)[:n] if blocks.LK is None else Kq @ y + blocks.kq
-        A = np.array(A)
-        A[d : d + n] += h * (-V.hess(q) @ Kq)
+        A[d : d + n] += h * (-V.hess(C.inverse_flat(y)[:n]) @ K[:n])
     return A
 
 
@@ -649,6 +642,8 @@ def integrate(
         tangent = np.array(tangent, dtype=float)  # a copy: it is read when the tangent is
         if tangent.ndim != 2 or tangent.shape[0] != 2 * d:
             raise ValueError(f"tangent must be a matrix with {2 * d} rows, got shape {tangent.shape}")
+        if not np.isfinite(tangent).all():
+            raise ValueError("tangent contains non-finite entries")
     blocks = _step_blocks(C, H, h)
     carry = None if tangent is None else []
     z = np.empty((steps + 1, z0.size))

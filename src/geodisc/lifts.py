@@ -31,7 +31,6 @@ midpoint map, the independent test oracle, is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -67,16 +66,6 @@ def _affine_lift(J: Array, offset: Array, order: int) -> tuple[Array, Array]:
     return M, d
 
 
-def _affine(M: Array, d: Array) -> Callable[[Array], Array]:
-    """The flat map x -> M x + d on rows."""
-    return lambda x: matvec(M, np.asarray(x, dtype=float)) + d
-
-
-def _constant(M: Array) -> Callable[[Array], Array]:
-    """The Jacobian x -> M of an affine map, one read-only view per row."""
-    return lambda x: np.broadcast_to(M, x.shape[:-1] + M.shape)
-
-
 @memoized
 def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
     """The order-k lift of a discretization map, a discretization map on the
@@ -100,7 +89,7 @@ def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
     name = f"lift{k}({D.name})" if D.name else f"lift{k}"
     if D.affine is not None:
         (M, d), (Minv, dinv) = _affine_lift(*D.affine[:2], k), _affine_lift(*D.affine[2:], k)
-        return DiscretizationMap(dim, _affine(M, d), _affine(Minv, dinv), _constant(M), (M, d, Minv, dinv), name=name)
+        return DiscretizationMap(dim, affine=(M, d, Minv, dinv), name=name)
 
     def zipped(x) -> Array:
         """x (..., 2 dim) as the jet (..., k + 1, 2 n) of a tangent-bundle curve."""
@@ -187,7 +176,7 @@ def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
     K[np.ix_(points, points)] = Jinv
     K[np.ix_(dual, covectors)] = J.T * signs
     f, k = forward(np.zeros(4 * m)), inverse(np.zeros(4 * m))
-    return CotangentLiftedMap(2 * m, _affine(F, f), _affine(K, k), _constant(F), (F, f, K, k), name=name)
+    return CotangentLiftedMap(2 * m, affine=(F, f, K, k), name=name)
 
 
 @memoized

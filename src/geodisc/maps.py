@@ -14,10 +14,11 @@ to the sphere, body velocities on SE(2)); ``fiber_basis_fn`` and
 vectors are identified with chart tangent vectors.
 
 A map is given by its flat maps on rows (..., 2 dim), (q, v) -> (q_minus,
-q_plus) and back, which the checked ``forward``/``inverse`` join and split;
-higher-order lifts are maps of this type too.  Every function a map is built
-from takes one point or a stack of points, one per row, and gives each row
-the bits of its one-point value; so do the map's flat and checked views.
+q_plus) and back, which the checked ``forward``/``inverse`` join and split,
+or by its ``affine`` form alone, which gives them; higher-order lifts are
+maps of this type too.  Every function a map is built from takes one point
+or a stack of points, one per row, and gives each row the bits of its
+one-point value; so do the map's flat and checked views.
 """
 from __future__ import annotations
 
@@ -43,23 +44,24 @@ memoized = lru_cache(maxsize=32, typed=True)
 
 @dataclass(frozen=True, eq=False)
 class DiscretizationMap:
-    """A discretization map on a manifold charted in R^dim, given by its flat maps.
+    """A discretization map on a manifold charted in R^dim, given by its flat maps or its ``affine`` form.
 
     ``forward_flat`` maps rows x = (q, v) of shape (..., 2 dim) to the point
     pairs (q_minus, q_plus); ``inverse_flat`` recovers x from such a pair.
     ``jacobian_fn(x)``, when given, returns the 2 dim x 2 dim matrix
     d(q_minus, q_plus)/d(q, v) of every row.  ``affine = (F, f, K, k)``, made
-    read-only, states that the map is x -> F x + f with inverse y -> K y + k:
-    lifts place these matrices, and the one-step method folds (K, k) into
-    its step.  The flat maps are unchecked, so that lifts and finite
+    read-only, states that the map is x -> F x + f with inverse y -> K y + k,
+    and gives each flat map and ``jacobian_fn`` (read-only views of F) that
+    is not given: lifts place these matrices, and the one-step method folds
+    (K, k) into its step.  The flat maps are unchecked, so that lifts and finite
     differences may probe the smooth ambient extension; the checked
     ``forward`` and ``inverse`` views check finiteness and lengths and run
     ``validate_fn(q, v)`` on the structured inputs.
     """
 
     dim: int
-    forward_flat: Callable[[Array], Array]
-    inverse_flat: Callable[[Array], Array]
+    forward_flat: Callable[[Array], Array] | None = None
+    inverse_flat: Callable[[Array], Array] | None = None
     jacobian_fn: Callable[[Array], Array] | None = None
     affine: tuple[Array, Array, Array, Array] | None = None
     fiber_basis_fn: Callable[[Array], Array] | None = None
@@ -68,7 +70,14 @@ class DiscretizationMap:
     name: str = ""
 
     def __post_init__(self) -> None:
-        read_only(*(self.affine or ()))
+        if self.affine is not None:
+            F, f, K, k = read_only(*self.affine)
+            fill = object.__setattr__  # the fields not given, on a frozen instance
+            fill(self, "forward_flat", self.forward_flat or (lambda x: matvec(F, np.asarray(x, dtype=float)) + f))
+            fill(self, "inverse_flat", self.inverse_flat or (lambda y: matvec(K, np.asarray(y, dtype=float)) + k))
+            fill(self, "jacobian_fn", self.jacobian_fn or (lambda x: np.broadcast_to(F, x.shape[:-1] + F.shape)))
+        elif self.forward_flat is None or self.inverse_flat is None:
+            raise ValueError(f"{self.name or 'map'} needs its flat maps or its affine form")
 
     def _points(self, x, name: str) -> Array:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -144,7 +153,6 @@ def theta_map(n: int, theta: float) -> DiscretizationMap:
         dim=n,
         forward_flat=_flat(lambda q, v: (q - theta * v, q + (1.0 - theta) * v), n),
         inverse_flat=_flat(lambda a, b: ((1.0 - theta) * a + theta * b, b - a), n),
-        jacobian_fn=lambda x: np.broadcast_to(F, x.shape[:-1] + F.shape),
         affine=(F, f, K, -K @ f),
         name=f"theta(n={n}, theta={theta})",
     )

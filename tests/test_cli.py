@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from geodisc import checks, cli, control
+from geodisc import artifacts, checks, cli, control, hamiltonian
 from geodisc.artifacts import read_csv_columns
 from geodisc.checks import CheckResult
 from geodisc.errors import ConfigError
@@ -488,6 +488,65 @@ class TestMalformedInput:
         assert rc == 2 and out == ""
         assert err == f"error: config-error: two outputs name one file: same.out and {svg}\n"
         assert list(isolated.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--init=" + SE2_INIT, "--csv-out", "left.csv", "--svg-out", "adir"], "cannot write adir: Is a directory"),
+            (
+                ["simulate", "--init=" + SE2_INIT, "--csv-out", "left.csv", "--svg-out", "absent/o.svg"],
+                "cannot write absent/o.svg: No such file or directory",
+            ),
+            (
+                ["simulate", "--init=" + SE2_INIT, "--csv-out", "same.out", "--svg-out", "./same.out"],
+                "two outputs name one file: same.out and ./same.out",
+            ),
+            (FREE, "cannot write free-trajectory.csv: Is a directory"),
+            (SHOOT + ["--T", "1", "--csv-out", "absent/x.csv"], "cannot write absent/x.csv: No such file or directory"),
+            (["check", "--json-out", "absent/x.json"], "cannot write absent/x.json: No such file or directory"),
+            (["check", "--suite", "axioms", "--json-out", "adir"], "cannot write adir: Is a directory"),
+            (["plot", "run.csv", "absent/x.svg"], "cannot write absent/x.svg: No such file or directory"),
+        ],
+        ids=["simulate-dir", "simulate-absent", "simulate-same", "default-csv-dir", "shoot", "check", "check-dir", "plot"],
+    )
+    def test_a_refused_output_is_refused_before_any_work(self, capsys, monkeypatch, isolated, args, message):
+        # No step, no suite and no CSV read: a run is not computed to be thrown away.
+        (isolated / "adir").mkdir()
+        (isolated / "free-trajectory.csv").mkdir()
+        (isolated / "run.csv").write_text("q0,q1\n0,0\n1,1\n")
+        calls = []
+        counted = lambda name, fn: lambda *a, **kw: calls.append(name) or fn(*a, **kw)
+        monkeypatch.setattr(hamiltonian, "step_residual", counted("step", hamiltonian.step_residual))
+        for suite, fn in list(checks.SUITES.items()):
+            monkeypatch.setitem(checks.SUITES, suite, counted(suite, fn))
+        monkeypatch.setattr(artifacts, "read_csv_columns", counted("read", artifacts.read_csv_columns))
+        assert cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: config-error: {message}\n"
+        assert calls == []
+        assert sorted(p.name for p in isolated.iterdir()) == ["adir", "free-trajectory.csv", "run.csv"]
+        assert not list((isolated / "adir").iterdir()) and not list((isolated / "free-trajectory.csv").iterdir())
+
+    @pytest.mark.parametrize(
+        "args, data, message",
+        [
+            (
+                ["simulate", "--init=" + SE2_INIT, "--discretization", "foo"],
+                None,
+                "unknown discretization 'foo' (want midpoint or theta:<x>)",
+            ),
+            (["simulate", "--init=" + SE2_INIT], {"h": "abc"}, "h: expected a number, got 'abc'"),
+            (SHOOT + ["--T", "1"], {"tol": [1]}, "tol: expected a number, got [1]"),
+        ],
+        ids=["discretization-foo", "h-string", "tol-list"],
+    )
+    def test_a_bad_value_is_named_in_one_config_error_line(self, capsys, isolated, args, data, message):
+        if data is not None:
+            (isolated / "cfg.json").write_text(json.dumps(data))
+            args = [*args, "--config", "cfg.json"]
+        assert cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: config-error: {message}\n"
 
     @pytest.mark.parametrize(
         "data",

@@ -577,6 +577,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="^second-order trajectories need an even-dimensional base$"):
             integrate(cotangent_lift(midpoint_map(1)), HamiltonianSystem(dim=1, S0=np.eye(2)), 0.1, 5, np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_non_finite_tangent_is_refused_like_a_non_finite_start(self, value):
+        C, H = free_setup()
+        with pytest.raises(ValueError, match="^z0 contains non-finite entries$"):
+            integrate(C, H, 0.01, 5, np.full(4, value))
+        tangent = np.eye(4)[:, :2].copy()
+        tangent[2, 1] = value
+        with pytest.raises(ValueError, match="^tangent contains non-finite entries$"):
+            integrate(C, H, 0.01, 5, np.array([0.0, 0.1, 0.01, 0.2]), tangent=tangent)
+        with pytest.raises(ValueError, match="^tangent contains non-finite entries$"):
+            integrate(C, H, 0.01, 5, np.array([0.0, 0.1, 0.01, 0.2]), tangent=np.full((4, 1), value))
+
     def test_a_map_and_a_hamiltonian_of_different_dimensions_are_refused(self):
         C, H = second_order_phase_map(1), second_order_hamiltonian(2)
         with pytest.raises(ValueError, match=r"^Hamiltonian lives on T\*R\^4 but the map expects dimension 2$"):
@@ -774,7 +786,7 @@ class TestStepKernel:
         # The blocks and maps live for the whole process, shared by every caller.
         C, H = setup()
         blocks = geodisc.hamiltonian._step_blocks(C, H, 0.01)
-        arrays = [blocks.L, blocks.LK, blocks.A0, blocks.A1, blocks.c, blocks.Kq, blocks.kq, blocks.Kq0, blocks.Kq1]
+        arrays = [blocks.L, blocks.LK, blocks.A0, blocks.A1, blocks.c, blocks.kq, blocks.Kq0, blocks.Kq1]
         arrays += [*blocks.one_step, *blocks.condensed, *C.affine, *midpoint_map(C.dim // 4).affine]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):

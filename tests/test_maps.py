@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import hypothesis as hyp
@@ -63,6 +64,31 @@ class TestFlatMaps:
         assert a.shape == b.shape == (4, 2) and np.array_equal(b, q + 0.5 * V)
         q2, v2 = D.inverse(q, V)
         assert q2.shape == v2.shape == (4, 2) and np.array_equal(v2, V - q)
+
+    def test_an_affine_form_alone_gives_the_flat_maps_and_jacobian(self, rng):
+        # x -> F x + f and y -> K y + k on rows, and read-only views of F,
+        # which dataclasses.replace keeps when the affine form is dropped.
+        F, f = np.array([[1.0, -0.5], [1.0, 0.5]]), np.array([0.25, -1.0])
+        K = np.linalg.inv(F)
+        D = DiscretizationMap(1, affine=(F, f, K, -K @ f))
+        X = rng.normal(size=(5, 2))
+        assert np.array_equal(D.forward_flat(X), X @ F.T + f) and np.array_equal(D.inverse_flat(X), X @ K.T - K @ f)
+        assert np.array_equal(D.forward_flat(X[0]), F @ X[0] + f)
+        J = D.jacobian_forward_flat(X)
+        assert J.shape == (5, 2, 2) and np.array_equal(J[3], F) and not J.flags.writeable
+        plain = replace(D, affine=None)
+        assert plain.affine is None and np.array_equal(plain.forward_flat(X), D.forward_flat(X))
+        assert np.array_equal(plain.jacobian_forward_flat(X[0]), F)
+
+    def test_given_flat_maps_and_jacobian_stay_beside_the_affine_form(self):
+        given = {"forward_flat": np.negative, "inverse_flat": np.positive, "jacobian_fn": np.zeros_like}
+        kept = replace(theta_map(1, 0.3), **given)
+        assert kept.affine is not None and all(getattr(kept, name) is fn for name, fn in given.items())
+
+    @pytest.mark.parametrize("given", [{}, {"forward_flat": np.negative}, {"inverse_flat": np.negative}])
+    def test_a_map_without_flat_maps_or_affine_form_is_refused(self, given):
+        with pytest.raises(ValueError, match=r"^bare needs its flat maps or its affine form$"):
+            DiscretizationMap(1, name="bare", **given)
 
     @pytest.mark.parametrize("theta", [-0.1, 1.5])
     def test_theta_range_checked(self, theta):

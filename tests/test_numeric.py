@@ -70,6 +70,18 @@ class TestTaylorDerivatives:
             taylor_derivatives(lambda t: 1.0 / 0.0, 1)
         assert isinstance(err.value.__cause__, ZeroDivisionError)
 
+    def test_the_package_own_error_of_the_curve_passes_unwrapped(self):
+        # Only foreign errors are wrapped: a DomainViolation at the first
+        # stencil point off 0 (-2 h, h = 1e-3) stays one.
+        def f(t):
+            if t:
+                raise DomainViolation(f"off the domain at {t}")
+            return np.array([1.0])
+
+        with pytest.raises(DomainViolation, match=r"^off the domain at -0\.002$") as err:
+            taylor_derivatives(f, 1)
+        assert type(err.value) is DomainViolation and err.value.__cause__ is None
+
     def test_order_cap(self):
         f = lambda t: np.array([t])
         with pytest.raises(UnsupportedOrder):
