@@ -245,13 +245,16 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _check_outputs(*paths: str) -> None:
-    """Refuse, before any work, outputs that name one file twice, a directory or a file in a missing directory."""
+    """Refuse, before any work, outputs that name one file twice, a directory or a file whose parent is no directory."""
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise ConfigError("two outputs name one file: " + " and ".join(paths))
     for path in paths:
-        missing = not os.path.exists(os.path.dirname(path) or ".")
-        if missing or os.path.isdir(path):
-            raise ConfigError(f"cannot write {path}: {os.strerror(errno.ENOENT if missing else errno.EISDIR)}")
+        try:  # "dir/." resolves only through a directory: ENOENT or ENOTDIR otherwise
+            os.stat(os.path.join(os.path.dirname(path), "."))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
 
 
 def _write(*outputs) -> None:
@@ -351,6 +354,8 @@ def cmd_check(cfg: ExperimentConfig) -> int:
 
 
 def cmd_plot(csv_path: str, svg_path: str) -> int:
+    if os.path.realpath(csv_path) == os.path.realpath(svg_path):
+        raise ConfigError(f"the CSV and the SVG name one file: {csv_path} and {svg_path}")
     _check_outputs(svg_path)
     from .artifacts import read_csv_columns, write_xy_svg
     try:

@@ -20,10 +20,10 @@ matrix, the relations (mdot, pdot) = h JJ grad H(m, p), that is
 
     R(z1) = L w + h JJ grad V(q) = 0,      L = [-h JJ S0 | I],
 
-for z1.  When the lifted map's inverse is affine, w = K (z0, z1) + k
-(every base with an ``affine`` form), L is folded into it once per (C, S0, h): with
-A0 = L K0, A1 = L K1 and c = L k, a step computes b = A0 z0 + c once, a free
-residual is A1 z1 + b, and V adds -h grad V on the n p0 rows.
+for z1.  When the lifted map's inverse is linear, w = K (z0, z1) (every
+base with an ``affine`` form, which has no offset), L is folded into it once
+per (C, S0, h): with A0 = L K0 and A1 = L K1, a step computes b = A0 z0 once,
+a free residual is A1 z1 + b, and V adds -h grad V on the n p0 rows.
 Any other base takes w from the lifted map's inverse in the same formula.
 An affine step is linear but for grad V at one preimage q: it has n
 unknowns, not 4n (:attr:`_StepBlocks.one_step`).
@@ -224,47 +224,45 @@ class _StepBlocks:
     (S0 by its bytes): looked up by :func:`_step_blocks`, built once for the few latest keys, and read-only.
 
     ``L`` = [-h JJ S0 | I] maps the lifted-map preimage w to the quadratic
-    part of the residual.  When C's inverse is affine, y -> K y + k, L is
-    folded into it: ``LK`` = L K with column halves ``A0``, ``A1`` (the z0 and
-    z1 blocks), ``c`` = L k, and the q rows of the preimage (n = d / 2, the
-    potential's coordinates), views ``Kq0``, ``Kq1`` of K[:n] and ``kq`` =
-    k[:n].  For any other C these are None.  ``condensed`` holds
-    the relation solved for the rows and preimages of ``window`` steps:
-    _WINDOW with a potential, _ROWS without one, where a window has no fixed
-    point and is one product; ``one_step`` holds the same terms for one step.
+    part of the residual.  When C's inverse is linear, y -> K y, L is folded
+    into it: ``LK`` = L K with column halves ``A0``, ``A1`` (the z0 and z1
+    blocks), and the q rows of the preimage (``n`` = d / 2, the potential's
+    coordinates), views ``Kq0``, ``Kq1`` of K[:n].  For any other C these
+    are None.  ``condensed`` holds the relation solved for the rows and
+    preimages of ``window`` steps: _WINDOW with a potential, _ROWS without
+    one, where a window has no fixed point and is one product; ``one_step``
+    holds the same terms for one step.
     """
 
     def __init__(self, C: CotangentLiftedMap, dim: int, S0: bytes, potential: bool, h: float):
         d = C.dim // 2
         if dim != d:
             raise ValueError(f"Hamiltonian lives on T*R^{dim} but the map expects dimension {d}")
-        self.h, self.window = h, _WINDOW if potential else _ROWS
+        self.h, self.window, self.n = h, _WINDOW if potential else _ROWS, d // 2
         S0 = np.frombuffer(S0).reshape(2 * d, 2 * d)
         (self.L,) = read_only(np.hstack([-h * (canonical_symplectic_matrix(d) @ S0), np.eye(2 * d)]))
-        self.LK = self.A0 = self.A1 = self.c = self.Kq0 = self.Kq1 = self.kq = None
+        self.LK = self.A0 = self.A1 = self.Kq0 = self.Kq1 = None
         if C.affine is not None:
-            _, _, K, k = C.affine
-            n = d // 2
-            self.LK, self.c, self.kq = read_only(self.L @ K, self.L @ k) + (k[:n],)
+            K = C.affine[1]
+            (self.LK,) = read_only(self.L @ K)
             self.A0, self.A1 = self.LK[:, : 2 * d], self.LK[:, 2 * d :]
-            self.Kq0, self.Kq1 = K[:n, : 2 * d], K[:n, 2 * d :]
+            self.Kq0, self.Kq1 = K[: self.n, : 2 * d], K[: self.n, 2 * d :]
 
     @cached_property
     def one_step(self) -> tuple[Array, ...]:
-        """For an affine inverse, the folded step relation
-        A0 z0 + A1 z1 + c - h E grad V(q) = 0 (E the n p0 rows,
-        q = Kq0 z0 + Kq1 z1 + kq) solved for z1 and q with J = A1^-1:
+        """For a linear inverse, the folded step relation
+        A0 z0 + A1 z1 - h E grad V(q) = 0 (E the n p0 rows,
+        q = Kq0 z0 + Kq1 z1) solved for z1 and q with J = A1^-1:
 
-            z1 = z0 + D z0 + m + h W grad V(q),    q = Gq z0 + gq + h P grad V(q),
+            z1 = z0 + D z0 + h W grad V(q),    q = Gq z0 + h P grad V(q),
 
-        D = M - I = -J (A0 + A1), m = -J c, W = J E, Gq = Kq0 + Kq1 M,
-        gq = kq + Kq1 m and P = Kq1 W.  Returns (D, m, hW, Gq, gq, hP), built on
-        first use: the terms (Z, s, T, G, t, K) of :attr:`condensed` at b = 1."""
+        D = M - I = -J (A0 + A1), W = J E, Gq = Kq0 + Kq1 M and P = Kq1 W.
+        Returns (D, hW, Gq, hP), built on first use: the terms (Z, T, G, K)
+        of :attr:`condensed` at b = 1."""
         J = _solve(self.A1)
-        d, n = self.A1.shape[0], self.kq.size
-        D, m = -(J @ (self.A0 + self.A1)), -(J @ self.c)
-        M, hW = np.eye(d) + D, self.h * J[:, d // 2 : d // 2 + n]
-        return read_only(D, m, hW, self.Kq0 + self.Kq1 @ M, self.kq + self.Kq1 @ m, self.Kq1 @ hW)
+        d, D = self.A1.shape[0], -(J @ (self.A0 + self.A1))
+        M, hW = np.eye(d) + D, self.h * J[:, d // 2 : d // 2 + self.n]
+        return read_only(D, hW, self.Kq0 + self.Kq1 @ M, self.Kq1 @ hW)
 
     @cached_property
     def condensed(self) -> tuple[Array, ...]:
@@ -272,35 +270,31 @@ class _StepBlocks:
         from z_k, with g_i = grad V(q_{k+i}) stacked as g, the rows and their
         preimages are
 
-            z_{k+1..k+B} = z_k + Z z_k + s + T g,    q_{k..k+B-1} = G z_k + t + K g:
+            z_{k+1..k+B} = z_k + Z z_k + T g,    q_{k..k+B-1} = G z_k + K g:
 
-        Z stacks M^j - I and s the offsets sum_{i<j} M^i m (j = 1 .. B), G
-        stacks Gq M^j and t the Gq s_j + gq (j < B), and T and K are block
-        lower-triangular Toeplitz in M^j hW and in Gq M^(j-1) hW with hP on
-        K's diagonal; b < B steps take the leading rows and columns.  Z and s
-        go on to j = ``window`` (without a potential a window is 256 steps
-        and only they are read).  Returns (Z, s, T, G, t, K, hW, hP, M, Gq),
-        built on first use.  The first B powers are built as M^j - I from the
-        O(h) increment D, so their rounding scales with h instead of biasing
-        every row by eps |z_k| (Hairer, Lubich & Wanner, Geometric Numerical
-        Integration, 2nd ed., VIII.5); the later ones B at a time from
-        M^(i+j) - I = Z_i + Z_j + Z_j Z_i, one product each."""
-        D, m, hW, Gq, gq, hP = self.one_step
-        d, n, B, R = D.shape[0], gq.size, _WINDOW, self.window
-        Z, s = np.zeros((R + 1, d, d)), np.zeros((R + 1, d))  # Z[j] = M^j - I
+        Z stacks M^j - I (j = 1 .. B), G stacks Gq M^j (j < B), and T and K
+        are block lower-triangular Toeplitz in M^j hW and in Gq M^(j-1) hW
+        with hP on K's diagonal; b < B steps take the leading rows and
+        columns.  Z goes on to j = ``window`` (without a potential a window
+        is 256 steps and only Z is read).  Returns (Z, T, G, K, hW, hP, M,
+        Gq), built on first use.  The first B powers are built as M^j - I
+        from the O(h) increment D, so their rounding scales with h instead of
+        biasing every row by eps |z_k| (Hairer, Lubich & Wanner, Geometric
+        Numerical Integration, 2nd ed., VIII.5); the later ones B at a time
+        from M^(i+j) - I = Z_i + Z_j + Z_j Z_i, one product each."""
+        D, hW, Gq, hP = self.one_step
+        d, n, B, R = D.shape[0], self.n, _WINDOW, self.window
+        Z = np.zeros((R + 1, d, d))  # Z[j] = M^j - I
         for j in range(B):
             Z[j + 1] = Z[j] + D + D @ Z[j]
-            s[j + 1] = s[j] + D @ s[j] + m
         P = Z[1 : B + 1].reshape(B * d, d)
-        for i in range(B, R, B):  # s_(i+j) = s_i + s_j + Z_j s_i
+        for i in range(B, R, B):
             Z[i + 1 : i + B + 1] = Z[i] + Z[1 : B + 1] + (P @ Z[i]).reshape(B, d, d)
-            s[i + 1 : i + B + 1] = s[i] + s[1 : B + 1] + (P @ s[i]).reshape(B, d)
         Wp = hW + Z[:B] @ hW  # Wp[j] = M^j hW
         G = Gq + Gq @ Z[:B]
-        t = s[:B] @ Gq.T + gq
         T, K = _toeplitz(Wp), _toeplitz(np.concatenate([hP[None], Gq @ Wp[: B - 1]]))
-        Z, s, G, t = Z[1:].reshape(R * d, d), s[1:].ravel(), G.reshape(B * n, d), t.ravel()
-        return read_only(Z, s, T, G, t, K, hW, hP, np.eye(d) + D, Gq)
+        Z, G = Z[1:].reshape(R * d, d), G.reshape(B * n, d)
+        return read_only(Z, T, G, K, hW, hP, np.eye(d) + D, Gq)
 
 
 _blocks = lru_cache(maxsize=8)(_StepBlocks)
@@ -351,10 +345,10 @@ def step_residual(C: CotangentLiftedMap, H: HamiltonianSystem, h: float, z0) -> 
         return residual
 
     A1, Kq1 = blocks.A1, blocks.Kq1
-    b = matvec(blocks.A0, z0) + blocks.c
+    b = matvec(blocks.A0, z0)
     if V is None:
         return lambda z1: matvec(A1, z1) + b
-    bq = matvec(blocks.Kq0, z0) + blocks.kq
+    bq = matvec(blocks.Kq0, z0)
 
     def residual(z1: Array) -> Array:
         R = matvec(A1, z1) + b
@@ -428,7 +422,7 @@ def symplectic_step(
     z1, ok, blocks = z0.copy(), np.zeros(z0.shape[:-1], dtype=bool), _step_blocks(C, H, h)  # a failed row keeps z0
     if blocks.LK is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            ok = _window(blocks.one_step, H.potential, z0, 1, np.zeros(z0.shape[:-1] + blocks.kq.shape), z1[..., None, :])[1]
+            ok = _window(blocks.one_step, H.potential, z0, 1, np.zeros(z0.shape[:-1] + (blocks.n,)), z1[..., None, :])[1]
             try:
                 ok &= np.abs(residual(z1)).max(axis=-1) <= _floor(tol, z0)
             except GeodiscError:  # then every row goes alone
@@ -454,15 +448,13 @@ _SWEEPS = 30  # fixed-point sweeps per window before it fails
 
 
 def _verified_steps(blocks: _StepBlocks, z: Array, k: int, end: int, tol: float, hG: Array | None = None) -> int:
-    """Number of leading steps k .. end - 1 of z whose full residual A0 z_k + A1 z_{k+1} + c, plus ``hG`` (-h grad V
+    """Number of leading steps k .. end - 1 of z whose full residual A0 z_k + A1 z_{k+1}, plus ``hG`` (-h grad V
     at the step's preimage, a row per step) on the p0 rows, is finite and within :func:`_floor`: the steps as columns,
     so each maximum runs along whole rows, in two arrays of their size (a broadcast sum would buffer a third)."""
     tmp = z[k:end].T.copy()
     floor = _floor(tol, tmp, axis=0, out=tmp)
     R = blocks.A0 @ z[k:end].T
     R += np.matmul(blocks.A1, z[k + 1 : end + 1].T, out=tmp)
-    tmp[...] = blocks.c[:, None]
-    R += tmp
     if hG is not None:
         d = R.shape[0] // 2
         R[d : d + hG.shape[1]] += hG.T
@@ -489,19 +481,19 @@ def _row_gradients(grad: Callable[[Array], Array], Q: Array) -> Array:
 
 def _window(terms: tuple[Array, ...], V: Potential | None, z0: Array, b: int, g: Array, out: Array) -> tuple[Array, Array]:
     """Solve b condensed steps from each start of z0 (one state, or rows (k, 4n)) as one window in the terms
-    (Z, s, T, G, t, K) of :attr:`_StepBlocks.condensed` (:attr:`_StepBlocks.one_step` at b = 1): write the rows
-    z0 + Z z0 + s + T g of each start that settles into ``out`` (..., b, 4n) and return (last gradients, settled
+    (Z, T, G, K) of :attr:`_StepBlocks.condensed` (:attr:`_StepBlocks.one_step` at b = 1): write the rows
+    z0 + Z z0 + T g of each start that settles into ``out`` (..., b, 4n) and return (last gradients, settled
     mask).  Every product is a ``matvec``, so each start has the bits of a one-start call.  Without a potential
-    g = 0; with one, the fixed point g = grad V(G z0 + t + K g) is swept from each start's last gradient ``g``
+    g = 0; with one, the fixed point g = grad V(G z0 + K g) is swept from each start's last gradient ``g``
     (..., n), one gradient call on the open starts and one matvec a sweep.  A start leaves with its gradients once
     a sweep moves its preimages by at most 4 eps of their size (settled), by no less than the sweep before (failed,
     as on a nan) or when its gradient raises a GeodiscError (on rows, its own row's: :func:`_row_gradients`)."""
-    Z, s, T, G, t, K = terms[:6]
+    Z, T, G, K = terms[:4]
     dz, n = z0.shape[-1], g.shape[-1]
-    rows = matvec(Z[: b * dz], z0) + s[: b * dz]
+    rows = matvec(Z[: b * dz], z0)
     ok = (np.ones if V is None else np.zeros)(z0.shape[:-1], dtype=bool)  # with a potential, ok once settled
     if V is not None:
-        base, K, gs = matvec(G[: b * n], z0) + t[: b * n], K[: b * n, : b * n], np.empty(z0.shape[:-1] + (b * n,))
+        base, K, gs = matvec(G[: b * n], z0), K[: b * n, : b * n], np.empty(z0.shape[:-1] + (b * n,))
         gs.reshape(g.shape[:-1] + (b, n))[:] = g[..., None, :]
         lone = z0.ndim == 1  # one start: no row fallback for its gradient and no count of open starts
         grad = V.grad if lone else partial(_row_gradients, V.grad)
@@ -538,8 +530,7 @@ def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int,
     of the verified steps, :func:`_condensed_tangent`, in factors of up to
     _ROWS steps.  Returns the first step that failed (the step count when
     none did)."""
-    steps, n = z.shape[0] - 1, blocks.kq.size
-    g, b = np.zeros(n), blocks.window
+    steps, g, b = z.shape[0] - 1, np.zeros(blocks.n), blocks.window
     while k < steps:
         j, end = k, min(k + _SPAN * blocks.window, steps)
         while j < end:
@@ -557,7 +548,6 @@ def _condensed_steps(blocks: _StepBlocks, V: Potential | None, z: Array, k: int,
         if V is not None:
             Q = z[k:j] @ blocks.Kq0.T
             Q += z[k + 1 : j + 1] @ blocks.Kq1.T
-            Q += blocks.kq
             hG = -blocks.h * _row_gradients(V.grad, Q)
         verified = _verified_steps(blocks, z, k, j, tol, hG)
         if carry is not None:  # a tangent factor per _ROWS steps
@@ -606,9 +596,13 @@ def integrate(
     at every state.
 
     The step matrices are looked up by :func:`_step_blocks`, so every run of
-    one (C, S0, h) shares one build.  Step 0 runs the chord iteration; the
-    inverse of the residual's closed-form Jacobian is carried across chord
-    steps and refreshed only when a step stalls.  On an affine lifted map
+    one (C, S0, h) shares one build.  Step 0 runs the chord iteration, on
+    every map: taken condensed, it would let a free ``shoot --tol 0``
+    converge at defect 0 instead of stalling, turn a shooting guess through
+    the obstacle from ObstaclePenetration into a stalled EvaluationFailure,
+    and move every output at rounding level.  The inverse of the residual's
+    closed-form Jacobian is carried across chord steps and refreshed only
+    when a step stalls.  On an affine lifted map
     the later steps are condensed a window at a time
     (:func:`_condensed_steps`: 32 steps with a potential, 256 without) and
     checked once per eight windows: each step's full residual must be finite

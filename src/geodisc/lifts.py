@@ -17,15 +17,15 @@ Lifting moves a discretization map between spaces:
 Every lift is itself a :class:`~geodisc.maps.DiscretizationMap` given by
 its flat maps, so the checked views, the axioms and the finite-difference
 Jacobian apply to it as to its base; a cotangent lift is a
-:class:`CotangentLiftedMap` on T*M, whose ``dim`` is 2m, not m.  Every lift
-reaches its base only through the base's unchecked flat maps
-(``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``) and the
-matrices of its ``affine``, placed into the lift's own.  Every flat map also
-takes rows (..., k), one point per row, each with the bits of its one-point
-value.  A lift that inverts a base Jacobian or transports
-covectors by it raises :class:`~geodisc.errors.SingularJacobian` when that
-Jacobian is singular to working precision.  The closed form of the lifted
-midpoint map, the independent test oracle, is
+:class:`CotangentLiftedMap` on T*M, whose ``dim`` is 2m, not m.  A lift
+reaches an affine base only through the matrices (F, K) of its ``affine``,
+placed into the lift's own, and any other base only through its unchecked
+flat maps (``forward_flat``, ``inverse_flat``, ``jacobian_forward_flat``).
+Every flat map also takes rows (..., k), one point per row, each with the
+bits of its one-point value.  A lift that inverts a base Jacobian or
+transports covectors by it raises :class:`~geodisc.errors.SingularJacobian`
+when that Jacobian is singular to working precision.  The closed form of
+the lifted midpoint map, the independent test oracle, is
 :func:`geodisc.checks.midpoint_cotangent_closed_form`.
 """
 from __future__ import annotations
@@ -55,15 +55,13 @@ def _invertible(J: Array, what: str) -> Array:
     return J
 
 
-def _affine_lift(J: Array, offset: Array, order: int) -> tuple[Array, Array]:
-    """The order-k lift of the base map x -> J x + offset, as (M, d) for the
-    flat map x -> M x + d: J acts on every zipped slot, the offset on slot 0."""
-    slots = zip_jet_tangent(np.arange((order + 1) * offset.size), order)
+def _affine_lift(J: Array, order: int) -> Array:
+    """The order-k lift of the base map x -> J x, the matrix M of the flat map
+    x -> M x: J acts on every zipped slot."""
+    slots = zip_jet_tangent(np.arange((order + 1) * J.shape[1]), order)
     M = np.zeros((slots.size, slots.size))
     M[slots[:, :, None], slots[:, None, :]] = J
-    d = np.zeros(slots.size)
-    d[slots[0]] = offset
-    return M, d
+    return M
 
 
 @memoized
@@ -88,8 +86,7 @@ def higher_order_lift(D: DiscretizationMap, order: int) -> DiscretizationMap:
     dim = (k + 1) * D.dim
     name = f"lift{k}({D.name})" if D.name else f"lift{k}"
     if D.affine is not None:
-        (M, d), (Minv, dinv) = _affine_lift(*D.affine[:2], k), _affine_lift(*D.affine[2:], k)
-        return DiscretizationMap(dim, affine=(M, d, Minv, dinv), name=name)
+        return DiscretizationMap(dim, affine=tuple(_affine_lift(J, k) for J in D.affine), name=name)
 
     def zipped(x) -> Array:
         """x (..., 2 dim) as the jet (..., k + 1, 2 n) of a tangent-bundle curve."""
@@ -133,14 +130,30 @@ class CotangentLiftedMap(DiscretizationMap):
 def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
     """The lift of a discretization map D on M = R^m to the phase space T*M.
 
-    It reaches D only through its unchecked flat maps, so D may be any
-    discretization map, a higher-order lift included, and probes may leave
-    its manifold.  An affine D gives an affine lift, x -> F x + f and
-    y -> K y + k placed once from J and J^{-1} in ``D.affine``; any other D
+    It reaches D only through its unchecked flat maps, or an affine D through
+    ``D.affine`` alone, so D may be any discretization map, a higher-order
+    lift included, and probes may leave its manifold.  An affine D gives a
+    linear lift, x -> F x and y -> K y placed from J and J^{-1}; any other D
     takes the composed maps, forward with one batched solve against J^T.
     """
     m = D.dim
     name = f"cotangent({D.name})" if D.name else "cotangent"
+    if D.affine is not None:
+        # Linear both ways, with (J, J^{-1}) the base's (F, K): forward
+        # (m0, m1) = J (m, mdot), (-p0, p1) = J^{-T} (pdot, p); inverse
+        # (m, mdot) = J^{-1} (m0, m1), (pdot, p) = J^T (-p0, p1).
+        J, Jinv = D.affine
+        points = np.r_[0:m, 2 * m : 3 * m]  # (m, mdot) and (m0, m1)
+        covectors = np.r_[m : 2 * m, 3 * m : 4 * m]  # (p0, p1)
+        dual = np.r_[3 * m : 4 * m, m : 2 * m]  # (pdot, p)
+        signs = np.r_[-np.ones(m), np.ones(m)]
+        F = np.zeros((4 * m, 4 * m))
+        F[np.ix_(points, points)] = J
+        F[np.ix_(covectors, dual)] = Jinv.T * signs[:, None]
+        K = np.zeros((4 * m, 4 * m))
+        K[np.ix_(points, points)] = Jinv
+        K[np.ix_(dual, covectors)] = J.T * signs
+        return CotangentLiftedMap(2 * m, affine=(F, K), name=name)
 
     def forward(x) -> Array:
         x = np.asarray(x, dtype=float)
@@ -158,25 +171,7 @@ def cotangent_lift(D: DiscretizationMap) -> CotangentLiftedMap:
         col = matvec(np.swapaxes(J, -1, -2), np.concatenate([-y[..., m : 2 * m], y[..., 3 * m :]], axis=-1))
         return np.concatenate([base_x[..., :m], col[..., m:], base_x[..., m:], col[..., :m]], axis=-1)
 
-    if D.affine is None:
-        return CotangentLiftedMap(2 * m, forward, inverse, name=name)
-    # Affine both ways, with (J, J^{-1}) the base's (F, K): forward
-    # (m0, m1) = J (m, mdot) + const, (-p0, p1) = J^{-T} (pdot, p); inverse
-    # (m, mdot) = J^{-1} (m0, m1) + const, (pdot, p) = J^T (-p0, p1).  f and
-    # k are the composed maps at 0.
-    J, _, Jinv, _ = D.affine
-    points = np.r_[0:m, 2 * m : 3 * m]  # (m, mdot) and (m0, m1)
-    covectors = np.r_[m : 2 * m, 3 * m : 4 * m]  # (p0, p1)
-    dual = np.r_[3 * m : 4 * m, m : 2 * m]  # (pdot, p)
-    signs = np.r_[-np.ones(m), np.ones(m)]
-    F = np.zeros((4 * m, 4 * m))
-    F[np.ix_(points, points)] = J
-    F[np.ix_(covectors, dual)] = Jinv.T * signs[:, None]
-    K = np.zeros((4 * m, 4 * m))
-    K[np.ix_(points, points)] = Jinv
-    K[np.ix_(dual, covectors)] = J.T * signs
-    f, k = forward(np.zeros(4 * m)), inverse(np.zeros(4 * m))
-    return CotangentLiftedMap(2 * m, affine=(F, f, K, k), name=name)
+    return CotangentLiftedMap(2 * m, forward, inverse, name=name)
 
 
 @memoized

@@ -49,21 +49,22 @@ class DiscretizationMap:
     ``forward_flat`` maps rows x = (q, v) of shape (..., 2 dim) to the point
     pairs (q_minus, q_plus); ``inverse_flat`` recovers x from such a pair.
     ``jacobian_fn(x)``, when given, returns the 2 dim x 2 dim matrix
-    d(q_minus, q_plus)/d(q, v) of every row.  ``affine = (F, f, K, k)``, made
-    read-only, states that the map is x -> F x + f with inverse y -> K y + k,
-    and gives each flat map and ``jacobian_fn`` (read-only views of F) that
-    is not given: lifts place these matrices, and the one-step method folds
-    (K, k) into its step.  The flat maps are unchecked, so that lifts and finite
-    differences may probe the smooth ambient extension; the checked
-    ``forward`` and ``inverse`` views check finiteness and lengths and run
-    ``validate_fn(q, v)`` on the structured inputs.
+    d(q_minus, q_plus)/d(q, v) of every row.  ``affine = (F, K)``, made
+    read-only, states that the map is linear, x -> F x with inverse y -> K y:
+    condition (1) at q = 0 leaves an affine map no offset.  It gives each flat
+    map and ``jacobian_fn`` (read-only views of F) that is not given: lifts
+    place these matrices, and the one-step method folds K into its step.  The
+    flat maps are unchecked, so that lifts and finite differences may probe
+    the smooth ambient extension; the checked ``forward`` and ``inverse``
+    views check finiteness and lengths and run ``validate_fn(q, v)`` on the
+    structured inputs.
     """
 
     dim: int
     forward_flat: Callable[[Array], Array] | None = None
     inverse_flat: Callable[[Array], Array] | None = None
     jacobian_fn: Callable[[Array], Array] | None = None
-    affine: tuple[Array, Array, Array, Array] | None = None
+    affine: tuple[Array, Array] | None = None
     fiber_basis_fn: Callable[[Array], Array] | None = None
     fiber_frame_fn: Callable[[Array], Array] | None = None
     validate_fn: Callable[[Array, Array], None] | None = None
@@ -71,10 +72,10 @@ class DiscretizationMap:
 
     def __post_init__(self) -> None:
         if self.affine is not None:
-            F, f, K, k = read_only(*self.affine)
+            F, K = read_only(*self.affine)
             fill = object.__setattr__  # the fields not given, on a frozen instance
-            fill(self, "forward_flat", self.forward_flat or (lambda x: matvec(F, np.asarray(x, dtype=float)) + f))
-            fill(self, "inverse_flat", self.inverse_flat or (lambda y: matvec(K, np.asarray(y, dtype=float)) + k))
+            fill(self, "forward_flat", self.forward_flat or (lambda x: matvec(F, np.asarray(x, dtype=float))))
+            fill(self, "inverse_flat", self.inverse_flat or (lambda y: matvec(K, np.asarray(y, dtype=float))))
             fill(self, "jacobian_fn", self.jacobian_fn or (lambda x: np.broadcast_to(F, x.shape[:-1] + F.shape)))
         elif self.forward_flat is None or self.inverse_flat is None:
             raise ValueError(f"{self.name or 'map'} needs its flat maps or its affine form")
@@ -115,7 +116,7 @@ class DiscretizationMap:
         y = np.asarray(y, dtype=float)
         if self.affine is None:
             return jacobian_fd(self.inverse_flat, y)
-        return np.broadcast_to(self.affine[2], y.shape[:-1] + self.affine[2].shape).copy()
+        return np.broadcast_to(self.affine[1], y.shape[:-1] + self.affine[1].shape).copy()
 
 
 def _flat(fn: Callable[[Array, Array], tuple[Array, Array]], dim: int) -> Callable[[Array], Array]:
@@ -147,13 +148,13 @@ def theta_map(n: int, theta: float) -> DiscretizationMap:
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     eye = np.eye(n)
-    F, f = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]]), np.zeros(2 * n)
+    F = np.block([[eye, -theta * eye], [eye, (1.0 - theta) * eye]])
     K = np.block([[(1.0 - theta) * eye, theta * eye], [-eye, eye]])
     return DiscretizationMap(
         dim=n,
         forward_flat=_flat(lambda q, v: (q - theta * v, q + (1.0 - theta) * v), n),
         inverse_flat=_flat(lambda a, b: ((1.0 - theta) * a + theta * b, b - a), n),
-        affine=(F, f, K, -K @ f),
+        affine=(F, K),
         name=f"theta(n={n}, theta={theta})",
     )
 

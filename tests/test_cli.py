@@ -506,14 +506,21 @@ class TestMalformedInput:
             (["check", "--json-out", "absent/x.json"], "cannot write absent/x.json: No such file or directory"),
             (["check", "--suite", "axioms", "--json-out", "adir"], "cannot write adir: Is a directory"),
             (["plot", "run.csv", "absent/x.svg"], "cannot write absent/x.svg: No such file or directory"),
+            (["simulate", "--init=" + SE2_INIT, "--csv-out", "afile/x.csv"], "cannot write afile/x.csv: Not a directory"),
+            (["plot", "run.csv", "run.csv"], "the CSV and the SVG name one file: run.csv and run.csv"),
+            (["plot", "./run.csv", "run.csv"], "the CSV and the SVG name one file: ./run.csv and run.csv"),
         ],
-        ids=["simulate-dir", "simulate-absent", "simulate-same", "default-csv-dir", "shoot", "check", "check-dir", "plot"],
+        ids=[
+            "simulate-dir", "simulate-absent", "simulate-same", "default-csv-dir", "shoot", "check", "check-dir", "plot",
+            "simulate-parent-file", "plot-onto-its-csv", "plot-onto-its-csv-dot",
+        ],
     )
     def test_a_refused_output_is_refused_before_any_work(self, capsys, monkeypatch, isolated, args, message):
         # No step, no suite and no CSV read: a run is not computed to be thrown away.
         (isolated / "adir").mkdir()
         (isolated / "free-trajectory.csv").mkdir()
         (isolated / "run.csv").write_text("q0,q1\n0,0\n1,1\n")
+        (isolated / "afile").write_text("")
         calls = []
         counted = lambda name, fn: lambda *a, **kw: calls.append(name) or fn(*a, **kw)
         monkeypatch.setattr(hamiltonian, "step_residual", counted("step", hamiltonian.step_residual))
@@ -524,8 +531,9 @@ class TestMalformedInput:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: config-error: {message}\n"
         assert calls == []
-        assert sorted(p.name for p in isolated.iterdir()) == ["adir", "free-trajectory.csv", "run.csv"]
+        assert sorted(p.name for p in isolated.iterdir()) == ["adir", "afile", "free-trajectory.csv", "run.csv"]
         assert not list((isolated / "adir").iterdir()) and not list((isolated / "free-trajectory.csv").iterdir())
+        assert (isolated / "run.csv").read_text() == "q0,q1\n0,0\n1,1\n" and (isolated / "afile").read_text() == ""
 
     @pytest.mark.parametrize(
         "args, data, message",

@@ -432,19 +432,18 @@ class TestWindow:
     @pytest.mark.parametrize("base", [midpoint_map, lambda n: theta_map(n, 0.3)], ids=["midpoint", "theta0.3"])
     @pytest.mark.parametrize("h", [0.01, 0.1])
     def test_condensed_terms_at_one_step_are_the_one_step_terms(self, potential, base, h):
-        # The merge rests on this: (Z, s, T, G, t, K) cut to b = 1 are
-        # one_step's (D, m, hW, Gq, gq, hP).  Z and s are built by increments
-        # from Z_0 = 0 and s_0 = 0, so they hold +0 where D and m hold -0;
-        # the sign of a zero aside, every bit agrees.
+        # The merge rests on this: (Z, T, G, K) cut to b = 1 are one_step's
+        # (D, hW, Gq, hP).  Z is built by increments from Z_0 = 0, so it holds
+        # +0 where D holds -0; the sign of a zero aside, every bit agrees.
         V = obstacle_potential(1e-3, 1.0, (0.0, 0.0), 3)[0] if potential else None
         C, H = second_order_phase_map(3, base(3)), second_order_hamiltonian(3, V)
         blocks = geodisc.hamiltonian._step_blocks(C, H, h)
         d, n = C.dim, C.dim // 4
-        Z, s, T, G, t, K = blocks.condensed[:6]
-        for cut, term in zip((Z[:d], s[:d], T[:d, :n], G[:n], t[:n], K[:n, :n]), blocks.one_step):
+        Z, T, G, K = blocks.condensed[:4]
+        for cut, term in zip((Z[:d], T[:d, :n], G[:n], K[:n, :n]), blocks.one_step):
             assert cut.shape == term.shape
             assert (cut + 0.0).tobytes() == (term + 0.0).tobytes()
-        for cut, term in zip((T[:d, :n], G[:n], t[:n], K[:n, :n]), blocks.one_step[2:]):
+        for cut, term in zip((T[:d, :n], G[:n], K[:n, :n]), blocks.one_step[1:]):
             assert cut.tobytes() == term.tobytes()
 
     def test_rows_that_leave_at_different_sweeps_keep_their_one_start_bits(self, rng):
@@ -786,7 +785,7 @@ class TestStepKernel:
         # The blocks and maps live for the whole process, shared by every caller.
         C, H = setup()
         blocks = geodisc.hamiltonian._step_blocks(C, H, 0.01)
-        arrays = [blocks.L, blocks.LK, blocks.A0, blocks.A1, blocks.c, blocks.kq, blocks.Kq0, blocks.Kq1]
+        arrays = [blocks.L, blocks.LK, blocks.A0, blocks.A1, blocks.Kq0, blocks.Kq1]
         arrays += [*blocks.one_step, *blocks.condensed, *C.affine, *midpoint_map(C.dim // 4).affine]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -1091,22 +1090,22 @@ class TestBlockPowers:
     @LINEAR_CASES
     def test_long_runs_stay_near_the_long_double_steps(self, n, base):
         # Five starts, 10^4 steps each, against the same step equations
-        # A0 z_k + A1 z_{k+1} + c = 0 solved in long double: the increment-built
+        # A0 z_k + A1 z_{k+1} = 0 solved in long double: the increment-built
         # powers keep every column within 20 eps of its size (2.9-8.9 at n = 1,
         # 5.5-7.7 here at n = 3); powers built by repeated products of M leave
         # 46-83 and 54-61.
         C, H = second_order_phase_map(n, base(n)), second_order_hamiltonian(n)
         blocks = geodisc.hamiltonian._step_blocks(C, H, 0.01)
-        A0, A1, c = (np.asarray(a, dtype=np.longdouble) for a in (blocks.A0, blocks.A1, blocks.c))
+        A0, A1 = (np.asarray(a, dtype=np.longdouble) for a in (blocks.A0, blocks.A1))
         X = np.linalg.inv(blocks.A1).astype(np.longdouble)
         for _ in range(2):  # Newton-Schulz refinement of A1^-1 to long double
             X = X + X @ (np.eye(4 * n, dtype=np.longdouble) - A1 @ X)
-        D, m = -X @ (A0 + A1), -X @ c
+        D = -X @ (A0 + A1)
         starts = np.random.default_rng(7).normal(size=(5, 4 * n))
         ref = np.empty((10_001,) + starts.shape, dtype=np.longdouble)
         ref[0] = starts
         for k in range(10_000):
-            ref[k + 1] = ref[k] + (ref[k] @ D.T + m)
+            ref[k + 1] = ref[k] + ref[k] @ D.T
         for i, z0 in enumerate(starts):
             z = integrate(C, H, 0.01, 10_000, z0).z
             assert column_error(z, ref[:, i]).max() <= 20
@@ -1342,9 +1341,9 @@ class TestRemainderSteps:
 
 def row_verified(blocks, z, k, end, tol, hG=None):
     """The count of ``hamiltonian._verified_steps`` written out one step a
-    row: the leading steps k .. end - 1 whose residual A0 z_k + A1 z_{k+1} + c,
+    row: the leading steps k .. end - 1 whose residual A0 z_k + A1 z_{k+1},
     plus hG on the p0 rows, is finite and at most max(tol, 8 eps ||z_k||_inf)."""
-    R = z[k:end] @ blocks.A0.T + z[k + 1 : end + 1] @ blocks.A1.T + blocks.c
+    R = z[k:end] @ blocks.A0.T + z[k + 1 : end + 1] @ blocks.A1.T
     if hG is not None:
         d = R.shape[1] // 2
         R[:, d : d + hG.shape[1]] += hG
@@ -1377,7 +1376,7 @@ class TestVerifiedSteps:
         end = k + int(rng.integers(200, 257))
         hG = None
         if potential:
-            Q = z[k:end] @ blocks.Kq0.T + z[k + 1 : end + 1] @ blocks.Kq1.T + blocks.kq
+            Q = z[k:end] @ blocks.Kq0.T + z[k + 1 : end + 1] @ blocks.Kq1.T
             hG = -h * V.grad(Q)
         return blocks, z, k, end, hG
 
@@ -1402,7 +1401,7 @@ class TestVerifiedSteps:
             # Step m's residual lands near 1e-10, far above every other step's and the
             # 8 eps ||z||_inf term; the tolerance then sits just below or just above it.
             z[k + m + 1, j] += 1e-10 / np.abs(blocks.A1[:, j]).max()
-            R = z[k + m] @ blocks.A0.T + z[k + m + 1] @ blocks.A1.T + blocks.c
+            R = z[k + m] @ blocks.A0.T + z[k + m + 1] @ blocks.A1.T
             if hG is not None:
                 R[2 * n : 3 * n] += hG[m]
             tol = np.abs(R).max() * (1 - 1e-9 if fault == "above-floor" else 1 + 1e-9)
@@ -1520,7 +1519,6 @@ def eager_run(C, H, h, steps, z0, T, tol=1e-12, product=None):
                 else:
                     Q = z[k:j] @ blocks.Kq0.T
                     Q += z[k + 1 : j + 1] @ blocks.Kq1.T
-                    Q += blocks.kq
                     verified = hm._verified_steps(blocks, z, k, j, tol, -h * hm._row_gradients(V.grad, Q))
                 if verified:
                     if V is not None:
@@ -1631,7 +1629,7 @@ class TestLazyTangent:
         # multiple of I here, Hess V = hP^-1 at that step); every chord step
         # and every other condensed step is regular.
         C, H = obstacle_run()
-        hP, V = geodisc.hamiltonian._step_blocks(C, H, 0.01).condensed[7], H.potential
+        hP, V = geodisc.hamiltonian._step_blocks(C, H, 0.01).condensed[5], H.potential
         assert not np.any(np.eye(3) - hP @ np.linalg.inv(hP))
 
         def hess(q):  # rows: the condensed linearization; one point: a chord step

@@ -254,7 +254,7 @@ AFFINE_CASES = pytest.mark.parametrize(
 
 
 class TestAffineForward:
-    """The prebuilt forward x -> F x + f of an affine lift."""
+    """The prebuilt forward x -> F x of an affine lift."""
 
     @AFFINE_CASES
     def test_matches_the_composed_forward_to_rounding(self, base, rng):
@@ -276,9 +276,9 @@ class TestAffineForward:
 
     def test_matrices_are_read_only_and_absent_for_other_bases(self):
         C = second_order_phase_map(1)
-        F, f, K, k = C.affine
+        F, K = C.affine
         assert np.array_equal(F, C.jacobian_forward_flat(np.zeros(8)))
-        assert not any(a.flags.writeable for a in (F, f, K, k))
+        assert not any(a.flags.writeable for a in (F, K))
         generic = second_order_phase_map(1, base=replace(midpoint_map(1), affine=None))
         assert generic.jacobian_fn is None and generic.affine is None
 
@@ -314,7 +314,7 @@ class TestAffineRows:
         C = second_order_phase_map(base.dim, base)
         eps = np.finfo(float).eps
         X = rng.normal(size=(2, 15, 2 * C.dim)) * 10.0 ** rng.integers(-3, 4, size=(2, 15, 1))
-        F, _, K, _ = C.affine
+        F, K = C.affine
         for flat, M in ((C.forward_flat, F), (C.inverse_flat, K)):
             Y = flat(X)
             assert Y.shape == X.shape
@@ -399,34 +399,40 @@ class TestMemoizedConstructors:
 
 
 class TestAffineForm:
-    """``affine = (F, f, K, k)`` states x -> F x + f with inverse y -> K y + k:
-    the theta maps, their higher-order lifts and their cotangent lifts."""
+    """``affine = (F, K)`` states x -> F x with inverse y -> K y: the theta
+    maps, their higher-order lifts and their cotangent lifts.  Condition (1),
+    forward(q, 0) = (q, q), at q = 0 leaves an affine map no offset."""
 
     @pytest.mark.parametrize("D", [c[1] for c in THETA_AFFINE_MAPS], ids=[c[0] for c in THETA_AFFINE_MAPS])
     def test_flat_maps_are_the_affine_form(self, D, rng):
-        F, f, K, k = D.affine
+        F, K = D.affine
         eps = np.finfo(float).eps
         X = rng.normal(size=(20, 2 * D.dim)) * 10.0 ** rng.integers(-3, 4, size=(20, 1))
-        for flat, M, c in ((D.forward_flat, F, f), (D.inverse_flat, K, k)):
-            bound = 4 * eps * (np.abs(X) @ np.abs(M).T + np.abs(c))
-            assert np.all(np.abs(flat(X) - (X @ M.T + c)) <= bound)
+        for flat, M in ((D.forward_flat, F), (D.inverse_flat, K)):
+            assert np.all(np.abs(flat(X) - X @ M.T) <= 4 * eps * (np.abs(X) @ np.abs(M).T))
+            assert not np.any(flat(np.zeros(2 * D.dim)))
         assert np.max(np.abs(K @ F - np.eye(2 * D.dim))) <= 4 * eps
-        assert np.max(np.abs(K @ f + k)) <= 4 * eps * np.max(np.abs(f), initial=0.0)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
     def test_a_lift_places_the_base_matrices_without_calling_the_base(self, theta, order, rng):
+        # Both lifts: the higher-order lift of a theta map and the cotangent
+        # lift of that lift, each of a copy whose flat maps and Jacobian raise.
         def forbidden(x):
             raise AssertionError("the base map was evaluated")
 
+        def uncallable(D):
+            return replace(D, forward_flat=forbidden, inverse_flat=forbidden, jacobian_fn=forbidden)
+
         base = theta_map(2, theta)
-        lift = higher_order_lift(replace(base, forward_flat=forbidden, inverse_flat=forbidden, jacobian_fn=forbidden), order)
         plain = higher_order_lift(base, order)
-        X = rng.normal(size=(10, 2 * lift.dim))
-        for name in ("forward_flat", "inverse_flat", "jacobian_forward_flat", "inverse_jacobian_flat"):
-            assert np.array_equal(getattr(lift, name)(X), getattr(plain, name)(X)), name
-        for a, b in zip(lift.affine, plain.affine, strict=True):
-            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        pairs = [(higher_order_lift(uncallable(base), order), plain), (cotangent_lift(uncallable(plain)), cotangent_lift(plain))]
+        for lift, ref in pairs:
+            X = rng.normal(size=(10, 2 * lift.dim))
+            for name in ("forward_flat", "inverse_flat", "jacobian_forward_flat", "inverse_jacobian_flat"):
+                assert np.array_equal(getattr(lift, name)(X), getattr(ref, name)(X)), name
+            for a, b in zip(lift.affine, ref.affine, strict=True):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestExactLiftedInverseJets:
