@@ -415,7 +415,8 @@ def _add_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, help="obstacle potential strength")
     p.add_argument("--r", type=float, help="obstacle radius")
     p.add_argument("--center", help="obstacle center, e.g. '0,0'")
-    p.add_argument("--discretization", help="midpoint (default) or theta:<x>")
+    p.add_argument("--discretization", help="midpoint (default) or theta:<x>, first order (H kept to O(h)) unless "
+                   "x = 0.5, the midpoint: second order, H kept to O(h^2) with a potential, a quadratic H to rounding")
     p.add_argument("--csv-out", dest="csv_out")
     p.add_argument("--svg-out", dest="svg_out")
 

@@ -217,9 +217,20 @@ def tangent_lifted_symplectic_matrix(d: int) -> Array:
     return O
 
 
-#: Samples whose probes go to the forward map in one call.  More hold more
-#: memory (100 samples at 4m = 24: 3.4 MB) and run no faster.
-_SAMPLES_PER_CALL = 10
+#: Probe cells per Jacobian call, 2 k^2 a sample of length k: 100 samples at k = 8, 11 at k = 24.  More run no faster.
+_PROBE_CELLS = 12_800
+
+
+def _form_defects(jacobian, X: Array) -> Array:
+    """max |S^T Omega_pair S - Omega_tangent| at each row x of X (k, 4m), S = jacobian(x) the Jacobian of a
+    cotangent-lifted map: ``jacobian`` takes the rows of as many samples as fit in ``_PROBE_CELLS`` per call."""
+    pair, target = pair_symplectic_matrix(X.shape[1] // 4), tangent_lifted_symplectic_matrix(X.shape[1] // 4)
+    per_call = max(1, _PROBE_CELLS // (2 * X.shape[1] ** 2))
+    defects = []
+    for i in range(0, len(X), per_call):
+        S = jacobian(X[i : i + per_call])
+        defects.append(np.max(np.abs(np.swapaxes(S, -1, -2) @ pair @ S - target), axis=(1, 2)))
+    return np.concatenate(defects)
 
 
 def symplectomorphism_defects(C, samples, eps: float | None = None) -> Array:
@@ -230,12 +241,9 @@ def symplectomorphism_defects(C, samples, eps: float | None = None) -> Array:
     max |S^T Omega_pair S - Omega_tangent| with S the finite-difference
     Jacobian of the flat forward map; the result is a (k,) array.  Raises
     ValueError when no sample is given or the samples are not such rows, all
-    finite.  The map takes the probes of up to ``_SAMPLES_PER_CALL`` samples
-    as one array (:func:`jacobian_fd`).
+    finite.  The probes of as many samples as fit in ``_PROBE_CELLS``, one at least, go to the map as one array.
     """
     d = C.dim // 2
-    target = tangent_lifted_symplectic_matrix(d)
-    pair = pair_symplectic_matrix(d)
     X = np.asarray(samples, dtype=float)
     if not X.size:
         raise ValueError("symplectomorphism_defects needs at least one sample, got none")
@@ -243,8 +251,4 @@ def symplectomorphism_defects(C, samples, eps: float | None = None) -> Array:
         raise ValueError(f"samples must be rows (k, {4 * d}), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("sample contains non-finite entries")
-    defects = []
-    for i in range(0, len(X), _SAMPLES_PER_CALL):
-        S = jacobian_fd(C.forward_flat, X[i : i + _SAMPLES_PER_CALL], eps=eps)
-        defects.append(np.max(np.abs(np.swapaxes(S, -1, -2) @ pair @ S - target), axis=(1, 2)))
-    return np.concatenate(defects)
+    return _form_defects(lambda x: jacobian_fd(C.forward_flat, x, eps=eps), X)

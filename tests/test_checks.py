@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from geodisc.checks import SUITES, CheckResult, convergence_suite, run_all, sphere_lift_suite
+from geodisc import lifts
+from geodisc.checks import SUITES, CheckResult, convergence_suite, run_all, sphere_lift_suite, symplecto_suite
 from geodisc.lifts import CotangentLiftedMap
+from geodisc.numeric import jacobian_fd
 from conftest import package_memos
 
 EXPECTED_SUITES = {
@@ -104,6 +106,17 @@ def test_free_runs_at_one_step_share_their_step_blocks(monkeypatch, clear_memos)
     monkeypatch.setattr(hamiltonian._StepBlocks, "__init__", lambda self, *key: built.append(key[-1]) or init(self, *key))
     run_all(seed=0, suites=["free-spline", "convergence"])
     assert built == [0.01, 0.04, 0.02]
+
+
+def test_symplectomorphism_suite_has_one_fd_oracle_case_and_one_exact_case(monkeypatch):
+    # The n = 1 case probes all 100 samples in one central-difference call; the
+    # affine n = 3 case takes no probes, and its exact Jacobian gives defect 0.
+    calls = []
+    monkeypatch.setattr(lifts, "jacobian_fd", lambda f, x, eps=None: calls.append(np.shape(x)) or jacobian_fd(f, x, eps))
+    fd, exact = symplecto_suite(np.random.default_rng(0))
+    assert calls == [(100, 8)]
+    assert (fd.case, exact.case) == ("lifted midpoint n=1, finite differences", "lifted midpoint n=3, exact Jacobian")
+    assert 0.0 < fd.defect <= 1e-9 and exact.defect == 0.0
 
 
 def test_convergence_pairs():

@@ -1,16 +1,18 @@
 """Structural guarantees of the one-step method as properties, drawn by
 hypothesis over the shipped affine maps (and one map without an affine
 form), with and without the obstacle potential.  A bound on a state is
-stated per column (coordinate), relative to eps and to that column's size."""
+stated per column (coordinate), relative to eps and to that column's size.
+The energy orders close the file, on fixed drawn starts that pass the disc."""
 from dataclasses import replace
 
 import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 
 from geodisc.errors import GeodiscError, NonConvergence, SingularPotential
 from geodisc.hamiltonian import integrate, obstacle_potential, second_order_hamiltonian, symplectic_step
-from geodisc.lifts import second_order_phase_map
+from geodisc.lifts import canonical_symplectic_matrix, second_order_phase_map
 from geodisc.maps import midpoint_map, theta_map
 
 BASES = ["midpoint", "theta:0", "theta:0.3", "theta:0.5", "theta:1", "midpoint without affine"]
@@ -139,3 +141,62 @@ def test_a_run_conserves_the_momentum_of_a_coordinate_the_potential_does_not_rea
     p0 = traj.z[:, 3 * n - 1 : 3 * n] if potential else traj.z[:, 2 * n : 3 * n]
     drift, size = np.abs(p0 - p0[0]).max(axis=0), np.abs(p0).max(axis=0)
     assert np.all(drift <= 8 * EPS * size), drift / (EPS * size)
+
+
+# ---------------------------------------------------------------------------
+# energy orders: backward error analysis as the oracle (GNI, 2nd ed., ch. IX)
+
+PASSING_H = second_order_hamiltonian(3, obstacle_potential(0.05, 1.0, (0.0, 0.0), 3)[0])
+
+
+def modified_energy(H, h, z):
+    """H - (h^2 / 24) H''(f, f) at each row of z, f = J grad H: the modified
+    Hamiltonian that the midpoint step conserves to O(h^4), H'' being S0
+    less Hess V on the q block."""
+    n = H.dim // 2
+    grad, hess = z @ H.S0, np.broadcast_to(H.S0, z.shape[:-1] + H.S0.shape).copy()
+    if H.potential is not None:
+        grad[..., :n] -= H.potential.grad(z[..., :n])
+        hess[..., :n, :n] -= H.potential.hess(z[..., :n])
+    f = grad @ canonical_symplectic_matrix(H.dim).T
+    return H.values(z) - h * h / 24.0 * np.einsum("...i,...ij,...j->...", f, hess, f)
+
+
+def starts_passing_the_disc(k: int, seed: int) -> np.ndarray:
+    """k starts at x = -2, y in [-1.6, -1.3], moving along +x at unit speed with
+    small other velocities and momenta: over T = 4 they pass under the unit
+    disc, where the potential bends the path, at squared clearance 0.49 or
+    more for seed 20."""
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(k, 12)) * 0.05
+    Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3] = -2.0, rng.uniform(-1.6, -1.3, size=k), rng.uniform(-1.0, 1.0, size=k), 1.0
+    return Z
+
+
+def energy_orders(base: str, energy) -> np.ndarray:
+    """Per start, the observed orders of max_k |E(z_k) - E(z_0)| over h = 0.05
+    -> 0.025 -> 0.0125 on T = 4 runs, E = energy(h, z); a run that reached
+    the disc would raise SingularPotential."""
+    def error(h: float, z0: np.ndarray) -> float:
+        E = energy(h, integrate(LIFTS[base, 3], PASSING_H, h, int(round(4.0 / h)), z0).z)
+        return np.max(np.abs(E - E[0]))
+
+    errors = np.array([[error(h, z0) for z0 in starts_passing_the_disc(4, 20)] for h in (0.05, 0.025, 0.0125)])
+    return np.log2(errors[:-1] / errors[1:])
+
+
+@pytest.mark.parametrize("base", ["midpoint", "theta:0.5"])
+def test_the_symmetric_step_conserves_the_modified_energy_to_fourth_order(base):
+    # H itself drifts at order 2, and H - (h^2/24) H''(f, f) at order 4
+    # (3.99 at least on these starts): a wrong sign or a wrong step shows.
+    plain = energy_orders(base, lambda h, z: PASSING_H.values(z))
+    assert np.all(np.abs(plain - 2.0) <= 0.1), plain
+    modified = energy_orders(base, lambda h, z: modified_energy(PASSING_H, h, z))
+    assert np.all(modified >= 3.9), modified
+
+
+@pytest.mark.parametrize("base", ["theta:0", "theta:0.3", "theta:1"])
+def test_a_theta_step_off_one_half_conserves_energy_to_first_order(base):
+    # The theta != 1/2 steps are first order methods: their energy error halves with h.
+    orders = energy_orders(base, lambda h, z: PASSING_H.values(z))
+    assert np.all(np.abs(orders - 1.0) <= 0.1), orders

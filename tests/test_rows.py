@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geodisc import checks
+from geodisc import checks, lifts
 from geodisc.control import obstacle_potential
 from geodisc.errors import DomainViolation, SingularJacobian
 from geodisc.hamiltonian import second_order_hamiltonian
@@ -131,13 +131,41 @@ def test_composed_lift_rows_equal_one_point_calls(C, rng):
 
 def test_symplectomorphism_of_a_composed_lift_matches_jacobian_fd(rng):
     C = cotangent_lift(se2_exp_map())
-    X = list(0.3 * rng.normal(size=(12, 12)))  # two calls: 10 samples, then 2
+    X = list(0.3 * rng.normal(size=(12, 12)))  # one call: 12 samples of 2 * 12^2 probe cells each
     defects = symplectomorphism_defects(C, X)
     target, pair = tangent_lifted_symplectic_matrix(3), pair_symplectic_matrix(3)
     for x, defect in zip(X, defects, strict=True):
         S = jacobian_fd(C.forward_flat, x)
         assert defect == np.max(np.abs(S.T @ pair @ S - target))
     assert np.all(defects <= 1e-6), defects
+
+
+@pytest.mark.parametrize(
+    "lift, count",
+    [
+        (lambda: second_order_phase_map(1), 130),
+        (lambda: second_order_phase_map(3), 25),
+        (lambda: cotangent_lift(se2_exp_map()), 50),
+    ],
+    ids=["n=1", "n=3", "se2"],
+)
+def test_symplectomorphism_defects_do_not_depend_on_the_probe_budget(lift, count, rng, monkeypatch):
+    # A budget of one sample's probe cells, the default and all samples' cells group
+    # the probes into count calls, a few, and one: every grouping gives the same bits.
+    C = lift()
+    X = 0.3 * rng.normal(size=(count, 2 * C.dim))
+    cells = 2 * (2 * C.dim) ** 2
+    per_call = lifts._PROBE_CELLS // cells
+    forward, sizes = C.forward_flat, []
+    C = replace(C, forward_flat=lambda x: sizes.append(len(x)) or forward(x))
+    runs = []
+    for budget in (cells, lifts._PROBE_CELLS, count * cells):
+        monkeypatch.setattr(lifts, "_PROBE_CELLS", budget)
+        runs.append((symplectomorphism_defects(C, X), sizes.copy()))
+        sizes.clear()
+    assert [calls for _, calls in runs] == [[1] * count, [per_call] * (count // per_call) + [count % per_call], [count]]
+    assert all(np.array_equal(defects, runs[0][0]) for defects, _ in runs)
+    assert np.all(runs[0][0] <= 1e-6), runs[0][0]
 
 
 def test_sphere_jet_inverse_raises_singular_jacobian():
@@ -333,10 +361,13 @@ def _step_symplecticity_loop(rng):
 
 
 def _symplectomorphism_loop(rng):
+    # The suite's oracle case by one-point central differences, its exact case by one-point Jacobians.
     defects = []
-    for n in (1, 3):
+    for n, jacobian in ((1, lambda C, x: jacobian_fd(C.forward_flat, x)), (3, lambda C, x: C.jacobian_forward_flat(x))):
         C = second_order_phase_map(n)
-        defects.append(worst_defect([symplectomorphism_defects(C, [x])[0] for x in rng.normal(size=(100, 8 * n))]))
+        target, pair = tangent_lifted_symplectic_matrix(2 * n), pair_symplectic_matrix(2 * n)
+        Ss = [jacobian(C, x) for x in rng.normal(size=(100, 8 * n))]
+        defects.append(worst_defect([np.max(np.abs(S.T @ pair @ S - target)) for S in Ss]))
     return defects
 
 
