@@ -13,13 +13,15 @@ A suite draws all its samples first, in one stream order per seed, and sends
 them through each map, lift or jet as the rows of one array.
 
 :func:`run_all` calls every suite with the same keywords: ``rng`` (a fresh
-generator on the run's seed) and ``h_values`` (the convergence steps).  A
+:class:`Sampler` on the run's seed) and ``h_values`` (the convergence steps).  A
 suite names the ones it reads, each with a default where it has one, and
 takes the rest as ``**_``.  Maps, lifts and step blocks are built once per
 process by their memos, so the suites of a run share them, as do later runs.
 """
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Callable, Iterable, Sequence
@@ -28,23 +30,10 @@ import numpy as np
 
 from .hamiltonian import integrate, obstacle_potential, second_order_hamiltonian, symplectic_step
 from .jets import jet_of_curve, unzip_jet_tangent, zip_jet_tangent
-from .lifts import (
-    _form_defects,
-    canonical_symplectic_matrix,
-    cotangent_lift,
-    higher_order_lift,
-    second_order_phase_map,
-    symplectomorphism_defects,
-)
-from .maps import (
-    axiom_defects,
-    memoized,
-    midpoint_map,
-    se2_exp_map,
-    sphere_geodesic_midpoint_map,
-    sphere_initial_point_map,
-    theta_map,
-)
+from .lifts import _form_defects, canonical_symplectic_matrix, cotangent_lift, higher_order_lift, second_order_phase_map
+from .lifts import symplectomorphism_defects
+from .maps import axiom_defects, memoized, midpoint_map, se2_exp_map, sphere_geodesic_midpoint_map, sphere_initial_point_map
+from .maps import theta_map
 from .numeric import jacobian_fd, rowdot, worst_defect
 
 Array = np.ndarray
@@ -73,6 +62,43 @@ def _result(suite: str, case: str, defect: float, tol: float, info: bool = False
 
 # ---------------------------------------------------------------------------
 # samplers
+
+
+#: SplitMix64's counter increment and its two (shift, multiplier) mixing rounds.
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIXERS = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
+
+
+class Sampler:
+    """The suites' seeded draws, without ``numpy.random`` (whose import loads
+    OpenSSL): ``normal(size=...)`` and ``uniform(low, high, size=...)`` as on a
+    numpy Generator.  Uniform i is the top 53 bits of SplitMix64 (Steele, Lea
+    & Flood 2014) at counter i, keyed by ``random.Random(seed).getrandbits(64)``;
+    normals are Box-Muller pairs, cos and sin, one uniform each."""
+
+    def __init__(self, seed: int):
+        self._key, self._drawn = np.uint64(random.Random(seed).getrandbits(64)), 0
+
+    def _unit(self, k: int) -> Array:
+        """The next k uniforms in [0, 1), by wrapping uint64 arithmetic in place on an array (a scalar's overflow warns)."""
+        z = np.arange(self._drawn + 1, self._drawn + k + 1, dtype=np.uint64)
+        self._drawn += k
+        z *= _GOLDEN_GAMMA
+        z += self._key
+        for shift, factor in _MIXERS:
+            z ^= z >> shift
+            z *= factor
+        z ^= z >> 31
+        return (z >> 11) * 2.0**-53
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=1) -> Array:
+        return low + (high - low) * self._unit(size if isinstance(size, int) else math.prod(size)).reshape(size)
+
+    def normal(self, size=1) -> Array:
+        k = size if isinstance(size, int) else math.prod(size)
+        u, v = self._unit(k + k % 2).reshape(2, -1)
+        r, t = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
+        return np.concatenate([r * np.cos(t), r * np.sin(t)])[:k].reshape(size)
 
 
 def _sphere_tangent_curves(rng, count: int) -> Callable[[float], Array]:
@@ -193,19 +219,14 @@ def _one_step_jacobian(C, H, h: float, z0: Array) -> Array:
 
 def step_symplecticity_suite(rng, **_) -> list[CheckResult]:
     """M^T Omega M = Omega for the one-step map, free and obstacle systems."""
-    free = rng.normal(size=(20, 4))
-    obstacle = []
-    for _ in range(20):  # normal and uniform draws interleave per sample
-        z0 = rng.normal(size=12) * 0.3
-        # Keep the position comfortably outside the obstacle.
-        rho = 1.8 + rng.uniform(0.0, 1.5)
-        ang = rng.uniform(0.0, 2 * np.pi)
-        z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
-        obstacle.append(z0)
+    free, obstacle = rng.normal(size=(20, 4)), rng.normal(size=(20, 12)) * 0.3
+    # Keep the position comfortably outside the obstacle.
+    rho, ang = 1.8 + rng.uniform(0.0, 1.5, size=20), rng.uniform(0.0, 2 * np.pi, size=20)
+    obstacle[:, 0], obstacle[:, 1] = rho * np.cos(ang), rho * np.sin(ang)
     H = second_order_hamiltonian(3, obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0])
     jacobians = (
         ("free n=1", _one_step_jacobian(second_order_phase_map(1), second_order_hamiltonian(1), 0.01, free)),
-        ("obstacle n=3", _one_step_jacobian(second_order_phase_map(3), H, 0.01, np.array(obstacle))),
+        ("obstacle n=3", _one_step_jacobian(second_order_phase_map(3), H, 0.01, obstacle)),
     )
     out = []
     for case, M in jacobians:
@@ -226,19 +247,15 @@ def free_spline_suite(**_) -> list[CheckResult]:
 
 def convergence_suite(h_values: Sequence[float] = (0.04, 0.02, 0.01), **_) -> list[CheckResult]:
     """Observed global order against the exactly known cubic free flow."""
-    out = []
     C, H = second_order_phase_map(1), second_order_hamiltonian(1)
     z0 = np.array([0.0, 0.0, 12.0, 6.0])
     T = 1.0
     # Exact flow: p0 constant, p1 linear, qdot and q its integrals.
     q_exact = z0[0] + z0[1] * T + z0[3] * T**2 / 2.0 - z0[2] * T**3 / 6.0
-    errs = []
-    for h in h_values:
-        traj = integrate(C, H, h, int(round(T / h)), z0)
-        errs.append(abs(traj.z[-1, 0] - q_exact))
-    for i in range(len(errs) - 1):
-        h0, h1 = h_values[i], h_values[i + 1]
-        order = float(np.log(errs[i] / errs[i + 1]) / np.log(h0 / h1))
+    errs = [abs(integrate(C, H, h, int(round(T / h)), z0).z[-1, 0] - q_exact) for h in h_values]
+    out = []
+    for (h0, e0), (h1, e1) in zip(zip(h_values, errs), zip(h_values[1:], errs[1:])):
+        order = float(np.log(e0 / e1) / np.log(h0 / h1))
         out.append(_result("convergence", f"order h={h0}->{h1}: observed {order:.4f}", abs(order - 2.0), 0.1))
     return out
 
@@ -306,11 +323,13 @@ SUITES: dict[str, Callable] = {
 }
 
 
-def validate_run(suites: Iterable[str] | None, h_values: Sequence[float]) -> list[str]:
+def validate_run(suites: Iterable[str] | None, h_values: Sequence[float], seed: int = 0) -> list[str]:
     """The suites a run makes, in order (every suite when none is named).
-    Raises ValueError on an unknown or repeated suite, and unless the
-    convergence steps are at least two distinct values in (0, 1], the
-    horizon being 1."""
+    Raises ValueError on a negative seed, an unknown or repeated suite, and
+    unless the convergence steps are at least two distinct values in (0, 1],
+    the horizon being 1."""
+    if seed < 0:  # random.Random would seed -k as k
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not all(0 < h <= 1 for h in h_values):
         raise ValueError(f"convergence steps must lie in (0, 1], the horizon being 1; got {list(h_values)}")
     if len(h_values) < 2 or len(set(h_values)) < len(h_values):
@@ -333,6 +352,6 @@ def run_all(
     h_values: Sequence[float] = (0.04, 0.02, 0.01),
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
-    for name in validate_run(suites, h_values):
-        results.extend(SUITES[name](rng=np.random.default_rng(seed), h_values=h_values))
+    for name in validate_run(suites, h_values, seed):
+        results.extend(SUITES[name](rng=Sampler(seed), h_values=h_values))
     return results

@@ -27,12 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadDiscretization,
-    ConfigError,
-    GeodiscError,
-    StartInsideObstacle,
-)
+from .errors import BadDiscretization, ConfigError, GeodiscError, StartInsideObstacle
 from .lifts import second_order_phase_map
 from .maps import midpoint_map, theta_map
 from .numeric import rowdot
@@ -121,10 +116,8 @@ class ExperimentConfig:
         _check_outputs(*filter(None, (self.csv_out, self.svg_out, self.json_out)))
         if command == "check":
             from .checks import validate_run
-            if self.seed < 0:
-                raise ConfigError(f"seed must be >= 0, got {self.seed}")
             try:
-                validate_run(self.suites, self.h_values)
+                validate_run(self.suites, self.h_values, self.seed)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             return
@@ -470,8 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_kind(exc: BaseException) -> str:
-    name = type(exc).__name__
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
 def main(argv=None) -> int:

@@ -20,14 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BadDiscretization,
-    EvaluationFailure,
-    NonConvergence,
-    ObstaclePenetration,
-    SingularPotential,
-    StartInsideObstacle,
-)
+from .errors import BadDiscretization, EvaluationFailure, NonConvergence, ObstaclePenetration, SingularPotential
+from .errors import StartInsideObstacle
 from .hamiltonian import SINGULAR_CLEARANCE, Potential, Trajectory, integrate, obstacle_potential, second_order_hamiltonian
 from .lifts import CotangentLiftedMap, second_order_phase_map
 from .maps import DiscretizationMap

@@ -221,15 +221,16 @@ def tangent_lifted_symplectic_matrix(d: int) -> Array:
 _PROBE_CELLS = 12_800
 
 
-def _form_defects(jacobian, X: Array) -> Array:
+def _form_defects(jacobian, X: Array, per_call: int | None = None) -> Array:
     """max |S^T Omega_pair S - Omega_tangent| at each row x of X (k, 4m), S = jacobian(x) the Jacobian of a
-    cotangent-lifted map: ``jacobian`` takes the rows of as many samples as fit in ``_PROBE_CELLS`` per call."""
+    cotangent-lifted map, taken on ``per_call`` rows a call (all rows by default).  A Jacobian that is one matrix
+    broadcast over the rows (stride 0, as an affine map's) has its product formed once a call."""
     pair, target = pair_symplectic_matrix(X.shape[1] // 4), tangent_lifted_symplectic_matrix(X.shape[1] // 4)
-    per_call = max(1, _PROBE_CELLS // (2 * X.shape[1] ** 2))
-    defects = []
+    per_call, defects = per_call or len(X), []
     for i in range(0, len(X), per_call):
         S = jacobian(X[i : i + per_call])
-        defects.append(np.max(np.abs(np.swapaxes(S, -1, -2) @ pair @ S - target), axis=(1, 2)))
+        one = S[:1] if S.strides[0] == 0 else S
+        defects.append(np.broadcast_to(np.max(np.abs(np.swapaxes(one, -1, -2) @ pair @ one - target), axis=(1, 2)), len(S)))
     return np.concatenate(defects)
 
 
@@ -251,4 +252,5 @@ def symplectomorphism_defects(C, samples, eps: float | None = None) -> Array:
         raise ValueError(f"samples must be rows (k, {4 * d}), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("sample contains non-finite entries")
-    return _form_defects(lambda x: jacobian_fd(C.forward_flat, x, eps=eps), X)
+    per_call = max(1, _PROBE_CELLS // (2 * X.shape[1] ** 2))
+    return _form_defects(lambda x: jacobian_fd(C.forward_flat, x, eps=eps), X, per_call)

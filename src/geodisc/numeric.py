@@ -18,16 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainViolation,
-    EvaluationFailure,
-    GeodiscError,
-    NonConvergence,
-    ObstaclePenetration,
-    SingularJacobian,
-    SingularPotential,
-    UnsupportedOrder,
-)
+from .errors import DomainViolation, EvaluationFailure, GeodiscError, NonConvergence, ObstaclePenetration
+from .errors import SingularJacobian, SingularPotential, UnsupportedOrder
 
 Array = np.ndarray
 VectorFunc = Callable[[Array], Array]

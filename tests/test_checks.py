@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geodisc import lifts
-from geodisc.checks import SUITES, CheckResult, convergence_suite, run_all, sphere_lift_suite, symplecto_suite
+from geodisc.checks import SUITES, CheckResult, Sampler, convergence_suite, run_all, sphere_lift_suite, symplecto_suite
 from geodisc.lifts import CotangentLiftedMap
 from geodisc.numeric import jacobian_fd
 from conftest import package_memos
@@ -70,8 +70,52 @@ def test_run_all_calls_every_suite_the_same_way(monkeypatch):
 
 
 def test_each_suite_runs_alone_on_its_defaults():
-    alone = [result for suite in SUITES.values() for result in suite(rng=np.random.default_rng(5))]
+    alone = [result for suite in SUITES.values() for result in suite(rng=Sampler(5))]
     assert alone == run_all(seed=5)
+
+
+def test_runs_of_one_suite_joined_equal_the_full_run():
+    # As CI's smoke asserts of `check --suite`: each suite draws from its own sampler on the run's seed.
+    assert sum((run_all(seed=71, suites=[name]) for name in SUITES), []) == run_all(seed=71)
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run_all(seed=-1)
+
+
+def test_a_seed_past_64_bits_runs():
+    results = run_all(seed=2**70)
+    assert len(results) == 31 and not any(r.failed for r in results)
+
+
+def test_sampler_repeats_a_seed_and_separates_neighbours():
+    for k in (0, 1, 5, 2**64, 2**70):
+        a, b, c = Sampler(k), Sampler(k), Sampler(k + 1)
+        for draw in (lambda s: s.normal(size=(3, 7)), lambda s: s.uniform(-2.0, 2.0, size=5)):
+            x, y, z = draw(a), draw(b), draw(c)
+            assert np.array_equal(x, y) and not np.any(x == z)
+
+
+def test_sampler_shapes_and_uniform_range():
+    s = Sampler(3)
+    assert s.normal(size=12).shape == (12,) and s.normal(size=(25, 2, 3)).shape == (25, 2, 3)
+    u = s.uniform(1.8, 3.3, size=(1000, 10))
+    assert u.shape == (1000, 10) and np.all(u >= 1.8) and np.all(u < 3.3)
+    assert np.all(s._unit(10_000) < 1.0) and s._unit(1)[0] >= 0.0
+
+
+def test_sampler_normals_have_mean_zero_and_variance_one():
+    N = 100_000
+    x = Sampler(0).normal(size=N)  # 5 sigma: sqrt(1/N) for the mean, sqrt(2/N) for the variance
+    assert abs(x.mean()) < 5 * np.sqrt(1 / N) and abs(x.var() - 1.0) < 5 * np.sqrt(2 / N)
+
+
+def test_an_odd_count_of_normals_takes_one_uniform_more():
+    s, t = Sampler(9), Sampler(9)
+    s.normal(size=3)
+    t._unit(4)
+    assert np.array_equal(s.uniform(size=2), t.uniform(size=2))
 
 
 def test_same_seed_same_defects():

@@ -791,6 +791,9 @@ class TestPlot:
 
 FOOTPRINT = """
 import contextlib, io, json, sys
+import numpy
+
+BASE = set(sys.modules)  # what numpy loads on import (numpy.random among it before numpy 2.0)
 from geodisc import cli, hamiltonian
 
 
@@ -799,7 +802,8 @@ class FirstStep(BaseException):
 
 
 def loaded():
-    return sorted(name for name in sys.modules if name.startswith("geodisc."))
+    watched = ("numpy.random", "secrets", "_hashlib")
+    return sorted(name for name in set(sys.modules) - BASE if name.startswith("geodisc.") or name in watched)
 
 
 def first_step(*args, **kwargs):
@@ -819,22 +823,26 @@ except FirstStep as stop:
 """
 
 RUN_MODULES = ["geodisc.artifacts", "geodisc.control"]
+#: numpy.random loads OpenSSL through secrets -> hmac -> hashlib -> _hashlib; the check suites draw without it.
+NUMPY_RANDOM = ["numpy.random", "secrets", "_hashlib"]
 
 
 @pytest.mark.parametrize(
     "argv, loaded, not_loaded",
     [
-        (["check", "--seed", "0"], [], ["geodisc.artifacts", "geodisc.control"]),
-        (["simulate", "--problem", "free", "--n", "1", "--steps", "3", "--init=1,2,0,0"], RUN_MODULES, ["geodisc.checks"]),
+        (["check", "--seed", "0"], [], ["geodisc.artifacts", "geodisc.control", *NUMPY_RANDOM]),
+        (["simulate", "--problem", "free", "--n", "1", "--steps", "3", "--init=1,2,0,0"], RUN_MODULES,
+         ["geodisc.checks", *NUMPY_RANDOM]),
         (["shoot", "--problem", "free", "--n", "1", "--q0", "0", "--v0", "0", "--q1", "1", "--v1", "0", "--T", "1"],
-         RUN_MODULES, ["geodisc.checks"]),
+         RUN_MODULES, ["geodisc.checks", *NUMPY_RANDOM]),
     ],
     ids=["check", "simulate", "shoot"],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded, not_loaded, isolated):
     # In a fresh interpreter: check never loads the problems or the writers,
     # and simulate and shoot load all they run before their first step
-    # (hamiltonian.step_residual), and never the check suites.
+    # (hamiltonian.step_residual), and never the check suites.  No command
+    # loads numpy.random or OpenSSL.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)], env=env, capture_output=True, text=True, check=True)

@@ -341,12 +341,12 @@ def _sphere_lift_loop(rng):
 
 
 def _step_symplecticity_loop(rng):
-    free = rng.normal(size=(20, 4))
+    # The suite's draws, as three arrays: the free starts, the obstacle starts, then rho and the angle.
+    free, Z = rng.normal(size=(20, 4)), rng.normal(size=(20, 12)) * 0.3
+    rho, ang = 1.8 + rng.uniform(0.0, 1.5, size=20), rng.uniform(0.0, 2 * np.pi, size=20)
     obstacle = []
-    for _ in range(20):
-        z0 = rng.normal(size=12) * 0.3
-        rho, ang = 1.8 + rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * np.pi)
-        z0[0], z0[1] = rho * np.cos(ang), rho * np.sin(ang)
+    for z0, r, a in zip(Z, rho, ang):
+        z0[0], z0[1] = r * np.cos(a), r * np.sin(a)
         obstacle.append(z0)
     V = obstacle_potential(1.0, 1.0, (0.0, 0.0), 3)[0]
     defects = []
